@@ -150,7 +150,10 @@ func Hash64(b []byte) uint64 {
 // Put stores a copy of data under its content key. A chunk larger than
 // the whole budget is not stored; otherwise colder entries are evicted
 // (back of the LRU first) until it fits. Re-putting a present key just
-// refreshes its recency.
+// refreshes its recency. A memory-backed cache at capacity copies into
+// the buffer of an entry it just evicted instead of allocating: with
+// same-size chunks (every chunk of an image but its tail) admission is
+// allocation-free in steady state.
 func (c *Cache) Put(hash uint64, crc uint32, data []byte) {
 	n := int64(len(data))
 	if n == 0 || n > c.max {
@@ -163,8 +166,14 @@ func (c *Cache) Put(hash uint64, crc uint32, data []byte) {
 		c.ll.MoveToFront(el)
 		return
 	}
+	var spare []byte
 	for c.size+n > c.max {
-		c.evictOldestLocked()
+		// Reuse only a buffer less than twice the size needed: the budget
+		// counts payload bytes, so a small chunk parked in a large buffer
+		// would let real memory outgrow it.
+		if b := c.evictOldestLocked(); cap(b) >= len(data) && cap(b) < 2*len(data) {
+			spare = b
+		}
 	}
 	e := &entry{key: k}
 	if c.dir != "" {
@@ -188,7 +197,7 @@ func (c *Cache) Put(hash uint64, crc uint32, data []byte) {
 		}
 		e.path = path
 	} else {
-		e.data = append([]byte(nil), data...)
+		e.data = append(spare[:0], data...)
 	}
 	c.entries[k] = c.ll.PushFront(e)
 	c.size += n
@@ -232,8 +241,10 @@ func (c *Cache) Get(hash uint64, crc uint32, n int, dst []byte) bool {
 		return false
 	}
 	c.ll.MoveToFront(el)
-	c.mu.Unlock()
+	// Copy before unlocking: once the lock is released an eviction may
+	// hand this entry's buffer to the next Put.
 	copy(dst[:n], data)
+	c.mu.Unlock()
 	c.hits.Add(1)
 	c.saved.Add(int64(n))
 	return true
@@ -328,13 +339,17 @@ func (c *Cache) Size() int64 {
 	return c.size
 }
 
-func (c *Cache) evictOldestLocked() {
+// evictOldestLocked drops the least recently used entry and returns its
+// in-memory buffer (nil for a disk-backed entry), which nothing
+// references any more.
+func (c *Cache) evictOldestLocked() []byte {
 	el := c.ll.Back()
 	if el == nil {
-		return
+		return nil
 	}
 	c.removeLocked(el)
 	c.evictions.Add(1)
+	return el.Value.(*entry).data
 }
 
 func (c *Cache) removeLocked(el *list.Element) {

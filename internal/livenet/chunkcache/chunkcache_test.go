@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -281,5 +282,68 @@ func TestZeroBudgetDisables(t *testing.T) {
 	}
 	if c.Get(ha, crcA, 64, make([]byte, 64)) {
 		t.Fatal("zero-budget cache must miss")
+	}
+}
+
+// TestCachePutSteadyStateAllocs: a memory-backed cache at capacity
+// admits same-size chunks into the buffers of the entries it evicts, so
+// a Put allocates its bookkeeping (an entry and a list element) and no
+// payload — and the copy is still private and intact.
+func TestCachePutSteadyStateAllocs(t *testing.T) {
+	const size, resident = 64 << 10, 8
+	c, err := New(resident*size, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := chunk(0, size)
+	admit := func(i int) (uint64, uint32) {
+		data[0], data[1] = byte(i), byte(i>>8) // new content, new key
+		return put(c, data)
+	}
+	for i := 0; i < resident; i++ {
+		admit(i)
+	}
+	const puts = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := resident; i < resident+puts; i++ {
+		admit(i)
+	}
+	runtime.ReadMemStats(&after)
+	if perPut := (after.TotalAlloc - before.TotalAlloc) / puts; perPut > 512 {
+		t.Fatalf("Put at capacity allocates %d B/op, want bookkeeping only (<= 512 B, payload is %d)", perPut, size)
+	}
+	if got := c.Stats().Evictions; got != puts {
+		t.Fatalf("evictions = %d, want %d (one per Put at capacity)", got, puts)
+	}
+	h, crc := admit(resident + puts)
+	data[0] ^= 0xff // the caller's buffer stays the caller's
+	dst := make([]byte, size)
+	if !c.Get(h, crc, size, dst) || dst[0] != byte(resident+puts) {
+		t.Fatal("chunk admitted into a reused buffer did not read back intact")
+	}
+}
+
+// TestCachePutReuseBounded: a small chunk never inherits a much larger
+// evicted buffer, so the bytes the cache really holds stay within twice
+// its payload budget whatever the mix of sizes.
+func TestCachePutReuseBounded(t *testing.T) {
+	const budget = 8 * 4096
+	c, err := New(budget, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		n := []int{4096, 64, 3000, 1}[i%4]
+		b := chunk(byte(i), n)
+		b[0], b[n-1] = byte(i>>8), byte(i)
+		put(c, b)
+	}
+	held := 0
+	for _, el := range c.entries {
+		held += cap(el.Value.(*entry).data)
+	}
+	if held > 2*budget {
+		t.Fatalf("cache holds %d bytes of buffers under a %d-byte budget", held, budget)
 	}
 }

@@ -3,72 +3,91 @@ package livenet
 // CRC-32 is a linear function over GF(2): the checksum of a
 // concatenation A||B can be computed from crc(A), crc(B), and len(B)
 // alone, without touching the bytes, by advancing crc(A) through len(B)
-// zero bytes (a GF(2) matrix power) and xoring in crc(B). That lets a
-// memory-mode NM verify a spliced image's whole-image digest from the
-// per-chunk CRCs it already verified individually — O(chunks · log
-// chunk-size) instead of an O(image-bytes) read-back pass. This is the
-// classic zlib crc32_combine construction for the IEEE polynomial.
+// zero bytes and xoring in crc(B). Advancing by n zero bytes multiplies
+// the CRC register, read as a polynomial over GF(2), by x^(8n) modulo
+// the CRC polynomial P — so the whole shift is ONE 32-bit operator,
+// x^(8n) mod P, built by square-and-multiply in O(log n) 32-step
+// multiplies and applied in a single multiply (the multmodp/x2nmodp
+// form zlib adopted in 1.2.12, replacing its 32x32 matrix squarings).
+// That lets a memory-mode NM verify a spliced image's whole-image
+// digest from the per-chunk CRCs it already verified individually:
+// one operator per distinct chunk length — the manifest's ChunkBytes
+// and its tail — then one multiply per chunk, O(chunks) in all instead
+// of an O(image-bytes) read-back pass.
 
 // ieeeReversedPoly is the reversed (LSB-first) form of the IEEE CRC-32
-// polynomial, matching hash/crc32's IEEE table.
+// polynomial, matching hash/crc32's IEEE table. In this representation
+// bit 31 is the coefficient of x^0 and bit 0 that of x^31.
 const ieeeReversedPoly = 0xedb88320
 
-// gf2MatrixTimes multiplies a 32x32 GF(2) matrix by a vector.
-func gf2MatrixTimes(mat *[32]uint32, vec uint32) uint32 {
-	var sum uint32
-	for i := 0; vec != 0; i++ {
-		if vec&1 != 0 {
-			sum ^= mat[i]
+// crcShift is the operator that advances a CRC-32 through a fixed
+// number of zero bytes: the polynomial x^(8n) mod P.
+type crcShift uint32
+
+// mulModP multiplies two polynomials modulo P (at most 32 steps).
+func mulModP(a, b uint32) uint32 {
+	var p uint32
+	// m walks a's coefficients from x^0 up and stops after the last set
+	// one; b is multiplied by x (mod P) at each step.
+	for m := uint32(1) << 31; m != 0 && a&(m|(m-1)) != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
 		}
-		vec >>= 1
+		if b&1 != 0 {
+			b = b>>1 ^ ieeeReversedPoly
+		} else {
+			b >>= 1
+		}
 	}
-	return sum
+	return p
 }
 
-// gf2MatrixSquare squares a 32x32 GF(2) matrix into dst.
-func gf2MatrixSquare(dst, mat *[32]uint32) {
-	for n := range dst {
-		dst[n] = gf2MatrixTimes(mat, mat[n])
+// newCRCShift builds the operator for n zero bytes (n <= 0 is the
+// identity).
+func newCRCShift(n int64) crcShift {
+	op := uint32(1) << 31 // x^0
+	sq := uint32(1) << 23 // x^8: one zero byte; squared once per bit of n
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			op = mulModP(sq, op)
+		}
+		sq = mulModP(sq, sq)
 	}
+	return crcShift(op)
 }
 
-// crc32Combine returns crc32.ChecksumIEEE(A||B) given crc1 =
-// ChecksumIEEE(A), crc2 = ChecksumIEEE(B), and len2 = len(B).
+// combine returns crc32.ChecksumIEEE(A||B) given crc1 = ChecksumIEEE(A)
+// and crc2 = ChecksumIEEE(B), where len(B) is the length op was built
+// for.
+func (op crcShift) combine(crc1, crc2 uint32) uint32 {
+	return mulModP(uint32(op), crc1) ^ crc2
+}
+
+// crc32Combine is the one-shot form: build the operator for len2 and
+// apply it once.
 func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {
-	if len2 <= 0 {
-		return crc1
+	return newCRCShift(len2).combine(crc1, crc2)
+}
+
+// foldChunkCRCs returns the CRC-32 of an image cut into len(crcs)
+// chunks — every chunk chunkBytes long except the last, which is
+// tailBytes — from the chunks' own CRCs, and how many shift operators
+// it built doing so: one per distinct length, so at most two however
+// many chunks there are.
+func foldChunkCRCs(crcs []uint32, chunkBytes, tailBytes int) (crc uint32, built int) {
+	if len(crcs) == 0 {
+		return 0, 0
 	}
-	var even, odd [32]uint32
-	// odd = the operator that advances a CRC by one zero bit.
-	odd[0] = ieeeReversedPoly
-	row := uint32(1)
-	for n := 1; n < 32; n++ {
-		odd[n] = row
-		row <<= 1
+	last := len(crcs) - 1
+	body := newCRCShift(int64(chunkBytes))
+	built = 1
+	for _, c := range crcs[:last] {
+		crc = body.combine(crc, c)
 	}
-	// Each squaring doubles how many zero bits the operator advances.
-	// Two squarings turn the 1-bit operator into the 4-bit one; the
-	// loop below squares on, applying the current operator for each set
-	// bit of len2 (len2 counts bytes, so the loop starts at 8 bits).
-	gf2MatrixSquare(&even, &odd) // 2 zero bits
-	gf2MatrixSquare(&odd, &even) // 4 zero bits
-	for {
-		gf2MatrixSquare(&even, &odd) // 8, 32, 128, ... zero bits
-		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&even, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
-		gf2MatrixSquare(&odd, &even) // 16, 64, 256, ... zero bits
-		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&odd, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
+	tail := body
+	if tailBytes != chunkBytes {
+		tail = newCRCShift(int64(tailBytes))
+		built = 2
 	}
-	return crc1 ^ crc2
+	return tail.combine(crc, crcs[last]), built
 }

@@ -1745,8 +1745,8 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 	}
 	// Chunks are independent (generate + hash + CRC each), so the pass
 	// fans out over a small worker pool; the whole-image digest then
-	// folds the per-chunk CRCs in order with crc32Combine, which equals
-	// the sequential crc32.Update over the concatenation.
+	// folds the per-chunk CRCs in order (foldChunkCRCs), which equals the
+	// sequential crc32.Update over the concatenation.
 	parallelChunks(j.frags, func(i int) {
 		size := chunkSizeFor(&j.spec, frag, i)
 		data := grabFragBuf(size)
@@ -1755,11 +1755,10 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 		d.crcs[i] = fragCRC(data)
 		releaseFragBuf(data)
 	})
-	for i := 0; i < j.frags; i++ {
-		size := chunkSizeFor(&j.spec, frag, i)
-		d.imageCRC = crc32Combine(d.imageCRC, d.crcs[i], int64(size))
-		d.total += int64(size)
-	}
+	// Every chunk but the last is frag bytes long.
+	tail := chunkSizeFor(&j.spec, frag, j.frags-1)
+	d.imageCRC, _ = foldChunkCRCs(d.crcs, frag, tail)
+	d.total = int64(j.frags-1)*int64(frag) + int64(tail)
 	if cacheable {
 		d.patch = make(map[int]uint64, len(j.spec.ImagePatch))
 		for k, v := range j.spec.ImagePatch {
@@ -1813,7 +1812,13 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	children := append([]*nmLink(nil), ss.children...)
 	epoch := ss.epoch
 	k := len(j.stripes)
-	ss.haves = make(map[int][]uint64)
+	if ss.haves == nil {
+		// A rewire (initial layout, replan) cleared the ledgers with the
+		// epoch. A round that re-runs in the same epoch — another stripe's
+		// failure interrupted it, and this stripe only pruned a leaf —
+		// keeps the reports it has: the NMs answer once per epoch.
+		ss.haves = make(map[int][]uint64)
+	}
 	j.mu.Unlock()
 
 	m := &Manifest{Job: j.id, Epoch: epoch, Stripe: ss.id, ChunkBytes: mm.cfg.FragBytes,

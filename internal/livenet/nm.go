@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
@@ -93,11 +94,13 @@ type NM struct {
 	ctl     *nmCtl              // control-tree role (heartbeat/strobe relay)
 
 	// counters, guarded by mu: fragments verified, fragments relayed
-	// downstream, processes forked, gang context switches enacted.
+	// downstream, processes forked, gang context switches enacted, CRC
+	// shift operators built by image digest folds.
 	fragsWritten int
 	fragsRelayed int
 	launches     int
 	strobesSeen  int
+	shiftOps     int
 
 	// testDropAcks, when set (in-package tests only), silently withholds
 	// all fragment acks — the "node stops crediting the window" fault.
@@ -110,6 +113,11 @@ type NM struct {
 	// fragment's payload after local verification but before it is
 	// relayed downstream — the mid-tree corruption hook.
 	testCorruptRelay func(job, index int, data []byte)
+	// testOffLock, when set (in-package tests only), runs at every point
+	// of the receive path that is about to do O(bytes) or O(chunks) work
+	// — chunk CRC and hash, cache admission, the image digest fold — all
+	// of which must happen without nm.mu held.
+	testOffLock func()
 
 	// probation is the heartbeat-clean period count the MM's RejoinAck
 	// quoted (0 for a fresh registration); set once in NewNMConfig.
@@ -142,7 +150,7 @@ type binState struct {
 	k        int   // stripe count the manifest round established (≥1)
 	srecv    []int // per-stripe in-order chunk prefix (stripe-local counts)
 	expect   [][]uint64
-	draining bool // manifest-time cache drain in flight; defer the HAVE folds
+	draining bool // manifest-time cache drain or image seal in flight; defer the HAVE folds
 
 	// Spool state (SpoolDir set): chunks are written at their offsets in
 	// a job-private temp file that is renamed into place only once the
@@ -472,23 +480,20 @@ func (nm *NM) acceptPeers() {
 		if err != nil {
 			return // listener closed
 		}
-		if nm.cfg.WrapConn != nil {
-			nc = nm.cfg.WrapConn(nc)
+		if !nm.adoptPeer(nc) {
+			nc.Close() // accepted as Close swept the peers: nobody else will
+			return
 		}
-		pc := newConnProf(nc, nm.profile())
-		nm.mu.Lock()
-		nm.peers[pc] = struct{}{}
-		nm.mu.Unlock()
-		nm.wg.Add(1)
-		go nm.servePeer(pc)
 	}
 }
 
-// adoptPeer accepts an inbound relay connection routed by a shared
-// PeerHub: the NM's own fault hook and connection profile apply exactly
-// as they would on a privately-accepted connection. Returns false (and
-// adopts nothing) if the NM is already closed — the connection then
-// belongs to the caller.
+// adoptPeer takes over an inbound relay connection, accepted privately
+// or routed by a shared PeerHub: the NM's own fault hook and connection
+// profile apply either way. Returns false (and adopts nothing) if the NM
+// is already closed — the connection then belongs to the caller. The
+// closed check, the insert and the wg.Add share one critical section
+// with Close's sweep, so a connection is either refused here or closed
+// there.
 func (nm *NM) adoptPeer(nc net.Conn) bool {
 	if nm.cfg.WrapConn != nil {
 		nc = nm.cfg.WrapConn(nc)
@@ -643,17 +648,37 @@ func (nm *NM) peerConn(addr string) (*conn, error) {
 	return nm.dialChild(addr)
 }
 
+// errNMClosed refuses a relay dial that lost the race with Close.
+var errNMClosed = errors.New("livenet: node manager closed")
+
 // dialChild opens a fresh relay link to addr, caches it, and starts its
-// ack pump.
+// ack pump. The link enters nm.dialed (and nm.wg) only under nm.mu and
+// only while the NM is open: Close sweeps nm.dialed under the same lock
+// after marking the NM closed, so a link is either refused here or
+// closed there — never left with a pump nobody will stop. Two dials
+// racing for one address (a relay redial on each stripe's reader, a
+// control-tree relay beside a plan) settle on the first link.
 func (nm *NM) dialChild(addr string) (*conn, error) {
 	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, nm.profile())
 	if err != nil {
 		return nil, err
 	}
 	nm.mu.Lock()
+	select {
+	case <-nm.closed:
+		nm.mu.Unlock()
+		cc.close()
+		return nil, fmt.Errorf("dial %s: %w", addr, errNMClosed)
+	default:
+	}
+	if first, ok := nm.dialed[addr]; ok {
+		nm.mu.Unlock()
+		cc.close()
+		return first, nil
+	}
 	nm.dialed[addr] = cc
-	nm.mu.Unlock()
 	nm.wg.Add(1)
+	nm.mu.Unlock()
 	go nm.pumpChildAcks(cc)
 	return cc, nil
 }
@@ -825,7 +850,8 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	children := sr.children
 	epoch := sr.epoch
 	drop := nm.testDropAcks.Load()
-	manifest := st.man != nil
+	man := st.man // immutable once announced
+	manifest := man != nil
 	nm.mu.Unlock()
 
 	// Relay downstream from the same buffer: one encode at the MM serves
@@ -858,7 +884,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	}
 
 	if manifest {
-		nm.writeManifestChunk(f, from, epoch, drop)
+		nm.writeManifestChunk(f, from, epoch, drop, st, man)
 		return
 	}
 
@@ -866,6 +892,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	// transfer now opens with one): the CRC and content checks run in
 	// place against the deterministic pattern — no per-fragment
 	// allocation (TestFragCheckAllocs).
+	nm.offLock()
 	ok := fragCRC(f.Data) == f.CRC && fragPatternCheck(f.Job, f.Index, f.Data)
 	nm.mu.Lock()
 	switch {
@@ -994,8 +1021,11 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 		return
 	}
 
-	var failIdx = -1
 	nm.mu.Lock()
+	if nm.bins[m.Job] != st {
+		nm.mu.Unlock()
+		return // aborted while the manifest was being relayed
+	}
 	if nm.cache != nil {
 		spool := nm.cfg.SpoolDir != ""
 		for i := range man.Hashes {
@@ -1019,39 +1049,55 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			// verified by CRC combination at finalize), so a cache probe
 			// suffices: Use charges the hit and re-verifies disk-backed
 			// entries without copying bytes out. This is what makes a
-			// fully-warm launch O(chunks), not O(bytes).
+			// fully-warm launch O(chunks), not O(bytes). (A disk-backed
+			// cache or a spool still does its file I/O here, under nm.mu:
+			// the spool handle is guarded by it.)
 			if nm.cache.Use(man.Hashes[i], man.CRCs[i], size) {
 				bitSet(st.written, i)
 				st.wcount++
 			}
 		}
 	}
-	st.advanceReceived()
-	for s := 0; s < st.k; s++ {
-		st.advanceStripe(s)
+	// A fully warm image is sealed off the lock, and enters the ack
+	// ledgers only then (see writeManifestChunk); st.draining keeps the
+	// HAVE folds deferred until sealImage clears it.
+	seal := st.wcount == len(man.Hashes) && !st.complete
+	if !seal {
+		st.advanceReceived()
+		for s := 0; s < st.k; s++ {
+			st.advanceStripe(s)
+		}
+		st.draining = false
 	}
-	if st.wcount == len(man.Hashes) && !st.complete {
-		if err := nm.finalizeImageLocked(m.Job, st); err != nil {
-			rs.failed = true
-			failIdx = len(man.Hashes) - 1
+	spool, k := st.spool, st.k
+	nm.mu.Unlock()
+	if seal {
+		switch err := nm.sealImage(m.Job, st, man, spool); {
+		case errors.Is(err, errJobGone):
+			return
+		case err != nil:
+			nm.mu.Lock()
+			parent := sr.parent
+			epoch := sr.epoch
+			nm.mu.Unlock()
+			if parent != nil {
+				parent.sendAck(&FragAck{Job: m.Job, Index: len(man.Hashes) - 1, Node: nm.node, Epoch: epoch, Stripe: m.Stripe, OK: false})
+			}
+			return
 		}
 	}
-	st.draining = false
-	k := st.k
-	parent := sr.parent
-	epoch := sr.epoch
-	nm.mu.Unlock()
-	if failIdx >= 0 {
-		parent.sendAck(&FragAck{Job: m.Job, Index: failIdx, Node: nm.node, Epoch: epoch, Stripe: m.Stripe, OK: false})
-		return
-	}
-	// The drain may have satisfied chunks of every stripe, and other
-	// stripes' manifests may have arrived (and deferred their folds)
-	// while it ran: fold and re-credit them all. Stripes whose manifest
-	// has not bound a parent yet are skipped inside foldHave/advanceAck.
+	nm.settle(m.Job, k)
+}
+
+// settle follows a cache drain or an image seal. Either may have
+// satisfied chunks of every stripe, and other stripes' manifests may have
+// arrived (and deferred their HAVE folds) while it ran: fold and
+// re-credit them all. Stripes whose manifest has not bound a parent yet
+// are skipped inside foldHave/advanceAck.
+func (nm *NM) settle(job, k int) {
 	for s := 0; s < k; s++ {
-		nm.foldHave(m.Job, s)
-		nm.advanceAck(m.Job, s)
+		nm.foldHave(job, s)
+		nm.advanceAck(job, s)
 	}
 }
 
@@ -1195,25 +1241,51 @@ func (nm *NM) onNeedMask(n *NeedMask) {
 	}
 }
 
+// offLock marks a point that must run without nm.mu held (see
+// testOffLock).
+func (nm *NM) offLock() {
+	if nm.testOffLock != nil {
+		nm.testOffLock()
+	}
+}
+
 // writeManifestChunk verifies one wire chunk against the manifest —
 // length, CRC, and content hash — splices it at its offset, and advances
 // the in-order ack pointer across any cached spans it completes. Verified
 // chunks also populate the cache, so the next launch of the same content
 // skips the wire entirely.
-func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool) {
-	nm.mu.Lock()
-	st := nm.bins[f.Job]
-	rs := nm.relays[f.Job]
-	man := st.man
+//
+// Everything that costs O(bytes) — the CRC, the hash, the cache's copy —
+// runs before nm.mu is taken, against the manifest handleFrag read under
+// the lock (st and man are that snapshot); the lock covers the bitmap
+// and ledger update alone, and the digest fold of a completed image runs
+// after it is released (sealImage). The cache is filled before the
+// ledger moves, so a chunk this node has acked is a chunk its cache
+// holds: the next launch's HAVE round can rely on it.
+func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *binState, man *Manifest) {
+	nm.offLock()
 	nchunks := len(man.Hashes)
-	var hash uint64
 	ok := f.Index >= 0 && f.Index < nchunks &&
 		len(f.Data) == manifestChunkLen(man, f.Index) &&
 		fragCRC(f.Data) == f.CRC && f.CRC == man.CRCs[f.Index]
 	if ok {
-		hash = chunkcache.Hash64(f.Data)
-		ok = hash == man.Hashes[f.Index]
+		hash := chunkcache.Hash64(f.Data)
+		if ok = hash == man.Hashes[f.Index]; ok && nm.cache != nil {
+			nm.cache.Put(hash, f.CRC, f.Data)
+		}
 	}
+	nm.mu.Lock()
+	rs := nm.relays[f.Job]
+	if nm.bins[f.Job] != st || rs == nil {
+		// The job finished or was aborted while this fragment was being
+		// relayed and verified: nothing is left to write it into or to
+		// answer for it.
+		nm.mu.Unlock()
+		releaseFragBuf(f.Data)
+		return
+	}
+	seal, k := false, st.k
+	var spool *os.File
 	switch {
 	case !ok:
 		// Corrupt or misdirected: nacked below.
@@ -1229,31 +1301,45 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool) {
 		bitSet(st.written, f.Index)
 		st.wcount++
 		nm.fragsWritten++
+		if seal = st.wcount == nchunks; seal {
+			// The chunk that completes the image enters the ack ledgers
+			// only with the verified digest (sealImage): until then its
+			// stripe's credit stays one short and a replan's HAVE fold
+			// waits, so nothing can vouch for an image that has not been
+			// checked.
+			st.draining = true
+			spool = st.spool // read after the splice, which may just have opened it
+			break
+		}
 		st.advanceReceived()
 		if st.k > 0 {
 			// Ledger by the chunk's own stripe (index mod k), which the
 			// striped MM always matches to the frame's stripe tag.
 			st.advanceStripe(f.Index % st.k)
 		}
-		if nm.cache != nil {
-			nm.cache.Put(hash, f.CRC, f.Data)
-		}
-		if st.wcount == nchunks {
-			if err := nm.finalizeImageLocked(f.Job, st); err != nil {
-				ok = false
-			}
-		}
 	}
-	if !ok && rs != nil {
+	if !ok {
 		rs.failed = true
 	}
 	nm.mu.Unlock()
 	releaseFragBuf(f.Data)
+	if seal {
+		switch err := nm.sealImage(f.Job, st, man, spool); {
+		case errors.Is(err, errJobGone):
+			return
+		case err != nil:
+			ok = false
+		}
+	}
 	if drop {
 		return
 	}
 	if !ok {
 		from.sendAck(&FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false})
+		return
+	}
+	if seal {
+		nm.settle(f.Job, k)
 		return
 	}
 	nm.advanceAck(f.Job, f.Stripe)
@@ -1333,54 +1419,41 @@ func (nm *NM) spliceChunk(job int, st *binState, index int, data []byte) error {
 	return err
 }
 
-// finalizeImageLocked re-verifies the whole-image digest against the
-// manifest before committing. Spool mode reads the spliced file back and
-// CRCs every byte — that closes the splice, proving every chunk (cached
-// and wire alike) landed at the right offset with the right bytes —
-// before the rename publishes it. The read-back CRCs each chunk across
-// the small chunk worker pool (ReadAt is concurrent-safe, the reads are
-// disjoint) and folds the per-chunk results in order with the CRC-32
-// combine identity, so a multi-megabyte verify is not single-core bound
-// on the launch critical path. Memory mode holds no image bytes, so it
-// folds the manifest's per-chunk CRCs (each individually verified, on
-// the wire or at cache admission) the same way: the result is exactly
-// ChecksumIEEE of the concatenated chunks, O(chunks) instead of an
-// O(bytes) re-read. Called with nm.mu held.
-func (nm *NM) finalizeImageLocked(job int, st *binState) error {
-	man := st.man
-	var crc uint32
-	if nm.cfg.SpoolDir == "" {
-		for i := range man.CRCs {
-			crc = crc32Combine(crc, man.CRCs[i], int64(manifestChunkLen(man, i)))
-		}
-	} else if st.spool != nil {
-		n := len(man.Hashes)
-		crcs := make([]uint32, n)
-		errs := make([]error, n)
-		sp := st.spool
-		parallelChunks(n, func(i int) {
-			size := manifestChunkLen(man, i)
-			buf := grabFragBuf(size)
-			nr, err := sp.ReadAt(buf[:size], int64(i)*int64(man.ChunkBytes))
-			crcs[i] = crc32.ChecksumIEEE(buf[:nr])
-			if err != nil && nr == size {
-				err = nil // a full read at EOF is a complete chunk
-			}
-			errs[i] = err
-			releaseFragBuf(buf)
-		})
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				return errs[i]
-			}
-			crc = crc32Combine(crc, crcs[i], int64(manifestChunkLen(man, i)))
-		}
-	}
-	if crc != man.ImageCRC {
-		return fmt.Errorf("livenet: node %d job %d: spliced image CRC %08x, manifest says %08x",
+// errJobGone reports that a job's receive state was released (finishJob,
+// onAbort) while its image was being sealed.
+var errJobGone = errors.New("livenet: job state released")
+
+// sealImage re-verifies the whole-image digest of a fully spliced image
+// against the manifest and, if it holds, commits the image: the spool
+// rename, the full ack ledgers, the retained digest. It is called
+// WITHOUT nm.mu by the one goroutine that spliced the last chunk (the
+// written bitmap fills exactly once), with the spool handle it read
+// under the lock; the digest — an O(chunks) fold, or in spool mode an
+// O(bytes) read-back — is computed off the lock and only the commit
+// retakes it — and ends the deferral of HAVE folds (st.draining) the
+// caller began; the caller then settles. A failed seal marks the job's
+// relay state failed; the caller nacks.
+func (nm *NM) sealImage(job int, st *binState, man *Manifest, spool *os.File) error {
+	nm.offLock()
+	crc, built, err := nm.imageCRC(man, spool)
+	if err == nil && crc != man.ImageCRC {
+		err = fmt.Errorf("livenet: node %d job %d: spliced image CRC %08x, manifest says %08x",
 			nm.node, job, crc, man.ImageCRC)
 	}
-	if err := st.commitSpool(); err != nil {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	nm.shiftOps += built
+	if nm.bins[job] != st {
+		return errJobGone
+	}
+	st.draining = false
+	if err == nil {
+		err = st.commitSpool()
+	}
+	if err != nil {
+		if rs := nm.relays[job]; rs != nil {
+			rs.failed = true
+		}
 		return err
 	}
 	st.bytes = int(man.TotalBytes)
@@ -1392,6 +1465,48 @@ func (nm *NM) finalizeImageLocked(job int, st *binState) error {
 	st.complete = true
 	nm.digests[job] = ImageDigest{Bytes: st.bytes, Frags: st.received, CRC: crc}
 	return nil
+}
+
+// imageCRC computes the CRC-32 of a fully spliced image, and reports how
+// many shift operators the fold built. Spool mode reads the spliced file
+// back and CRCs every byte — that closes the splice, proving every chunk
+// (cached and wire alike) landed at the right offset with the right
+// bytes — before the rename publishes it. The read-back CRCs each chunk
+// across the small chunk worker pool (ReadAt is concurrent-safe, the
+// reads are disjoint, and a spool closed under us by an abort just fails
+// them). Memory mode holds no image bytes, so it uses the manifest's
+// per-chunk CRCs (each individually verified, on the wire or at cache
+// admission). Either way the per-chunk results fold in order with the
+// CRC-32 combine identity: exactly ChecksumIEEE of the concatenated
+// chunks, for two operator builds and one multiply per chunk.
+func (nm *NM) imageCRC(man *Manifest, spool *os.File) (crc uint32, built int, err error) {
+	crcs := man.CRCs
+	if nm.cfg.SpoolDir != "" {
+		if spool == nil {
+			return 0, 0, nil
+		}
+		n := len(man.Hashes)
+		crcs = make([]uint32, n)
+		errs := make([]error, n)
+		parallelChunks(n, func(i int) {
+			size := manifestChunkLen(man, i)
+			buf := grabFragBuf(size)
+			nr, err := spool.ReadAt(buf[:size], int64(i)*int64(man.ChunkBytes))
+			crcs[i] = crc32.ChecksumIEEE(buf[:nr])
+			if err != nil && nr == size {
+				err = nil // a full read at EOF is a complete chunk
+			}
+			errs[i] = err
+			releaseFragBuf(buf)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	crc, built = foldChunkCRCs(crcs, man.ChunkBytes, manifestChunkLen(man, len(crcs)-1))
+	return crc, built, nil
 }
 
 // relayMsg forwards one transfer-control frame (manifest or need-mask) to

@@ -3,6 +3,7 @@ package livenet
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -310,5 +311,31 @@ func TestStripedFragAllocs(t *testing.T) {
 		}
 	}); avg > 1 {
 		t.Fatalf("striped sendAck allocates %.1f/op, want <= 1", avg)
+	}
+}
+
+// TestManifestRoundRerunKeepsEpochHaves: a stripe whose first manifest
+// round was interrupted by another stripe's failure, and which then only
+// pruned a dead leaf, runs the round again in the SAME epoch. The NMs
+// answer once per epoch, so the reports the MM already holds must carry
+// over — resetting them left the round waiting out AckTimeout for HAVEs
+// nobody would send again (seen as "chunk ledger (HAVE) unreported" in
+// TestChaosStripedInteriorKill once the victim died that early).
+func TestManifestRoundRerunKeepsEpochHaves(t *testing.T) {
+	mm := &MM{cfg: MMConfig{FragBytes: 4, AckTimeout: 300 * time.Millisecond}}
+	a, b := &nmLink{node: 4, c: discardConn()}, &nmLink{node: 5, c: discardConn()}
+	j := &liveJob{id: 1, frags: 4,
+		man: &manifestData{hashes: make([]uint64, 4), crcs: make([]uint32, 4), total: 16}}
+	j.cond = sync.NewCond(&j.mu)
+	ss := &stripeState{id: 0, needManifest: true, children: []*nmLink{a, b},
+		// Both subtrees reported during the interrupted round; node 5's
+		// claims nothing (its leaf died).
+		haves: map[int][]uint64{4: {0b1111}, 5: {0}}}
+	j.stripes = []*stripeState{ss}
+	if err := mm.manifestStripe(j, ss); err != nil {
+		t.Fatalf("same-epoch manifest round discarded the reports it had: %v", err)
+	}
+	if len(ss.sendList) != 4 || ss.needs[4][0] != 0 || ss.needs[5][0] != 0b1111 {
+		t.Fatalf("need masks %v, send list %v: want node 5 alone to need all 4 chunks", ss.needs, ss.sendList)
 	}
 }
