@@ -149,47 +149,80 @@ func (p *wfairPolicy) granted(j *liveJob) {
 	p.vt[j.spec.User] += float64(bytes) / float64(w)
 }
 
-// awaitAdmission parks the job in the admission queue until the policy
-// picks it, a streaming slot is free, and (under gang scheduling) an
-// exclusive timeslot row is available. On success the job owns one
-// streaming slot and j.row. Caller holds mm.mu.
-func (mm *MM) awaitAdmission(j *liveJob) error {
-	mm.admitQ = append(mm.admitQ, j)
+// admitQueue is the admission mechanism, shared by the MM (which grants
+// streaming slots) and the federation root (which grants whole-job
+// slots): jobs park in submission order until the policy picks them and
+// one of slots is free. It has no lock of its own — every method runs
+// under its owner's mutex, which cond is built on and closed is guarded
+// by.
+type admitQueue struct {
+	cond      *sync.Cond
+	closed    *bool // the owner's shutdown flag
+	errClosed error // what a waiter released by shutdown is told
+	policy    admissionPolicy
+	slots     int
+	inUse     int
+	q         []*liveJob
+}
+
+// await parks j until the policy picks it and a slot is free, then takes
+// the slot. grant, when non-nil, is the owner's last word on a job that
+// could go: false leaves it queued until the next wake (the MM has no
+// free gang row). A waiter the owner's shutdown releases gets errClosed;
+// it never hangs.
+func (a *admitQueue) await(j *liveJob, grant func() bool) error {
+	a.q = append(a.q, j)
 	for {
-		if mm.closed {
-			mm.dropQueued(j)
-			return fmt.Errorf("%w while job %d awaited admission", ErrMMClosed, j.id)
+		if *a.closed {
+			a.drop(j)
+			return fmt.Errorf("%w while job %d awaited admission", a.errClosed, j.id)
 		}
-		if mm.streaming < mm.cfg.MaxConcurrent && mm.policy.pick(mm.admitQ) == j {
-			if row := mm.pickRow(); row >= 0 {
-				// j.mu nests inside mm.mu: JobTable readers hold j.mu only.
-				j.mu.Lock()
-				j.row = row
-				j.mu.Unlock()
-				mm.dropQueued(j)
-				mm.streaming++
-				mm.policy.granted(j)
-				// Re-wake the remaining waiters: removing this job from
-				// the queue may make the new head eligible right now, and
-				// no release event is due to wake it.
-				mm.admit.Broadcast()
-				return nil
-			}
-			// Every gang row is occupied: row exhaustion queues the
-			// admission; a releaseRow broadcast retries it.
+		if a.inUse < a.slots && a.policy.pick(a.q) == j && (grant == nil || grant()) {
+			a.drop(j)
+			a.inUse++
+			a.policy.granted(j)
+			// Re-wake the remaining waiters: removing this job from the
+			// queue may make the new head eligible right now, and no
+			// release event is due to wake it.
+			a.cond.Broadcast()
+			return nil
 		}
-		mm.admit.Wait()
+		a.cond.Wait()
 	}
 }
 
-// dropQueued removes a job from the admission queue. Caller holds mm.mu.
-func (mm *MM) dropQueued(j *liveJob) {
-	for i, q := range mm.admitQ {
+func (a *admitQueue) drop(j *liveJob) {
+	for i, q := range a.q {
 		if q == j {
-			mm.admitQ = append(mm.admitQ[:i], mm.admitQ[i+1:]...)
+			a.q = append(a.q[:i], a.q[i+1:]...)
 			return
 		}
 	}
+}
+
+// release returns a slot and wakes the queue.
+func (a *admitQueue) release() {
+	a.inUse--
+	a.cond.Broadcast()
+}
+
+// awaitAdmission parks the job in the admission queue until the policy
+// picks it, a streaming slot is free, and (under gang scheduling) an
+// exclusive timeslot row is available — row exhaustion queues the
+// admission, and releaseRow's broadcast retries it. On success the job
+// owns one streaming slot and j.row. Caller holds mm.mu.
+func (mm *MM) awaitAdmission(j *liveJob) error {
+	return mm.admit.await(j, func() bool {
+		row := mm.pickRow()
+		if row < 0 {
+			return false
+		}
+		// j.mu nests inside mm.mu: JobTable readers hold j.mu only.
+		j.mu.Lock()
+		j.row = row
+		j.mu.Unlock()
+		return true
+	})
 }
 
 // releaseStream returns the job's streaming slot once its transfer is
@@ -197,27 +230,8 @@ func (mm *MM) dropQueued(j *liveJob) {
 // jobs' transfers — and wakes the admission queue.
 func (mm *MM) releaseStream() {
 	mm.mu.Lock()
-	mm.streaming--
-	mm.admit.Broadcast()
+	mm.admit.release()
 	mm.mu.Unlock()
-}
-
-// leastLoadedOrder sorts ids in place by (load, id) ascending — the one
-// deterministic least-loaded spread in the system, used for node
-// placement within an MM and lifted unchanged to partition picks at a
-// federation root. The tie-break is the stable ID order, never map
-// iteration order or sort-internal permutation: a given cluster state
-// reproduces the identical placement in every run, which is what makes
-// chaos schedules replayable and bench JSON comparable across runs.
-func leastLoadedOrder(ids []int, load func(id int) int) []int {
-	sort.Slice(ids, func(a, b int) bool {
-		la, lb := load(ids[a]), load(ids[b])
-		if la != lb {
-			return la < lb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }
 
 // placeJob picks the job's node set under mm.mu: the explicit Place
@@ -435,11 +449,11 @@ type JobInfo struct {
 // flight — in ascending job-ID order.
 func (mm *MM) JobTable() []JobInfo {
 	mm.mu.Lock()
-	jobs := make([]*liveJob, 0, len(mm.jobs)+len(mm.admitQ))
+	jobs := make([]*liveJob, 0, len(mm.jobs)+len(mm.admit.q))
 	for _, j := range mm.jobs {
 		jobs = append(jobs, j)
 	}
-	jobs = append(jobs, mm.admitQ...)
+	jobs = append(jobs, mm.admit.q...)
 	mm.mu.Unlock()
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].id < jobs[b].id })
 	out := make([]JobInfo, 0, len(jobs))

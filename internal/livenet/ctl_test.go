@@ -221,3 +221,24 @@ func TestHeartbeatEmptyCluster(t *testing.T) {
 		time.Sleep(period)
 	}
 }
+
+// TestProbeReturnsWhenAllAnswered: an isolation-probe round is over when
+// every probed node is accounted for — it runs out its grace only for a
+// node that stays silent.
+func TestProbeReturnsWhenAllAnswered(t *testing.T) {
+	mm, _ := startCluster(t, 4, MMConfig{})
+	mm.mu.Lock()
+	var links []*nmLink
+	for _, l := range mm.nms {
+		links = append(links, l)
+	}
+	mm.mu.Unlock()
+	const grace = 3 * time.Second
+	start := time.Now()
+	if dead := mm.probeNodes(links, grace); len(dead) != 0 {
+		t.Fatalf("live nodes failed their probe: %v", dead)
+	}
+	if took := time.Since(start); took > grace/3 {
+		t.Fatalf("a probe every node answered took %v of its %v grace", took, grace)
+	}
+}

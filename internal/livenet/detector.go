@@ -314,9 +314,7 @@ func (mm *MM) onPong(p *Pong) {
 	mm.mu.Lock()
 	if pr := mm.probes[p.Seq]; pr != nil {
 		mm.mu.Unlock()
-		pr.mu.Lock()
-		pr.got[p.Node] = true
-		pr.mu.Unlock()
+		pr.settle(p.Node)
 		return
 	}
 	if p.Epoch == 0 || p.Epoch != mm.ctl.epoch || mm.ctl.ledger == nil {

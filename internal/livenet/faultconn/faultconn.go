@@ -6,19 +6,14 @@
 // k, one-way partitions, per-write delay, duplicated and corrupted frag
 // frames, and injected dial failures.
 //
-// The wrapper is frame-aware: it runs the livenet frame grammar
-// ('G' gob frames, 'F' frag frames with an 18-byte header carrying the
-// payload length at offset 13, 'A' fixed 18-byte acks, the fixed typed
-// control frames 'P'/'Q'/'S'/'T', the varlen control frames
-// 'K'/'R'/'D' whose fixed part ends in a u16 error length, and the
-// delta-transfer frames 'M'/'H'/'N' whose fixed part carries a tail
-// element count — u32 of 12-byte chunk records for a manifest, u16 of
-// 8-byte bitmap words for HAVE/need ledgers) as a
-// streaming state machine over both directions, so triggers land on
-// exact frame boundaries regardless of how the transport chunks
-// writes. Beyond the fragment triggers, CtlFaults drop, duplicate, or
-// delay one typed control frame picked by kind and per-kind ordinal —
-// e.g. "drop the 3rd heartbeat ping this conn sends".
+// The wrapper is frame-aware: it walks livenet's frame table (package
+// wire: one type byte, a fixed part, and for some types a tail whose
+// element count the fixed part carries) as a streaming state machine
+// over both directions, so triggers land on exact frame boundaries
+// regardless of how the transport chunks writes. Beyond the fragment
+// triggers, CtlFaults drop, duplicate, or delay one typed control frame
+// picked by kind and per-kind ordinal — e.g. "drop the 3rd heartbeat
+// ping this conn sends".
 //
 // Plans are wired in behind livenet's Config.Dialer / Config.WrapConn
 // hooks; the package deliberately does not import livenet, so it can
@@ -34,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/livenet/wire"
 	"repro/internal/rng"
 )
 
@@ -199,48 +195,25 @@ func NewPlan() Plan {
 // a Plan hard-closed.
 var ErrInjectedClose = errors.New("faultconn: injected connection close")
 
-// frame grammar constants, mirroring livenet's wire format.
+// Scanner states. The frame grammar itself — type bytes, fixed lengths,
+// tail shapes — is livenet's wire table.
 const (
-	fragHdrLen  = 18 // job u32 | index u32 | flags u8 | crc u32 | len u32 | stripe u8
-	ackBodyLen  = 18
-	lenOffInHdr = 13 // payload length within the frag header
-	gobLenBytes = 4
-	stType      = 0 // expecting a frame type byte
-	stGobLen    = 1
-	stFragHdr   = 2
-	stSkipN     = 3 // skipping a fixed-size remainder (ack body, gob payload, ctl error)
-	stFragBody  = 4
-	stCtl       = 5 // inside a fixed-body typed control frame
-	stVarHdr    = 6 // reading the fixed part of a varlen control frame
-
-	// typed control frame sizes (proto.go). The varlen kinds carry a
-	// u16 error length in the last two bytes of the fixed part.
-	pingBodyLen       = 12
-	pongBodyLen       = 32
-	strobeBodyLen     = 16
-	strobeAckBodyLen  = 16
-	planAckFixedLen   = 10
-	replanAckFixedLen = 19 // stripe byte precedes the trailing u16 error length
-	peerDownFixedLen  = 14
-	manifestFixedLen  = 29 // u32 chunk count at offset 24, stripe u8, 12-byte records follow
-	haveFixedLen      = 15 // u16 word count at offset 12, stripe u8, 8-byte words follow
-	needFixedLen      = 11 // u16 word count at offset 8, stripe u8, 8-byte words follow
-	helloBodyLen      = 4  // shared-listener routing hello ('L')
-
-	scanHdrLen = manifestFixedLen // widest fixed region buffered by the scanner
+	stType  = iota // expecting a frame type byte
+	stFixed        // inside the fixed part that follows the type byte
+	stTail         // inside the variable tail
 )
 
 // ctlKindIdx maps a fixed-body control frame type byte to its ordinal
 // counter slot, or -1.
 func ctlKindIdx(b byte) int {
 	switch b {
-	case 'P':
+	case wire.Ping:
 		return 0
-	case 'Q':
+	case wire.Pong:
 		return 1
-	case 'S':
+	case wire.Strobe:
 		return 2
-	case 'T':
+	case wire.StrobeAck:
 		return 3
 	}
 	return -1
@@ -250,21 +223,20 @@ func ctlKindIdx(b byte) int {
 // stream. step consumes a byte and reports frame-boundary events.
 type scanner struct {
 	state   int
-	need    int // bytes left in the current fixed-size region
-	hdr     [scanHdrLen]byte
-	got     int
+	kind    byte       // type byte of the frame being scanned
+	shape   wire.Shape // its row of the frame table
+	hdr     [wire.MaxFixed]byte
+	got     int // fixed-part bytes buffered so far
+	need    int // tail bytes left
 	bodyPos int // current byte's offset within a frag payload
 	frags   int // frag frames seen so far; current ordinal is frags-1
 	gobs    int // gob frames seen so far; current ordinal is gobs-1
 
-	ctlKind   byte   // type byte of the fixed control frame being scanned
-	ctlCounts [4]int // per-kind ordinals for 'P','Q','S','T'
-	varElen   int    // offset of the tail-count field in the varlen fixed part
-	varWidth  int    // width of that count field (2 or 4 bytes)
-	varUnit   int    // bytes per counted tail element (1 for error strings)
+	ctlCounts [4]int // per-kind ordinals for ping, pong, strobe, strobe ack
 }
 
 type event struct {
+	fragBegin     bool // this byte is the type byte of a frag frame
 	fragHdrDone   bool // this byte completed a frag header
 	fragFrameDone bool // this byte completed a frag frame
 	inFragBody    bool // this byte is frag payload
@@ -284,124 +256,65 @@ func (s *scanner) step(b byte) event {
 	var ev event
 	switch s.state {
 	case stType:
-		switch b {
-		case 'G':
-			ev.gobBegin, ev.gobOrd = true, s.gobs
-			s.gobs++
-			s.state, s.need = stGobLen, gobLenBytes
-			s.got = 0
-		case 'F':
-			s.state, s.got = stFragHdr, 0
-		case 'A':
-			s.state, s.need = stSkipN, ackBodyLen
-		case 'P', 'Q', 'S', 'T':
-			var n int
-			switch b {
-			case 'P':
-				n = pingBodyLen
-			case 'Q':
-				n = pongBodyLen
-			case 'S':
-				n = strobeBodyLen
-			case 'T':
-				n = strobeAckBodyLen
-			}
-			idx := ctlKindIdx(b)
-			ev.ctlBegin, ev.ctlKind, ev.ctlOrd = true, b, s.ctlCounts[idx]
-			s.ctlCounts[idx]++
-			s.ctlKind = b
-			s.state, s.need = stCtl, n
-		case 'K':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, planAckFixedLen, planAckFixedLen-2, 2, 1
-		case 'R':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, replanAckFixedLen, replanAckFixedLen-2, 2, 1
-		case 'D':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, peerDownFixedLen, peerDownFixedLen-2, 2, 1
-		case 'M':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, manifestFixedLen, manifestFixedLen-5, 4, 12
-		case 'H':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, haveFixedLen, haveFixedLen-3, 2, 8
-		case 'N':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, needFixedLen, needFixedLen-3, 2, 8
-		case 'L':
-			// Shared-listener routing hello: fixed body, nothing to
-			// count — but it must be consumed as a frame, or its body
-			// bytes would be misread as frame types and desync the
-			// scanner on hub-routed links.
-			s.state, s.need = stSkipN, helloBodyLen
-		default:
+		sh := wire.Shapes[b]
+		if sh.Fixed == 0 {
 			// Unknown byte: stay in stType. The real codec would error;
 			// the scanner just degrades to pass-through.
+			break
 		}
-	case stGobLen:
+		s.state, s.kind, s.shape, s.got = stFixed, b, sh, 0
+		switch idx := ctlKindIdx(b); {
+		case b == wire.Gob:
+			ev.gobBegin, ev.gobOrd = true, s.gobs
+			s.gobs++
+		case b == wire.Frag:
+			ev.fragBegin = true
+		case idx >= 0:
+			ev.ctlBegin, ev.ctlKind, ev.ctlOrd = true, b, s.ctlCounts[idx]
+			s.ctlCounts[idx]++
+		}
+	case stFixed:
 		s.hdr[s.got] = b
 		s.got++
-		s.need--
-		if s.need == 0 {
-			n := int(binary.BigEndian.Uint32(s.hdr[:gobLenBytes]))
-			if n == 0 {
-				s.state = stType
-			} else {
-				s.state, s.need = stSkipN, n
-			}
+		if s.got < s.shape.Fixed {
+			break
 		}
-	case stFragHdr:
-		s.hdr[s.got] = b
-		s.got++
-		if s.got == fragHdrLen {
-			ev.fragHdrDone = true
-			ev.ord = s.frags
+		if s.kind == wire.Frag {
+			ev.fragHdrDone, ev.ord = true, s.frags
 			s.frags++
-			n := int(binary.BigEndian.Uint32(s.hdr[lenOffInHdr:]))
-			if n == 0 {
-				ev.fragFrameDone = true
-				s.state = stType
-			} else {
-				s.state, s.need, s.bodyPos = stFragBody, n, 0
-			}
 		}
-	case stFragBody:
-		ev.inFragBody = true
-		ev.bodyPos = s.bodyPos
-		ev.ord = s.frags - 1
-		s.bodyPos++
+		switch count := s.hdr[s.shape.CountOff:]; s.shape.CountWidth {
+		case 2:
+			s.need = int(binary.BigEndian.Uint16(count)) * s.shape.Unit
+		case 4:
+			s.need = int(binary.BigEndian.Uint32(count)) * s.shape.Unit
+		}
+		if s.need == 0 {
+			s.endFrame(&ev)
+		} else {
+			s.state, s.bodyPos = stTail, 0
+		}
+	case stTail:
+		if s.kind == wire.Frag {
+			ev.inFragBody, ev.bodyPos, ev.ord = true, s.bodyPos, s.frags-1
+			s.bodyPos++
+		}
 		s.need--
 		if s.need == 0 {
-			ev.fragFrameDone = true
-			s.state = stType
-		}
-	case stCtl:
-		s.need--
-		if s.need == 0 {
-			idx := ctlKindIdx(s.ctlKind)
-			ev.ctlDone, ev.ctlKind, ev.ctlOrd = true, s.ctlKind, s.ctlCounts[idx]-1
-			s.state = stType
-		}
-	case stVarHdr:
-		s.hdr[s.got] = b
-		s.got++
-		s.need--
-		if s.need == 0 {
-			var n int
-			if s.varWidth == 4 {
-				n = int(binary.BigEndian.Uint32(s.hdr[s.varElen : s.varElen+4]))
-			} else {
-				n = int(binary.BigEndian.Uint16(s.hdr[s.varElen : s.varElen+2]))
-			}
-			n *= s.varUnit
-			if n == 0 {
-				s.state = stType
-			} else {
-				s.state, s.need = stSkipN, n
-			}
-		}
-	case stSkipN:
-		s.need--
-		if s.need == 0 {
-			s.state = stType
+			s.endFrame(&ev)
 		}
 	}
 	return ev
+}
+
+// endFrame marks the byte just consumed as the last of its frame.
+func (s *scanner) endFrame(ev *event) {
+	s.state = stType
+	if s.kind == wire.Frag {
+		ev.fragFrameDone, ev.ord = true, s.frags-1
+	} else if idx := ctlKindIdx(s.kind); idx >= 0 {
+		ev.ctlDone, ev.ctlKind, ev.ctlOrd = true, s.kind, s.ctlCounts[idx]-1
+	}
 }
 
 // Conn is a net.Conn with a fault Plan applied.
@@ -508,7 +421,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	capture := c.plan.DuplicateFrag >= 0
 	for i := 0; i < len(p); i++ {
 		b := p[i]
-		prev := c.wScan.state
 		ev := c.wScan.step(b)
 		if ev.gobBegin && ev.gobOrd == c.plan.FailWriteGob {
 			// Crash before the frame: everything earlier in this chunk goes
@@ -584,8 +496,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			out = append(out, b)
 		}
 		if !held && capture {
-			if prev == stType && c.wScan.state == stFragHdr {
-				// 'F' type byte just consumed: a frag frame starts here.
+			if ev.fragBegin {
 				c.frame = c.frame[:0]
 				c.inFrame = true
 			}

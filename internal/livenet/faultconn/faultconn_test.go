@@ -7,11 +7,13 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/livenet/wire"
 )
 
 // buildFrag assembles one 'F' frame with an n-byte payload.
 func buildFrag(index, n int) []byte {
-	buf := make([]byte, 1+fragHdrLen+n)
+	buf := make([]byte, 1+wire.FragLen+n)
 	buf[0] = 'F'
 	binary.BigEndian.PutUint32(buf[1:], 1) // job
 	binary.BigEndian.PutUint32(buf[5:], uint32(index))
@@ -19,7 +21,7 @@ func buildFrag(index, n int) []byte {
 	binary.BigEndian.PutUint32(buf[10:], 0xdeadbeef)
 	binary.BigEndian.PutUint32(buf[14:], uint32(n))
 	for i := 0; i < n; i++ {
-		buf[1+fragHdrLen+i] = byte(i)
+		buf[1+wire.FragLen+i] = byte(i)
 	}
 	return buf
 }
@@ -32,7 +34,7 @@ func buildGob(n int) []byte {
 }
 
 func buildAck() []byte {
-	buf := make([]byte, 1+ackBodyLen)
+	buf := make([]byte, 1+wire.AckLen)
 	buf[0] = 'A'
 	return buf
 }
@@ -40,20 +42,10 @@ func buildAck() []byte {
 // buildCtl assembles one fixed-body typed control frame with a
 // non-trivial body pattern.
 func buildCtl(kind byte) []byte {
-	var n int
-	switch kind {
-	case 'P':
-		n = pingBodyLen
-	case 'Q':
-		n = pongBodyLen
-	case 'S':
-		n = strobeBodyLen
-	case 'T':
-		n = strobeAckBodyLen
-	default:
+	if ctlKindIdx(kind) < 0 {
 		panic("not a fixed ctl kind")
 	}
-	buf := make([]byte, 1+n)
+	buf := make([]byte, 1+wire.Shapes[kind].Fixed)
 	buf[0] = kind
 	for i := 1; i < len(buf); i++ {
 		buf[i] = byte(0x40 + i)
@@ -64,20 +56,13 @@ func buildCtl(kind byte) []byte {
 // buildVarCtl assembles one varlen control frame ('K'/'R'/'D') with the
 // given trailing error string.
 func buildVarCtl(kind byte, errStr string) []byte {
-	var fixed int
-	switch kind {
-	case 'K':
-		fixed = planAckFixedLen
-	case 'R':
-		fixed = replanAckFixedLen
-	case 'D':
-		fixed = peerDownFixedLen
-	default:
+	sh := wire.Shapes[kind]
+	if sh.CountWidth != 2 || sh.Unit != 1 {
 		panic("not a varlen ctl kind")
 	}
-	buf := make([]byte, 1+fixed, 1+fixed+len(errStr))
+	buf := make([]byte, 1+sh.Fixed, 1+sh.Fixed+len(errStr))
 	buf[0] = kind
-	binary.BigEndian.PutUint16(buf[1+fixed-2:], uint16(len(errStr)))
+	binary.BigEndian.PutUint16(buf[1+sh.CountOff:], uint16(len(errStr)))
 	return append(buf, errStr...)
 }
 
@@ -179,11 +164,11 @@ func TestCorruptFragFlipsOnePayloadByte(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	<-done
-	frameLen := 1 + fragHdrLen + 32
+	frameLen := 1 + wire.FragLen + 32
 	if !bytes.Equal(got[:frameLen], sent[:frameLen]) {
 		t.Fatal("fragment 0 was modified")
 	}
-	corruptAt := frameLen + 1 + fragHdrLen // first payload byte of frag 1
+	corruptAt := frameLen + 1 + wire.FragLen // first payload byte of frag 1
 	want := append([]byte{}, sent...)
 	want[corruptAt] ^= 0xFF
 	if !bytes.Equal(got, want) {

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -29,6 +30,10 @@ import (
 // disjoint MMConfig.JobBase, so the job field already present in every
 // frame header names both the partition and the job, and nothing in the
 // NM relay fabric needed to change.
+
+// errFedClosed marks submissions rejected — or queued waiters released —
+// because the federation root shut down, as ErrMMClosed does for an MM.
+var errFedClosed = errors.New("livenet: federation closed")
 
 // FedConfig tunes a federation root.
 type FedConfig struct {
@@ -154,15 +159,12 @@ type Federation struct {
 	nextJob int
 	closed  bool
 
-	// Root-level admission reuses the leaf queue machinery verbatim:
-	// the queue elements are liveJobs (only their id/spec/bookkeeping
-	// fields are used — no streams run at the root) and the policy is
-	// the same pluggable fifo/wfair/sif set.
-	admit     *sync.Cond
-	admitQ    []*liveJob
-	streaming int
-	policy    admissionPolicy
-	placePol  place.Policy
+	// Root-level admission is the leaf queue verbatim: the queue
+	// elements are liveJobs (only their id and spec are used — no streams
+	// run at the root), the policy is the same pluggable fifo/wfair/sif
+	// set, and a slot is a whole federated job in flight.
+	admit    admitQueue
+	placePol place.Policy
 
 	launched      int
 	completed     int
@@ -201,8 +203,9 @@ func NewFederation(addr string, cfg FedConfig, leaves []*MM) (*Federation, error
 	if err != nil {
 		return nil, fmt.Errorf("livenet: federation listen %s: %w", addr, err)
 	}
-	f := &Federation{ln: ln, cfg: cfg, policy: policy, placePol: placePol, done: make(chan struct{})}
-	f.admit = sync.NewCond(&f.mu)
+	f := &Federation{ln: ln, cfg: cfg, placePol: placePol, done: make(chan struct{})}
+	f.admit = admitQueue{cond: sync.NewCond(&f.mu), closed: &f.closed, errClosed: errFedClosed,
+		policy: policy, slots: cfg.MaxConcurrent}
 	for i, mm := range leaves {
 		f.parts = append(f.parts, &fedPartition{id: i, addr: mm.Addr(), mm: mm})
 	}
@@ -224,7 +227,7 @@ func (f *Federation) Close() {
 		return
 	}
 	f.closed = true
-	f.admit.Broadcast()
+	f.admit.cond.Broadcast()
 	f.mu.Unlock()
 	close(f.done)
 	f.ln.Close()
@@ -300,20 +303,8 @@ func (f *Federation) resurrectLoop() {
 
 // probe asks addr for a status snapshot over a fresh submit link.
 func (f *Federation) probe(addr string) bool {
-	prof := bulkProfile
-	if f.cfg.Lite {
-		prof = liteProfile
-	}
-	c, err := dialProf(nil, nil, addr, prof)
-	if err != nil {
-		return false
-	}
-	defer c.close()
-	if err := c.send(Message{StatusQ: &StatusReq{}}); err != nil {
-		return false
-	}
-	m, err := c.recv()
-	return err == nil && m.StatusR != nil
+	_, err := queryStatus(addr, profileFor(f.cfg.Lite))
+	return err == nil
 }
 
 // Reabsorb swaps in a restarted leaf MM for the dead partition that
@@ -355,7 +346,7 @@ func (f *Federation) LivePartitions() []int {
 func (f *Federation) Status() FedStatus {
 	f.mu.Lock()
 	parts := append([]*fedPartition(nil), f.parts...)
-	st := FedStatus{Launched: f.launched, Completed: f.completed, Queued: len(f.admitQ)}
+	st := FedStatus{Launched: f.launched, Completed: f.completed, Queued: len(f.admit.q)}
 	f.mu.Unlock()
 	for _, p := range parts {
 		if p.dead || p.mm.Closed() {
@@ -443,15 +434,15 @@ func (f *Federation) membership() map[int][]int {
 // assign splits a job across partitions under f.mu. A pinned job
 // (spec.Place) groups its node IDs by owning partition. A free job
 // follows FedConfig.Placement: spread takes partitions in
-// deterministic least-loaded order (ties toward the lower partition ID
-// — the same leastLoadedOrder spread placeJob uses on nodes) and fills
+// deterministic least-loaded order (lighter: ties toward the lower
+// partition ID, the order spread placement uses on nodes) and fills
 // each before spilling into the next; locality best-fits the whole job
 // into the smallest single partition that can seat it, spilling only
 // when none can. Either way a job that fits one partition lands on
 // exactly one leaf.
 func (f *Federation) assign(spec *JobSpec, members map[int][]int) ([]fedAssign, error) {
 	byID := make(map[int]*fedPartition, len(f.parts))
-	var ids []int
+	var live []*fedPartition
 	total := 0
 	for _, p := range f.parts {
 		if p.dead {
@@ -461,11 +452,11 @@ func (f *Federation) assign(spec *JobSpec, members map[int][]int) ([]fedAssign, 
 			continue
 		}
 		byID[p.id] = p
-		ids = append(ids, p.id)
+		live = append(live, p)
 		total += len(members[p.id])
 	}
 	if total < spec.Nodes {
-		return nil, fmt.Errorf("livenet: %d NMs registered across %d partitions, job wants %d", total, len(ids), spec.Nodes)
+		return nil, fmt.Errorf("livenet: %d NMs registered across %d partitions, job wants %d", total, len(live), spec.Nodes)
 	}
 	if len(spec.Place) > 0 {
 		owner := make(map[int]int) // node -> partition
@@ -499,39 +490,45 @@ func (f *Federation) assign(spec *JobSpec, members map[int][]int) ([]fedAssign, 
 		// never straddles the inter-partition fabric when any single
 		// leaf can seat it. The comparator is total, so the choice is
 		// independent of partition iteration order.
-		best := -1
-		for _, id := range ids {
-			if len(members[id]) < spec.Nodes {
+		var best *fedPartition
+		for _, p := range live {
+			size := len(members[p.id])
+			if size < spec.Nodes {
 				continue
 			}
-			if best < 0 ||
-				len(members[id]) < len(members[best]) ||
-				(len(members[id]) == len(members[best]) &&
-					(byID[id].load < byID[best].load ||
-						(byID[id].load == byID[best].load && id < best))) {
-				best = id
+			if best == nil || size < len(members[best.id]) ||
+				(size == len(members[best.id]) && p.lighter(best)) {
+				best = p
 			}
 		}
-		if best >= 0 {
-			return []fedAssign{{part: byID[best], nodes: spec.Nodes}}, nil
+		if best != nil {
+			return []fedAssign{{part: best, nodes: spec.Nodes}}, nil
 		}
 		// No single partition fits: spill like spread does.
 	}
-	leastLoadedOrder(ids, func(id int) int { return byID[id].load })
+	sort.Slice(live, func(a, b int) bool { return live[a].lighter(live[b]) })
 	var out []fedAssign
 	remaining := spec.Nodes
-	for _, id := range ids {
+	for _, p := range live {
 		if remaining == 0 {
 			break
 		}
-		n := len(members[id])
+		n := len(members[p.id])
 		if n > remaining {
 			n = remaining
 		}
-		out = append(out, fedAssign{part: byID[id], nodes: n})
+		out = append(out, fedAssign{part: p, nodes: n})
 		remaining -= n
 	}
 	return out, nil
+}
+
+// lighter is the one deterministic least-loaded order over partitions:
+// (load, id) ascending. The tie-break is the stable ID, never map
+// iteration order or sort-internal permutation, so a given cluster state
+// reproduces the identical assignment in every run.
+func (p *fedPartition) lighter(q *fedPartition) bool {
+	return p.load < q.load || (p.load == q.load && p.id < q.id)
 }
 
 // subSpec derives one partition's share of the job. Everything
@@ -557,19 +554,18 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return FedReport{}, fmt.Errorf("livenet: federation closed")
+		return FedReport{}, errFedClosed
 	}
 	f.nextJob++
-	j := &liveJob{id: f.nextJob, spec: spec, qStart: time.Now()}
-	if err := f.awaitAdmission(j); err != nil {
+	j := &liveJob{id: f.nextJob, spec: spec}
+	if err := f.admit.await(j, nil); err != nil {
 		f.mu.Unlock()
 		return FedReport{}, err
 	}
 	members := f.membership()
 	assigns, err := f.assign(&spec, members)
 	if err != nil {
-		f.streaming--
-		f.admit.Broadcast()
+		f.admit.release()
 		f.mu.Unlock()
 		return FedReport{}, err
 	}
@@ -590,8 +586,7 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 	}
 	defer func() {
 		f.mu.Lock()
-		f.streaming--
-		f.admit.Broadcast()
+		f.admit.release()
 		f.mu.Unlock()
 	}()
 
@@ -663,7 +658,7 @@ type subResult struct {
 func (f *Federation) runPart(jobID int, spec JobSpec, a fedAssign) (res subResult) {
 	part := a.part
 	for attempt := 0; ; attempt++ {
-		rep, egress, dead, err := f.submit(part.addr, spec)
+		rep, egress, dead, err := submitJob(part.addr, profileFor(f.cfg.Lite), spec)
 		res.eg += egress
 		if err == nil {
 			res.pr = PartReport{Partition: part.id, Nodes: spec.Nodes, Report: rep}
@@ -718,82 +713,14 @@ func (f *Federation) runPart(jobID int, spec JobSpec, a fedAssign) (res subResul
 // tie-break by ID) with at least n registered nodes, excluding the one
 // that just died. Caller holds f.mu.
 func (f *Federation) pickSurvivor(n int, exclude *fedPartition) *fedPartition {
-	var ids []int
-	byID := make(map[int]*fedPartition)
+	var best *fedPartition
 	for _, p := range f.parts {
-		if p.dead || p == exclude || p.mm.Closed() {
+		if p.dead || p == exclude || p.mm.Closed() || len(p.mm.NMs()) < n {
 			continue
 		}
-		if len(p.mm.NMs()) < n {
-			continue
-		}
-		byID[p.id] = p
-		ids = append(ids, p.id)
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	leastLoadedOrder(ids, func(id int) int { return byID[id].load })
-	return byID[ids[0]]
-}
-
-// submit runs one sub-job on a leaf over a real TCP submit link and
-// reports the bytes the root wrote on it — the root's whole per-
-// partition delegation cost. dead reports link death (leaf process
-// gone) as opposed to a job failure returned over a live link.
-func (f *Federation) submit(addr string, spec JobSpec) (rep Report, egress int64, dead bool, err error) {
-	prof := bulkProfile
-	if f.cfg.Lite {
-		prof = liteProfile
-	}
-	c, err := dialProf(nil, nil, addr, prof)
-	if err != nil {
-		return Report{}, 0, true, err
-	}
-	defer c.close()
-	if err := c.send(Message{Submit: &Submit{Spec: spec}}); err != nil {
-		return Report{}, c.sentBytes(), true, fmt.Errorf("submit: %w", err)
-	}
-	m, err := c.recv()
-	if err != nil {
-		return Report{}, c.sentBytes(), true, fmt.Errorf("awaiting report: %w", err)
-	}
-	if m.Done == nil {
-		return Report{}, c.sentBytes(), false, fmt.Errorf("unexpected reply")
-	}
-	if m.Done.Err != "" {
-		return m.Done.Report, c.sentBytes(), false, fmt.Errorf("%s", m.Done.Err)
-	}
-	return m.Done.Report, c.sentBytes(), false, nil
-}
-
-// awaitAdmission parks a federated job until the root policy picks it
-// and a concurrency slot frees — the leaf admission loop without gang
-// rows. Caller holds f.mu.
-func (f *Federation) awaitAdmission(j *liveJob) error {
-	f.admitQ = append(f.admitQ, j)
-	for {
-		if f.closed {
-			f.dropQueued(j)
-			return fmt.Errorf("livenet: federation closed while job %d awaited admission", j.id)
-		}
-		if f.streaming < f.cfg.MaxConcurrent && f.policy.pick(f.admitQ) == j {
-			f.dropQueued(j)
-			f.streaming++
-			f.policy.granted(j)
-			f.admit.Broadcast()
-			j.queued = time.Since(j.qStart)
-			return nil
-		}
-		f.admit.Wait()
-	}
-}
-
-func (f *Federation) dropQueued(j *liveJob) {
-	for i, q := range f.admitQ {
-		if q == j {
-			f.admitQ = append(f.admitQ[:i], f.admitQ[i+1:]...)
-			return
+		if best == nil || p.lighter(best) {
+			best = p
 		}
 	}
+	return best
 }

@@ -11,9 +11,9 @@ import (
 // quantum; each NM enacts the coordinated context switch by opening the
 // gates of the designated row's processes and closing the others — the
 // same MM/NM division of labor as the simulated scheduler, on wall-clock
-// time. Strobes are low-rate control traffic and travel as gob frames on
-// the per-NM control links, never through the bulk fragment path, so a
-// context switch cannot queue behind a binary transfer's buffered data.
+// time. Strobes multicast down the control tree as typed frames (ctl.go),
+// never through the bulk fragment path, so a context switch cannot queue
+// behind a binary transfer's buffered data.
 
 // gate is the suspend/resume control a PL wraps around its process: the
 // process calls wait() between work chunks and blocks while the gate is

@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/livenet/wire"
 )
 
 // PeerHub is a process-shared relay listener. The seed design gave
@@ -113,9 +115,9 @@ func (h *PeerHub) accept() {
 // the first real frame and over-reads nothing.
 func (h *PeerHub) route(nc net.Conn) {
 	defer h.wg.Done()
-	var hello [1 + helloBodyLen]byte
+	var hello [1 + wire.HelloLen]byte
 	nc.SetReadDeadline(time.Now().Add(helloTimeout))
-	if _, err := io.ReadFull(nc, hello[:]); err != nil || hello[0] != frameHello {
+	if _, err := io.ReadFull(nc, hello[:]); err != nil || hello[0] != wire.Hello {
 		nc.Close()
 		return
 	}

@@ -446,3 +446,29 @@ func TestQueryStatus(t *testing.T) {
 		t.Fatalf("post-job status = %+v", st)
 	}
 }
+
+// TestFirstTransferFailureWins: of two relay-plan failures the first is
+// the job's — the second is as likely its consequence as a cause of its
+// own — and the transfer's wait returns it at once rather than sit out
+// its deadline.
+func TestFirstTransferFailureWins(t *testing.T) {
+	j := &liveJob{id: 7, planned: make(map[int]bool)}
+	j.cond = sync.NewCond(&j.mu)
+	mm := &MM{jobs: map[int]*liveJob{j.id: j}}
+	mm.onPlanAck(&PlanAck{Job: j.id, Node: 1, Err: "dial child 3: refused"})
+	mm.onPlanAck(&PlanAck{Job: j.id, Node: 2, Err: "dial child 5: refused"})
+	mm.onPlanAck(&PlanAck{Job: 8, Node: 2, Err: "no such job"})
+	start := time.Now()
+	err := j.await(nil, "relay plan unconfirmed by nodes", start.Add(5*time.Second), func() []string {
+		return []string{"9"}
+	})
+	if err == nil || !strings.Contains(err.Error(), "node 1 ") || !strings.Contains(err.Error(), "child 3") {
+		t.Fatalf("job failure = %v, want node 1's", err)
+	}
+	if !j.planned[1] || !j.planned[2] {
+		t.Fatal("a failed plan ack must still count as that node's answer")
+	}
+	if time.Since(start) > time.Second {
+		t.Fatalf("the wait sat out %v on a job that had already failed", time.Since(start))
+	}
+}

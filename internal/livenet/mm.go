@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -249,21 +250,18 @@ type MM struct {
 	// cut mid-job submitters loose immediately.
 	clients map[*conn]struct{}
 
-	// Multi-tenant admission (see admit.go): jobs wait in admitQ until
-	// the policy grants them one of MaxConcurrent streaming slots;
-	// admit broadcasts on every slot/row release. place is the indexed
+	// Multi-tenant admission (see admit.go): jobs wait in admit until the
+	// policy grants them one of MaxConcurrent streaming slots; its cond
+	// broadcasts on every slot/row release. place is the indexed
 	// placement engine (internal/place): it tracks per-node load,
 	// declared capacity, committed usage, and eligibility, and answers
 	// placement decisions in O(log n) instead of a cluster scan — all
 	// mutated under mu. budgets holds each direct-child link's shared
 	// byte budget. All guarded by mu.
-	admit     *sync.Cond
-	admitQ    []*liveJob
-	streaming int
-	policy    admissionPolicy
-	place     *place.Engine
-	placePol  place.Policy
-	budgets   map[*conn]*linkBudget
+	admit    admitQueue
+	place    *place.Engine
+	placePol place.Policy
+	budgets  map[*conn]*linkBudget
 
 	// ctl is the cluster-wide control tree (heartbeat + strobe fast
 	// path); ctlExclude holds convicted nodes, kept out of the tree even
@@ -335,10 +333,28 @@ type nmLink struct {
 	c    *conn
 }
 
-// probeRound collects pongs for one directed isolation-probe sweep.
+// probeRound collects pongs for one directed isolation-probe sweep: owed
+// is the set of probed nodes still to be heard from, and done closes
+// when it empties — the round need not run out its grace.
 type probeRound struct {
-	mu  sync.Mutex
-	got map[int]bool
+	mu   sync.Mutex
+	owed map[int]bool
+	done chan struct{}
+}
+
+// settle takes one probed node off the round's books: it answered, or
+// (from the prober) it could not even be written to. Pongs from nodes
+// the round did not probe, and duplicates, count for nothing.
+func (pr *probeRound) settle(node int) {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	if !pr.owed[node] {
+		return
+	}
+	delete(pr.owed, node)
+	if len(pr.owed) == 0 {
+		close(pr.done)
+	}
 }
 
 // manifestData is the content-derived part of a transfer manifest. For
@@ -514,13 +530,13 @@ func NewMM(addr string, cfg MMConfig) (*MM, error) {
 		ctlExclude: make(map[int]bool),
 		probation:  make(map[int]int),
 		rejoined:   make(map[int]bool),
-		policy:     policy,
 		place:      place.NewEngine(64),
 		placePol:   placePol,
 		budgets:    make(map[*conn]*linkBudget),
 		closing:    make(chan struct{}),
 	}
-	mm.admit = sync.NewCond(&mm.mu)
+	mm.admit = admitQueue{cond: sync.NewCond(&mm.mu), closed: &mm.closed, errClosed: ErrMMClosed,
+		policy: policy, slots: cfg.MaxConcurrent}
 	if cfg.JournalDir != "" {
 		if err := mm.openJournal(cfg.JournalDir); err != nil {
 			ln.Close()
@@ -728,7 +744,7 @@ func (mm *MM) maybeRotateJournal() {
 	for id := range mm.ctlExclude {
 		snap = append(snap, journal.Event{Type: journal.NodeDead, Node: id})
 	}
-	for _, j := range mm.admitQ {
+	for _, j := range mm.admit.q {
 		snap = append(snap, journal.Event{Type: journal.JobAdmitted, Job: j.id, Data: encodeSpec(&j.spec)})
 	}
 	for id, j := range mm.jobs {
@@ -871,7 +887,7 @@ func (mm *MM) shutdown(abrupt bool) {
 		mm.closed = true
 		close(mm.closing)
 	}
-	mm.admit.Broadcast() // release jobs parked in the admission queue
+	mm.admit.cond.Broadcast() // release jobs parked in the admission queue
 	stops := mm.detStops
 	mm.detStops = nil
 	for _, l := range mm.nms {
@@ -903,12 +919,8 @@ func (mm *MM) acceptLoop() {
 		if mm.cfg.WrapConn != nil {
 			nc = mm.cfg.WrapConn(nc)
 		}
-		prof := bulkProfile
-		if mm.cfg.Lite {
-			prof = liteProfile
-		}
 		mm.wg.Add(1)
-		go mm.handleConn(newConnProf(nc, prof))
+		go mm.handleConn(newConnProf(nc, profileFor(mm.cfg.Lite)))
 	}
 }
 
@@ -949,7 +961,7 @@ func (mm *MM) status() StatusRep {
 	return StatusRep{
 		Nodes:     nodes,
 		Jobs:      len(mm.jobs),
-		Queued:    len(mm.admitQ),
+		Queued:    len(mm.admit.q),
 		Launched:  mm.launched,
 		Completed: mm.completed,
 		Strobes:   mm.strobes,
@@ -1075,89 +1087,95 @@ func (j *liveJob) stripeByID(s int) *stripeState {
 	return j.stripes[s]
 }
 
-func (mm *MM) onFragAck(a *FragAck) {
-	j := mm.jobByID(a.Job)
+// onTransferEvent is the one way an NM's answer reaches a job's transfer
+// state: look the job up (an answer for a job that is gone is dropped),
+// take j.mu, apply, wake every wait. An error from apply fails the job
+// unless an earlier failure already has — first failure wins, because a
+// failure cascades (a rejected fragment forces every later one out of
+// order) and the later reports would mask the site of the first.
+func (mm *MM) onTransferEvent(job int, apply func(j *liveJob) error) {
+	j := mm.jobByID(job)
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !a.OK {
-		// First failure wins: a rejected fragment forces every later
-		// fragment out of order, and those cascade nacks would otherwise
-		// mask the original corruption site. Nacks carry the global chunk
-		// index, so the report names the corruption site unambiguously.
-		if j.fail == nil {
-			j.fail = rejectError{node: a.Node, index: a.Index}
-		}
-	} else if ss := j.stripeByID(a.Stripe); ss != nil &&
-		a.Epoch == ss.epoch && a.Index+1 > ss.acked[a.Node] {
-		// Credit from an older tree epoch vouched for a different
-		// subtree shape; only current-epoch credit moves the window.
-		// Cumulative acks are stripe-local counts.
-		ss.acked[a.Node] = a.Index + 1
-		// Acknowledged chunks hand their bytes back to the shared link
-		// budget, unblocking whatever job is waiting on that link.
-		j.releaseAckedLocked(ss.id, a.Node, a.Index+1)
+	if err := apply(j); err != nil && j.fail == nil {
+		j.fail = err
 	}
 	j.cond.Broadcast()
+	j.mu.Unlock()
+}
+
+func (mm *MM) onFragAck(a *FragAck) {
+	mm.onTransferEvent(a.Job, func(j *liveJob) error {
+		if !a.OK {
+			// Nacks carry the global chunk index, so the report names the
+			// corruption site unambiguously.
+			return rejectError{node: a.Node, index: a.Index}
+		}
+		if ss := j.stripeByID(a.Stripe); ss != nil &&
+			a.Epoch == ss.epoch && a.Index+1 > ss.acked[a.Node] {
+			// Credit from an older tree epoch vouched for a different
+			// subtree shape; only current-epoch credit moves the window.
+			// Cumulative acks are stripe-local counts.
+			ss.acked[a.Node] = a.Index + 1
+			// Acknowledged chunks hand their bytes back to the shared link
+			// budget, unblocking whatever job is waiting on that link.
+			j.releaseAckedLocked(ss.id, a.Node, a.Index+1)
+		}
+		return nil
+	})
 }
 
 func (mm *MM) onPlanAck(a *PlanAck) {
-	j := mm.jobByID(a.Job)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if a.Err != "" {
-		j.fail = fmt.Errorf("node %d could not set up its relay plan: %s", a.Node, a.Err)
-	}
-	j.planned[a.Node] = true
-	j.cond.Broadcast()
+	mm.onTransferEvent(a.Job, func(j *liveJob) error {
+		j.planned[a.Node] = true
+		if a.Err != "" {
+			return fmt.Errorf("node %d could not set up its relay plan: %s", a.Node, a.Err)
+		}
+		return nil
+	})
 }
 
 func (mm *MM) onReplanAck(a *ReplanAck) {
-	j := mm.jobByID(a.Job)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ss := j.stripeByID(a.Stripe)
-	if ss == nil || a.Epoch != ss.epoch {
-		return // stale round
-	}
-	if a.Err != "" {
-		if j.fail == nil {
-			j.fail = fmt.Errorf("node %d could not rewire its relay plan: %s", a.Node, a.Err)
+	mm.onTransferEvent(a.Job, func(j *liveJob) error {
+		ss := j.stripeByID(a.Stripe)
+		if ss == nil || a.Epoch != ss.epoch {
+			return nil // stale round
 		}
-	}
-	ss.planned[a.Node] = true
-	ss.received[a.Node] = a.Received
-	j.cond.Broadcast()
+		ss.planned[a.Node] = true
+		ss.received[a.Node] = a.Received
+		if a.Err != "" {
+			return fmt.Errorf("node %d could not rewire its relay plan: %s", a.Node, a.Err)
+		}
+		return nil
+	})
+}
+
+// onHave records a direct child's folded subtree HAVE ledger for the
+// stripe's current epoch.
+func (mm *MM) onHave(h *Have) {
+	mm.onTransferEvent(h.Job, func(j *liveJob) error {
+		if ss := j.stripeByID(h.Stripe); ss != nil && h.Epoch == ss.epoch && ss.haves != nil {
+			ss.haves[h.Node] = append([]uint64(nil), h.Bits...)
+		}
+		return nil
+	})
 }
 
 // onPeerDown records an NM's report that a relay child is unreachable —
 // failure-detector evidence that wakes the transfer immediately instead
 // of letting it burn the whole window timeout.
 func (mm *MM) onPeerDown(d *PeerDown) {
-	j := mm.jobByID(d.Job)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.peerDown == nil {
-		j.peerDown = make(map[int]string)
-	}
-	if _, seen := j.peerDown[d.Node]; !seen {
-		j.peerDown[d.Node] = fmt.Sprintf("parent %d could not reach it: %s", d.From, d.Err)
-	}
-	if j.fail == nil {
-		j.fail = downError{node: d.Node, cause: j.peerDown[d.Node]}
-	}
-	j.cond.Broadcast()
+	mm.onTransferEvent(d.Job, func(j *liveJob) error {
+		if j.peerDown == nil {
+			j.peerDown = make(map[int]string)
+		}
+		if _, seen := j.peerDown[d.Node]; !seen {
+			j.peerDown[d.Node] = fmt.Sprintf("parent %d could not reach it: %s", d.From, d.Err)
+		}
+		return downError{node: d.Node, cause: j.peerDown[d.Node]}
+	})
 }
 
 func (mm *MM) onTerm(t *Term) {
@@ -1245,9 +1263,8 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	j.mu.Unlock()
 	nodes, err := mm.placeJob(&spec, nil)
 	if err != nil {
-		mm.streaming--
 		mm.releaseRow(j.row)
-		mm.admit.Broadcast()
+		mm.admit.release()
 		mm.mu.Unlock()
 		mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
 		return Report{}, err
@@ -1269,7 +1286,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		for _, n := range j.placed {
 			mm.place.Release(n, spec.Demand)
 		}
-		mm.admit.Broadcast()
+		mm.admit.cond.Broadcast()
 		mm.mu.Unlock()
 	}()
 
@@ -1716,7 +1733,9 @@ func (mm *MM) plan(j *liveJob) error {
 			return downError{node: link.node, cause: fmt.Sprintf("transfer plan write: %v", err)}
 		}
 	}
-	return mm.awaitPlans(j, time.Now().Add(mm.cfg.AckTimeout))
+	return j.await(nil, "relay plan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
+		return silent(j.nodes, func(node int) bool { return j.planned[node] })
+	})
 }
 
 // buildManifest computes (or retrieves) the job's transfer manifest: the
@@ -1835,7 +1854,10 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 		j.sendBytes += int64(30 + 12*len(m.Hashes))
 		j.mu.Unlock()
 	}
-	if err := mm.awaitStripeHaves(j, ss, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
+	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
+		return silent(ss.children, func(node int) bool { _, ok := ss.haves[node]; return ok })
+	})
+	if err != nil {
 		return err
 	}
 
@@ -1882,53 +1904,6 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	return nil
 }
 
-// awaitStripeHaves blocks until every direct child of the stripe's tree
-// reported its subtree's HAVE ledger for the stripe's current epoch; on
-// timeout the error names the silent subtree roots.
-func (mm *MM) awaitStripeHaves(j *liveJob, ss *stripeState, deadline time.Time) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for {
-		if j.fail != nil {
-			return j.fail
-		}
-		missing := ""
-		for _, link := range ss.children {
-			if _, ok := ss.haves[link.node]; !ok {
-				if missing != "" {
-					missing += ", "
-				}
-				missing += fmt.Sprintf("%d", link.node)
-			}
-		}
-		if missing == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: job %d stripe %d: chunk ledger (HAVE) unreported by nodes %s",
-				ErrTransferTimeout, j.id, ss.id, missing)
-		}
-		t := time.AfterFunc(100*time.Millisecond, func() { j.cond.Broadcast() })
-		j.cond.Wait()
-		t.Stop()
-	}
-}
-
-// onHave records a direct child's folded subtree HAVE ledger for the
-// stripe's current epoch.
-func (mm *MM) onHave(h *Have) {
-	j := mm.jobByID(h.Job)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if ss := j.stripeByID(h.Stripe); ss != nil && h.Epoch == ss.epoch && ss.haves != nil {
-		ss.haves[h.Node] = append([]uint64(nil), h.Bits...)
-	}
-	j.cond.Broadcast()
-}
-
 // streamStripe pushes the stripe's current send list (the union of its
 // missing chunks, ascending) down the stripe's tree, writing each chunk
 // only to the subtrees whose need mask claims it, and waits for the
@@ -1960,7 +1935,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	for pos := start; pos < len(list); pos++ {
 		i := list[pos]
 		if pos >= window {
-			if err := mm.awaitStripeCredit(j, ss, list[pos-window]/k+1, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
+			if err := j.awaitCredit(ss, list[pos-window]/k+1, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
 				return err
 			}
 		}
@@ -2015,7 +1990,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// tail — the budget is not restarted on partial progress, so a
 	// stalled node cannot stack the per-fragment timeout on top of the
 	// final wait.
-	return mm.awaitStripeCredit(j, ss, stripeChunks(j.frags, ss.id, k), time.Now().Add(mm.cfg.AckTimeout))
+	return j.awaitCredit(ss, stripeChunks(j.frags, ss.id, k), time.Now().Add(mm.cfg.AckTimeout))
 }
 
 // diagnose turns a transfer failure into a verdict about which job
@@ -2054,14 +2029,18 @@ func (mm *MM) diagnose(j *liveJob, cause error) map[int]string {
 	return dead
 }
 
-// probeNodes pings each link directly and waits grace for the pongs.
-// Returns the nodes that failed the probe, with the reason.
+// probeNodes pings each link directly and waits for the pongs: until
+// every probed node is accounted for, or grace at the latest. Returns
+// the nodes that failed the probe, with the reason.
 func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 	dead := make(map[int]string)
 	if len(links) == 0 {
 		return dead
 	}
-	pr := &probeRound{got: make(map[int]bool)}
+	pr := &probeRound{owed: make(map[int]bool), done: make(chan struct{})}
+	for _, l := range links {
+		pr.owed[l.node] = true
+	}
 	mm.mu.Lock()
 	// Probe sequences live far above heartbeat sequences so the shared
 	// Pong path can route them unambiguously.
@@ -2072,14 +2051,18 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 	for _, l := range links {
 		if err := l.c.send(Message{Ping: &Ping{Seq: seq}}); err != nil {
 			dead[l.node] = fmt.Sprintf("probe write failed: %v", err)
+			pr.settle(l.node)
 		}
 	}
-	time.Sleep(grace)
+	deadline := time.NewTimer(grace)
+	select {
+	case <-pr.done:
+	case <-deadline.C:
+	}
+	deadline.Stop()
 	pr.mu.Lock()
-	for _, l := range links {
-		if _, gone := dead[l.node]; !gone && !pr.got[l.node] {
-			dead[l.node] = fmt.Sprintf("no answer to isolation probe within %v", grace)
-		}
+	for node := range pr.owed {
+		dead[node] = fmt.Sprintf("no answer to isolation probe within %v", grace)
 	}
 	pr.mu.Unlock()
 	mm.mu.Lock()
@@ -2178,7 +2161,10 @@ func (mm *MM) replanStripe(j *liveJob, ss *stripeState, dead map[int]string) err
 			return downError{node: link.node, cause: fmt.Sprintf("replan write: %v", err)}
 		}
 	}
-	if err := mm.awaitStripePlans(j, ss, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
+	err := j.await(ss, "relay replan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
+		return silent(ss.order, func(node int) bool { return ss.planned[node] })
+	})
+	if err != nil {
 		return err
 	}
 
@@ -2269,107 +2255,71 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 	return nil
 }
 
-// awaitPlans blocks until every node of the job confirmed its relay
-// plan (or replan); on timeout the error names the nodes that never
-// answered.
-func (mm *MM) awaitPlans(j *liveJob, deadline time.Time) error {
+// await is the transfer's one wait, the live COMPARE-AND-WRITE: block on
+// j.cond until pending — evaluated under j.mu — names no node, the job
+// has failed (that failure is returned as is), or the deadline passes
+// with ErrTransferTimeout naming the job, the stripe (nil for the
+// job-wide plan barrier), what was awaited and whom it is still owed by.
+func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, pending func() []string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
 		if j.fail != nil {
 			return j.fail
 		}
-		missing := ""
-		for _, link := range j.nodes {
-			if !j.planned[link.node] {
-				if missing != "" {
-					missing += ", "
-				}
-				missing += fmt.Sprintf("%d", link.node)
-			}
-		}
-		if missing == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: job %d: relay plan unconfirmed by nodes %s", ErrTransferTimeout, j.id, missing)
-		}
-		t := time.AfterFunc(100*time.Millisecond, func() { j.cond.Broadcast() })
-		j.cond.Wait()
-		t.Stop()
-	}
-}
-
-// awaitStripePlans blocks until every node of the stripe's tree
-// confirmed its replan for the stripe's current epoch; on timeout the
-// error names the nodes that never answered.
-func (mm *MM) awaitStripePlans(j *liveJob, ss *stripeState, deadline time.Time) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for {
-		if j.fail != nil {
-			return j.fail
-		}
-		missing := ""
-		for _, link := range ss.order {
-			if !ss.planned[link.node] {
-				if missing != "" {
-					missing += ", "
-				}
-				missing += fmt.Sprintf("%d", link.node)
-			}
-		}
-		if missing == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: job %d stripe %d: relay replan unconfirmed by nodes %s",
-				ErrTransferTimeout, j.id, ss.id, missing)
-		}
-		t := time.AfterFunc(100*time.Millisecond, func() { j.cond.Broadcast() })
-		j.cond.Wait()
-		t.Stop()
-	}
-}
-
-// awaitStripeCredit blocks until every direct child of the stripe's
-// tree has acknowledged `need` stripe-local fragments on behalf of its
-// whole subtree (i.e. the stripe's window has room for the next
-// fragment, or — with need = the stripe's total — the stripe has
-// drained). On timeout the error names each node still owing credit,
-// with its subtree and the credit it has delivered so far.
-func (mm *MM) awaitStripeCredit(j *liveJob, ss *stripeState, need int, deadline time.Time) error {
-	if need <= 0 {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for {
-		if j.fail != nil {
-			return j.fail
-		}
-		var owing []string
-		for _, link := range ss.children {
-			if got := ss.acked[link.node]; got < need {
-				if sub := ss.subtree[link.node]; len(sub) > 1 {
-					owing = append(owing, fmt.Sprintf("node %d (subtree %v, acked %d)", link.node, sub, got))
-				} else {
-					owing = append(owing, fmt.Sprintf("node %d (acked %d)", link.node, got))
-				}
-			}
-		}
+		owing := pending()
 		if len(owing) == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: job %d stripe %d: flow control stalled awaiting fragment %d credit from %s",
-				ErrTransferTimeout, j.id, ss.id, need-1, strings.Join(owing, ", "))
+			scope := fmt.Sprintf("job %d", j.id)
+			if ss != nil {
+				scope += fmt.Sprintf(" stripe %d", ss.id)
+			}
+			return fmt.Errorf("%w: %s: %s %s", ErrTransferTimeout, scope, what, strings.Join(owing, ", "))
 		}
-		// Wake periodically to enforce the deadline even if no acks come.
-		t := time.AfterFunc(100*time.Millisecond, func() { j.cond.Broadcast() })
+		// Wake periodically to enforce the deadline even if no answer comes.
+		t := time.AfterFunc(100*time.Millisecond, j.cond.Broadcast)
 		j.cond.Wait()
 		t.Stop()
 	}
+}
+
+// silent lists, as await's pending set, the links whose node has not
+// answered yet.
+func silent(links []*nmLink, answered func(node int) bool) []string {
+	var out []string
+	for _, l := range links {
+		if !answered(l.node) {
+			out = append(out, strconv.Itoa(l.node))
+		}
+	}
+	return out
+}
+
+// awaitCredit blocks until every direct child of the stripe's tree has
+// acknowledged `need` stripe-local fragments on behalf of its whole
+// subtree (i.e. the stripe's window has room for the next fragment, or —
+// with need = the stripe's total — the stripe has drained). On timeout
+// the error names each node still owing credit, with its subtree and the
+// credit it has delivered so far.
+func (j *liveJob) awaitCredit(ss *stripeState, need int, deadline time.Time) error {
+	if need <= 0 {
+		return nil
+	}
+	return j.await(ss, "flow control stalled awaiting credit from", deadline, func() []string {
+		var owing []string
+		for _, link := range ss.children {
+			if got := ss.acked[link.node]; got < need {
+				if sub := ss.subtree[link.node]; len(sub) > 1 {
+					owing = append(owing, fmt.Sprintf("node %d (subtree %v, acked %d of %d)", link.node, sub, got, need))
+				} else {
+					owing = append(owing, fmt.Sprintf("node %d (acked %d of %d)", link.node, got, need))
+				}
+			}
+		}
+		return owing
+	})
 }
 
 // abort tells every node of a failed job to drop its transfer state

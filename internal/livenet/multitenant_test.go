@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -301,5 +302,107 @@ func TestConcurrentStreamsSharedLinks(t *testing.T) {
 				t.Fatalf("node %d image for job %d differs: %+v vs %+v", n, reports[i].JobID, d, ref)
 			}
 		}
+	}
+}
+
+// TestAdmitQueueShared drives the one admission queue the way both its
+// owners do, many submitters at once (run it under -race): MM-style, a
+// grant hook that hands out a scarce second resource — gang rows — and
+// refuses while none is free; federation-style, no hook. Neither the
+// slots nor the rows are ever oversubscribed, everybody gets through,
+// and a shutdown releases whoever is still parked with the owner's named
+// error.
+func TestAdmitQueueShared(t *testing.T) {
+	errClosed := errors.New("owner closed")
+	for _, style := range []string{"mm", "federation"} {
+		t.Run(style, func(t *testing.T) {
+			const slots, rows, jobs = 4, 2, 48
+			var (
+				mu       sync.Mutex
+				closed   bool
+				freeRows = rows
+				refused  int
+			)
+			policy, err := newAdmissionPolicy("wfair")
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := admitQueue{cond: sync.NewCond(&mu), closed: &closed, errClosed: errClosed, policy: policy, slots: slots}
+			var grant func() bool
+			if style == "mm" {
+				grant = func() bool {
+					if freeRows == 0 {
+						refused++
+						return false
+					}
+					freeRows--
+					return true
+				}
+			}
+			var wg sync.WaitGroup
+			for i := 1; i <= jobs; i++ {
+				wg.Add(1)
+				go func(j *liveJob) {
+					defer wg.Done()
+					mu.Lock()
+					err := q.await(j, grant)
+					if err != nil || q.inUse > slots || freeRows < 0 {
+						t.Errorf("job %d: err %v, %d of %d slots in use, %d rows free", j.id, err, q.inUse, slots, freeRows)
+					}
+					mu.Unlock()
+					time.Sleep(time.Millisecond)
+					mu.Lock()
+					if grant != nil {
+						freeRows++
+					}
+					q.release()
+					mu.Unlock()
+				}(&liveJob{id: i, spec: JobSpec{User: string(rune('a' + i%3)), BinaryBytes: 1 + i%5}})
+			}
+			wg.Wait()
+			if q.inUse != 0 || len(q.q) != 0 || freeRows != rows {
+				t.Fatalf("after %d jobs: %d slots in use, %d queued, %d rows free", jobs, q.inUse, len(q.q), freeRows)
+			}
+			if style == "mm" && refused == 0 {
+				t.Fatal("the row hook never refused: the test did not exercise refuse-then-grant")
+			}
+
+			// Shutdown: fill the slots, park one more, close.
+			mu.Lock()
+			freeRows = slots
+			for i := 0; i < slots; i++ {
+				if err := q.await(&liveJob{id: 100 + i}, grant); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mu.Unlock()
+			parked := make(chan error, 1)
+			go func() {
+				mu.Lock()
+				defer mu.Unlock()
+				parked <- q.await(&liveJob{id: 200}, grant)
+			}()
+			for {
+				mu.Lock()
+				n := len(q.q)
+				mu.Unlock()
+				if n == 1 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			mu.Lock()
+			closed = true
+			q.cond.Broadcast()
+			mu.Unlock()
+			select {
+			case err := <-parked:
+				if !errors.Is(err, errClosed) {
+					t.Fatalf("parked job released with %v, want the owner's closed error", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a parked job was not released by shutdown")
+			}
+		})
 	}
 }

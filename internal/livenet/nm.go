@@ -127,19 +127,15 @@ type NM struct {
 	closed chan struct{}
 }
 
-// binState tracks one job's incoming binary image.
+// binState tracks one job's incoming binary image. It exists from the
+// job's first manifest on, so man is never nil.
 type binState struct {
-	received int
-	bytes    int
-	crc      uint32 // running CRC-32 over the concatenated image
 	complete bool
 
-	// Delta-transfer state. man is the job's manifest (cloned out of
-	// conn scratch, shared by every stripe); written marks which chunks
-	// are spliced into the image so far — from the cache at manifest
-	// time or from the wire — and wcount counts them. received remains
-	// the in-order prefix of written across all chunks (the legacy /
-	// replan-fallback cursor); srecv[s] is the stripe-local in-order
+	// man is the job's manifest (cloned out of conn scratch, shared by
+	// every stripe); written marks which chunks are spliced into the
+	// image so far — from the cache at manifest time or from the wire —
+	// and wcount counts them. srecv[s] is the stripe-local in-order
 	// prefix over the chunks stripe s owns (global indices ≡ s mod k),
 	// which is what stripe s's cumulative acks vouch for. expect[s] is
 	// stripe s's NeedMask: the authoritative set of chunks that will
@@ -173,7 +169,6 @@ type ImageDigest struct {
 // index ≡ s mod k). With stripes=1 there is exactly one entry and the
 // behavior is the legacy single-tree data path.
 type relayState struct {
-	frags   int
 	stripes []*stripeRelay
 	failed  bool
 }
@@ -269,7 +264,7 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		}
 		nm.cache = cache
 	}
-	c, err := dialProf(cfg.Dialer, cfg.WrapConn, addr, nm.profile())
+	c, err := dialProf(cfg.Dialer, cfg.WrapConn, addr, profileFor(nm.cfg.Lite))
 	if err != nil {
 		fail()
 		return nil, err
@@ -314,14 +309,6 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		go nm.acceptPeers()
 	}
 	return nm, nil
-}
-
-// profile is the connection profile every link of this NM uses.
-func (nm *NM) profile() connProfile {
-	if nm.cfg.Lite {
-		return liteProfile
-	}
-	return bulkProfile
 }
 
 // Node returns the NM's node ID.
@@ -498,7 +485,7 @@ func (nm *NM) adoptPeer(nc net.Conn) bool {
 	if nm.cfg.WrapConn != nil {
 		nc = nm.cfg.WrapConn(nc)
 	}
-	pc := newConnProf(nc, nm.profile())
+	pc := newConnProf(nc, profileFor(nm.cfg.Lite))
 	nm.mu.Lock()
 	select {
 	case <-nm.closed:
@@ -563,19 +550,14 @@ func (nm *NM) servePeer(pc *conn) {
 // pair. The MM does not stream until every node confirmed, so fragments
 // can never outrun any tree.
 func (nm *NM) onPlan(p *Plan) {
-	st := &relayState{frags: p.Frags}
+	st := &relayState{}
 	for _, refs := range p.Children {
-		sr := &stripeRelay{}
-		for _, ref := range refs {
-			cc, err := nm.peerConn(ref.Addr)
-			if err != nil {
-				nm.c.send(Message{PlanAck: &PlanAck{Job: p.Job, Node: nm.node,
-					Err: fmt.Sprintf("dial child %d: %v", ref.Node, err)}})
-				return
-			}
-			sr.children = append(sr.children, &relayChild{node: ref.Node, addr: ref.Addr, c: cc})
+		kids, err := nm.dialChildren(refs)
+		if err != nil {
+			nm.c.send(Message{PlanAck: &PlanAck{Job: p.Job, Node: nm.node, Err: err.Error()}})
+			return
 		}
-		st.stripes = append(st.stripes, sr)
+		st.stripes = append(st.stripes, &stripeRelay{children: kids})
 	}
 	if len(st.stripes) == 0 {
 		st.stripes = []*stripeRelay{{}}
@@ -596,15 +578,11 @@ func (nm *NM) onPlan(p *Plan) {
 // node's stripe-local chunk progress, which the MM folds into the
 // stripe's replay point.
 func (nm *NM) onReplan(p *Replan) {
-	var kids []*relayChild
-	for _, ref := range p.Children {
-		cc, err := nm.peerConn(ref.Addr)
-		if err != nil {
-			nm.c.send(Message{ReplanAck: &ReplanAck{Job: p.Job, Node: nm.node, Epoch: p.Epoch,
-				Stripe: p.Stripe, Err: fmt.Sprintf("dial child %d: %v", ref.Node, err)}})
-			return
-		}
-		kids = append(kids, &relayChild{node: ref.Node, addr: ref.Addr, c: cc})
+	kids, err := nm.dialChildren(p.Children)
+	if err != nil {
+		nm.c.send(Message{ReplanAck: &ReplanAck{Job: p.Job, Node: nm.node, Epoch: p.Epoch,
+			Stripe: p.Stripe, Err: err.Error()}})
+		return
 	}
 	nm.mu.Lock()
 	rs := nm.relays[p.Job]
@@ -612,7 +590,6 @@ func (nm *NM) onReplan(p *Replan) {
 		rs = &relayState{}
 		nm.relays[p.Job] = rs
 	}
-	rs.frags = p.Frags
 	for len(rs.stripes) <= p.Stripe {
 		rs.stripes = append(rs.stripes, &stripeRelay{})
 	}
@@ -623,15 +600,26 @@ func (nm *NM) onReplan(p *Replan) {
 	sr.sentUp = 0
 	sr.haveSent = false // the new epoch runs a fresh HAVE round
 	received := 0
-	if st := nm.bins[p.Job]; st != nil {
-		received = st.received
-		if st.man != nil && p.Stripe < len(st.srecv) {
-			received = st.srecv[p.Stripe]
-		}
+	if st := nm.bins[p.Job]; st != nil && p.Stripe < len(st.srecv) {
+		received = st.srecv[p.Stripe]
 	}
 	nm.mu.Unlock()
 	nm.c.send(Message{ReplanAck: &ReplanAck{Job: p.Job, Node: nm.node,
 		Epoch: p.Epoch, Stripe: p.Stripe, Received: received}})
+}
+
+// dialChildren resolves one tree's relay children to (cached) peer
+// links — the step a plan and a replan share.
+func (nm *NM) dialChildren(refs []ChildRef) ([]*relayChild, error) {
+	var kids []*relayChild
+	for _, ref := range refs {
+		cc, err := nm.peerConn(ref.Addr)
+		if err != nil {
+			return nil, fmt.Errorf("dial child %d: %v", ref.Node, err)
+		}
+		kids = append(kids, &relayChild{node: ref.Node, addr: ref.Addr, c: cc})
+	}
+	return kids, nil
 }
 
 // peerConn returns the relay connection to a downstream NM, dialing it
@@ -659,7 +647,7 @@ var errNMClosed = errors.New("livenet: node manager closed")
 // racing for one address (a relay redial on each stripe's reader, a
 // control-tree relay beside a plan) settle on the first link.
 func (nm *NM) dialChild(addr string) (*conn, error) {
-	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, nm.profile())
+	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, profileFor(nm.cfg.Lite))
 	if err != nil {
 		return nil, err
 	}
@@ -683,32 +671,33 @@ func (nm *NM) dialChild(addr string) (*conn, error) {
 	return cc, nil
 }
 
-// relayFrag forwards one fragment to a tree child, health-checking the
-// cached link on the way: a write error evicts the cached connection
-// and redials once before the peer is reported down. Reports whether
-// the fragment reached the child.
-func (nm *NM) relayFrag(job int, rc *relayChild, f *Frag) bool {
+// relay is the data plane's one hop down: forward a fragment or a
+// transfer-control frame (manifest, need-mask) to a tree child,
+// health-checking the cached link on the way — a write error evicts the
+// cached connection and redials once before the peer is reported down.
+// Reports whether the frame reached the child.
+func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
 	nm.mu.Lock()
 	cc, down := rc.c, rc.down
 	nm.mu.Unlock()
 	if down {
 		return false
 	}
-	err := cc.sendFrag(f)
+	err := cc.send(m)
 	if err == nil {
 		return true
 	}
 	// Cached link went stale (the peer restarted, or the socket died
-	// between jobs): evict it and redial once. A fragment frame is
-	// atomic per connection, so the peer discards any partial frame
-	// with the dead socket and the retry is a clean re-send.
+	// between jobs): evict it and redial once. A frame is atomic per
+	// connection, so the peer discards any partial frame with the dead
+	// socket and the retry is a clean re-send.
 	nm.evictDialed(cc)
 	cc2, err2 := nm.dialChild(rc.addr)
 	if err2 == nil {
 		nm.mu.Lock()
 		rc.c = cc2
 		nm.mu.Unlock()
-		if err = cc2.sendFrag(f); err == nil {
+		if err = cc2.send(m); err == nil {
 			return true
 		}
 	} else {
@@ -740,18 +729,9 @@ func (nm *NM) evictDialed(cc *conn) {
 // strobe acks — and folds each into its aggregate.
 func (nm *NM) pumpChildAcks(cc *conn) {
 	defer nm.wg.Done()
-	defer func() {
-		// The link died: make sure the cross-job cache never hands it
-		// out again.
-		nm.mu.Lock()
-		for addr, c := range nm.dialed {
-			if c == cc {
-				delete(nm.dialed, addr)
-			}
-		}
-		nm.mu.Unlock()
-		cc.close()
-	}()
+	// The link died: make sure the cross-job cache never hands it out
+	// again.
+	defer nm.evictDialed(cc)
 	for {
 		m, err := cc.recv()
 		if err != nil {
@@ -828,36 +808,29 @@ func (nm *NM) pumpChildAcks(cc *conn) {
 // where this node's (aggregated) acks for that stripe go.
 func (nm *NM) handleFrag(f *Frag, from *conn) {
 	nm.mu.Lock()
-	rs := nm.relays[f.Job]
-	if rs == nil {
-		// Fragment without a plan (cannot happen with the plan barrier;
-		// tolerated as a leaf role for robustness).
-		rs = &relayState{frags: -1}
-		nm.relays[f.Job] = rs
-	}
-	for len(rs.stripes) <= f.Stripe {
-		rs.stripes = append(rs.stripes, &stripeRelay{})
+	rs, st := nm.relays[f.Job], nm.bins[f.Job]
+	if rs == nil || st == nil || f.Stripe >= len(rs.stripes) {
+		// No manifest announced this chunk: a straggler for a job whose
+		// state was released (finished, aborted), or a frame no plan of
+		// ours accounts for. Every epoch opens with a manifest on the same
+		// link, so nothing that will be needed is lost: drop it.
+		nm.mu.Unlock()
+		releaseFragBuf(f.Data)
+		return
 	}
 	sr := rs.stripes[f.Stripe]
 	if sr.parent == nil {
 		sr.parent = from
 	}
-	st := nm.bins[f.Job]
-	if st == nil {
-		st = &binState{}
-		nm.bins[f.Job] = st
-	}
 	children := sr.children
 	epoch := sr.epoch
 	drop := nm.testDropAcks.Load()
 	man := st.man // immutable once announced
-	manifest := man != nil
 	nm.mu.Unlock()
 
 	// Relay downstream from the same buffer: one encode at the MM serves
-	// the entire tree. Under a manifest, a chunk is forwarded only to the
-	// subtrees that reported missing it — the selective half of the delta
-	// path.
+	// the entire tree. A chunk is forwarded only to the subtrees that
+	// reported missing it — the selective half of the delta path.
 	if len(children) > 0 {
 		forward := f
 		if nm.testCorruptRelay != nil {
@@ -871,10 +844,10 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		}
 		relayed := 0
 		for _, rc := range children {
-			if manifest && nm.childHasChunk(rc, f.Index) {
+			if nm.childHasChunk(rc, f.Index) {
 				continue
 			}
-			if nm.relayFrag(f.Job, rc, forward) {
+			if nm.relay(f.Job, rc, Message{Frag: forward}) {
 				relayed++
 			}
 		}
@@ -882,65 +855,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		nm.fragsRelayed += relayed
 		nm.mu.Unlock()
 	}
-
-	if manifest {
-		nm.writeManifestChunk(f, from, epoch, drop, st, man)
-		return
-	}
-
-	// Legacy path (no manifest announced — robustness only, since every
-	// transfer now opens with one): the CRC and content checks run in
-	// place against the deterministic pattern — no per-fragment
-	// allocation (TestFragCheckAllocs).
-	nm.offLock()
-	ok := fragCRC(f.Data) == f.CRC && fragPatternCheck(f.Job, f.Index, f.Data)
-	nm.mu.Lock()
-	switch {
-	case !ok:
-		// Corrupt: nacked below.
-	case f.Index == st.received:
-		if err := nm.spoolFrag(f.Job, st, f); err != nil {
-			// Local write failure: this node nacks itself.
-			ok = false
-		} else {
-			st.received++
-			st.bytes += len(f.Data)
-			st.crc = crc32.Update(st.crc, crc32.IEEETable, f.Data)
-			st.complete = f.Last
-			nm.fragsWritten++
-			if f.Last {
-				if err := st.commitSpool(); err != nil {
-					ok = false
-				} else {
-					nm.digests[f.Job] = ImageDigest{Bytes: st.bytes, Frags: st.received, CRC: st.crc}
-				}
-			}
-		}
-	case f.Index < st.received:
-		// Duplicate from a replayed stream after recovery: already
-		// written and verified — fall through to re-ack so the new
-		// topology's cumulative credit re-primes, but do not rewrite.
-	default:
-		// Future fragment: a surviving relay path raced a replan
-		// handoff. Drop it silently — the replayed stream fills the
-		// gap, and nacking would misreport a healthy node as corrupt.
-		nm.mu.Unlock()
-		releaseFragBuf(f.Data)
-		return
-	}
-	if !ok {
-		rs.failed = true
-	}
-	nm.mu.Unlock()
-	releaseFragBuf(f.Data)
-	if drop {
-		return
-	}
-	if !ok {
-		from.sendAck(&FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false})
-		return
-	}
-	nm.advanceAck(f.Job, f.Stripe)
+	nm.writeManifestChunk(f, from, epoch, drop, st, man)
 }
 
 // onManifest opens (or re-opens, after a replan) a job's delta transfer.
@@ -983,21 +898,12 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	}
 	sr.parent = from
 	st := nm.bins[m.Job]
-	if st == nil {
-		st = &binState{}
-		nm.bins[m.Job] = st
-	}
-	drain := st.man == nil
+	drain := st == nil
 	if drain {
-		st.man = m.clone()
-		st.written = make([]uint64, bitWords(len(m.Hashes)))
-		st.k = len(rs.stripes)
-		if st.k < 1 {
-			st.k = 1
-		}
-		st.srecv = make([]int, st.k)
-		st.expect = make([][]uint64, st.k)
-		st.draining = true
+		k := len(rs.stripes) // ≥ 1: m.Stripe indexes it
+		st = &binState{man: m.clone(), written: make([]uint64, bitWords(len(m.Hashes))),
+			k: k, srecv: make([]int, k), expect: make([][]uint64, k), draining: true}
+		nm.bins[m.Job] = st
 	}
 	man := st.man
 	if m.Stripe < len(st.expect) {
@@ -1009,7 +915,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	// Relay first, straight from conn scratch (sendManifest copies to the
 	// wire), so the subtree's cache drains overlap our own.
 	for _, rc := range children {
-		nm.relayMsg(m.Job, rc, Message{Manifest: m})
+		nm.relay(m.Job, rc, Message{Manifest: m})
 	}
 
 	if !drain {
@@ -1063,7 +969,6 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	// HAVE folds deferred until sealImage clears it.
 	seal := st.wcount == len(man.Hashes) && !st.complete
 	if !seal {
-		st.advanceReceived()
 		for s := 0; s < st.k; s++ {
 			st.advanceStripe(s)
 		}
@@ -1138,7 +1043,7 @@ func (nm *NM) foldHave(job, stripe int) {
 	nm.mu.Lock()
 	rs := nm.relays[job]
 	st := nm.bins[job]
-	if rs == nil || st == nil || st.man == nil || st.draining ||
+	if rs == nil || st == nil || st.draining ||
 		stripe < 0 || stripe >= len(rs.stripes) {
 		nm.mu.Unlock()
 		return
@@ -1193,7 +1098,7 @@ func (nm *NM) onNeedMask(n *NeedMask) {
 	nm.mu.Lock()
 	rs := nm.relays[n.Job]
 	st := nm.bins[n.Job]
-	if rs == nil || st == nil || st.man == nil ||
+	if rs == nil || st == nil ||
 		n.Stripe < 0 || n.Stripe >= len(rs.stripes) || n.Stripe >= len(st.expect) {
 		nm.mu.Unlock()
 		return
@@ -1234,7 +1139,7 @@ func (nm *NM) onNeedMask(n *NeedMask) {
 	epoch := sr.epoch
 	nm.mu.Unlock()
 	for _, km := range kids {
-		nm.relayMsg(n.Job, km.rc, Message{NeedMask: &NeedMask{Job: n.Job, Epoch: epoch, Stripe: n.Stripe, Bits: km.bits}})
+		nm.relay(n.Job, km.rc, Message{NeedMask: &NeedMask{Job: n.Job, Epoch: epoch, Stripe: n.Stripe, Bits: km.bits}})
 	}
 	if stuck >= 0 && parent != nil {
 		parent.sendAck(&FragAck{Job: n.Job, Index: stuck, Node: nm.node, Epoch: epoch, Stripe: n.Stripe, OK: false})
@@ -1311,12 +1216,9 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *
 			spool = st.spool // read after the splice, which may just have opened it
 			break
 		}
-		st.advanceReceived()
-		if st.k > 0 {
-			// Ledger by the chunk's own stripe (index mod k), which the
-			// striped MM always matches to the frame's stripe tag.
-			st.advanceStripe(f.Index % st.k)
-		}
+		// Ledger by the chunk's own stripe (index mod k), which the
+		// striped MM always matches to the frame's stripe tag.
+		st.advanceStripe(f.Index % st.k)
 	}
 	if !ok {
 		rs.failed = true
@@ -1367,16 +1269,6 @@ func manifestChunkLen(m *Manifest, i int) int {
 		return int(m.TotalBytes) - (n-1)*m.ChunkBytes
 	}
 	return m.ChunkBytes
-}
-
-// advanceReceived moves the global in-order pointer across the written
-// bitmap: received is the gap-free prefix of the spliced image over ALL
-// chunks, retained for replan fallbacks and the image digest.
-func (st *binState) advanceReceived() {
-	n := len(st.man.Hashes)
-	for st.received < n && bitGet(st.written, st.received) {
-		st.received++
-	}
 }
 
 // advanceStripe moves one stripe's in-order pointer across the written
@@ -1456,14 +1348,11 @@ func (nm *NM) sealImage(job int, st *binState, man *Manifest, spool *os.File) er
 		}
 		return err
 	}
-	st.bytes = int(man.TotalBytes)
-	st.received = len(man.Hashes)
 	for s := range st.srecv {
 		st.srecv[s] = stripeChunks(len(man.Hashes), s, st.k)
 	}
-	st.crc = crc
 	st.complete = true
-	nm.digests[job] = ImageDigest{Bytes: st.bytes, Frags: st.received, CRC: crc}
+	nm.digests[job] = ImageDigest{Bytes: int(man.TotalBytes), Frags: len(man.Hashes), CRC: crc}
 	return nil
 }
 
@@ -1509,39 +1398,6 @@ func (nm *NM) imageCRC(man *Manifest, spool *os.File) (crc uint32, built int, er
 	return crc, built, nil
 }
 
-// relayMsg forwards one transfer-control frame (manifest or need-mask) to
-// a tree child, with the same evict-and-redial-once health check as
-// relayFrag. Reports whether the frame reached the child.
-func (nm *NM) relayMsg(job int, rc *relayChild, m Message) bool {
-	nm.mu.Lock()
-	cc, down := rc.c, rc.down
-	nm.mu.Unlock()
-	if down {
-		return false
-	}
-	err := cc.send(m)
-	if err == nil {
-		return true
-	}
-	nm.evictDialed(cc)
-	cc2, err2 := nm.dialChild(rc.addr)
-	if err2 == nil {
-		nm.mu.Lock()
-		rc.c = cc2
-		nm.mu.Unlock()
-		if err = cc2.send(m); err == nil {
-			return true
-		}
-	} else {
-		err = err2
-	}
-	nm.mu.Lock()
-	rc.down = true
-	nm.mu.Unlock()
-	nm.c.send(Message{PeerDown: &PeerDown{Job: job, Node: rc.node, From: nm.node, Err: err.Error()}})
-	return false
-}
-
 // CacheStats returns a snapshot of the NM's chunk-cache counters and
 // whether caching is enabled.
 func (nm *NM) CacheStats() (chunkcache.Stats, bool) {
@@ -1549,25 +1405,6 @@ func (nm *NM) CacheStats() (chunkcache.Stats, bool) {
 		return chunkcache.Stats{}, false
 	}
 	return nm.cache.Stats(), true
-}
-
-// spoolFrag appends an in-order verified fragment to the job's temp
-// file, opening it lazily on the first fragment. No-op without a spool
-// directory.
-func (nm *NM) spoolFrag(job int, st *binState, f *Frag) error {
-	if nm.cfg.SpoolDir == "" {
-		return nil
-	}
-	if st.spool == nil {
-		st.final = filepath.Join(nm.cfg.SpoolDir, fmt.Sprintf("node%d-job%d.bin", nm.node, job))
-		fh, err := os.CreateTemp(nm.cfg.SpoolDir, fmt.Sprintf("node%d-job%d-*.tmp", nm.node, job))
-		if err != nil {
-			return err
-		}
-		st.spool, st.tmp = fh, fh.Name()
-	}
-	_, err := st.spool.Write(f.Data)
-	return err
 }
 
 // commitSpool publishes a fully verified image with close + atomic
@@ -1619,7 +1456,7 @@ func (nm *NM) advanceAck(job, stripe int) {
 	nm.mu.Lock()
 	rs := nm.relays[job]
 	st := nm.bins[job]
-	if rs == nil || st == nil || rs.failed || stripe < 0 || stripe >= len(rs.stripes) {
+	if rs == nil || st == nil || rs.failed || stripe < 0 || stripe >= len(rs.stripes) || stripe >= len(st.srecv) {
 		nm.mu.Unlock()
 		return
 	}
@@ -1628,10 +1465,7 @@ func (nm *NM) advanceAck(job, stripe int) {
 		nm.mu.Unlock()
 		return
 	}
-	min := st.received
-	if st.man != nil && stripe < len(st.srecv) {
-		min = st.srecv[stripe]
-	}
+	min := st.srecv[stripe]
 	for _, rc := range sr.children {
 		if rc.pruned {
 			continue
@@ -1818,43 +1652,63 @@ func runProgram(p ProgramSpec, rank int, g *gate) {
 	}
 }
 
-// QueryStatus asks a live MM for its cluster snapshot.
-func QueryStatus(addr string) (StatusRep, error) {
-	c, err := dial(addr)
+// call is the one client exchange with an MM or a federation root: dial
+// addr, send one request, wait for its one reply. sent is the bytes
+// written on the link (a root's whole per-partition delegation cost);
+// dead reports that the link failed — nobody listening, or it died
+// before a reply came — as opposed to a reply that arrived.
+func call(addr string, prof connProfile, req Message) (reply Message, sent int64, dead bool, err error) {
+	c, err := dialProf(nil, nil, addr, prof)
+	if err != nil {
+		return Message{}, 0, true, err
+	}
+	defer c.close()
+	if err := c.send(req); err != nil {
+		return Message{}, c.sentBytes(), true, fmt.Errorf("livenet: request: %w", err)
+	}
+	reply, err = c.recv()
+	if err != nil {
+		return Message{}, c.sentBytes(), true, fmt.Errorf("livenet: awaiting reply: %w", err)
+	}
+	return reply, c.sentBytes(), false, nil
+}
+
+// queryStatus asks addr for its cluster snapshot.
+func queryStatus(addr string, prof connProfile) (StatusRep, error) {
+	m, _, _, err := call(addr, prof, Message{StatusQ: &StatusReq{}})
 	if err != nil {
 		return StatusRep{}, err
 	}
-	defer c.close()
-	if err := c.send(Message{StatusQ: &StatusReq{}}); err != nil {
-		return StatusRep{}, fmt.Errorf("livenet: status query: %w", err)
-	}
-	m, err := c.recv()
-	if err != nil || m.StatusR == nil {
-		return StatusRep{}, fmt.Errorf("livenet: status reply: %v", err)
+	if m.StatusR == nil {
+		return StatusRep{}, errors.New("livenet: unexpected reply to a status query")
 	}
 	return *m.StatusR, nil
+}
+
+// submitJob submits spec to addr and waits for the completion report. A
+// job failure reported over a live link (dead == false) is the
+// cluster's verdict on the job; a dead link says nothing about it.
+func submitJob(addr string, prof connProfile, spec JobSpec) (rep Report, sent int64, dead bool, err error) {
+	m, sent, dead, err := call(addr, prof, Message{Submit: &Submit{Spec: spec}})
+	switch {
+	case err != nil:
+		return Report{}, sent, dead, err
+	case m.Done == nil:
+		return Report{}, sent, false, errors.New("livenet: unexpected reply to a submission")
+	case m.Done.Err != "":
+		return m.Done.Report, sent, false, fmt.Errorf("livenet: %s", m.Done.Err)
+	}
+	return m.Done.Report, sent, false, nil
+}
+
+// QueryStatus asks a live MM for its cluster snapshot.
+func QueryStatus(addr string) (StatusRep, error) {
+	return queryStatus(addr, bulkProfile)
 }
 
 // SubmitJob is the client call: dial the MM, submit, and wait for the
 // completion report.
 func SubmitJob(addr string, spec JobSpec) (Report, error) {
-	c, err := dial(addr)
-	if err != nil {
-		return Report{}, err
-	}
-	defer c.close()
-	if err := c.send(Message{Submit: &Submit{Spec: spec}}); err != nil {
-		return Report{}, fmt.Errorf("livenet: submit: %w", err)
-	}
-	m, err := c.recv()
-	if err != nil {
-		return Report{}, fmt.Errorf("livenet: awaiting report: %w", err)
-	}
-	if m.Done == nil {
-		return Report{}, fmt.Errorf("livenet: unexpected reply")
-	}
-	if m.Done.Err != "" {
-		return m.Done.Report, fmt.Errorf("livenet: %s", m.Done.Err)
-	}
-	return m.Done.Report, nil
+	rep, _, _, err := submitJob(addr, bulkProfile, spec)
+	return rep, err
 }

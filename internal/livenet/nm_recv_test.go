@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,7 +59,7 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 				c := image[i*size : (i+1)*size]
 				man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
 			}
-			nm.relays[job] = &relayState{frags: chunks, stripes: []*stripeRelay{{}}}
+			nm.relays[job] = &relayState{stripes: []*stripeRelay{{}}}
 			var wire bytes.Buffer
 			parent := &conn{w: bufio.NewWriter(&wire)}
 			nm.onManifest(man, parent)
@@ -87,6 +88,45 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 				t.Fatalf("a fragment for a released job was answered with %d bytes", wire.Len()-sent)
 			}
 		})
+	}
+}
+
+// TestFragBeforeManifestIsDropped: a fragment for a job this node has a
+// plan for but no manifest yet — which no transfer sends, every epoch
+// opening with its manifest on the same link — is dropped like one for a
+// released job: no ack or nack goes up, no receive state appears, and
+// its pooled buffer goes back (or a stream of them would allocate one
+// payload each).
+func TestFragBeforeManifestIsDropped(t *testing.T) {
+	nm := &NM{
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		digests: make(map[int]ImageDigest),
+	}
+	const job, size, frames = 9, 1 << 20, 32
+	nm.relays[job] = &relayState{stripes: []*stripeRelay{{}}}
+	var wire bytes.Buffer
+	parent := &conn{w: bufio.NewWriter(&wire)}
+	// No collections while counting: each stops the world, after which
+	// this goroutine may run on another P, away from the buffer it pooled.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := allocBytes(func() {
+		for i := 0; i < frames; i++ {
+			data := grabFragBuf(size)
+			nm.handleFrag(&Frag{Job: job, Index: i, Data: data}, parent)
+		}
+	})
+	if wire.Len() != 0 {
+		t.Fatalf("a fragment with no manifest was answered with %d bytes", wire.Len())
+	}
+	if nm.bins[job] != nil || nm.FragsWritten() != 0 {
+		t.Fatal("a fragment with no manifest opened receive state or was written")
+	}
+	// Under -race sync.Pool drops a quarter of the puts at random, and a
+	// goroutine that changes P between a put and the next get misses the
+	// buffer; a leak allocates every payload.
+	if got > frames*3/4*size {
+		t.Fatalf("%d dropped fragments allocated %d bytes: their buffers are not going back to the pool", frames, got)
 	}
 }
 

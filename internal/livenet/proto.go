@@ -1,7 +1,9 @@
 // Package livenet is the live (wall-clock) mode of the STORM
-// reproduction: the same MM / NM / PL dæmon architecture as
-// internal/storm, but running as real goroutines (or separate processes,
-// via cmd/stormd) that talk framed messages over TCP.
+// reproduction: the MM / NM / PL dæmon architecture of internal/storm
+// running as real goroutines (or separate processes, via cmd/stormd)
+// that talk framed messages over TCP. It is a parallel implementation of
+// that architecture — the same division of labor and message vocabulary,
+// its own code — not the simulator's dæmons on another transport.
 //
 // QsNET's hardware collectives obviously do not exist on a TCP loopback,
 // so this is precisely the situation the paper's §4 "Portability"
@@ -10,17 +12,26 @@
 // the NMs (the MM streams each fragment to its tree children only; every
 // NM relays to its own children and aggregates acks for its whole
 // subtree), and the COMPARE-AND-WRITE receipt check becomes that ack
-// aggregation. The dæmon logic above that layer is the same shape as the
-// simulated one. Live mode exists so the repository also runs as an
-// actual distributed resource manager on localhost, not only as a
-// simulator.
+// aggregation. DESIGN.md §5.19 maps each live protocol round to the
+// paper mechanism it emulates and to the one function that carries it.
+// Live mode exists so the repository also runs as an actual distributed
+// resource manager on localhost, not only as a simulator.
 //
-// Wire format: every message is a length-delimited frame. Low-rate
-// control messages (registration, launch, heartbeats, strobes, plans)
-// travel as gob payloads inside a 'G' frame; the bulk path — binary
-// fragments and their acks — uses fixed binary headers ('F' and 'A'
-// frames) so a fragment is encoded exactly once and every child link is
-// served from the same buffer with no per-destination marshalling.
+// Wire format: every message is one frame — a type byte, a fixed part,
+// and for some types a tail whose length the fixed part carries; package
+// wire is the table of them, shared with the fault injector's scanner.
+// Everything that runs per fragment or per period travels as a typed
+// frame with a fixed binary layout: fragments and their acks ('F', 'A'),
+// heartbeat pings and pong ledgers ('P', 'Q'), gang strobes and their
+// acks ('S', 'T'), plan and replan confirmations and peer-down reports
+// ('K', 'R', 'D'), and the delta-transfer round's manifests, HAVE
+// ledgers and need masks ('M', 'H', 'N'). A fragment is encoded exactly
+// once and every child link is served from the same buffer with no
+// per-destination marshalling; the control frames encode and decode
+// without allocating. Only the rare, topology-sized messages —
+// registration and rejoin, submissions and reports, plans, replans and
+// control-tree plans, launches, terminations, aborts, status — travel as
+// gob inside a 'G' frame, on one gob stream per connection.
 package livenet
 
 import (
@@ -38,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/livenet/wire"
 	"repro/internal/place"
 	"repro/internal/rng"
 )
@@ -549,9 +561,9 @@ func fragCRC(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // patternRamp is two cycles of the byte ramp 0..255: the fragment
 // pattern b[i] = seed + byte(i) is periodic with period 256, so filling
-// and checking reduce to memmove/memequal against a 256-byte window of
-// this table instead of byte-at-a-time arithmetic (~10x on the 2 MB
-// images the launch bench pushes around).
+// (and, in tests, checking) reduces to memmove/memequal against a
+// 256-byte window of this table instead of byte-at-a-time arithmetic
+// (~10x on the 2 MB images the launch bench pushes around).
 var patternRamp = func() []byte {
 	r := make([]byte, 512)
 	for i := range r {
@@ -573,26 +585,11 @@ func fragPatternInto(b []byte, job, index int) {
 }
 
 // fragPattern allocates and fills a fragment pattern (test helper; the
-// hot paths use fragPatternInto / fragPatternCheck on pooled buffers).
+// hot paths use fragPatternInto on pooled buffers).
 func fragPattern(job, index, size int) []byte {
 	b := make([]byte, size)
 	fragPatternInto(b, job, index)
 	return b
-}
-
-// fragPatternCheck verifies data against the deterministic pattern in
-// place, without materializing the expected image. Zero allocations
-// (ceiling enforced by TestFragCheckAllocs).
-func fragPatternCheck(job, index int, data []byte) bool {
-	seed := byte(job*31 + index*7)
-	w := patternRamp[seed : int(seed)+256]
-	for len(data) >= 256 {
-		if !bytes.Equal(data[:256], w) {
-			return false
-		}
-		data = data[256:]
-	}
-	return bytes.Equal(data, w[:len(data)])
 }
 
 // chunkSeed returns the content seed of one chunk of a seeded image:
@@ -623,77 +620,16 @@ func seededFragInto(b []byte, seed uint64, index int) {
 	copy(b, tile[:len(b)])
 }
 
-// Frame types. Every frame starts with one type byte. 'G' is the cold
-// path (rare, topology-sized messages: Register, Submit, Plan, Replan,
-// CtlPlan, Launch, ...); everything that runs per-fragment or per-period
-// has its own fixed-layout frame so the hot paths never touch gob's
-// per-stream type descriptors or allocations.
 const (
-	frameGob       = 'G' // 4-byte length + gob(Message)
-	frameFrag      = 'F' // fragHdrLen header + payload
-	frameAck       = 'A' // ackHdrLen fixed body
-	framePing      = 'P' // pingBodyLen fixed body
-	framePong      = 'Q' // pongBodyLen fixed body
-	frameStrobe    = 'S' // strobeBodyLen fixed body
-	frameStrobeAck = 'T' // strobeAckBodyLen fixed body
-	framePlanAck   = 'K' // planAckFixedLen fixed part + error string
-	frameReplanAck = 'R' // replanAckFixedLen fixed part + error string
-	framePeerDown  = 'D' // peerDownFixedLen fixed part + error string
-	frameManifest  = 'M' // manifestFixedLen fixed part + nchunks×12 tail
-	frameHave      = 'H' // haveFixedLen fixed part + nwords×8 tail
-	frameNeed      = 'N' // needFixedLen fixed part + nwords×8 tail
-	frameHello     = 'L' // helloBodyLen fixed body (shared-listener demux)
-)
-
-const (
-	// fragHdrLen is job u32 | index u32 | flags u8 | crc u32 | len u32 |
-	// stripe u8. The stripe byte rides at the end so the payload length
-	// keeps its offset (13) — the faultconn frame scanner and the hub
-	// demux depend on it.
-	fragHdrLen = 18
-	// ackHdrLen is job u32 | index u32 | node u32 | epoch u32 | ok u8 |
-	// stripe u8.
-	ackHdrLen = 18
-	// pingBodyLen is seq u64 | epoch u32.
-	pingBodyLen = 12
-	// pongBodyLen is seq u64 | node u32 | epoch u32 | minseq u64 | absent u64.
-	pongBodyLen = 32
-	// strobeBodyLen is seq u64 | row u32 | epoch u32.
-	strobeBodyLen = 16
-	// strobeAckBodyLen is seq u64 | node u32 | epoch u32.
-	strobeAckBodyLen = 16
-	// planAckFixedLen is job u32 | node u32 | elen u16 (error string follows).
-	planAckFixedLen = 10
-	// replanAckFixedLen is job u32 | node u32 | epoch u32 | received u32 |
-	// stripe u8 | elen u16 (the error length stays the last two fixed
-	// bytes, the invariant the faultconn scanner's varlen rule encodes).
-	replanAckFixedLen = 19
-	// peerDownFixedLen is job u32 | node u32 | from u32 | elen u16.
-	peerDownFixedLen = 14
-	// manifestFixedLen is job u32 | epoch u32 | chunkbytes u32 |
-	// imagecrc u32 | totalbytes u64 | nchunks u32 | stripe u8; a
-	// 12-byte (hash u64 | crc u32) record per chunk follows. nchunks
-	// keeps offset 24 for the faultconn scanner's tail count.
-	manifestFixedLen = 29
-	// haveFixedLen is job u32 | node u32 | epoch u32 | nwords u16 |
-	// stripe u8; the bitmap words follow, 8 bytes each.
-	haveFixedLen = 15
-	// needFixedLen is job u32 | epoch u32 | nwords u16 | stripe u8;
-	// bitmap words follow.
-	needFixedLen = 11
-	// helloBodyLen is node u32. A shared peer listener (PeerHub) reads
-	// exactly 1+helloBodyLen raw bytes off a fresh connection to learn
-	// which NM it is for, so the frame must stay fixed-size.
-	helloBodyLen = 4
 	// maxFrame bounds a frame payload (corruption guard).
 	maxFrame = 64 << 20
 	// maxCtlErr bounds the error string carried in a typed control
 	// frame; longer errors are truncated (they are diagnostics, not
 	// data).
 	maxCtlErr = 1 << 12
-	// connScratchLen sizes the conn's frame scratch buffer: the largest
-	// fixed frame is the pong (1 type byte + pongBodyLen).
-	connScratchLen = 1 + pongBodyLen
+	// connScratchLen sizes the conn's frame scratch buffer: a type byte
+	// plus the longest fixed part.
+	connScratchLen = 1 + wire.MaxFixed
 )
 
 // fragBufPool recycles fragment payload buffers across the send, relay,
@@ -793,6 +729,14 @@ var (
 	liteProfile = connProfile{bufBytes: 8 << 10}
 )
 
+// profileFor picks the profile a config's Lite flag selects.
+func profileFor(lite bool) connProfile {
+	if lite {
+		return liteProfile
+	}
+	return bulkProfile
+}
+
 func newConn(c net.Conn) *conn { return newConnProf(c, bulkProfile) }
 
 func newConnProf(c net.Conn, prof connProfile) *conn {
@@ -845,8 +789,8 @@ func (c *conn) send(m Message) error {
 		c.wmu.Unlock()
 		return err
 	}
-	var hdr [5]byte
-	hdr[0] = frameGob
+	var hdr [1 + wire.GobLen]byte
+	hdr[0] = wire.Gob
 	binary.BigEndian.PutUint32(hdr[1:], uint32(c.encBuf.Len()))
 	err := c.writeFrame(hdr[:], c.encBuf.Bytes())
 	c.wmu.Unlock()
@@ -860,8 +804,8 @@ func (c *conn) send(m Message) error {
 func (c *conn) sendFrag(f *Frag) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+fragHdrLen]
-	hdr[0] = frameFrag
+	hdr := c.hdr[:1+wire.FragLen]
+	hdr[0] = wire.Frag
 	binary.BigEndian.PutUint32(hdr[1:], uint32(f.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(f.Index))
 	hdr[9] = 0
@@ -869,7 +813,7 @@ func (c *conn) sendFrag(f *Frag) error {
 		hdr[9] = 1
 	}
 	binary.BigEndian.PutUint32(hdr[10:], f.CRC)
-	binary.BigEndian.PutUint32(hdr[14:], uint32(len(f.Data)))
+	binary.BigEndian.PutUint32(hdr[1+wire.FragLenOff:], uint32(len(f.Data)))
 	hdr[18] = byte(f.Stripe)
 	return c.writeFrame(hdr, f.Data)
 }
@@ -878,8 +822,8 @@ func (c *conn) sendFrag(f *Frag) error {
 func (c *conn) sendAck(a *FragAck) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+ackHdrLen]
-	hdr[0] = frameAck
+	hdr := c.hdr[:1+wire.AckLen]
+	hdr[0] = wire.Ack
 	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Index))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Node))
@@ -896,8 +840,8 @@ func (c *conn) sendAck(a *FragAck) error {
 func (c *conn) sendPing(p *Ping) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+pingBodyLen]
-	hdr[0] = framePing
+	hdr := c.hdr[:1+wire.PingLen]
+	hdr[0] = wire.Ping
 	binary.BigEndian.PutUint64(hdr[1:], uint64(p.Seq))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(p.Epoch))
 	return c.writeFrame(hdr, nil)
@@ -907,8 +851,8 @@ func (c *conn) sendPing(p *Ping) error {
 func (c *conn) sendPong(p *Pong) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+pongBodyLen]
-	hdr[0] = framePong
+	hdr := c.hdr[:1+wire.PongLen]
+	hdr[0] = wire.Pong
 	binary.BigEndian.PutUint64(hdr[1:], uint64(p.Seq))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(p.Node))
 	binary.BigEndian.PutUint32(hdr[13:], uint32(p.Epoch))
@@ -921,8 +865,8 @@ func (c *conn) sendPong(p *Pong) error {
 func (c *conn) sendStrobe(s *Strobe) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+strobeBodyLen]
-	hdr[0] = frameStrobe
+	hdr := c.hdr[:1+wire.StrobeLen]
+	hdr[0] = wire.Strobe
 	binary.BigEndian.PutUint64(hdr[1:], uint64(s.Seq))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(s.Row))
 	binary.BigEndian.PutUint32(hdr[13:], uint32(s.Epoch))
@@ -934,8 +878,8 @@ func (c *conn) sendStrobe(s *Strobe) error {
 func (c *conn) sendStrobeAck(a *StrobeAck) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+strobeAckBodyLen]
-	hdr[0] = frameStrobeAck
+	hdr := c.hdr[:1+wire.StrobeAckLen]
+	hdr[0] = wire.StrobeAck
 	binary.BigEndian.PutUint64(hdr[1:], uint64(a.Seq))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Node))
 	binary.BigEndian.PutUint32(hdr[13:], uint32(a.Epoch))
@@ -956,8 +900,8 @@ func (c *conn) sendPlanAck(a *PlanAck) error {
 	e := ctlErr(a.Err)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+planAckFixedLen]
-	hdr[0] = framePlanAck
+	hdr := c.hdr[:1+wire.PlanAckLen]
+	hdr[0] = wire.PlanAck
 	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Node))
 	binary.BigEndian.PutUint16(hdr[9:], uint16(len(e)))
@@ -969,8 +913,8 @@ func (c *conn) sendReplanAck(a *ReplanAck) error {
 	e := ctlErr(a.Err)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+replanAckFixedLen]
-	hdr[0] = frameReplanAck
+	hdr := c.hdr[:1+wire.ReplanAckLen]
+	hdr[0] = wire.ReplanAck
 	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Node))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Epoch))
@@ -985,8 +929,8 @@ func (c *conn) sendPeerDown(d *PeerDown) error {
 	e := ctlErr(d.Err)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+peerDownFixedLen]
-	hdr[0] = framePeerDown
+	hdr := c.hdr[:1+wire.PeerDownLen]
+	hdr[0] = wire.PeerDown
 	binary.BigEndian.PutUint32(hdr[1:], uint32(d.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(d.Node))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(d.From))
@@ -1025,8 +969,8 @@ func putTail(p *[]byte) { tailPool.Put(p) }
 func (c *conn) sendHello(node int) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+helloBodyLen]
-	hdr[0] = frameHello
+	hdr := c.hdr[:1+wire.HelloLen]
+	hdr[0] = wire.Hello
 	binary.BigEndian.PutUint32(hdr[1:], uint32(node))
 	return c.writeFrame(hdr, nil)
 }
@@ -1037,20 +981,20 @@ func (c *conn) sendHello(node int) error {
 func (c *conn) sendManifest(m *Manifest) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+manifestFixedLen]
-	hdr[0] = frameManifest
+	hdr := c.hdr[:1+wire.ManifestLen]
+	hdr[0] = wire.Manifest
 	binary.BigEndian.PutUint32(hdr[1:], uint32(m.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(m.Epoch))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(m.ChunkBytes))
 	binary.BigEndian.PutUint32(hdr[13:], m.ImageCRC)
 	binary.BigEndian.PutUint64(hdr[17:], uint64(m.TotalBytes))
-	binary.BigEndian.PutUint32(hdr[25:], uint32(len(m.Hashes)))
+	binary.BigEndian.PutUint32(hdr[1+wire.ManifestCountOff:], uint32(len(m.Hashes)))
 	hdr[29] = byte(m.Stripe)
-	tp := grabTail(len(m.Hashes) * 12)
+	tp := grabTail(len(m.Hashes) * wire.ManifestRecLen)
 	tail := *tp
 	for i, h := range m.Hashes {
-		binary.BigEndian.PutUint64(tail[i*12:], h)
-		binary.BigEndian.PutUint32(tail[i*12+8:], m.CRCs[i])
+		binary.BigEndian.PutUint64(tail[i*wire.ManifestRecLen:], h)
+		binary.BigEndian.PutUint32(tail[i*wire.ManifestRecLen+8:], m.CRCs[i])
 	}
 	err := c.writeFrame(hdr, tail)
 	putTail(tp)
@@ -1062,12 +1006,12 @@ func (c *conn) sendManifest(m *Manifest) error {
 func (c *conn) sendHave(h *Have) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+haveFixedLen]
-	hdr[0] = frameHave
+	hdr := c.hdr[:1+wire.HaveLen]
+	hdr[0] = wire.Have
 	binary.BigEndian.PutUint32(hdr[1:], uint32(h.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(h.Node))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(h.Epoch))
-	binary.BigEndian.PutUint16(hdr[13:], uint16(len(h.Bits)))
+	binary.BigEndian.PutUint16(hdr[1+wire.HaveCountOff:], uint16(len(h.Bits)))
 	hdr[15] = byte(h.Stripe)
 	tp := grabTail(len(h.Bits) * 8)
 	tail := *tp
@@ -1084,11 +1028,11 @@ func (c *conn) sendHave(h *Have) error {
 func (c *conn) sendNeedMask(n *NeedMask) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+needFixedLen]
-	hdr[0] = frameNeed
+	hdr := c.hdr[:1+wire.NeedLen]
+	hdr[0] = wire.Need
 	binary.BigEndian.PutUint32(hdr[1:], uint32(n.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(n.Epoch))
-	binary.BigEndian.PutUint16(hdr[9:], uint16(len(n.Bits)))
+	binary.BigEndian.PutUint16(hdr[1+wire.NeedCountOff:], uint16(len(n.Bits)))
 	hdr[11] = byte(n.Stripe)
 	tp := grabTail(len(n.Bits) * 8)
 	tail := *tp
@@ -1146,8 +1090,8 @@ func (c *conn) recv() (Message, error) {
 	}
 	ft := c.rbuf[0]
 	switch ft {
-	case frameGob:
-		lb := c.rbuf[:4]
+	case wire.Gob:
+		lb := c.rbuf[:wire.GobLen]
 		if _, err := io.ReadFull(c.r, lb); err != nil {
 			return Message{}, err
 		}
@@ -1167,12 +1111,12 @@ func (c *conn) recv() (Message, error) {
 		var m Message
 		err := c.dec.Decode(&m)
 		return m, err
-	case frameFrag:
-		hb := c.rbuf[:fragHdrLen]
+	case wire.Frag:
+		hb := c.rbuf[:wire.FragLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
-		n := int(binary.BigEndian.Uint32(hb[13:]))
+		n := int(binary.BigEndian.Uint32(hb[wire.FragLenOff:]))
 		if n > maxFrame {
 			return Message{}, fmt.Errorf("livenet: oversized fragment frame (%d bytes)", n)
 		}
@@ -1189,8 +1133,8 @@ func (c *conn) recv() (Message, error) {
 			return Message{}, err
 		}
 		return Message{Frag: f}, nil
-	case frameAck:
-		hb := c.rbuf[:ackHdrLen]
+	case wire.Ack:
+		hb := c.rbuf[:wire.AckLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1203,8 +1147,8 @@ func (c *conn) recv() (Message, error) {
 			Stripe: int(hb[17]),
 		}
 		return Message{FragAck: &c.rAck}, nil
-	case framePing:
-		hb := c.rbuf[:pingBodyLen]
+	case wire.Ping:
+		hb := c.rbuf[:wire.PingLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1213,8 +1157,8 @@ func (c *conn) recv() (Message, error) {
 			Epoch: int(binary.BigEndian.Uint32(hb[8:])),
 		}
 		return Message{Ping: &c.rPing}, nil
-	case framePong:
-		hb := c.rbuf[:pongBodyLen]
+	case wire.Pong:
+		hb := c.rbuf[:wire.PongLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1226,8 +1170,8 @@ func (c *conn) recv() (Message, error) {
 			Absent: binary.BigEndian.Uint64(hb[24:]),
 		}
 		return Message{Pong: &c.rPong}, nil
-	case frameStrobe:
-		hb := c.rbuf[:strobeBodyLen]
+	case wire.Strobe:
+		hb := c.rbuf[:wire.StrobeLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1237,8 +1181,8 @@ func (c *conn) recv() (Message, error) {
 			Epoch: int(binary.BigEndian.Uint32(hb[12:])),
 		}
 		return Message{Strobe: &c.rStrobe}, nil
-	case frameStrobeAck:
-		hb := c.rbuf[:strobeAckBodyLen]
+	case wire.StrobeAck:
+		hb := c.rbuf[:wire.StrobeAckLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1248,8 +1192,8 @@ func (c *conn) recv() (Message, error) {
 			Epoch: int(binary.BigEndian.Uint32(hb[12:])),
 		}
 		return Message{StrobeAck: &c.rStrobeAck}, nil
-	case framePlanAck:
-		hb := c.rbuf[:planAckFixedLen]
+	case wire.PlanAck:
+		hb := c.rbuf[:wire.PlanAckLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1262,8 +1206,8 @@ func (c *conn) recv() (Message, error) {
 			Node: int(binary.BigEndian.Uint32(hb[4:])),
 			Err:  e,
 		}}, nil
-	case frameReplanAck:
-		hb := c.rbuf[:replanAckFixedLen]
+	case wire.ReplanAck:
+		hb := c.rbuf[:wire.ReplanAckLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1279,8 +1223,8 @@ func (c *conn) recv() (Message, error) {
 			Stripe:   int(hb[16]),
 			Err:      e,
 		}}, nil
-	case framePeerDown:
-		hb := c.rbuf[:peerDownFixedLen]
+	case wire.PeerDown:
+		hb := c.rbuf[:wire.PeerDownLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1294,16 +1238,16 @@ func (c *conn) recv() (Message, error) {
 			From: int(binary.BigEndian.Uint32(hb[8:])),
 			Err:  e,
 		}}, nil
-	case frameManifest:
-		hb := c.rbuf[:manifestFixedLen]
+	case wire.Manifest:
+		hb := c.rbuf[:wire.ManifestLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
-		nch := int(binary.BigEndian.Uint32(hb[24:]))
-		if nch*12 > maxFrame {
+		nch := int(binary.BigEndian.Uint32(hb[wire.ManifestCountOff:]))
+		if nch*wire.ManifestRecLen > maxFrame {
 			return Message{}, fmt.Errorf("livenet: oversized manifest (%d chunks)", nch)
 		}
-		tp, err := c.readTail(nch * 12)
+		tp, err := c.readTail(nch * wire.ManifestRecLen)
 		if err != nil {
 			return Message{}, err
 		}
@@ -1321,17 +1265,17 @@ func (c *conn) recv() (Message, error) {
 		}
 		m.Hashes, m.CRCs = m.Hashes[:nch], m.CRCs[:nch]
 		for i := 0; i < nch; i++ {
-			m.Hashes[i] = binary.BigEndian.Uint64(tail[i*12:])
-			m.CRCs[i] = binary.BigEndian.Uint32(tail[i*12+8:])
+			m.Hashes[i] = binary.BigEndian.Uint64(tail[i*wire.ManifestRecLen:])
+			m.CRCs[i] = binary.BigEndian.Uint32(tail[i*wire.ManifestRecLen+8:])
 		}
 		putTail(tp)
 		return Message{Manifest: m}, nil
-	case frameHave:
-		hb := c.rbuf[:haveFixedLen]
+	case wire.Have:
+		hb := c.rbuf[:wire.HaveLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
-		nw := int(binary.BigEndian.Uint16(hb[12:]))
+		nw := int(binary.BigEndian.Uint16(hb[wire.HaveCountOff:]))
 		tp, err := c.readTail(nw * 8)
 		if err != nil {
 			return Message{}, err
@@ -1351,12 +1295,12 @@ func (c *conn) recv() (Message, error) {
 		}
 		putTail(tp)
 		return Message{Have: h}, nil
-	case frameNeed:
-		hb := c.rbuf[:needFixedLen]
+	case wire.Need:
+		hb := c.rbuf[:wire.NeedLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
-		nw := int(binary.BigEndian.Uint16(hb[8:]))
+		nw := int(binary.BigEndian.Uint16(hb[wire.NeedCountOff:]))
 		tp, err := c.readTail(nw * 8)
 		if err != nil {
 			return Message{}, err
@@ -1375,8 +1319,8 @@ func (c *conn) recv() (Message, error) {
 		}
 		putTail(tp)
 		return Message{NeedMask: n}, nil
-	case frameHello:
-		hb := c.rbuf[:helloBodyLen]
+	case wire.Hello:
+		hb := c.rbuf[:wire.HelloLen]
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
@@ -1469,17 +1413,13 @@ func splitPeerAddr(addr string) (endpoint string, node int, hub bool) {
 	return addr[:i], n, true
 }
 
-// dialWith connects to addr through dialer (nil = TCP with a bounded
+// dialProf connects to addr through dialer (nil = TCP with a bounded
 // timeout), retrying transient failures with jittered backoff, and runs
-// the established connection through wrap (nil = identity).
-func dialWith(dialer Dialer, wrap func(net.Conn) net.Conn, addr string) (*conn, error) {
-	return dialProf(dialer, wrap, addr, bulkProfile)
-}
-
-// dialProf is dialWith with an explicit connection profile. A peer
-// address carrying a "#node" suffix routes through a shared PeerHub
-// listener: the suffix is stripped before dialing and a hello frame
-// naming the target NM opens the connection.
+// the established connection through wrap (nil = identity) and into a
+// conn of the given profile. A peer address carrying a "#node" suffix
+// routes through a shared PeerHub listener: the suffix is stripped
+// before dialing and a hello frame naming the target NM opens the
+// connection.
 func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof connProfile) (*conn, error) {
 	endpoint, node, hub := splitPeerAddr(addr)
 	if dialer == nil {
@@ -1509,10 +1449,4 @@ func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof con
 		}
 	}
 	return nil, fmt.Errorf("livenet: dial %s (%d attempts): %w", addr, dialAttempts, err)
-}
-
-// dial connects to addr with defaults: plain TCP, bounded timeout,
-// retry with backoff.
-func dial(addr string) (*conn, error) {
-	return dialWith(nil, nil, addr)
 }

@@ -2,11 +2,28 @@ package livenet
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/livenet/wire"
 )
+
+// fragPatternCheck verifies data against the deterministic pattern in
+// place, without materializing the expected image.
+func fragPatternCheck(job, index int, data []byte) bool {
+	seed := byte(job*31 + index*7)
+	w := patternRamp[seed : int(seed)+256]
+	for len(data) >= 256 {
+		if !bytes.Equal(data[:256], w) {
+			return false
+		}
+		data = data[256:]
+	}
+	return bytes.Equal(data, w[:len(data)])
+}
 
 // pipeConns returns two framed conns joined by an in-memory pipe.
 func pipeConns(t *testing.T) (*conn, *conn) {
@@ -197,7 +214,7 @@ func TestConnSentBytes(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("receiver stuck")
 	}
-	want := int64(1+fragHdrLen+1000) + int64(1+ackHdrLen)
+	want := int64(1+wire.FragLen+1000) + int64(1+wire.AckLen)
 	if got := ca.sentBytes(); got != want {
 		t.Fatalf("sentBytes = %d, want %d", got, want)
 	}

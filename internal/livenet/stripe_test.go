@@ -233,7 +233,7 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 		digests: make(map[int]ImageDigest),
 	}
 	const job = 7
-	rs := &relayState{frags: 4, stripes: []*stripeRelay{{epoch: 0}, {epoch: 2}}}
+	rs := &relayState{stripes: []*stripeRelay{{epoch: 0}, {epoch: 2}}}
 	nm.relays[job] = rs
 	parent0 := discardConn()
 

@@ -1,0 +1,232 @@
+package livenet
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/livenet/faultconn"
+	"repro/internal/livenet/wire"
+)
+
+// everyFrame encodes, with the real codec, one frame of every type a
+// conn can emit: each element is one whole frame. The variable tails are
+// non-empty and — like every field that can be — stuffed with 'P' bytes,
+// so a scanner that ends a frame early meets bytes that look like ping
+// frames rather than bytes it would skip as unknown.
+func everyFrame(t testing.TB) [][]byte {
+	t.Helper()
+	const p4 = 0x50505050
+	const p8 = 0x5050505050505050
+	ps := strings.Repeat("P", 40)
+	msgs := []Message{
+		{Register: &Register{Node: 3, CPUs: 4, Addr: ps}},
+		{Frag: &Frag{Job: p4, Index: p4, Last: true, CRC: p4, Stripe: 'P', Data: []byte(ps)}},
+		{FragAck: &FragAck{Job: p4, Index: p4, Node: p4, Epoch: p4, OK: true, Stripe: 'P'}},
+		{Ping: &Ping{Seq: p8, Epoch: p4}},
+		{Pong: &Pong{Seq: p8, Node: p4, Epoch: p4, MinSeq: p8, Absent: p8}},
+		{Strobe: &Strobe{Seq: p8, Row: p4, Epoch: p4}},
+		{StrobeAck: &StrobeAck{Seq: p8, Node: p4, Epoch: p4}},
+		{PlanAck: &PlanAck{Job: p4, Node: p4, Err: ps}},
+		{ReplanAck: &ReplanAck{Job: p4, Node: p4, Epoch: p4, Received: p4, Stripe: 'P', Err: ps}},
+		{PeerDown: &PeerDown{Job: p4, Node: p4, From: p4, Err: ps}},
+		{Manifest: &Manifest{Job: p4, Epoch: p4, ChunkBytes: p4, ImageCRC: p4, TotalBytes: p8, Stripe: 'P',
+			Hashes: []uint64{p8, p8, p8}, CRCs: []uint32{p4, p4, p4}}},
+		{Have: &Have{Job: p4, Node: p4, Epoch: p4, Stripe: 'P', Bits: []uint64{p8, p8}}},
+		{NeedMask: &NeedMask{Job: p4, Epoch: p4, Stripe: 'P', Bits: []uint64{p8, p8}}},
+		{Hello: &Hello{Node: p4}},
+	}
+	var buf bytes.Buffer
+	c := &conn{w: bufio.NewWriter(&buf)}
+	var frames [][]byte
+	for _, m := range msgs {
+		var err error
+		if m.Hello != nil { // send has no typed route for the hello
+			err = c.sendHello(m.Hello.Node)
+		} else {
+			err = c.send(m)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, append([]byte(nil), buf.Bytes()...))
+		buf.Reset()
+	}
+	return frames
+}
+
+// TestFrameTableDrift holds the codec (proto.go) and the frame table
+// (package wire, which faultconn's scanner walks) to one grammar. One
+// frame of every type goes through a faultconn pipe, the stream split in
+// two writes at every byte offset. The scanner shows itself only in
+// where it places faults, so the plan is otherwise fault-free and
+// duplicates every ping: a sentinel ping follows each frame, and what
+// comes out must be the bytes sent with exactly the pings doubled — which
+// it is only if the scanner found every frame boundary where the codec
+// put it.
+func TestFrameTableDrift(t *testing.T) {
+	frames := everyFrame(t)
+	seen := make(map[byte]bool)
+	for _, fr := range frames {
+		seen[fr[0]] = true
+	}
+	for b, sh := range wire.Shapes {
+		if sh.Fixed != 0 && !seen[byte(b)] {
+			t.Errorf("frame type %q is in the table but not in this test", byte(b))
+		}
+		if sh.Fixed > wire.MaxFixed {
+			t.Errorf("frame type %q has a %d-byte fixed part, MaxFixed is %d", byte(b), sh.Fixed, wire.MaxFixed)
+		}
+	}
+
+	var sentinel bytes.Buffer
+	if err := (&conn{w: bufio.NewWriter(&sentinel)}).sendPing(&Ping{Seq: 7, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var stream, want []byte
+	plan := faultconn.NewPlan()
+	for _, fr := range frames {
+		for _, b := range [][]byte{fr, sentinel.Bytes()} {
+			stream = append(stream, b...)
+			want = append(want, b...)
+			if b[0] == wire.Ping {
+				want = append(want, b...)
+				plan.CtlFaults = append(plan.CtlFaults,
+					faultconn.CtlFault{Kind: wire.Ping, Index: len(plan.CtlFaults), Op: "dup"})
+			}
+		}
+	}
+
+	for split := 1; split < len(stream); split++ {
+		a, b := net.Pipe()
+		fc := faultconn.Wrap(a, plan)
+		got := make(chan []byte)
+		go func() {
+			out, _ := io.ReadAll(b)
+			got <- out
+		}()
+		for _, part := range [][]byte{stream[:split], stream[split:]} {
+			if _, err := fc.Write(part); err != nil {
+				t.Fatalf("split %d: %v", split, err)
+			}
+		}
+		fc.Close()
+		if out := <-got; !bytes.Equal(out, want) {
+			at := 0
+			for at < len(out) && at < len(want) && out[at] == want[at] {
+				at++
+			}
+			t.Fatalf("split at %d: the scanner lost a frame boundary: %d bytes out, want %d, first difference at %d",
+				split, len(out), len(want), at)
+		}
+		b.Close()
+	}
+
+	// And the codec reads back what the table framed.
+	c := &conn{r: bufio.NewReader(bytes.NewReader(want))}
+	for i := 0; ; i++ {
+		m, err := c.recv()
+		if err == io.EOF {
+			if n := len(frames)*2 + len(plan.CtlFaults); i != n {
+				t.Fatalf("decoded %d frames, want %d", i, n)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if m.Frag != nil {
+			releaseFragBuf(m.Frag.Data)
+		}
+	}
+}
+
+// allocBytes reports how many bytes fn allocated (on all goroutines).
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzConnRecv feeds arbitrary bytes to conn.recv, the decoder every
+// socket of the live cluster is read through. It must never panic; what
+// it decodes stays inside the codec's bounds (maxFrame, maxCtlErr) and
+// so, with slack for the decoder's own state, does what it allocates;
+// and a fragment frame whose payload is cut short hands its pooled
+// buffer back.
+func FuzzConnRecv(f *testing.F) {
+	for _, fr := range everyFrame(f) {
+		f.Add(fr)
+		f.Add(fr[:len(fr)-1])
+		f.Add(fr[:1+wire.Shapes[fr[0]].Fixed/2])
+		if sh := wire.Shapes[fr[0]]; sh.CountWidth > 0 {
+			huge := append([]byte(nil), fr...)
+			for i := 0; i < sh.CountWidth; i++ {
+				huge[1+sh.CountOff+i] = 0xff
+			}
+			f.Add(huge)
+		}
+	}
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recvAll := func() {
+			c := &conn{r: bufio.NewReaderSize(bytes.NewReader(data), 16)}
+			for {
+				m, err := c.recv()
+				if err != nil {
+					return
+				}
+				var errLen int
+				switch {
+				case m.Frag != nil:
+					if len(m.Frag.Data) > maxFrame {
+						t.Fatalf("decoded a %d-byte fragment", len(m.Frag.Data))
+					}
+					releaseFragBuf(m.Frag.Data)
+				case m.Manifest != nil:
+					if len(m.Manifest.Hashes) != len(m.Manifest.CRCs) || len(m.Manifest.Hashes)*wire.ManifestRecLen > maxFrame {
+						t.Fatalf("decoded a manifest of %d/%d chunks", len(m.Manifest.Hashes), len(m.Manifest.CRCs))
+					}
+				case m.PlanAck != nil:
+					errLen = len(m.PlanAck.Err)
+				case m.ReplanAck != nil:
+					errLen = len(m.ReplanAck.Err)
+				case m.PeerDown != nil:
+					errLen = len(m.PeerDown.Err)
+				}
+				if errLen > maxCtlErr {
+					t.Fatalf("decoded a %d-byte control error", errLen)
+				}
+			}
+		}
+		if got := allocBytes(recvAll); got > 2*maxFrame {
+			t.Fatalf("recv allocated %d bytes over %d bytes of input", got, len(data))
+		}
+		// A frag frame cut short inside its payload: recv took a pooled
+		// buffer of the declared length, failed, and must have put it
+		// back — further passes then reuse it rather than allocate it
+		// again. (Not under -race, whose sync.Pool drops puts at random.)
+		if raceEnabled || len(data) < 1+wire.FragLen || data[0] != wire.Frag {
+			return
+		}
+		n := int(binary.BigEndian.Uint32(data[1+wire.FragLenOff:]))
+		if n < 64<<10 || n > 4<<20 || len(data) >= 1+wire.FragLen+n {
+			return
+		}
+		const passes = 8
+		if got := allocBytes(func() {
+			for i := 0; i < passes; i++ {
+				recvAll()
+			}
+		}); got > passes*3/4*uint64(n) {
+			t.Fatalf("a truncated %d-byte fragment leaks its pooled buffer: %d passes allocated %d bytes", n, passes, got)
+		}
+	})
+}
