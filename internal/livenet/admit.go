@@ -3,6 +3,7 @@ package livenet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -378,45 +379,28 @@ type heldChunk struct {
 	lb    *linkBudget
 }
 
-// heldKey names one (stripe, direct child) ledger of held budget — the
-// same node can be a direct child of several stripe trees at once, each
-// with its own cumulative ack.
-type heldKey struct {
-	stripe int
-	node   int
-}
-
 // holdChunk records budget acquired for the stripe-local chunk index on
-// the link to a child node of one stripe's tree.
-func (j *liveJob) holdChunk(stripe, node, index int, n int64, lb *linkBudget) {
+// the link to one direct child of a stripe's tree.
+func (j *liveJob) holdChunk(kid *stripeKid, index int, n int64, lb *linkBudget) {
 	j.mu.Lock()
-	if j.held == nil {
-		j.held = make(map[heldKey][]heldChunk)
-	}
-	k := heldKey{stripe: stripe, node: node}
-	j.held[k] = append(j.held[k], heldChunk{index: index, n: n, lb: lb})
+	kid.held = append(kid.held, heldChunk{index: index, n: n, lb: lb})
 	j.mu.Unlock()
 }
 
-// releaseAckedLocked returns the budget of every held chunk the child's
-// cumulative stripe-local ack now covers. Caller holds j.mu; budget
-// locks nest inside it.
-func (j *liveJob) releaseAckedLocked(stripe, node, acked int) {
-	k := heldKey{stripe: stripe, node: node}
-	chunks := j.held[k]
-	kept := chunks[:0]
-	for _, h := range chunks {
-		if h.index < acked {
+// release returns the budget of every chunk the kid holds below the
+// stripe-local index: up to its cumulative ack as that advances, all of
+// it (math.MaxInt) when the record is dropped or its epoch ends. Caller
+// holds j.mu; budget locks nest inside it.
+func (kid *stripeKid) release(below int) {
+	kept := kid.held[:0]
+	for _, h := range kid.held {
+		if h.index < below {
 			h.lb.release(h.n)
 		} else {
 			kept = append(kept, h)
 		}
 	}
-	if len(kept) == 0 {
-		delete(j.held, k)
-	} else {
-		j.held[k] = kept
-	}
+	kid.held = kept
 }
 
 // releaseAllHeld returns every held byte — the epoch is over (transfer
@@ -424,11 +408,10 @@ func (j *liveJob) releaseAckedLocked(stripe, node, acked int) {
 // re-streams).
 func (j *liveJob) releaseAllHeld() {
 	j.mu.Lock()
-	for key, chunks := range j.held {
-		for _, h := range chunks {
-			h.lb.release(h.n)
+	for _, ss := range j.stripes {
+		for _, kid := range ss.kids {
+			kid.release(math.MaxInt)
 		}
-		delete(j.held, key)
 	}
 	j.mu.Unlock()
 }
@@ -490,9 +473,9 @@ func (j *liveJob) windowUsedLocked() int {
 			continue
 		}
 		min := ss.streamAt
-		for _, link := range ss.children {
-			if got := ss.acked[link.node]; got < min {
-				min = got
+		for _, kid := range ss.kids {
+			if kid.acked < min {
+				min = kid.acked
 			}
 		}
 		if ss.streamAt > min {

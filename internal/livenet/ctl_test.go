@@ -71,14 +71,15 @@ func TestControlAllocs(t *testing.T) {
 }
 
 // TestSubtreePreorder validates the ledger bit-layout convention against
-// the independent BFS membership: a subtree's pre-order starts at its
-// root, covers exactly the BFS membership, and lays each child's block
-// out contiguously at offset 1 + sum of earlier siblings' sizes — the
-// shift-compose rule ledgerLocked and the MM evaluator both assume.
+// the independent BFS membership: a laid position's subtree starts at
+// its root, covers exactly the BFS membership, and lays each child's
+// block out contiguously at offset 1 + sum of earlier siblings' sizes —
+// the shift-compose rule ledgerLocked and the MM evaluator both assume.
 func TestSubtreePreorder(t *testing.T) {
 	for _, tc := range []struct{ n, fanout int }{{1, 2}, {5, 2}, {7, 2}, {13, 3}, {9, 1}} {
+		tree := layTree(testLinks(tc.n), tc.fanout)
 		for pos := 0; pos < tc.n; pos++ {
-			pre := subtreePreorder(pos, tc.n, tc.fanout)
+			pre := tree.pos[pos].subtree
 			if pre[0] != pos {
 				t.Fatalf("n=%d f=%d pos=%d: preorder starts at %d", tc.n, tc.fanout, pos, pre[0])
 			}
@@ -95,11 +96,11 @@ func TestSubtreePreorder(t *testing.T) {
 				}
 			}
 			off := 1
-			for _, ch := range nodeChildren(pos, tc.n, tc.fanout) {
+			for _, ch := range tree.pos[pos].kids {
 				if pre[off] != ch {
 					t.Fatalf("n=%d f=%d pos=%d: child %d not at offset %d (found %d)", tc.n, tc.fanout, pos, ch, off, pre[off])
 				}
-				off += len(subtreePreorder(ch, tc.n, tc.fanout))
+				off += len(tree.pos[ch].subtree)
 			}
 			if off != len(pre) {
 				t.Fatalf("n=%d f=%d pos=%d: child blocks cover %d of %d slots", tc.n, tc.fanout, pos, off, len(pre))

@@ -358,3 +358,47 @@ func TestChaosDeltaMidTransferKill(t *testing.T) {
 		})
 	}
 }
+
+// launchBudget is what one launch costs the MM: frames written across
+// every NM link, the distribution bytes the report bills, and the chunks
+// it streamed.
+type launchBudget struct {
+	frames     int64
+	sendBytes  int64
+	chunksSent int
+}
+
+// TestLaunchFrameBudget pins the MM's traffic for a 16-NM cold launch and
+// its warm relaunch, at one stripe and at two, to the numbers measured at
+// ab214b3 (the parent of the one-tree refactor): a change to how trees
+// are laid, announced or answered must not change what goes on the wire.
+// The image is PR 13's (4 MiB + 100 B in 64 KiB chunks, 65 of them), so
+// the k=1 row is the 166/36 frames CHANGES.md recorded there: cold at k
+// stripes is 16 plans + 2k manifests + 2k need masks + 130 frags + 16
+// launches, warm the same without the frags.
+func TestLaunchFrameBudget(t *testing.T) {
+	const n = 16
+	for _, tc := range []struct {
+		stripes    int
+		cold, warm launchBudget
+	}{
+		{1, launchBudget{166, 8392954, 65}, launchBudget{36, 1676, 0}},
+		{2, launchBudget{170, 8394630, 65}, launchBudget{40, 3352, 0}},
+	} {
+		cfg := MMConfig{Fanout: 2, FragBytes: 64 << 10, Stripes: tc.stripes}
+		mm, _, _ := chaosCluster(t, n, cfg, func(int) NMConfig { return NMConfig{CacheBytes: 8 << 20} })
+		spec := deltaSpec(n, 0xb0d9e7, nil)
+		spec.BinaryBytes = 4<<20 + 100
+		for i, want := range []launchBudget{tc.cold, tc.warm} {
+			before, _ := mm.ControlEgress()
+			rep, err := SubmitJob(mm.Addr(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := mm.ControlEgress()
+			if got := (launchBudget{after - before, rep.SendBytes, rep.ChunksSent}); got != want {
+				t.Errorf("stripes=%d launch %d: %+v, want %+v", tc.stripes, i, got, want)
+			}
+		}
+	}
+}

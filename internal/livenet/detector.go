@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -29,15 +30,12 @@ import (
 // the bench reports. Guarded by MM.mu.
 type mmCtl struct {
 	epoch   int
-	members []int         // sorted node IDs the tree was built over
-	kids    []*nmLink     // the MM's direct children
-	sub     map[int][]int // direct child -> pre-order subtree node IDs
-	ledger  map[int]*mmLedger
+	members []int    // sorted node IDs the tree was built over
+	kids    []ctlKid // the MM's direct children
 
 	hbSent map[int64]time.Time // ping seq -> send time (RTT waiters)
 
 	strobeSeq  int64
-	strobeAck  map[int]int64       // direct child -> cumulative strobe credit
 	strobeSent map[int64]time.Time // strobe seq -> send time (latency waiters)
 
 	// latency stats, nanoseconds.
@@ -45,11 +43,30 @@ type mmCtl struct {
 	strobeN, strobeSum, strobeMax int64
 }
 
-// mmLedger is the latest pong ledger received from one direct child.
+// ctlKid is one direct child of the MM in the control tree (subtree in
+// pre-order, the ledger's bit layout) with the latest answers it gave on
+// behalf of its subtree. An answer naming a node that has no record here
+// is dropped.
+type ctlKid struct {
+	treeKid
+	ledger    mmLedger // latest pong ledger; seq 0 until the first
+	strobeAck int64    // cumulative strobe credit
+}
+
+// mmLedger is what the MM keeps of a pong ledger.
 type mmLedger struct {
 	seq    int64
-	min    int64
 	absent uint64
+}
+
+// kid returns the record of the direct child that is node, or nil.
+func (c *mmCtl) kid(node int) *ctlKid {
+	for i := range c.kids {
+		if c.kids[i].link.node == node {
+			return &c.kids[i]
+		}
+	}
+	return nil
 }
 
 // syncCtl rebuilds the control tree when membership changed
@@ -66,68 +83,36 @@ func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 		}
 	}
 	sort.Ints(ids)
-	if intsEqual(ids, mm.ctl.members) {
-		kids = append(kids, mm.ctl.kids...)
-		epoch = mm.ctl.epoch
-		mm.mu.Unlock()
-		return kids, epoch
+	var links []*nmLink
+	var plans []CtlPlan
+	if !slices.Equal(ids, mm.ctl.members) {
+		mm.ctl.epoch++
+		mm.ctl.members = ids
+		links = make([]*nmLink, len(ids))
+		for i, id := range ids {
+			links[i] = mm.nms[id]
+		}
+		tree := layTree(links, mm.cfg.Fanout)
+		mm.ctl.kids = mm.ctl.kids[:0]
+		for _, tk := range tree.kids {
+			mm.ctl.kids = append(mm.ctl.kids, ctlKid{treeKid: tk})
+		}
+		mm.ctl.hbSent = make(map[int64]time.Time)
+		mm.ctl.strobeSent = make(map[int64]time.Time)
+		plans = make([]CtlPlan, len(links))
+		for p := range links {
+			plans[p] = CtlPlan{Epoch: mm.ctl.epoch, Children: tree.refs(p, true)}
+		}
 	}
-	mm.ctl.epoch++
 	epoch = mm.ctl.epoch
-	mm.ctl.members = ids
-	n := len(ids)
-	links := make([]*nmLink, n)
-	for i, id := range ids {
-		links[i] = mm.nms[id]
-	}
-	mm.ctl.kids = mm.ctl.kids[:0]
-	mm.ctl.sub = make(map[int][]int)
-	mm.ctl.ledger = make(map[int]*mmLedger)
-	mm.ctl.hbSent = make(map[int64]time.Time)
-	mm.ctl.strobeAck = make(map[int]int64)
-	mm.ctl.strobeSent = make(map[int64]time.Time)
-	for _, pos := range mmChildren(n, mm.cfg.Fanout) {
-		l := links[pos]
-		mm.ctl.kids = append(mm.ctl.kids, l)
-		pre := subtreePreorder(pos, n, mm.cfg.Fanout)
-		sub := make([]int, len(pre))
-		for i, p := range pre {
-			sub[i] = links[p].node
-		}
-		mm.ctl.sub[l.node] = sub
-	}
-	kids = append(kids, mm.ctl.kids...)
-	plans := make([]CtlPlan, n)
-	for i := range links {
-		var refs []CtlChild
-		for _, k := range nodeChildren(i, n, mm.cfg.Fanout) {
-			pre := subtreePreorder(k, n, mm.cfg.Fanout)
-			sub := make([]int, len(pre))
-			for j, p := range pre {
-				sub[j] = links[p].node
-			}
-			refs = append(refs, CtlChild{Node: links[k].node, Addr: links[k].addr, Subtree: sub})
-		}
-		plans[i] = CtlPlan{Epoch: epoch, Children: refs}
+	for i := range mm.ctl.kids {
+		kids = append(kids, mm.ctl.kids[i].link)
 	}
 	mm.mu.Unlock()
-	for i, l := range links {
-		p := plans[i]
-		l.c.send(Message{CtlPlan: &p})
+	for p, l := range links {
+		l.c.send(Message{CtlPlan: &plans[p]})
 	}
 	return kids, epoch
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // StartHeartbeat runs the tree heartbeat failure detector: one
@@ -197,13 +182,12 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 			delete(streak, node)
 		}
 		if epoch == mm.ctl.epoch {
-			for _, l := range mm.ctl.kids {
-				sub := mm.ctl.sub[l.node]
-				led := mm.ctl.ledger[l.node]
-				fresh := led != nil && led.seq >= s-1
-				for j, node := range sub {
+			for i := range mm.ctl.kids {
+				kid := &mm.ctl.kids[i]
+				fresh := kid.ledger.seq > 0 && kid.ledger.seq >= s-1
+				for j, node := range kid.subtree {
 					member[node] = true
-					if fresh && (j >= 64 || led.absent&(uint64(1)<<uint(j)) == 0) {
+					if fresh && (j >= 64 || kid.ledger.absent&(uint64(1)<<uint(j)) == 0) {
 						vouched[node] = true
 					}
 				}
@@ -308,7 +292,7 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 
 // onPong routes a pong to whichever detector asked: directed isolation
 // probes (Epoch 0, disjoint high sequence range) credit their probe
-// round; tree ledgers update the per-child ledger table and complete
+// round; a tree ledger updates its direct child's record and completes
 // the heartbeat RTT waiter once every direct child reported the round.
 func (mm *MM) onPong(p *Pong) {
 	mm.mu.Lock()
@@ -317,22 +301,18 @@ func (mm *MM) onPong(p *Pong) {
 		pr.settle(p.Node)
 		return
 	}
-	if p.Epoch == 0 || p.Epoch != mm.ctl.epoch || mm.ctl.ledger == nil {
+	kid := mm.ctl.kid(p.Node)
+	if p.Epoch == 0 || p.Epoch != mm.ctl.epoch || kid == nil {
 		mm.mu.Unlock()
 		return // stale topology (or a probe reply that missed its round)
 	}
-	led := mm.ctl.ledger[p.Node]
-	if led == nil {
-		led = &mmLedger{}
-		mm.ctl.ledger[p.Node] = led
-	}
-	if p.Seq > led.seq {
-		led.seq, led.min, led.absent = p.Seq, p.MinSeq, p.Absent
+	if p.Seq > kid.ledger.seq {
+		kid.ledger = mmLedger{seq: p.Seq, absent: p.Absent}
 	}
 	if t0, ok := mm.ctl.hbSent[p.Seq]; ok {
 		complete := true
-		for _, l := range mm.ctl.kids {
-			if lg := mm.ctl.ledger[l.node]; lg == nil || lg.seq < p.Seq {
+		for i := range mm.ctl.kids {
+			if mm.ctl.kids[i].ledger.seq < p.Seq {
 				complete = false
 				break
 			}

@@ -53,7 +53,7 @@ func buildCtl(kind byte) []byte {
 	return buf
 }
 
-// buildVarCtl assembles one varlen control frame ('K'/'R'/'D') with the
+// buildVarCtl assembles one varlen control frame ('K'/'D') with the
 // given trailing error string.
 func buildVarCtl(kind byte, errStr string) []byte {
 	sh := wire.Shapes[kind]
@@ -336,7 +336,7 @@ func TestFlakyDialer(t *testing.T) {
 
 // TestScannerTypedControlFrames: the scanner tracks frag ordinals and
 // per-kind control ordinals through a stream mixing every frame kind,
-// regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'K'/'R'/'D'.
+// regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'K'/'D'.
 func TestScannerTypedControlFrames(t *testing.T) {
 	var stream []byte
 	stream = append(stream, buildGob(9)...)
@@ -347,7 +347,7 @@ func TestScannerTypedControlFrames(t *testing.T) {
 	stream = append(stream, buildCtl('S')...)
 	stream = append(stream, buildVarCtl('K', "launch: exec format error")...)
 	stream = append(stream, buildCtl('T')...)
-	stream = append(stream, buildVarCtl('R', "replan refused")...)
+	stream = append(stream, buildVarCtl('K', "replan refused")...)
 	stream = append(stream, buildCtl('P')...)
 	stream = append(stream, buildVarCtl('D', "")...)
 	stream = append(stream, buildFrag(1, 3)...)

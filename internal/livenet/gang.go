@@ -179,16 +179,14 @@ func (mm *MM) strobeLoop(done chan struct{}) {
 func (mm *MM) onStrobeAck(a *StrobeAck) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	if a.Epoch != mm.ctl.epoch || mm.ctl.strobeAck == nil {
-		return // stale topology
+	kid := mm.ctl.kid(a.Node)
+	if a.Epoch != mm.ctl.epoch || kid == nil || a.Seq <= kid.strobeAck {
+		return // stale topology, or nothing new
 	}
-	if a.Seq <= mm.ctl.strobeAck[a.Node] {
-		return
-	}
-	mm.ctl.strobeAck[a.Node] = a.Seq
+	kid.strobeAck = a.Seq
 	min := a.Seq
-	for _, l := range mm.ctl.kids {
-		if ack := mm.ctl.strobeAck[l.node]; ack < min {
+	for i := range mm.ctl.kids {
+		if ack := mm.ctl.kids[i].strobeAck; ack < min {
 			min = ack
 		}
 	}

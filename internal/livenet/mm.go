@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -434,9 +435,8 @@ type liveJob struct {
 	stripes       []*stripeState
 	stripeReplans []int
 
-	planned map[int]bool // initial job-wide Plan barrier
-	cond    *sync.Cond
-	fail    error
+	cond *sync.Cond
+	fail error
 
 	// Delta-transfer state shared by all stripes. man is the job's
 	// manifest; chunksSent counts chunks streamed across all stripes and
@@ -459,40 +459,35 @@ type liveJob struct {
 
 	// phase is the job's position in the admission state machine;
 	// winPeak is the largest unacknowledged-chunk count observed across
-	// all stripes, for the job-table snapshot and the report. held
-	// tracks link-budget bytes per (stripe, direct child) that acks have
-	// not yet returned. sendBytes counts the MM's own distribution
-	// egress for this job exactly (frag, manifest, and need-mask
-	// frames), so concurrent jobs sharing a link never bill each other.
+	// all stripes, for the job-table snapshot and the report. sendBytes
+	// counts the MM's own distribution egress for this job exactly (frag,
+	// manifest, and need-mask frames), so concurrent jobs sharing a link
+	// never bill each other.
 	phase     jobPhase
 	winPeak   int
-	held      map[heldKey][]heldChunk
 	sendBytes int64
 
 	terms chan int
 }
 
-// stripeState is one stripe's transfer state: its spanning tree (a
-// rotation of the job's placement order), tree epoch, cumulative-ack
-// ledger, HAVE/need masks and stream cursor. All index arithmetic below
-// the sendList is stripe-local (chunk s+j·k is the stripe's j-th), so
-// each stripe's window and replay logic is the single-tree logic
-// verbatim. Guarded by the owning job's mu.
+// stripeState is one stripe's transfer state: its spanning tree (laid
+// over a rotation of the job's placement order), tree epoch, one record
+// per direct child, the plan barrier and the stream cursor. All index
+// arithmetic below the sendList is stripe-local (chunk s+j·k is the
+// stripe's j-th), so each stripe's window and replay logic is the
+// single-tree logic verbatim. Guarded by the owning job's mu.
 type stripeState struct {
 	id int
-	// order snapshots the stripe's position-ordered node set: order[q]
-	// is the node at tree position q. It is rebuilt on a replan of THIS
-	// stripe only — pruning a dead leaf from another stripe shrinks
-	// j.nodes but must not shift this stripe's positions mid-epoch.
-	order    []*nmLink
-	children []*nmLink     // MM's direct children in this stripe's tree
-	subtree  map[int][]int // direct child node -> node IDs its acks vouch for
-	epoch    int           // stripe tree generation; bumped per stripe replan
-	acked    map[int]int   // direct child -> cumulative stripe-local chunks acked
-	planned  map[int]bool  // per-stripe Replan barrier
-	received map[int]int   // node -> stripe-local progress from ReplanAck
-	haves    map[int][]uint64
-	needs    map[int][]uint64
+	// tree is the stripe's forwarding tree; tree.order[q] is the node at
+	// position q. It is laid again on a replan of THIS stripe only —
+	// pruning a dead leaf from another stripe shrinks j.nodes but must not
+	// shift this stripe's positions mid-epoch — and never edited in place.
+	tree  laidTree
+	kids  []*stripeKid // the MM's direct children in this tree
+	epoch int          // stripe tree generation; bumped per stripe replan
+	// planned is the plan barrier: the nodes that confirmed the plan that
+	// announced this tree, each with the stripe-local progress it reported.
+	planned  map[int]int
 	sendList []int // ascending global chunk indices this stripe still streams
 	// streamPos indexes sendList (next entry to stream); streamAt is the
 	// stripe-local index just past the last chunk streamed this epoch.
@@ -500,6 +495,28 @@ type stripeState struct {
 	streamAt     int
 	needManifest bool // run a manifest round before streaming (fresh epoch)
 	done         bool // stripe fully streamed and drained
+}
+
+// stripeKid is one direct child of the MM in a stripe's tree, with every
+// answer it has given this epoch on behalf of its subtree. An answer
+// naming a node that has no record here is dropped.
+type stripeKid struct {
+	treeKid
+	acked int         // cumulative stripe-local chunks acknowledged
+	have  []uint64    // folded HAVE ledger; nil until reported
+	need  []uint64    // what the manifest round decided to stream to it
+	held  []heldChunk // link budget of chunks the ack has not covered yet
+}
+
+// kid returns the record of the direct child that is node, or nil.
+// Caller holds j.mu.
+func (ss *stripeState) kid(node int) *stripeKid {
+	for _, kid := range ss.kids {
+		if kid.link.node == node {
+			return kid
+		}
+	}
+	return nil
 }
 
 // NewMM starts a Machine Manager listening on addr (use "127.0.0.1:0"
@@ -543,14 +560,11 @@ func NewMM(addr string, cfg MMConfig) (*MM, error) {
 			return nil, err
 		}
 	}
-	// The control-tree maps must exist before the first syncCtl rebuild:
-	// a heartbeat or strobe loop started on an empty cluster ticks at
-	// epoch 0 with no members, so syncCtl takes its unchanged fast path
-	// without ever allocating them.
-	mm.ctl.sub = make(map[int][]int)
-	mm.ctl.ledger = make(map[int]*mmLedger)
+	// The control tree's send-time maps must exist before the first
+	// syncCtl rebuild: a heartbeat or strobe loop started on an empty
+	// cluster ticks at epoch 0 with no members, so syncCtl takes its
+	// unchanged fast path without ever allocating them.
 	mm.ctl.hbSent = make(map[int64]time.Time)
-	mm.ctl.strobeAck = make(map[int]int64)
 	mm.ctl.strobeSent = make(map[int64]time.Time)
 	mm.wg.Add(1)
 	go mm.acceptLoop()
@@ -936,8 +950,6 @@ func (mm *MM) handleConn(c *conn) {
 	switch {
 	case first.Register != nil:
 		mm.serveNM(c, first.Register)
-	case first.Rejoin != nil:
-		mm.serveRejoin(c, first.Rejoin)
 	case first.Submit != nil:
 		mm.serveClient(c, first.Submit.Spec)
 	case first.StatusQ != nil:
@@ -969,83 +981,62 @@ func (mm *MM) status() StatusRep {
 	}
 }
 
-// serveNM registers a Node Manager and pumps its notifications.
+// serveNM registers a Node Manager and pumps its notifications until the
+// link dies, then unregisters it. A Register that asks to rejoin readmits
+// an NM the cluster has already written off — one the failure detector
+// convicted, or one whose process restarted: the conviction is cleared
+// (both the placement exclusion and, via the rejoined set, the detector
+// loop's private streak latches), a probation window is armed when a
+// detector is running, and only then is the acknowledgement sent — by the
+// time the NM starts serving traffic the next control-tree epoch already
+// wires it back in. Its placement eligibility returns after probation;
+// its chunk cache makes it a warm relay immediately.
 func (mm *MM) serveNM(c *conn, reg *Register) {
 	link := &nmLink{node: reg.Node, cpus: reg.CPUs, addr: reg.Addr, c: c}
 	mm.mu.Lock()
 	if mm.closed {
 		mm.mu.Unlock()
+		if reg.Rejoin {
+			c.send(Message{RejoinAck: &RejoinAck{Err: "MM closed"}})
+		}
 		c.close()
 		return
+	}
+	prob := 0
+	if reg.Rejoin {
+		delete(mm.ctlExclude, reg.Node)
+		mm.rejoined[reg.Node] = true
+		if mm.hbActive > 0 {
+			prob = mm.cfg.RejoinProbation
+		}
+		if prob > 0 {
+			mm.probation[reg.Node] = prob
+		} else {
+			delete(mm.probation, reg.Node)
+		}
 	}
 	mm.nms[reg.Node] = link
 	mm.place.SetNode(reg.Node, capOrUnbounded(reg.Cap))
 	mm.syncPlaceLocked(reg.Node)
 	mm.mu.Unlock()
-	mm.jlog(journal.NodeJoin, 0, reg.Node, nil)
-	mm.pumpNM(c, link, reg.Node)
-}
-
-// serveRejoin readmits an NM the cluster has already written off — one
-// the failure detector convicted, or one whose process restarted. The
-// conviction is cleared (both the placement exclusion and, via the
-// rejoined set, the detector loop's private streak latches), a
-// probation window is armed when a detector is running, and only then
-// is the acknowledgement sent: by the time the NM starts serving
-// traffic the next control-tree epoch already wires it back in. Its
-// placement eligibility returns after probation; its chunk cache makes
-// it a warm relay immediately.
-func (mm *MM) serveRejoin(c *conn, rj *Rejoin) {
-	link := &nmLink{node: rj.Node, cpus: rj.CPUs, addr: rj.Addr, c: c}
-	mm.mu.Lock()
-	if mm.closed {
-		mm.mu.Unlock()
-		c.send(Message{RejoinAck: &RejoinAck{Err: "MM closed"}})
-		c.close()
-		return
-	}
-	delete(mm.ctlExclude, rj.Node)
-	mm.rejoined[rj.Node] = true
-	prob := 0
-	if mm.hbActive > 0 {
-		prob = mm.cfg.RejoinProbation
-	}
-	if prob > 0 {
-		mm.probation[rj.Node] = prob
-	} else {
-		delete(mm.probation, rj.Node)
-	}
-	mm.nms[rj.Node] = link
-	mm.place.SetNode(rj.Node, capOrUnbounded(rj.Cap))
-	mm.syncPlaceLocked(rj.Node)
-	mm.mu.Unlock()
-	mm.jlog(journal.NodeRejoin, 0, rj.Node, nil)
-	if err := c.send(Message{RejoinAck: &RejoinAck{Probation: prob}}); err != nil {
-		mm.mu.Lock()
-		if mm.nms[rj.Node] == link {
-			delete(mm.nms, rj.Node)
-			mm.syncPlaceLocked(rj.Node)
-		}
-		mm.mu.Unlock()
-		c.close()
-		return
-	}
-	mm.pumpNM(c, link, rj.Node)
-}
-
-// pumpNM serves one NM link's notification stream until the link dies,
-// then unregisters it — shared by fresh registrations and rejoins.
-func (mm *MM) pumpNM(c *conn, link *nmLink, node int) {
 	defer func() {
 		mm.mu.Lock()
-		if mm.nms[node] == link {
-			delete(mm.nms, node)
-			mm.syncPlaceLocked(node)
+		if mm.nms[reg.Node] == link {
+			delete(mm.nms, reg.Node)
+			mm.syncPlaceLocked(reg.Node)
 		}
 		delete(mm.budgets, c)
 		mm.mu.Unlock()
 		c.close()
 	}()
+	if reg.Rejoin {
+		mm.jlog(journal.NodeRejoin, 0, reg.Node, nil)
+		if c.send(Message{RejoinAck: &RejoinAck{Probation: prob}}) != nil {
+			return
+		}
+	} else {
+		mm.jlog(journal.NodeJoin, 0, reg.Node, nil)
+	}
 	for {
 		m, err := c.recv()
 		if err != nil {
@@ -1056,8 +1047,6 @@ func (mm *MM) pumpNM(c *conn, link *nmLink, node int) {
 			mm.onFragAck(m.FragAck)
 		case m.PlanAck != nil:
 			mm.onPlanAck(m.PlanAck)
-		case m.ReplanAck != nil:
-			mm.onReplanAck(m.ReplanAck)
 		case m.Have != nil:
 			mm.onHave(m.Have)
 		case m.PeerDown != nil:
@@ -1113,40 +1102,34 @@ func (mm *MM) onFragAck(a *FragAck) {
 			// corruption site unambiguously.
 			return rejectError{node: a.Node, index: a.Index}
 		}
-		if ss := j.stripeByID(a.Stripe); ss != nil &&
-			a.Epoch == ss.epoch && a.Index+1 > ss.acked[a.Node] {
-			// Credit from an older tree epoch vouched for a different
-			// subtree shape; only current-epoch credit moves the window.
-			// Cumulative acks are stripe-local counts.
-			ss.acked[a.Node] = a.Index + 1
-			// Acknowledged chunks hand their bytes back to the shared link
-			// budget, unblocking whatever job is waiting on that link.
-			j.releaseAckedLocked(ss.id, a.Node, a.Index+1)
+		// Credit from an older tree epoch vouched for a different subtree
+		// shape; only current-epoch credit moves the window. Cumulative
+		// acks are stripe-local counts.
+		if ss := j.stripeByID(a.Stripe); ss != nil && a.Epoch == ss.epoch {
+			if kid := ss.kid(a.Node); kid != nil && a.Index+1 > kid.acked {
+				kid.acked = a.Index + 1
+				// Acknowledged chunks hand their bytes back to the shared
+				// link budget, unblocking whatever job is waiting on that
+				// link.
+				kid.release(kid.acked)
+			}
 		}
 		return nil
 	})
 }
 
+// onPlanAck counts a node into the barrier of the stripe tree its plan
+// announced. A confirmation stamped with another epoch answers a plan
+// that has since been superseded, and changes nothing.
 func (mm *MM) onPlanAck(a *PlanAck) {
-	mm.onTransferEvent(a.Job, func(j *liveJob) error {
-		j.planned[a.Node] = true
-		if a.Err != "" {
-			return fmt.Errorf("node %d could not set up its relay plan: %s", a.Node, a.Err)
-		}
-		return nil
-	})
-}
-
-func (mm *MM) onReplanAck(a *ReplanAck) {
 	mm.onTransferEvent(a.Job, func(j *liveJob) error {
 		ss := j.stripeByID(a.Stripe)
 		if ss == nil || a.Epoch != ss.epoch {
-			return nil // stale round
+			return nil
 		}
-		ss.planned[a.Node] = true
-		ss.received[a.Node] = a.Received
+		ss.planned[a.Node] = a.Received
 		if a.Err != "" {
-			return fmt.Errorf("node %d could not rewire its relay plan: %s", a.Node, a.Err)
+			return fmt.Errorf("node %d could not set up its relay plan: %s", a.Node, a.Err)
 		}
 		return nil
 	})
@@ -1156,8 +1139,11 @@ func (mm *MM) onReplanAck(a *ReplanAck) {
 // stripe's current epoch.
 func (mm *MM) onHave(h *Have) {
 	mm.onTransferEvent(h.Job, func(j *liveJob) error {
-		if ss := j.stripeByID(h.Stripe); ss != nil && h.Epoch == ss.epoch && ss.haves != nil {
-			ss.haves[h.Node] = append([]uint64(nil), h.Bits...)
+		if ss := j.stripeByID(h.Stripe); ss != nil && h.Epoch == ss.epoch {
+			if kid := ss.kid(h.Node); kid != nil {
+				// Never nil once reported, even for an empty ledger.
+				kid.have = append(make([]uint64, 0, len(h.Bits)), h.Bits...)
+			}
 		}
 		return nil
 	})
@@ -1237,14 +1223,13 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		frags = 1
 	}
 	j := &liveJob{
-		id:      mm.nextJob,
-		spec:    spec,
-		row:     -1,
-		frags:   frags,
-		phase:   phaseAdmitted,
-		qStart:  time.Now(),
-		planned: make(map[int]bool),
-		terms:   make(chan int, spec.Nodes),
+		id:     mm.nextJob,
+		spec:   spec,
+		row:    -1,
+		frags:  frags,
+		phase:  phaseAdmitted,
+		qStart: time.Now(),
+		terms:  make(chan int, spec.Nodes),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	mm.jlog(journal.JobAdmitted, j.id, 0, encodeSpec(&spec))
@@ -1333,8 +1318,8 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		for r := 0; r < spec.PEsPerNode; r++ {
 			ranks = append(ranks, i*spec.PEsPerNode+r)
 		}
-		msg := Message{Launch: &Launch{Job: j.id, Spec: spec, Ranks: ranks,
-			BinSize: spec.BinaryBytes, Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
+		msg := Message{Launch: &Launch{Job: j.id, Program: spec.Program, Ranks: ranks,
+			Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
 		if err := link.c.send(msg); err != nil {
 			// A partial launch must not strand the nodes that already
 			// forked: abort the whole job so every NM cancels its gates,
@@ -1478,7 +1463,6 @@ func (mm *MM) rehome(j *liveJob) error {
 	}
 	j.mu.Lock()
 	j.nodes = nodes
-	j.planned = make(map[int]bool)
 	j.fail = nil
 	j.peerDown = nil
 	mm.rewireTree(j) // rebuilds every stripe at epoch 0
@@ -1522,34 +1506,21 @@ func (mm *MM) rewireTree(j *liveJob) {
 	}
 }
 
-// rewireStripe rebuilds one stripe's tree bookkeeping over the job's
-// current node set: the position-ordered snapshot (stripe s's position q
-// is held by the node at placement index (q + s·n/k) mod n), the MM's
-// direct children, and the per-subtree membership map. Resets the
-// stripe's ack/plan ledgers and stream cursor for a fresh epoch. Caller
-// must hold j.mu or have exclusive access to j.
+// rewireStripe lays one stripe's tree afresh over the job's current node
+// set (stripe s takes the placement order rotated by s·n/k) and starts
+// the stripe's records over for a fresh epoch: a new record per direct
+// child, an empty plan barrier, the stream cursor at zero. Caller must
+// hold j.mu or have exclusive access to j.
 func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
-	n := len(j.nodes)
-	ss.order = ss.order[:0]
-	for q := 0; q < n; q++ {
-		ss.order = append(ss.order, j.nodes[stripeNodeAt(q, ss.id, k, n)])
+	for _, kid := range ss.kids {
+		kid.release(math.MaxInt)
 	}
-	ss.children = ss.children[:0]
-	ss.subtree = make(map[int][]int)
-	for _, pos := range mmChildren(n, mm.cfg.Fanout) {
-		child := ss.order[pos]
-		ss.children = append(ss.children, child)
-		sub := make([]int, 0, 1)
-		for _, p := range subtreeNodes(pos, n, mm.cfg.Fanout) {
-			sub = append(sub, ss.order[p].node)
-		}
-		ss.subtree[child.node] = sub
+	ss.tree = layTree(stripeOrder(j.nodes, ss.id, k), mm.cfg.Fanout)
+	ss.kids = nil
+	for _, tk := range ss.tree.kids {
+		ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
 	}
-	ss.acked = make(map[int]int)
-	ss.planned = make(map[int]bool)
-	ss.received = make(map[int]int)
-	ss.haves = nil
-	ss.needs = nil
+	ss.planned = make(map[int]int)
 	ss.sendList = ss.sendList[:0]
 	ss.streamPos = 0
 	ss.streamAt = 0
@@ -1578,7 +1549,7 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 //     actually dead (accumulated PeerDown evidence plus directed
 //     isolation probes over the control links), exclude them, and heal
 //     each stripe by the cheapest sufficient means — a stripe the dead
-//     node relayed for is rewired with an epoch-stamped Replan round
+//     node relayed for is rewired with an epoch-stamped Plan round
 //     and re-runs its manifest round (the survivors' ledgers re-derive
 //     the remaining need from their actual splice and cache state); a
 //     stripe where it was only a leaf is pruned in place (a ChildDead
@@ -1600,7 +1571,7 @@ func (mm *MM) transfer(j *liveJob) error {
 	j.man = mm.buildManifest(j)
 
 	j.setPhase(phasePlanned)
-	err := mm.plan(j)
+	err := mm.plan(j, j.stripes) // laid by this goroutine, at placement
 	if err == nil {
 		err = mm.runStripes(j)
 	}
@@ -1705,36 +1676,41 @@ func (mm *MM) runStripe(j *liveJob, ss *stripeState) error {
 	return nil
 }
 
-// plan runs the initial topology barrier: every node learns its relay
-// children in every stripe's tree and confirms before any fragment
-// flows. One Plan message carries all stripes — a single job-wide
-// barrier, not one per stripe.
-func (mm *MM) plan(j *liveJob) error {
+// plan announces stripe trees and waits until every node has installed
+// them, so no fragment can reach a node before that node knows whom to
+// relay to: a launch announces every stripe's tree at epoch 0, a recovery
+// the one stripe it rewired. Each node is sent one Plan naming its relay
+// children in each of the trees and answers with one PlanAck, stamped
+// with the first tree's stripe and epoch — so that stripe's barrier
+// serves the whole round (every tree of a job spans the same nodes).
+func (mm *MM) plan(j *liveJob, trees []*stripeState) error {
+	first := trees[0]
 	j.mu.Lock()
-	nodes := append([]*nmLink(nil), j.nodes...)
-	stripes := append([]*stripeState(nil), j.stripes...)
-	j.mu.Unlock()
-	n := len(nodes)
-	k := len(stripes)
-	for i, link := range nodes {
-		children := make([][]ChildRef, k)
-		for _, ss := range stripes {
-			q := stripePosOf(i, ss.id, k, n)
-			kids := nodeChildren(q, n, mm.cfg.Fanout)
-			refs := make([]ChildRef, 0, len(kids))
-			for _, kid := range kids {
-				refs = append(refs, ChildRef{Node: ss.order[kid].node, Addr: ss.order[kid].addr})
-			}
-			children[ss.id] = refs
-		}
-		msg := Message{Plan: &Plan{Job: j.id, Frags: j.frags, Fanout: mm.cfg.Fanout,
-			Stripes: k, Children: children}}
-		if err := link.c.send(msg); err != nil {
-			return downError{node: link.node, cause: fmt.Sprintf("transfer plan write: %v", err)}
+	order := first.tree.order
+	plans := make(map[*nmLink]*Plan, len(order))
+	for _, link := range order {
+		plans[link] = &Plan{Job: j.id}
+	}
+	for _, ss := range trees {
+		for q, link := range ss.tree.order {
+			plans[link].Trees = append(plans[link].Trees,
+				planTree{Stripe: ss.id, Epoch: ss.epoch, Children: ss.tree.refs(q, false)})
 		}
 	}
-	return j.await(nil, "relay plan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
-		return silent(j.nodes, func(node int) bool { return j.planned[node] })
+	j.mu.Unlock()
+	for _, link := range order {
+		if err := link.c.send(Message{Plan: plans[link]}); err != nil {
+			return downError{node: link.node, cause: fmt.Sprintf("plan write: %v", err)}
+		}
+	}
+	return j.await(first, "relay plan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
+		var owing []string
+		for _, link := range first.tree.order {
+			if _, ok := first.planned[link.node]; !ok {
+				owing = append(owing, strconv.Itoa(link.node))
+			}
+		}
+		return owing
 	})
 }
 
@@ -1828,24 +1804,17 @@ func fillChunkInto(spec *JobSpec, job, i int, b []byte) {
 // their actual splice and cache state.
 func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	j.mu.Lock()
-	children := append([]*nmLink(nil), ss.children...)
+	kids := append([]*stripeKid(nil), ss.kids...)
 	epoch := ss.epoch
 	k := len(j.stripes)
-	if ss.haves == nil {
-		// A rewire (initial layout, replan) cleared the ledgers with the
-		// epoch. A round that re-runs in the same epoch — another stripe's
-		// failure interrupted it, and this stripe only pruned a leaf —
-		// keeps the reports it has: the NMs answer once per epoch.
-		ss.haves = make(map[int][]uint64)
-	}
 	j.mu.Unlock()
 
 	m := &Manifest{Job: j.id, Epoch: epoch, Stripe: ss.id, ChunkBytes: mm.cfg.FragBytes,
 		ImageCRC: j.man.imageCRC, TotalBytes: j.man.total,
 		Hashes: j.man.hashes, CRCs: j.man.crcs}
-	for _, link := range children {
-		if err := link.c.send(Message{Manifest: m}); err != nil {
-			return downError{node: link.node, cause: fmt.Sprintf("manifest write: %v", err)}
+	for _, kid := range kids {
+		if err := kid.link.c.send(Message{Manifest: m}); err != nil {
+			return downError{node: kid.link.node, cause: fmt.Sprintf("manifest write: %v", err)}
 		}
 		// Relay links are shared across jobs, so per-conn byte counters
 		// cannot be attributed to one job; account egress by frame size
@@ -1854,8 +1823,18 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 		j.sendBytes += int64(30 + 12*len(m.Hashes))
 		j.mu.Unlock()
 	}
+	// A rewire (initial layout, replan) started the kids' records over
+	// with the epoch. A round that re-runs in the same epoch — another
+	// stripe's failure interrupted it, and this stripe only pruned a leaf —
+	// keeps the reports it has: the NMs answer once per epoch.
 	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
-		return silent(ss.children, func(node int) bool { _, ok := ss.haves[node]; return ok })
+		var owing []string
+		for _, kid := range ss.kids {
+			if kid.have == nil {
+				owing = append(owing, strconv.Itoa(kid.link.node))
+			}
+		}
+		return owing
 	})
 	if err != nil {
 		return err
@@ -1863,22 +1842,19 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 
 	j.mu.Lock()
 	n := j.frags
-	ss.needs = make(map[int][]uint64)
 	union := make([]uint64, bitWords(n))
-	for _, link := range children {
-		have := ss.haves[link.node]
-		need := make([]uint64, bitWords(n))
+	for _, kid := range kids {
+		kid.need = make([]uint64, bitWords(n))
 		// Only this stripe's chunks (i ≡ stripe mod k) are derived here:
 		// the other stripes run their own rounds over their own trees.
 		for i := ss.id; i < n; i += k {
-			if !maskGet(have, i) {
-				bitSet(need, i)
+			if !maskGet(kid.have, i) {
+				bitSet(kid.need, i)
 				bitSet(union, i)
 			} else {
 				j.bytesSaved += int64(chunkSizeFor(&j.spec, mm.cfg.FragBytes, i))
 			}
 		}
-		ss.needs[link.node] = need
 	}
 	ss.sendList = ss.sendList[:0]
 	for i := ss.id; i < n; i += k {
@@ -1889,16 +1865,15 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	ss.streamPos = 0
 	ss.streamAt = 0
 	j.chunksSent += len(ss.sendList)
-	needs := ss.needs
 	j.mu.Unlock()
 
-	for _, link := range children {
-		msg := Message{NeedMask: &NeedMask{Job: j.id, Epoch: epoch, Stripe: ss.id, Bits: needs[link.node]}}
-		if err := link.c.send(msg); err != nil {
-			return downError{node: link.node, cause: fmt.Sprintf("need-mask write: %v", err)}
+	for _, kid := range kids {
+		msg := Message{NeedMask: &NeedMask{Job: j.id, Epoch: epoch, Stripe: ss.id, Bits: kid.need}}
+		if err := kid.link.c.send(msg); err != nil {
+			return downError{node: kid.link.node, cause: fmt.Sprintf("need-mask write: %v", err)}
 		}
 		j.mu.Lock()
-		j.sendBytes += int64(12 + 8*len(needs[link.node]))
+		j.sendBytes += int64(12 + 8*len(kid.need))
 		j.mu.Unlock()
 	}
 	return nil
@@ -1913,10 +1888,9 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	j.setPhase(phaseStreaming)
 	j.mu.Lock()
-	children := append([]*nmLink(nil), ss.children...)
-	needs := ss.needs
+	kids := append([]*stripeKid(nil), ss.kids...)
 	list := append([]int(nil), ss.sendList...)
-	nodeCount := len(ss.order)
+	depth := ss.tree.depth
 	start := ss.streamPos
 	k := len(j.stripes)
 	j.mu.Unlock()
@@ -1930,7 +1904,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// can even form. Cumulative acks advance through cached spans without
 	// wire traffic, so pacing by the send list position is exact. All
 	// credit arithmetic is stripe-local (chunk i is the stripe's i/k-th).
-	window := mm.cfg.Slots * treeDepth(nodeCount, mm.cfg.Fanout)
+	window := mm.cfg.Slots * depth
 	frag := mm.cfg.FragBytes
 	for pos := start; pos < len(list); pos++ {
 		i := list[pos]
@@ -1947,8 +1921,9 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 			mm.testCorrupt(j.id, i, data)
 		}
 		frame := int64(19 + size) // type byte + fragment header + payload
-		for _, link := range children {
-			if !maskGet(needs[link.node], i) {
+		for _, kid := range kids {
+			link := kid.link
+			if !maskGet(kid.need, i) {
 				continue // the whole subtree already holds this chunk
 			}
 			// Shared-link backpressure: reserve the frame's bytes against
@@ -1962,7 +1937,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 				releaseFragBuf(data)
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d: %v", i, err)}
 			}
-			j.holdChunk(ss.id, link.node, i/k, frame, lb)
+			j.holdChunk(kid, i/k, frame, lb)
 			if err := link.c.sendFrag(f); err != nil {
 				releaseFragBuf(data)
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d write: %v", i, err)}
@@ -2075,7 +2050,7 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 // affected stripe by the cheapest sufficient means. A stripe the dead
 // node relayed for (interior in its tree) — or any stripe of a
 // single-tree plan, preserving the legacy recovery path — is rewired
-// over the survivors with an epoch-stamped Replan round and will re-run
+// over the survivors with an epoch-stamped Plan round and will re-run
 // its manifest round. A stripe where every dead node was a leaf is
 // pruned in place: the leaf's tree parent gets a ChildDead note so its
 // aggregated acks stop waiting on the corpse, the MM drops it from its
@@ -2110,8 +2085,8 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 		j.mu.Lock()
 		done := ss.done
 		interior := false
-		for q, link := range ss.order {
-			if _, gone := dead[link.node]; gone && len(nodeChildren(q, len(ss.order), mm.cfg.Fanout)) > 0 {
+		for q, link := range ss.tree.order {
+			if _, gone := dead[link.node]; gone && len(ss.tree.pos[q].kids) > 0 {
 				interior = true
 				break
 			}
@@ -2121,7 +2096,7 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 			continue // fully drained before the failure; nothing to heal
 		}
 		if k == 1 || interior {
-			if err := mm.replanStripe(j, ss, dead); err != nil {
+			if err := mm.replanStripe(j, ss); err != nil {
 				return err
 			}
 		} else if err := mm.pruneStripe(j, ss, dead); err != nil {
@@ -2132,63 +2107,46 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 }
 
 // replanStripe rewires one stripe's tree over the job's surviving nodes
-// with a Replan/ReplanAck round under a bumped epoch, then pre-credits
-// the stripe's window to the slowest survivor's confirmed stripe-local
-// progress (every survivor proved at least that much). The stripe's
-// next act is a fresh manifest round: the survivors' HAVE ledgers
-// re-derive what is still missing.
-func (mm *MM) replanStripe(j *liveJob, ss *stripeState, dead map[int]string) error {
+// with a Plan round under a bumped epoch, then pre-credits the stripe's
+// window to the slowest survivor's confirmed stripe-local progress (every
+// survivor proved at least that much). The stripe's next act is a fresh
+// manifest round: the survivors' HAVE ledgers re-derive what is still
+// missing.
+func (mm *MM) replanStripe(j *liveJob, ss *stripeState) error {
 	j.mu.Lock()
 	ss.epoch++
-	epoch := ss.epoch
 	k := len(j.stripes)
 	mm.rewireStripe(j, ss, k)
 	ss.needManifest = true
 	j.stripeReplans[ss.id]++
-	order := append([]*nmLink(nil), ss.order...)
 	j.mu.Unlock()
 
-	n := len(order)
-	for q, link := range order {
-		kids := nodeChildren(q, n, mm.cfg.Fanout)
-		refs := make([]ChildRef, 0, len(kids))
-		for _, kid := range kids {
-			refs = append(refs, ChildRef{Node: order[kid].node, Addr: order[kid].addr})
-		}
-		msg := Message{Replan: &Replan{Job: j.id, Stripe: ss.id, Epoch: epoch, Frags: j.frags,
-			Fanout: mm.cfg.Fanout, Children: refs}}
-		if err := link.c.send(msg); err != nil {
-			return downError{node: link.node, cause: fmt.Sprintf("replan write: %v", err)}
-		}
-	}
-	err := j.await(ss, "relay replan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
-		return silent(ss.order, func(node int) bool { return ss.planned[node] })
-	})
-	if err != nil {
+	if err := mm.plan(j, []*stripeState{ss}); err != nil {
 		return err
 	}
 
 	j.mu.Lock()
 	resume := stripeChunks(j.frags, ss.id, k)
-	for _, l := range ss.order {
-		if r := ss.received[l.node]; r < resume {
+	for _, link := range ss.tree.order {
+		if r := ss.planned[link.node]; r < resume {
 			resume = r
 		}
 	}
-	for _, c := range ss.children {
-		ss.acked[c.node] = resume
+	for _, kid := range ss.kids {
+		kid.acked = resume
 	}
 	j.mu.Unlock()
 	return nil
 }
 
 // pruneStripe removes dead leaves from one stripe without disturbing its
-// epoch: a direct child of the MM is dropped from the stripe's own ack
-// ledger; a deeper leaf's tree parent is told via ChildDead to stop
-// counting it in the aggregated acks. The stream cursor rewinds to the
-// slowest surviving subtree's credit so chunks the corpse's loss left
-// unacknowledged are re-sent (duplicates re-ack idempotently), and the
-// stripe resumes — no Replan round, no manifest round, no epoch bump.
+// epoch: a direct child of the MM loses its record (and hands back the
+// link budget it still holds); a deeper leaf's tree parent is told via
+// ChildDead to stop counting it in the aggregated acks. The stream cursor
+// rewinds to the slowest surviving subtree's credit so chunks the
+// corpse's loss left unacknowledged are re-sent (duplicates re-ack
+// idempotently), and the stripe resumes — no Plan round, no manifest
+// round, no epoch bump.
 func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) error {
 	type deadLeaf struct {
 		parent *nmLink
@@ -2196,34 +2154,26 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 	}
 	var notify []deadLeaf
 	j.mu.Lock()
-	n := len(ss.order)
-	for q, link := range ss.order {
+	for q, link := range ss.tree.order {
 		if _, gone := dead[link.node]; !gone {
 			continue
 		}
-		direct := false
-		for ci, c := range ss.children {
-			if c == link {
-				// Direct child of the MM (and a leaf, or the stripe would
-				// have replanned): drop it from the stripe's ledgers.
-				ss.children = append(ss.children[:ci], ss.children[ci+1:]...)
-				delete(ss.acked, link.node)
-				delete(ss.subtree, link.node)
-				if ss.needs != nil {
-					delete(ss.needs, link.node)
-				}
-				direct = true
+		if parent := ss.tree.pos[q].parent; parent >= 0 {
+			notify = append(notify, deadLeaf{parent: ss.tree.order[parent], node: link.node})
+			continue
+		}
+		// A direct child of the MM (and a leaf, or the stripe would have
+		// replanned). A node an earlier prune already dropped has no
+		// record left to drop.
+		for ci, kid := range ss.kids {
+			if kid.link == link {
+				kid.release(math.MaxInt)
+				ss.kids = append(ss.kids[:ci], ss.kids[ci+1:]...)
 				break
 			}
 		}
-		if direct {
-			continue
-		}
-		if parentPos := q/mm.cfg.Fanout - 1; mm.cfg.Fanout > 1 && parentPos >= 0 && parentPos < n {
-			notify = append(notify, deadLeaf{parent: ss.order[parentPos], node: link.node})
-		}
 	}
-	if len(ss.children) == 0 {
+	if len(ss.kids) == 0 {
 		j.mu.Unlock()
 		return fmt.Errorf("livenet: job %d stripe %d: no surviving subtree roots", j.id, ss.id)
 	}
@@ -2231,9 +2181,9 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 	// credit: everything below it is acknowledged everywhere, everything
 	// past it may have died with the leaf's parent link buffer.
 	resume := ss.streamAt
-	for _, c := range ss.children {
-		if got := ss.acked[c.node]; got < resume {
-			resume = got
+	for _, kid := range ss.kids {
+		if kid.acked < resume {
+			resume = kid.acked
 		}
 	}
 	pos := 0
@@ -2258,8 +2208,8 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 // await is the transfer's one wait, the live COMPARE-AND-WRITE: block on
 // j.cond until pending — evaluated under j.mu — names no node, the job
 // has failed (that failure is returned as is), or the deadline passes
-// with ErrTransferTimeout naming the job, the stripe (nil for the
-// job-wide plan barrier), what was awaited and whom it is still owed by.
+// with ErrTransferTimeout naming the job, the stripe, what was awaited
+// and whom it is still owed by.
 func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, pending func() []string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -2272,29 +2222,13 @@ func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, pendin
 			return nil
 		}
 		if time.Now().After(deadline) {
-			scope := fmt.Sprintf("job %d", j.id)
-			if ss != nil {
-				scope += fmt.Sprintf(" stripe %d", ss.id)
-			}
-			return fmt.Errorf("%w: %s: %s %s", ErrTransferTimeout, scope, what, strings.Join(owing, ", "))
+			return fmt.Errorf("%w: job %d stripe %d: %s %s", ErrTransferTimeout, j.id, ss.id, what, strings.Join(owing, ", "))
 		}
 		// Wake periodically to enforce the deadline even if no answer comes.
 		t := time.AfterFunc(100*time.Millisecond, j.cond.Broadcast)
 		j.cond.Wait()
 		t.Stop()
 	}
-}
-
-// silent lists, as await's pending set, the links whose node has not
-// answered yet.
-func silent(links []*nmLink, answered func(node int) bool) []string {
-	var out []string
-	for _, l := range links {
-		if !answered(l.node) {
-			out = append(out, strconv.Itoa(l.node))
-		}
-	}
-	return out
 }
 
 // awaitCredit blocks until every direct child of the stripe's tree has
@@ -2309,12 +2243,12 @@ func (j *liveJob) awaitCredit(ss *stripeState, need int, deadline time.Time) err
 	}
 	return j.await(ss, "flow control stalled awaiting credit from", deadline, func() []string {
 		var owing []string
-		for _, link := range ss.children {
-			if got := ss.acked[link.node]; got < need {
-				if sub := ss.subtree[link.node]; len(sub) > 1 {
-					owing = append(owing, fmt.Sprintf("node %d (subtree %v, acked %d of %d)", link.node, sub, got, need))
+		for _, kid := range ss.kids {
+			if kid.acked < need {
+				if len(kid.subtree) > 1 {
+					owing = append(owing, fmt.Sprintf("node %d (subtree %v, acked %d of %d)", kid.link.node, kid.subtree, kid.acked, need))
 				} else {
-					owing = append(owing, fmt.Sprintf("node %d (acked %d of %d)", link.node, got, need))
+					owing = append(owing, fmt.Sprintf("node %d (acked %d of %d)", kid.link.node, kid.acked, need))
 				}
 			}
 		}

@@ -62,12 +62,12 @@ type NMConfig struct {
 	// the MM treats the node as unbounded, the pre-capacity behavior.
 	Cap place.Vec
 	// Rejoin announces this NM as a returning member rather than a fresh
-	// one: instead of Register it opens with a Rejoin handshake, and
-	// NewNMConfig blocks until the MM's RejoinAck clears the node's
-	// conviction (the ack's probation count is readable via Probation).
-	// Use after a crash/restart of a previously-registered node —
-	// especially one the failure detector convicted, which a plain
-	// Register would leave excluded from the control tree forever.
+	// one: its Register asks for readmission, and NewNMConfig blocks until
+	// the MM's RejoinAck clears the node's conviction (the ack's probation
+	// count is readable via Probation). Use after a crash/restart of a
+	// previously-registered node — especially one the failure detector
+	// convicted, which a plain Register would leave excluded from the
+	// control tree forever.
 	Rejoin bool
 }
 
@@ -180,7 +180,7 @@ type relayState struct {
 // per-stripe: a replan rewires (and re-stamps) only the trees the dead
 // node was interior in.
 type stripeRelay struct {
-	epoch    int   // this stripe's tree generation; bumped by Replan
+	epoch    int   // this stripe's tree generation, from the Plan that installed it
 	parent   *conn // conn this stripe's traffic arrives on; acks go back up it
 	children []*relayChild
 	sentUp   int  // stripe-local cumulative credit already propagated up
@@ -270,16 +270,17 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		return nil, err
 	}
 	nm.c = c
+	reg := &Register{Node: node, CPUs: cpus, Addr: peerAddr, Cap: cfg.Cap, Rejoin: cfg.Rejoin}
+	if err := c.send(Message{Register: reg}); err != nil {
+		c.close()
+		fail()
+		return nil, fmt.Errorf("livenet: register: %w", err)
+	}
 	if cfg.Rejoin {
 		// Rejoin is a synchronous handshake: the ack proves the MM
 		// cleared this node's conviction before any traffic flows, so a
 		// caller holding a fresh NM knows the node is back in membership
 		// (probation may still gate placement for a few periods).
-		if err := c.send(Message{Rejoin: &Rejoin{Node: node, CPUs: cpus, Addr: peerAddr, Cap: cfg.Cap}}); err != nil {
-			c.close()
-			fail()
-			return nil, fmt.Errorf("livenet: rejoin: %w", err)
-		}
 		m, err := c.recv()
 		if err != nil {
 			c.close()
@@ -297,10 +298,6 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 			return nil, fmt.Errorf("livenet: rejoin refused: %s", m.RejoinAck.Err)
 		}
 		nm.probation = m.RejoinAck.Probation
-	} else if err := c.send(Message{Register: &Register{Node: node, CPUs: cpus, Addr: peerAddr, Cap: cfg.Cap}}); err != nil {
-		c.close()
-		fail()
-		return nil, fmt.Errorf("livenet: register: %w", err)
 	}
 	nm.wg.Add(1)
 	go nm.loop()
@@ -441,8 +438,6 @@ func (nm *NM) loop() {
 			nm.onNeedMask(m.NeedMask)
 		case m.Plan != nil:
 			nm.onPlan(m.Plan)
-		case m.Replan != nil:
-			nm.onReplan(m.Replan)
 		case m.ChildDead != nil:
 			nm.onChildDead(m.ChildDead)
 		case m.Abort != nil:
@@ -543,73 +538,58 @@ func (nm *NM) servePeer(pc *conn) {
 	}
 }
 
-// onPlan prepares a job's forwarding roles, one per stripe tree: resolve
-// each stripe's relay children to (cached) peer connections and confirm
-// to the MM. A child link shared by several stripes resolves to the same
-// cached conn, so the k trees multiplex over at most one socket per peer
-// pair. The MM does not stream until every node confirmed, so fragments
-// can never outrun any tree.
+// onPlan installs this node's role in each stripe tree the plan names:
+// resolve the tree's relay children to (cached) peer connections — a
+// child link shared by several stripes is one socket, so the k trees
+// multiplex over at most one per peer pair — reset that stripe's relay to
+// the tree's epoch and children, and confirm to the MM, which streams
+// into a tree only once every node of it has. A reset stripeRelay has no
+// parent (it re-binds on the epoch's manifest or first fragment), no
+// credit received from any child (conservative — the first replayed
+// duplicate re-primes it), none propagated up, and no HAVE ledger sent,
+// so the parent hears a new, epoch-stamped answer stream.
+//
+// The job's first plan, and any plan naming every stripe the job has (a
+// launch, a re-placement), replaces the relay state wholesale. A plan
+// naming fewer is a mid-transfer rewire after the MM excluded a failed
+// node, and leaves the other stripes' trees, epochs and cursors alone.
 func (nm *NM) onPlan(p *Plan) {
-	st := &relayState{}
-	for _, refs := range p.Children {
-		kids, err := nm.dialChildren(refs)
+	if len(p.Trees) == 0 {
+		return
+	}
+	first := p.Trees[0]
+	ack := &PlanAck{Job: p.Job, Node: nm.node, Epoch: first.Epoch, Stripe: first.Stripe}
+	kids := make([][]*relayChild, len(p.Trees))
+	for i, tr := range p.Trees {
+		var err error
+		kids[i], err = nm.dialChildren(tr.Children)
 		if err != nil {
-			nm.c.send(Message{PlanAck: &PlanAck{Job: p.Job, Node: nm.node, Err: err.Error()}})
+			ack.Err = err.Error()
+			nm.c.send(Message{PlanAck: ack})
 			return
 		}
-		st.stripes = append(st.stripes, &stripeRelay{children: kids})
-	}
-	if len(st.stripes) == 0 {
-		st.stripes = []*stripeRelay{{}}
-	}
-	nm.mu.Lock()
-	nm.relays[p.Job] = st
-	nm.mu.Unlock()
-	nm.c.send(Message{PlanAck: &PlanAck{Job: p.Job, Node: nm.node}})
-}
-
-// onReplan rewires this node's forwarding role in ONE stripe's tree for
-// that stripe's new epoch after the MM excluded a failed node: the
-// stripe's child set is replaced wholesale, per-child credit restarts at
-// zero (conservative — the first replayed duplicate re-primes it), and
-// the cumulative credit already propagated up is reset so the (possibly
-// new) parent hears a fresh, epoch-stamped ack stream. Other stripes'
-// trees, epochs, and cursors are untouched. The reply carries this
-// node's stripe-local chunk progress, which the MM folds into the
-// stripe's replay point.
-func (nm *NM) onReplan(p *Replan) {
-	kids, err := nm.dialChildren(p.Children)
-	if err != nil {
-		nm.c.send(Message{ReplanAck: &ReplanAck{Job: p.Job, Node: nm.node, Epoch: p.Epoch,
-			Stripe: p.Stripe, Err: err.Error()}})
-		return
 	}
 	nm.mu.Lock()
 	rs := nm.relays[p.Job]
-	if rs == nil {
+	if rs == nil || len(p.Trees) >= len(rs.stripes) {
 		rs = &relayState{}
 		nm.relays[p.Job] = rs
 	}
-	for len(rs.stripes) <= p.Stripe {
-		rs.stripes = append(rs.stripes, &stripeRelay{})
+	for i, tr := range p.Trees {
+		for len(rs.stripes) <= tr.Stripe {
+			rs.stripes = append(rs.stripes, &stripeRelay{})
+		}
+		*rs.stripes[tr.Stripe] = stripeRelay{epoch: tr.Epoch, children: kids[i]}
 	}
-	sr := rs.stripes[p.Stripe]
-	sr.epoch = p.Epoch
-	sr.children = kids
-	sr.parent = nil // re-binds on the new epoch's manifest (or first fragment)
-	sr.sentUp = 0
-	sr.haveSent = false // the new epoch runs a fresh HAVE round
-	received := 0
-	if st := nm.bins[p.Job]; st != nil && p.Stripe < len(st.srecv) {
-		received = st.srecv[p.Stripe]
+	if st := nm.bins[p.Job]; st != nil && first.Stripe < len(st.srecv) {
+		ack.Received = st.srecv[first.Stripe]
 	}
 	nm.mu.Unlock()
-	nm.c.send(Message{ReplanAck: &ReplanAck{Job: p.Job, Node: nm.node,
-		Epoch: p.Epoch, Stripe: p.Stripe, Received: received}})
+	nm.c.send(Message{PlanAck: ack})
 }
 
 // dialChildren resolves one tree's relay children to (cached) peer
-// links — the step a plan and a replan share.
+// links.
 func (nm *NM) dialChildren(refs []ChildRef) ([]*relayChild, error) {
 	var kids []*relayChild
 	for _, ref := range refs {
@@ -1572,7 +1552,7 @@ func (nm *NM) onLaunch(l *Launch) {
 		procs.Add(1)
 		go func(rank int) {
 			defer procs.Done()
-			runProgram(l.Spec.Program, rank, g)
+			runProgram(l.Program, rank, g)
 		}(rank)
 	}
 	nm.wg.Add(1)

@@ -23,15 +23,15 @@
 // Everything that runs per fragment or per period travels as a typed
 // frame with a fixed binary layout: fragments and their acks ('F', 'A'),
 // heartbeat pings and pong ledgers ('P', 'Q'), gang strobes and their
-// acks ('S', 'T'), plan and replan confirmations and peer-down reports
-// ('K', 'R', 'D'), and the delta-transfer round's manifests, HAVE
-// ledgers and need masks ('M', 'H', 'N'). A fragment is encoded exactly
-// once and every child link is served from the same buffer with no
-// per-destination marshalling; the control frames encode and decode
-// without allocating. Only the rare, topology-sized messages —
-// registration and rejoin, submissions and reports, plans, replans and
-// control-tree plans, launches, terminations, aborts, status — travel as
-// gob inside a 'G' frame, on one gob stream per connection.
+// acks ('S', 'T'), plan confirmations and peer-down reports ('K', 'D'),
+// and the delta-transfer round's manifests, HAVE ledgers and need masks
+// ('M', 'H', 'N'). A fragment is encoded exactly once and every child
+// link is served from the same buffer with no per-destination
+// marshalling; the control frames encode and decode without allocating.
+// Only the rare, topology-sized messages — registration, submissions and
+// reports, stripe-tree and control-tree plans, launches, terminations,
+// aborts, status — travel as gob inside a 'G' frame, on one gob stream
+// per connection.
 package livenet
 
 import (
@@ -154,7 +154,7 @@ type Report struct {
 // Message is the wire envelope. Exactly one pointer field is set.
 //
 // Hot control messages (Ping, Pong, Strobe, StrobeAck, FragAck,
-// PlanAck, ReplanAck, PeerDown, Manifest, Have, NeedMask) never travel
+// PlanAck, PeerDown, Manifest, Have, NeedMask) never travel
 // as gob: send routes them to fixed-layout typed frames and recv
 // decodes the zero-alloc subset into conn-owned scratch structs. The
 // pointers recv returns for Ping, Pong, Strobe, StrobeAck, FragAck,
@@ -172,8 +172,6 @@ type Message struct {
 	NeedMask  *NeedMask
 	Plan      *Plan
 	PlanAck   *PlanAck
-	Replan    *Replan
-	ReplanAck *ReplanAck
 	ChildDead *ChildDead
 	PeerDown  *PeerDown
 	Abort     *Abort
@@ -187,7 +185,6 @@ type Message struct {
 	CtlPlan   *CtlPlan
 	StatusQ   *StatusReq
 	StatusR   *StatusRep
-	Rejoin    *Rejoin
 	RejoinAck *RejoinAck
 }
 
@@ -201,6 +198,12 @@ type Register struct {
 	// undeclared: the MM treats the node as unbounded, so clusters that
 	// never mention capacities place exactly as before.
 	Cap place.Vec
+	// Rejoin marks the explicit readmission of an NM the MM has already
+	// seen — one the failure detector convicted, or one whose process
+	// restarted: the MM clears the node's conviction, arms a probation
+	// window, and answers with a RejoinAck before the link starts serving
+	// traffic. A plain registration is not answered.
+	Rejoin bool
 }
 
 // Submit asks the MM to run a job.
@@ -208,23 +211,10 @@ type Submit struct {
 	Spec JobSpec
 }
 
-// Rejoin re-introduces an NM the MM has already seen — one that was
-// convicted by the failure detector, or whose process restarted. Unlike
-// Register it is an explicit readmission request: the MM clears the
-// node's conviction, arms a probation window, and answers with a
-// RejoinAck before the link starts serving traffic. Membership-rate, so
-// it rides the gob path.
-type Rejoin struct {
-	Node int
-	CPUs int
-	Addr string
-	Cap  place.Vec // declared capacity, as in Register
-}
-
-// RejoinAck answers a Rejoin. Probation is how many heartbeat-clean
-// periods the node must survive before it is eligible for placement
-// again (0 when no detector is running); Err non-empty means the MM
-// refused the rejoin and the NM must not proceed.
+// RejoinAck answers a Register that asked to rejoin. Probation is how
+// many heartbeat-clean periods the node must survive before it is
+// eligible for placement again (0 when no detector is running); Err
+// non-empty means the MM refused the rejoin and the NM must not proceed.
 type RejoinAck struct {
 	Probation int
 	Err       string
@@ -274,60 +264,46 @@ type FragAck struct {
 	Stripe int
 }
 
-// ChildRef names one relay child in a transfer plan.
+// ChildRef names one relay child in a plan. Subtree is set only by the
+// control tree: the nodes the child's aggregated ledgers vouch for, in
+// pre-order (the child itself first, then each grandchild subtree
+// recursively) — the bit layout of the pong ledger's Absent bitmap, so a
+// parent folds a child's bitmap into its own with a single shift.
 type ChildRef struct {
-	Node int
-	Addr string
+	Node    int
+	Addr    string
+	Subtree []int
 }
 
-// Plan tells an NM its role in one job's forwarding trees before the
-// fragment stream starts: how many fragments to expect and which NMs (if
-// any) it must relay them to, per stripe. Children[s] is the node's
-// relay child set in stripe s's spanning tree (SplitStream-style role
-// rotation makes a node interior in ~1/k of the trees and a leaf in the
-// rest). Stripes is the stripe count k; a legacy single-tree plan has
-// Stripes == 1 and one child list.
+// Plan tells an NM its role in a job's forwarding trees: for each stripe
+// tree it names, the tree's epoch and the NMs (if any) this node relays
+// that stripe's chunks to (SplitStream-style role rotation makes a node
+// interior in ~1/k of the trees and a leaf in the rest). A launch names
+// every stripe at epoch 0 and comes before the first fragment. A
+// mid-transfer recovery names the one stripe it rewires, with a fresh
+// child set and a bumped epoch — the other stripes' trees, epochs and
+// streams are untouched, which is what lets a striped transfer recover a
+// dead interior node without stalling the stripes it was only a leaf in.
 type Plan struct {
-	Job      int
-	Frags    int
-	Fanout   int
-	Stripes  int
-	Children [][]ChildRef
+	Job   int
+	Trees []planTree
 }
 
-// PlanAck confirms the NM has dialed its relay children (or reports why
-// it could not). The MM starts streaming only after every node acked its
-// plan, so no fragment can outrun its relay topology.
-type PlanAck struct {
-	Job  int
-	Node int
-	Err  string
-}
-
-// Replan rewires a node's forwarding-tree role mid-transfer after a
-// node failure: a fresh child set (replacing the old one wholesale) and
-// a new tree epoch. Resume is the stripe-local fragment index the MM
-// will restart the stream from; fragments below a node's local progress
-// arrive as duplicates and are acknowledged without being rewritten.
-// Stripe scopes the rewire to one stripe tree — the other stripes'
-// trees, epochs, and streams are untouched, which is what lets a striped
-// transfer recover a dead interior node without stalling the stripes it
-// was only a leaf in.
-type Replan struct {
-	Job      int
+// planTree is one stripe tree of a Plan.
+type planTree struct {
 	Stripe   int
 	Epoch    int
-	Frags    int
-	Fanout   int
-	Resume   int
 	Children []ChildRef
 }
 
-// ReplanAck confirms a node rewired one stripe for the new epoch (or
-// reports why it could not). Received is the node's local in-order
-// stripe-local fragment progress, which the MM folds into the stripe's
-// replay point.
-type ReplanAck struct {
+// PlanAck confirms the NM has dialed the relay children of every tree in
+// a Plan and installed them (or reports why it could not); the MM
+// streams into a tree only after every node of it has confirmed, so no
+// fragment can outrun its relay topology. Stripe and Epoch echo the
+// plan's first tree, which makes a confirmation of a superseded plan
+// recognisable; Received is the node's in-order stripe-local fragment
+// progress on that stripe, which a recovery folds into the replay point.
+type PlanAck struct {
 	Job      int
 	Node     int
 	Epoch    int
@@ -340,7 +316,7 @@ type ReplanAck struct {
 // replan round: the MM, having convicted the node, tells its tree
 // parent to stop waiting on the subtree's acks. Only valid when the
 // dead node is a leaf in this stripe (interior deaths need a real
-// Replan to re-home the orphaned subtree). Rare, so it rides the gob
+// Plan to re-home the orphaned subtree). Rare, so it rides the gob
 // path.
 type ChildDead struct {
 	Job    int
@@ -369,9 +345,8 @@ type Abort struct {
 // Launch orders an NM to fork a job's local processes.
 type Launch struct {
 	Job     int
-	Spec    JobSpec
+	Program ProgramSpec
 	Ranks   []int
-	BinSize int
 	// Row is the job's gang timeslot; Gang says whether processes start
 	// gated (awaiting strobes) or free-running.
 	Row  int
@@ -457,24 +432,13 @@ type StrobeAck struct {
 	Epoch int
 }
 
-// CtlChild names one control-tree child and the subtree its aggregated
-// ledgers vouch for. Subtree is in pre-order (the child itself first,
-// then each grandchild subtree recursively): that order is the canonical
-// bit layout of the pong ledger's Absent bitmap, so a parent folds a
-// child's bitmap into its own with a single shift.
-type CtlChild struct {
-	Node    int
-	Addr    string
-	Subtree []int
-}
-
 // CtlPlan installs a node's role in the cluster-wide control tree (the
 // heartbeat/strobe fast path). It is sent only when membership changes
 // — registration, unregistration, conviction — so it stays on the gob
 // cold path; the per-period traffic it enables is all typed frames.
 type CtlPlan struct {
 	Epoch    int
-	Children []CtlChild
+	Children []ChildRef
 }
 
 // Manifest opens a transfer epoch: the content map of the image about
@@ -769,8 +733,6 @@ func (c *conn) send(m Message) error {
 		return c.sendStrobeAck(m.StrobeAck)
 	case m.PlanAck != nil:
 		return c.sendPlanAck(m.PlanAck)
-	case m.ReplanAck != nil:
-		return c.sendReplanAck(m.ReplanAck)
 	case m.PeerDown != nil:
 		return c.sendPeerDown(m.PeerDown)
 	case m.Manifest != nil:
@@ -902,19 +864,6 @@ func (c *conn) sendPlanAck(a *PlanAck) error {
 	defer c.wmu.Unlock()
 	hdr := c.hdr[:1+wire.PlanAckLen]
 	hdr[0] = wire.PlanAck
-	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Node))
-	binary.BigEndian.PutUint16(hdr[9:], uint16(len(e)))
-	return c.writeFrameString(hdr, e)
-}
-
-// sendReplanAck writes a typed replan-confirmation frame.
-func (c *conn) sendReplanAck(a *ReplanAck) error {
-	e := ctlErr(a.Err)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.ReplanAckLen]
-	hdr[0] = wire.ReplanAck
 	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
 	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Node))
 	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Epoch))
@@ -1197,25 +1146,11 @@ func (c *conn) recv() (Message, error) {
 		if _, err := io.ReadFull(c.r, hb); err != nil {
 			return Message{}, err
 		}
-		e, err := c.readCtlErr(int(binary.BigEndian.Uint16(hb[8:])))
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{PlanAck: &PlanAck{
-			Job:  int(binary.BigEndian.Uint32(hb[0:])),
-			Node: int(binary.BigEndian.Uint32(hb[4:])),
-			Err:  e,
-		}}, nil
-	case wire.ReplanAck:
-		hb := c.rbuf[:wire.ReplanAckLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
 		e, err := c.readCtlErr(int(binary.BigEndian.Uint16(hb[17:])))
 		if err != nil {
 			return Message{}, err
 		}
-		return Message{ReplanAck: &ReplanAck{
+		return Message{PlanAck: &PlanAck{
 			Job:      int(binary.BigEndian.Uint32(hb[0:])),
 			Node:     int(binary.BigEndian.Uint32(hb[4:])),
 			Epoch:    int(binary.BigEndian.Uint32(hb[8:])),

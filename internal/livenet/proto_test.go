@@ -39,21 +39,23 @@ func TestFrameRoundTripControl(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
 		ca.send(Message{Register: &Register{Node: 3, CPUs: 4, Addr: "127.0.0.1:99"}})
-		ca.send(Message{Plan: &Plan{Job: 7, Frags: 5, Fanout: 2, Stripes: 2,
-			Children: [][]ChildRef{
-				{{Node: 1, Addr: "a"}, {Node: 2, Addr: "b"}},
-				{{Node: 3, Addr: "c"}},
-			}}})
+		ca.send(Message{Plan: &Plan{Job: 7, Trees: []planTree{
+			{Stripe: 0, Epoch: 0, Children: []ChildRef{{Node: 1, Addr: "a"}, {Node: 2, Addr: "b"}}},
+			{Stripe: 1, Epoch: 4, Children: []ChildRef{{Node: 3, Addr: "c", Subtree: []int{3, 8}}}},
+		}}})
 	}()
 	m, err := cb.recv()
 	if err != nil || m.Register == nil || m.Register.Node != 3 || m.Register.Addr != "127.0.0.1:99" {
 		t.Fatalf("register round trip: %+v, %v", m, err)
 	}
 	m, err = cb.recv()
-	if err != nil || m.Plan == nil || m.Plan.Job != 7 || m.Plan.Stripes != 2 ||
-		len(m.Plan.Children) != 2 || len(m.Plan.Children[0]) != 2 || m.Plan.Children[0][1].Addr != "b" ||
-		m.Plan.Children[1][0].Node != 3 {
+	if err != nil || m.Plan == nil || m.Plan.Job != 7 || len(m.Plan.Trees) != 2 {
 		t.Fatalf("plan round trip: %+v, %v", m, err)
+	}
+	if a, b := m.Plan.Trees[0], m.Plan.Trees[1]; a.Stripe != 0 || a.Epoch != 0 || len(a.Children) != 2 ||
+		a.Children[1].Addr != "b" || a.Children[1].Subtree != nil ||
+		b.Stripe != 1 || b.Epoch != 4 || b.Children[0].Node != 3 || len(b.Children[0].Subtree) != 2 {
+		t.Fatalf("plan round trip: %+v", m.Plan)
 	}
 }
 

@@ -1,6 +1,8 @@
 package livenet
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -290,6 +292,77 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 	}
 }
 
+// TestPlanRewiresOnlyNamedStripe: the one onPlan installs a launch (every
+// stripe, wholesale) and a rewire (one stripe) alike. After a one-stripe
+// plan that stripe is reset to the plan's epoch and children and answers
+// with its own stripe-local progress, and the other stripe's epoch,
+// children, propagated credit, HAVE flag and bound parent are untouched.
+func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
+	var up bytes.Buffer
+	nm := &NM{
+		node:   3,
+		c:      &conn{w: bufio.NewWriter(&up)},
+		bins:   make(map[int]*binState),
+		relays: make(map[int]*relayState),
+		dialed: map[string]*conn{"a": discardConn(), "b": discardConn(), "c": discardConn()},
+	}
+	const job = 7
+	lastAck := func() *PlanAck {
+		t.Helper()
+		m, err := (&conn{r: bufio.NewReader(&up)}).recv()
+		if err != nil || m.PlanAck == nil || m.PlanAck.Err != "" {
+			t.Fatalf("plan ack: %+v, %v", m, err)
+		}
+		return m.PlanAck
+	}
+
+	nm.onPlan(&Plan{Job: job, Trees: []planTree{
+		{Stripe: 0, Children: []ChildRef{{Node: 1, Addr: "a"}}},
+		{Stripe: 1, Children: []ChildRef{{Node: 2, Addr: "b"}}},
+	}})
+	if a := lastAck(); a.Job != job || a.Node != 3 || a.Stripe != 0 || a.Epoch != 0 || a.Received != 0 {
+		t.Fatalf("launch plan ack = %+v", a)
+	}
+	rs := nm.relays[job]
+	if rs == nil || len(rs.stripes) != 2 {
+		t.Fatalf("launch plan installed %+v", rs)
+	}
+	// Mid-transfer state on both stripes.
+	parent0, parent1 := discardConn(), discardConn()
+	s0, s1 := rs.stripes[0], rs.stripes[1]
+	s0.parent, s0.sentUp, s0.haveSent = parent0, 5, true
+	s1.parent, s1.sentUp, s1.haveSent = parent1, 6, true
+	kids0 := s0.children
+	nm.bins[job] = &binState{srecv: []int{5, 9}}
+
+	nm.onPlan(&Plan{Job: job, Trees: []planTree{
+		{Stripe: 1, Epoch: 3, Children: []ChildRef{{Node: 4, Addr: "c"}}},
+	}})
+	if a := lastAck(); a.Stripe != 1 || a.Epoch != 3 || a.Received != 9 {
+		t.Fatalf("rewire plan ack = %+v, want stripe 1 epoch 3 received 9", a)
+	}
+	if nm.relays[job] != rs || rs.stripes[0] != s0 || rs.stripes[1] != s1 {
+		t.Fatal("a one-stripe plan replaced the job's relay state")
+	}
+	if s1.epoch != 3 || len(s1.children) != 1 || s1.children[0].node != 4 ||
+		s1.parent != nil || s1.sentUp != 0 || s1.haveSent {
+		t.Fatalf("stripe 1 after its rewire: %+v", s1)
+	}
+	if s0.epoch != 0 || len(s0.children) != 1 || s0.children[0] != kids0[0] ||
+		s0.parent != parent0 || s0.sentUp != 5 || !s0.haveSent {
+		t.Fatalf("stripe 0 disturbed by stripe 1's rewire: %+v", s0)
+	}
+
+	// A plan naming every stripe again (a re-placement) starts over.
+	rs.failed = true
+	nm.onPlan(&Plan{Job: job, Trees: []planTree{{Stripe: 0}, {Stripe: 1}}})
+	lastAck()
+	if fresh := nm.relays[job]; fresh == rs || fresh.failed || len(fresh.stripes) != 2 ||
+		fresh.stripes[1].epoch != 0 || fresh.stripes[1].children != nil {
+		t.Fatalf("a full plan did not replace the relay state: %+v", fresh)
+	}
+}
+
 // TestStripedFragAllocs pins the striped hot path at the same alloc
 // ceiling as the legacy one: a fragment or cumulative ack carrying a
 // nonzero stripe byte must encode without per-frame garbage.
@@ -327,15 +400,101 @@ func TestManifestRoundRerunKeepsEpochHaves(t *testing.T) {
 	j := &liveJob{id: 1, frags: 4,
 		man: &manifestData{hashes: make([]uint64, 4), crcs: make([]uint32, 4), total: 16}}
 	j.cond = sync.NewCond(&j.mu)
-	ss := &stripeState{id: 0, needManifest: true, children: []*nmLink{a, b},
+	ss := &stripeState{id: 0, needManifest: true, kids: []*stripeKid{
 		// Both subtrees reported during the interrupted round; node 5's
 		// claims nothing (its leaf died).
-		haves: map[int][]uint64{4: {0b1111}, 5: {0}}}
+		{treeKid: treeKid{link: a}, have: []uint64{0b1111}},
+		{treeKid: treeKid{link: b}, have: []uint64{0}},
+	}}
 	j.stripes = []*stripeState{ss}
 	if err := mm.manifestStripe(j, ss); err != nil {
 		t.Fatalf("same-epoch manifest round discarded the reports it had: %v", err)
 	}
-	if len(ss.sendList) != 4 || ss.needs[4][0] != 0 || ss.needs[5][0] != 0b1111 {
-		t.Fatalf("need masks %v, send list %v: want node 5 alone to need all 4 chunks", ss.needs, ss.sendList)
+	if len(ss.sendList) != 4 || ss.kids[0].need[0] != 0 || ss.kids[1].need[0] != 0b1111 {
+		t.Fatalf("need masks %v %v, send list %v: want node 5 alone to need all 4 chunks",
+			ss.kids[0].need, ss.kids[1].need, ss.sendList)
+	}
+}
+
+// TestStrayAnswersAreDropped: an ack, a HAVE, a pong or a strobe ack
+// naming a node that is not a direct child of the MM in the tree it
+// speaks for finds no record, and must not grow one.
+func TestStrayAnswersAreDropped(t *testing.T) {
+	mm := &MM{cfg: MMConfig{Fanout: 2}, jobs: map[int]*liveJob{}, probes: map[int64]*probeRound{}}
+	j := &liveJob{id: 1, nodes: testLinks(7)}
+	j.cond = sync.NewCond(&j.mu)
+	mm.jobs[j.id] = j
+	ss := &stripeState{id: 0}
+	mm.rewireStripe(j, ss, 1)
+	j.stripes = []*stripeState{ss}
+	if len(ss.kids) != 2 || ss.kid(0) == nil || ss.kid(1) == nil || ss.kid(2) != nil {
+		t.Fatalf("kids of a 7-node fanout-2 tree: %+v", ss.kids)
+	}
+	// Node 2 is in the tree, below node 0; node 99 is in no tree.
+	for _, node := range []int{2, 99} {
+		mm.onFragAck(&FragAck{Job: 1, Index: 3, Node: node, OK: true})
+		mm.onHave(&Have{Job: 1, Node: node, Bits: []uint64{1}})
+	}
+	mm.onFragAck(&FragAck{Job: 1, Index: 0, Node: 1, OK: true})
+	mm.onHave(&Have{Job: 1, Node: 1, Bits: []uint64{}})
+	if k := ss.kids[0]; len(ss.kids) != 2 || k.acked != 0 || k.have != nil || k.need != nil || k.held != nil {
+		t.Fatalf("stray stripe answers changed the records: %d kids, kid 0 %+v", len(ss.kids), k)
+	}
+	if k := ss.kids[1]; k.acked != 1 || k.have == nil {
+		t.Fatalf("a direct child's answers did not land: %+v", k)
+	}
+
+	links := testLinks(7)
+	mm.ctl.epoch = 1
+	for _, tk := range layTree(links, 2).kids {
+		mm.ctl.kids = append(mm.ctl.kids, ctlKid{treeKid: tk})
+	}
+	for _, node := range []int{2, 99} {
+		mm.onPong(&Pong{Seq: 5, Node: node, Epoch: 1, MinSeq: 5})
+		mm.onStrobeAck(&StrobeAck{Seq: 5, Node: node, Epoch: 1})
+	}
+	mm.onPong(&Pong{Seq: 4, Node: 1, Epoch: 1, MinSeq: 4})
+	mm.onStrobeAck(&StrobeAck{Seq: 4, Node: 1, Epoch: 1})
+	if k := mm.ctl.kids[0]; len(mm.ctl.kids) != 2 || k.ledger != (mmLedger{}) || k.strobeAck != 0 {
+		t.Fatalf("stray control answers changed the records: %d kids, kid 0 %+v", len(mm.ctl.kids), k)
+	}
+	if k := mm.ctl.kids[1]; k.ledger.seq != 4 || k.strobeAck != 4 {
+		t.Fatalf("a direct child's control answers did not land: %+v", k)
+	}
+}
+
+// TestPruneReturnsHeldBudget: pruning a direct child that still holds
+// link budget for unacknowledged chunks hands all of it back — the prune
+// itself, not a caller that happened to have released everything first.
+func TestPruneReturnsHeldBudget(t *testing.T) {
+	mm := &MM{cfg: MMConfig{Fanout: 1, LinkBudgetBytes: 1 << 20}, budgets: map[*conn]*linkBudget{}}
+	links := testLinks(3)
+	for _, l := range links {
+		l.c = discardConn()
+	}
+	j := &liveJob{id: 1, nodes: links}
+	j.cond = sync.NewCond(&j.mu)
+	ss := &stripeState{id: 0}
+	mm.rewireStripe(j, ss, 1)
+	j.stripes = []*stripeState{ss}
+	victim := ss.kid(1)
+	lb := mm.linkBudgetFor(victim.link.c)
+	for i := 0; i < 3; i++ {
+		if err := lb.acquire(1000, time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		j.holdChunk(victim, i, 1000, lb)
+	}
+	if lb.used != 3000 {
+		t.Fatalf("budget in use = %d before the prune, want 3000", lb.used)
+	}
+	if err := mm.pruneStripe(j, ss, map[int]string{1: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	if lb.used != 0 {
+		t.Fatalf("budget in use = %d after pruning its holder, want 0", lb.used)
+	}
+	if len(ss.kids) != 2 || ss.kid(1) != nil {
+		t.Fatalf("pruned kid still has a record: %+v", ss.kids)
 	}
 }

@@ -1,129 +1,140 @@
 package livenet
 
-// Software-multicast forwarding tree for binary distribution (the
-// paper's §4 "Portability" argument made concrete): commodity networks
-// have no hardware multicast, so the XFER-AND-SIGNAL broadcast is
-// emulated with a k-ary relay tree over the job's NMs. The MM streams
-// each fragment to its tree children only; every interior NM writes the
-// fragment locally and relays the same buffer to its own children, so
-// per-hop fan-out is bounded by the tree degree and total depth is
-// O(log_k n) — the reason the paper's launch curves stay flat in node
-// count.
+// The forwarding tree — the one software emulation of the paper's
+// hardware collectives (§4 "Portability"): commodity networks have no
+// multicast, so XFER-AND-SIGNAL to a node set becomes a k-ary relay tree
+// over that set and COMPARE-AND-WRITE becomes the fold of answers back up
+// it. The MM writes to its tree children only; every interior NM handles
+// the frame locally and relays the same buffer to its own children, so
+// per-hop fan-out is bounded by the tree degree and depth is O(log_k n) —
+// the reason the paper's launch curves stay flat in node count. Every
+// tree in live mode — each stripe of a job's bulk plane, at launch and at
+// replan, and the cluster-wide control tree — is laid by layTree below,
+// and nothing outside this file knows the layout.
 //
-// Layout: the MM is heap index 0 of a k-ary heap and the job's node
-// *positions* 0..n-1 occupy heap indices 1..n. Children of heap index h
-// are h·k+1 … h·k+k, so position p's children are positions
-// (p+1)·k-1+1 … clipped to n. Fanout ≤ 1 selects the flat fan-out: the
-// MM unicasts to every position itself and no NM relays.
-
-// mmChildren returns the positions the MM streams to directly: all of
-// them for the flat fan-out, the first min(fanout, n) positions for a
-// tree.
-func mmChildren(n, fanout int) []int {
-	if n <= 0 {
-		return nil
-	}
-	k := n
-	if fanout > 1 && fanout < n {
-		k = fanout
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// nodeChildren returns the positions that position pos relays to (empty
-// for leaves and for the flat fan-out).
-func nodeChildren(pos, n, fanout int) []int {
-	if fanout <= 1 {
-		return nil
-	}
-	first := (pos + 1) * fanout
-	if first >= n {
-		return nil
-	}
-	last := first + fanout
-	if last > n {
-		last = n
-	}
-	out := make([]int, 0, last-first)
-	for p := first; p < last; p++ {
-		out = append(out, p)
-	}
-	return out
-}
-
-// subtreeNodes returns pos plus every position below it in the tree —
-// the set an aggregated ack from pos vouches for.
-func subtreeNodes(pos, n, fanout int) []int {
-	out := []int{pos}
-	for i := 0; i < len(out); i++ {
-		out = append(out, nodeChildren(out[i], n, fanout)...)
-	}
-	return out
-}
-
-// subtreePreorder returns pos's subtree in DFS pre-order: pos itself
-// first, then each child's subtree recursively in child order. This is
-// the canonical bit layout of the control tree's pong ledger: a node's
-// bitmap is [self] ++ child₁'s bitmap ++ child₂'s bitmap ..., so a
-// parent folds a child's bitmap into its own with one shift by the
-// child's running offset.
-func subtreePreorder(pos, n, fanout int) []int {
-	out := []int{pos}
-	for _, c := range nodeChildren(pos, n, fanout) {
-		out = append(out, subtreePreorder(c, n, fanout)...)
-	}
-	return out
-}
-
-// treeDepth returns the number of relay hops below the MM (1 for the
-// flat fan-out). Used by tests and the bench report.
-func treeDepth(n, fanout int) int {
-	if n <= 0 {
-		return 0
-	}
-	if fanout <= 1 || fanout >= n {
-		return 1
-	}
-	depth := 0
-	for _, p := range mmChildren(n, fanout) {
-		d := 1 + treeDepthFrom(p, n, fanout)
-		if d > depth {
-			depth = d
-		}
-	}
-	return depth
-}
-
-func treeDepthFrom(pos, n, fanout int) int {
-	depth := 0
-	for _, c := range nodeChildren(pos, n, fanout) {
-		d := 1 + treeDepthFrom(c, n, fanout)
-		if d > depth {
-			depth = d
-		}
-	}
-	return depth
-}
-
-// Striped multi-tree layout (SplitStream-style): a k-stripe plan builds
-// k spanning trees over the same node set, with the interior/leaf roles
-// rotated per stripe so each node is interior in ~1/k of the trees and
-// the aggregate delivery uses k uplinks per node instead of one. The
-// rotation is a cyclic shift of the placement order: stripe s's tree
-// position q is held by the node at index (q + s·n/k) mod n. A k-ary
-// heap's interior positions are a prefix of the position space, so
-// shifting by n/k per stripe keeps the interior sets (nearly) disjoint —
-// e.g. n=16, k=2, fanout=2 puts nodes 0..6 interior in stripe 0 and
-// nodes 8..14 interior in stripe 1.
+// Layout: the MM is heap index 0 of a k-ary heap and the positions
+// 0..n-1 of an ordered node set occupy heap indices 1..n. Children of
+// heap index h are h·k+1 … h·k+k, so position p relays to positions
+// (p+1)·k … (p+1)·k+k-1, clipped to n; its parent is position p/k - 1,
+// which is -1 — the MM — for the first k positions. A heap fills level by
+// level, so the interior positions are a prefix of the order and the last
+// position sits on the deepest level.
 //
-// Chunks interleave round-robin: chunk i travels stripe i%k, and within
-// a stripe, chunks are counted in stripe-local order (chunk s+j·k is the
-// stripe's j-th), which keeps each stripe's cumulative-ack and replay
+// Flat degenerate case: a fanout of 1 or less (or one no smaller than n)
+// makes the degree n, which puts every position on the first level: the
+// MM unicasts to all of them, nobody relays, and a node that dies has no
+// tree parent to be told.
+//
+// Rotation (SplitStream-style striping): a k-stripe plan lays k trees
+// over the same nodes, stripe s taking the placement order cyclically
+// shifted by s·n/k, so each node is interior in ~1/k of the trees and
+// aggregate delivery drives k uplinks per node instead of one. Because
+// the interior positions are a prefix, shifting by n/k per stripe keeps
+// the interior sets (nearly) disjoint — n=16, k=2, fanout=2 puts nodes
+// 0..6 interior in stripe 0 and nodes 8..14 in stripe 1. Chunks
+// interleave round-robin: chunk i travels stripe i%k and is the stripe's
+// (i/k)-th, which keeps each stripe's cumulative-ack and replay
 // arithmetic identical to the single-tree plan's.
+
+// treePos is one position of a laid tree.
+type treePos struct {
+	parent int   // the tree parent's position; -1 when that is the MM
+	kids   []int // positions this one relays to; empty for a leaf
+	// subtree is the node IDs at and below this position in DFS pre-order:
+	// itself, then each kid's subtree in kid order. That is the set an
+	// aggregated answer from here vouches for, and its order is the bit
+	// layout of the control tree's pong ledger — a node's bitmap is
+	// [self] ++ kid₁'s bitmap ++ kid₂'s bitmap ..., so a parent folds a
+	// kid's bitmap into its own with one shift by the kid's running offset.
+	subtree []int
+}
+
+// treeKid is one direct child of the MM in a laid tree: where the MM
+// writes, and the nodes whose answers come back folded into this one's.
+type treeKid struct {
+	link    *nmLink
+	subtree []int
+}
+
+// laidTree is a forwarding tree over an ordered node set: order[p] is the
+// node at position p.
+type laidTree struct {
+	order []*nmLink
+	pos   []treePos
+	kids  []treeKid // the MM's direct children, positions 0..len(kids)-1
+	depth int       // relay hops from the MM to the deepest position
+}
+
+// heapDegree is the degree the tree over n positions is laid with: the
+// configured fanout, or n — the flat fan-out — when that is 1 or less or
+// would not leave a second level anyway.
+func heapDegree(n, fanout int) int {
+	if fanout > 1 && fanout < n {
+		return fanout
+	}
+	return max(n, 1)
+}
+
+// treeDepth is the number of relay hops from the MM to the last of n
+// positions (1 for the flat fan-out, 0 for no positions).
+func treeDepth(n, fanout int) int {
+	k := heapDegree(n, fanout)
+	depth := 0
+	for p := n - 1; p >= 0; p = p/k - 1 {
+		depth++
+	}
+	return depth
+}
+
+// layTree lays the forwarding tree over order (which it keeps, not
+// copies). Positions are walked last to first: a heap child's index is
+// larger than its parent's, so every subtree is complete before the
+// position above it needs it.
+func layTree(order []*nmLink, fanout int) laidTree {
+	n := len(order)
+	k := heapDegree(n, fanout)
+	t := laidTree{order: order, pos: make([]treePos, n), depth: treeDepth(n, fanout)}
+	for p := n - 1; p >= 0; p-- {
+		tp := &t.pos[p]
+		tp.parent = p/k - 1
+		tp.subtree = []int{order[p].node}
+		for c := (p + 1) * k; c < (p+2)*k && c < n; c++ {
+			tp.kids = append(tp.kids, c)
+			tp.subtree = append(tp.subtree, t.pos[c].subtree...)
+		}
+	}
+	for p := 0; p < k && p < n; p++ {
+		t.kids = append(t.kids, treeKid{link: order[p], subtree: t.pos[p].subtree})
+	}
+	return t
+}
+
+// refs names position p's relay children for a plan. The control tree
+// also tells a parent which nodes each child's ledger vouches for
+// (subtrees); the stripe trees fold counts and bitmaps that need no such
+// map, and leave it off the wire.
+func (t *laidTree) refs(p int, subtrees bool) []ChildRef {
+	refs := make([]ChildRef, 0, len(t.pos[p].kids))
+	for _, c := range t.pos[p].kids {
+		ref := ChildRef{Node: t.order[c].node, Addr: t.order[c].addr}
+		if subtrees {
+			ref.Subtree = t.pos[c].subtree
+		}
+		refs = append(refs, ref)
+	}
+	return refs
+}
+
+// stripeOrder is stripe s's node order in a k-stripe plan: the placement
+// order shifted cyclically by s·n/k.
+func stripeOrder(nodes []*nmLink, s, k int) []*nmLink {
+	n := len(nodes)
+	order := make([]*nmLink, n)
+	for q := range order {
+		order[q] = nodes[(q+stripeRotation(s, k, n))%n]
+	}
+	return order
+}
 
 // stripeRotation returns stripe s's cyclic shift of the placement order
 // in a k-stripe plan over n nodes.
@@ -132,18 +143,6 @@ func stripeRotation(s, k, n int) int {
 		return 0
 	}
 	return s * n / k
-}
-
-// stripeNodeAt maps tree position q of stripe s to a node index in the
-// job's placement order.
-func stripeNodeAt(q, s, k, n int) int {
-	return (q + stripeRotation(s, k, n)) % n
-}
-
-// stripePosOf is the inverse map: the tree position node index idx holds
-// in stripe s.
-func stripePosOf(idx, s, k, n int) int {
-	return (idx - stripeRotation(s, k, n) + n) % n
 }
 
 // stripeChunks returns how many of an image's nchunks chunks travel

@@ -1,10 +1,196 @@
 package livenet
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 )
+
+// The reference layout: the k-ary-heap helpers production code used
+// before layTree owned the layout, kept here verbatim as the independent
+// statement the laid trees are checked against (and for tests that pick
+// victims by tree role).
+
+// mmChildren returns the positions the MM streams to directly: all of
+// them for the flat fan-out, the first min(fanout, n) positions for a
+// tree.
+func mmChildren(n, fanout int) []int {
+	if n <= 0 {
+		return nil
+	}
+	k := n
+	if fanout > 1 && fanout < n {
+		k = fanout
+	}
+	out := make([]int, k)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// nodeChildren returns the positions that position pos relays to (empty
+// for leaves and for the flat fan-out).
+func nodeChildren(pos, n, fanout int) []int {
+	if fanout <= 1 {
+		return nil
+	}
+	first := (pos + 1) * fanout
+	if first >= n {
+		return nil
+	}
+	last := first + fanout
+	if last > n {
+		last = n
+	}
+	out := make([]int, 0, last-first)
+	for p := first; p < last; p++ {
+		out = append(out, p)
+	}
+	return out
+}
+
+// subtreeNodes returns pos plus every position below it in the tree, in
+// BFS order.
+func subtreeNodes(pos, n, fanout int) []int {
+	out := []int{pos}
+	for i := 0; i < len(out); i++ {
+		out = append(out, nodeChildren(out[i], n, fanout)...)
+	}
+	return out
+}
+
+// subtreePreorder returns pos's subtree in DFS pre-order: pos itself
+// first, then each child's subtree recursively in child order.
+func subtreePreorder(pos, n, fanout int) []int {
+	out := []int{pos}
+	for _, c := range nodeChildren(pos, n, fanout) {
+		out = append(out, subtreePreorder(c, n, fanout)...)
+	}
+	return out
+}
+
+// stripeNodeAt maps tree position q of stripe s to a node index in the
+// job's placement order; stripePosOf is the inverse map.
+func stripeNodeAt(q, s, k, n int) int { return (q + stripeRotation(s, k, n)) % n }
+
+func stripePosOf(idx, s, k, n int) int { return (idx - stripeRotation(s, k, n) + n) % n }
+
+// testLinks is an ordered node set whose node at position p is p, so a
+// laid tree's node IDs read as positions.
+func testLinks(n int) []*nmLink {
+	links := make([]*nmLink, n)
+	for i := range links {
+		links[i] = &nmLink{node: i, addr: fmt.Sprintf("addr-%d", i)}
+	}
+	return links
+}
+
+// TestLayTree is the property test of the one layout function, over
+// every n in 1..70 and fanouts 1, 2, 3, 4, 8: every position has exactly
+// one parent (the MM or a position that lists it as a kid), the MM's
+// kids' subtrees partition the node set, every subtree is the reference
+// pre-order with each kid's block at the offset ledgerLocked folds it at,
+// the refs name the kids, and the depth is the longest parent chain.
+func TestLayTree(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		for _, fanout := range []int{1, 2, 3, 4, 8} {
+			name := fmt.Sprintf("n=%d fanout=%d", n, fanout)
+			tree := layTree(testLinks(n), fanout)
+			if len(tree.pos) != n {
+				t.Fatalf("%s: %d positions laid", name, len(tree.pos))
+			}
+
+			parents := make([]int, n)
+			for p, tp := range tree.pos {
+				if want := nodeChildren(p, n, fanout); !reflect.DeepEqual(tp.kids, want) {
+					t.Fatalf("%s: position %d relays to %v, reference says %v", name, p, tp.kids, want)
+				}
+				for _, c := range tp.kids {
+					parents[c]++
+					if tree.pos[c].parent != p {
+						t.Fatalf("%s: position %d is a kid of %d but names parent %d", name, c, p, tree.pos[c].parent)
+					}
+				}
+			}
+			roots := mmChildren(n, fanout)
+			if len(tree.kids) != len(roots) {
+				t.Fatalf("%s: MM has %d kids, reference says %d", name, len(tree.kids), len(roots))
+			}
+			for i, p := range roots {
+				parents[p]++
+				if tree.pos[p].parent != -1 || tree.kids[i].link != tree.order[p] {
+					t.Fatalf("%s: MM kid %d is not position %d with parent -1", name, i, p)
+				}
+			}
+			for p, c := range parents {
+				if c != 1 {
+					t.Fatalf("%s: position %d has %d parents", name, p, c)
+				}
+			}
+
+			seen := make(map[int]int)
+			for _, kid := range tree.kids {
+				for _, node := range kid.subtree {
+					seen[node]++
+				}
+			}
+			if len(seen) != n {
+				t.Fatalf("%s: the MM's kids vouch for %d nodes, want %d", name, len(seen), n)
+			}
+			for node, c := range seen {
+				if c != 1 {
+					t.Fatalf("%s: node %d is in %d of the MM's kids' subtrees", name, node, c)
+				}
+			}
+
+			depth := 0
+			for p, tp := range tree.pos {
+				if want := subtreePreorder(p, n, fanout); !reflect.DeepEqual(tp.subtree, want) {
+					t.Fatalf("%s: position %d subtree %v, reference pre-order %v", name, p, tp.subtree, want)
+				}
+				// ledgerLocked folds kid i's bitmap at 1 + the sizes of the
+				// kids before it (onCtlPlan's running offset).
+				off := 1
+				refs := tree.refs(p, true)
+				for i, c := range tp.kids {
+					if tp.subtree[off] != c || refs[i].Node != c || refs[i].Addr != tree.order[c].addr ||
+						!reflect.DeepEqual(refs[i].Subtree, tree.pos[c].subtree) {
+						t.Fatalf("%s: position %d kid %d (%d) misplaced at offset %d: ref %+v", name, p, i, c, off, refs[i])
+					}
+					off += len(refs[i].Subtree)
+				}
+				if off != len(tp.subtree) {
+					t.Fatalf("%s: position %d: kid blocks cover %d of %d slots", name, p, off, len(tp.subtree))
+				}
+				for _, ref := range tree.refs(p, false) {
+					if ref.Subtree != nil {
+						t.Fatalf("%s: a stripe plan's ref carries a subtree", name)
+					}
+				}
+				hops := 1
+				for q := tp.parent; q >= 0; q = tree.pos[q].parent {
+					hops++
+				}
+				if hops > depth {
+					depth = hops
+				}
+			}
+			if tree.depth != depth || treeDepth(n, fanout) != depth {
+				t.Fatalf("%s: depth %d (treeDepth %d), longest parent chain %d", name, tree.depth, treeDepth(n, fanout), depth)
+			}
+
+			if fanout == 1 {
+				for p, tp := range tree.pos {
+					if tp.parent != -1 || len(tp.kids) != 0 {
+						t.Fatalf("%s: flat position %d has parent %d, kids %v — a prune would notify somebody", name, p, tp.parent, tp.kids)
+					}
+				}
+			}
+		}
+	}
+}
 
 // TestTreePartition: for any (n, fanout), the MM's subtrees partition
 // the positions 0..n-1 — every node receives the binary exactly once.
@@ -12,8 +198,8 @@ func TestTreePartition(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 16, 17, 64} {
 		for _, fanout := range []int{1, 2, 3, 4, 8} {
 			seen := map[int]int{}
-			for _, root := range mmChildren(n, fanout) {
-				for _, p := range subtreeNodes(root, n, fanout) {
+			for _, kid := range layTree(testLinks(n), fanout).kids {
+				for _, p := range kid.subtree {
 					seen[p]++
 				}
 			}
@@ -36,11 +222,12 @@ func TestTreePartition(t *testing.T) {
 // to everyone and nobody relays.
 func TestTreeFlatDegenerates(t *testing.T) {
 	n := 9
-	if got := mmChildren(n, 1); len(got) != n {
-		t.Fatalf("flat mmChildren = %v", got)
+	tree := layTree(testLinks(n), 1)
+	if len(tree.kids) != n {
+		t.Fatalf("flat MM kids = %d", len(tree.kids))
 	}
 	for p := 0; p < n; p++ {
-		if kids := nodeChildren(p, n, 1); len(kids) != 0 {
+		if kids := tree.pos[p].kids; len(kids) != 0 {
 			t.Fatalf("flat node %d has children %v", p, kids)
 		}
 	}
@@ -69,21 +256,18 @@ func TestTreeLogDepth(t *testing.T) {
 // TestTreeChildrenShape: spot-check the heap layout.
 func TestTreeChildrenShape(t *testing.T) {
 	// n=7, k=2: MM -> {0,1}; 0 -> {2,3}; 1 -> {4,5}; 2 -> {6}.
-	if got := mmChildren(7, 2); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("mmChildren(7,2) = %v", got)
+	tree := layTree(testLinks(7), 2)
+	if len(tree.kids) != 2 || tree.kids[0].link.node != 0 || tree.kids[1].link.node != 1 {
+		t.Fatalf("MM kids of (7,2) = %+v", tree.kids)
 	}
-	if got := nodeChildren(0, 7, 2); !reflect.DeepEqual(got, []int{2, 3}) {
-		t.Fatalf("nodeChildren(0,7,2) = %v", got)
+	for p, want := range map[int][]int{0: {2, 3}, 1: {4, 5}, 2: {6}} {
+		if got := tree.pos[p].kids; !reflect.DeepEqual(got, want) {
+			t.Fatalf("kids of position %d in (7,2) = %v, want %v", p, got, want)
+		}
 	}
-	if got := nodeChildren(1, 7, 2); !reflect.DeepEqual(got, []int{4, 5}) {
-		t.Fatalf("nodeChildren(1,7,2) = %v", got)
-	}
-	if got := nodeChildren(2, 7, 2); !reflect.DeepEqual(got, []int{6}) {
-		t.Fatalf("nodeChildren(2,7,2) = %v", got)
-	}
-	sub := subtreeNodes(0, 7, 2)
+	sub := append([]int(nil), tree.pos[0].subtree...)
 	sort.Ints(sub)
 	if !reflect.DeepEqual(sub, []int{0, 2, 3, 6}) {
-		t.Fatalf("subtreeNodes(0,7,2) = %v", sub)
+		t.Fatalf("subtree of position 0 in (7,2) = %v", sub)
 	}
 }

@@ -9,7 +9,7 @@
 package wire
 
 // Frame type bytes. 'G' is the cold path (rare, topology-sized
-// messages: Register, Submit, Plan, Replan, CtlPlan, Launch, ...);
+// messages: Register, Submit, Plan, CtlPlan, Launch, ...);
 // everything that runs per fragment or per period has a fixed-layout
 // frame of its own.
 const (
@@ -21,7 +21,6 @@ const (
 	Strobe    = 'S' // gang context switch
 	StrobeAck = 'T'
 	PlanAck   = 'K' // fixed part + error string
-	ReplanAck = 'R' // fixed part + error string
 	PeerDown  = 'D' // fixed part + error string
 	Manifest  = 'M' // fixed part + 12-byte (hash u64 | crc u32) chunk records
 	Have      = 'H' // fixed part + 8-byte bitmap words
@@ -50,13 +49,10 @@ const (
 	StrobeLen = 16
 	// StrobeAckLen is seq u64 | node u32 | epoch u32.
 	StrobeAckLen = 16
-	// PlanAckLen is job u32 | node u32 | elen u16. In the three frames
-	// that end in an error string, its length is the last two bytes of
-	// the fixed part.
-	PlanAckLen = 10
-	// ReplanAckLen is job u32 | node u32 | epoch u32 | received u32 |
-	// stripe u8 | elen u16.
-	ReplanAckLen = 19
+	// PlanAckLen is job u32 | node u32 | epoch u32 | received u32 |
+	// stripe u8 | elen u16. In the two frames that end in an error
+	// string, its length is the last two bytes of the fixed part.
+	PlanAckLen = 19
 	// PeerDownLen is job u32 | node u32 | from u32 | elen u16.
 	PeerDownLen = 14
 	// ManifestLen is job u32 | epoch u32 | chunkbytes u32 | imagecrc u32 |
@@ -102,7 +98,6 @@ var Shapes = [256]Shape{
 	Strobe:    {Fixed: StrobeLen},
 	StrobeAck: {Fixed: StrobeAckLen},
 	PlanAck:   {PlanAckLen, PlanAckLen - 2, 2, 1},
-	ReplanAck: {ReplanAckLen, ReplanAckLen - 2, 2, 1},
 	PeerDown:  {PeerDownLen, PeerDownLen - 2, 2, 1},
 	Manifest:  {ManifestLen, ManifestCountOff, 4, ManifestRecLen},
 	Have:      {HaveLen, HaveCountOff, 2, 8},

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -32,8 +34,7 @@ func everyFrame(t testing.TB) [][]byte {
 		{Pong: &Pong{Seq: p8, Node: p4, Epoch: p4, MinSeq: p8, Absent: p8}},
 		{Strobe: &Strobe{Seq: p8, Row: p4, Epoch: p4}},
 		{StrobeAck: &StrobeAck{Seq: p8, Node: p4, Epoch: p4}},
-		{PlanAck: &PlanAck{Job: p4, Node: p4, Err: ps}},
-		{ReplanAck: &ReplanAck{Job: p4, Node: p4, Epoch: p4, Received: p4, Stripe: 'P', Err: ps}},
+		{PlanAck: &PlanAck{Job: p4, Node: p4, Epoch: p4, Received: p4, Stripe: 'P', Err: ps}},
 		{PeerDown: &PeerDown{Job: p4, Node: p4, From: p4, Err: ps}},
 		{Manifest: &Manifest{Job: p4, Epoch: p4, ChunkBytes: p4, ImageCRC: p4, TotalBytes: p8, Stripe: 'P',
 			Hashes: []uint64{p8, p8, p8}, CRCs: []uint32{p4, p4, p4}}},
@@ -45,13 +46,7 @@ func everyFrame(t testing.TB) [][]byte {
 	c := &conn{w: bufio.NewWriter(&buf)}
 	var frames [][]byte
 	for _, m := range msgs {
-		var err error
-		if m.Hello != nil { // send has no typed route for the hello
-			err = c.sendHello(m.Hello.Node)
-		} else {
-			err = c.send(m)
-		}
-		if err != nil {
+		if err := sendAny(c, m); err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, append([]byte(nil), buf.Bytes()...))
@@ -196,8 +191,6 @@ func FuzzConnRecv(f *testing.F) {
 					}
 				case m.PlanAck != nil:
 					errLen = len(m.PlanAck.Err)
-				case m.ReplanAck != nil:
-					errLen = len(m.ReplanAck.Err)
 				case m.PeerDown != nil:
 					errLen = len(m.PeerDown.Err)
 				}
@@ -229,4 +222,78 @@ func FuzzConnRecv(f *testing.F) {
 			t.Fatalf("a truncated %d-byte fragment leaks its pooled buffer: %d passes allocated %d bytes", n, passes, got)
 		}
 	})
+}
+
+// sendAny is send for any message a conn can emit: send itself has no
+// typed route for the hello.
+func sendAny(c *conn, m Message) error {
+	if m.Hello != nil {
+		return c.sendHello(m.Hello.Node)
+	}
+	return c.send(m)
+}
+
+// goldenFrame is one named frame of TestFrameGolden.
+type goldenFrame struct {
+	name string
+	m    Message
+}
+
+// goldenFrames is one of every typed frame with a distinct value in every
+// field (1, 2, 3, ...), so a swap of two same-width fields shows in the
+// bytes.
+func goldenFrames() []goldenFrame {
+	return []goldenFrame{
+		{"frag", Message{Frag: &Frag{Job: 1, Index: 2, Last: true, CRC: 3, Stripe: 4, Data: []byte{5, 6, 7}}}},
+		{"ack", Message{FragAck: &FragAck{Job: 1, Index: 2, Node: 3, Epoch: 4, OK: true, Stripe: 5}}},
+		{"ping", Message{Ping: &Ping{Seq: 1, Epoch: 2}}},
+		{"pong", Message{Pong: &Pong{Seq: 1, Node: 2, Epoch: 3, MinSeq: 4, Absent: 5}}},
+		{"strobe", Message{Strobe: &Strobe{Seq: 1, Row: 2, Epoch: 3}}},
+		{"strobeack", Message{StrobeAck: &StrobeAck{Seq: 1, Node: 2, Epoch: 3}}},
+		{"planack", Message{PlanAck: &PlanAck{Job: 1, Node: 2, Epoch: 3, Received: 4, Stripe: 5, Err: "six"}}},
+		{"peerdown", Message{PeerDown: &PeerDown{Job: 1, Node: 2, From: 3, Err: "four"}}},
+		{"manifest", Message{Manifest: &Manifest{Job: 1, Epoch: 2, ChunkBytes: 3, ImageCRC: 4, TotalBytes: 5, Stripe: 6,
+			Hashes: []uint64{7, 8}, CRCs: []uint32{9, 10}}}},
+		{"have", Message{Have: &Have{Job: 1, Node: 2, Epoch: 3, Stripe: 4, Bits: []uint64{5, 6}}}},
+		{"need", Message{NeedMask: &NeedMask{Job: 1, Epoch: 2, Stripe: 3, Bits: []uint64{4, 5}}}},
+		{"hello", Message{Hello: &Hello{Node: 1}}},
+	}
+}
+
+// TestFrameGolden holds the typed frames to the bytes the codec wrote at
+// ab214b3, before plan and replan confirmations became one frame:
+// testdata/frames_ab214b3.golden was generated there from these same
+// messages ("name hex" per line). Every frame must match byte for byte
+// except the merged plan-ack, which must be that commit's replan-ack —
+// same fields, same offsets — under the plan-ack's type byte.
+func TestFrameGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/frames_ab214b3.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		name, hx, _ := strings.Cut(line, " ")
+		golden[name] = hx
+	}
+	var buf bytes.Buffer
+	c := &conn{w: bufio.NewWriter(&buf)}
+	for _, f := range goldenFrames() {
+		buf.Reset()
+		if err := sendAny(c, f.m); err != nil {
+			t.Fatal(err)
+		}
+		want := golden[f.name]
+		if f.name == "planack" {
+			want = hex.EncodeToString([]byte{wire.PlanAck}) + golden["replanack"][2:]
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != want {
+			t.Errorf("%s frame\n got %s\nwant %s", f.name, got, want)
+		}
+		delete(golden, f.name)
+	}
+	delete(golden, "replanack")
+	for name := range golden {
+		t.Errorf("golden frame %q has no message in this test", name)
+	}
 }
