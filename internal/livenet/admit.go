@@ -245,25 +245,25 @@ func (mm *MM) releaseStream() {
 // means registered, not convicted by the failure detector, past any
 // rejoin probation, and not in the caller's avoid set (the nodes that
 // already failed this job, on the retry path) — the engine's
-// eligibility bits mirror those maps via syncPlaceLocked. Pinned
-// placements name their nodes explicitly, so only hard disqualifiers
-// (unregistered, convicted, avoided) refuse them — probation and
-// capacity do not.
+// eligibility bit is the membership row's, kept by the row's mutators
+// (member.go). Pinned placements name their nodes explicitly, so only
+// hard disqualifiers (unregistered, convicted, avoided) refuse them —
+// probation and capacity do not.
 func (mm *MM) placeJob(spec *JobSpec, avoid map[int]bool) ([]*nmLink, error) {
 	if len(spec.Place) > 0 {
 		links := make([]*nmLink, 0, len(spec.Place))
 		for _, id := range spec.Place {
-			l, ok := mm.nms[id]
-			if !ok {
+			m := mm.row(id)
+			if m.link == nil {
 				return nil, fmt.Errorf("livenet: placed node %d not registered", id)
 			}
-			if mm.ctlExclude[id] {
+			if m.convicted {
 				return nil, fmt.Errorf("livenet: placed node %d is convicted (missed heartbeats)", id)
 			}
 			if avoid[id] {
 				return nil, fmt.Errorf("livenet: placed node %d already failed this job", id)
 			}
-			links = append(links, l)
+			links = append(links, m.link)
 		}
 		return links, nil
 	}
@@ -278,18 +278,14 @@ func (mm *MM) placeJob(spec *JobSpec, avoid map[int]bool) ([]*nmLink, error) {
 	}
 	links := make([]*nmLink, 0, spec.Nodes)
 	for _, id := range ids {
-		l := mm.nms[id]
-		if l == nil {
-			// Unreachable: eligibility mirrors registration under mm.mu.
-			return nil, fmt.Errorf("livenet: placement chose unregistered node %d", id)
-		}
-		links = append(links, l)
+		links = append(links, mm.members[id].link) // eligible, so registered
 	}
 	return links, nil
 }
 
 // linkBudget is the shared byte budget of one physical link (one conn
-// from the MM to a direct tree child). Every job streaming across the
+// from the MM to an NM, created with the nmLink it belongs to and used
+// whenever the node is a direct tree child). Every job streaming across the
 // link must acquire its chunk's bytes before writing and holds them
 // until the child's cumulative ack covers the chunk, so the total
 // unacknowledged data all jobs park in the link's pipeline is bounded:
@@ -358,32 +354,19 @@ func (lb *linkBudget) unqueue(t uint64) {
 	}
 }
 
-// linkBudgetFor returns (lazily creating) the budget of one child link.
-func (mm *MM) linkBudgetFor(c *conn) *linkBudget {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	lb := mm.budgets[c]
-	if lb == nil {
-		lb = newLinkBudget(mm.cfg.LinkBudgetBytes)
-		mm.budgets[c] = lb
-	}
-	return lb
-}
-
-// heldChunk is one chunk's worth of link budget a job holds while the
-// chunk is unacknowledged by one child subtree. index is stripe-local,
-// matching the cumulative acks that release it.
+// heldChunk is one chunk's worth of its link's budget a job holds while
+// the chunk is unacknowledged by one child subtree. index is
+// stripe-local, matching the cumulative acks that release it.
 type heldChunk struct {
 	index int
 	n     int64
-	lb    *linkBudget
 }
 
 // holdChunk records budget acquired for the stripe-local chunk index on
 // the link to one direct child of a stripe's tree.
-func (j *liveJob) holdChunk(kid *stripeKid, index int, n int64, lb *linkBudget) {
+func (j *liveJob) holdChunk(kid *stripeKid, index int, n int64) {
 	j.mu.Lock()
-	kid.held = append(kid.held, heldChunk{index: index, n: n, lb: lb})
+	kid.held = append(kid.held, heldChunk{index: index, n: n})
 	j.mu.Unlock()
 }
 
@@ -395,7 +378,7 @@ func (kid *stripeKid) release(below int) {
 	kept := kid.held[:0]
 	for _, h := range kid.held {
 		if h.index < below {
-			h.lb.release(h.n)
+			kid.link.budget.release(h.n)
 		} else {
 			kept = append(kept, h)
 		}

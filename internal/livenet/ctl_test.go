@@ -191,8 +191,8 @@ func TestControlEgressFlatInClusterSize(t *testing.T) {
 // TestHeartbeatEmptyCluster is the stormd startup order: heartbeat (and
 // strobe loop) started before any NM registers. The detector must tick
 // harmlessly on the empty tree — syncCtl's unchanged fast path never
-// rebuilds the control maps, so they have to exist from construction —
-// and pick the nodes up once they arrive.
+// rebuilds anything, so the latency meters have to work from their zero
+// value — and pick the nodes up once they arrive.
 func TestHeartbeatEmptyCluster(t *testing.T) {
 	const period = 20 * time.Millisecond
 	mm, err := NewMM("127.0.0.1:0", MMConfig{Fanout: 2, GangQuantum: period / 2})
@@ -230,8 +230,8 @@ func TestProbeReturnsWhenAllAnswered(t *testing.T) {
 	mm, _ := startCluster(t, 4, MMConfig{})
 	mm.mu.Lock()
 	var links []*nmLink
-	for _, l := range mm.nms {
-		links = append(links, l)
+	for _, m := range mm.members {
+		links = append(links, m.link)
 	}
 	mm.mu.Unlock()
 	const grace = 3 * time.Second

@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,17 +29,60 @@ import (
 // the bench reports. Guarded by MM.mu.
 type mmCtl struct {
 	epoch   int
-	members []int    // sorted node IDs the tree was built over
-	kids    []ctlKid // the MM's direct children
+	members []*nmLink // the registrations the tree was laid over, by node ID
+	kids    []ctlKid  // the MM's direct children
 
-	hbSent map[int64]time.Time // ping seq -> send time (RTT waiters)
+	hbSeq, strobeSeq int64 // last heartbeat / strobe round multicast
 
-	strobeSeq  int64
-	strobeSent map[int64]time.Time // strobe seq -> send time (latency waiters)
+	// hb times ping → every direct child's ledger for that round; strobe
+	// times strobe → every direct child's cumulative ack covering it.
+	hb, strobe latencyMeter
+}
 
-	// latency stats, nanoseconds.
-	hbN, hbSum, hbMax             int64
-	strobeN, strobeSum, strobeMax int64
+// latencyMeter times multicast rounds: arm stamps a round's sequence
+// number with its send time, settle folds the rounds the answers now
+// cover into the running stats. The zero value is ready to use.
+type latencyMeter struct {
+	sent        map[int64]time.Time // armed rounds: seq -> send time
+	n, sum, max int64               // settled rounds; nanoseconds
+}
+
+// arm stamps round seq as sent now and forgets the rounds more than
+// horizon behind it (their answers never came).
+func (l *latencyMeter) arm(seq, horizon int64) {
+	if l.sent == nil {
+		l.sent = make(map[int64]time.Time)
+	}
+	l.sent[seq] = time.Now()
+	for k := range l.sent {
+		if k < seq-horizon {
+			delete(l.sent, k)
+		}
+	}
+}
+
+// settle completes every armed round in [lo, hi].
+func (l *latencyMeter) settle(lo, hi int64) {
+	for seq, t0 := range l.sent {
+		if seq < lo || seq > hi {
+			continue
+		}
+		d := time.Since(t0).Nanoseconds()
+		l.n++
+		l.sum += d
+		if d > l.max {
+			l.max = d
+		}
+		delete(l.sent, seq)
+	}
+}
+
+// stats reports the settled rounds: mean, max, count.
+func (l *latencyMeter) stats() (mean, max time.Duration, n int64) {
+	if l.n > 0 {
+		mean = time.Duration(l.sum / l.n)
+	}
+	return mean, time.Duration(l.max), l.n
 }
 
 // ctlKid is one direct child of the MM in the control tree (subtree in
@@ -76,29 +118,24 @@ func (c *mmCtl) kid(node int) *ctlKid {
 // the current epoch.
 func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 	mm.mu.Lock()
-	ids := make([]int, 0, len(mm.nms))
-	for id := range mm.nms {
-		if !mm.ctlExclude[id] {
-			ids = append(ids, id)
+	links := make([]*nmLink, 0, len(mm.members))
+	for _, m := range mm.members {
+		if m.link != nil && !m.convicted {
+			links = append(links, m.link)
 		}
 	}
-	sort.Ints(ids)
-	var links []*nmLink
-	var plans []CtlPlan
-	if !slices.Equal(ids, mm.ctl.members) {
+	slices.SortFunc(links, func(a, b *nmLink) int { return a.node - b.node })
+	var plans []CtlPlan // one per member, only when the tree changed
+	if !slices.Equal(links, mm.ctl.members) {
 		mm.ctl.epoch++
-		mm.ctl.members = ids
-		links = make([]*nmLink, len(ids))
-		for i, id := range ids {
-			links[i] = mm.nms[id]
-		}
+		mm.ctl.members = links
 		tree := layTree(links, mm.cfg.Fanout)
 		mm.ctl.kids = mm.ctl.kids[:0]
 		for _, tk := range tree.kids {
 			mm.ctl.kids = append(mm.ctl.kids, ctlKid{treeKid: tk})
 		}
-		mm.ctl.hbSent = make(map[int64]time.Time)
-		mm.ctl.strobeSent = make(map[int64]time.Time)
+		clear(mm.ctl.hb.sent)
+		clear(mm.ctl.strobe.sent)
 		plans = make([]CtlPlan, len(links))
 		for p := range links {
 			plans[p] = CtlPlan{Epoch: mm.ctl.epoch, Children: tree.refs(p, true)}
@@ -109,8 +146,8 @@ func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 		kids = append(kids, mm.ctl.kids[i].link)
 	}
 	mm.mu.Unlock()
-	for p, l := range links {
-		l.c.send(Message{CtlPlan: &plans[p]})
+	for p := range plans {
+		links[p].c.send(Message{CtlPlan: &plans[p]})
 	}
 	return kids, epoch
 }
@@ -125,7 +162,7 @@ func (mm *MM) StartHeartbeat(period time.Duration, onFail func(node int)) (stop 
 	var once sync.Once
 	stop = func() { once.Do(func() { close(done) }) }
 	mm.mu.Lock()
-	mm.detStops = append(mm.detStops, stop)
+	mm.loopStops = append(mm.loopStops, stop)
 	mm.hbActive++
 	mm.mu.Unlock()
 	// The isolation-probe grace is one period: a suspect is declared
@@ -141,15 +178,6 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 		mm.hbActive--
 		mm.mu.Unlock()
 	}()
-	failed := make(map[int]bool)
-	// streak counts consecutive periods a node went without a fresh
-	// ledger vouching for it. known remembers every node ever seen: a
-	// node that disconnects (leaving the registry and the tree) keeps
-	// being checked and is declared failed — the paper's "slave missed
-	// a heartbeat" condition.
-	streak := make(map[int]int)
-	known := make(map[int]bool)
-	var seq int64
 	lastEpoch := 0
 	var warmUntil int64 // post-epoch-change grace: ledgers need a round to warm
 	tick := time.NewTicker(period)
@@ -161,126 +189,78 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 		case <-tick.C:
 		}
 		kids, epoch := mm.syncCtl()
-		seq++
-		s := seq
+
+		// Judge the previous round under one hold of mm.mu: which nodes did
+		// the ledgers vouch for heartbeat s-1? A suspect whose control link
+		// is gone is dead outright; anyone else gets a directed unicast
+		// probe. The tree only nominates suspects — conviction always rests
+		// on a failed direct probe.
+		var probeLinks []*nmLink
+		var dead []int
+		suspect := func(m *member) {
+			if m.streak++; m.streak < 2 {
+				return
+			}
+			if m.link != nil {
+				probeLinks = append(probeLinks, m.link)
+			} else {
+				dead = append(dead, m.node)
+			}
+		}
+		mm.mu.Lock()
+		mm.ctl.hbSeq++
+		s := mm.ctl.hbSeq
 		if epoch != lastEpoch {
 			lastEpoch = epoch
 			warmUntil = s + 1
-		}
-
-		// Evaluate the previous round: which nodes did the ledgers vouch
-		// for heartbeat s-1?
-		vouched := make(map[int]bool)
-		member := make(map[int]bool)
-		mm.mu.Lock()
-		// Drain rejoin notices first: a readmitted node's conviction latch
-		// and absence streak reset before this round judges anyone, so it
-		// is evaluated as a fresh member from its first post-rejoin tick.
-		for node := range mm.rejoined {
-			delete(mm.rejoined, node)
-			delete(failed, node)
-			delete(streak, node)
 		}
 		if epoch == mm.ctl.epoch {
 			for i := range mm.ctl.kids {
 				kid := &mm.ctl.kids[i]
 				fresh := kid.ledger.seq > 0 && kid.ledger.seq >= s-1
 				for j, node := range kid.subtree {
-					member[node] = true
-					if fresh && (j >= 64 || kid.ledger.absent&(uint64(1)<<uint(j)) == 0) {
-						vouched[node] = true
+					m := mm.members[node]
+					m.seen = s
+					vouched := fresh && (j >= 64 || kid.ledger.absent&(uint64(1)<<uint(j)) == 0)
+					if vouched {
+						mm.servePeriod(m)
+					}
+					switch {
+					case m.convicted || s <= warmUntil:
+					case vouched:
+						m.streak = 0
+					default:
+						suspect(m)
 					}
 				}
 			}
 		}
-		// Probation: every vouched round pays one period off a rejoined
-		// node's sentence; at zero it re-enters the placement rotation.
-		for node := range vouched {
-			if p, ok := mm.probation[node]; ok {
-				if p <= 1 {
-					delete(mm.probation, node)
-					mm.syncPlaceLocked(node) // sentence served: back in rotation
-				} else {
-					mm.probation[node] = p - 1
-				}
+		for _, m := range mm.members {
+			// In an earlier round's tree, not in this one's, and not convicted:
+			// its registration died or it was never replanted. No ledger
+			// will ever vouch for it again, so absence accounting needs no
+			// warm-up.
+			if m.seen > 0 && m.seen != s && !m.convicted {
+				suspect(m)
 			}
 		}
-		reg := make(map[int]*nmLink, len(mm.nms))
-		for node, l := range mm.nms {
-			reg[node] = l
-		}
-		mm.mu.Unlock()
-
-		for node := range member {
-			known[node] = true
-		}
-		var suspects []int
-		for node := range known {
-			if failed[node] {
-				continue
-			}
-			switch {
-			case !member[node]:
-				// Left the tree without being convicted: its registration
-				// died or it was never replanted. No ledger will ever
-				// vouch for it again, so absence accounting needs no
-				// warm-up.
-				streak[node]++
-			case s <= warmUntil:
-				continue
-			case vouched[node]:
-				streak[node] = 0
-				continue
-			default:
-				streak[node]++
-			}
-			if streak[node] >= 2 {
-				suspects = append(suspects, node)
-			}
-		}
-
-		// Multicast this round's ping to the direct children only — the
-		// O(fanout) egress the bench asserts — and arm the RTT waiter.
-		mm.mu.Lock()
+		// Arm the RTT waiter for this round's ping, multicast to the direct
+		// children only — the O(fanout) egress the bench asserts.
 		if epoch == mm.ctl.epoch {
-			mm.ctl.hbSent[s] = time.Now()
-			for k := range mm.ctl.hbSent {
-				if k < s-8 {
-					delete(mm.ctl.hbSent, k)
-				}
-			}
+			mm.ctl.hb.arm(s, 8)
 		}
 		mm.mu.Unlock()
 		for _, l := range kids {
 			l.c.send(Message{Ping: &Ping{Seq: s, Epoch: epoch}})
 		}
 
-		if len(suspects) == 0 {
-			continue
-		}
-		// Isolation-probe pass: a suspect whose control link is gone is
-		// dead outright; anyone else gets a directed unicast probe and
-		// the grace window to answer it. The tree only nominates
-		// suspects — conviction always rests on a failed direct probe.
-		var probeLinks []*nmLink
-		dead := make(map[int]bool)
-		for _, node := range suspects {
-			if l := reg[node]; l != nil {
-				probeLinks = append(probeLinks, l)
-			} else {
-				dead[node] = true
-			}
-		}
+		// Isolation-probe pass: the grace window to answer.
 		for node := range mm.probeNodes(probeLinks, grace) {
-			dead[node] = true
+			dead = append(dead, node)
 		}
-		for node := range dead {
-			failed[node] = true
-			delete(streak, node)
+		for _, node := range dead {
 			mm.mu.Lock()
-			mm.ctlExclude[node] = true
-			delete(mm.probation, node) // a convicted probationer is just convicted
-			mm.syncPlaceLocked(node)
+			mm.convict(mm.members[node])
 			mm.mu.Unlock()
 			mm.jlog(journal.NodeDead, 0, node, []byte("missed heartbeats"))
 			if onFail != nil {
@@ -296,38 +276,24 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 // the heartbeat RTT waiter once every direct child reported the round.
 func (mm *MM) onPong(p *Pong) {
 	mm.mu.Lock()
+	defer mm.mu.Unlock()
 	if pr := mm.probes[p.Seq]; pr != nil {
-		mm.mu.Unlock()
 		pr.settle(p.Node)
 		return
 	}
 	kid := mm.ctl.kid(p.Node)
 	if p.Epoch == 0 || p.Epoch != mm.ctl.epoch || kid == nil {
-		mm.mu.Unlock()
 		return // stale topology (or a probe reply that missed its round)
 	}
 	if p.Seq > kid.ledger.seq {
 		kid.ledger = mmLedger{seq: p.Seq, absent: p.Absent}
 	}
-	if t0, ok := mm.ctl.hbSent[p.Seq]; ok {
-		complete := true
-		for i := range mm.ctl.kids {
-			if mm.ctl.kids[i].ledger.seq < p.Seq {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			d := time.Since(t0).Nanoseconds()
-			mm.ctl.hbN++
-			mm.ctl.hbSum += d
-			if d > mm.ctl.hbMax {
-				mm.ctl.hbMax = d
-			}
-			delete(mm.ctl.hbSent, p.Seq)
+	for i := range mm.ctl.kids {
+		if mm.ctl.kids[i].ledger.seq < p.Seq {
+			return // the round is still owed a ledger
 		}
 	}
-	mm.mu.Unlock()
+	mm.ctl.hb.settle(p.Seq, p.Seq)
 }
 
 // HeartbeatRTT reports the observed ping→full-ledger round trip (mean,
@@ -336,10 +302,7 @@ func (mm *MM) onPong(p *Pong) {
 func (mm *MM) HeartbeatRTT() (mean, max time.Duration, n int64) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	if mm.ctl.hbN > 0 {
-		mean = time.Duration(mm.ctl.hbSum / mm.ctl.hbN)
-	}
-	return mean, time.Duration(mm.ctl.hbMax), mm.ctl.hbN
+	return mm.ctl.hb.stats()
 }
 
 // StrobeLatency reports the observed strobe propagation latency (mean,
@@ -348,10 +311,7 @@ func (mm *MM) HeartbeatRTT() (mean, max time.Duration, n int64) {
 func (mm *MM) StrobeLatency() (mean, max time.Duration, n int64) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	if mm.ctl.strobeN > 0 {
-		mean = time.Duration(mm.ctl.strobeSum / mm.ctl.strobeN)
-	}
-	return mean, time.Duration(mm.ctl.strobeMax), mm.ctl.strobeN
+	return mm.ctl.strobe.stats()
 }
 
 // ControlEgress sums the frames and bytes the MM has written across
@@ -360,9 +320,11 @@ func (mm *MM) StrobeLatency() (mean, max time.Duration, n int64) {
 func (mm *MM) ControlEgress() (frames, bytes int64) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	for _, l := range mm.nms {
-		frames += l.c.sentFrames.Load()
-		bytes += l.c.sentBytes()
+	for _, m := range mm.members {
+		if m.link != nil {
+			frames += m.link.c.sentFrames.Load()
+			bytes += m.link.c.sentBytes()
+		}
 	}
 	return frames, bytes
 }

@@ -45,9 +45,6 @@ type FedConfig struct {
 	// "wfair", or "sif" — the same policies the leaves use, lifted one
 	// level to order whole jobs instead of streams.
 	Admission string
-	// ReadmitRetries is how many times one job may be re-admitted to a
-	// surviving partition after a leaf MM dies under it (default 1).
-	ReadmitRetries int
 	// Lite selects the dense connection profile for the root's
 	// submission links to the leaves.
 	Lite bool
@@ -72,9 +69,6 @@ type FedConfig struct {
 func (c *FedConfig) fill() {
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 8
-	}
-	if c.ReadmitRetries == 0 {
-		c.ReadmitRetries = 1
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 250 * time.Millisecond
@@ -656,6 +650,9 @@ type subResult struct {
 // job-level failure reported over a healthy link is final — the cluster
 // rejected the job, not the partition.
 func (f *Federation) runPart(jobID int, spec JobSpec, a fedAssign) (res subResult) {
+	// readmitRetries is how many times one share may be re-admitted to a
+	// surviving partition after a leaf MM dies under it.
+	const readmitRetries = 1
 	part := a.part
 	for attempt := 0; ; attempt++ {
 		rep, egress, dead, err := submitJob(part.addr, profileFor(f.cfg.Lite), spec)
@@ -664,7 +661,7 @@ func (f *Federation) runPart(jobID int, spec JobSpec, a fedAssign) (res subResul
 			res.pr = PartReport{Partition: part.id, Nodes: spec.Nodes, Report: rep}
 			return res
 		}
-		if !dead || attempt >= f.cfg.ReadmitRetries {
+		if !dead || attempt >= readmitRetries {
 			if dead {
 				res.err = fmt.Errorf("%w: fed job %d on partition %d: %v", ErrJobRetriesExhausted, jobID, part.id, err)
 			} else {

@@ -159,12 +159,7 @@ func (mm *MM) strobeLoop(done chan struct{}) {
 			mm.ctl.strobeSeq++
 			s = mm.ctl.strobeSeq
 			if len(kids) > 0 {
-				mm.ctl.strobeSent[s] = time.Now()
-				for k := range mm.ctl.strobeSent {
-					if k < s-32 {
-						delete(mm.ctl.strobeSent, k)
-					}
-				}
+				mm.ctl.strobe.arm(s, 32)
 			}
 		}
 		mm.mu.Unlock()
@@ -190,15 +185,5 @@ func (mm *MM) onStrobeAck(a *StrobeAck) {
 			min = ack
 		}
 	}
-	for seq, t0 := range mm.ctl.strobeSent {
-		if seq <= min {
-			d := time.Since(t0).Nanoseconds()
-			mm.ctl.strobeN++
-			mm.ctl.strobeSum += d
-			if d > mm.ctl.strobeMax {
-				mm.ctl.strobeMax = d
-			}
-			delete(mm.ctl.strobeSent, seq)
-		}
-	}
+	mm.ctl.strobe.settle(1, min)
 }

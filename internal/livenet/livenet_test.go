@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -461,5 +462,27 @@ func TestFirstTransferFailureWins(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatalf("the wait sat out %v on a job that had already failed", time.Since(start))
+	}
+
+	// Termination reports take the same path: one for a job that is gone
+	// and a duplicate change nothing. And once the job is launched the
+	// transfer is over — a straggling complaint about it fails nothing.
+	j.fail, j.phase, j.termed = nil, phaseLaunched, make(map[int]bool)
+	mm.onTerm(&Term{Job: 8, Node: 1})
+	mm.onTerm(&Term{Job: j.id, Node: 3})
+	mm.onTerm(&Term{Job: j.id, Node: 3})
+	if len(j.termed) != 1 || !j.termed[3] {
+		t.Fatalf("termed = %v, want node 3 alone", j.termed)
+	}
+	mm.onPeerDown(&PeerDown{Job: j.id, Node: 4, From: 1, Err: "write: broken pipe"})
+	mm.onFragAck(&FragAck{Job: j.id, Node: 2, Index: 1})
+	if j.fail != nil {
+		t.Fatalf("a transfer complaint failed a launched job: %v", j.fail)
+	}
+	err = j.await(nil, "launched nodes never reported termination: missing", time.Now(), func() []string {
+		return []string{"4"}
+	})
+	if !errors.Is(err, ErrTermTimeout) || !strings.Contains(err.Error(), "missing 4") || strings.Contains(err.Error(), "stripe") {
+		t.Fatalf("termination wait timed out with %v, want ErrTermTimeout naming node 4 and no stripe", err)
 	}
 }

@@ -37,9 +37,9 @@ var (
 	// released — because the MM shut down. Jobs parked in the admission
 	// queue fail promptly with this error on Close; they never hang.
 	ErrMMClosed = errors.New("livenet: MM closed")
-	// ErrReplansExhausted marks a transfer that burned through
-	// MMConfig.MaxReplans recovery rounds without draining — the
-	// job-level retry path treats it as a fresh-placement candidate.
+	// ErrReplansExhausted marks a transfer that burned through its
+	// maxReplans recovery rounds without draining — the job-level retry
+	// path treats it as a fresh-placement candidate.
 	ErrReplansExhausted = errors.New("livenet: replans exhausted")
 	// ErrJobRetriesExhausted is the named terminal error after
 	// MMConfig.JobRetries full re-placements also failed.
@@ -74,9 +74,6 @@ func (e downError) Error() string {
 type MMConfig struct {
 	// FragBytes is the binary-distribution fragment size (default 256 KB).
 	FragBytes int
-	// Slots is the flow-control window depth per direct tree child, the
-	// live analogue of the simulator's multi-buffering slots (default 4).
-	Slots int
 	// AckTimeout bounds how long a transfer waits for window credit
 	// before starting failure diagnosis (default 10 s).
 	AckTimeout time.Duration
@@ -89,10 +86,6 @@ type MMConfig struct {
 	// pong before declaring it dead during transfer recovery (default
 	// AckTimeout/4, clamped to [50ms, 1s]).
 	ProbeGrace time.Duration
-	// MaxReplans bounds how many tree-replan recovery rounds one
-	// transfer may attempt before giving up (default 3). Each round can
-	// exclude several failed nodes at once.
-	MaxReplans int
 	// Fanout is the out-degree of the software-multicast forwarding
 	// tree used for binary distribution (default 2). Fanout 1 selects
 	// the flat fan-out: the MM unicasts every fragment to every node
@@ -182,9 +175,6 @@ func (c *MMConfig) fill() {
 	if c.FragBytes == 0 {
 		c.FragBytes = 256 << 10
 	}
-	if c.Slots == 0 {
-		c.Slots = 4
-	}
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 10 * time.Second
 	}
@@ -199,9 +189,6 @@ func (c *MMConfig) fill() {
 		if c.ProbeGrace < 50*time.Millisecond {
 			c.ProbeGrace = 50 * time.Millisecond
 		}
-	}
-	if c.MaxReplans == 0 {
-		c.MaxReplans = 3
 	}
 	if c.Fanout == 0 {
 		c.Fanout = 2
@@ -235,16 +222,15 @@ type MM struct {
 	cfg MMConfig
 	ln  net.Listener
 
-	mu      sync.Mutex
-	nms     map[int]*nmLink
-	jobs    map[int]*liveJob
-	nextJob int
-	closed  bool
-	// closing is closed by shutdown so blocking waits that cannot see
-	// the admission condvar (e.g. a launched job collecting termination
-	// reports) notice the MM going away without running out their full
-	// deadline budgets.
-	closing chan struct{}
+	mu sync.Mutex
+	// members is the membership table (member.go): one row per node.
+	// hbActive counts running heartbeat loops — a rejoin only arms
+	// probation when somebody is actually vouching.
+	members  map[int]*member
+	hbActive int
+	jobs     map[int]*liveJob
+	nextJob  int
+	closed   bool
 	// clients tracks in-flight submission connections so Kill can sever
 	// them: Close leaves them to drain naturally (serveClient closes
 	// each when its job finishes), but a simulated process death must
@@ -257,29 +243,14 @@ type MM struct {
 	// placement engine (internal/place): it tracks per-node load,
 	// declared capacity, committed usage, and eligibility, and answers
 	// placement decisions in O(log n) instead of a cluster scan — all
-	// mutated under mu. budgets holds each direct-child link's shared
-	// byte budget. All guarded by mu.
+	// mutated under mu. All guarded by mu.
 	admit    admitQueue
 	place    *place.Engine
 	placePol place.Policy
-	budgets  map[*conn]*linkBudget
 
 	// ctl is the cluster-wide control tree (heartbeat + strobe fast
-	// path); ctlExclude holds convicted nodes, kept out of the tree even
-	// while their registration lingers (a partitioned node's conn can
-	// stay up long after the detector declared it dead). Guarded by mu.
-	ctl        mmCtl
-	ctlExclude map[int]bool
-
-	// Rejoin state, guarded by mu. probation counts the heartbeat-clean
-	// periods a rejoined node still owes before placement trusts it
-	// again; rejoined queues conviction-latch resets for the heartbeat
-	// loop (whose failed/streak state is loop-local) to drain on its
-	// next tick. hbActive counts running heartbeat loops — a rejoin
-	// only arms probation when somebody is actually vouching.
-	probation map[int]int
-	rejoined  map[int]bool
-	hbActive  int
+	// path), laid over the registered, unconvicted members. Guarded by mu.
+	ctl mmCtl
 
 	// jnl is the durable event log (nil without MMConfig.JournalDir);
 	// recovered holds the queued-but-unfinished jobs replayed from it
@@ -300,10 +271,11 @@ type MM struct {
 	probeSeq int64
 	probes   map[int64]*probeRound
 
-	// detStops are stop functions of running heartbeat detectors,
-	// invoked by Close so a forgotten detector cannot leak its
-	// goroutine past the MM's lifetime.
-	detStops []func()
+	// loopStops are the stop functions of the running periodic loops —
+	// the strobe loop and every heartbeat detector — invoked once by
+	// shutdown so a forgotten detector cannot leak its goroutine past the
+	// MM's lifetime.
+	loopStops []func()
 
 	// counters, guarded by mu: job lifecycle milestones and gang
 	// context-switch multicasts issued.
@@ -314,9 +286,8 @@ type MM struct {
 	// rowCount tracks gang-row occupancy (the strobe loop skips empty
 	// rows); rowFree is the bitset freelist of unoccupied rows pickRow
 	// pops lowest-first.
-	rowCount   []int
-	rowFree    []uint64
-	strobeStop chan struct{}
+	rowCount []int
+	rowFree  []uint64
 
 	// testCorrupt, when set (in-package tests only), may mutate a
 	// fragment's payload after its CRC is computed — the in-flight
@@ -324,14 +295,6 @@ type MM struct {
 	testCorrupt func(job, index int, data []byte)
 
 	wg sync.WaitGroup
-}
-
-// nmLink is the MM's view of one registered Node Manager.
-type nmLink struct {
-	node int
-	cpus int
-	addr string // NM peer listener, for relay children to dial
-	c    *conn
 }
 
 // probeRound collects pongs for one directed isolation-probe sweep: owed
@@ -467,7 +430,8 @@ type liveJob struct {
 	winPeak   int
 	sendBytes int64
 
-	terms chan int
+	// termed is the set of nodes that reported termination.
+	termed map[int]bool
 }
 
 // stripeState is one stripe's transfer state: its spanning tree (laid
@@ -536,21 +500,16 @@ func NewMM(addr string, cfg MMConfig) (*MM, error) {
 		return nil, fmt.Errorf("livenet: listen %s: %w", addr, err)
 	}
 	mm := &MM{
-		cfg:        cfg,
-		ln:         ln,
-		nms:        make(map[int]*nmLink),
-		jobs:       make(map[int]*liveJob),
-		nextJob:    cfg.JobBase,
-		clients:    make(map[*conn]struct{}),
-		manifests:  make(map[manifestKey]*manifestData),
-		probes:     make(map[int64]*probeRound),
-		ctlExclude: make(map[int]bool),
-		probation:  make(map[int]int),
-		rejoined:   make(map[int]bool),
-		place:      place.NewEngine(64),
-		placePol:   placePol,
-		budgets:    make(map[*conn]*linkBudget),
-		closing:    make(chan struct{}),
+		cfg:       cfg,
+		ln:        ln,
+		members:   make(map[int]*member),
+		jobs:      make(map[int]*liveJob),
+		nextJob:   cfg.JobBase,
+		clients:   make(map[*conn]struct{}),
+		manifests: make(map[manifestKey]*manifestData),
+		probes:    make(map[int64]*probeRound),
+		place:     place.NewEngine(64),
+		placePol:  placePol,
 	}
 	mm.admit = admitQueue{cond: sync.NewCond(&mm.mu), closed: &mm.closed, errClosed: ErrMMClosed,
 		policy: policy, slots: cfg.MaxConcurrent}
@@ -560,12 +519,6 @@ func NewMM(addr string, cfg MMConfig) (*MM, error) {
 			return nil, err
 		}
 	}
-	// The control tree's send-time maps must exist before the first
-	// syncCtl rebuild: a heartbeat or strobe loop started on an empty
-	// cluster ticks at epoch 0 with no members, so syncCtl takes its
-	// unchanged fast path without ever allocating them.
-	mm.ctl.hbSent = make(map[int64]time.Time)
-	mm.ctl.strobeSent = make(map[int64]time.Time)
 	mm.wg.Add(1)
 	go mm.acceptLoop()
 	if len(mm.recovered) > 0 {
@@ -574,7 +527,7 @@ func NewMM(addr string, cfg MMConfig) (*MM, error) {
 	}
 	if cfg.GangQuantum > 0 {
 		stop := make(chan struct{})
-		mm.strobeStop = stop
+		mm.loopStops = append(mm.loopStops, func() { close(stop) })
 		mm.wg.Add(1)
 		go func() {
 			defer mm.wg.Done()
@@ -684,11 +637,8 @@ func (mm *MM) recoverLoop() {
 	for _, rj := range mm.recovered {
 		for {
 			mm.mu.Lock()
-			closed := mm.closed
-			enough := len(mm.nms) >= rj.Spec.Nodes
-			mm.mu.Unlock()
-			if closed {
-				mm.mu.Lock()
+			enough := len(mm.registered()) >= rj.Spec.Nodes
+			if mm.closed {
 				for _, r := range mm.recovered {
 					if !r.Done {
 						r.Err, r.Done = ErrMMClosed, true
@@ -697,6 +647,7 @@ func (mm *MM) recoverLoop() {
 				mm.mu.Unlock()
 				return
 			}
+			mm.mu.Unlock()
 			if enough {
 				break
 			}
@@ -747,16 +698,13 @@ func (mm *MM) maybeRotateJournal() {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	var snap []journal.Event
-	ids := make([]int, 0, len(mm.nms))
-	for id := range mm.nms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range mm.registered() {
 		snap = append(snap, journal.Event{Type: journal.NodeJoin, Node: id})
 	}
-	for id := range mm.ctlExclude {
-		snap = append(snap, journal.Event{Type: journal.NodeDead, Node: id})
+	for id, m := range mm.members {
+		if m.convicted {
+			snap = append(snap, journal.Event{Type: journal.NodeDead, Node: id})
+		}
 	}
 	for _, j := range mm.admit.q {
 		snap = append(snap, journal.Event{Type: journal.JobAdmitted, Job: j.id, Data: encodeSpec(&j.spec)})
@@ -785,65 +733,6 @@ func (mm *MM) Closed() bool {
 	return mm.closed
 }
 
-// NodeEligible reports whether a node is in the placement rotation:
-// registered, not convicted, and past any rejoin probation.
-func (mm *MM) NodeEligible(node int) bool {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.nms[node] != nil && !mm.ctlExclude[node] && mm.probation[node] == 0
-}
-
-// capOrUnbounded maps an undeclared (zero) capacity to the unbounded
-// sentinel, so clusters that never mention capacities place as before.
-func capOrUnbounded(c place.Vec) place.Vec {
-	if c.IsZero() {
-		return place.Unbounded
-	}
-	return c
-}
-
-// syncPlaceLocked aligns the placement engine's eligibility bit for one
-// node with the membership maps — registered, not convicted, past any
-// probation — which stay the source of truth. Called at every mutation
-// of those maps; caller holds mm.mu.
-func (mm *MM) syncPlaceLocked(node int) {
-	mm.place.SetEligible(node, mm.nms[node] != nil && !mm.ctlExclude[node] && mm.probation[node] == 0)
-}
-
-// NodeInfo is one row of the MM's per-node placement snapshot.
-type NodeInfo struct {
-	Node     int
-	CPUs     int       // from the NM's registration (0 if currently unregistered)
-	Cap      place.Vec // declared capacity (Unbounded when undeclared)
-	Used     place.Vec // usage committed by running jobs' demands
-	Load     int       // gang members currently charged to the node
-	Eligible bool      // in the placement rotation right now
-}
-
-// NodeTable snapshots every node the placement engine tracks, in
-// ascending node-ID order — the livecluster demo's capacity/load view.
-func (mm *MM) NodeTable() []NodeInfo {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	var out []NodeInfo
-	mm.place.Each(func(id int, cap, used place.Vec, load int, eligible bool) {
-		info := NodeInfo{Node: id, Cap: cap, Used: used, Load: load, Eligible: eligible}
-		if l := mm.nms[id]; l != nil {
-			info.CPUs = l.cpus
-		}
-		out = append(out, info)
-	})
-	return out
-}
-
-// ProbationLeft returns how many heartbeat-clean periods a rejoined
-// node still owes before placement trusts it again (0 once eligible).
-func (mm *MM) ProbationLeft(node int) int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.probation[node]
-}
-
 // Addr returns the listening address (for NMs and clients to dial).
 func (mm *MM) Addr() string { return mm.ln.Addr().String() }
 
@@ -868,18 +757,6 @@ func (mm *MM) Strobes() int {
 	return mm.strobes
 }
 
-// NMs returns the registered node IDs in ascending order.
-func (mm *MM) NMs() []int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	out := make([]int, 0, len(mm.nms))
-	for id := range mm.nms {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Close shuts the MM down and disconnects everyone.
 func (mm *MM) Close() { mm.shutdown(false) }
 
@@ -892,20 +769,26 @@ func (mm *MM) Close() { mm.shutdown(false) }
 func (mm *MM) Kill() { mm.shutdown(true) }
 
 func (mm *MM) shutdown(abrupt bool) {
-	if mm.strobeStop != nil {
-		close(mm.strobeStop)
-		mm.strobeStop = nil
-	}
 	mm.mu.Lock()
-	if !mm.closed {
-		mm.closed = true
-		close(mm.closing)
-	}
+	mm.closed = true
 	mm.admit.cond.Broadcast() // release jobs parked in the admission queue
-	stops := mm.detStops
-	mm.detStops = nil
-	for _, l := range mm.nms {
-		l.c.close()
+	// Jobs past admission wait on their own record (liveJob.await): fail
+	// each so a launched job collecting termination reports notices the MM
+	// going away without running out its deadline.
+	for _, j := range mm.jobs {
+		j.mu.Lock()
+		if j.fail == nil {
+			j.fail = fmt.Errorf("%w: job %d cut short by shutdown", ErrMMClosed, j.id)
+		}
+		j.cond.Broadcast()
+		j.mu.Unlock()
+	}
+	stops := mm.loopStops
+	mm.loopStops = nil
+	for _, m := range mm.members {
+		if m.link != nil {
+			m.link.c.close()
+		}
 	}
 	if abrupt {
 		for c := range mm.clients {
@@ -965,13 +848,8 @@ func (mm *MM) handleConn(c *conn) {
 func (mm *MM) status() StatusRep {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	nodes := make([]int, 0, len(mm.nms))
-	for id := range mm.nms {
-		nodes = append(nodes, id)
-	}
-	sort.Ints(nodes)
 	return StatusRep{
-		Nodes:     nodes,
+		Nodes:     mm.registered(),
 		Jobs:      len(mm.jobs),
 		Queued:    len(mm.admit.q),
 		Launched:  mm.launched,
@@ -984,15 +862,14 @@ func (mm *MM) status() StatusRep {
 // serveNM registers a Node Manager and pumps its notifications until the
 // link dies, then unregisters it. A Register that asks to rejoin readmits
 // an NM the cluster has already written off — one the failure detector
-// convicted, or one whose process restarted: the conviction is cleared
-// (both the placement exclusion and, via the rejoined set, the detector
-// loop's private streak latches), a probation window is armed when a
-// detector is running, and only then is the acknowledgement sent — by the
-// time the NM starts serving traffic the next control-tree epoch already
-// wires it back in. Its placement eligibility returns after probation;
-// its chunk cache makes it a warm relay immediately.
+// convicted, or one whose process restarted: its row is cleared and put
+// on probation (MM.register), and only then is the acknowledgement sent —
+// by the time the NM starts serving traffic the next control-tree epoch
+// already wires it back in. Its placement eligibility returns after
+// probation; its chunk cache makes it a warm relay immediately.
 func (mm *MM) serveNM(c *conn, reg *Register) {
-	link := &nmLink{node: reg.Node, cpus: reg.CPUs, addr: reg.Addr, c: c}
+	link := &nmLink{node: reg.Node, cpus: reg.CPUs, addr: reg.Addr, c: c,
+		budget: newLinkBudget(mm.cfg.LinkBudgetBytes)}
 	mm.mu.Lock()
 	if mm.closed {
 		mm.mu.Unlock()
@@ -1002,30 +879,11 @@ func (mm *MM) serveNM(c *conn, reg *Register) {
 		c.close()
 		return
 	}
-	prob := 0
-	if reg.Rejoin {
-		delete(mm.ctlExclude, reg.Node)
-		mm.rejoined[reg.Node] = true
-		if mm.hbActive > 0 {
-			prob = mm.cfg.RejoinProbation
-		}
-		if prob > 0 {
-			mm.probation[reg.Node] = prob
-		} else {
-			delete(mm.probation, reg.Node)
-		}
-	}
-	mm.nms[reg.Node] = link
-	mm.place.SetNode(reg.Node, capOrUnbounded(reg.Cap))
-	mm.syncPlaceLocked(reg.Node)
+	prob := mm.register(link, reg)
 	mm.mu.Unlock()
 	defer func() {
 		mm.mu.Lock()
-		if mm.nms[reg.Node] == link {
-			delete(mm.nms, reg.Node)
-			mm.syncPlaceLocked(reg.Node)
-		}
-		delete(mm.budgets, c)
+		mm.disconnect(link)
 		mm.mu.Unlock()
 		c.close()
 	}()
@@ -1076,19 +934,21 @@ func (j *liveJob) stripeByID(s int) *stripeState {
 	return j.stripes[s]
 }
 
-// onTransferEvent is the one way an NM's answer reaches a job's transfer
-// state: look the job up (an answer for a job that is gone is dropped),
-// take j.mu, apply, wake every wait. An error from apply fails the job
-// unless an earlier failure already has — first failure wins, because a
-// failure cascades (a rejected fragment forces every later one out of
-// order) and the later reports would mask the site of the first.
+// onTransferEvent is the one way an NM's answer reaches a job's record:
+// look the job up (an answer for a job that is gone is dropped), take
+// j.mu, apply, wake every wait. An error from apply fails the job unless
+// an earlier failure already has — first failure wins, because a failure
+// cascades (a rejected fragment forces every later one out of order) and
+// the later reports would mask the site of the first — or the transfer is
+// already over: a launched job's image is resident everywhere it runs, so
+// a straggling transfer complaint has nothing left to fail.
 func (mm *MM) onTransferEvent(job int, apply func(j *liveJob) error) {
 	j := mm.jobByID(job)
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	if err := apply(j); err != nil && j.fail == nil {
+	if err := apply(j); err != nil && j.fail == nil && j.phase < phaseLaunched {
 		j.fail = err
 	}
 	j.cond.Broadcast()
@@ -1164,10 +1024,12 @@ func (mm *MM) onPeerDown(d *PeerDown) {
 	})
 }
 
+// onTerm records a node's termination report.
 func (mm *MM) onTerm(t *Term) {
-	if j := mm.jobByID(t.Job); j != nil {
-		j.terms <- t.Node
-	}
+	mm.onTransferEvent(t.Job, func(j *liveJob) error {
+		j.termed[t.Node] = true
+		return nil
+	})
 }
 
 // serveClient runs one job's full lifecycle on behalf of a submitter.
@@ -1210,10 +1072,9 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		mm.mu.Unlock()
 		return Report{}, ErrMMClosed
 	}
-	if len(mm.nms) < spec.Nodes {
+	if n := len(mm.registered()); n < spec.Nodes {
 		// Fast-fail before queueing: a cluster that cannot ever hold the
 		// job should not park it in the admission queue.
-		n := len(mm.nms)
 		mm.mu.Unlock()
 		return Report{}, fmt.Errorf("livenet: %d NMs registered, job wants %d", n, spec.Nodes)
 	}
@@ -1229,7 +1090,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		frags:  frags,
 		phase:  phaseAdmitted,
 		qStart: time.Now(),
-		terms:  make(chan int, spec.Nodes),
+		termed: make(map[int]bool, spec.Nodes),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	mm.jlog(journal.JobAdmitted, j.id, 0, encodeSpec(&spec))
@@ -1300,19 +1161,41 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	// The streaming slot frees as soon as the transfer phase is over —
 	// this job's execution overlaps the next job's stream.
 	mm.releaseStream()
-	if err != nil {
+	// fail ends a job that could not be launched: every node drops its
+	// transfer state and the failure is journaled. Whatever a job dies of
+	// while the MM shuts down under it, it died of the shutdown.
+	fail := func(err error) (Report, error) {
+		if mm.Closed() && !errors.Is(err, ErrMMClosed) {
+			err = fmt.Errorf("%w: job %d: %v", ErrMMClosed, j.id, err)
+		}
 		j.setPhase(phaseFailed)
 		mm.abort(j, err)
 		mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
 		return Report{}, err
 	}
+	if err != nil {
+		return fail(err)
+	}
 	send := time.Since(start)
 
 	// Launch: tell each surviving NM its ranks (re-ranked densely over
-	// the survivor set if recovery shrank the job).
+	// the survivor set if recovery shrank the job). From here on the
+	// transfer's late answers are inert: a failure one of them left behind
+	// after the transfer's last wait is stale — only a shutdown still
+	// counts.
 	j.mu.Lock()
+	j.phase = phaseLaunched
+	if !errors.Is(j.fail, ErrMMClosed) {
+		j.fail = nil
+	}
 	nodes = append([]*nmLink(nil), j.nodes...)
 	j.mu.Unlock()
+	// A Launch that cannot be written is a node death like any other: the
+	// node joins the job's failed set, its ranks do not run, and the
+	// launch stands on the nodes that took theirs. Those owe a termination
+	// report: wait lists them, owing their names.
+	wait, owing := make([]int, 0, len(nodes)), make([]string, 0, len(nodes))
+	var lost error
 	for i, link := range nodes {
 		ranks := make([]int, 0, spec.PEsPerNode)
 		for r := 0; r < spec.PEsPerNode; r++ {
@@ -1321,46 +1204,42 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		msg := Message{Launch: &Launch{Job: j.id, Program: spec.Program, Ranks: ranks,
 			Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
 		if err := link.c.send(msg); err != nil {
-			// A partial launch must not strand the nodes that already
-			// forked: abort the whole job so every NM cancels its gates,
-			// reaps its processes, and drops the transfer state.
-			err = fmt.Errorf("livenet: launch to node %d: %w", link.node, err)
-			j.setPhase(phaseFailed)
-			mm.abort(j, err)
-			mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
-			return Report{}, err
+			lost = fmt.Errorf("launch to node %d: %w", link.node, err)
+			j.failedNodes = append(j.failedNodes, link.node)
+			continue
 		}
+		wait, owing = append(wait, link.node), append(owing, strconv.Itoa(link.node))
 	}
-	j.setPhase(phaseLaunched)
+	ran := len(wait)
+	if ran == 0 {
+		return fail(fmt.Errorf("livenet: job %d: launch phase: all nodes failed (%v), last: %w", j.id, j.failedNodes, lost))
+	}
 	mm.jlog(journal.JobLaunched, j.id, 0, nil)
 
-	// Collect termination reports. The termination deadline is its own
-	// budget — the program's expected duration plus TermTimeout — and
-	// is independent of the transfer-phase AckTimeout.
-	deadline := time.NewTimer(spec.Program.Duration + mm.cfg.TermTimeout)
-	defer deadline.Stop()
-	got := make(map[int]bool)
-	for len(got) < len(nodes) {
-		select {
-		case n := <-j.terms:
-			got[n] = true
-		case <-mm.closing:
-			// No jlog: a launched-but-unfinished job is already marked
-			// failed durably when the journal is replayed.
-			return Report{}, fmt.Errorf("%w: job %d closed while awaiting termination",
-				ErrMMClosed, j.id)
-		case <-deadline.C:
-			var missing []string
-			for _, link := range nodes {
-				if !got[link.node] {
-					missing = append(missing, fmt.Sprintf("%d", link.node))
+	// Collect their termination reports. The termination deadline is its
+	// own budget — the program's expected duration plus TermTimeout — and
+	// is independent of the transfer-phase AckTimeout. Every report wakes
+	// the wait, so a wake is kept cheap on a wide job: it walks only the
+	// nodes still owing — the lists shrink in place — and allocates nothing.
+	err = j.await(nil, "launched nodes never reported termination: missing",
+		time.Now().Add(spec.Program.Duration+mm.cfg.TermTimeout), func() []string {
+			k := 0
+			for i, node := range wait {
+				if !j.termed[node] {
+					wait[k], owing[k] = node, owing[i]
+					k++
 				}
 			}
-			terr := fmt.Errorf("%w: job %d: %d/%d nodes reported termination (missing %s)",
-				ErrTermTimeout, j.id, len(got), len(nodes), strings.Join(missing, ", "))
-			mm.jlog(journal.JobFailed, j.id, 0, []byte(terr.Error()))
-			return Report{}, terr
+			wait, owing = wait[:k], owing[:k]
+			return owing
+		})
+	if err != nil {
+		// A shutdown journals nothing: a launched-but-unfinished job is
+		// already marked failed durably when the journal is replayed.
+		if !errors.Is(err, ErrMMClosed) {
+			mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
 		}
+		return Report{}, err
 	}
 	total := time.Since(start)
 	mm.mu.Lock()
@@ -1369,7 +1248,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	failed := append([]int(nil), j.failedNodes...)
 	sort.Ints(failed)
 	timeline := fmt.Sprintf("send=%v execute=%v nodes=%d pes=%d fanout=%d",
-		send, total-send, len(nodes), len(nodes)*spec.PEsPerNode, mm.cfg.Fanout)
+		send, total-send, ran, ran*spec.PEsPerNode, mm.cfg.Fanout)
 	if len(j.stripeReplans) > 1 {
 		timeline += fmt.Sprintf(" stripes=%d", len(j.stripeReplans))
 	}
@@ -1564,6 +1443,10 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 // still folds HAVEs, with the shared per-link budgets arbitrating the
 // conns they cross.
 func (mm *MM) transfer(j *liveJob) error {
+	// maxReplans bounds the tree-replan recovery rounds one transfer may
+	// attempt before giving up. Each round can exclude several failed
+	// nodes at once.
+	const maxReplans = 3
 	// Whatever path exits the transfer, return every byte this job still
 	// holds against the shared link budgets — a failed job must not leave
 	// a budget leaked and starve its link peers.
@@ -1580,7 +1463,7 @@ func (mm *MM) transfer(j *liveJob) error {
 		if errors.As(err, &reject) {
 			return err // content failure: replanning cannot help
 		}
-		if replans >= mm.cfg.MaxReplans {
+		if replans >= maxReplans {
 			return fmt.Errorf("%w: job %d: giving up after %d replans: %w", ErrReplansExhausted, j.id, replans, err)
 		}
 		t0 := time.Now()
@@ -1886,6 +1769,9 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 // rewound to the slowest surviving subtree's credit and the loop simply
 // continues under the same epoch (duplicates re-ack idempotently).
 func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
+	// windowSlots is the flow-control window depth per tree hop, the live
+	// analogue of the simulator's multi-buffering slots.
+	const windowSlots = 4
 	j.setPhase(phaseStreaming)
 	j.mu.Lock()
 	kids := append([]*stripeKid(nil), ss.kids...)
@@ -1899,12 +1785,12 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// whole subtrees), so its bandwidth-delay product spans every
 	// store-and-forward hop down plus the ack aggregation back up. Scale
 	// the configured per-hop depth by the tree depth or a deep tree would
-	// be credit-starved: with Slots in flight over a depth-d relay chain,
-	// d of them are resident in the pipe before the first cumulative ack
-	// can even form. Cumulative acks advance through cached spans without
-	// wire traffic, so pacing by the send list position is exact. All
-	// credit arithmetic is stripe-local (chunk i is the stripe's i/k-th).
-	window := mm.cfg.Slots * depth
+	// be credit-starved: with windowSlots in flight over a depth-d relay
+	// chain, d of them are resident in the pipe before the first cumulative
+	// ack can even form. Cumulative acks advance through cached spans
+	// without wire traffic, so pacing by the send list position is exact.
+	// All credit arithmetic is stripe-local (chunk i is the stripe's i/k-th).
+	window := windowSlots * depth
 	frag := mm.cfg.FragBytes
 	for pos := start; pos < len(list); pos++ {
 		i := list[pos]
@@ -1932,12 +1818,11 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 			// job's other stripes — crossing the same cached relay link
 			// block here instead of queueing unbounded data ahead of each
 			// other.
-			lb := mm.linkBudgetFor(link.c)
-			if err := lb.acquire(frame, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
+			if err := link.budget.acquire(frame, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
 				releaseFragBuf(data)
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d: %v", i, err)}
 			}
-			j.holdChunk(kid, i/k, frame, lb)
+			j.holdChunk(kid, i/k, frame)
 			if err := link.c.sendFrag(f); err != nil {
 				releaseFragBuf(data)
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d write: %v", i, err)}
@@ -2205,14 +2090,16 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 	return nil
 }
 
-// await is the transfer's one wait, the live COMPARE-AND-WRITE: block on
+// await is the job's one wait, the live COMPARE-AND-WRITE: block on
 // j.cond until pending — evaluated under j.mu — names no node, the job
 // has failed (that failure is returned as is), or the deadline passes
-// with ErrTransferTimeout naming the job, the stripe, what was awaited
-// and whom it is still owed by.
+// with the phase's timeout error naming the job, what was awaited and
+// whom it is still owed by. A transfer wait belongs to a stripe and
+// names it; the termination wait (ss nil) belongs to the whole job.
 func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, pending func() []string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var alarm *time.Timer
 	for {
 		if j.fail != nil {
 			return j.fail
@@ -2222,12 +2109,19 @@ func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, pendin
 			return nil
 		}
 		if time.Now().After(deadline) {
+			if ss == nil {
+				return fmt.Errorf("%w: job %d: %s %s", ErrTermTimeout, j.id, what, strings.Join(owing, ", "))
+			}
 			return fmt.Errorf("%w: job %d stripe %d: %s %s", ErrTransferTimeout, j.id, ss.id, what, strings.Join(owing, ", "))
 		}
-		// Wake periodically to enforce the deadline even if no answer comes.
-		t := time.AfterFunc(100*time.Millisecond, j.cond.Broadcast)
+		// Wake periodically to enforce the deadline even if no answer comes:
+		// one timer per wait, re-armed at each wake.
+		if alarm == nil {
+			alarm = time.AfterFunc(100*time.Millisecond, j.cond.Broadcast)
+			defer alarm.Stop()
+		}
+		alarm.Reset(100 * time.Millisecond)
 		j.cond.Wait()
-		t.Stop()
 	}
 }
 

@@ -41,48 +41,62 @@ func mtCluster(t *testing.T, n int, cfg MMConfig) (*MM, []*NM) {
 	return mm, nms
 }
 
-// TestLaunchFailurePartialAbort is the regression for the launch-phase
-// cleanup bug: when the Launch write to a later node fails, the nodes
-// that already received their Launch must be aborted — their processes
-// reaped promptly — and the error must name the failing node. The
-// injected fault hard-closes NM 1's conn immediately before its second
-// outgoing gob frame (G#0 is the Plan, G#1 is the Launch), so node 0
-// has always launched by the time node 1's Launch write fails.
-func TestLaunchFailurePartialAbort(t *testing.T) {
-	cfg := MMConfig{Fanout: 2, FragBytes: 32 << 10, AckTimeout: 700 * time.Millisecond}
-	var accepts atomic.Int32
-	cfg.WrapConn = func(c net.Conn) net.Conn {
-		if accepts.Add(1)-1 != 1 { // accept #1 = NM 1, launched last
-			return c
+// TestLaunchPhaseDeathIsNodeDeath: a node whose Launch cannot be written
+// — it died after acknowledging the whole transfer — is a node death like
+// one in any other phase. The job completes on the nodes that took their
+// Launch, naming the lost node in Report.Failed; it fails, naming a node
+// and the launch phase, only when no node took one. The injected fault
+// hard-closes the MM's side of a link immediately before its second
+// outgoing gob frame (G#0 is the Plan, G#1 is the Launch), so the
+// transfer on that link is always complete when the write fails.
+func TestLaunchPhaseDeathIsNodeDeath(t *testing.T) {
+	const n, victim = 3, 1
+	launch := func(armed func(node int) bool) ([]*NM, Report, error) {
+		cfg := MMConfig{Fanout: 2, FragBytes: 32 << 10, AckTimeout: 700 * time.Millisecond}
+		var accepts atomic.Int32
+		cfg.WrapConn = func(c net.Conn) net.Conn {
+			// mtCluster registers sequentially: accept #k is NM k.
+			if node := int(accepts.Add(1) - 1); node >= n || !armed(node) {
+				return c
+			}
+			plan := faultconn.NewPlan()
+			plan.FailWriteGob = 1
+			return faultconn.Wrap(c, plan)
 		}
-		plan := faultconn.NewPlan()
-		plan.FailWriteGob = 1
-		return faultconn.Wrap(c, plan)
+		mm, nms := mtCluster(t, n, cfg)
+		rep, err := mm.RunJob(JobSpec{
+			Name: "launch-death", BinaryBytes: 256 << 10, Nodes: n, PEsPerNode: 2,
+			Program: ProgramSpec{Kind: "exit"},
+		})
+		return nms, rep, err
 	}
-	mm, nms := mtCluster(t, 2, cfg)
 
-	start := time.Now()
-	_, err := SubmitJob(mm.Addr(), JobSpec{
-		Name: "partial", BinaryBytes: 256 << 10, Nodes: 2, PEsPerNode: 2,
-		Program: ProgramSpec{Kind: "sleep", Duration: 10 * time.Second},
-	})
-	if err == nil {
-		t.Fatal("launch reported success despite injected Launch write failure")
+	nms, rep, err := launch(func(node int) bool { return node == victim })
+	if err != nil {
+		t.Fatalf("a launch-phase death of one node failed the job: %v", err)
 	}
-	if !strings.Contains(err.Error(), "launch to node 1") {
-		t.Fatalf("error does not name the failing node: %v", err)
+	if len(rep.Failed) != 1 || rep.Failed[0] != victim {
+		t.Fatalf("Report.Failed = %v, want [%d]", rep.Failed, victim)
 	}
-	// Node 0 forked its processes before node 1's Launch failed; the
-	// abort must cancel its gate and the 10 s sleepers must exit early.
-	deadline := time.Now().Add(5 * time.Second)
-	for nms[0].activeGates() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("node 0 still holds %d gates: partial launch never aborted", nms[0].activeGates())
+	if !strings.Contains(rep.Timeline, "nodes=2 pes=4") {
+		t.Fatalf("timeline does not count the survivors: %s", rep.Timeline)
+	}
+	for _, nm := range nms {
+		want := 2
+		if nm.Node() == victim {
+			want = 0 // the lost node's ranks do not run
 		}
-		time.Sleep(5 * time.Millisecond)
+		if got := nm.Launches(); got != want {
+			t.Fatalf("node %d forked %d processes, want %d", nm.Node(), got, want)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("abort took %v, processes were not cut short", elapsed)
+
+	_, _, err = launch(func(int) bool { return true })
+	if err == nil {
+		t.Fatal("a launch no node took reported success")
+	}
+	if !strings.Contains(err.Error(), "launch phase") || !strings.Contains(err.Error(), "launch to node 2") {
+		t.Fatalf("error does not name the launch phase and a node: %v", err)
 	}
 }
 

@@ -467,10 +467,11 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 // link budget for unacknowledged chunks hands all of it back — the prune
 // itself, not a caller that happened to have released everything first.
 func TestPruneReturnsHeldBudget(t *testing.T) {
-	mm := &MM{cfg: MMConfig{Fanout: 1, LinkBudgetBytes: 1 << 20}, budgets: map[*conn]*linkBudget{}}
+	mm := &MM{cfg: MMConfig{Fanout: 1}}
 	links := testLinks(3)
 	for _, l := range links {
 		l.c = discardConn()
+		l.budget = newLinkBudget(1 << 20)
 	}
 	j := &liveJob{id: 1, nodes: links}
 	j.cond = sync.NewCond(&j.mu)
@@ -478,12 +479,12 @@ func TestPruneReturnsHeldBudget(t *testing.T) {
 	mm.rewireStripe(j, ss, 1)
 	j.stripes = []*stripeState{ss}
 	victim := ss.kid(1)
-	lb := mm.linkBudgetFor(victim.link.c)
+	lb := victim.link.budget
 	for i := 0; i < 3; i++ {
 		if err := lb.acquire(1000, time.Now().Add(time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		j.holdChunk(victim, i, 1000, lb)
+		j.holdChunk(victim, i, 1000)
 	}
 	if lb.used != 3000 {
 		t.Fatalf("budget in use = %d before the prune, want 3000", lb.used)
