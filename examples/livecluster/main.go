@@ -1,6 +1,6 @@
 // Live-cluster demo: boots a real (wall-clock) STORM instance — one MM
-// and four NMs talking gob-over-TCP on the loopback interface — then
-// launches three jobs through it: the do-nothing benchmark, a real
+// and four NMs talking typed frames over TCP on the loopback interface —
+// then launches three jobs through it: the do-nothing benchmark, a real
 // SWEEP3D-style kernel computation, and a parallel sleep. It then
 // offers six jobs at once to a two-slot MM and prints the live job
 // table (per-job phase, queue wait, flow-control window) mid-flight.

@@ -134,7 +134,7 @@ func BenchmarkFederatedLaunch(b *testing.B) {
 					}
 				}
 				if parts > 1 {
-					// Root delegation cost is O(partitions): one gob Submit
+					// Root delegation cost is O(partitions): one Submit
 					// frame each, regardless of image or cluster size.
 					if limit := int64(parts) * 4096; warmRep.RootEgress > limit {
 						b.Fatalf("root egress %dB for %d partitions, want <=%d — delegation cost must not scale with nodes",

@@ -656,7 +656,8 @@ func assertPlacedImages(t *testing.T, nms []*NM, placed []int, victim, job, frag
 // of each affected job (parents 0, 7, and 1 respectively), so three
 // distinct relay conns feed the victim and every one is armed to die at
 // the seed-chosen fragment: no affected job can complete its 32-chunk
-// stream without tripping the kill.
+// stream without tripping the kill. The link that trips it dies at once;
+// the process follows as soon as all four jobs are placed.
 func TestChaosConcurrentJobsInteriorKill(t *testing.T) {
 	const n = 8
 	const victim = 2
@@ -675,6 +676,7 @@ func TestChaosConcurrentJobsInteriorKill(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			killAt := 8 + faultconn.NewRng(seed).Intn(16)
 			var victimNM atomic.Pointer[NM]
+			var mmRef atomic.Pointer[MM]
 			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 				if node != victim {
 					return NMConfig{}
@@ -684,6 +686,15 @@ func TestChaosConcurrentJobsInteriorKill(t *testing.T) {
 					plan.CloseAtReadFrag = killAt
 					plan.OnFault = func(string) {
 						go func() {
+							// The first job's stream can trip the kill before
+							// the last submission is placed, and a job pinned
+							// to a node already dead fails placement instead of
+							// streaming through it — not this scenario.
+							for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+								if mm := mmRef.Load(); mm != nil && mm.status().Launched >= len(specs) {
+									break
+								}
+							}
 							if nm := victimNM.Load(); nm != nil {
 								nm.Close()
 							}
@@ -693,6 +704,7 @@ func TestChaosConcurrentJobsInteriorKill(t *testing.T) {
 				}}
 			})
 			victimNM.Store(nms[victim])
+			mmRef.Store(mm)
 
 			reports := make([]Report, len(specs))
 			errs := make([]error, len(specs))

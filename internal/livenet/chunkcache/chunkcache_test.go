@@ -347,3 +347,54 @@ func TestCachePutReuseBounded(t *testing.T) {
 		t.Fatalf("cache holds %d bytes of buffers under a %d-byte budget", held, budget)
 	}
 }
+
+// FuzzCacheEntry replaces the file of a disk-backed entry with arbitrary
+// bytes — rot, truncation, a torn or foreign write — and holds each read
+// path to the cache's promise: Get and Use serve the entry only if the
+// bytes on disk are the chunk (Get copying out exactly those), Contains
+// advertises it on the same terms, and otherwise they miss. None panics.
+func FuzzCacheEntry(f *testing.F) {
+	chunk := []byte("content-addressed chunk bytes, verified on every disk read")
+	f.Add(chunk)
+	f.Add(chunk[:len(chunk)-1])
+	f.Add(append(append([]byte(nil), chunk...), 0))
+	flipped := append([]byte(nil), chunk...)
+	flipped[len(flipped)/2] ^= 0xff
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, disk []byte) {
+		h, crc, n := Hash64(chunk), crc32.ChecksumIEEE(chunk), len(chunk)
+		intact := string(disk) == string(chunk)
+		c, err := New(1<<20, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, n)
+		for _, read := range []struct {
+			name string
+			hit  func() bool
+		}{
+			{"Get", func() bool {
+				hit := c.Get(h, crc, n, dst)
+				if hit && string(dst) != string(chunk) {
+					t.Fatalf("Get served %q for the chunk", dst)
+				}
+				return hit
+			}},
+			{"Use", func() bool { return c.Use(h, crc, n) }},
+			{"Contains", func() bool { return c.Contains(h, crc, n) }},
+		} {
+			c.Put(h, crc, chunk)
+			el := c.entries[key{hash: h, crc: crc, n: n}]
+			if err := os.WriteFile(el.Value.(*entry).path, disk, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if hit := read.hit(); hit != intact {
+				t.Fatalf("%s hit=%v on %d disk bytes (intact=%v)", read.name, hit, len(disk), intact)
+			}
+			if !intact && c.Len() != 0 {
+				t.Fatalf("%s kept an entry whose disk bytes do not verify", read.name)
+			}
+		}
+	})
+}

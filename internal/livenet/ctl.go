@@ -18,9 +18,9 @@ package livenet
 //     aggregate exactly like fragment acks — the minimum over the local
 //     apply point and every child subtree's cumulative credit.
 //
-// Roles are installed by CtlPlan (gob, membership changes only). All
-// per-period traffic is typed frames with zero steady-state allocations
-// (TestControlAllocs).
+// Roles are installed by CtlPlan, a body frame sent on membership
+// changes only. All per-period traffic is fixed-part frames of the same
+// codec with zero steady-state allocations (TestControlAllocs).
 
 // ctlChild is one control-tree child: where to relay, the subtree its
 // ledgers vouch for, and the latest state it reported.

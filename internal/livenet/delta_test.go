@@ -94,7 +94,7 @@ func TestManifestAllocs(t *testing.T) {
 
 	ec := discardConn()
 	encode := func() {
-		if ec.sendManifest(man) != nil || ec.sendHave(have) != nil || ec.sendNeedMask(needm) != nil {
+		if ec.send(Message{Manifest: man}) != nil || ec.send(Message{Have: have}) != nil || ec.send(Message{NeedMask: needm}) != nil {
 			t.Fatal("send failed")
 		}
 	}
@@ -105,7 +105,7 @@ func TestManifestAllocs(t *testing.T) {
 
 	var buf bytes.Buffer
 	cc := &conn{w: bufio.NewWriter(&buf)}
-	if cc.sendManifest(man) != nil || cc.sendHave(have) != nil || cc.sendNeedMask(needm) != nil {
+	if cc.send(Message{Manifest: man}) != nil || cc.send(Message{Have: have}) != nil || cc.send(Message{NeedMask: needm}) != nil {
 		t.Fatal("capture failed")
 	}
 	wire := append([]byte(nil), buf.Bytes()...)

@@ -2,18 +2,18 @@
 // connections for chaos testing. A Conn wraps a net.Conn and applies a
 // Plan — a fixed schedule of faults keyed to byte offsets and fragment
 // ordinals observed on the wire — so a failure scenario is fully
-// reproducible from its seed: hard close at fragment k or at gob frame
-// k, one-way partitions, per-write delay, duplicated and corrupted frag
-// frames, and injected dial failures.
+// reproducible from its seed: hard close at fragment k or before the
+// k-th frame of any type, one-way partitions, per-write delay,
+// duplicated and corrupted frag frames, and injected dial failures.
 //
 // The wrapper is frame-aware: it walks livenet's frame table (package
 // wire: one type byte, a fixed part, and for some types a tail whose
 // element count the fixed part carries) as a streaming state machine
 // over both directions, so triggers land on exact frame boundaries
 // regardless of how the transport chunks writes. Beyond the fragment
-// triggers, CtlFaults drop, duplicate, or delay one typed control frame
-// picked by kind and per-kind ordinal — e.g. "drop the 3rd heartbeat
-// ping this conn sends".
+// triggers, CtlFaults drop, duplicate, delay, or close the conn before
+// one frame picked by type and per-type ordinal — e.g. "drop the 3rd
+// heartbeat ping this conn sends".
 //
 // Plans are wired in behind livenet's Config.Dialer / Config.WrapConn
 // hooks; the package deliberately does not import livenet, so it can
@@ -22,7 +22,6 @@
 package faultconn
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -44,10 +43,9 @@ type Plan struct {
 	WriteDelay    time.Duration // injected before every write
 	DuplicateFrag int           // retransmit the k-th outgoing frag frame immediately after itself
 	CorruptFrag   int           // flip a payload byte of the k-th outgoing frag frame (CRC must catch it)
-	FailWriteGob  int           // hard-close before any byte of the k-th outgoing gob ('G') frame reaches the wire
 
-	// CtlFaults target typed control frames this endpoint sends; each
-	// fault fires at most once. Faults on distinct frames compose.
+	// CtlFaults target frames this endpoint sends; each fault fires at
+	// most once. Faults on distinct frames compose.
 	CtlFaults []CtlFault
 
 	// Read-path faults (bytes this endpoint receives).
@@ -56,7 +54,7 @@ type Plan struct {
 
 	// OnFault, if set, is called once per fired trigger with a short
 	// kind tag ("close", "read-close", "drop", "duplicate", "corrupt",
-	// "ctl-drop", "ctl-dup", "ctl-delay", "gate-kill"). Called from
+	// "ctl-drop", "ctl-dup", "ctl-delay", "ctl-close", "gate-kill"). Called from
 	// Read/Write; must not block.
 	OnFault func(kind string)
 
@@ -173,22 +171,24 @@ func (g *Gate) wait(done <-chan struct{}) error {
 	}
 }
 
-// CtlFault is one deterministic fault on a typed control frame: the
-// Index-th outgoing frame of type Kind ('P' ping, 'Q' pong, 'S'
-// strobe, 'T' strobe ack) is dropped, duplicated back-to-back, or
-// delayed by Delay while later frames queue behind it — the classic
-// lost/duplicated/late heartbeat cases a tree control plane must
-// absorb without false convictions.
+// CtlFault is one deterministic fault on one frame: the Index-th
+// outgoing frame of type Kind (any type byte of wire's table) is
+// dropped, duplicated back-to-back, or delayed by Delay while later
+// frames queue behind it — the classic lost/duplicated/late heartbeat
+// cases a tree control plane must absorb without false convictions — or
+// the conn is hard-closed before the frame's first byte reaches the
+// wire ("close"): the receiver sees a clean frame boundary then EOF, the
+// sender a write error, as when a node dies between two messages.
 type CtlFault struct {
 	Kind  byte
 	Index int
-	Op    string // "drop", "dup", or "delay"
+	Op    string // "drop", "dup", "delay", or "close"
 	Delay time.Duration
 }
 
 // NewPlan returns a Plan with all triggers disabled.
 func NewPlan() Plan {
-	return Plan{CloseAtFrag: -1, DuplicateFrag: -1, CorruptFrag: -1, FailWriteGob: -1, CloseAtReadFrag: -1}
+	return Plan{CloseAtFrag: -1, DuplicateFrag: -1, CorruptFrag: -1, CloseAtReadFrag: -1}
 }
 
 // ErrInjectedClose is the error surfaced by operations on a connection
@@ -203,118 +203,65 @@ const (
 	stTail         // inside the variable tail
 )
 
-// ctlKindIdx maps a fixed-body control frame type byte to its ordinal
-// counter slot, or -1.
-func ctlKindIdx(b byte) int {
-	switch b {
-	case wire.Ping:
-		return 0
-	case wire.Pong:
-		return 1
-	case wire.Strobe:
-		return 2
-	case wire.StrobeAck:
-		return 3
-	}
-	return -1
-}
-
 // scanner is a streaming parser over one direction of the frame
-// stream. step consumes a byte and reports frame-boundary events.
+// stream. step consumes a byte and reports where in the stream it falls.
 type scanner struct {
 	state   int
 	kind    byte       // type byte of the frame being scanned
 	shape   wire.Shape // its row of the frame table
 	hdr     [wire.MaxFixed]byte
-	got     int // fixed-part bytes buffered so far
-	need    int // tail bytes left
-	bodyPos int // current byte's offset within a frag payload
-	frags   int // frag frames seen so far; current ordinal is frags-1
-	gobs    int // gob frames seen so far; current ordinal is gobs-1
-
-	ctlCounts [4]int // per-kind ordinals for ping, pong, strobe, strobe ack
+	got     int      // fixed-part bytes buffered so far
+	need    int      // tail bytes left
+	bodyPos int      // offset of the next tail byte
+	kinds   [256]int // frames begun so far, per type byte
 }
 
+// event places one byte inside a frame: the frame's type byte kind and
+// its ordinal ord among the frames of that type on this conn (0-based),
+// and whether the byte begins or ends it, completes a frag header, or is
+// frag payload at offset bodyPos. A byte that starts no frame is the
+// zero event.
 type event struct {
-	fragBegin     bool // this byte is the type byte of a frag frame
-	fragHdrDone   bool // this byte completed a frag header
-	fragFrameDone bool // this byte completed a frag frame
-	inFragBody    bool // this byte is frag payload
-	bodyPos       int
-	ord           int // fragment ordinal the event refers to
-
-	ctlBegin bool // this byte is the type byte of a fixed control frame
-	ctlDone  bool // this byte completed a fixed control frame
-	ctlKind  byte
-	ctlOrd   int // per-kind ordinal the ctl event refers to
-
-	gobBegin bool // this byte is the type byte of a gob frame
-	gobOrd   int  // gob ordinal the event refers to
+	kind        byte
+	ord         int
+	begin       bool
+	end         bool
+	fragHdrDone bool
+	inFragBody  bool
+	bodyPos     int
 }
 
 func (s *scanner) step(b byte) event {
 	var ev event
 	switch s.state {
 	case stType:
-		sh := wire.Shapes[b]
-		if sh.Fixed == 0 {
+		if s.shape = wire.Shapes[b]; s.shape.Fixed == 0 {
 			// Unknown byte: stay in stType. The real codec would error;
 			// the scanner just degrades to pass-through.
-			break
+			return ev
 		}
-		s.state, s.kind, s.shape, s.got = stFixed, b, sh, 0
-		switch idx := ctlKindIdx(b); {
-		case b == wire.Gob:
-			ev.gobBegin, ev.gobOrd = true, s.gobs
-			s.gobs++
-		case b == wire.Frag:
-			ev.fragBegin = true
-		case idx >= 0:
-			ev.ctlBegin, ev.ctlKind, ev.ctlOrd = true, b, s.ctlCounts[idx]
-			s.ctlCounts[idx]++
-		}
+		s.state, s.kind, s.got = stFixed, b, 0
+		s.kinds[b]++
+		ev.begin = true
 	case stFixed:
 		s.hdr[s.got] = b
 		s.got++
-		if s.got < s.shape.Fixed {
-			break
-		}
-		if s.kind == wire.Frag {
-			ev.fragHdrDone, ev.ord = true, s.frags
-			s.frags++
-		}
-		switch count := s.hdr[s.shape.CountOff:]; s.shape.CountWidth {
-		case 2:
-			s.need = int(binary.BigEndian.Uint16(count)) * s.shape.Unit
-		case 4:
-			s.need = int(binary.BigEndian.Uint32(count)) * s.shape.Unit
-		}
-		if s.need == 0 {
-			s.endFrame(&ev)
-		} else {
-			s.state, s.bodyPos = stTail, 0
+		if s.got == s.shape.Fixed {
+			ev.fragHdrDone = s.kind == wire.Frag
+			s.state, s.need, s.bodyPos = stTail, s.shape.Tail(s.hdr[:]), 0
+			ev.end = s.need == 0
 		}
 	case stTail:
-		if s.kind == wire.Frag {
-			ev.inFragBody, ev.bodyPos, ev.ord = true, s.bodyPos, s.frags-1
-			s.bodyPos++
-		}
+		ev.inFragBody, ev.bodyPos = s.kind == wire.Frag, s.bodyPos
+		s.bodyPos++
 		s.need--
-		if s.need == 0 {
-			s.endFrame(&ev)
-		}
+		ev.end = s.need == 0
 	}
+	if ev.end {
+		s.state = stType
+	}
+	ev.kind, ev.ord = s.kind, s.kinds[s.kind]-1
 	return ev
-}
-
-// endFrame marks the byte just consumed as the last of its frame.
-func (s *scanner) endFrame(ev *event) {
-	s.state = stType
-	if s.kind == wire.Frag {
-		ev.fragFrameDone, ev.ord = true, s.frags-1
-	} else if idx := ctlKindIdx(s.kind); idx >= 0 {
-		ev.ctlDone, ev.ctlKind, ev.ctlOrd = true, s.kind, s.ctlCounts[idx]-1
-	}
 }
 
 // Conn is a net.Conn with a fault Plan applied.
@@ -329,7 +276,7 @@ type Conn struct {
 	frame    []byte // current outgoing frame bytes, kept only while DuplicateFrag is armed
 	inFrame  bool
 
-	ctlHold    []byte // bytes of a control frame withheld for a pending CtlFault
+	ctlHold    []byte // bytes of a frame withheld for a pending CtlFault
 	ctlHolding bool
 	ctlFaultIx int    // index into plan.CtlFaults of the fault being held
 	ctlFired   []bool // per-CtlFault fired-once latches
@@ -353,7 +300,7 @@ func Wrap(c net.Conn, plan Plan) *Conn {
 }
 
 // armedCtlFault returns the index of an unfired fault matching the
-// control frame that just began, or -1.
+// frame that just began, or -1.
 func (c *Conn) armedCtlFault(kind byte, ord int) int {
 	for i, f := range c.plan.CtlFaults {
 		if !c.ctlFired[i] && f.Kind == kind && f.Index == ord {
@@ -411,7 +358,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 	// Fast path: no frame-level write triggers armed.
 	if c.plan.CloseAtFrag < 0 && c.plan.DuplicateFrag < 0 && c.plan.CorruptFrag < 0 &&
-		c.plan.FailWriteGob < 0 && c.plan.DropAfter <= 0 && len(c.plan.CtlFaults) == 0 {
+		c.plan.DropAfter <= 0 && len(c.plan.CtlFaults) == 0 {
 		return c.Conn.Write(p)
 	}
 
@@ -422,15 +369,21 @@ func (c *Conn) Write(p []byte) (int, error) {
 	for i := 0; i < len(p); i++ {
 		b := p[i]
 		ev := c.wScan.step(b)
-		if ev.gobBegin && ev.gobOrd == c.plan.FailWriteGob {
-			// Crash before the frame: everything earlier in this chunk goes
-			// out, the targeted gob frame never starts. The receiver sees a
-			// clean frame boundary then EOF; the sender sees a write error.
-			if len(out) > 0 {
-				c.Conn.Write(out)
+		if !c.ctlHolding && ev.begin {
+			if fi := c.armedCtlFault(ev.kind, ev.ord); fi >= 0 {
+				c.ctlFired[fi] = true
+				if c.plan.CtlFaults[fi].Op == "close" {
+					// Crash before the frame: everything earlier in this
+					// chunk goes out, the targeted frame never starts.
+					if len(out) > 0 {
+						c.Conn.Write(out)
+					}
+					c.kill("ctl-close")
+					return i, fmt.Errorf("%w (before outgoing %q frame %d)", ErrInjectedClose, ev.kind, ev.ord)
+				}
+				c.ctlHolding, c.ctlFaultIx = true, fi
+				c.ctlHold = c.ctlHold[:0]
 			}
-			c.kill("gob-close")
-			return i, fmt.Errorf("%w (at outgoing gob frame %d)", ErrInjectedClose, ev.gobOrd)
 		}
 		if ev.fragHdrDone && ev.ord == c.plan.CloseAtFrag {
 			// Crash mid-frame: flush what was already on the wire plus
@@ -445,21 +398,14 @@ func (c *Conn) Write(p []byte) (int, error) {
 			b ^= 0xFF
 			c.fire("corrupt")
 		}
-		if !c.ctlHolding && ev.ctlBegin {
-			if fi := c.armedCtlFault(ev.ctlKind, ev.ctlOrd); fi >= 0 {
-				c.ctlHolding, c.ctlFaultIx = true, fi
-				c.ctlHold = c.ctlHold[:0]
-			}
-		}
 		held := c.ctlHolding
 		if held {
-			// Withhold the targeted control frame's bytes — across Write
-			// call boundaries if the frame is split — and resolve the
-			// fault on its final byte.
+			// Withhold the targeted frame's bytes — across Write call
+			// boundaries if the frame is split — and resolve the fault on
+			// its final byte.
 			c.ctlHold = append(c.ctlHold, b)
-			if ev.ctlDone {
+			if ev.end {
 				f := c.plan.CtlFaults[c.ctlFaultIx]
-				c.ctlFired[c.ctlFaultIx] = true
 				c.ctlHolding = false
 				switch f.Op {
 				case "drop":
@@ -496,13 +442,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 			out = append(out, b)
 		}
 		if !held && capture {
-			if ev.fragBegin {
+			if ev.begin && ev.kind == wire.Frag {
 				c.frame = c.frame[:0]
 				c.inFrame = true
 			}
 			if c.inFrame {
 				c.frame = append(c.frame, b)
-				if ev.fragFrameDone {
+				if ev.end {
 					c.inFrame = false
 					if ev.ord == c.plan.DuplicateFrag {
 						out = append(out, c.frame...)
@@ -549,7 +495,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		c.rmu.Lock()
 		for i := 0; i < n; i++ {
 			ev := c.rScan.step(p[i])
-			if ev.fragFrameDone && ev.ord == c.plan.CloseAtReadFrag {
+			if ev.end && ev.kind == wire.Frag && ev.ord == c.plan.CloseAtReadFrag {
 				c.rmu.Unlock()
 				// Deliver through the end of the fatal fragment, then die:
 				// the node processes fragment k and crashes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -26,10 +27,14 @@ func buildFrag(index, n int) []byte {
 	return buf
 }
 
-func buildGob(n int) []byte {
-	buf := make([]byte, 1+4+n)
-	buf[0] = 'G'
-	binary.BigEndian.PutUint32(buf[1:], uint32(n))
+// buildAbort assembles one Abort body frame for job 1: the u32 body
+// length, then job i64 | reason (u32 count + bytes).
+func buildAbort(reason string) []byte {
+	buf := []byte{wire.Abort, 0, 0, 0, 0}
+	buf = binary.BigEndian.AppendUint64(buf, 1)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(reason)))
+	buf = append(buf, reason...)
+	binary.BigEndian.PutUint32(buf[1:], uint32(len(buf)-1-wire.BodyLen))
 	return buf
 }
 
@@ -42,7 +47,7 @@ func buildAck() []byte {
 // buildCtl assembles one fixed-body typed control frame with a
 // non-trivial body pattern.
 func buildCtl(kind byte) []byte {
-	if ctlKindIdx(kind) < 0 {
+	if sh := wire.Shapes[kind]; sh.Fixed == 0 || sh.CountWidth != 0 {
 		panic("not a fixed ctl kind")
 	}
 	buf := make([]byte, 1+wire.Shapes[kind].Fixed)
@@ -75,14 +80,14 @@ func pipeConn(t *testing.T) (net.Conn, net.Conn) {
 }
 
 // TestScannerCountsFragsAcrossChunking: frag ordinals are found no
-// matter how the byte stream is sliced, with gob and ack frames mixed in.
+// matter how the byte stream is sliced, with body and ack frames mixed in.
 func TestScannerCountsFragsAcrossChunking(t *testing.T) {
 	var stream []byte
-	stream = append(stream, buildGob(33)...)
+	stream = append(stream, buildAbort("the image failed to verify on 3 nodes")...)
 	stream = append(stream, buildFrag(0, 100)...)
 	stream = append(stream, buildAck()...)
 	stream = append(stream, buildFrag(1, 7)...)
-	stream = append(stream, buildGob(0)...)
+	stream = append(stream, buildAbort("")...)
 	stream = append(stream, buildFrag(2, 1)...)
 	for _, chunk := range []int{1, 3, 17, len(stream)} {
 		var s scanner
@@ -93,7 +98,7 @@ func TestScannerCountsFragsAcrossChunking(t *testing.T) {
 				end = len(stream)
 			}
 			for _, b := range stream[i:end] {
-				if ev := s.step(b); ev.fragFrameDone {
+				if ev := s.step(b); ev.end && ev.kind == wire.Frag {
 					frames++
 				}
 			}
@@ -335,11 +340,11 @@ func TestFlakyDialer(t *testing.T) {
 }
 
 // TestScannerTypedControlFrames: the scanner tracks frag ordinals and
-// per-kind control ordinals through a stream mixing every frame kind,
-// regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'K'/'D'.
+// per-type frame ordinals through a stream mixing frame kinds,
+// regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'K'/'D'/'B'.
 func TestScannerTypedControlFrames(t *testing.T) {
 	var stream []byte
-	stream = append(stream, buildGob(9)...)
+	stream = append(stream, buildAbort("link down")...)
 	stream = append(stream, buildCtl('P')...)
 	stream = append(stream, buildFrag(0, 40)...)
 	stream = append(stream, buildCtl('Q')...)
@@ -354,7 +359,7 @@ func TestScannerTypedControlFrames(t *testing.T) {
 	for _, chunk := range []int{1, 2, 5, 13, len(stream)} {
 		var s scanner
 		frags := 0
-		var ctl [4]int
+		var kinds [256]int
 		for i := 0; i < len(stream); i += chunk {
 			end := i + chunk
 			if end > len(stream) {
@@ -362,19 +367,24 @@ func TestScannerTypedControlFrames(t *testing.T) {
 			}
 			for _, b := range stream[i:end] {
 				ev := s.step(b)
-				if ev.fragFrameDone {
+				if ev.end && ev.kind == wire.Frag {
 					frags++
 				}
-				if ev.ctlDone {
-					ctl[ctlKindIdx(ev.ctlKind)]++
+				if ev.end {
+					if ev.ord != kinds[ev.kind] {
+						t.Fatalf("chunk %d: %q frame %d reported as ordinal %d", chunk, ev.kind, kinds[ev.kind], ev.ord)
+					}
+					kinds[ev.kind]++
 				}
 			}
 		}
 		if frags != 2 {
 			t.Fatalf("chunk %d: %d frag frames, want 2", chunk, frags)
 		}
-		if ctl != [4]int{2, 1, 1, 1} {
-			t.Fatalf("chunk %d: ctl frame counts = %v, want [2 1 1 1]", chunk, ctl)
+		for kind, want := range map[byte]int{'P': 2, 'Q': 1, 'S': 1, 'T': 1, 'K': 2, 'D': 1, 'B': 1, 'A': 1, 'F': 2} {
+			if kinds[kind] != want {
+				t.Fatalf("chunk %d: %d %q frames, want %d", chunk, kinds[kind], kind, want)
+			}
 		}
 		if s.state != stType {
 			t.Fatalf("chunk %d: scanner ended in state %d, want stType", chunk, s.state)
@@ -484,6 +494,39 @@ func TestCtlFaultDelayPong(t *testing.T) {
 	}
 	if got := <-done; !bytes.Equal(got, sent) {
 		t.Fatal("delayed stream corrupted or reordered")
+	}
+}
+
+// TestCtlFaultCloseBeforeFrame: a "close" fault kills the conn before
+// any byte of the k-th frame of its type — earlier frames, and the bytes
+// of this write that precede the frame, reach the peer whole — and the
+// writer sees the injected error.
+func TestCtlFaultCloseBeforeFrame(t *testing.T) {
+	a, b := pipeConn(t)
+	var fired []string
+	plan := NewPlan()
+	plan.CtlFaults = []CtlFault{{Kind: wire.Abort, Index: 1, Op: "close"}}
+	plan.OnFault = func(k string) { fired = append(fired, k) }
+	fc := Wrap(a, plan)
+	abort, ping := buildAbort("first"), buildCtl('P')
+	want := append(append(append([]byte{}, abort...), ping...), ping...)
+	done := make(chan []byte, 1)
+	go func() {
+		got, _ := io.ReadAll(b)
+		done <- got
+	}()
+	if _, err := fc.Write(append(append([]byte{}, abort...), ping...)); err != nil {
+		t.Fatalf("abort 0: %v", err)
+	}
+	n, err := fc.Write(append(append([]byte{}, ping...), buildAbort("second")...))
+	if !errors.Is(err, ErrInjectedClose) || n != len(ping) {
+		t.Fatalf("write of abort 1 = (%d, %v), want (%d, ErrInjectedClose)", n, err, len(ping))
+	}
+	if got := <-done; !bytes.Equal(got, want) {
+		t.Fatalf("peer got %d bytes, want the %d before abort 1", len(got), len(want))
+	}
+	if !fc.Killed() || len(fired) != 1 || fired[0] != "ctl-close" {
+		t.Fatalf("killed=%v, OnFault calls = %v, want [ctl-close]", fc.Killed(), fired)
 	}
 }
 

@@ -142,7 +142,7 @@ func TestFederationSpanning(t *testing.T) {
 			t.Fatalf("aggregate Send %v below partition %d's %v", rep.Send, p.Partition, p.Report.Send)
 		}
 	}
-	// One gob Submit frame per partition: generously bounded well below
+	// One Submit frame per partition: generously bounded well below
 	// the 512 KiB image each leaf then fans out itself.
 	if rep.RootEgress <= 0 || rep.RootEgress > 8<<10 {
 		t.Fatalf("root egress %dB, want small O(partitions) delegation cost", rep.RootEgress)

@@ -18,11 +18,11 @@ const footprintNodes = 64
 // NMs): 3 goroutines (NM loop, NM accept loop, MM-side serve) and two
 // 64 KiB-buffered conn pairs. Hub mode deletes the per-NM listener and
 // accept goroutine; the lite profile shrinks the bufio pairs to 8 KiB;
-// the persistent per-link gob codec buys its launch-path CPU win at
-// ~50 KiB of compiled type state per MM link. The ceilings below are
-// generous against the measured post-change numbers (~2.05 goroutines,
-// ~89 KiB per NM) but far below the seed — a regression to per-NM
-// accept loops or bulk buffers trips them immediately.
+// the typed frames that replaced gob hold no per-link codec state. The
+// ceilings below sit ~25 % over the measured numbers (2.03 goroutines,
+// 36.2 KiB per NM; 90.7 KiB while gob codecs were per link) — a
+// regression to per-NM accept loops, bulk buffers on lite conns or
+// per-link codec state trips them.
 func TestPerNMFootprint(t *testing.T) {
 	heapNow := func() uint64 {
 		runtime.GC()
@@ -73,8 +73,8 @@ func TestPerNMFootprint(t *testing.T) {
 	if perG > 2.5 {
 		t.Fatalf("idle goroutines/NM = %.2f, budget 2.5 (seed was 3.02) — per-NM accept loops are back?", perG)
 	}
-	if perH > 128*1024 {
-		t.Fatalf("idle heap/NM = %.1f KiB, budget 128 KiB (seed was ~261) — bulk buffers on lite conns?", perH/1024)
+	if perH > 45*1024 {
+		t.Fatalf("idle heap/NM = %.1f KiB, budget 45 KiB (seed was ~261) — bulk buffers or codec state on lite conns?", perH/1024)
 	}
 
 	// A launch must not permanently grow the per-NM goroutine count:

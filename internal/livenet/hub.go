@@ -1,7 +1,7 @@
 package livenet
 
 import (
-	"encoding/binary"
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -110,21 +110,21 @@ func (h *PeerHub) accept() {
 }
 
 // route reads the routing hello off a fresh connection and hands the
-// connection to the target NM. The hello is read raw — before any
-// buffering — so the NM-side conn built afterwards starts exactly at
-// the first real frame and over-reads nothing.
+// connection to the target NM. The hello is received through a reader
+// that ends where a hello does, so the NM-side conn built afterwards
+// starts exactly at the first real frame and over-reads nothing.
 func (h *PeerHub) route(nc net.Conn) {
 	defer h.wg.Done()
-	var hello [1 + wire.HelloLen]byte
 	nc.SetReadDeadline(time.Now().Add(helloTimeout))
-	if _, err := io.ReadFull(nc, hello[:]); err != nil || hello[0] != wire.Hello {
+	hello := &conn{r: bufio.NewReaderSize(io.LimitReader(nc, 1+wire.HelloLen), 16)}
+	m, err := hello.recv()
+	if err != nil || m.Hello == nil {
 		nc.Close()
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
-	node := int(binary.BigEndian.Uint32(hello[1:]))
 	h.mu.Lock()
-	nm := h.nms[node]
+	nm := h.nms[m.Hello.Node]
 	h.mu.Unlock()
 	if nm == nil || !nm.adoptPeer(nc) {
 		nc.Close()

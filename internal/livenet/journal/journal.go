@@ -19,8 +19,8 @@
 // is indistinguishable from a clean end of log.
 //
 // The package holds no livenet types: event payloads are opaque bytes
-// (the MM gob-encodes job specs into Data), so journal can be tested —
-// and reused — on its own.
+// (the MM stores a job spec as the body of its Submit frame), so journal
+// can be tested — and reused — on its own.
 package journal
 
 import (
@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -88,8 +87,8 @@ func (t EventType) String() string {
 
 // Event is one journal record. Job and Node are whichever identities the
 // type concerns (zero when not applicable); Data is an opaque payload
-// owned by the writer (the MM stores gob-encoded job specs and error
-// strings there).
+// owned by the writer (the MM stores encoded job specs and error strings
+// there).
 type Event struct {
 	Type EventType
 	Job  int
@@ -321,48 +320,40 @@ func Replay(dir string, fn func(Event) error) error {
 }
 
 // replaySegment replays one segment file; torn reports whether a torn
-// or corrupt frame cut the replay short.
+// or corrupt frame cut the replay short. The segment is read whole, so
+// no length field can make replay allocate more than the file holds; a
+// frame is intact only if its payload is exactly what encode writes for
+// its event, and an event's Data aliases the read buffer.
 func replaySegment(path string, fn func(Event) error) (torn bool, err error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return false, fmt.Errorf("journal: replay: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	hdr := make([]byte, frameHdrLen)
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return err != io.EOF, nil // short header = torn tail; clean EOF = end
-		}
-		n := int(binary.BigEndian.Uint32(hdr[0:]))
-		want := binary.BigEndian.Uint32(hdr[4:])
-		if n < recFixedLen || n > 64<<20 {
+	for len(b) > 0 {
+		if len(b) < frameHdrLen {
 			return true, nil
 		}
-		if cap(payload) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
+		n := int(binary.BigEndian.Uint32(b))
+		p := b[frameHdrLen:]
+		if n < recFixedLen || n > len(p) || crc32.ChecksumIEEE(p[:n]) != binary.BigEndian.Uint32(b[4:]) {
 			return true, nil
 		}
-		if crc32.ChecksumIEEE(payload) != want {
+		p = p[:n:n]
+		if int(binary.BigEndian.Uint32(p[17:])) != n-recFixedLen {
 			return true, nil
 		}
 		ev := Event{
-			Type: EventType(payload[0]),
-			Job:  int(int64(binary.BigEndian.Uint64(payload[1:]))),
-			Node: int(int64(binary.BigEndian.Uint64(payload[9:]))),
+			Type: EventType(p[0]),
+			Job:  int(int64(binary.BigEndian.Uint64(p[1:]))),
+			Node: int(int64(binary.BigEndian.Uint64(p[9:]))),
 		}
-		if dlen := int(binary.BigEndian.Uint32(payload[17:])); dlen > 0 {
-			if recFixedLen+dlen > n {
-				return true, nil
-			}
-			ev.Data = append([]byte(nil), payload[recFixedLen:recFixedLen+dlen]...)
+		if n > recFixedLen {
+			ev.Data = p[recFixedLen:]
 		}
 		if err := fn(ev); err != nil {
 			return false, err
 		}
+		b = b[frameHdrLen+n:]
 	}
+	return false, nil
 }

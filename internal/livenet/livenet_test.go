@@ -2,8 +2,10 @@ package livenet
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -451,8 +453,9 @@ func TestFirstTransferFailureWins(t *testing.T) {
 	mm.onPlanAck(&PlanAck{Job: j.id, Node: 2, Epoch: 2, Received: 5, Err: "dial child 5: refused"})
 	mm.onPlanAck(&PlanAck{Job: 8, Node: 2, Epoch: 2, Err: "no such job"})
 	start := time.Now()
-	err := j.await(ss, "relay plan unconfirmed by nodes", start.Add(5*time.Second), func() []string {
-		return []string{"9"}
+	err := j.await(ss, "relay plan unconfirmed by nodes", start.Add(5*time.Second), func(names *[]string) int {
+		nameOwing(names, 9)
+		return 1
 	})
 	if err == nil || !strings.Contains(err.Error(), "node 1 ") || !strings.Contains(err.Error(), "child 3") {
 		t.Fatalf("job failure = %v, want node 1's", err)
@@ -479,10 +482,94 @@ func TestFirstTransferFailureWins(t *testing.T) {
 	if j.fail != nil {
 		t.Fatalf("a transfer complaint failed a launched job: %v", j.fail)
 	}
-	err = j.await(nil, "launched nodes never reported termination: missing", time.Now(), func() []string {
-		return []string{"4"}
+	err = j.await(nil, "launched nodes never reported termination: missing", time.Now(), func(names *[]string) int {
+		nameOwing(names, 4)
+		return 1
 	})
 	if !errors.Is(err, ErrTermTimeout) || !strings.Contains(err.Error(), "missing 4") || strings.Contains(err.Error(), "stripe") {
 		t.Fatalf("termination wait timed out with %v, want ErrTermTimeout naming node 4 and no stripe", err)
+	}
+}
+
+// wakeCounter is a job's cond locker that counts the wait's wakes: Wait
+// re-locks through it, everything else locks j.mu directly.
+type wakeCounter struct {
+	mu    *sync.Mutex
+	wakes atomic.Int64
+}
+
+func (w *wakeCounter) Lock()   { w.mu.Lock(); w.wakes.Add(1) }
+func (w *wakeCounter) Unlock() { w.mu.Unlock() }
+
+// TestAwaitWakeAllocs: a wake of the job's one wait that finds nodes
+// still owing allocates nothing — the credit wait formats no per-kid
+// description and the plan barrier builds no name list until the
+// deadline error needs them — so each of a wide job's acks costs the MM
+// no garbage. Each wait is driven through a few wakes and then a
+// thousand more with every node owing; the extra wakes must not
+// allocate.
+func TestAwaitWakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates behind sync primitives; the non-race CI step enforces this")
+	}
+	const n = 8
+	run := func(wakes int64, wait func(*MM, *liveJob, *stripeState) error, settle func(*stripeState)) uint64 {
+		links := testLinks(n)
+		for _, l := range links {
+			l.c = discardConn()
+		}
+		ss := &stripeState{tree: layTree(links, 2), planned: make(map[int]int)}
+		for _, tk := range ss.tree.kids {
+			ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
+		}
+		j := &liveJob{id: 7, stripes: []*stripeState{ss}}
+		woke := &wakeCounter{mu: &j.mu}
+		j.cond = sync.NewCond(woke)
+		mm := &MM{cfg: MMConfig{AckTimeout: time.Minute}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		errc := make(chan error, 1)
+		go func() { errc <- wait(mm, j, ss) }()
+		for woke.wakes.Load() < wakes {
+			j.mu.Lock()
+			j.cond.Broadcast()
+			j.mu.Unlock()
+			runtime.Gosched()
+		}
+		j.mu.Lock()
+		settle(ss)
+		j.cond.Broadcast()
+		j.mu.Unlock()
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, tc := range []struct {
+		name   string
+		wait   func(*MM, *liveJob, *stripeState) error
+		settle func(*stripeState)
+	}{
+		{"credit", func(_ *MM, j *liveJob, ss *stripeState) error {
+			return j.awaitCredit(ss, 4, time.Now().Add(time.Minute))
+		}, func(ss *stripeState) {
+			for _, kid := range ss.kids {
+				kid.acked = 4
+			}
+		}},
+		{"plan barrier", func(mm *MM, j *liveJob, ss *stripeState) error {
+			return mm.plan(j, []*stripeState{ss})
+		}, func(ss *stripeState) {
+			for _, l := range ss.tree.order {
+				ss.planned[l.node] = 0
+			}
+		}},
+	} {
+		run(10, tc.wait, tc.settle)
+		few, many := run(10, tc.wait, tc.settle), run(1010, tc.wait, tc.settle)
+		if many > few+10 {
+			t.Errorf("%s wait: 10 wakes took %d allocations, 1010 took %d — a wake with %d nodes owing allocates", tc.name, few, many, n)
+		}
 	}
 }

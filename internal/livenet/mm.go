@@ -1,8 +1,6 @@
 package livenet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -549,19 +547,21 @@ type RecoveredJob struct {
 	Done   bool
 }
 
-// encodeSpec/decodeSpec gob a JobSpec into the journal's opaque Data.
+// encodeSpec/decodeSpec write a JobSpec into the journal's opaque Data
+// as what it is on the wire: the body of a Submit frame. The encoded
+// bytes are tail scratch the walker took from the pool and never gave
+// back, so they are the caller's.
 func encodeSpec(spec *JobSpec) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
-		return nil
-	}
-	return buf.Bytes()
+	var w walker
+	spec.walk(&w)
+	return w.out
 }
 
 func decodeSpec(b []byte) (JobSpec, error) {
 	var spec JobSpec
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&spec)
-	return spec, err
+	w := walker{dec: true, in: b}
+	spec.walk(&w)
+	return spec, w.done()
 }
 
 // openJournal replays the write-ahead log under dir (if any), rebuilds
@@ -1193,8 +1193,8 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	// A Launch that cannot be written is a node death like any other: the
 	// node joins the job's failed set, its ranks do not run, and the
 	// launch stands on the nodes that took theirs. Those owe a termination
-	// report: wait lists them, owing their names.
-	wait, owing := make([]int, 0, len(nodes)), make([]string, 0, len(nodes))
+	// report: wait lists them.
+	wait := make([]int, 0, len(nodes))
 	var lost error
 	for i, link := range nodes {
 		ranks := make([]int, 0, spec.PEsPerNode)
@@ -1208,7 +1208,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 			j.failedNodes = append(j.failedNodes, link.node)
 			continue
 		}
-		wait, owing = append(wait, link.node), append(owing, strconv.Itoa(link.node))
+		wait = append(wait, link.node)
 	}
 	ran := len(wait)
 	if ran == 0 {
@@ -1220,18 +1220,19 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	// own budget — the program's expected duration plus TermTimeout — and
 	// is independent of the transfer-phase AckTimeout. Every report wakes
 	// the wait, so a wake is kept cheap on a wide job: it walks only the
-	// nodes still owing — the lists shrink in place — and allocates nothing.
+	// nodes still owing — the list shrinks in place.
 	err = j.await(nil, "launched nodes never reported termination: missing",
-		time.Now().Add(spec.Program.Duration+mm.cfg.TermTimeout), func() []string {
+		time.Now().Add(spec.Program.Duration+mm.cfg.TermTimeout), func(names *[]string) int {
 			k := 0
-			for i, node := range wait {
+			for _, node := range wait {
 				if !j.termed[node] {
-					wait[k], owing[k] = node, owing[i]
+					wait[k] = node
 					k++
+					nameOwing(names, node)
 				}
 			}
-			wait, owing = wait[:k], owing[:k]
-			return owing
+			wait = wait[:k]
+			return k
 		})
 	if err != nil {
 		// A shutdown journals nothing: a launched-but-unfinished job is
@@ -1586,14 +1587,15 @@ func (mm *MM) plan(j *liveJob, trees []*stripeState) error {
 			return downError{node: link.node, cause: fmt.Sprintf("plan write: %v", err)}
 		}
 	}
-	return j.await(first, "relay plan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
-		var owing []string
+	return j.await(first, "relay plan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func(names *[]string) int {
+		n := 0
 		for _, link := range first.tree.order {
 			if _, ok := first.planned[link.node]; !ok {
-				owing = append(owing, strconv.Itoa(link.node))
+				n++
+				nameOwing(names, link.node)
 			}
 		}
-		return owing
+		return n
 	})
 }
 
@@ -1710,14 +1712,15 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	// with the epoch. A round that re-runs in the same epoch — another
 	// stripe's failure interrupted it, and this stripe only pruned a leaf —
 	// keeps the reports it has: the NMs answer once per epoch.
-	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func() []string {
-		var owing []string
+	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func(names *[]string) int {
+		n := 0
 		for _, kid := range ss.kids {
 			if kid.have == nil {
-				owing = append(owing, strconv.Itoa(kid.link.node))
+				n++
+				nameOwing(names, kid.link.node)
 			}
 		}
-		return owing
+		return n
 	})
 	if err != nil {
 		return err
@@ -1823,7 +1826,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d: %v", i, err)}
 			}
 			j.holdChunk(kid, i/k, frame)
-			if err := link.c.sendFrag(f); err != nil {
+			if err := link.c.send(Message{Frag: f}); err != nil {
 				releaseFragBuf(data)
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d write: %v", i, err)}
 			}
@@ -2091,12 +2094,15 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 }
 
 // await is the job's one wait, the live COMPARE-AND-WRITE: block on
-// j.cond until pending — evaluated under j.mu — names no node, the job
+// j.cond until owing — evaluated under j.mu — counts no node, the job
 // has failed (that failure is returned as is), or the deadline passes
 // with the phase's timeout error naming the job, what was awaited and
-// whom it is still owed by. A transfer wait belongs to a stripe and
-// names it; the termination wait (ss nil) belongs to the whole job.
-func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, pending func() []string) error {
+// whom it is still owed by. A wake only counts: owing appends the
+// owing nodes' names to names (see nameOwing) for the deadline error
+// alone, so a wake allocates nothing however many nodes still owe. A
+// transfer wait belongs to a stripe and names it; the termination wait
+// (ss nil) belongs to the whole job.
+func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, owing func(names *[]string) int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var alarm *time.Timer
@@ -2104,15 +2110,16 @@ func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, pendin
 		if j.fail != nil {
 			return j.fail
 		}
-		owing := pending()
-		if len(owing) == 0 {
+		if owing(nil) == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
+			var names []string
+			owing(&names)
 			if ss == nil {
-				return fmt.Errorf("%w: job %d: %s %s", ErrTermTimeout, j.id, what, strings.Join(owing, ", "))
+				return fmt.Errorf("%w: job %d: %s %s", ErrTermTimeout, j.id, what, strings.Join(names, ", "))
 			}
-			return fmt.Errorf("%w: job %d stripe %d: %s %s", ErrTransferTimeout, j.id, ss.id, what, strings.Join(owing, ", "))
+			return fmt.Errorf("%w: job %d stripe %d: %s %s", ErrTransferTimeout, j.id, ss.id, what, strings.Join(names, ", "))
 		}
 		// Wake periodically to enforce the deadline even if no answer comes:
 		// one timer per wait, re-armed at each wake.
@@ -2135,19 +2142,30 @@ func (j *liveJob) awaitCredit(ss *stripeState, need int, deadline time.Time) err
 	if need <= 0 {
 		return nil
 	}
-	return j.await(ss, "flow control stalled awaiting credit from", deadline, func() []string {
-		var owing []string
+	return j.await(ss, "flow control stalled awaiting credit from", deadline, func(names *[]string) int {
+		n := 0
 		for _, kid := range ss.kids {
-			if kid.acked < need {
-				if len(kid.subtree) > 1 {
-					owing = append(owing, fmt.Sprintf("node %d (subtree %v, acked %d of %d)", kid.link.node, kid.subtree, kid.acked, need))
-				} else {
-					owing = append(owing, fmt.Sprintf("node %d (acked %d of %d)", kid.link.node, kid.acked, need))
-				}
+			switch {
+			case kid.acked >= need:
+				continue
+			case names == nil:
+			case len(kid.subtree) > 1:
+				*names = append(*names, fmt.Sprintf("node %d (subtree %v, acked %d of %d)", kid.link.node, kid.subtree, kid.acked, need))
+			default:
+				*names = append(*names, fmt.Sprintf("node %d (acked %d of %d)", kid.link.node, kid.acked, need))
 			}
+			n++
 		}
-		return owing
+		return n
 	})
+}
+
+// nameOwing appends node to the names an await's owing builds for its
+// deadline error; a wake passes nil and nothing is built.
+func nameOwing(names *[]string, node int) {
+	if names != nil {
+		*names = append(*names, strconv.Itoa(node))
+	}
 }
 
 // abort tells every node of a failed job to drop its transfer state

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/livenet/faultconn"
+	"repro/internal/livenet/wire"
 )
 
 // mtCluster boots an MM (with the given config) and n NMs sequentially,
@@ -46,9 +47,9 @@ func mtCluster(t *testing.T, n int, cfg MMConfig) (*MM, []*NM) {
 // one in any other phase. The job completes on the nodes that took their
 // Launch, naming the lost node in Report.Failed; it fails, naming a node
 // and the launch phase, only when no node took one. The injected fault
-// hard-closes the MM's side of a link immediately before its second
-// outgoing gob frame (G#0 is the Plan, G#1 is the Launch), so the
-// transfer on that link is always complete when the write fails.
+// hard-closes the MM's side of a link immediately before its first
+// outgoing Launch frame, so the transfer on that link is always complete
+// when the write fails.
 func TestLaunchPhaseDeathIsNodeDeath(t *testing.T) {
 	const n, victim = 3, 1
 	launch := func(armed func(node int) bool) ([]*NM, Report, error) {
@@ -60,7 +61,7 @@ func TestLaunchPhaseDeathIsNodeDeath(t *testing.T) {
 				return c
 			}
 			plan := faultconn.NewPlan()
-			plan.FailWriteGob = 1
+			plan.CtlFaults = []faultconn.CtlFault{{Kind: wire.Launch, Index: 0, Op: "close"}}
 			return faultconn.Wrap(c, plan)
 		}
 		mm, nms := mtCluster(t, n, cfg)

@@ -756,7 +756,7 @@ func (nm *NM) pumpChildAcks(cc *conn) {
 			}
 			nm.mu.Unlock()
 			if parent != nil {
-				parent.sendAck(a)
+				parent.send(Message{FragAck: a})
 			}
 			continue
 		}
@@ -876,7 +876,12 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 		nm.mu.Unlock()
 		return
 	}
-	sr.parent = from
+	// The epoch's answers start here, up the link its manifest came
+	// down. A straggler of the previous epoch that reached this node after
+	// the replan's Plan may already have been answered under the new
+	// epoch, to a parent that had not installed it yet and dropped the
+	// answer — so the ack and HAVE streams restart from nothing.
+	sr.parent, sr.sentUp, sr.haveSent = from, 0, false
 	st := nm.bins[m.Job]
 	drain := st == nil
 	if drain {
@@ -892,7 +897,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	children := sr.children
 	nm.mu.Unlock()
 
-	// Relay first, straight from conn scratch (sendManifest copies to the
+	// Relay first, straight from conn scratch (send copies it to the
 	// wire), so the subtree's cache drains overlap our own.
 	for _, rc := range children {
 		nm.relay(m.Job, rc, Message{Manifest: m})
@@ -966,7 +971,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			epoch := sr.epoch
 			nm.mu.Unlock()
 			if parent != nil {
-				parent.sendAck(&FragAck{Job: m.Job, Index: len(man.Hashes) - 1, Node: nm.node, Epoch: epoch, Stripe: m.Stripe, OK: false})
+				parent.send(Message{FragAck: &FragAck{Job: m.Job, Index: len(man.Hashes) - 1, Node: nm.node, Epoch: epoch, Stripe: m.Stripe, OK: false}})
 			}
 			return
 		}
@@ -1122,7 +1127,7 @@ func (nm *NM) onNeedMask(n *NeedMask) {
 		nm.relay(n.Job, km.rc, Message{NeedMask: &NeedMask{Job: n.Job, Epoch: epoch, Stripe: n.Stripe, Bits: km.bits}})
 	}
 	if stuck >= 0 && parent != nil {
-		parent.sendAck(&FragAck{Job: n.Job, Index: stuck, Node: nm.node, Epoch: epoch, Stripe: n.Stripe, OK: false})
+		parent.send(Message{FragAck: &FragAck{Job: n.Job, Index: stuck, Node: nm.node, Epoch: epoch, Stripe: n.Stripe, OK: false}})
 	}
 }
 
@@ -1217,7 +1222,7 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *
 		return
 	}
 	if !ok {
-		from.sendAck(&FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false})
+		from.send(Message{FragAck: &FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false}})
 		return
 	}
 	if seal {
@@ -1462,7 +1467,7 @@ func (nm *NM) advanceAck(job, stripe int) {
 	parent := sr.parent
 	epoch := sr.epoch
 	nm.mu.Unlock()
-	parent.sendAck(&FragAck{Job: job, Index: min - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true})
+	parent.send(Message{FragAck: &FragAck{Job: job, Index: min - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true}})
 }
 
 // onChildDead enacts the MM's leaf-prune on one stripe: the named child

@@ -309,3 +309,68 @@ func TestWarmRelaunchStructure(t *testing.T) {
 		t.Fatalf("%d off-lock points ran with nm.mu held", underLock.Load())
 	}
 }
+
+// TestEpochAnswersRestartAtManifest: after a replan a fragment of the old
+// epoch can reach a node after its new Plan but before its parent's. The
+// node takes it under the new epoch and answers up the old link — and the
+// parent, not yet on the new epoch, drops the answers as premature. The
+// epoch's manifest, which no node sees before every node has installed
+// the plan, must restart the node's answers: otherwise the credit and the
+// HAVE ledger it already counted as sent are lost for good and the MM's
+// wait stalls out its AckTimeout (the TestChaosConcurrentJobsInteriorKill
+// flake). Here the straggler completes the image, so both the ack and the
+// HAVE went the wrong way.
+func TestEpochAnswersRestartAtManifest(t *testing.T) {
+	nm := &NM{
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		digests: make(map[int]ImageDigest),
+	}
+	const job, chunks, size = 9, 2, 64
+	image := fragPattern(job, 0, chunks*size)
+	man := &Manifest{Job: job, ChunkBytes: size, TotalBytes: chunks * size, ImageCRC: fragCRC(image),
+		Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks)}
+	for i := 0; i < chunks; i++ {
+		c := image[i*size : (i+1)*size]
+		man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
+	}
+	frag := func(i int) *Frag {
+		data := grabFragBuf(size)
+		copy(data, image[i*size:(i+1)*size])
+		return &Frag{Job: job, Index: i, Data: data, CRC: man.CRCs[i], Last: i == chunks-1}
+	}
+	var old, cur bytes.Buffer
+	oldLink, link := &conn{w: bufio.NewWriter(&old)}, &conn{w: bufio.NewWriter(&cur)}
+
+	nm.relays[job] = &relayState{stripes: []*stripeRelay{{}}}
+	nm.onManifest(man, oldLink)
+	nm.handleFrag(frag(0), oldLink)
+	// The replan's Plan reaches this leaf (onPlan resets the stripe's
+	// relay state), then the old epoch's last fragment does.
+	*nm.relays[job].stripes[0] = stripeRelay{epoch: 1}
+	nm.handleFrag(frag(1), oldLink)
+	if _, ok := nm.ImageDigest(job); !ok {
+		t.Fatal("the straggler did not complete the image")
+	}
+
+	m1 := man.clone()
+	m1.Epoch = 1
+	nm.onManifest(m1, link)
+	var acked, have bool
+	c := &conn{r: bufio.NewReader(&cur)}
+	for {
+		m, err := c.recv()
+		if err != nil {
+			break
+		}
+		switch {
+		case m.FragAck != nil:
+			acked = acked || m.FragAck.OK && m.FragAck.Epoch == 1 && m.FragAck.Index == chunks-1
+		case m.Have != nil:
+			have = have || m.Have.Epoch == 1 && maskGet(m.Have.Bits, 0) && maskGet(m.Have.Bits, 1)
+		}
+	}
+	if !acked || !have {
+		t.Fatalf("after the epoch's manifest the parent heard: full epoch-1 ack %v, full epoch-1 HAVE %v; want both", acked, have)
+	}
+}

@@ -20,29 +20,29 @@
 // Wire format: every message is one frame — a type byte, a fixed part,
 // and for some types a tail whose length the fixed part carries; package
 // wire is the table of them, shared with the fault injector's scanner.
-// Everything that runs per fragment or per period travels as a typed
-// frame with a fixed binary layout: fragments and their acks ('F', 'A'),
-// heartbeat pings and pong ledgers ('P', 'Q'), gang strobes and their
-// acks ('S', 'T'), plan confirmations and peer-down reports ('K', 'D'),
-// and the delta-transfer round's manifests, HAVE ledgers and need masks
-// ('M', 'H', 'N'). A fragment is encoded exactly once and every child
-// link is served from the same buffer with no per-destination
-// marshalling; the control frames encode and decode without allocating.
-// Only the rare, topology-sized messages — registration, submissions and
-// reports, stripe-tree and control-tree plans, launches, terminations,
-// aborts, status — travel as gob inside a 'G' frame, on one gob stream
-// per connection.
+// One codec: each message type has one walk method, which lays its
+// fields out in wire order, fixed-width and big-endian, and which send
+// runs to encode and recv to decode. Per-fragment and per-period frames
+// pack each field to its width — fragments and their acks ('F', 'A'),
+// pings and pong ledgers ('P', 'Q'), strobes and their acks ('S', 'T'),
+// plan confirmations and peer-down reports ('K', 'D'), manifests, HAVE
+// ledgers and need masks ('M', 'H', 'N') — and encode and decode without
+// allocating; a fragment is encoded once for every child link. The
+// topology-sized messages (registration, submissions and reports, plans,
+// launches, terminations, aborts, status) are body frames: a u32 length,
+// 8-byte integers, a u32 count before every string and list. A frame
+// decodes on its own, whatever came before it on the link.
 package livenet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,6 +94,46 @@ type JobSpec struct {
 	Demand place.Vec
 }
 
+// walk is also the journal's JobAdmitted payload (encodeSpec). The
+// patch goes in chunk order (decoding, chunks is the count's worth of
+// slots), so one spec always encodes to one byte string.
+func (s *JobSpec) walk(w *walker) {
+	w.str(&s.Name, 4, maxFrame)
+	num(w, &s.BinaryBytes, 8)
+	num(w, &s.Nodes, 8)
+	num(w, &s.PEsPerNode, 8)
+	s.Program.walk(w)
+	num(w, &s.ImageSeed, 8)
+	chunks := make([]int, 0, len(s.ImagePatch))
+	for chunk := range s.ImagePatch {
+		chunks = append(chunks, chunk)
+	}
+	sort.Ints(chunks)
+	fit(w, &chunks, w.count(len(chunks), 4))
+	for _, chunk := range chunks {
+		seed := s.ImagePatch[chunk]
+		num(w, &chunk, 8)
+		num(w, &seed, 8)
+		if w.dec {
+			if s.ImagePatch == nil {
+				s.ImagePatch = make(map[int]uint64)
+			}
+			s.ImagePatch[chunk] = seed
+		}
+	}
+	w.str(&s.User, 4, maxFrame)
+	num(w, &s.Weight, 8)
+	w.ints(&s.Place)
+	walkVec(w, &s.Demand)
+}
+
+// walkVec walks a resource vector.
+func walkVec(w *walker, v *place.Vec) {
+	num(w, &v.CPU, 8)
+	num(w, &v.Mem, 8)
+	num(w, &v.Net, 8)
+}
+
 // ProgramSpec is the live process behavior, transmitted to the PLs.
 type ProgramSpec struct {
 	// Kind is "exit" (do-nothing), "sleep", "spin", or "sweep".
@@ -103,6 +143,13 @@ type ProgramSpec struct {
 	// Grid and Iters parameterize the real sweep kernel.
 	Grid  int
 	Iters int
+}
+
+func (p *ProgramSpec) walk(w *walker) {
+	w.str(&p.Kind, 4, maxFrame)
+	num(w, &p.Duration, 8)
+	num(w, &p.Grid, 8)
+	num(w, &p.Iters, 8)
 }
 
 // Report is the timing breakdown returned to the submitting client,
@@ -151,16 +198,35 @@ type Report struct {
 	Retries int
 }
 
-// Message is the wire envelope. Exactly one pointer field is set.
+func (r *Report) walk(w *walker) {
+	num(w, &r.JobID, 8)
+	num(w, &r.Send, 8)
+	num(w, &r.Execute, 8)
+	num(w, &r.Total, 8)
+	num(w, &r.SendBytes, 8)
+	w.ints(&r.Failed)
+	num(w, &r.Replans, 8)
+	num(w, &r.Recovery, 8)
+	w.ints(&r.StripeReplans)
+	num(w, &r.Chunks, 8)
+	num(w, &r.ChunksSent, 8)
+	num(w, &r.BytesSaved, 8)
+	num(w, &r.Queued, 8)
+	num(w, &r.Row, 8)
+	num(w, &r.WindowPeak, 8)
+	w.str(&r.Timeline, 4, maxFrame)
+	num(w, &r.Retries, 8)
+}
+
+// Message is the wire envelope. Exactly one pointer field is set, and it
+// travels as one frame of the type its row in walk names.
 //
-// Hot control messages (Ping, Pong, Strobe, StrobeAck, FragAck,
-// PlanAck, PeerDown, Manifest, Have, NeedMask) never travel
-// as gob: send routes them to fixed-layout typed frames and recv
-// decodes the zero-alloc subset into conn-owned scratch structs. The
-// pointers recv returns for Ping, Pong, Strobe, StrobeAck, FragAck,
-// Manifest, Have, and NeedMask are therefore only valid until the next
-// recv on the same conn — consume or copy them before looping (Manifest
-// has clone() for retention).
+// recv decodes the per-period control frames and the delta round's
+// ledgers — Hello, FragAck, Ping, Pong, Strobe, StrobeAck, Manifest, Have
+// and NeedMask — into conn-owned scratch, so the pointers it returns for
+// those are only valid until the next recv on the same conn: consume or
+// copy them before looping (Manifest has clone() for retention). Every
+// other message arrives in a value of its own.
 type Message struct {
 	Register  *Register
 	Hello     *Hello
@@ -188,6 +254,66 @@ type Message struct {
 	RejoinAck *RejoinAck
 }
 
+// walk walks the message's frame: the type byte, then the walk of the
+// field the frame carries. Encoding, that is the field that is set;
+// decoding, the one the frame's type byte names, pointed first at its
+// scratch in c or — for a message the reader keeps — a fresh value.
+// Hot frames come first.
+func (m *Message) walk(w *walker, c *conn) {
+	switch {
+	case at(w, wire.Frag, &m.Frag, nil):
+		m.Frag.walk(w)
+	case at(w, wire.Ack, &m.FragAck, &c.rAck):
+		m.FragAck.walk(w)
+	case at(w, wire.Ping, &m.Ping, &c.rPing):
+		m.Ping.walk(w)
+	case at(w, wire.Pong, &m.Pong, &c.rPong):
+		m.Pong.walk(w)
+	case at(w, wire.Strobe, &m.Strobe, &c.rStrobe):
+		m.Strobe.walk(w)
+	case at(w, wire.StrobeAck, &m.StrobeAck, &c.rStrobeAck):
+		m.StrobeAck.walk(w)
+	case at(w, wire.Manifest, &m.Manifest, &c.rManifest):
+		m.Manifest.walk(w)
+	case at(w, wire.Have, &m.Have, &c.rHave):
+		m.Have.walk(w)
+	case at(w, wire.Need, &m.NeedMask, &c.rNeed):
+		m.NeedMask.walk(w)
+	case at(w, wire.PlanAck, &m.PlanAck, nil):
+		m.PlanAck.walk(w)
+	case at(w, wire.PeerDown, &m.PeerDown, nil):
+		m.PeerDown.walk(w)
+	case at(w, wire.Hello, &m.Hello, &c.rHello):
+		m.Hello.walk(w)
+	case at(w, wire.Register, &m.Register, nil):
+		m.Register.walk(w)
+	case at(w, wire.Submit, &m.Submit, nil):
+		m.Submit.walk(w)
+	case at(w, wire.RejoinAck, &m.RejoinAck, nil):
+		m.RejoinAck.walk(w)
+	case at(w, wire.Plan, &m.Plan, nil):
+		m.Plan.walk(w)
+	case at(w, wire.ChildDead, &m.ChildDead, nil):
+		m.ChildDead.walk(w)
+	case at(w, wire.Abort, &m.Abort, nil):
+		m.Abort.walk(w)
+	case at(w, wire.Launch, &m.Launch, nil):
+		m.Launch.walk(w)
+	case at(w, wire.Term, &m.Term, nil):
+		m.Term.walk(w)
+	case at(w, wire.Done, &m.Done, nil):
+		m.Done.walk(w)
+	case at(w, wire.StatusReq, &m.StatusQ, nil):
+		m.StatusQ.walk(w)
+	case at(w, wire.StatusRep, &m.StatusR, nil):
+		m.StatusR.walk(w)
+	case at(w, wire.CtlPlan, &m.CtlPlan, nil):
+		m.CtlPlan.walk(w)
+	default:
+		w.fail(errors.New("no message"))
+	}
+}
+
 // Register announces an NM to the MM. Addr is the NM's peer listener,
 // where parent NMs in the forwarding tree dial relay connections.
 type Register struct {
@@ -206,10 +332,20 @@ type Register struct {
 	Rejoin bool
 }
 
+func (r *Register) walk(w *walker) {
+	num(w, &r.Node, 8)
+	num(w, &r.CPUs, 8)
+	w.str(&r.Addr, 4, maxFrame)
+	walkVec(w, &r.Cap)
+	w.flag(&r.Rejoin)
+}
+
 // Submit asks the MM to run a job.
 type Submit struct {
 	Spec JobSpec
 }
+
+func (s *Submit) walk(w *walker) { s.Spec.walk(w) }
 
 // RejoinAck answers a Register that asked to rejoin. Probation is how
 // many heartbeat-clean periods the node must survive before it is
@@ -218,6 +354,11 @@ type Submit struct {
 type RejoinAck struct {
 	Probation int
 	Err       string
+}
+
+func (a *RejoinAck) walk(w *walker) {
+	num(w, &a.Probation, 8)
+	w.str(&a.Err, 4, maxFrame)
 }
 
 // Hello routes an inbound relay connection on a shared peer listener
@@ -229,12 +370,15 @@ type Hello struct {
 	Node int
 }
 
-// Frag carries one fragment of a job's binary image. On the wire it is a
-// binary 'F' frame, not gob; Data received from recv is pooled and must
-// be returned with releaseFragBuf once consumed. Stripe names the
-// spanning tree the fragment travels down (0 on a single-tree plan):
-// with a striped plan, chunk i belongs to stripe i%k and each stripe's
-// tree relays only its own chunks.
+func (h *Hello) walk(w *walker) { num(w, &h.Node, 4) }
+
+// Frag carries one fragment of a job's binary image. Its walk is the
+// frame header: send writes Data after it straight from the caller's
+// buffer, and recv reads Data into a pooled buffer that must be returned
+// with releaseFragBuf once consumed. Stripe names the spanning tree the
+// fragment travels down (0 on a single-tree plan): with a striped plan,
+// chunk i belongs to stripe i%k and each stripe's tree relays only its
+// own chunks.
 type Frag struct {
 	Job    int
 	Index  int
@@ -242,6 +386,16 @@ type Frag struct {
 	Data   []byte
 	CRC    uint32
 	Stripe int
+}
+
+func (f *Frag) walk(w *walker) {
+	num(w, &f.Job, 4)
+	num(w, &f.Index, 4)
+	w.flag(&f.Last)
+	num(w, &f.CRC, 4)
+	n := len(f.Data)
+	num(w, &n, 4)
+	num(w, &f.Stripe, 1)
 }
 
 // FragAck credits the sender's flow-control window. With the forwarding
@@ -264,6 +418,15 @@ type FragAck struct {
 	Stripe int
 }
 
+func (a *FragAck) walk(w *walker) {
+	num(w, &a.Job, 4)
+	num(w, &a.Index, 4)
+	num(w, &a.Node, 4)
+	num(w, &a.Epoch, 4)
+	w.flag(&a.OK)
+	num(w, &a.Stripe, 1)
+}
+
 // ChildRef names one relay child in a plan. Subtree is set only by the
 // control tree: the nodes the child's aggregated ledgers vouch for, in
 // pre-order (the child itself first, then each grandchild subtree
@@ -273,6 +436,17 @@ type ChildRef struct {
 	Node    int
 	Addr    string
 	Subtree []int
+}
+
+// walkChildren walks a plan's child list.
+func walkChildren(w *walker, kids *[]ChildRef) {
+	fit(w, kids, w.count(len(*kids), 4))
+	for i := range *kids {
+		k := &(*kids)[i]
+		num(w, &k.Node, 8)
+		w.str(&k.Addr, 4, maxFrame)
+		w.ints(&k.Subtree)
+	}
 }
 
 // Plan tells an NM its role in a job's forwarding trees: for each stripe
@@ -296,6 +470,17 @@ type planTree struct {
 	Children []ChildRef
 }
 
+func (p *Plan) walk(w *walker) {
+	num(w, &p.Job, 8)
+	fit(w, &p.Trees, w.count(len(p.Trees), 4))
+	for i := range p.Trees {
+		t := &p.Trees[i]
+		num(w, &t.Stripe, 8)
+		num(w, &t.Epoch, 8)
+		walkChildren(w, &t.Children)
+	}
+}
+
 // PlanAck confirms the NM has dialed the relay children of every tree in
 // a Plan and installed them (or reports why it could not); the MM
 // streams into a tree only after every node of it has confirmed, so no
@@ -312,16 +497,30 @@ type PlanAck struct {
 	Err      string
 }
 
+func (a *PlanAck) walk(w *walker) {
+	num(w, &a.Job, 4)
+	num(w, &a.Node, 4)
+	num(w, &a.Epoch, 4)
+	num(w, &a.Received, 4)
+	num(w, &a.Stripe, 1)
+	w.str(&a.Err, 2, maxCtlErr)
+}
+
 // ChildDead prunes a dead leaf out of one stripe's tree without a
 // replan round: the MM, having convicted the node, tells its tree
 // parent to stop waiting on the subtree's acks. Only valid when the
 // dead node is a leaf in this stripe (interior deaths need a real
-// Plan to re-home the orphaned subtree). Rare, so it rides the gob
-// path.
+// Plan to re-home the orphaned subtree).
 type ChildDead struct {
 	Job    int
 	Stripe int
 	Node   int
+}
+
+func (d *ChildDead) walk(w *walker) {
+	num(w, &d.Job, 8)
+	num(w, &d.Stripe, 8)
+	num(w, &d.Node, 8)
 }
 
 // PeerDown is an NM's report that a relay child is unreachable: the
@@ -335,11 +534,23 @@ type PeerDown struct {
 	Err  string
 }
 
+func (d *PeerDown) walk(w *walker) {
+	num(w, &d.Job, 4)
+	num(w, &d.Node, 4)
+	num(w, &d.From, 4)
+	w.str(&d.Err, 2, maxCtlErr)
+}
+
 // Abort tells NMs to drop a failed job's transfer state and close its
 // relay links.
 type Abort struct {
 	Job    int
 	Reason string
+}
+
+func (a *Abort) walk(w *walker) {
+	num(w, &a.Job, 8)
+	w.str(&a.Reason, 4, maxFrame)
 }
 
 // Launch orders an NM to fork a job's local processes.
@@ -353,10 +564,23 @@ type Launch struct {
 	Gang bool
 }
 
+func (l *Launch) walk(w *walker) {
+	num(w, &l.Job, 8)
+	l.Program.walk(w)
+	w.ints(&l.Ranks)
+	num(w, &l.Row, 8)
+	w.flag(&l.Gang)
+}
+
 // Term reports that all of a job's processes on a node have exited.
 type Term struct {
 	Job  int
 	Node int
+}
+
+func (t *Term) walk(w *walker) {
+	num(w, &t.Job, 8)
+	num(w, &t.Node, 8)
 }
 
 // Done returns the completion report to the client.
@@ -365,8 +589,15 @@ type Done struct {
 	Err    string
 }
 
+func (d *Done) walk(w *walker) {
+	d.Report.walk(w)
+	w.str(&d.Err, 4, maxFrame)
+}
+
 // StatusReq asks the MM for a cluster snapshot; StatusRep answers it.
 type StatusReq struct{}
+
+func (*StatusReq) walk(*walker) {}
 
 // StatusRep is the MM's cluster snapshot.
 type StatusRep struct {
@@ -379,6 +610,16 @@ type StatusRep struct {
 	Gang      bool // live gang scheduling enabled
 }
 
+func (s *StatusRep) walk(w *walker) {
+	w.ints(&s.Nodes)
+	num(w, &s.Jobs, 8)
+	num(w, &s.Queued, 8)
+	num(w, &s.Launched, 8)
+	num(w, &s.Completed, 8)
+	num(w, &s.Strobes, 8)
+	w.flag(&s.Gang)
+}
+
 // Ping is one heartbeat (or isolation-probe) round. On the control
 // tree the MM sends one epoch-stamped ping per period to its direct
 // children only; every NM relays it to its own control-tree children,
@@ -388,6 +629,11 @@ type StatusRep struct {
 type Ping struct {
 	Seq   int64
 	Epoch int
+}
+
+func (p *Ping) walk(w *walker) {
+	num(w, &p.Seq, 8)
+	num(w, &p.Epoch, 4)
 }
 
 // Pong answers a Ping. On the control tree it is not a per-node reply
@@ -410,6 +656,14 @@ type Pong struct {
 	Absent uint64
 }
 
+func (p *Pong) walk(w *walker) {
+	num(w, &p.Seq, 8)
+	num(w, &p.Node, 4)
+	num(w, &p.Epoch, 4)
+	num(w, &p.MinSeq, 8)
+	num(w, &p.Absent, 8)
+}
+
 // Strobe is the live gang-scheduling context switch: row Row becomes
 // the running timeslot. It multicasts down the control tree exactly
 // like a heartbeat ping (O(fanout) MM egress), and NMs both enact it
@@ -419,6 +673,12 @@ type Strobe struct {
 	Seq   int64
 	Row   int
 	Epoch int
+}
+
+func (s *Strobe) walk(w *walker) {
+	num(w, &s.Seq, 8)
+	num(w, &s.Row, 4)
+	num(w, &s.Epoch, 4)
 }
 
 // StrobeAck confirms strobe delivery, aggregated like fragment acks:
@@ -432,13 +692,24 @@ type StrobeAck struct {
 	Epoch int
 }
 
+func (a *StrobeAck) walk(w *walker) {
+	num(w, &a.Seq, 8)
+	num(w, &a.Node, 4)
+	num(w, &a.Epoch, 4)
+}
+
 // CtlPlan installs a node's role in the cluster-wide control tree (the
 // heartbeat/strobe fast path). It is sent only when membership changes
-// — registration, unregistration, conviction — so it stays on the gob
-// cold path; the per-period traffic it enables is all typed frames.
+// — registration, unregistration, conviction — as a body frame; the
+// per-period traffic it enables is all fixed-part frames.
 type CtlPlan struct {
 	Epoch    int
 	Children []ChildRef
+}
+
+func (p *CtlPlan) walk(w *walker) {
+	num(w, &p.Epoch, 8)
+	walkChildren(w, &p.Children)
 }
 
 // Manifest opens a transfer epoch: the content map of the image about
@@ -447,12 +718,11 @@ type CtlPlan struct {
 // it already holds in its content-addressed cache; ImageCRC is the
 // whole-image digest every NM re-verifies before committing its spool.
 // It multicasts down the forwarding tree like a fragment and, like the
-// hot control frames, travels as a typed 'M' frame with zero
-// steady-state allocations. recv returns it in conn-owned scratch —
-// clone() it to retain past the next recv. Stripe is the spanning tree
-// the copy multicast down (with per-stripe epochs, the same image map
-// travels once per stripe tree); Epoch is that stripe's tree
-// generation.
+// hot control frames, encodes and decodes with zero steady-state
+// allocations. recv returns it in conn-owned scratch — clone() it to
+// retain past the next recv. Stripe is the spanning tree the copy
+// multicast down (with per-stripe epochs, the same image map travels
+// once per stripe tree); Epoch is that stripe's tree generation.
 type Manifest struct {
 	Job        int
 	Epoch      int
@@ -462,6 +732,22 @@ type Manifest struct {
 	Stripe     int
 	Hashes     []uint64
 	CRCs       []uint32
+}
+
+func (m *Manifest) walk(w *walker) {
+	num(w, &m.Job, 4)
+	num(w, &m.Epoch, 4)
+	num(w, &m.ChunkBytes, 4)
+	num(w, &m.ImageCRC, 4)
+	num(w, &m.TotalBytes, 8)
+	n := w.count(len(m.Hashes), 4)
+	num(w, &m.Stripe, 1)
+	fit(w, &m.Hashes, n)
+	fit(w, &m.CRCs, n)
+	for i := range m.Hashes {
+		num(w, &m.Hashes[i], 8)
+		num(w, &m.CRCs[i], 4)
+	}
 }
 
 // clone deep-copies a Manifest out of conn scratch.
@@ -491,6 +777,18 @@ type Have struct {
 	Bits   []uint64
 }
 
+func (h *Have) walk(w *walker) {
+	num(w, &h.Job, 4)
+	num(w, &h.Node, 4)
+	num(w, &h.Epoch, 4)
+	n := w.count(len(h.Bits), 2)
+	num(w, &h.Stripe, 1)
+	fit(w, &h.Bits, n)
+	for i := range h.Bits {
+		num(w, &h.Bits[i], 8)
+	}
+}
+
 // NeedMask is the transfer epoch's stream announcement, sent down each
 // link just before streaming: bit i set means chunk i will arrive on
 // this link. A receiver uses it as the authoritative split between
@@ -505,6 +803,17 @@ type NeedMask struct {
 	Epoch  int
 	Stripe int
 	Bits   []uint64
+}
+
+func (n *NeedMask) walk(w *walker) {
+	num(w, &n.Job, 4)
+	num(w, &n.Epoch, 4)
+	words := w.count(len(n.Bits), 2)
+	num(w, &n.Stripe, 1)
+	fit(w, &n.Bits, words)
+	for i := range n.Bits {
+		num(w, &n.Bits[i], 8)
+	}
 }
 
 // bitWords returns the ledger word count covering n chunks.
@@ -585,13 +894,13 @@ func seededFragInto(b []byte, seed uint64, index int) {
 }
 
 const (
-	// maxFrame bounds a frame payload (corruption guard).
+	// maxFrame bounds a frame tail (corruption guard).
 	maxFrame = 64 << 20
-	// maxCtlErr bounds the error string carried in a typed control
+	// maxCtlErr bounds the error string carried in a fixed-part control
 	// frame; longer errors are truncated (they are diagnostics, not
 	// data).
 	maxCtlErr = 1 << 12
-	// connScratchLen sizes the conn's frame scratch buffer: a type byte
+	// connScratchLen sizes the conn's frame scratch buffers: a type byte
 	// plus the longest fixed part.
 	connScratchLen = 1 + wire.MaxFixed
 )
@@ -623,6 +932,32 @@ func releaseFragBuf(b []byte) {
 	fragBufPool.Put(&b)
 }
 
+// tailPool recycles the scratch of frames longer than a conn's own
+// (manifest chunk records, HAVE/need bitmap words, error strings, body
+// frames) on both the encode and decode paths. The scratch used to be a
+// grown-once buffer owned by each conn, which sizes the fleet's tail
+// memory by the number of connections — O(cluster) with hundreds of NMs
+// in one process. A tail is only live while one frame is being built or
+// decoded, so the pool's working set is the number of conns
+// concurrently inside such a send/recv: O(fanout), not O(cluster).
+var tailPool sync.Pool
+
+// grabTail returns pooled tail scratch with at least n usable bytes.
+// Release with putTail once the frame is written or decoded.
+func grabTail(n int) *[]byte {
+	if v := tailPool.Get(); v != nil {
+		p := v.(*[]byte)
+		if cap(*p) >= n {
+			*p = (*p)[:n]
+			return p
+		}
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+func putTail(p *[]byte) { tailPool.Put(p) }
+
 // conn wraps a TCP connection with the frame codec: buffered writes with
 // explicit flush per frame, a write lock (frames must not interleave),
 // and an egress byte counter (the bench's MM-egress metric).
@@ -631,19 +966,17 @@ type conn struct {
 	r   *bufio.Reader
 	w   *bufio.Writer
 	wmu sync.Mutex
-	// hdr is the frame scratch buffer, guarded by wmu; reusing it keeps
-	// the bulk and control send paths at zero allocations per frame. It
-	// is sized for the largest fixed frame (the pong ledger); varlen
-	// control frames (PlanAck and kin) borrow its prefix and append the
-	// error string as a second write.
+	// hdr is the send scratch, guarded by wmu. A frame is encoded into it
+	// while it fits — every fixed-part frame does, so fragments and the
+	// per-period control frames go out without allocating — and into
+	// pooled tail scratch past that.
 	hdr [connScratchLen]byte
-
-	// Decode scratch for the zero-alloc control subset: recv returns
-	// pointers into these, valid until the next recv. A conn has one
-	// reader (the read loop that owns it), so there is no aliasing.
-	// rbuf is the header/body read buffer — a conn field rather than a
-	// stack array because a stack array passed to io.ReadFull escapes
-	// and would cost an allocation per frame.
+	// rbuf is what recv reads a type byte and fixed part into — a conn
+	// field rather than a stack array because a stack array passed to
+	// io.ReadFull escapes and would cost an allocation per frame — and
+	// the r* fields are where it decodes the messages it lends (see
+	// Message). A conn has one reader (the read loop that owns it), so
+	// there is no aliasing.
 	rbuf       [connScratchLen]byte
 	rHello     Hello
 	rPing      Ping
@@ -654,21 +987,6 @@ type conn struct {
 	rManifest  Manifest // Hashes/CRCs grown once, reused across frames
 	rHave      Have     // Bits grown once
 	rNeed      NeedMask // Bits grown once
-
-	// Persistent gob codec. Type descriptors compile once per link, not
-	// once per message: a fresh gob.NewEncoder/NewDecoder pair per frame
-	// costs a reflect-driven type compilation each time, which profiles
-	// as the dominant control-plane cost once a launch pushes one plan
-	// per NM across hundreds of NMs. The encoder state lives under wmu
-	// (Encode mutates it); the decoder is owned by the conn's single
-	// reader. The byte stream stays framed — each Encode's output is
-	// drained into one length-prefixed 'G' frame, and the receiver feeds
-	// payloads to its decoder in arrival order, so the pair see one
-	// continuous gob stream.
-	enc    *gob.Encoder
-	encBuf bytes.Buffer
-	dec    *gob.Decoder
-	decBuf bytes.Buffer
 
 	sent       atomic.Int64 // bytes written, frames included
 	sentFrames atomic.Int64 // frames written (the control-egress metric)
@@ -711,588 +1029,258 @@ func newConnProf(c net.Conn, prof connProfile) *conn {
 	return &conn{c: c, r: bufio.NewReaderSize(c, prof.bufBytes), w: bufio.NewWriterSize(c, prof.bufBytes)}
 }
 
-// send serializes one message. Fragments, fragment acks, and the hot
-// control messages (heartbeats, strobes, plan confirmations, peer-down
-// reports) are routed to fixed-layout typed frames; only the cold
-// remainder (registration, submissions, topology plans, launches,
-// reports) is gob inside a 'G' frame, encoded on the conn's persistent
-// gob stream so type descriptors cross each link exactly once.
-func (c *conn) send(m Message) error {
+// walker is one pass of a message's walk over one frame. Encoding, it
+// appends the fields to out; decoding, it consumes them from in and
+// keeps the first error, after which every field reads as zero.
+type walker struct {
+	dec  bool
+	t    byte    // decoding: the frame's type byte
+	in   []byte  // decoding: the bytes not yet consumed
+	out  []byte  // encoding: the frame so far
+	pool *[]byte // encoding: the tail scratch out lives in, once spilled
+	err  error
+}
+
+// errShort is a frame that ends before its walk does.
+var errShort = errors.New("frame ends early")
+
+func (w *walker) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+	w.in = nil
+}
+
+// next returns the n bytes the walk is at: the next n input bytes when
+// decoding (nil past the end), n more output bytes to fill when
+// encoding.
+func (w *walker) next(n int) []byte {
+	if w.dec {
+		if len(w.in) < n {
+			w.fail(errShort)
+			return nil
+		}
+		b := w.in[:n]
+		w.in = w.in[n:]
+		return b
+	}
+	if need := len(w.out) + n; need > cap(w.out) {
+		p := grabTail(2 * need)
+		*p = append((*p)[:0], w.out...)
+		if w.pool != nil {
+			putTail(w.pool)
+		}
+		w.pool, w.out = p, *p
+	}
+	w.out = w.out[:len(w.out)+n]
+	return w.out[len(w.out)-n:]
+}
+
+// done is a decode's verdict: its first error, or one for bytes the
+// walk left over.
+func (w *walker) done() error {
+	if w.err == nil && len(w.in) > 0 {
+		return fmt.Errorf("%d bytes past the end of the message", len(w.in))
+	}
+	return w.err
+}
+
+// integer is every field type num walks.
+type integer interface {
+	~int | ~int64 | ~uint32 | ~uint64
+}
+
+// num walks an integer field as width big-endian bytes.
+func num[T integer](w *walker, v *T, width int) {
+	b := w.next(width)
+	if b == nil {
+		return
+	}
+	if w.dec {
+		var u uint64
+		for _, x := range b {
+			u = u<<8 | uint64(x)
+		}
+		*v = T(u)
+		return
+	}
+	u := uint64(*v)
+	for i := width - 1; i >= 0; i-- {
+		b[i] = byte(u)
+		u >>= 8
+	}
+}
+
+// flag walks a bool as one byte, 1 for true.
+func (w *walker) flag(v *bool) {
+	var b int
+	if *v {
+		b = 1
+	}
+	if num(w, &b, 1); w.dec {
+		*v = b == 1
+	}
+}
+
+// count walks the width-byte count that opens a list or string: n when
+// encoding, the decoded count — which must not exceed the bytes left,
+// as every element takes at least one — when decoding.
+func (w *walker) count(n, width int) int {
+	num(w, &n, width)
+	if w.dec && n > len(w.in) {
+		w.fail(errShort)
+		return 0
+	}
+	return n
+}
+
+// fit sizes a list being decoded to its walked count, reusing its
+// backing array when that is big enough; an encoded list is left as is.
+func fit[T any](w *walker, s *[]T, n int) {
 	switch {
-	case m.Frag != nil:
-		return c.sendFrag(m.Frag)
-	case m.FragAck != nil:
-		return c.sendAck(m.FragAck)
-	case m.Ping != nil:
-		return c.sendPing(m.Ping)
-	case m.Pong != nil:
-		return c.sendPong(m.Pong)
-	case m.Strobe != nil:
-		return c.sendStrobe(m.Strobe)
-	case m.StrobeAck != nil:
-		return c.sendStrobeAck(m.StrobeAck)
-	case m.PlanAck != nil:
-		return c.sendPlanAck(m.PlanAck)
-	case m.PeerDown != nil:
-		return c.sendPeerDown(m.PeerDown)
-	case m.Manifest != nil:
-		return c.sendManifest(m.Manifest)
-	case m.Have != nil:
-		return c.sendHave(m.Have)
-	case m.NeedMask != nil:
-		return c.sendNeedMask(m.NeedMask)
+	case !w.dec:
+	case cap(*s) >= n:
+		*s = (*s)[:n]
+	default:
+		*s = make([]T, n)
 	}
+}
+
+// str walks a string as a width-byte count and its bytes, clipped to max
+// when encoding and refused past it when decoding.
+func (w *walker) str(s *string, width, max int) {
+	v := *s
+	if len(v) > max {
+		v = v[:max]
+	}
+	if n := w.count(len(v), width); n > max {
+		w.fail(fmt.Errorf("%d-byte string over the %d-byte bound", n, max))
+	} else if b := w.next(n); w.dec {
+		*s = string(b)
+	} else {
+		copy(b, v)
+	}
+}
+
+// ints walks a list of ints as a u32 count and 8-byte elements.
+func (w *walker) ints(s *[]int) {
+	fit(w, s, w.count(len(*s), 4))
+	for i := range *s {
+		num(w, &(*s)[i], 8)
+	}
+}
+
+// at reports whether f is the field the walk is on, and walks its frame
+// header. Encoding, that is the field that is set, and at writes the
+// type byte t; decoding, the field of frame type t, which at points at
+// scratch — or at a fresh value when scratch is nil. A body frame's
+// length follows: reserved here and filled in by send once the body is
+// written, skipped when decoding (recv sized the tail by it).
+func at[T any](w *walker, t byte, f **T, scratch *T) bool {
+	switch {
+	case !w.dec && *f == nil, w.dec && w.t != t:
+		return false
+	case !w.dec:
+		w.next(1)[0] = t
+	case scratch == nil:
+		*f = new(T)
+	default:
+		*f = scratch
+	}
+	if wire.Shapes[t].Body() {
+		w.next(wire.BodyLen)
+	}
+	return true
+}
+
+// send writes one message as one frame: its walk encoded into the conn's
+// scratch, then — for a fragment — the payload straight from the
+// caller's buffer, so no fragment is copied or re-encoded per
+// destination. Safe for concurrent use with other senders on the conn.
+func (c *conn) send(m Message) error {
 	c.wmu.Lock()
-	if c.enc == nil {
-		c.enc = gob.NewEncoder(&c.encBuf)
+	defer c.wmu.Unlock()
+	w := walker{out: c.hdr[:0]}
+	m.walk(&w, c)
+	if w.pool != nil {
+		defer putTail(w.pool)
 	}
-	c.encBuf.Reset()
-	if err := c.enc.Encode(&m); err != nil {
-		c.wmu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	if wire.Shapes[w.out[0]].Body() {
+		binary.BigEndian.PutUint32(w.out[1:], uint32(len(w.out)-1-wire.BodyLen))
+	}
+	var payload []byte
+	if m.Frag != nil {
+		payload = m.Frag.Data
+	}
+	if _, err := c.w.Write(w.out); err != nil {
 		return err
 	}
-	var hdr [1 + wire.GobLen]byte
-	hdr[0] = wire.Gob
-	binary.BigEndian.PutUint32(hdr[1:], uint32(c.encBuf.Len()))
-	err := c.writeFrame(hdr[:], c.encBuf.Bytes())
-	c.wmu.Unlock()
-	return err
-}
-
-// sendFrag writes one fragment frame: the header is built on the stack
-// and the payload is written straight from the caller's buffer — no
-// per-destination encoding, no copies. Safe for concurrent use with
-// other senders on the same conn.
-func (c *conn) sendFrag(f *Frag) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.FragLen]
-	hdr[0] = wire.Frag
-	binary.BigEndian.PutUint32(hdr[1:], uint32(f.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(f.Index))
-	hdr[9] = 0
-	if f.Last {
-		hdr[9] = 1
-	}
-	binary.BigEndian.PutUint32(hdr[10:], f.CRC)
-	binary.BigEndian.PutUint32(hdr[1+wire.FragLenOff:], uint32(len(f.Data)))
-	hdr[18] = byte(f.Stripe)
-	return c.writeFrame(hdr, f.Data)
-}
-
-// sendAck writes one fixed-size ack frame.
-func (c *conn) sendAck(a *FragAck) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.AckLen]
-	hdr[0] = wire.Ack
-	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Index))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Node))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(a.Epoch))
-	hdr[17] = 0
-	if a.OK {
-		hdr[17] = 1
-	}
-	hdr[18] = byte(a.Stripe)
-	return c.writeFrame(hdr, nil)
-}
-
-// sendPing writes one fixed-size ping frame (zero allocations).
-func (c *conn) sendPing(p *Ping) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.PingLen]
-	hdr[0] = wire.Ping
-	binary.BigEndian.PutUint64(hdr[1:], uint64(p.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(p.Epoch))
-	return c.writeFrame(hdr, nil)
-}
-
-// sendPong writes one fixed-size pong-ledger frame (zero allocations).
-func (c *conn) sendPong(p *Pong) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.PongLen]
-	hdr[0] = wire.Pong
-	binary.BigEndian.PutUint64(hdr[1:], uint64(p.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(p.Node))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(p.Epoch))
-	binary.BigEndian.PutUint64(hdr[17:], uint64(p.MinSeq))
-	binary.BigEndian.PutUint64(hdr[25:], p.Absent)
-	return c.writeFrame(hdr, nil)
-}
-
-// sendStrobe writes one fixed-size strobe frame (zero allocations).
-func (c *conn) sendStrobe(s *Strobe) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.StrobeLen]
-	hdr[0] = wire.Strobe
-	binary.BigEndian.PutUint64(hdr[1:], uint64(s.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(s.Row))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(s.Epoch))
-	return c.writeFrame(hdr, nil)
-}
-
-// sendStrobeAck writes one fixed-size strobe-ack frame (zero
-// allocations).
-func (c *conn) sendStrobeAck(a *StrobeAck) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.StrobeAckLen]
-	hdr[0] = wire.StrobeAck
-	binary.BigEndian.PutUint64(hdr[1:], uint64(a.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Node))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(a.Epoch))
-	return c.writeFrame(hdr, nil)
-}
-
-// ctlErr clips a control-frame error string to the wire bound.
-func ctlErr(s string) string {
-	if len(s) > maxCtlErr {
-		return s[:maxCtlErr]
-	}
-	return s
-}
-
-// sendPlanAck writes a typed plan-confirmation frame: fixed part plus
-// the (usually empty) error string.
-func (c *conn) sendPlanAck(a *PlanAck) error {
-	e := ctlErr(a.Err)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.PlanAckLen]
-	hdr[0] = wire.PlanAck
-	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Node))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Epoch))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(a.Received))
-	hdr[17] = byte(a.Stripe)
-	binary.BigEndian.PutUint16(hdr[18:], uint16(len(e)))
-	return c.writeFrameString(hdr, e)
-}
-
-// sendPeerDown writes a typed peer-down report frame.
-func (c *conn) sendPeerDown(d *PeerDown) error {
-	e := ctlErr(d.Err)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.PeerDownLen]
-	hdr[0] = wire.PeerDown
-	binary.BigEndian.PutUint32(hdr[1:], uint32(d.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(d.Node))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(d.From))
-	binary.BigEndian.PutUint16(hdr[13:], uint16(len(e)))
-	return c.writeFrameString(hdr, e)
-}
-
-// tailPool recycles the scratch buffers for variable-length typed-frame
-// tails (manifest chunk records, HAVE/need bitmap words) on both the
-// encode and decode paths. The scratch used to be a grown-once buffer
-// owned by each conn, which sizes the fleet's tail memory by the number
-// of connections — O(cluster) with hundreds of NMs in one process. A
-// tail is only live while one frame is being built or decoded, so the
-// pool's working set is the number of conns concurrently inside a
-// varlen send/recv: O(fanout), not O(cluster).
-var tailPool sync.Pool
-
-// grabTail returns pooled tail scratch with at least n usable bytes.
-// Release with putTail once the frame is written or decoded.
-func grabTail(n int) *[]byte {
-	if v := tailPool.Get(); v != nil {
-		p := v.(*[]byte)
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	b := make([]byte, n)
-	return &b
-}
-
-func putTail(p *[]byte) { tailPool.Put(p) }
-
-// sendHello writes the shared-listener routing frame; it must be the
-// first frame on a connection dialed through a PeerHub address.
-func (c *conn) sendHello(node int) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.HelloLen]
-	hdr[0] = wire.Hello
-	binary.BigEndian.PutUint32(hdr[1:], uint32(node))
-	return c.writeFrame(hdr, nil)
-}
-
-// sendManifest writes a typed manifest frame: fixed part in the conn
-// scratch, per-chunk hash records in pooled tail scratch (zero
-// steady-state allocations).
-func (c *conn) sendManifest(m *Manifest) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.ManifestLen]
-	hdr[0] = wire.Manifest
-	binary.BigEndian.PutUint32(hdr[1:], uint32(m.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(m.Epoch))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(m.ChunkBytes))
-	binary.BigEndian.PutUint32(hdr[13:], m.ImageCRC)
-	binary.BigEndian.PutUint64(hdr[17:], uint64(m.TotalBytes))
-	binary.BigEndian.PutUint32(hdr[1+wire.ManifestCountOff:], uint32(len(m.Hashes)))
-	hdr[29] = byte(m.Stripe)
-	tp := grabTail(len(m.Hashes) * wire.ManifestRecLen)
-	tail := *tp
-	for i, h := range m.Hashes {
-		binary.BigEndian.PutUint64(tail[i*wire.ManifestRecLen:], h)
-		binary.BigEndian.PutUint32(tail[i*wire.ManifestRecLen+8:], m.CRCs[i])
-	}
-	err := c.writeFrame(hdr, tail)
-	putTail(tp)
-	return err
-}
-
-// sendHave writes a typed aggregated cache-ledger frame (zero
-// steady-state allocations).
-func (c *conn) sendHave(h *Have) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.HaveLen]
-	hdr[0] = wire.Have
-	binary.BigEndian.PutUint32(hdr[1:], uint32(h.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(h.Node))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(h.Epoch))
-	binary.BigEndian.PutUint16(hdr[1+wire.HaveCountOff:], uint16(len(h.Bits)))
-	hdr[15] = byte(h.Stripe)
-	tp := grabTail(len(h.Bits) * 8)
-	tail := *tp
-	for i, w := range h.Bits {
-		binary.BigEndian.PutUint64(tail[i*8:], w)
-	}
-	err := c.writeFrame(hdr, tail)
-	putTail(tp)
-	return err
-}
-
-// sendNeedMask writes a typed stream-announcement frame (zero
-// steady-state allocations).
-func (c *conn) sendNeedMask(n *NeedMask) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+wire.NeedLen]
-	hdr[0] = wire.Need
-	binary.BigEndian.PutUint32(hdr[1:], uint32(n.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(n.Epoch))
-	binary.BigEndian.PutUint16(hdr[1+wire.NeedCountOff:], uint16(len(n.Bits)))
-	hdr[11] = byte(n.Stripe)
-	tp := grabTail(len(n.Bits) * 8)
-	tail := *tp
-	for i, w := range n.Bits {
-		binary.BigEndian.PutUint64(tail[i*8:], w)
-	}
-	err := c.writeFrame(hdr, tail)
-	putTail(tp)
-	return err
-}
-
-// writeFrame writes header+payload and flushes. Caller holds wmu.
-func (c *conn) writeFrame(hdr, payload []byte) error {
-	if _, err := c.w.Write(hdr); err != nil {
+	if _, err := c.w.Write(payload); err != nil {
 		return err
-	}
-	if len(payload) > 0 {
-		if _, err := c.w.Write(payload); err != nil {
-			return err
-		}
 	}
 	if err := c.w.Flush(); err != nil {
 		return err
 	}
-	c.sent.Add(int64(len(hdr) + len(payload)))
+	c.sent.Add(int64(len(w.out) + len(payload)))
 	c.sentFrames.Add(1)
 	return nil
 }
 
-// writeFrameString is writeFrame with a string tail (control-frame
-// error strings), avoiding a []byte conversion allocation. Caller
-// holds wmu.
-func (c *conn) writeFrameString(hdr []byte, tail string) error {
-	if _, err := c.w.Write(hdr); err != nil {
-		return err
-	}
-	if len(tail) > 0 {
-		if _, err := c.w.WriteString(tail); err != nil {
-			return err
-		}
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	c.sent.Add(int64(len(hdr) + len(tail)))
-	c.sentFrames.Add(1)
-	return nil
-}
-
-// recv blocks for the next message. A received Frag's Data is a pooled
+// recv blocks for the next frame and decodes it: the type byte picks the
+// frame's row in wire's table, which sizes its fixed part and tail, and
+// the walk of the message it names. A received Frag's Data is a pooled
 // buffer: the consumer must call releaseFragBuf(f.Data) when done.
 func (c *conn) recv() (Message, error) {
-	if _, err := io.ReadFull(c.r, c.rbuf[:1]); err != nil {
+	in := c.rbuf[:1]
+	if _, err := io.ReadFull(c.r, in); err != nil {
 		return Message{}, err
 	}
-	ft := c.rbuf[0]
-	switch ft {
-	case wire.Gob:
-		lb := c.rbuf[:wire.GobLen]
-		if _, err := io.ReadFull(c.r, lb); err != nil {
-			return Message{}, err
-		}
-		n := int(binary.BigEndian.Uint32(lb))
-		if n > maxFrame {
-			return Message{}, fmt.Errorf("livenet: oversized control frame (%d bytes)", n)
-		}
-		if c.dec == nil {
-			c.dec = gob.NewDecoder(&c.decBuf)
-		}
-		// Feed the payload onto the conn's continuous gob stream;
-		// bytes.Buffer's ReadFrom keeps the copy allocation-free once
-		// the buffer has grown to the largest control message.
-		if _, err := io.CopyN(&c.decBuf, c.r, int64(n)); err != nil {
-			return Message{}, err
-		}
-		var m Message
-		err := c.dec.Decode(&m)
-		return m, err
-	case wire.Frag:
-		hb := c.rbuf[:wire.FragLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		n := int(binary.BigEndian.Uint32(hb[wire.FragLenOff:]))
-		if n > maxFrame {
-			return Message{}, fmt.Errorf("livenet: oversized fragment frame (%d bytes)", n)
-		}
-		f := &Frag{
-			Job:    int(binary.BigEndian.Uint32(hb[0:])),
-			Index:  int(binary.BigEndian.Uint32(hb[4:])),
-			Last:   hb[8] == 1,
-			CRC:    binary.BigEndian.Uint32(hb[9:]),
-			Stripe: int(hb[17]),
-			Data:   grabFragBuf(n),
-		}
-		if _, err := io.ReadFull(c.r, f.Data); err != nil {
-			releaseFragBuf(f.Data)
-			return Message{}, err
-		}
-		return Message{Frag: f}, nil
-	case wire.Ack:
-		hb := c.rbuf[:wire.AckLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rAck = FragAck{
-			Job:    int(binary.BigEndian.Uint32(hb[0:])),
-			Index:  int(binary.BigEndian.Uint32(hb[4:])),
-			Node:   int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch:  int(binary.BigEndian.Uint32(hb[12:])),
-			OK:     hb[16] == 1,
-			Stripe: int(hb[17]),
-		}
-		return Message{FragAck: &c.rAck}, nil
-	case wire.Ping:
-		hb := c.rbuf[:wire.PingLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rPing = Ping{
-			Seq:   int64(binary.BigEndian.Uint64(hb[0:])),
-			Epoch: int(binary.BigEndian.Uint32(hb[8:])),
-		}
-		return Message{Ping: &c.rPing}, nil
-	case wire.Pong:
-		hb := c.rbuf[:wire.PongLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rPong = Pong{
-			Seq:    int64(binary.BigEndian.Uint64(hb[0:])),
-			Node:   int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch:  int(binary.BigEndian.Uint32(hb[12:])),
-			MinSeq: int64(binary.BigEndian.Uint64(hb[16:])),
-			Absent: binary.BigEndian.Uint64(hb[24:]),
-		}
-		return Message{Pong: &c.rPong}, nil
-	case wire.Strobe:
-		hb := c.rbuf[:wire.StrobeLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rStrobe = Strobe{
-			Seq:   int64(binary.BigEndian.Uint64(hb[0:])),
-			Row:   int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch: int(binary.BigEndian.Uint32(hb[12:])),
-		}
-		return Message{Strobe: &c.rStrobe}, nil
-	case wire.StrobeAck:
-		hb := c.rbuf[:wire.StrobeAckLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rStrobeAck = StrobeAck{
-			Seq:   int64(binary.BigEndian.Uint64(hb[0:])),
-			Node:  int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch: int(binary.BigEndian.Uint32(hb[12:])),
-		}
-		return Message{StrobeAck: &c.rStrobeAck}, nil
-	case wire.PlanAck:
-		hb := c.rbuf[:wire.PlanAckLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		e, err := c.readCtlErr(int(binary.BigEndian.Uint16(hb[17:])))
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{PlanAck: &PlanAck{
-			Job:      int(binary.BigEndian.Uint32(hb[0:])),
-			Node:     int(binary.BigEndian.Uint32(hb[4:])),
-			Epoch:    int(binary.BigEndian.Uint32(hb[8:])),
-			Received: int(binary.BigEndian.Uint32(hb[12:])),
-			Stripe:   int(hb[16]),
-			Err:      e,
-		}}, nil
-	case wire.PeerDown:
-		hb := c.rbuf[:wire.PeerDownLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		e, err := c.readCtlErr(int(binary.BigEndian.Uint16(hb[12:])))
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{PeerDown: &PeerDown{
-			Job:  int(binary.BigEndian.Uint32(hb[0:])),
-			Node: int(binary.BigEndian.Uint32(hb[4:])),
-			From: int(binary.BigEndian.Uint32(hb[8:])),
-			Err:  e,
-		}}, nil
-	case wire.Manifest:
-		hb := c.rbuf[:wire.ManifestLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		nch := int(binary.BigEndian.Uint32(hb[wire.ManifestCountOff:]))
-		if nch*wire.ManifestRecLen > maxFrame {
-			return Message{}, fmt.Errorf("livenet: oversized manifest (%d chunks)", nch)
-		}
-		tp, err := c.readTail(nch * wire.ManifestRecLen)
-		if err != nil {
-			return Message{}, err
-		}
-		tail := *tp
-		m := &c.rManifest
-		m.Job = int(binary.BigEndian.Uint32(hb[0:]))
-		m.Epoch = int(binary.BigEndian.Uint32(hb[4:]))
-		m.ChunkBytes = int(binary.BigEndian.Uint32(hb[8:]))
-		m.ImageCRC = binary.BigEndian.Uint32(hb[12:])
-		m.TotalBytes = int64(binary.BigEndian.Uint64(hb[16:]))
-		m.Stripe = int(hb[28])
-		if cap(m.Hashes) < nch {
-			m.Hashes = make([]uint64, nch)
-			m.CRCs = make([]uint32, nch)
-		}
-		m.Hashes, m.CRCs = m.Hashes[:nch], m.CRCs[:nch]
-		for i := 0; i < nch; i++ {
-			m.Hashes[i] = binary.BigEndian.Uint64(tail[i*wire.ManifestRecLen:])
-			m.CRCs[i] = binary.BigEndian.Uint32(tail[i*wire.ManifestRecLen+8:])
-		}
+	t := in[0]
+	sh := wire.Shapes[t]
+	if sh.Fixed == 0 {
+		return Message{}, fmt.Errorf("livenet: unknown frame type %#x", t)
+	}
+	in = c.rbuf[1 : 1+sh.Fixed]
+	_, err := io.ReadFull(c.r, in)
+	n := sh.Tail(in)
+	// A fragment's payload is read into a pooled buffer of its own, any
+	// other tail behind the fixed part in pooled scratch the walk decodes
+	// out of.
+	var data []byte
+	var tp *[]byte
+	switch {
+	case err != nil:
+	case n > maxFrame:
+		err = fmt.Errorf("%d-byte tail over the %d-byte bound", n, maxFrame)
+	case t == wire.Frag:
+		data = grabFragBuf(n)
+		_, err = io.ReadFull(c.r, data)
+	case n > 0:
+		tp = grabTail(sh.Fixed + n)
+		copy(*tp, in)
+		in = *tp
+		_, err = io.ReadFull(c.r, in[sh.Fixed:])
+	}
+	var m Message
+	if err == nil {
+		w := walker{dec: true, t: t, in: in}
+		m.walk(&w, c)
+		err = w.done()
+	}
+	if tp != nil {
 		putTail(tp)
-		return Message{Manifest: m}, nil
-	case wire.Have:
-		hb := c.rbuf[:wire.HaveLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		nw := int(binary.BigEndian.Uint16(hb[wire.HaveCountOff:]))
-		tp, err := c.readTail(nw * 8)
-		if err != nil {
-			return Message{}, err
-		}
-		tail := *tp
-		h := &c.rHave
-		h.Job = int(binary.BigEndian.Uint32(hb[0:]))
-		h.Node = int(binary.BigEndian.Uint32(hb[4:]))
-		h.Epoch = int(binary.BigEndian.Uint32(hb[8:]))
-		h.Stripe = int(hb[14])
-		if cap(h.Bits) < nw {
-			h.Bits = make([]uint64, nw)
-		}
-		h.Bits = h.Bits[:nw]
-		for i := 0; i < nw; i++ {
-			h.Bits[i] = binary.BigEndian.Uint64(tail[i*8:])
-		}
-		putTail(tp)
-		return Message{Have: h}, nil
-	case wire.Need:
-		hb := c.rbuf[:wire.NeedLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		nw := int(binary.BigEndian.Uint16(hb[wire.NeedCountOff:]))
-		tp, err := c.readTail(nw * 8)
-		if err != nil {
-			return Message{}, err
-		}
-		tail := *tp
-		n := &c.rNeed
-		n.Job = int(binary.BigEndian.Uint32(hb[0:]))
-		n.Epoch = int(binary.BigEndian.Uint32(hb[4:]))
-		n.Stripe = int(hb[10])
-		if cap(n.Bits) < nw {
-			n.Bits = make([]uint64, nw)
-		}
-		n.Bits = n.Bits[:nw]
-		for i := 0; i < nw; i++ {
-			n.Bits[i] = binary.BigEndian.Uint64(tail[i*8:])
-		}
-		putTail(tp)
-		return Message{NeedMask: n}, nil
-	case wire.Hello:
-		hb := c.rbuf[:wire.HelloLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rHello = Hello{Node: int(binary.BigEndian.Uint32(hb[0:]))}
-		return Message{Hello: &c.rHello}, nil
-	default:
-		return Message{}, fmt.Errorf("livenet: unknown frame type %#x", ft)
 	}
-}
-
-// readTail reads a variable frame tail into pooled scratch. The caller
-// decodes out of it and returns it with putTail before recv returns —
-// the decoded message lives in the conn's typed scratch structs, never
-// in the tail itself.
-func (c *conn) readTail(n int) (*[]byte, error) {
-	tp := grabTail(n)
-	if _, err := io.ReadFull(c.r, *tp); err != nil {
-		putTail(tp)
-		return nil, err
+	if err != nil {
+		releaseFragBuf(data)
+		return Message{}, fmt.Errorf("livenet: %s frame: %w", sh.Name, err)
 	}
-	return tp, nil
-}
-
-// readCtlErr reads a control frame's trailing error string. Zero-length
-// (the overwhelmingly common case) costs nothing.
-func (c *conn) readCtlErr(n int) (string, error) {
-	if n == 0 {
-		return "", nil
+	if m.Frag != nil {
+		m.Frag.Data = data
 	}
-	if n > maxCtlErr {
-		return "", fmt.Errorf("livenet: oversized control error (%d bytes)", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(c.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return m, nil
 }
 
 // sentBytes reports how many bytes have been written on this conn.
@@ -1375,7 +1363,7 @@ func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof con
 				// The hello must land before any other frame so the hub
 				// can route the connection; a failure here is a transient
 				// connection fault like any dial error — retry.
-				if err = c.sendHello(node); err != nil {
+				if err = c.send(Message{Hello: &Hello{Node: node}}); err != nil {
 					c.close()
 					continue
 				}

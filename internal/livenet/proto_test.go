@@ -34,7 +34,7 @@ func pipeConns(t *testing.T) (*conn, *conn) {
 	return ca, cb
 }
 
-// TestFrameRoundTripControl: control messages survive the gob frame.
+// TestFrameRoundTripControl: body-frame messages survive the codec.
 func TestFrameRoundTripControl(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
@@ -64,7 +64,7 @@ func TestFrameRoundTripControl(t *testing.T) {
 func TestFrameRoundTripFrag(t *testing.T) {
 	ca, cb := pipeConns(t)
 	data := fragPattern(7, 3, 1234)
-	go ca.sendFrag(&Frag{Job: 7, Index: 3, Last: true, Data: data, CRC: fragCRC(data)})
+	go ca.send(Message{Frag: &Frag{Job: 7, Index: 3, Last: true, Data: data, CRC: fragCRC(data)}})
 	m, err := cb.recv()
 	if err != nil || m.Frag == nil {
 		t.Fatalf("frag round trip: %v", err)
@@ -83,8 +83,8 @@ func TestFrameRoundTripFrag(t *testing.T) {
 func TestFrameRoundTripAck(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
-		ca.sendAck(&FragAck{Job: 9, Index: 41, Node: 6, OK: true})
-		ca.sendAck(&FragAck{Job: 9, Index: 2, Node: 5, OK: false})
+		ca.send(Message{FragAck: &FragAck{Job: 9, Index: 41, Node: 6, OK: true}})
+		ca.send(Message{FragAck: &FragAck{Job: 9, Index: 2, Node: 5, OK: false}})
 	}()
 	m, err := cb.recv()
 	if err != nil || m.FragAck == nil || !m.FragAck.OK || m.FragAck.Index != 41 || m.FragAck.Node != 6 {
@@ -103,8 +103,8 @@ func TestFrameInterleaving(t *testing.T) {
 	data := fragPattern(1, 0, 4096)
 	go func() {
 		ca.send(Message{Ping: &Ping{Seq: 1}})
-		ca.sendFrag(&Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)})
-		ca.sendAck(&FragAck{Job: 1, Index: 0, Node: 2, OK: true})
+		ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}})
+		ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 2, OK: true}})
 		ca.send(Message{Strobe: &Strobe{Row: 1}})
 	}()
 	wantKinds := []string{"ping", "frag", "ack", "strobe"}
@@ -162,18 +162,18 @@ func TestFragCheckAllocs(t *testing.T) {
 	c := discardConn()
 	f := &Frag{Job: 5, Index: 11, Data: data, CRC: crc}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.sendFrag(f); err != nil {
+		if err := c.send(Message{Frag: f}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("sendFrag allocates %.1f/op, want 0", avg)
+		t.Fatalf("fragment send allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.sendAck(&FragAck{Job: 5, Index: 11, Node: 1, OK: true}); err != nil {
+		if err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, OK: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
-		t.Fatalf("sendAck allocates %.1f/op, want <= 1", avg)
+		t.Fatalf("ack send allocates %.1f/op, want <= 1", avg)
 	}
 }
 
@@ -205,10 +205,10 @@ func TestConnSentBytes(t *testing.T) {
 		}
 	}()
 	data := fragPattern(1, 0, 1000)
-	if err := ca.sendFrag(&Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}); err != nil {
+	if err := ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ca.sendAck(&FragAck{Job: 1, Index: 0, Node: 0, OK: true}); err != nil {
+	if err := ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 0, OK: true}}); err != nil {
 		t.Fatal(err)
 	}
 	select {

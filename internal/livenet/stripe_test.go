@@ -372,18 +372,18 @@ func TestStripedFragAllocs(t *testing.T) {
 	c := discardConn()
 	f := &Frag{Job: 5, Index: 11, Stripe: 3, Data: data, CRC: crc}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.sendFrag(f); err != nil {
+		if err := c.send(Message{Frag: f}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("striped sendFrag allocates %.1f/op, want 0", avg)
+		t.Fatalf("striped fragment send allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.sendAck(&FragAck{Job: 5, Index: 11, Node: 1, Stripe: 3, OK: true}); err != nil {
+		if err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, Stripe: 3, OK: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
-		t.Fatalf("striped sendAck allocates %.1f/op, want <= 1", avg)
+		t.Fatalf("striped ack send allocates %.1f/op, want <= 1", avg)
 	}
 }
 

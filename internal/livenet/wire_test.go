@@ -5,15 +5,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/livenet/faultconn"
 	"repro/internal/livenet/wire"
+	"repro/internal/place"
 )
 
 // everyFrame encodes, with the real codec, one frame of every type a
@@ -26,8 +30,25 @@ func everyFrame(t testing.TB) [][]byte {
 	const p4 = 0x50505050
 	const p8 = 0x5050505050505050
 	ps := strings.Repeat("P", 40)
+	pv := place.Vec{CPU: p8, Mem: p8, Net: p8}
+	prog := ProgramSpec{Kind: ps, Duration: p8, Grid: p8, Iters: p8}
+	kids := []ChildRef{{Node: p8, Addr: ps, Subtree: []int{p8, p8}}}
 	msgs := []Message{
-		{Register: &Register{Node: 3, CPUs: 4, Addr: ps}},
+		{Register: &Register{Node: p8, CPUs: p8, Addr: ps, Cap: pv, Rejoin: true}},
+		{Submit: &Submit{Spec: JobSpec{Name: ps, BinaryBytes: p8, Nodes: p8, PEsPerNode: p8, Program: prog,
+			ImageSeed: p8, ImagePatch: map[int]uint64{p8: p8}, User: ps, Weight: p8, Place: []int{p8}, Demand: pv}}},
+		{RejoinAck: &RejoinAck{Probation: p8, Err: ps}},
+		{Plan: &Plan{Job: p8, Trees: []planTree{{Stripe: p8, Epoch: p8, Children: kids}}}},
+		{ChildDead: &ChildDead{Job: p8, Stripe: p8, Node: p8}},
+		{Abort: &Abort{Job: p8, Reason: ps}},
+		{Launch: &Launch{Job: p8, Program: prog, Ranks: []int{p8, p8}, Row: p8, Gang: true}},
+		{Term: &Term{Job: p8, Node: p8}},
+		{Done: &Done{Report: Report{JobID: p8, Send: p8, Execute: p8, Total: p8, SendBytes: p8, Failed: []int{p8},
+			Replans: p8, Recovery: p8, StripeReplans: []int{p8}, Chunks: p8, ChunksSent: p8, BytesSaved: p8,
+			Queued: p8, Row: p8, WindowPeak: p8, Timeline: ps, Retries: p8}, Err: ps}},
+		{StatusQ: &StatusReq{}},
+		{StatusR: &StatusRep{Nodes: []int{p8}, Jobs: p8, Queued: p8, Launched: p8, Completed: p8, Strobes: p8, Gang: true}},
+		{CtlPlan: &CtlPlan{Epoch: p8, Children: kids}},
 		{Frag: &Frag{Job: p4, Index: p4, Last: true, CRC: p4, Stripe: 'P', Data: []byte(ps)}},
 		{FragAck: &FragAck{Job: p4, Index: p4, Node: p4, Epoch: p4, OK: true, Stripe: 'P'}},
 		{Ping: &Ping{Seq: p8, Epoch: p4}},
@@ -46,7 +67,7 @@ func everyFrame(t testing.TB) [][]byte {
 	c := &conn{w: bufio.NewWriter(&buf)}
 	var frames [][]byte
 	for _, m := range msgs {
-		if err := sendAny(c, m); err != nil {
+		if err := c.send(m); err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, append([]byte(nil), buf.Bytes()...))
@@ -80,7 +101,7 @@ func TestFrameTableDrift(t *testing.T) {
 	}
 
 	var sentinel bytes.Buffer
-	if err := (&conn{w: bufio.NewWriter(&sentinel)}).sendPing(&Ping{Seq: 7, Epoch: 1}); err != nil {
+	if err := (&conn{w: bufio.NewWriter(&sentinel)}).send(Message{Ping: &Ping{Seq: 7, Epoch: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	var stream, want []byte
@@ -224,15 +245,6 @@ func FuzzConnRecv(f *testing.F) {
 	})
 }
 
-// sendAny is send for any message a conn can emit: send itself has no
-// typed route for the hello.
-func sendAny(c *conn, m Message) error {
-	if m.Hello != nil {
-		return c.sendHello(m.Hello.Node)
-	}
-	return c.send(m)
-}
-
 // goldenFrame is one named frame of TestFrameGolden.
 type goldenFrame struct {
 	name string
@@ -280,7 +292,7 @@ func TestFrameGolden(t *testing.T) {
 	c := &conn{w: bufio.NewWriter(&buf)}
 	for _, f := range goldenFrames() {
 		buf.Reset()
-		if err := sendAny(c, f.m); err != nil {
+		if err := c.send(f.m); err != nil {
 			t.Fatal(err)
 		}
 		want := golden[f.name]
@@ -295,5 +307,160 @@ func TestFrameGolden(t *testing.T) {
 	delete(golden, "replanack")
 	for name := range golden {
 		t.Errorf("golden frame %q has no message in this test", name)
+	}
+}
+
+// bodyFrames is one of every body frame with a distinct nonzero value in
+// every field — a few negative, since a body integer is signed — so a
+// swap of two fields, or one dropped, shows in the bytes.
+func bodyFrames() []goldenFrame {
+	kids := []ChildRef{{Node: 1, Addr: "two", Subtree: []int{1, 3}}, {Node: 4, Addr: "five", Subtree: []int{4, 6, 7}}}
+	prog := ProgramSpec{Kind: "spin", Duration: 8 * time.Millisecond, Grid: 9, Iters: 10}
+	return []goldenFrame{
+		{"register", Message{Register: &Register{Node: 1, CPUs: 2, Addr: "three", Cap: place.Vec{CPU: 4, Mem: 5, Net: 6}, Rejoin: true}}},
+		{"submit", Message{Submit: &Submit{Spec: JobSpec{Name: "one", BinaryBytes: 2, Nodes: 3, PEsPerNode: 4, Program: prog,
+			ImageSeed: 11, ImagePatch: map[int]uint64{14: 13, 12: 15}, User: "sixteen", Weight: -17, Place: []int{18, 19},
+			Demand: place.Vec{CPU: 20, Mem: 21, Net: 22}}}}},
+		{"rejoinack", Message{RejoinAck: &RejoinAck{Probation: -1, Err: "two"}}},
+		{"plan", Message{Plan: &Plan{Job: 11, Trees: []planTree{{Stripe: 12, Epoch: 13, Children: kids}, {Stripe: 14, Epoch: 15, Children: kids[1:]}}}}},
+		{"childdead", Message{ChildDead: &ChildDead{Job: 1, Stripe: 2, Node: 3}}},
+		{"abort", Message{Abort: &Abort{Job: 1, Reason: "two"}}},
+		{"launch", Message{Launch: &Launch{Job: 1, Program: prog, Ranks: []int{2, 3}, Row: 4, Gang: true}}},
+		{"term", Message{Term: &Term{Job: 1, Node: 2}}},
+		{"done", Message{Done: &Done{Report: Report{JobID: 1, Send: 2 * time.Millisecond, Execute: 3 * time.Second, Total: 4 * time.Minute,
+			SendBytes: 5, Failed: []int{6, 7}, Replans: 8, Recovery: 9 * time.Microsecond, StripeReplans: []int{10, 11},
+			Chunks: 12, ChunksSent: 13, BytesSaved: 14, Queued: 15 * time.Nanosecond, Row: 16, WindowPeak: 17,
+			Timeline: "eighteen", Retries: -19}, Err: "twenty"}}},
+		{"statusreq", Message{StatusQ: &StatusReq{}}},
+		{"statusrep", Message{StatusR: &StatusRep{Nodes: []int{1, 2}, Jobs: 3, Queued: 4, Launched: 5, Completed: 6, Strobes: 7, Gang: true}}},
+		{"ctlplan", Message{CtlPlan: &CtlPlan{Epoch: 1, Children: kids}}},
+	}
+}
+
+// zeroField returns the path of the first zero field (or list element)
+// in v, or "" when every one is set. An empty struct has nothing to set.
+func zeroField(v reflect.Value, path string) string {
+	if v.Kind() == reflect.Struct && v.NumField() == 0 {
+		return ""
+	}
+	if v.IsZero() {
+		return path
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		return zeroField(v.Elem(), path)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if z := zeroField(v.Field(i), path+"."+v.Type().Field(i).Name); z != "" {
+				return z
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if z := zeroField(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); z != "" {
+				return z
+			}
+		}
+	}
+	return ""
+}
+
+// TestMessageRoundTrip: every message type, with every field set to a
+// distinct nonzero value, decodes to exactly what was sent — nested
+// plan trees and control subtrees, the image patch, the report's
+// durations and negative integers included. Each sample is first checked
+// to leave no field zero, so a field added to a message but not to its
+// walk fails here.
+func TestMessageRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	c := &conn{w: bufio.NewWriter(&buf), r: bufio.NewReader(&buf)}
+	for _, f := range append(goldenFrames(), bodyFrames()...) {
+		m := reflect.ValueOf(f.m)
+		for i := 0; i < m.NumField(); i++ {
+			if !m.Field(i).IsNil() {
+				if z := zeroField(m.Field(i), f.name); z != "" {
+					t.Errorf("the %s sample leaves %s zero", f.name, z)
+				}
+			}
+		}
+		if err := c.send(f.m); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		got, err := c.recv()
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if !reflect.DeepEqual(got, f.m) {
+			t.Errorf("%s did not survive the codec", f.name)
+		}
+		if got.Frag != nil {
+			releaseFragBuf(got.Frag.Data)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: recv left %d bytes of the frame unread", f.name, buf.Len())
+		}
+	}
+}
+
+// TestBodyFrameGolden holds the body frames to the bytes the codec wrote
+// when they replaced gob: testdata/frames_pr21.golden was generated from
+// bodyFrames ("name hex" per line).
+func TestBodyFrameGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/frames_pr21.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		name, hx, _ := strings.Cut(line, " ")
+		golden[name] = hx
+	}
+	var buf bytes.Buffer
+	c := &conn{w: bufio.NewWriter(&buf)}
+	frames := bodyFrames()
+	for _, f := range frames {
+		buf.Reset()
+		if err := c.send(f.m); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != golden[f.name] {
+			t.Errorf("%s frame\n got %s\nwant %s", f.name, got, golden[f.name])
+		}
+	}
+	if len(golden) != len(frames) {
+		t.Errorf("golden file has %d frames, bodyFrames %d", len(golden), len(frames))
+	}
+}
+
+// TestRecvErrorsNameFrame: a frame recv refuses — cut short, a body
+// longer than its walk, an error string past its bound — fails with an
+// error that names the frame's type.
+func TestRecvErrorsNameFrame(t *testing.T) {
+	recv := func(b []byte) error {
+		_, err := (&conn{r: bufio.NewReader(bytes.NewReader(b))}).recv()
+		return err
+	}
+	for _, fr := range everyFrame(t) {
+		sh := wire.Shapes[fr[0]]
+		bad := map[string][]byte{"cut short": fr[:len(fr)-1]}
+		if sh.Body() {
+			long := append(append([]byte(nil), fr...), 0)
+			binary.BigEndian.PutUint32(long[1:], binary.BigEndian.Uint32(long[1:])+1)
+			bad["one byte long"] = long
+		}
+		for what, b := range bad {
+			if err := recv(b); err == nil || !strings.Contains(err.Error(), sh.Name+" frame") {
+				t.Errorf("%s %s frame: error %v does not name it", what, sh.Name, err)
+			}
+		}
+	}
+	ack := make([]byte, 1+wire.PlanAckLen+maxCtlErr+1)
+	ack[0] = wire.PlanAck
+	binary.BigEndian.PutUint16(ack[1+wire.PlanAckLen-2:], maxCtlErr+1)
+	if err := recv(ack); err == nil || !strings.Contains(err.Error(), "plan-ack frame") {
+		t.Errorf("oversized plan-ack error string: error %v does not name the frame", err)
+	}
+	if err := recv([]byte{'G', 0, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), "unknown frame type 0x47") {
+		t.Errorf("a gob frame from an older peer: error %v, want an unknown frame type", err)
 	}
 }
