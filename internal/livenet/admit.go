@@ -14,7 +14,7 @@ import (
 // Multi-tenant admission: the MM keeps an explicit job table and moves
 // every submitted job through a small state machine
 //
-//	ADMITTED -> PLANNED -> MANIFEST -> STREAMING -> LAUNCHED -> DONE/FAILED
+//	ADMITTED -> MANIFEST -> STREAMING -> LAUNCHED -> DONE/FAILED
 //
 // with up to MaxConcurrent jobs in the transfer phases at once. Jobs
 // share the cached relay links and the control tree; which admitted job
@@ -29,8 +29,7 @@ type jobPhase int
 
 const (
 	phaseAdmitted  jobPhase = iota // in the admission queue
-	phasePlanned                   // relay tree confirmed by every node
-	phaseManifest                  // manifest multicast / HAVE fold in flight
+	phaseManifest                  // manifest multicast (laying the trees) / HAVE fold in flight
 	phaseStreaming                 // chunks moving down the tree
 	phaseLaunched                  // processes forked, awaiting termination
 	phaseDone
@@ -41,8 +40,6 @@ func (p jobPhase) String() string {
 	switch p {
 	case phaseAdmitted:
 		return "admitted"
-	case phasePlanned:
-		return "planned"
 	case phaseManifest:
 		return "manifest"
 	case phaseStreaming:
@@ -368,6 +365,16 @@ func (j *liveJob) holdChunk(kid *stripeKid, index int, n int64) {
 	j.mu.Lock()
 	kid.held = append(kid.held, heldChunk{index: index, n: n})
 	j.mu.Unlock()
+}
+
+// credit raises the kid's cumulative stripe-local credit to n — from an
+// ack or from the prefix of a HAVE ledger — handing back the link budget
+// of every chunk it now covers. Caller holds j.mu.
+func (kid *stripeKid) credit(n int) {
+	if n > kid.acked {
+		kid.acked = n
+		kid.release(n)
+	}
 }
 
 // release returns the budget of every chunk the kid holds below the

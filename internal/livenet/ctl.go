@@ -260,7 +260,7 @@ func (nm *NM) relayCtl(ch *ctlChild, m Message) {
 	if err != nil {
 		return
 	}
-	if err := cc.send(m); err != nil {
+	if _, err := cc.send(m); err != nil {
 		nm.evictDialed(cc)
 	}
 }

@@ -19,8 +19,7 @@ func TestControlAllocs(t *testing.T) {
 
 	ec := discardConn()
 	if avg := testing.AllocsPerRun(200, func() {
-		if ec.send(Message{Ping: ping}) != nil || ec.send(Message{Pong: pong}) != nil ||
-			ec.send(Message{Strobe: strobe}) != nil || ec.send(Message{StrobeAck: sack}) != nil {
+		if sendAll(ec, Message{Ping: ping}, Message{Pong: pong}, Message{Strobe: strobe}, Message{StrobeAck: sack}) != nil {
 			t.Fatal("send failed")
 		}
 	}); avg != 0 {
@@ -31,8 +30,7 @@ func TestControlAllocs(t *testing.T) {
 	// repeatedly through a reset reader.
 	var buf bytes.Buffer
 	cc := &conn{w: bufio.NewWriter(&buf)}
-	if cc.send(Message{Ping: ping}) != nil || cc.send(Message{Pong: pong}) != nil ||
-		cc.send(Message{Strobe: strobe}) != nil || cc.send(Message{StrobeAck: sack}) != nil {
+	if sendAll(cc, Message{Ping: ping}, Message{Pong: pong}, Message{Strobe: strobe}, Message{StrobeAck: sack}) != nil {
 		t.Fatal("capture failed")
 	}
 	wire := append([]byte(nil), buf.Bytes()...)

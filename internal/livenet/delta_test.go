@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/livenet/chunkcache"
 	"repro/internal/livenet/faultconn"
+	"repro/internal/livenet/wire"
 )
 
 // deltaMMConfig mirrors chaosMMConfig: 1 MiB image in 32 chunks of
@@ -42,18 +45,18 @@ func deltaChunk(spec *JobSpec, frag, i int) (data []byte, hash uint64, crc uint3
 	return data, chunkcache.Hash64(data), fragCRC(data)
 }
 
-// TestManifestCodecRoundTrip pins the wire layout of the three delta
-// frames through a full encode/decode cycle.
+// TestManifestCodecRoundTrip pins the wire layout of the delta frames —
+// the manifest with the subtree it installs, and the HAVE ledger —
+// through a full encode/decode cycle.
 func TestManifestCodecRoundTrip(t *testing.T) {
-	man := &Manifest{Job: 7, Epoch: 2, ChunkBytes: 32 << 10, ImageCRC: 0xdeadbeef,
-		TotalBytes: 99_001, Hashes: []uint64{1, 1 << 63, 42}, CRCs: []uint32{9, 8, 7}}
+	man := &Manifest{Job: 7, Epoch: 2, Stripe: 1, Stripes: 2, ChunkBytes: 32 << 10, ImageCRC: 0xdeadbeef,
+		TotalBytes: 99_001, Hashes: []uint64{1, 1 << 63, 42}, CRCs: []uint32{9, 8, 7},
+		Tree: []TreeNode{{Node: 4, Addr: "a:1", Size: 2}, {Node: 9, Addr: "b:2", Size: 1}, {Node: 5, Addr: "c:3", Size: 1}}}
 	have := &Have{Job: 7, Node: 5, Epoch: 2, Bits: []uint64{0b101, 1 << 40}}
-	needm := &NeedMask{Job: 7, Epoch: 2, Bits: []uint64{^uint64(0)}}
 
 	var buf bytes.Buffer
 	cc := &conn{w: bufio.NewWriter(&buf)}
-	if cc.send(Message{Manifest: man}) != nil || cc.send(Message{Have: have}) != nil ||
-		cc.send(Message{NeedMask: needm}) != nil {
+	if sendAll(cc, Message{Manifest: man}, Message{Have: have}) != nil {
 		t.Fatal("encode failed")
 	}
 	dc := &conn{r: bufio.NewReader(&buf)}
@@ -62,39 +65,39 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("manifest decode: %v", err)
 	}
 	got := m1.Manifest
-	if got.Job != 7 || got.Epoch != 2 || got.ChunkBytes != 32<<10 ||
+	if got.Job != 7 || got.Epoch != 2 || got.Stripe != 1 || got.Stripes != 2 || got.ChunkBytes != 32<<10 ||
 		got.ImageCRC != 0xdeadbeef || got.TotalBytes != 99_001 ||
-		len(got.Hashes) != 3 || got.Hashes[1] != 1<<63 || got.CRCs[2] != 7 {
+		len(got.Hashes) != 3 || got.Hashes[1] != 1<<63 || got.CRCs[2] != 7 ||
+		len(got.Tree) != 3 || got.Tree[0] != man.Tree[0] || got.Tree[2] != man.Tree[2] {
 		t.Fatalf("manifest mangled: %+v", got)
+	}
+	kids := splitTree(got.Tree)
+	if len(kids) != 2 || len(kids[0]) != 2 || kids[0][1].Node != 9 || len(kids[1]) != 1 || kids[1][0].Node != 5 {
+		t.Fatalf("tree splits into %v, want [[4 9] [5]]", kids)
 	}
 	m2, err := dc.recv()
 	if err != nil || m2.Have == nil || m2.Have.Node != 5 || len(m2.Have.Bits) != 2 ||
 		m2.Have.Bits[0] != 0b101 || m2.Have.Bits[1] != 1<<40 {
 		t.Fatalf("have mangled: %+v (%v)", m2.Have, err)
 	}
-	m3, err := dc.recv()
-	if err != nil || m3.NeedMask == nil || len(m3.NeedMask.Bits) != 1 ||
-		m3.NeedMask.Bits[0] != ^uint64(0) {
-		t.Fatalf("need mask mangled: %+v (%v)", m3.NeedMask, err)
-	}
 }
 
-// TestManifestAllocs pins the manifest/HAVE/need-mask codecs at zero
-// steady-state allocations per frame in both directions: the shared
-// tail pool's grown-once scratch must absorb the variable-length
-// tails.
+// TestManifestAllocs pins the delta round's frames at zero steady-state
+// allocations per frame in both directions — a leaf's manifest (its
+// tree is empty; an interior node's carries peer address strings) and a
+// HAVE ledger: the shared tail pool's grown-once scratch must absorb the
+// variable-length tails.
 func TestManifestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool puts at random; the pooled tail scratch cannot hold alloc exactness (enforced by the non-race CI step)")
 	}
-	man := &Manifest{Job: 7, Epoch: 2, ChunkBytes: 32 << 10, ImageCRC: 1,
+	man := &Manifest{Job: 7, Epoch: 2, Stripes: 1, ChunkBytes: 32 << 10, ImageCRC: 1,
 		TotalBytes: 1 << 20, Hashes: make([]uint64, 32), CRCs: make([]uint32, 32)}
 	have := &Have{Job: 7, Node: 5, Epoch: 2, Bits: []uint64{0b101}}
-	needm := &NeedMask{Job: 7, Epoch: 2, Bits: []uint64{42}}
 
 	ec := discardConn()
 	encode := func() {
-		if ec.send(Message{Manifest: man}) != nil || ec.send(Message{Have: have}) != nil || ec.send(Message{NeedMask: needm}) != nil {
+		if sendAll(ec, Message{Manifest: man}, Message{Have: have}) != nil {
 			t.Fatal("send failed")
 		}
 	}
@@ -105,7 +108,7 @@ func TestManifestAllocs(t *testing.T) {
 
 	var buf bytes.Buffer
 	cc := &conn{w: bufio.NewWriter(&buf)}
-	if cc.send(Message{Manifest: man}) != nil || cc.send(Message{Have: have}) != nil || cc.send(Message{NeedMask: needm}) != nil {
+	if sendAll(cc, Message{Manifest: man}, Message{Have: have}) != nil {
 		t.Fatal("capture failed")
 	}
 	wire := append([]byte(nil), buf.Bytes()...)
@@ -114,7 +117,7 @@ func TestManifestAllocs(t *testing.T) {
 	decode := func() {
 		br.Reset(wire)
 		dc.r.Reset(br)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 2; i++ {
 			m, err := dc.recv()
 			if err != nil {
 				t.Fatal(err)
@@ -127,10 +130,6 @@ func TestManifestAllocs(t *testing.T) {
 			case 1:
 				if m.Have == nil || m.Have.Bits[0] != 0b101 {
 					t.Fatal("have mangled")
-				}
-			case 2:
-				if m.NeedMask == nil || m.NeedMask.Bits[0] != 42 {
-					t.Fatal("need mask mangled")
 				}
 			}
 		}
@@ -369,21 +368,22 @@ type launchBudget struct {
 }
 
 // TestLaunchFrameBudget pins the MM's traffic for a 16-NM cold launch and
-// its warm relaunch, at one stripe and at two, to the numbers measured at
-// ab214b3 (the parent of the one-tree refactor): a change to how trees
-// are laid, announced or answered must not change what goes on the wire.
-// The image is PR 13's (4 MiB + 100 B in 64 KiB chunks, 65 of them), so
-// the k=1 row is the 166/36 frames CHANGES.md recorded there: cold at k
-// stripes is 16 plans + 2k manifests + 2k need masks + 130 frags + 16
-// launches, warm the same without the frags.
+// its warm relaunch, at one stripe and at two: a change to how trees are
+// laid, announced or answered must show here. The image is 4 MiB + 100 B
+// in 64 KiB chunks, 65 of them. A launch at k stripes writes 2k manifests
+// (one per direct child per stripe, each carrying that child's subtree)
+// and 16 launches, and a cold one also its 130 frags: 148/150 cold and
+// 18/20 warm frames. (With a plan round and need masks the same launches
+// cost 166/170 and 36/40.) The bytes are what conn.send wrote for the
+// manifests and frags.
 func TestLaunchFrameBudget(t *testing.T) {
 	const n = 16
 	for _, tc := range []struct {
 		stripes    int
 		cold, warm launchBudget
 	}{
-		{1, launchBudget{166, 8392954, 65}, launchBudget{36, 1676, 0}},
-		{2, launchBudget{170, 8394630, 65}, launchBudget{40, 3352, 0}},
+		{1, launchBudget{148, 8393986, 65}, launchBudget{18, 2708, 0}},
+		{2, launchBudget{150, 8396694, 65}, launchBudget{20, 5416, 0}},
 	} {
 		cfg := MMConfig{Fanout: 2, FragBytes: 64 << 10, Stripes: tc.stripes}
 		mm, _, _ := chaosCluster(t, n, cfg, func(int) NMConfig { return NMConfig{CacheBytes: 8 << 20} })
@@ -398,6 +398,101 @@ func TestLaunchFrameBudget(t *testing.T) {
 			after, _ := mm.ControlEgress()
 			if got := (launchBudget{after - before, rep.SendBytes, rep.ChunksSent}); got != want {
 				t.Errorf("stripes=%d launch %d: %+v, want %+v", tc.stripes, i, got, want)
+			}
+		}
+	}
+}
+
+// frameCensus counts, by type, the frames written on every conn it
+// wraps. Wrapping both ends of every link counts each frame once, at its
+// writer.
+type frameCensus struct {
+	mu     sync.Mutex
+	frames [256]int
+}
+
+func (fc *frameCensus) wrap(c net.Conn) net.Conn { return &countingConn{Conn: c, census: fc} }
+
+// take returns the counts so far, by frame name, and starts over.
+func (fc *frameCensus) take() map[string]int {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	out := make(map[string]int)
+	for t, n := range fc.frames {
+		if n > 0 {
+			out[wire.Shapes[t].Name] = n
+		}
+	}
+	fc.frames = [256]int{}
+	return out
+}
+
+// countingConn walks wire's table over the bytes written on it.
+type countingConn struct {
+	net.Conn
+	census *frameCensus
+	mu     sync.Mutex
+	hdr    []byte // the current frame's type byte and fixed part so far
+	tail   int    // bytes of the current frame's tail still to come
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	for _, b := range p {
+		if c.tail > 0 {
+			c.tail--
+			continue
+		}
+		if c.hdr = append(c.hdr, b); len(c.hdr) == 1 {
+			c.census.mu.Lock()
+			c.census.frames[b]++
+			c.census.mu.Unlock()
+		}
+		if sh := wire.Shapes[c.hdr[0]]; len(c.hdr) == 1+sh.Fixed {
+			c.tail = sh.Tail(c.hdr[1:])
+			c.hdr = c.hdr[:0]
+		}
+	}
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestLaunchFrameCensus counts every frame a 16-NM launch puts on any
+// link, by type, for a cold launch and its warm relaunch at one stripe
+// and at two. The warm launch is one sweep down each stripe's tree and
+// one up, then the launch and its terminations: n·k manifests, n·k HAVE
+// ledgers, n launches and n terminations — 64 frames at k=1, 96 at k=2,
+// and no plan, plan-ack, need mask or fragment ack. The cold launch adds
+// one copy of every chunk per node and the acks that credit them.
+func TestLaunchFrameCensus(t *testing.T) {
+	const n, chunks = 16, 65
+	for _, k := range []int{1, 2} {
+		var census frameCensus
+		cfg := MMConfig{Fanout: 2, FragBytes: 64 << 10, Stripes: k, WrapConn: census.wrap}
+		mm, _, _ := chaosCluster(t, n, cfg, func(int) NMConfig {
+			return NMConfig{CacheBytes: 8 << 20, WrapConn: census.wrap}
+		})
+		spec := deltaSpec(n, 0xce2505, nil)
+		spec.BinaryBytes = 4<<20 + 100
+		census.take() // registration
+		round := map[string]int{"manifest": n * k, "have": n * k, "launch": n, "term": n}
+		for _, launch := range []string{"cold", "warm"} {
+			if _, err := mm.RunJob(spec); err != nil {
+				t.Fatalf("stripes=%d %s launch: %v", k, launch, err)
+			}
+			got := census.take()
+			want := round
+			if launch == "cold" {
+				want = map[string]int{"frag": n * chunks, "ack": got["ack"]}
+				for name, c := range round {
+					want[name] = c
+				}
+				if got["ack"] == 0 {
+					t.Errorf("stripes=%d cold launch: no fragment was acknowledged", k)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("stripes=%d %s launch put %v on the wire, want %v", k, launch, got, want)
 			}
 		}
 	}

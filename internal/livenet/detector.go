@@ -138,7 +138,7 @@ func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 		clear(mm.ctl.strobe.sent)
 		plans = make([]CtlPlan, len(links))
 		for p := range links {
-			plans[p] = CtlPlan{Epoch: mm.ctl.epoch, Children: tree.refs(p, true)}
+			plans[p] = CtlPlan{Epoch: mm.ctl.epoch, Children: tree.refs(p)}
 		}
 	}
 	epoch = mm.ctl.epoch

@@ -58,8 +58,8 @@ func buildCtl(kind byte) []byte {
 	return buf
 }
 
-// buildVarCtl assembles one varlen control frame ('K'/'D') with the
-// given trailing error string.
+// buildVarCtl assembles one varlen control frame ('D') with the given
+// trailing error string.
 func buildVarCtl(kind byte, errStr string) []byte {
 	sh := wire.Shapes[kind]
 	if sh.CountWidth != 2 || sh.Unit != 1 {
@@ -341,7 +341,7 @@ func TestFlakyDialer(t *testing.T) {
 
 // TestScannerTypedControlFrames: the scanner tracks frag ordinals and
 // per-type frame ordinals through a stream mixing frame kinds,
-// regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'K'/'D'/'B'.
+// regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'D'/'B'.
 func TestScannerTypedControlFrames(t *testing.T) {
 	var stream []byte
 	stream = append(stream, buildAbort("link down")...)
@@ -350,9 +350,9 @@ func TestScannerTypedControlFrames(t *testing.T) {
 	stream = append(stream, buildCtl('Q')...)
 	stream = append(stream, buildAck()...)
 	stream = append(stream, buildCtl('S')...)
-	stream = append(stream, buildVarCtl('K', "launch: exec format error")...)
+	stream = append(stream, buildVarCtl('D', "launch: exec format error")...)
 	stream = append(stream, buildCtl('T')...)
-	stream = append(stream, buildVarCtl('K', "replan refused")...)
+	stream = append(stream, buildVarCtl('D', "dial child 3: refused")...)
 	stream = append(stream, buildCtl('P')...)
 	stream = append(stream, buildVarCtl('D', "")...)
 	stream = append(stream, buildFrag(1, 3)...)
@@ -381,7 +381,7 @@ func TestScannerTypedControlFrames(t *testing.T) {
 		if frags != 2 {
 			t.Fatalf("chunk %d: %d frag frames, want 2", chunk, frags)
 		}
-		for kind, want := range map[byte]int{'P': 2, 'Q': 1, 'S': 1, 'T': 1, 'K': 2, 'D': 1, 'B': 1, 'A': 1, 'F': 2} {
+		for kind, want := range map[byte]int{'P': 2, 'Q': 1, 'S': 1, 'T': 1, 'D': 3, 'B': 1, 'A': 1, 'F': 2} {
 			if kinds[kind] != want {
 				t.Fatalf("chunk %d: %d %q frames, want %d", chunk, kinds[kind], kind, want)
 			}

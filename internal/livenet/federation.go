@@ -17,8 +17,8 @@ import (
 // the MM itself is the ceiling — every NM registration, heartbeat
 // ledger, and direct-child stream terminates on one process. The
 // federation applies the system's own medicine one level up: leaf MMs
-// own disjoint partitions of NMs and run the existing plan / manifest /
-// stream / launch machinery completely unchanged, while a root holds
+// own disjoint partitions of NMs and run the existing manifest / stream
+// / launch machinery completely unchanged, while a root holds
 // only partition-level state — which partitions exist, how many nodes
 // each owns, how loaded each is — and delegates whole sub-jobs down.
 // Per-partition completion reports fold up to the root the same way

@@ -1,7 +1,10 @@
 package livenet
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -433,38 +436,64 @@ func TestQueryStatus(t *testing.T) {
 	}
 }
 
-// TestFirstTransferFailureWins: of two relay-plan failures the first is
-// the job's — the second is as likely its consequence as a cause of its
-// own — and the transfer's wait returns it at once rather than sit out
-// its deadline. A confirmation stamped with a superseded epoch, erroring
-// or not, is inert: it neither fails the job nor counts into the barrier.
+// TestFirstTransferFailureWins: a relay child a manifest names but that
+// cannot be dialed surfaces as a PeerDown naming it and its parent. Of
+// two such failures the first is the job's — the second is as likely its
+// consequence as a cause of its own — and the transfer's wait returns it
+// at once rather than sit out its deadline. A manifest or a HAVE stamped
+// with a superseded epoch is inert: the NM neither installs, relays nor
+// answers it, and the MM neither records nor credits it.
 func TestFirstTransferFailureWins(t *testing.T) {
-	ss := &stripeState{id: 0, epoch: 2, planned: make(map[int]int)}
-	j := &liveJob{id: 7, stripes: []*stripeState{ss}}
+	var up, parent bytes.Buffer
+	nm := &NM{node: 1, c: &conn{w: bufio.NewWriter(&up)},
+		cfg:    NMConfig{Dialer: func(string) (net.Conn, error) { return nil, errors.New("connection refused") }},
+		bins:   make(map[int]*binState),
+		relays: make(map[int]*relayState),
+		dialed: make(map[string]*conn),
+	}
+	man := &Manifest{Job: 7, Epoch: 2, Stripes: 1, ChunkBytes: 4, TotalBytes: 16,
+		Hashes: make([]uint64, 4), CRCs: make([]uint32, 4), Tree: []TreeNode{{Node: 3, Addr: "addr-3", Size: 1}}}
+	nm.onManifest(man, discardConn())
+	m, err := (&conn{r: bufio.NewReader(&up)}).recv()
+	if err != nil || m.PeerDown == nil || m.PeerDown.Job != 7 || m.PeerDown.Node != 3 || m.PeerDown.From != 1 {
+		t.Fatalf("an undialable child was reported as %+v (%v), want a PeerDown naming node 3 from node 1", m.PeerDown, err)
+	}
+	first := m.PeerDown
+	stale := *man
+	stale.Epoch, stale.Tree = 1, []TreeNode{{Node: 4, Addr: "addr-4", Size: 1}}
+	nm.onManifest(&stale, &conn{w: bufio.NewWriter(&parent)})
+	if sr := nm.relays[7].stripes[0]; up.Len() != 0 || parent.Len() != 0 || sr.epoch != 2 ||
+		len(sr.children) != 1 || sr.children[0].node != 3 {
+		t.Fatalf("a superseded manifest took effect: %d bytes up, %d to its sender, relay %+v", up.Len(), parent.Len(), sr)
+	}
+
+	ss := &stripeState{id: 0, epoch: 2, kids: []*stripeKid{{treeKid: treeKid{link: &nmLink{node: 1}}}}}
+	kid := ss.kids[0]
+	j := &liveJob{id: 7, frags: 4, stripes: []*stripeState{ss}}
 	j.cond = sync.NewCond(&j.mu)
 	mm := &MM{jobs: map[int]*liveJob{j.id: j}}
-	mm.onPlanAck(&PlanAck{Job: j.id, Node: 4, Epoch: 1, Err: "dial child 9: refused"})
-	mm.onPlanAck(&PlanAck{Job: j.id, Node: 5, Epoch: 1})
-	mm.onPlanAck(&PlanAck{Job: j.id, Node: 6, Epoch: 2, Stripe: 1})
-	if j.fail != nil || len(ss.planned) != 0 {
-		t.Fatalf("superseded plan acks took effect: fail=%v planned=%v", j.fail, ss.planned)
+	mm.onHave(&Have{Job: j.id, Node: 1, Epoch: 1, Bits: []uint64{0b1111}})
+	if kid.have != nil || kid.acked != 0 || j.fail != nil {
+		t.Fatalf("a superseded HAVE took effect: have %v, credit %d, fail %v", kid.have, kid.acked, j.fail)
 	}
-	mm.onPlanAck(&PlanAck{Job: j.id, Node: 1, Epoch: 2, Err: "dial child 3: refused"})
-	mm.onPlanAck(&PlanAck{Job: j.id, Node: 2, Epoch: 2, Received: 5, Err: "dial child 5: refused"})
-	mm.onPlanAck(&PlanAck{Job: 8, Node: 2, Epoch: 2, Err: "no such job"})
+	mm.onPeerDown(first)
+	mm.onPeerDown(&PeerDown{Job: j.id, Node: 5, From: 2, Err: "dial addr-5: connection refused"})
+	mm.onPeerDown(&PeerDown{Job: 8, Node: 2, From: 1, Err: "no such job"})
 	start := time.Now()
-	err := j.await(ss, "relay plan unconfirmed by nodes", start.Add(5*time.Second), func(names *[]string) int {
-		nameOwing(names, 9)
+	err = j.await(ss, "chunk ledger (HAVE) unreported by nodes", start.Add(5*time.Second), func(names *[]string) int {
+		nameOwing(names, 1)
 		return 1
 	})
-	if err == nil || !strings.Contains(err.Error(), "node 1 ") || !strings.Contains(err.Error(), "child 3") {
-		t.Fatalf("job failure = %v, want node 1's", err)
-	}
-	if _, ok := ss.planned[1]; !ok || ss.planned[2] != 5 || len(ss.planned) != 2 {
-		t.Fatalf("planned = %v: a failed plan ack must still count as that node's answer", ss.planned)
+	var down downError
+	if !errors.As(err, &down) || down.node != 3 || !strings.Contains(err.Error(), "parent 1") {
+		t.Fatalf("job failure = %v, want node 3 down as reported by node 1", err)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatalf("the wait sat out %v on a job that had already failed", time.Since(start))
+	}
+	mm.onHave(&Have{Job: j.id, Node: 1, Epoch: 2, Bits: []uint64{0b1011}})
+	if kid.have == nil || kid.acked != 2 {
+		t.Fatalf("a current HAVE with prefix 2 left have %v, credit %d", kid.have, kid.acked)
 	}
 
 	// Termination reports take the same path: one for a job that is gone
@@ -503,7 +532,7 @@ func (w *wakeCounter) Unlock() { w.mu.Unlock() }
 
 // TestAwaitWakeAllocs: a wake of the job's one wait that finds nodes
 // still owing allocates nothing — the credit wait formats no per-kid
-// description and the plan barrier builds no name list until the
+// description and the HAVE fold builds no name list until the
 // deadline error needs them — so each of a wide job's acks costs the MM
 // no garbage. Each wait is driven through a few wakes and then a
 // thousand more with every node owing; the extra wakes must not
@@ -518,11 +547,12 @@ func TestAwaitWakeAllocs(t *testing.T) {
 		for _, l := range links {
 			l.c = discardConn()
 		}
-		ss := &stripeState{tree: layTree(links, 2), planned: make(map[int]int)}
+		ss := &stripeState{tree: layTree(links, 2)}
 		for _, tk := range ss.tree.kids {
 			ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
 		}
-		j := &liveJob{id: 7, stripes: []*stripeState{ss}}
+		j := &liveJob{id: 7, frags: 4, stripes: []*stripeState{ss},
+			man: &manifestData{hashes: make([]uint64, 4), crcs: make([]uint32, 4)}}
 		woke := &wakeCounter{mu: &j.mu}
 		j.cond = sync.NewCond(woke)
 		mm := &MM{cfg: MMConfig{AckTimeout: time.Minute}}
@@ -558,11 +588,11 @@ func TestAwaitWakeAllocs(t *testing.T) {
 				kid.acked = 4
 			}
 		}},
-		{"plan barrier", func(mm *MM, j *liveJob, ss *stripeState) error {
-			return mm.plan(j, []*stripeState{ss})
+		{"HAVE fold", func(mm *MM, j *liveJob, ss *stripeState) error {
+			return mm.manifestStripe(j, ss)
 		}, func(ss *stripeState) {
-			for _, l := range ss.tree.order {
-				ss.planned[l.node] = 0
+			for _, kid := range ss.kids {
+				kid.have = []uint64{0b1111}
 			}
 		}},
 	} {

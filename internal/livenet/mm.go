@@ -22,9 +22,9 @@ import (
 // collection) — and callers that retry or alert need to tell them
 // apart without string matching.
 var (
-	// ErrTransferTimeout marks transfer-phase deadline failures: an
-	// unconfirmed relay plan or a flow-control window that stalled and
-	// could not be recovered.
+	// ErrTransferTimeout marks transfer-phase deadline failures: a
+	// manifest round left unanswered or a flow-control window that stalled
+	// and could not be recovered.
 	ErrTransferTimeout = errors.New("livenet: transfer phase timed out")
 	// ErrTermTimeout marks termination-phase deadline failures: the
 	// binary was delivered and processes launched, but not every node
@@ -388,7 +388,7 @@ type liveJob struct {
 
 	// stripes is the per-stripe transfer state: every spanning tree the
 	// bulk plane stripes this job across owns its own epoch, ack ledger,
-	// HAVE/need masks and stream cursor (one entry, stripe 0, for the
+	// HAVE ledgers and stream cursor (one entry, stripe 0, for the
 	// legacy single-tree plan). stripeReplans counts the replan rounds
 	// charged to each stripe — a dead leaf is pruned from a stripe
 	// without bumping its epoch, so an undisturbed stripe's count stays 0
@@ -421,8 +421,8 @@ type liveJob struct {
 	// phase is the job's position in the admission state machine;
 	// winPeak is the largest unacknowledged-chunk count observed across
 	// all stripes, for the job-table snapshot and the report. sendBytes
-	// counts the MM's own distribution egress for this job exactly (frag,
-	// manifest, and need-mask frames), so concurrent jobs sharing a link
+	// counts the MM's own distribution egress for this job exactly (the
+	// frag and manifest frames it wrote), so concurrent jobs sharing a link
 	// never bill each other.
 	phase     jobPhase
 	winPeak   int
@@ -434,22 +434,21 @@ type liveJob struct {
 
 // stripeState is one stripe's transfer state: its spanning tree (laid
 // over a rotation of the job's placement order), tree epoch, one record
-// per direct child, the plan barrier and the stream cursor. All index
-// arithmetic below the sendList is stripe-local (chunk s+j·k is the
-// stripe's j-th), so each stripe's window and replay logic is the
-// single-tree logic verbatim. Guarded by the owning job's mu.
+// per direct child and the stream cursor. All index arithmetic below the
+// sendList is stripe-local (chunk s+j·k is the stripe's j-th), so each
+// stripe's window and replay logic is the single-tree logic verbatim.
+// Guarded by the owning job's mu.
 type stripeState struct {
 	id int
 	// tree is the stripe's forwarding tree; tree.order[q] is the node at
 	// position q. It is laid again on a replan of THIS stripe only —
 	// pruning a dead leaf from another stripe shrinks j.nodes but must not
 	// shift this stripe's positions mid-epoch — and never edited in place.
-	tree  laidTree
-	kids  []*stripeKid // the MM's direct children in this tree
-	epoch int          // stripe tree generation; bumped per stripe replan
-	// planned is the plan barrier: the nodes that confirmed the plan that
-	// announced this tree, each with the stripe-local progress it reported.
-	planned  map[int]int
+	tree laidTree
+	kids []*stripeKid // the MM's direct children in this tree
+	// epoch is the stripe tree generation: bumped per stripe replan and,
+	// past every stripe's, per re-placement, so it only ever grows.
+	epoch    int
 	sendList []int // ascending global chunk indices this stripe still streams
 	// streamPos indexes sendList (next entry to stream); streamAt is the
 	// stripe-local index just past the last chunk streamed this epoch.
@@ -464,10 +463,13 @@ type stripeState struct {
 // naming a node that has no record here is dropped.
 type stripeKid struct {
 	treeKid
-	acked int         // cumulative stripe-local chunks acknowledged
-	have  []uint64    // folded HAVE ledger; nil until reported
-	need  []uint64    // what the manifest round decided to stream to it
-	held  []heldChunk // link budget of chunks the ack has not covered yet
+	acked int // cumulative stripe-local chunks acknowledged
+	// have is the epoch's first folded HAVE ledger, nil until reported:
+	// written before the manifest round's wait returns and never after, so
+	// the stream reads it without j.mu. It decides what the subtree is
+	// sent; a later ledger of the epoch only adds credit.
+	have []uint64
+	held []heldChunk // link budget of chunks the ack has not covered yet
 }
 
 // kid returns the record of the direct child that is node, or nil.
@@ -889,7 +891,7 @@ func (mm *MM) serveNM(c *conn, reg *Register) {
 	}()
 	if reg.Rejoin {
 		mm.jlog(journal.NodeRejoin, 0, reg.Node, nil)
-		if c.send(Message{RejoinAck: &RejoinAck{Probation: prob}}) != nil {
+		if _, err := c.send(Message{RejoinAck: &RejoinAck{Probation: prob}}); err != nil {
 			return
 		}
 	} else {
@@ -903,8 +905,6 @@ func (mm *MM) serveNM(c *conn, reg *Register) {
 		switch {
 		case m.FragAck != nil:
 			mm.onFragAck(m.FragAck)
-		case m.PlanAck != nil:
-			mm.onPlanAck(m.PlanAck)
 		case m.Have != nil:
 			mm.onHave(m.Have)
 		case m.PeerDown != nil:
@@ -966,44 +966,30 @@ func (mm *MM) onFragAck(a *FragAck) {
 		// shape; only current-epoch credit moves the window. Cumulative
 		// acks are stripe-local counts.
 		if ss := j.stripeByID(a.Stripe); ss != nil && a.Epoch == ss.epoch {
-			if kid := ss.kid(a.Node); kid != nil && a.Index+1 > kid.acked {
-				kid.acked = a.Index + 1
-				// Acknowledged chunks hand their bytes back to the shared
-				// link budget, unblocking whatever job is waiting on that
-				// link.
-				kid.release(kid.acked)
+			if kid := ss.kid(a.Node); kid != nil {
+				kid.credit(a.Index + 1)
 			}
-		}
-		return nil
-	})
-}
-
-// onPlanAck counts a node into the barrier of the stripe tree its plan
-// announced. A confirmation stamped with another epoch answers a plan
-// that has since been superseded, and changes nothing.
-func (mm *MM) onPlanAck(a *PlanAck) {
-	mm.onTransferEvent(a.Job, func(j *liveJob) error {
-		ss := j.stripeByID(a.Stripe)
-		if ss == nil || a.Epoch != ss.epoch {
-			return nil
-		}
-		ss.planned[a.Node] = a.Received
-		if a.Err != "" {
-			return fmt.Errorf("node %d could not set up its relay plan: %s", a.Node, a.Err)
 		}
 		return nil
 	})
 }
 
 // onHave records a direct child's folded subtree HAVE ledger for the
-// stripe's current epoch.
+// stripe's current epoch, and credits the kid with the ledger's
+// stripe-local prefix: every chunk up to the first gap is in place all
+// over the subtree, which is exactly what a cumulative ack would say.
 func (mm *MM) onHave(h *Have) {
 	mm.onTransferEvent(h.Job, func(j *liveJob) error {
-		if ss := j.stripeByID(h.Stripe); ss != nil && h.Epoch == ss.epoch {
-			if kid := ss.kid(h.Node); kid != nil {
+		ss := j.stripeByID(h.Stripe)
+		if ss == nil || h.Epoch != ss.epoch {
+			return nil
+		}
+		if kid := ss.kid(h.Node); kid != nil {
+			if kid.have == nil {
 				// Never nil once reported, even for an empty ledger.
 				kid.have = append(make([]uint64, 0, len(h.Bits)), h.Bits...)
 			}
+			kid.credit(stripePrefix(h.Bits, j.frags, ss.id, len(j.stripes), kid.acked))
 		}
 		return nil
 	})
@@ -1203,7 +1189,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		}
 		msg := Message{Launch: &Launch{Job: j.id, Program: spec.Program, Ranks: ranks,
 			Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
-		if err := link.c.send(msg); err != nil {
+		if _, err := link.c.send(msg); err != nil {
 			lost = fmt.Errorf("launch to node %d: %w", link.node, err)
 			j.failedNodes = append(j.failedNodes, link.node)
 			continue
@@ -1314,11 +1300,12 @@ func retryBackoff(job, attempt int) time.Duration {
 }
 
 // rehome gives a failed job a fresh placement on the current
-// membership, excluding every node that already failed it, and resets
-// its transfer state to epoch zero — the next transfer re-runs the
-// plan and manifest rounds from scratch, so surviving caches turn the
-// replay into a mostly-delta stream. Pinned jobs cannot move: they are
-// only re-dialed if every pinned node is still unblemished.
+// membership, excluding every node that already failed it, and lays its
+// trees afresh at a new epoch — the next transfer re-runs the manifest
+// rounds from scratch, so surviving caches (and the images of nodes that
+// served the failed attempt) turn the replay into a mostly-delta stream.
+// Pinned jobs cannot move: they are only re-dialed if every pinned node
+// is still unblemished.
 func (mm *MM) rehome(j *liveJob) error {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
@@ -1345,7 +1332,7 @@ func (mm *MM) rehome(j *liveJob) error {
 	j.nodes = nodes
 	j.fail = nil
 	j.peerDown = nil
-	mm.rewireTree(j) // rebuilds every stripe at epoch 0
+	mm.rewireTree(j)
 	j.mu.Unlock()
 	mm.jlog(journal.JobPlanned, j.id, 0, nil)
 	return nil
@@ -1369,15 +1356,22 @@ func (mm *MM) stripeCountFor(j *liveJob) int {
 }
 
 // rewireTree rebuilds the job's full striped forwarding plan over the
-// current node set: every stripe's tree at epoch 0. Used at placement
-// and re-placement (rehome); mid-transfer recovery rewires single
-// stripes via rewireStripe instead. Caller must hold j.mu or have
+// current node set. Used at placement and re-placement (rehome);
+// mid-transfer recovery rewires single stripes via rewireStripe instead.
+// Every stripe opens at an epoch past any the job has used: a node that
+// served a failed attempt still holds that attempt's relays, and only a
+// newer epoch makes it install the new tree rather than take the
+// manifest for a re-run of the old one. Caller must hold j.mu or have
 // exclusive access to j.
 func (mm *MM) rewireTree(j *liveJob) {
 	k := mm.stripeCountFor(j)
+	epoch := 0
+	for _, ss := range j.stripes {
+		epoch = max(epoch, ss.epoch+1)
+	}
 	j.stripes = j.stripes[:0]
 	for s := 0; s < k; s++ {
-		ss := &stripeState{id: s, needManifest: true}
+		ss := &stripeState{id: s, epoch: epoch, needManifest: true}
 		mm.rewireStripe(j, ss, k)
 		j.stripes = append(j.stripes, ss)
 	}
@@ -1389,8 +1383,8 @@ func (mm *MM) rewireTree(j *liveJob) {
 // rewireStripe lays one stripe's tree afresh over the job's current node
 // set (stripe s takes the placement order rotated by s·n/k) and starts
 // the stripe's records over for a fresh epoch: a new record per direct
-// child, an empty plan barrier, the stream cursor at zero. Caller must
-// hold j.mu or have exclusive access to j.
+// child, the stream cursor at zero. Caller must hold j.mu or have
+// exclusive access to j.
 func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 	for _, kid := range ss.kids {
 		kid.release(math.MaxInt)
@@ -1400,7 +1394,6 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 	for _, tk := range ss.tree.kids {
 		ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
 	}
-	ss.planned = make(map[int]int)
 	ss.sendList = ss.sendList[:0]
 	ss.streamPos = 0
 	ss.streamAt = 0
@@ -1410,33 +1403,36 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 // transfer streams the synthetic binary image down the forwarding tree,
 // self-healing around node failures. Phases:
 //
-//  1. Plan: every node is told its relay children and acks once it has
-//     dialed them, so no fragment can reach a node before that node
-//     knows whom to relay to.
-//  2. Manifest round: the MM multicasts the per-chunk content manifest
-//     down the tree; every node splices what its chunk cache holds and
-//     the per-subtree HAVE ledgers fold back up, so the MM learns the
-//     set-union of missing chunks in one O(depth) round with O(fanout)
-//     egress. Each link is then announced its need mask.
-//  3. Stream: each missing chunk is generated once into a pooled buffer
+//  1. Manifest round, one sweep down and one up: the MM sends each of
+//     its tree children the per-chunk content manifest together with the
+//     child's subtree; every node installs its relay from it (dialing or
+//     reusing its children's links), relays each child its own slice —
+//     so no fragment can reach a node before that node knows whom to
+//     relay to, as a fragment follows the manifest down the same link —
+//     splices what its chunk cache holds, and the per-subtree HAVE
+//     ledgers fold back up. The MM learns the set-union of missing
+//     chunks in one O(depth) round with O(fanout) egress, and each
+//     ledger's stripe-local prefix is its subtree's opening credit.
+//  2. Stream: each missing chunk is generated once into a pooled buffer
 //     and written only to the subtrees that miss it; NMs relay onward
-//     (again selectively) and aggregate acks, so the MM's window check
-//     sees one cumulative credit per subtree. A chunk goes out only
-//     after every subtree has acknowledged the chunk a window behind it
-//     (the live analogue of the COMPARE-AND-WRITE flow control over the
-//     remote receive queues).
-//  4. Recover (only on liveness failures): diagnose which nodes are
+//     (again selectively, by their children's ledgers) and aggregate
+//     acks, so the MM's window check sees one cumulative credit per
+//     subtree. A chunk goes out only after every subtree has
+//     acknowledged the chunk a window behind it (the live analogue of
+//     the COMPARE-AND-WRITE flow control over the remote receive
+//     queues).
+//  3. Recover (only on liveness failures): diagnose which nodes are
 //     actually dead (accumulated PeerDown evidence plus directed
 //     isolation probes over the control links), exclude them, and heal
 //     each stripe by the cheapest sufficient means — a stripe the dead
-//     node relayed for is rewired with an epoch-stamped Plan round
-//     and re-runs its manifest round (the survivors' ledgers re-derive
-//     the remaining need from their actual splice and cache state); a
-//     stripe where it was only a leaf is pruned in place (a ChildDead
-//     note to its tree parent) and resumes streaming under the same
-//     epoch. Chunks are regenerated deterministically, so the send log
-//     is the generator plus an index. Content failures (CRC
-//     rejections) are never retried.
+//     node relayed for is rewired under a bumped epoch and re-runs its
+//     manifest round, which installs the new tree (the survivors'
+//     ledgers re-derive the remaining need, and the resume point, from
+//     their actual splice and cache state); a stripe where it was only a
+//     leaf is pruned in place (a ChildDead note to its tree parent) and
+//     resumes streaming under the same epoch. Chunks are regenerated
+//     deterministically, so the send log is the generator plus an index.
+//     Content failures (CRC rejections) are never retried.
 //
 // With MMConfig.Stripes > 1 the phases run per stripe and overlap:
 // each stripe pipelines its own manifest round and stream in a
@@ -1454,11 +1450,7 @@ func (mm *MM) transfer(j *liveJob) error {
 	defer j.releaseAllHeld()
 	j.man = mm.buildManifest(j)
 
-	j.setPhase(phasePlanned)
-	err := mm.plan(j, j.stripes) // laid by this goroutine, at placement
-	if err == nil {
-		err = mm.runStripes(j)
-	}
+	err := mm.runStripes(j)
 	for replans := 0; err != nil; replans++ {
 		var reject rejectError
 		if errors.As(err, &reject) {
@@ -1560,45 +1552,6 @@ func (mm *MM) runStripe(j *liveJob, ss *stripeState) error {
 	return nil
 }
 
-// plan announces stripe trees and waits until every node has installed
-// them, so no fragment can reach a node before that node knows whom to
-// relay to: a launch announces every stripe's tree at epoch 0, a recovery
-// the one stripe it rewired. Each node is sent one Plan naming its relay
-// children in each of the trees and answers with one PlanAck, stamped
-// with the first tree's stripe and epoch — so that stripe's barrier
-// serves the whole round (every tree of a job spans the same nodes).
-func (mm *MM) plan(j *liveJob, trees []*stripeState) error {
-	first := trees[0]
-	j.mu.Lock()
-	order := first.tree.order
-	plans := make(map[*nmLink]*Plan, len(order))
-	for _, link := range order {
-		plans[link] = &Plan{Job: j.id}
-	}
-	for _, ss := range trees {
-		for q, link := range ss.tree.order {
-			plans[link].Trees = append(plans[link].Trees,
-				planTree{Stripe: ss.id, Epoch: ss.epoch, Children: ss.tree.refs(q, false)})
-		}
-	}
-	j.mu.Unlock()
-	for _, link := range order {
-		if err := link.c.send(Message{Plan: plans[link]}); err != nil {
-			return downError{node: link.node, cause: fmt.Sprintf("plan write: %v", err)}
-		}
-	}
-	return j.await(first, "relay plan unconfirmed by nodes", time.Now().Add(mm.cfg.AckTimeout), func(names *[]string) int {
-		n := 0
-		for _, link := range first.tree.order {
-			if _, ok := first.planned[link.node]; !ok {
-				n++
-				nameOwing(names, link.node)
-			}
-		}
-		return n
-	})
-}
-
 // buildManifest computes (or retrieves) the job's transfer manifest: the
 // per-chunk content hashes and CRCs plus the whole-image digest. For
 // seeded (content-addressed) images the result is cached MM-side keyed
@@ -1680,32 +1633,34 @@ func fillChunkInto(spec *JobSpec, job, i int, b []byte) {
 }
 
 // manifestStripe opens one streaming epoch of a stripe's delta path:
-// multicast the manifest down the stripe's tree, wait for each direct
-// child's folded HAVE ledger, derive the per-subtree need masks and the
-// stripe's send list (restricted to the chunks the round-robin
-// interleave assigns this stripe), and announce the masks down the
-// tree. After a stripe replan the round simply runs again under the new
-// epoch: the survivors' ledgers re-derive what is still missing from
-// their actual splice and cache state.
+// send each direct child of the stripe's tree the manifest with its own
+// subtree — the multicast that installs the tree on its way down — wait
+// for each child's folded HAVE ledger (which credits the child with its
+// stripe-local prefix), and derive the stripe's send list (restricted to
+// the chunks the round-robin interleave assigns this stripe). After a
+// stripe replan the round simply runs again under the new epoch: the
+// survivors' ledgers re-derive what is still missing from their actual
+// splice and cache state.
 func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	j.mu.Lock()
 	kids := append([]*stripeKid(nil), ss.kids...)
+	tree := ss.tree
 	epoch := ss.epoch
 	k := len(j.stripes)
 	j.mu.Unlock()
 
-	m := &Manifest{Job: j.id, Epoch: epoch, Stripe: ss.id, ChunkBytes: mm.cfg.FragBytes,
-		ImageCRC: j.man.imageCRC, TotalBytes: j.man.total,
-		Hashes: j.man.hashes, CRCs: j.man.crcs}
 	for _, kid := range kids {
-		if err := kid.link.c.send(Message{Manifest: m}); err != nil {
+		m := &Manifest{Job: j.id, Epoch: epoch, Stripe: ss.id, Stripes: k, ChunkBytes: mm.cfg.FragBytes,
+			ImageCRC: j.man.imageCRC, TotalBytes: j.man.total,
+			Hashes: j.man.hashes, CRCs: j.man.crcs, Tree: tree.below(kid.pos)}
+		n, err := kid.link.c.send(Message{Manifest: m})
+		if err != nil {
 			return downError{node: kid.link.node, cause: fmt.Sprintf("manifest write: %v", err)}
 		}
 		// Relay links are shared across jobs, so per-conn byte counters
-		// cannot be attributed to one job; account egress by frame size
-		// (type byte + 29-byte header + 12 bytes per chunk entry).
+		// cannot be attributed to one job: bill what this send wrote.
 		j.mu.Lock()
-		j.sendBytes += int64(30 + 12*len(m.Hashes))
+		j.sendBytes += int64(n)
 		j.mu.Unlock()
 	}
 	// A rewire (initial layout, replan) started the kids' records over
@@ -1727,47 +1682,32 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	}
 
 	j.mu.Lock()
-	n := j.frags
-	union := make([]uint64, bitWords(n))
-	for _, kid := range kids {
-		kid.need = make([]uint64, bitWords(n))
-		// Only this stripe's chunks (i ≡ stripe mod k) are derived here:
-		// the other stripes run their own rounds over their own trees.
-		for i := ss.id; i < n; i += k {
-			if !maskGet(kid.have, i) {
-				bitSet(kid.need, i)
-				bitSet(union, i)
-			} else {
+	defer j.mu.Unlock()
+	// Only this stripe's chunks (i ≡ stripe mod k) are derived here: the
+	// other stripes run their own rounds over their own trees.
+	ss.sendList = ss.sendList[:0]
+	for i := ss.id; i < j.frags; i += k {
+		missing := false
+		for _, kid := range kids {
+			if maskGet(kid.have, i) {
 				j.bytesSaved += int64(chunkSizeFor(&j.spec, mm.cfg.FragBytes, i))
+			} else {
+				missing = true
 			}
 		}
-	}
-	ss.sendList = ss.sendList[:0]
-	for i := ss.id; i < n; i += k {
-		if bitGet(union, i) {
+		if missing {
 			ss.sendList = append(ss.sendList, i)
 		}
 	}
 	ss.streamPos = 0
 	ss.streamAt = 0
 	j.chunksSent += len(ss.sendList)
-	j.mu.Unlock()
-
-	for _, kid := range kids {
-		msg := Message{NeedMask: &NeedMask{Job: j.id, Epoch: epoch, Stripe: ss.id, Bits: kid.need}}
-		if err := kid.link.c.send(msg); err != nil {
-			return downError{node: kid.link.node, cause: fmt.Sprintf("need-mask write: %v", err)}
-		}
-		j.mu.Lock()
-		j.sendBytes += int64(12 + 8*len(kid.need))
-		j.mu.Unlock()
-	}
 	return nil
 }
 
 // streamStripe pushes the stripe's current send list (the union of its
 // missing chunks, ascending) down the stripe's tree, writing each chunk
-// only to the subtrees whose need mask claims it, and waits for the
+// only to the subtrees whose HAVE ledger lacks it, and waits for the
 // stripe's window to drain. Resumable: after a leaf prune the cursor is
 // rewound to the slowest surviving subtree's credit and the loop simply
 // continues under the same epoch (duplicates re-ack idempotently).
@@ -1809,29 +1749,29 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 		if mm.testCorrupt != nil {
 			mm.testCorrupt(j.id, i, data)
 		}
-		frame := int64(19 + size) // type byte + fragment header + payload
 		for _, kid := range kids {
 			link := kid.link
-			if !maskGet(kid.need, i) {
+			if maskGet(kid.have, i) {
 				continue // the whole subtree already holds this chunk
 			}
-			// Shared-link backpressure: reserve the frame's bytes against
+			// Shared-link backpressure: reserve the chunk's bytes against
 			// the link budget before writing, held until this subtree's
 			// cumulative ack covers the chunk. Concurrent jobs — and the
 			// job's other stripes — crossing the same cached relay link
 			// block here instead of queueing unbounded data ahead of each
 			// other.
-			if err := link.budget.acquire(frame, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
+			if err := link.budget.acquire(int64(size), time.Now().Add(mm.cfg.AckTimeout)); err != nil {
 				releaseFragBuf(data)
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d: %v", i, err)}
 			}
-			j.holdChunk(kid, i/k, frame)
-			if err := link.c.send(Message{Frag: f}); err != nil {
+			j.holdChunk(kid, i/k, int64(size))
+			n, err := link.c.send(Message{Frag: f})
+			if err != nil {
 				releaseFragBuf(data)
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d write: %v", i, err)}
 			}
 			j.mu.Lock()
-			j.sendBytes += frame
+			j.sendBytes += int64(n)
 			j.mu.Unlock()
 		}
 		releaseFragBuf(data)
@@ -1846,13 +1786,12 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 		j.mu.Unlock()
 	}
 	// Drain: wait until every subtree acknowledged every fragment of this
-	// stripe — on a fully warm launch (empty send list) this is the whole
-	// transfer: the manifest-time cache drains advance every node's
-	// cumulative ack to the end without any payload on the wire. One
-	// AckTimeout, started when the last fragment left, covers the whole
-	// tail — the budget is not restarted on partial progress, so a
-	// stalled node cannot stack the per-fragment timeout on top of the
-	// final wait.
+	// stripe — on a fully warm launch (empty send list) the HAVE ledgers
+	// already credited every subtree to the end, with no payload and no
+	// ack on the wire. One AckTimeout, started when the last fragment
+	// left, covers the whole tail — the budget is not restarted on partial
+	// progress, so a stalled node cannot stack the per-fragment timeout on
+	// top of the final wait.
 	return j.awaitCredit(ss, stripeChunks(j.frags, ss.id, k), time.Now().Add(mm.cfg.AckTimeout))
 }
 
@@ -1912,7 +1851,7 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 	mm.probes[seq] = pr
 	mm.mu.Unlock()
 	for _, l := range links {
-		if err := l.c.send(Message{Ping: &Ping{Seq: seq}}); err != nil {
+		if _, err := l.c.send(Message{Ping: &Ping{Seq: seq}}); err != nil {
 			dead[l.node] = fmt.Sprintf("probe write failed: %v", err)
 			pr.settle(l.node)
 		}
@@ -1938,12 +1877,14 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 // affected stripe by the cheapest sufficient means. A stripe the dead
 // node relayed for (interior in its tree) — or any stripe of a
 // single-tree plan, preserving the legacy recovery path — is rewired
-// over the survivors with an epoch-stamped Plan round and will re-run
-// its manifest round. A stripe where every dead node was a leaf is
-// pruned in place: the leaf's tree parent gets a ChildDead note so its
-// aggregated acks stop waiting on the corpse, the MM drops it from its
-// own ledger if it was a direct child, and the stripe resumes streaming
-// under the same epoch — it never replans (stripeReplans stays 0).
+// over the survivors under a bumped epoch, and its manifest round runs
+// again: it installs the new tree, and the survivors' HAVE ledgers give
+// both what is still missing and each subtree's credit to resume from.
+// A stripe where every dead node was a leaf is pruned in place: the
+// leaf's tree parent gets a ChildDead note so its aggregated acks stop
+// waiting on the corpse, the MM drops it from its own ledger if it was a
+// direct child, and the stripe resumes streaming under the same epoch —
+// it never replans (stripeReplans stays 0).
 func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	j.mu.Lock()
 	var survivors []*nmLink
@@ -1979,51 +1920,21 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 				break
 			}
 		}
-		j.mu.Unlock()
-		if done {
-			continue // fully drained before the failure; nothing to heal
+		replan := !done && (k == 1 || interior)
+		if replan {
+			ss.epoch++
+			mm.rewireStripe(j, ss, k)
+			ss.needManifest = true
+			j.stripeReplans[ss.id]++
 		}
-		if k == 1 || interior {
-			if err := mm.replanStripe(j, ss); err != nil {
-				return err
-			}
-		} else if err := mm.pruneStripe(j, ss, dead); err != nil {
+		j.mu.Unlock()
+		if done || replan {
+			continue // drained before the failure, or healed by the next round
+		}
+		if err := mm.pruneStripe(j, ss, dead); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// replanStripe rewires one stripe's tree over the job's surviving nodes
-// with a Plan round under a bumped epoch, then pre-credits the stripe's
-// window to the slowest survivor's confirmed stripe-local progress (every
-// survivor proved at least that much). The stripe's next act is a fresh
-// manifest round: the survivors' HAVE ledgers re-derive what is still
-// missing.
-func (mm *MM) replanStripe(j *liveJob, ss *stripeState) error {
-	j.mu.Lock()
-	ss.epoch++
-	k := len(j.stripes)
-	mm.rewireStripe(j, ss, k)
-	ss.needManifest = true
-	j.stripeReplans[ss.id]++
-	j.mu.Unlock()
-
-	if err := mm.plan(j, []*stripeState{ss}); err != nil {
-		return err
-	}
-
-	j.mu.Lock()
-	resume := stripeChunks(j.frags, ss.id, k)
-	for _, link := range ss.tree.order {
-		if r := ss.planned[link.node]; r < resume {
-			resume = r
-		}
-	}
-	for _, kid := range ss.kids {
-		kid.acked = resume
-	}
-	j.mu.Unlock()
 	return nil
 }
 
@@ -2033,8 +1944,8 @@ func (mm *MM) replanStripe(j *liveJob, ss *stripeState) error {
 // ChildDead to stop counting it in the aggregated acks. The stream cursor
 // rewinds to the slowest surviving subtree's credit so chunks the
 // corpse's loss left unacknowledged are re-sent (duplicates re-ack
-// idempotently), and the stripe resumes — no Plan round, no manifest
-// round, no epoch bump.
+// idempotently), and the stripe resumes — no manifest round, no epoch
+// bump.
 func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) error {
 	type deadLeaf struct {
 		parent *nmLink
@@ -2086,7 +1997,7 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 
 	for _, d := range notify {
 		msg := Message{ChildDead: &ChildDead{Job: j.id, Stripe: ss.id, Node: d.node}}
-		if err := d.parent.c.send(msg); err != nil {
+		if _, err := d.parent.c.send(msg); err != nil {
 			return downError{node: d.parent.node, cause: fmt.Sprintf("child-dead write: %v", err)}
 		}
 	}

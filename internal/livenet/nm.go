@@ -137,16 +137,13 @@ type binState struct {
 	// image so far — from the cache at manifest time or from the wire —
 	// and wcount counts them. srecv[s] is the stripe-local in-order
 	// prefix over the chunks stripe s owns (global indices ≡ s mod k),
-	// which is what stripe s's cumulative acks vouch for. expect[s] is
-	// stripe s's NeedMask: the authoritative set of chunks that will
-	// arrive on that stripe's link this epoch.
+	// which is what stripe s's cumulative acks vouch for.
 	man      *Manifest
 	written  []uint64
 	wcount   int
-	k        int   // stripe count the manifest round established (≥1)
+	k        int   // the job's stripe count, from its first manifest (≥1)
 	srecv    []int // per-stripe in-order chunk prefix (stripe-local counts)
-	expect   [][]uint64
-	draining bool // manifest-time cache drain or image seal in flight; defer the HAVE folds
+	draining bool  // manifest-time cache drain or image seal in flight; defer the HAVE folds
 
 	// Spool state (SpoolDir set): chunks are written at their offsets in
 	// a job-private temp file that is renamed into place only once the
@@ -180,10 +177,10 @@ type relayState struct {
 // per-stripe: a replan rewires (and re-stamps) only the trees the dead
 // node was interior in.
 type stripeRelay struct {
-	epoch    int   // this stripe's tree generation, from the Plan that installed it
+	epoch    int   // tree generation of the manifest that installed it; -1 before the first
 	parent   *conn // conn this stripe's traffic arrives on; acks go back up it
 	children []*relayChild
-	sentUp   int  // stripe-local cumulative credit already propagated up
+	sentUp   int  // stripe-local cumulative credit already propagated up (by HAVE or ack)
 	haveSent bool // this epoch's aggregated HAVE ledger already went up
 }
 
@@ -191,7 +188,7 @@ type stripeRelay struct {
 type relayChild struct {
 	node   int
 	addr   string
-	c      *conn
+	c      *conn    // nil until the first relay dials (or reuses) the link
 	acked  int      // cumulative stripe-local credit received from this subtree
 	have   []uint64 // the subtree's aggregated HAVE ledger (nil until reported)
 	down   bool     // link declared dead (write failed and one redial failed)
@@ -271,7 +268,7 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 	}
 	nm.c = c
 	reg := &Register{Node: node, CPUs: cpus, Addr: peerAddr, Cap: cfg.Cap, Rejoin: cfg.Rejoin}
-	if err := c.send(Message{Register: reg}); err != nil {
+	if _, err := c.send(Message{Register: reg}); err != nil {
 		c.close()
 		fail()
 		return nil, fmt.Errorf("livenet: register: %w", err)
@@ -434,10 +431,6 @@ func (nm *NM) loop() {
 			nm.handleFrag(m.Frag, nm.c)
 		case m.Manifest != nil:
 			nm.onManifest(m.Manifest, nm.c)
-		case m.NeedMask != nil:
-			nm.onNeedMask(m.NeedMask)
-		case m.Plan != nil:
-			nm.onPlan(m.Plan)
 		case m.ChildDead != nil:
 			nm.onChildDead(m.ChildDead)
 		case m.Abort != nil:
@@ -528,78 +521,12 @@ func (nm *NM) servePeer(pc *conn) {
 			nm.handleFrag(m.Frag, pc)
 		case m.Manifest != nil:
 			nm.onManifest(m.Manifest, pc)
-		case m.NeedMask != nil:
-			nm.onNeedMask(m.NeedMask)
 		case m.Ping != nil:
 			nm.onCtlPing(m.Ping, pc)
 		case m.Strobe != nil:
 			nm.onCtlStrobe(m.Strobe, pc)
 		}
 	}
-}
-
-// onPlan installs this node's role in each stripe tree the plan names:
-// resolve the tree's relay children to (cached) peer connections — a
-// child link shared by several stripes is one socket, so the k trees
-// multiplex over at most one per peer pair — reset that stripe's relay to
-// the tree's epoch and children, and confirm to the MM, which streams
-// into a tree only once every node of it has. A reset stripeRelay has no
-// parent (it re-binds on the epoch's manifest or first fragment), no
-// credit received from any child (conservative — the first replayed
-// duplicate re-primes it), none propagated up, and no HAVE ledger sent,
-// so the parent hears a new, epoch-stamped answer stream.
-//
-// The job's first plan, and any plan naming every stripe the job has (a
-// launch, a re-placement), replaces the relay state wholesale. A plan
-// naming fewer is a mid-transfer rewire after the MM excluded a failed
-// node, and leaves the other stripes' trees, epochs and cursors alone.
-func (nm *NM) onPlan(p *Plan) {
-	if len(p.Trees) == 0 {
-		return
-	}
-	first := p.Trees[0]
-	ack := &PlanAck{Job: p.Job, Node: nm.node, Epoch: first.Epoch, Stripe: first.Stripe}
-	kids := make([][]*relayChild, len(p.Trees))
-	for i, tr := range p.Trees {
-		var err error
-		kids[i], err = nm.dialChildren(tr.Children)
-		if err != nil {
-			ack.Err = err.Error()
-			nm.c.send(Message{PlanAck: ack})
-			return
-		}
-	}
-	nm.mu.Lock()
-	rs := nm.relays[p.Job]
-	if rs == nil || len(p.Trees) >= len(rs.stripes) {
-		rs = &relayState{}
-		nm.relays[p.Job] = rs
-	}
-	for i, tr := range p.Trees {
-		for len(rs.stripes) <= tr.Stripe {
-			rs.stripes = append(rs.stripes, &stripeRelay{})
-		}
-		*rs.stripes[tr.Stripe] = stripeRelay{epoch: tr.Epoch, children: kids[i]}
-	}
-	if st := nm.bins[p.Job]; st != nil && first.Stripe < len(st.srecv) {
-		ack.Received = st.srecv[first.Stripe]
-	}
-	nm.mu.Unlock()
-	nm.c.send(Message{PlanAck: ack})
-}
-
-// dialChildren resolves one tree's relay children to (cached) peer
-// links.
-func (nm *NM) dialChildren(refs []ChildRef) ([]*relayChild, error) {
-	var kids []*relayChild
-	for _, ref := range refs {
-		cc, err := nm.peerConn(ref.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("dial child %d: %v", ref.Node, err)
-		}
-		kids = append(kids, &relayChild{node: ref.Node, addr: ref.Addr, c: cc})
-	}
-	return kids, nil
 }
 
 // peerConn returns the relay connection to a downstream NM, dialing it
@@ -625,7 +552,7 @@ var errNMClosed = errors.New("livenet: node manager closed")
 // after marking the NM closed, so a link is either refused here or
 // closed there — never left with a pump nobody will stop. Two dials
 // racing for one address (a relay redial on each stripe's reader, a
-// control-tree relay beside a plan) settle on the first link.
+// control-tree relay beside a manifest) settle on the first link.
 func (nm *NM) dialChild(addr string) (*conn, error) {
 	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, profileFor(nm.cfg.Lite))
 	if err != nil {
@@ -652,10 +579,11 @@ func (nm *NM) dialChild(addr string) (*conn, error) {
 }
 
 // relay is the data plane's one hop down: forward a fragment or a
-// transfer-control frame (manifest, need-mask) to a tree child,
-// health-checking the cached link on the way — a write error evicts the
-// cached connection and redials once before the peer is reported down.
-// Reports whether the frame reached the child.
+// manifest to a tree child, health-checking the link on the way. A child
+// a manifest just installed has no link yet: the first relay takes the
+// cached one or dials it. A write error evicts the cached connection and
+// redials once. A child that cannot be dialed, or redialed, is reported
+// down. Reports whether the frame reached the child.
 func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
 	nm.mu.Lock()
 	cc, down := rc.c, rc.down
@@ -663,31 +591,30 @@ func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
 	if down {
 		return false
 	}
-	err := cc.send(m)
-	if err == nil {
-		return true
-	}
-	// Cached link went stale (the peer restarted, or the socket died
-	// between jobs): evict it and redial once. A frame is atomic per
-	// connection, so the peer discards any partial frame with the dead
-	// socket and the retry is a clean re-send.
-	nm.evictDialed(cc)
-	cc2, err2 := nm.dialChild(rc.addr)
-	if err2 == nil {
-		nm.mu.Lock()
-		rc.c = cc2
-		nm.mu.Unlock()
-		if err = cc2.send(m); err == nil {
+	var err error
+	if cc != nil {
+		if _, err = cc.send(m); err == nil {
 			return true
 		}
-	} else {
-		err = err2
+		// Cached link went stale (the peer restarted, or the socket died
+		// between jobs): evict it and redial once. A frame is atomic per
+		// connection, so the peer discards any partial frame with the dead
+		// socket and the retry is a clean re-send.
+		nm.evictDialed(cc)
+	}
+	if cc, err = nm.peerConn(rc.addr); err == nil {
+		nm.mu.Lock()
+		rc.c = cc
+		nm.mu.Unlock()
+		if _, err = cc.send(m); err == nil {
+			return true
+		}
 	}
 	nm.mu.Lock()
 	rc.down = true
 	nm.mu.Unlock()
-	// One redial did not bring the peer back: report it down so the MM
-	// can start recovery without waiting for the window to stall.
+	// The dial (or one redial) did not reach the peer: report it down so
+	// the MM can start recovery without waiting for a round to stall.
 	nm.c.send(Message{PeerDown: &PeerDown{Job: job, Node: rc.node, From: nm.node, Err: err.Error()}})
 	return false
 }
@@ -791,7 +718,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	rs, st := nm.relays[f.Job], nm.bins[f.Job]
 	if rs == nil || st == nil || f.Stripe >= len(rs.stripes) {
 		// No manifest announced this chunk: a straggler for a job whose
-		// state was released (finished, aborted), or a frame no plan of
+		// state was released (finished, aborted), or a frame no tree of
 		// ours accounts for. Every epoch opens with a manifest on the same
 		// link, so nothing that will be needed is lost: drop it.
 		nm.mu.Unlock()
@@ -802,15 +729,22 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	if sr.parent == nil {
 		sr.parent = from
 	}
-	children := sr.children
+	// A chunk is forwarded only to the subtrees that reported missing it —
+	// the selective half of the delta path.
+	var pick [8]*relayChild // room for the usual fanout without a heap slice
+	children := pick[:0]
+	for _, rc := range sr.children {
+		if !maskGet(rc.have, f.Index) {
+			children = append(children, rc)
+		}
+	}
 	epoch := sr.epoch
 	drop := nm.testDropAcks.Load()
 	man := st.man // immutable once announced
 	nm.mu.Unlock()
 
 	// Relay downstream from the same buffer: one encode at the MM serves
-	// the entire tree. A chunk is forwarded only to the subtrees that
-	// reported missing it — the selective half of the delta path.
+	// the entire tree.
 	if len(children) > 0 {
 		forward := f
 		if nm.testCorruptRelay != nil {
@@ -824,9 +758,6 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		}
 		relayed := 0
 		for _, rc := range children {
-			if nm.childHasChunk(rc, f.Index) {
-				continue
-			}
 			if nm.relay(f.Job, rc, Message{Frag: forward}) {
 				relayed++
 			}
@@ -838,14 +769,16 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	nm.writeManifestChunk(f, from, epoch, drop, st, man)
 }
 
-// onManifest opens (or re-opens, after a replan) a job's delta transfer.
-// It binds the ack path, relays the manifest down the subtree, splices
-// every chunk the local cache can vouch for straight into the image, and
-// folds the resulting HAVE ledger up the tree — immediately for leaves,
-// once every child has reported for interior nodes. A fully cache-warm
-// node may never see a fragment, so everything the fragment path would
-// establish (the parent binding, the ack stream, even image completion)
-// must be able to happen here.
+// onManifest opens (or re-opens, after a replan) a job's delta transfer
+// on one stripe. A manifest of a new epoch installs the stripe's relay
+// from the tree it carries; any current one binds the ack path, relays
+// the manifest down the subtree (each child its own slice of the tree),
+// splices every chunk the local cache can vouch for straight into the
+// image, and folds the resulting HAVE ledger up the tree — immediately
+// for leaves, once every child has reported for interior nodes. A fully
+// cache-warm node may never see a fragment, so everything the fragment
+// path would establish (the parent binding, the credit, even image
+// completion) must be able to happen here.
 //
 // A HAVE bit is only ever set for bytes that are already verified and in
 // place: the drain goes cache→Get (which re-verifies content)→splice, so
@@ -860,47 +793,63 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 // chunks the first already spliced. Later stripes' manifests just bind
 // that stripe's ack path, relay down, and fold that stripe's HAVE. A
 // stale-epoch manifest racing a replan on one stripe is dropped in full —
-// it never touches another stripe's parent binding, ledger, or NeedMask.
+// it never touches another stripe's relay, parent binding or ledger.
 func (nm *NM) onManifest(m *Manifest, from *conn) {
+	if m.Stripe < 0 || m.Stripe >= m.Stripes || m.Stripes > 255 {
+		return // names no stripe a job can have (the frames carry one byte)
+	}
+	kids := splitTree(m.Tree)
 	nm.mu.Lock()
 	rs := nm.relays[m.Job]
-	if rs == nil || m.Stripe < 0 || m.Stripe >= len(rs.stripes) {
-		nm.mu.Unlock()
-		return
+	if rs == nil {
+		rs = &relayState{stripes: make([]*stripeRelay, m.Stripes)}
+		for s := range rs.stripes {
+			rs.stripes[s] = &stripeRelay{epoch: -1}
+		}
+		nm.relays[m.Job] = rs
 	}
-	sr := rs.stripes[m.Stripe]
-	if m.Epoch != sr.epoch {
+	if len(rs.stripes) != m.Stripes || m.Epoch < rs.stripes[m.Stripe].epoch {
 		// A manifest from a superseded epoch raced a replan on this
 		// stripe. Drop it whole: the MM's HAVE timeout covers the gap,
 		// and no other stripe's state is touched.
 		nm.mu.Unlock()
 		return
 	}
-	// The epoch's answers start here, up the link its manifest came
-	// down. A straggler of the previous epoch that reached this node after
-	// the replan's Plan may already have been answered under the new
-	// epoch, to a parent that had not installed it yet and dropped the
-	// answer — so the ack and HAVE streams restart from nothing.
-	sr.parent, sr.sentUp, sr.haveSent = from, 0, false
+	sr := rs.stripes[m.Stripe]
+	if m.Epoch > sr.epoch {
+		// A new epoch installs the stripe's relay from the manifest's tree
+		// (relay dials each child, or takes its cached link, on the way
+		// down), and its answers start here, up the link the manifest came
+		// down: a straggler of the previous epoch may have been answered to
+		// a parent that had moved on and dropped the answer, so the credit
+		// and HAVE streams restart from nothing. A re-run of the current
+		// epoch's round leaves the relay — children and their reports — as
+		// it is.
+		*sr = stripeRelay{epoch: m.Epoch}
+		for _, sub := range kids {
+			sr.children = append(sr.children, &relayChild{node: sub[0].Node, addr: sub[0].Addr})
+		}
+	}
+	sr.parent = from
 	st := nm.bins[m.Job]
 	drain := st == nil
 	if drain {
-		k := len(rs.stripes) // ≥ 1: m.Stripe indexes it
 		st = &binState{man: m.clone(), written: make([]uint64, bitWords(len(m.Hashes))),
-			k: k, srecv: make([]int, k), expect: make([][]uint64, k), draining: true}
+			k: m.Stripes, srecv: make([]int, m.Stripes), draining: true}
 		nm.bins[m.Job] = st
 	}
 	man := st.man
-	if m.Stripe < len(st.expect) {
-		st.expect[m.Stripe] = nil // the new epoch's NeedMask follows
-	}
 	children := sr.children
 	nm.mu.Unlock()
 
 	// Relay first, straight from conn scratch (send copies it to the
 	// wire), so the subtree's cache drains overlap our own.
-	for _, rc := range children {
-		nm.relay(m.Job, rc, Message{Manifest: m})
+	for i, rc := range children {
+		if i < len(kids) {
+			sub := *m
+			sub.Tree = kids[i][1:]
+			nm.relay(m.Job, rc, Message{Manifest: &sub})
+		}
 	}
 
 	if !drain {
@@ -993,12 +942,13 @@ func (nm *NM) settle(job, k int) {
 
 // onChildHave folds one child subtree's HAVE report into this node's
 // ledger for that stripe: record it on the matching link — it doubles as
-// the selective relay filter — and send the stripe's aggregate up if
-// this completes the fold.
+// the selective relay filter, and its stripe-local prefix is the
+// subtree's credit — and send the stripe's aggregate up if this completes
+// the fold.
 func (nm *NM) onChildHave(h *Have, cc *conn) {
 	nm.mu.Lock()
-	rs := nm.relays[h.Job]
-	if rs == nil || h.Stripe < 0 || h.Stripe >= len(rs.stripes) {
+	rs, st := nm.relays[h.Job], nm.bins[h.Job]
+	if rs == nil || st == nil || h.Stripe < 0 || h.Stripe >= len(rs.stripes) {
 		nm.mu.Unlock()
 		return
 	}
@@ -1010,15 +960,18 @@ func (nm *NM) onChildHave(h *Have, cc *conn) {
 	for _, rc := range sr.children {
 		if rc.c == cc {
 			rc.have = append(rc.have[:0], h.Bits...)
+			rc.acked = stripePrefix(h.Bits, len(st.man.Hashes), h.Stripe, st.k, rc.acked)
 		}
 	}
 	nm.mu.Unlock()
 	nm.foldHave(h.Job, h.Stripe)
+	nm.advanceAck(h.Job, h.Stripe)
 }
 
 // foldHave sends one stripe subtree's aggregated HAVE ledger up once the
 // local splice state and every live child's report are in: bit i is set
-// iff every node in the stripe's subtree holds chunk i. (The MM only
+// iff every node in the stripe's subtree holds chunk i, and the ledger's
+// stripe-local prefix is the credit it carries up. (The MM only
 // reads the bits a stripe owns — indices ≡ stripe mod k — but the fold
 // carries the full bitmap; the extra bits are free and keep the ledger
 // format identical at every stripe count.) The AND-fold is the dual of
@@ -1047,6 +1000,9 @@ func (nm *NM) foldHave(job, stripe int) {
 	bits := make([]uint64, len(st.written))
 	copy(bits, st.written)
 	for _, rc := range sr.children {
+		if rc.pruned {
+			continue // out of the job: nothing to vouch for
+		}
 		if rc.down {
 			// A dead child cannot vouch for anything: claim nothing, and
 			// let the MM's recovery path rebuild the subtree.
@@ -1064,71 +1020,11 @@ func (nm *NM) foldHave(job, stripe int) {
 		}
 	}
 	sr.haveSent = true
+	sr.sentUp = stripePrefix(bits, len(st.man.Hashes), stripe, st.k, sr.sentUp)
 	parent := sr.parent
 	epoch := sr.epoch
 	nm.mu.Unlock()
 	parent.send(Message{Have: &Have{Job: job, Node: nm.node, Epoch: epoch, Stripe: stripe, Bits: bits}})
-}
-
-// onNeedMask records the parent's announcement of which of one stripe's
-// chunks will arrive on this link during the stripe's epoch and forwards
-// each stripe child its own mask (the complement of the child's HAVE
-// report, restricted to the chunks the stripe owns). A stripe chunk that
-// is neither announced nor already in place can never be completed —
-// that means our HAVE claim and the parent's plan disagree — so nack now
-// rather than stall the whole transfer window out. The check covers only
-// indices ≡ stripe mod k: other stripes' chunks arrive on other trees
-// and their masks say nothing about them.
-func (nm *NM) onNeedMask(n *NeedMask) {
-	nm.mu.Lock()
-	rs := nm.relays[n.Job]
-	st := nm.bins[n.Job]
-	if rs == nil || st == nil ||
-		n.Stripe < 0 || n.Stripe >= len(rs.stripes) || n.Stripe >= len(st.expect) {
-		nm.mu.Unlock()
-		return
-	}
-	sr := rs.stripes[n.Stripe]
-	if n.Epoch != sr.epoch {
-		nm.mu.Unlock()
-		return
-	}
-	st.expect[n.Stripe] = append(st.expect[n.Stripe][:0], n.Bits...)
-	nchunks := len(st.man.Hashes)
-	k := st.k
-	stuck := -1
-	for i := n.Stripe; i < nchunks; i += k {
-		if !bitGet(st.written, i) && !maskGet(st.expect[n.Stripe], i) {
-			stuck = i
-			break
-		}
-	}
-	type childMask struct {
-		rc   *relayChild
-		bits []uint64
-	}
-	var kids []childMask
-	for _, rc := range sr.children {
-		need := make([]uint64, bitWords(nchunks))
-		for i := n.Stripe; i < nchunks; i += k {
-			if !maskGet(rc.have, i) {
-				bitSet(need, i)
-			}
-		}
-		kids = append(kids, childMask{rc, need})
-	}
-	if stuck >= 0 {
-		rs.failed = true
-	}
-	parent := sr.parent
-	epoch := sr.epoch
-	nm.mu.Unlock()
-	for _, km := range kids {
-		nm.relay(n.Job, km.rc, Message{NeedMask: &NeedMask{Job: n.Job, Epoch: epoch, Stripe: n.Stripe, Bits: km.bits}})
-	}
-	if stuck >= 0 && parent != nil {
-		parent.send(Message{FragAck: &FragAck{Job: n.Job, Index: stuck, Node: nm.node, Epoch: epoch, Stripe: n.Stripe, OK: false}})
-	}
 }
 
 // offLock marks a point that must run without nm.mu held (see
@@ -1232,16 +1128,8 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *
 	nm.advanceAck(f.Job, f.Stripe)
 }
 
-// childHasChunk reports whether a child subtree advertised chunk index in
-// its HAVE ledger (and so must not have it relayed again).
-func (nm *NM) childHasChunk(rc *relayChild, index int) bool {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	return maskGet(rc.have, index)
-}
-
-// maskGet is bitGet against a bitmap of unverified length (a peer's HAVE
-// or NeedMask): out-of-range bits read as zero.
+// maskGet is bitGet against a bitmap of unverified length (a peer's HAVE):
+// out-of-range bits read as zero.
 func maskGet(bits []uint64, i int) bool {
 	w := i >> 6
 	return w < len(bits) && bits[w]>>(uint(i)&63)&1 == 1
@@ -1261,16 +1149,8 @@ func manifestChunkLen(m *Manifest, i int) int {
 // srecv[s] is what that stripe's cumulative acks (and replan resume
 // points) vouch for.
 func (st *binState) advanceStripe(s int) {
-	if s < 0 || s >= len(st.srecv) {
-		return
-	}
-	n := len(st.man.Hashes)
-	for {
-		i := s + st.srecv[s]*st.k
-		if i >= n || !bitGet(st.written, i) {
-			return
-		}
-		st.srecv[s]++
+	if s >= 0 && s < len(st.srecv) {
+		st.srecv[s] = stripePrefix(st.written, len(st.man.Hashes), s, st.k, st.srecv[s])
 	}
 }
 
@@ -1430,8 +1310,11 @@ func (st *binState) discardSpool() {
 // advanceAck propagates one stripe's aggregated cumulative credit — the
 // minimum of the local stripe-local write progress and every stripe
 // child subtree's credit — up to that stripe's parent whenever it
-// advances. This is the live analogue of the paper's COMPARE-AND-WRITE
-// receipt check: one ack per subtree per stripe instead of one per node.
+// advances past what the epoch's HAVE ledger already carried up. This is
+// the live analogue of the paper's COMPARE-AND-WRITE receipt check: one
+// ack per subtree per stripe instead of one per node. Nothing goes up
+// before the HAVE, the epoch's first answer, so a subtree the HAVE shows
+// complete never acks at all.
 // A child the MM pruned from the stripe (ChildDead) is skipped: its
 // credit will never advance again and the MM has already stopped
 // counting it. A child that is merely down-but-unpruned still stalls the
@@ -1446,7 +1329,7 @@ func (nm *NM) advanceAck(job, stripe int) {
 		return
 	}
 	sr := rs.stripes[stripe]
-	if sr.parent == nil {
+	if sr.parent == nil || !sr.haveSent {
 		nm.mu.Unlock()
 		return
 	}
@@ -1472,10 +1355,9 @@ func (nm *NM) advanceAck(job, stripe int) {
 
 // onChildDead enacts the MM's leaf-prune on one stripe: the named child
 // is marked pruned (and down, so no further relays are attempted), and
-// the stripe's aggregate credit is re-derived without it — typically
-// unsticking an ack the dead subtree was holding back. No HAVE re-fold
-// and no epoch change: the stripe's ledger round already completed and
-// the surviving topology is unchanged.
+// the stripe's HAVE and aggregate credit are re-derived without it —
+// typically unsticking the fold or the ack the dead leaf was holding
+// back. No epoch change: the surviving topology is unchanged.
 func (nm *NM) onChildDead(cd *ChildDead) {
 	nm.mu.Lock()
 	rs := nm.relays[cd.Job]
@@ -1490,6 +1372,7 @@ func (nm *NM) onChildDead(cd *ChildDead) {
 		}
 	}
 	nm.mu.Unlock()
+	nm.foldHave(cd.Job, cd.Stripe)
 	nm.advanceAck(cd.Job, cd.Stripe)
 }
 
@@ -1648,7 +1531,7 @@ func call(addr string, prof connProfile, req Message) (reply Message, sent int64
 		return Message{}, 0, true, err
 	}
 	defer c.close()
-	if err := c.send(req); err != nil {
+	if _, err := c.send(req); err != nil {
 		return Message{}, c.sentBytes(), true, fmt.Errorf("livenet: request: %w", err)
 	}
 	reply, err = c.recv()

@@ -52,14 +52,13 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 				gates:   make(map[int]*gateRow),
 			}
 			const job, chunks, size = 9, 4, 64
-			man := &Manifest{Job: job, ChunkBytes: size, TotalBytes: chunks * size,
+			man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size,
 				Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks)}
 			image := fragPattern(job, 0, chunks*size)
 			for i := 0; i < chunks; i++ {
 				c := image[i*size : (i+1)*size]
 				man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
 			}
-			nm.relays[job] = &relayState{stripes: []*stripeRelay{{}}}
 			var wire bytes.Buffer
 			parent := &conn{w: bufio.NewWriter(&wire)}
 			nm.onManifest(man, parent)
@@ -91,12 +90,12 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 	}
 }
 
-// TestFragBeforeManifestIsDropped: a fragment for a job this node has a
-// plan for but no manifest yet — which no transfer sends, every epoch
-// opening with its manifest on the same link — is dropped like one for a
-// released job: no ack or nack goes up, no receive state appears, and
-// its pooled buffer goes back (or a stream of them would allocate one
-// payload each).
+// TestFragBeforeManifestIsDropped: a fragment for a job this node has no
+// manifest for — which no transfer sends, every epoch opening with its
+// manifest on the same link — is dropped like one for a released job: no
+// ack or nack goes up, no receive or relay state appears, and its pooled
+// buffer goes back (or a stream of them would allocate one payload
+// each).
 func TestFragBeforeManifestIsDropped(t *testing.T) {
 	nm := &NM{
 		bins:    make(map[int]*binState),
@@ -104,7 +103,6 @@ func TestFragBeforeManifestIsDropped(t *testing.T) {
 		digests: make(map[int]ImageDigest),
 	}
 	const job, size, frames = 9, 1 << 20, 32
-	nm.relays[job] = &relayState{stripes: []*stripeRelay{{}}}
 	var wire bytes.Buffer
 	parent := &conn{w: bufio.NewWriter(&wire)}
 	// No collections while counting: each stops the world, after which
@@ -119,8 +117,8 @@ func TestFragBeforeManifestIsDropped(t *testing.T) {
 	if wire.Len() != 0 {
 		t.Fatalf("a fragment with no manifest was answered with %d bytes", wire.Len())
 	}
-	if nm.bins[job] != nil || nm.FragsWritten() != 0 {
-		t.Fatal("a fragment with no manifest opened receive state or was written")
+	if nm.bins[job] != nil || nm.relays[job] != nil || nm.FragsWritten() != 0 {
+		t.Fatal("a fragment with no manifest opened receive or relay state or was written")
 	}
 	// Under -race sync.Pool drops a quarter of the puts at random, and a
 	// goroutine that changes P between a put and the next get misses the
@@ -311,15 +309,15 @@ func TestWarmRelaunchStructure(t *testing.T) {
 }
 
 // TestEpochAnswersRestartAtManifest: after a replan a fragment of the old
-// epoch can reach a node after its new Plan but before its parent's. The
-// node takes it under the new epoch and answers up the old link — and the
-// parent, not yet on the new epoch, drops the answers as premature. The
-// epoch's manifest, which no node sees before every node has installed
-// the plan, must restart the node's answers: otherwise the credit and the
-// HAVE ledger it already counted as sent are lost for good and the MM's
-// wait stalls out its AckTimeout (the TestChaosConcurrentJobsInteriorKill
-// flake). Here the straggler completes the image, so both the ack and the
-// HAVE went the wrong way.
+// epoch can reach a node before the new epoch's manifest does. The node
+// takes it under the old epoch and answers up the old link, to a parent
+// that has moved on and drops the answers. The epoch's manifest, which
+// installs the node's new relay, must restart its answers up the new
+// link: otherwise the credit it already counted as sent is lost for good
+// and the MM's wait stalls out its AckTimeout (the
+// TestChaosConcurrentJobsInteriorKill flake). Here the straggler
+// completes the image, so the restarted answer is a full HAVE — which is
+// the epoch's whole credit, and no ack follows it.
 func TestEpochAnswersRestartAtManifest(t *testing.T) {
 	nm := &NM{
 		bins:    make(map[int]*binState),
@@ -328,7 +326,7 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 	}
 	const job, chunks, size = 9, 2, 64
 	image := fragPattern(job, 0, chunks*size)
-	man := &Manifest{Job: job, ChunkBytes: size, TotalBytes: chunks * size, ImageCRC: fragCRC(image),
+	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size, ImageCRC: fragCRC(image),
 		Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks)}
 	for i := 0; i < chunks; i++ {
 		c := image[i*size : (i+1)*size]
@@ -342,13 +340,9 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 	var old, cur bytes.Buffer
 	oldLink, link := &conn{w: bufio.NewWriter(&old)}, &conn{w: bufio.NewWriter(&cur)}
 
-	nm.relays[job] = &relayState{stripes: []*stripeRelay{{}}}
 	nm.onManifest(man, oldLink)
 	nm.handleFrag(frag(0), oldLink)
-	// The replan's Plan reaches this leaf (onPlan resets the stripe's
-	// relay state), then the old epoch's last fragment does.
-	*nm.relays[job].stripes[0] = stripeRelay{epoch: 1}
-	nm.handleFrag(frag(1), oldLink)
+	nm.handleFrag(frag(1), oldLink) // the old epoch's straggler
 	if _, ok := nm.ImageDigest(job); !ok {
 		t.Fatal("the straggler did not complete the image")
 	}
@@ -356,7 +350,8 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 	m1 := man.clone()
 	m1.Epoch = 1
 	nm.onManifest(m1, link)
-	var acked, have bool
+	var acks int
+	var have bool
 	c := &conn{r: bufio.NewReader(&cur)}
 	for {
 		m, err := c.recv()
@@ -365,12 +360,61 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 		}
 		switch {
 		case m.FragAck != nil:
-			acked = acked || m.FragAck.OK && m.FragAck.Epoch == 1 && m.FragAck.Index == chunks-1
+			acks++
 		case m.Have != nil:
 			have = have || m.Have.Epoch == 1 && maskGet(m.Have.Bits, 0) && maskGet(m.Have.Bits, 1)
 		}
 	}
-	if !acked || !have {
-		t.Fatalf("after the epoch's manifest the parent heard: full epoch-1 ack %v, full epoch-1 HAVE %v; want both", acked, have)
+	if !have || acks != 0 {
+		t.Fatalf("after the epoch's manifest the parent heard: full epoch-1 HAVE %v, %d acks; want the HAVE alone", have, acks)
+	}
+}
+
+// TestNoAckBeforeHave: a stripe's HAVE is its first answer of an epoch
+// and its prefix the credit, so no ack may go up before it. Here a leaf's
+// second stripe manifest lands while the first stripe's image seal is in
+// flight: its fold is deferred, and the chunk the stripe already holds
+// must wait for that fold rather than go up as an ack of its own — after
+// the seal the one HAVE carries it.
+func TestNoAckBeforeHave(t *testing.T) {
+	nm := &NM{
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		digests: make(map[int]ImageDigest),
+	}
+	const job = 9
+	man := &Manifest{Job: job, Stripes: 2, ChunkBytes: 4, TotalBytes: 8, Hashes: make([]uint64, 2), CRCs: make([]uint32, 2)}
+	nm.onManifest(man, discardConn())
+	st := nm.bins[job]
+	st.draining = true // stripe 0's seal in flight
+	bitSet(st.written, 1)
+	st.wcount++
+	st.advanceStripe(1)
+
+	var up bytes.Buffer
+	m1 := man.clone()
+	m1.Stripe = 1
+	nm.onManifest(m1, &conn{w: bufio.NewWriter(&up)})
+	if up.Len() != 0 {
+		t.Fatalf("stripe 1 answered with %d bytes while its fold was deferred", up.Len())
+	}
+	st.draining = false
+	nm.settle(job, 2)
+	var haves, acks int
+	for c := (&conn{r: bufio.NewReader(&up)}); ; {
+		m, err := c.recv()
+		if err != nil {
+			break
+		}
+		switch {
+		case m.Have != nil:
+			haves++
+		case m.FragAck != nil:
+			acks++
+		}
+	}
+	if haves != 1 || acks != 0 || nm.relays[job].stripes[1].sentUp != 1 {
+		t.Fatalf("stripe 1 sent %d HAVEs and %d acks, credit %d up; want one HAVE carrying credit 1",
+			haves, acks, nm.relays[job].stripes[1].sentUp)
 	}
 }

@@ -25,10 +25,10 @@
 // runs to encode and recv to decode. Per-fragment and per-period frames
 // pack each field to its width — fragments and their acks ('F', 'A'),
 // pings and pong ledgers ('P', 'Q'), strobes and their acks ('S', 'T'),
-// plan confirmations and peer-down reports ('K', 'D'), manifests, HAVE
-// ledgers and need masks ('M', 'H', 'N') — and encode and decode without
-// allocating; a fragment is encoded once for every child link. The
-// topology-sized messages (registration, submissions and reports, plans,
+// peer-down reports ('D') and HAVE ledgers ('H') — and encode and decode
+// without allocating; a fragment is encoded once for every child link.
+// The topology-sized messages (registration, submissions and reports,
+// manifests — which carry the stripe tree below their recipient —
 // launches, terminations, aborts, status) are body frames: a u32 length,
 // 8-byte integers, a u32 count before every string and list. A frame
 // decodes on its own, whatever came before it on the link.
@@ -222,11 +222,11 @@ func (r *Report) walk(w *walker) {
 // travels as one frame of the type its row in walk names.
 //
 // recv decodes the per-period control frames and the delta round's
-// ledgers — Hello, FragAck, Ping, Pong, Strobe, StrobeAck, Manifest, Have
-// and NeedMask — into conn-owned scratch, so the pointers it returns for
-// those are only valid until the next recv on the same conn: consume or
-// copy them before looping (Manifest has clone() for retention). Every
-// other message arrives in a value of its own.
+// frames — Hello, FragAck, Ping, Pong, Strobe, StrobeAck, Manifest and
+// Have — into conn-owned scratch, so the pointers it returns for those
+// are only valid until the next recv on the same conn: consume or copy
+// them before looping (Manifest has clone() for retention). Every other
+// message arrives in a value of its own.
 type Message struct {
 	Register  *Register
 	Hello     *Hello
@@ -235,9 +235,6 @@ type Message struct {
 	FragAck   *FragAck
 	Manifest  *Manifest
 	Have      *Have
-	NeedMask  *NeedMask
-	Plan      *Plan
-	PlanAck   *PlanAck
 	ChildDead *ChildDead
 	PeerDown  *PeerDown
 	Abort     *Abort
@@ -277,10 +274,6 @@ func (m *Message) walk(w *walker, c *conn) {
 		m.Manifest.walk(w)
 	case at(w, wire.Have, &m.Have, &c.rHave):
 		m.Have.walk(w)
-	case at(w, wire.Need, &m.NeedMask, &c.rNeed):
-		m.NeedMask.walk(w)
-	case at(w, wire.PlanAck, &m.PlanAck, nil):
-		m.PlanAck.walk(w)
 	case at(w, wire.PeerDown, &m.PeerDown, nil):
 		m.PeerDown.walk(w)
 	case at(w, wire.Hello, &m.Hello, &c.rHello):
@@ -291,8 +284,6 @@ func (m *Message) walk(w *walker, c *conn) {
 		m.Submit.walk(w)
 	case at(w, wire.RejoinAck, &m.RejoinAck, nil):
 		m.RejoinAck.walk(w)
-	case at(w, wire.Plan, &m.Plan, nil):
-		m.Plan.walk(w)
 	case at(w, wire.ChildDead, &m.ChildDead, nil):
 		m.ChildDead.walk(w)
 	case at(w, wire.Abort, &m.Abort, nil):
@@ -427,90 +418,22 @@ func (a *FragAck) walk(w *walker) {
 	num(w, &a.Stripe, 1)
 }
 
-// ChildRef names one relay child in a plan. Subtree is set only by the
-// control tree: the nodes the child's aggregated ledgers vouch for, in
-// pre-order (the child itself first, then each grandchild subtree
-// recursively) — the bit layout of the pong ledger's Absent bitmap, so a
-// parent folds a child's bitmap into its own with a single shift.
+// ChildRef names one control-tree child: where to relay, and the nodes
+// the child's aggregated ledgers vouch for, in pre-order (the child
+// itself first, then each grandchild subtree recursively) — the bit
+// layout of the pong ledger's Absent bitmap, so a parent folds a child's
+// bitmap into its own with a single shift.
 type ChildRef struct {
 	Node    int
 	Addr    string
 	Subtree []int
 }
 
-// walkChildren walks a plan's child list.
-func walkChildren(w *walker, kids *[]ChildRef) {
-	fit(w, kids, w.count(len(*kids), 4))
-	for i := range *kids {
-		k := &(*kids)[i]
-		num(w, &k.Node, 8)
-		w.str(&k.Addr, 4, maxFrame)
-		w.ints(&k.Subtree)
-	}
-}
-
-// Plan tells an NM its role in a job's forwarding trees: for each stripe
-// tree it names, the tree's epoch and the NMs (if any) this node relays
-// that stripe's chunks to (SplitStream-style role rotation makes a node
-// interior in ~1/k of the trees and a leaf in the rest). A launch names
-// every stripe at epoch 0 and comes before the first fragment. A
-// mid-transfer recovery names the one stripe it rewires, with a fresh
-// child set and a bumped epoch — the other stripes' trees, epochs and
-// streams are untouched, which is what lets a striped transfer recover a
-// dead interior node without stalling the stripes it was only a leaf in.
-type Plan struct {
-	Job   int
-	Trees []planTree
-}
-
-// planTree is one stripe tree of a Plan.
-type planTree struct {
-	Stripe   int
-	Epoch    int
-	Children []ChildRef
-}
-
-func (p *Plan) walk(w *walker) {
-	num(w, &p.Job, 8)
-	fit(w, &p.Trees, w.count(len(p.Trees), 4))
-	for i := range p.Trees {
-		t := &p.Trees[i]
-		num(w, &t.Stripe, 8)
-		num(w, &t.Epoch, 8)
-		walkChildren(w, &t.Children)
-	}
-}
-
-// PlanAck confirms the NM has dialed the relay children of every tree in
-// a Plan and installed them (or reports why it could not); the MM
-// streams into a tree only after every node of it has confirmed, so no
-// fragment can outrun its relay topology. Stripe and Epoch echo the
-// plan's first tree, which makes a confirmation of a superseded plan
-// recognisable; Received is the node's in-order stripe-local fragment
-// progress on that stripe, which a recovery folds into the replay point.
-type PlanAck struct {
-	Job      int
-	Node     int
-	Epoch    int
-	Received int
-	Stripe   int
-	Err      string
-}
-
-func (a *PlanAck) walk(w *walker) {
-	num(w, &a.Job, 4)
-	num(w, &a.Node, 4)
-	num(w, &a.Epoch, 4)
-	num(w, &a.Received, 4)
-	num(w, &a.Stripe, 1)
-	w.str(&a.Err, 2, maxCtlErr)
-}
-
 // ChildDead prunes a dead leaf out of one stripe's tree without a
 // replan round: the MM, having convicted the node, tells its tree
 // parent to stop waiting on the subtree's acks. Only valid when the
-// dead node is a leaf in this stripe (interior deaths need a real
-// Plan to re-home the orphaned subtree).
+// dead node is a leaf in this stripe (interior deaths need a new epoch's
+// manifest to re-home the orphaned subtree).
 type ChildDead struct {
 	Job    int
 	Stripe int
@@ -709,53 +632,102 @@ type CtlPlan struct {
 
 func (p *CtlPlan) walk(w *walker) {
 	num(w, &p.Epoch, 8)
-	walkChildren(w, &p.Children)
+	fit(w, &p.Children, w.count(len(p.Children), 4))
+	for i := range p.Children {
+		k := &p.Children[i]
+		num(w, &k.Node, 8)
+		w.str(&k.Addr, 4, maxFrame)
+		w.ints(&k.Subtree)
+	}
 }
 
-// Manifest opens a transfer epoch: the content map of the image about
-// to be distributed. Hashes[i]/CRCs[i] address chunk i (fixed
-// ChunkBytes each except a short tail), so an NM can recognize chunks
-// it already holds in its content-addressed cache; ImageCRC is the
-// whole-image digest every NM re-verifies before committing its spool.
-// It multicasts down the forwarding tree like a fragment and, like the
-// hot control frames, encodes and decodes with zero steady-state
-// allocations. recv returns it in conn-owned scratch — clone() it to
-// retain past the next recv. Stripe is the spanning tree the copy
-// multicast down (with per-stripe epochs, the same image map travels
-// once per stripe tree); Epoch is that stripe's tree generation.
+// Manifest opens a transfer epoch on one stripe and lays the stripe's
+// tree as it goes. Hashes[i]/CRCs[i] address chunk i (fixed ChunkBytes
+// each except a short tail), so an NM can recognize chunks it already
+// holds in its content-addressed cache; ImageCRC is the whole-image
+// digest every NM re-verifies before committing its spool. Tree is the
+// recipient's own subtree in the stripe: every descendant in pre-order,
+// so the first entry is the recipient's first child, its Size entries
+// are that child's subtree, and the next child follows them. The
+// recipient relays to each child a Manifest whose Tree is the child's
+// own slice, so the one multicast both installs the stripe's relay
+// topology and announces the content, and a leaf's Tree is empty.
+// Stripe is the spanning tree the copy multicasts down, Stripes how many
+// the job has (chunk i rides stripe i%Stripes), Epoch that stripe's tree
+// generation — a node installs the relay of a newer epoch, re-runs a
+// current one and drops an older one. recv returns a Manifest in
+// conn-owned scratch — clone() it to retain past the next recv — and
+// decodes a leaf's with zero steady-state allocations.
 type Manifest struct {
 	Job        int
 	Epoch      int
+	Stripe     int
+	Stripes    int
 	ChunkBytes int
 	ImageCRC   uint32
 	TotalBytes int64
-	Stripe     int
 	Hashes     []uint64
 	CRCs       []uint32
+	Tree       []TreeNode
+}
+
+// TreeNode is one descendant in a Manifest's Tree: a node, the peer
+// address its parent relays to, and the size of its own subtree (itself
+// included).
+type TreeNode struct {
+	Node int
+	Addr string
+	Size int
 }
 
 func (m *Manifest) walk(w *walker) {
-	num(w, &m.Job, 4)
-	num(w, &m.Epoch, 4)
-	num(w, &m.ChunkBytes, 4)
-	num(w, &m.ImageCRC, 4)
+	num(w, &m.Job, 8)
+	num(w, &m.Epoch, 8)
+	num(w, &m.Stripe, 8)
+	num(w, &m.Stripes, 8)
+	num(w, &m.ChunkBytes, 8)
+	num(w, &m.ImageCRC, 8)
 	num(w, &m.TotalBytes, 8)
 	n := w.count(len(m.Hashes), 4)
-	num(w, &m.Stripe, 1)
 	fit(w, &m.Hashes, n)
 	fit(w, &m.CRCs, n)
 	for i := range m.Hashes {
 		num(w, &m.Hashes[i], 8)
-		num(w, &m.CRCs[i], 4)
+		num(w, &m.CRCs[i], 8)
+	}
+	fit(w, &m.Tree, w.count(len(m.Tree), 4))
+	for i := range m.Tree {
+		t := &m.Tree[i]
+		num(w, &t.Node, 8)
+		w.str(&t.Addr, 4, maxFrame)
+		num(w, &t.Size, 8)
 	}
 }
 
-// clone deep-copies a Manifest out of conn scratch.
+// clone deep-copies a Manifest's content map out of conn scratch; the
+// tree, which the receiver installs as it reads it, is not kept.
 func (m *Manifest) clone() *Manifest {
 	c := *m
 	c.Hashes = append([]uint64(nil), m.Hashes...)
 	c.CRCs = append([]uint32(nil), m.CRCs...)
+	c.Tree = nil
 	return &c
+}
+
+// splitTree cuts a manifest's Tree into the recipient's direct children:
+// kids[c][0] is child c and kids[c][1:] its own subtree. An entry whose
+// Size overruns the list ends it — a malformed tree relays only what it
+// accounts for.
+func splitTree(tree []TreeNode) (kids [][]TreeNode) {
+	for i := 0; i < len(tree); {
+		size := tree[i].Size
+		if size < 1 || size > len(tree)-i {
+			break
+		}
+		kids = append(kids, tree[i:i+size])
+		i += size
+	}
+	return kids
 }
 
 // Have is the aggregated cache ledger answering a Manifest: bit i set
@@ -765,10 +737,13 @@ func (m *Manifest) clone() *Manifest {
 // up — the dual of the pong ledger's absence fold — so the MM learns
 // the set-union of missing chunks across the cluster in one O(depth)
 // round with O(fanout) egress, and every interior node learns exactly
-// which chunks each child subtree still needs. The bitmap always covers
-// the full chunk index space; Stripe names the tree (and epoch ledger)
-// the fold ran up, since each stripe's tree aggregates its own HAVE
-// round.
+// which chunks each child subtree still needs. A bit is set only once
+// its chunk is in place and a fold waits for the image seal, so the
+// ledger's stripe-local prefix is the subtree's cumulative credit on the
+// stripe — on a warm launch the Have is the only answer. The bitmap
+// always covers the full chunk index space; Stripe names the tree (and
+// epoch ledger) the fold ran up, since each stripe's tree aggregates its
+// own HAVE round.
 type Have struct {
 	Job    int
 	Node   int
@@ -786,33 +761,6 @@ func (h *Have) walk(w *walker) {
 	fit(w, &h.Bits, n)
 	for i := range h.Bits {
 		num(w, &h.Bits[i], 8)
-	}
-}
-
-// NeedMask is the transfer epoch's stream announcement, sent down each
-// link just before streaming: bit i set means chunk i will arrive on
-// this link. A receiver uses it as the authoritative split between
-// wire-sourced and locally-sourced chunks — a chunk outside the mask
-// that the node cannot produce locally is a protocol violation worth a
-// fast nack, not a silent stall. Stripe scopes the announcement to one
-// stripe's tree: the mask only ever sets bits of chunks in that stripe
-// (index ≡ stripe mod k), so a stale or misrouted mask cannot poison
-// another stripe's expectations.
-type NeedMask struct {
-	Job    int
-	Epoch  int
-	Stripe int
-	Bits   []uint64
-}
-
-func (n *NeedMask) walk(w *walker) {
-	num(w, &n.Job, 4)
-	num(w, &n.Epoch, 4)
-	words := w.count(len(n.Bits), 2)
-	num(w, &n.Stripe, 1)
-	fit(w, &n.Bits, words)
-	for i := range n.Bits {
-		num(w, &n.Bits[i], 8)
 	}
 }
 
@@ -933,8 +881,7 @@ func releaseFragBuf(b []byte) {
 }
 
 // tailPool recycles the scratch of frames longer than a conn's own
-// (manifest chunk records, HAVE/need bitmap words, error strings, body
-// frames) on both the encode and decode paths. The scratch used to be a
+// (HAVE bitmap words, error strings, body frames) on both the encode and decode paths. The scratch used to be a
 // grown-once buffer owned by each conn, which sizes the fleet's tail
 // memory by the number of connections — O(cluster) with hundreds of NMs
 // in one process. A tail is only live while one frame is being built or
@@ -984,9 +931,8 @@ type conn struct {
 	rStrobe    Strobe
 	rStrobeAck StrobeAck
 	rAck       FragAck
-	rManifest  Manifest // Hashes/CRCs grown once, reused across frames
+	rManifest  Manifest // Hashes/CRCs/Tree grown once, reused across frames
 	rHave      Have     // Bits grown once
-	rNeed      NeedMask // Bits grown once
 
 	sent       atomic.Int64 // bytes written, frames included
 	sentFrames atomic.Int64 // frames written (the control-egress metric)
@@ -1193,11 +1139,12 @@ func at[T any](w *walker, t byte, f **T, scratch *T) bool {
 	return true
 }
 
-// send writes one message as one frame: its walk encoded into the conn's
-// scratch, then — for a fragment — the payload straight from the
-// caller's buffer, so no fragment is copied or re-encoded per
-// destination. Safe for concurrent use with other senders on the conn.
-func (c *conn) send(m Message) error {
+// send writes one message as one frame and returns its length: its walk
+// encoded into the conn's scratch, then — for a fragment — the payload
+// straight from the caller's buffer, so no fragment is copied or
+// re-encoded per destination. Safe for concurrent use with other senders
+// on the conn.
+func (c *conn) send(m Message) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	w := walker{out: c.hdr[:0]}
@@ -1206,7 +1153,7 @@ func (c *conn) send(m Message) error {
 		defer putTail(w.pool)
 	}
 	if w.err != nil {
-		return w.err
+		return 0, w.err
 	}
 	if wire.Shapes[w.out[0]].Body() {
 		binary.BigEndian.PutUint32(w.out[1:], uint32(len(w.out)-1-wire.BodyLen))
@@ -1216,17 +1163,18 @@ func (c *conn) send(m Message) error {
 		payload = m.Frag.Data
 	}
 	if _, err := c.w.Write(w.out); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := c.w.Write(payload); err != nil {
-		return err
+		return 0, err
 	}
 	if err := c.w.Flush(); err != nil {
-		return err
+		return 0, err
 	}
-	c.sent.Add(int64(len(w.out) + len(payload)))
+	n := len(w.out) + len(payload)
+	c.sent.Add(int64(n))
 	c.sentFrames.Add(1)
-	return nil
+	return n, nil
 }
 
 // recv blocks for the next frame and decodes it: the type byte picks the
@@ -1363,7 +1311,7 @@ func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof con
 				// The hello must land before any other frame so the hub
 				// can route the connection; a failure here is a transient
 				// connection fault like any dial error — retry.
-				if err = c.send(Message{Hello: &Hello{Node: node}}); err != nil {
+				if _, err = c.send(Message{Hello: &Hello{Node: node}}); err != nil {
 					c.close()
 					continue
 				}

@@ -39,23 +39,20 @@ func TestFrameRoundTripControl(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
 		ca.send(Message{Register: &Register{Node: 3, CPUs: 4, Addr: "127.0.0.1:99"}})
-		ca.send(Message{Plan: &Plan{Job: 7, Trees: []planTree{
-			{Stripe: 0, Epoch: 0, Children: []ChildRef{{Node: 1, Addr: "a"}, {Node: 2, Addr: "b"}}},
-			{Stripe: 1, Epoch: 4, Children: []ChildRef{{Node: 3, Addr: "c", Subtree: []int{3, 8}}}},
-		}}})
+		ca.send(Message{Manifest: &Manifest{Job: 7, Epoch: 4, Stripe: 1, Stripes: 2,
+			Tree: []TreeNode{{Node: 1, Addr: "a", Size: 2}, {Node: 2, Addr: "b", Size: 1}}}})
 	}()
 	m, err := cb.recv()
 	if err != nil || m.Register == nil || m.Register.Node != 3 || m.Register.Addr != "127.0.0.1:99" {
 		t.Fatalf("register round trip: %+v, %v", m, err)
 	}
 	m, err = cb.recv()
-	if err != nil || m.Plan == nil || m.Plan.Job != 7 || len(m.Plan.Trees) != 2 {
-		t.Fatalf("plan round trip: %+v, %v", m, err)
+	if err != nil || m.Manifest == nil || m.Manifest.Job != 7 || len(m.Manifest.Tree) != 2 {
+		t.Fatalf("manifest round trip: %+v, %v", m, err)
 	}
-	if a, b := m.Plan.Trees[0], m.Plan.Trees[1]; a.Stripe != 0 || a.Epoch != 0 || len(a.Children) != 2 ||
-		a.Children[1].Addr != "b" || a.Children[1].Subtree != nil ||
-		b.Stripe != 1 || b.Epoch != 4 || b.Children[0].Node != 3 || len(b.Children[0].Subtree) != 2 {
-		t.Fatalf("plan round trip: %+v", m.Plan)
+	if g := m.Manifest; g.Epoch != 4 || g.Stripe != 1 || g.Stripes != 2 || len(g.Hashes) != 0 ||
+		g.Tree[0] != (TreeNode{Node: 1, Addr: "a", Size: 2}) || g.Tree[1].Addr != "b" {
+		t.Fatalf("manifest round trip: %+v", g)
 	}
 }
 
@@ -135,6 +132,16 @@ func TestFrameInterleaving(t *testing.T) {
 	}
 }
 
+// sendAll writes each message on c in turn and returns the first error.
+func sendAll(c *conn, ms ...Message) error {
+	for _, m := range ms {
+		if _, err := c.send(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // discardConn builds a conn whose writes go nowhere, for alloc
 // accounting of the send path.
 func discardConn() *conn {
@@ -162,14 +169,14 @@ func TestFragCheckAllocs(t *testing.T) {
 	c := discardConn()
 	f := &Frag{Job: 5, Index: 11, Data: data, CRC: crc}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.send(Message{Frag: f}); err != nil {
+		if _, err := c.send(Message{Frag: f}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
 		t.Fatalf("fragment send allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, OK: true}}); err != nil {
+		if _, err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, OK: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
@@ -205,10 +212,10 @@ func TestConnSentBytes(t *testing.T) {
 		}
 	}()
 	data := fragPattern(1, 0, 1000)
-	if err := ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}}); err != nil {
+	if _, err := ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 0, OK: true}}); err != nil {
+	if _, err := ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 0, OK: true}}); err != nil {
 		t.Fatal(err)
 	}
 	select {

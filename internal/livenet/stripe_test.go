@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/livenet/chunkcache"
 	"repro/internal/livenet/faultconn"
 )
 
@@ -225,9 +227,10 @@ func TestChaosStripedInteriorKill(t *testing.T) {
 }
 
 // TestStaleEpochManifestIsolated (satellite): a Manifest from a
-// superseded epoch racing a Replan on one stripe must be dropped in
-// full — it may not bind that stripe's parent, and it may not touch any
-// other stripe's epoch, parent, expect ledger, or written bitmap.
+// superseded epoch racing a replan on one stripe must be dropped in
+// full — it may not install its tree on that stripe, bind its parent or
+// draw an answer, and it may not touch any other stripe's epoch, parent
+// or relay, or the written bitmap.
 func TestStaleEpochManifestIsolated(t *testing.T) {
 	nm := &NM{
 		bins:    make(map[int]*binState),
@@ -235,68 +238,52 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 		digests: make(map[int]ImageDigest),
 	}
 	const job = 7
-	rs := &relayState{stripes: []*stripeRelay{{epoch: 0}, {epoch: 2}}}
-	nm.relays[job] = rs
-	parent0 := discardConn()
-
-	// Stripe 0's manifest (current epoch) opens the transfer normally.
-	man := &Manifest{Job: job, Epoch: 0, Stripe: 0, ChunkBytes: 4,
-		TotalBytes: 16, Hashes: make([]uint64, 4), CRCs: make([]uint32, 4)}
-	nm.onManifest(man, parent0)
-	st := nm.bins[job]
-	if st == nil || st.man == nil || st.k != 2 {
-		t.Fatalf("stripe 0 manifest did not open the transfer: %+v", st)
-	}
-	if rs.stripes[0].parent != parent0 {
-		t.Fatal("stripe 0 parent not bound")
-	}
-	nm.onNeedMask(&NeedMask{Job: job, Epoch: 0, Stripe: 0, Bits: []uint64{0b0101}})
-	if len(st.expect[0]) != 1 || st.expect[0][0] != 0b0101 {
-		t.Fatalf("stripe 0 NeedMask not recorded: %v", st.expect[0])
+	man := func(stripe, epoch int) *Manifest {
+		return &Manifest{Job: job, Epoch: epoch, Stripe: stripe, Stripes: 2, ChunkBytes: 4,
+			TotalBytes: 16, Hashes: make([]uint64, 4), CRCs: make([]uint32, 4)}
 	}
 
-	// A stale manifest for stripe 1 (epoch 1; the stripe replanned to
-	// epoch 2) must change nothing.
-	stale := &Manifest{Job: job, Epoch: 1, Stripe: 1, ChunkBytes: 4,
-		TotalBytes: 16, Hashes: make([]uint64, 4), CRCs: make([]uint32, 4)}
-	nm.onManifest(stale, discardConn())
-	if rs.stripes[1].parent != nil {
-		t.Fatal("stale manifest bound stripe 1's parent")
+	// Stripe 0's manifest opens the transfer; stripe 1 has replanned to
+	// epoch 2 and its manifest installed that.
+	parent0, parent1 := discardConn(), discardConn()
+	nm.onManifest(man(0, 0), parent0)
+	st, rs := nm.bins[job], nm.relays[job]
+	if st == nil || st.man == nil || st.k != 2 || rs == nil || len(rs.stripes) != 2 {
+		t.Fatalf("stripe 0 manifest did not open the transfer: %+v %+v", st, rs)
 	}
-	if rs.stripes[1].epoch != 2 {
-		t.Fatalf("stale manifest changed stripe 1's epoch to %d", rs.stripes[1].epoch)
+	nm.onManifest(man(1, 2), parent1)
+	if rs.stripes[0].parent != parent0 || rs.stripes[1].parent != parent1 || rs.stripes[1].epoch != 2 {
+		t.Fatal("current-epoch manifests did not bind their stripes")
 	}
-	if st.expect[1] != nil {
-		t.Fatalf("stale manifest seeded stripe 1's expect ledger: %v", st.expect[1])
+	written := append([]uint64(nil), st.written...)
+
+	// A stale manifest for stripe 1 (epoch 1) must change nothing.
+	var answers bytes.Buffer
+	stale := man(1, 1)
+	stale.Tree = []TreeNode{{Node: 9, Addr: "nowhere", Size: 1}}
+	nm.onManifest(stale, &conn{w: bufio.NewWriter(&answers)})
+	if s1 := rs.stripes[1]; s1.parent != parent1 || s1.epoch != 2 || len(s1.children) != 0 {
+		t.Fatalf("stale manifest disturbed stripe 1: %+v", s1)
 	}
-	// ...and it must not have poisoned stripe 0's ledgers either.
-	if len(st.expect[0]) != 1 || st.expect[0][0] != 0b0101 {
-		t.Fatalf("stale stripe-1 manifest poisoned stripe 0's NeedMask: %v", st.expect[0])
+	if answers.Len() != 0 {
+		t.Fatalf("stale manifest was answered with %d bytes", answers.Len())
 	}
-	if rs.stripes[0].parent != parent0 || rs.stripes[0].epoch != 0 {
+	if s0 := rs.stripes[0]; s0.parent != parent0 || s0.epoch != 0 {
 		t.Fatal("stale stripe-1 manifest disturbed stripe 0's binding")
 	}
-
-	// A stale NeedMask on the replanned stripe is equally inert.
-	nm.onNeedMask(&NeedMask{Job: job, Epoch: 1, Stripe: 1, Bits: []uint64{^uint64(0)}})
-	if st.expect[1] != nil {
-		t.Fatalf("stale NeedMask recorded on stripe 1: %v", st.expect[1])
-	}
-	// The current-epoch manifest for stripe 1 then binds normally.
-	fresh := &Manifest{Job: job, Epoch: 2, Stripe: 1, ChunkBytes: 4,
-		TotalBytes: 16, Hashes: make([]uint64, 4), CRCs: make([]uint32, 4)}
-	parent1 := discardConn()
-	nm.onManifest(fresh, parent1)
-	if rs.stripes[1].parent != parent1 {
-		t.Fatal("current-epoch manifest failed to bind stripe 1 after the stale drop")
+	if nm.bins[job] != st || !reflect.DeepEqual(st.written, written) {
+		t.Fatal("stale manifest touched the receive state")
 	}
 }
 
-// TestPlanRewiresOnlyNamedStripe: the one onPlan installs a launch (every
-// stripe, wholesale) and a rewire (one stripe) alike. After a one-stripe
-// plan that stripe is reset to the plan's epoch and children and answers
-// with its own stripe-local progress, and the other stripe's epoch,
-// children, propagated credit, HAVE flag and bound parent are untouched.
+// TestPlanRewiresOnlyNamedStripe: the one onManifest installs a stripe's
+// relay at launch and rewires it at a replan alike, one stripe at a time.
+// A manifest of a newer epoch resets its stripe to that epoch and the
+// tree it carries, bound to the link it came down with its answers
+// restarted, and leaves the other stripe's epoch, children, propagated
+// credit, HAVE flag and bound parent untouched. A re-run of the current
+// epoch's round reinstalls nothing: the children, and what they
+// reported, stay.
 func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 	var up bytes.Buffer
 	nm := &NM{
@@ -307,60 +294,148 @@ func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 		dialed: map[string]*conn{"a": discardConn(), "b": discardConn(), "c": discardConn()},
 	}
 	const job = 7
-	lastAck := func() *PlanAck {
-		t.Helper()
-		m, err := (&conn{r: bufio.NewReader(&up)}).recv()
-		if err != nil || m.PlanAck == nil || m.PlanAck.Err != "" {
-			t.Fatalf("plan ack: %+v, %v", m, err)
-		}
-		return m.PlanAck
+	man := func(stripe, epoch int, kid TreeNode) *Manifest {
+		return &Manifest{Job: job, Epoch: epoch, Stripe: stripe, Stripes: 2, ChunkBytes: 4, TotalBytes: 16,
+			Hashes: make([]uint64, 4), CRCs: make([]uint32, 4), Tree: []TreeNode{kid}}
 	}
 
-	nm.onPlan(&Plan{Job: job, Trees: []planTree{
-		{Stripe: 0, Children: []ChildRef{{Node: 1, Addr: "a"}}},
-		{Stripe: 1, Children: []ChildRef{{Node: 2, Addr: "b"}}},
-	}})
-	if a := lastAck(); a.Job != job || a.Node != 3 || a.Stripe != 0 || a.Epoch != 0 || a.Received != 0 {
-		t.Fatalf("launch plan ack = %+v", a)
-	}
+	parent0, parent1 := discardConn(), discardConn()
+	nm.onManifest(man(0, 0, TreeNode{Node: 1, Addr: "a", Size: 1}), parent0)
+	nm.onManifest(man(1, 0, TreeNode{Node: 2, Addr: "b", Size: 1}), parent1)
 	rs := nm.relays[job]
 	if rs == nil || len(rs.stripes) != 2 {
-		t.Fatalf("launch plan installed %+v", rs)
+		t.Fatalf("launch manifests installed %+v", rs)
+	}
+	s0, s1 := rs.stripes[0], rs.stripes[1]
+	if len(s0.children) != 1 || s0.children[0].node != 1 || s0.children[0].c != nm.dialed["a"] || s0.parent != parent0 ||
+		len(s1.children) != 1 || s1.children[0].node != 2 || s1.children[0].c != nm.dialed["b"] || s1.parent != parent1 {
+		t.Fatalf("launch manifests installed stripe 0 %+v, stripe 1 %+v", s0, s1)
 	}
 	// Mid-transfer state on both stripes.
-	parent0, parent1 := discardConn(), discardConn()
-	s0, s1 := rs.stripes[0], rs.stripes[1]
-	s0.parent, s0.sentUp, s0.haveSent = parent0, 5, true
-	s1.parent, s1.sentUp, s1.haveSent = parent1, 6, true
-	kids0 := s0.children
-	nm.bins[job] = &binState{srecv: []int{5, 9}}
+	s0.sentUp, s0.haveSent = 5, true
+	s1.sentUp, s1.haveSent = 6, true
+	kid0 := s0.children[0]
+	kid0.acked, kid0.pruned = 2, true
 
-	nm.onPlan(&Plan{Job: job, Trees: []planTree{
-		{Stripe: 1, Epoch: 3, Children: []ChildRef{{Node: 4, Addr: "c"}}},
-	}})
-	if a := lastAck(); a.Stripe != 1 || a.Epoch != 3 || a.Received != 9 {
-		t.Fatalf("rewire plan ack = %+v, want stripe 1 epoch 3 received 9", a)
-	}
+	relinked := discardConn()
+	nm.onManifest(man(1, 3, TreeNode{Node: 4, Addr: "c", Size: 1}), relinked)
 	if nm.relays[job] != rs || rs.stripes[0] != s0 || rs.stripes[1] != s1 {
-		t.Fatal("a one-stripe plan replaced the job's relay state")
+		t.Fatal("a one-stripe rewire replaced the job's relay state")
 	}
-	if s1.epoch != 3 || len(s1.children) != 1 || s1.children[0].node != 4 ||
-		s1.parent != nil || s1.sentUp != 0 || s1.haveSent {
+	if s1.epoch != 3 || len(s1.children) != 1 || s1.children[0].node != 4 || s1.children[0].c != nm.dialed["c"] ||
+		s1.parent != relinked || s1.sentUp != 0 || s1.haveSent {
 		t.Fatalf("stripe 1 after its rewire: %+v", s1)
 	}
-	if s0.epoch != 0 || len(s0.children) != 1 || s0.children[0] != kids0[0] ||
+	if s0.epoch != 0 || len(s0.children) != 1 || s0.children[0] != kid0 ||
 		s0.parent != parent0 || s0.sentUp != 5 || !s0.haveSent {
 		t.Fatalf("stripe 0 disturbed by stripe 1's rewire: %+v", s0)
 	}
 
-	// A plan naming every stripe again (a re-placement) starts over.
-	rs.failed = true
-	nm.onPlan(&Plan{Job: job, Trees: []planTree{{Stripe: 0}, {Stripe: 1}}})
-	lastAck()
-	if fresh := nm.relays[job]; fresh == rs || fresh.failed || len(fresh.stripes) != 2 ||
-		fresh.stripes[1].epoch != 0 || fresh.stripes[1].children != nil {
-		t.Fatalf("a full plan did not replace the relay state: %+v", fresh)
+	// Stripe 0's round re-runs in its epoch.
+	nm.onManifest(man(0, 0, TreeNode{Node: 1, Addr: "a", Size: 1}), parent0)
+	if len(s0.children) != 1 || s0.children[0] != kid0 || !kid0.pruned || kid0.acked != 2 || s0.sentUp != 5 || !s0.haveSent {
+		t.Fatalf("a same-epoch re-run reinstalled stripe 0: %+v, child %+v", s0, kid0)
 	}
+	if up.Len() != 0 {
+		t.Fatalf("cached children were reported to the MM: %d bytes", up.Len())
+	}
+}
+
+// TestRehomeReinstallsKeptState: a job re-placed after a failed attempt
+// may land on nodes that kept that attempt's relays and image. The MM
+// opens every stripe past any epoch the job has used, so such a node
+// takes the new attempt's manifest for a new epoch — installs the new
+// tree, rebinds, answers afresh — rather than for a stale or re-run one,
+// and its kept image answers as a full HAVE, which is all the credit the
+// stripe needs. End to end: a transfer that stalls with nobody dead (one
+// node withholds every ack) is re-placed on the same three nodes and
+// completes on their HAVE ledgers alone.
+func TestRehomeReinstallsKeptState(t *testing.T) {
+	mm := &MM{cfg: MMConfig{Fanout: 2, Stripes: 2}}
+	j := &liveJob{id: 7, frags: 4, nodes: testLinks(4)}
+	mm.rewireTree(j)
+	j.stripes[0].epoch = 2 // stripe 0 replanned twice in the failed attempt
+	mm.rewireTree(j)
+	for _, ss := range j.stripes {
+		if ss.epoch != 3 {
+			t.Fatalf("re-placement opened stripe %d at epoch %d, want 3", ss.id, ss.epoch)
+		}
+	}
+
+	nm := &NM{
+		node:    3,
+		c:       discardConn(),
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		digests: make(map[int]ImageDigest),
+		dialed:  map[string]*conn{"c": discardConn()},
+	}
+	const job, chunks, size = 9, 2, 64
+	image := fragPattern(job, 0, chunks*size)
+	man := func(stripe, epoch int, tree ...TreeNode) *Manifest {
+		m := &Manifest{Job: job, Epoch: epoch, Stripe: stripe, Stripes: 2, ChunkBytes: size, TotalBytes: chunks * size,
+			ImageCRC: fragCRC(image), Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks), Tree: tree}
+		for i := 0; i < chunks; i++ {
+			c := image[i*size : (i+1)*size]
+			m.Hashes[i], m.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
+		}
+		return m
+	}
+	old := discardConn()
+	nm.onManifest(man(0, 2), old)
+	nm.onManifest(man(1, 0), old)
+	for i := 0; i < chunks; i++ {
+		data := grabFragBuf(size)
+		copy(data, image[i*size:(i+1)*size])
+		nm.handleFrag(&Frag{Job: job, Index: i, Stripe: i % 2, Data: data, CRC: fragCRC(data)}, old)
+	}
+	if _, ok := nm.ImageDigest(job); !ok {
+		t.Fatal("the failed attempt did not leave the image")
+	}
+
+	// The re-placed attempt makes this node interior on stripe 0.
+	var up bytes.Buffer
+	link := &conn{w: bufio.NewWriter(&up)}
+	nm.onManifest(man(0, 3, TreeNode{Node: 4, Addr: "c", Size: 1}), link)
+	sr := nm.relays[job].stripes[0]
+	if sr.epoch != 3 || sr.parent != link || len(sr.children) != 1 || sr.children[0].node != 4 || sr.haveSent {
+		t.Fatalf("the re-placed attempt's manifest did not reinstall stripe 0: %+v", sr)
+	}
+	nm.onChildHave(&Have{Job: job, Node: 4, Epoch: 3, Bits: []uint64{0b11}}, nm.dialed["c"])
+	nm.onManifest(man(0, 0, TreeNode{Node: 5, Addr: "d", Size: 1}), discardConn())
+	if sr.epoch != 3 || sr.children[0].node != 4 {
+		t.Fatalf("an epoch-0 manifest displaced the re-placed attempt's relay: %+v", sr)
+	}
+	var acks int
+	var full bool
+	for c := (&conn{r: bufio.NewReader(&up)}); ; {
+		m, err := c.recv()
+		if err != nil {
+			break
+		}
+		switch {
+		case m.FragAck != nil:
+			acks++
+		case m.Have != nil:
+			full = full || m.Have.Epoch == 3 && m.Have.Bits[0] == 0b11
+		}
+	}
+	if !full || acks != 0 {
+		t.Fatalf("the re-placed attempt heard: full epoch-3 HAVE %v, %d acks; want the HAVE alone", full, acks)
+	}
+
+	cfg := MMConfig{Fanout: 2, FragBytes: 32 << 10, AckTimeout: 300 * time.Millisecond, JobRetries: 1}
+	lmm, nms, _ := chaosCluster(t, 3, cfg, nil)
+	nms[1].testDropAcks.Store(true)
+	rep, err := SubmitJob(lmm.Addr(), JobSpec{Name: "rehome", BinaryBytes: 64 << 10, Nodes: 3, PEsPerNode: 1,
+		Program: ProgramSpec{Kind: "exit"}})
+	if err != nil {
+		t.Fatalf("the re-placed job failed: %v", err)
+	}
+	if rep.Retries != 1 || len(rep.Failed) != 0 {
+		t.Fatalf("report: %d retries, failed %v; want one re-placement and no failed node", rep.Retries, rep.Failed)
+	}
+	assertSurvivorImages(t, nms, -1, rep.JobID, 2)
 }
 
 // TestStripedFragAllocs pins the striped hot path at the same alloc
@@ -372,14 +447,14 @@ func TestStripedFragAllocs(t *testing.T) {
 	c := discardConn()
 	f := &Frag{Job: 5, Index: 11, Stripe: 3, Data: data, CRC: crc}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.send(Message{Frag: f}); err != nil {
+		if _, err := c.send(Message{Frag: f}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
 		t.Fatalf("striped fragment send allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, Stripe: 3, OK: true}}); err != nil {
+		if _, err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, Stripe: 3, OK: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
@@ -395,24 +470,22 @@ func TestStripedFragAllocs(t *testing.T) {
 // nobody would send again (seen as "chunk ledger (HAVE) unreported" in
 // TestChaosStripedInteriorKill once the victim died that early).
 func TestManifestRoundRerunKeepsEpochHaves(t *testing.T) {
-	mm := &MM{cfg: MMConfig{FragBytes: 4, AckTimeout: 300 * time.Millisecond}}
+	mm := &MM{cfg: MMConfig{FragBytes: 4, Fanout: 2, AckTimeout: 300 * time.Millisecond}}
 	a, b := &nmLink{node: 4, c: discardConn()}, &nmLink{node: 5, c: discardConn()}
-	j := &liveJob{id: 1, frags: 4,
+	j := &liveJob{id: 1, frags: 4, nodes: []*nmLink{a, b},
 		man: &manifestData{hashes: make([]uint64, 4), crcs: make([]uint32, 4), total: 16}}
 	j.cond = sync.NewCond(&j.mu)
-	ss := &stripeState{id: 0, needManifest: true, kids: []*stripeKid{
-		// Both subtrees reported during the interrupted round; node 5's
-		// claims nothing (its leaf died).
-		{treeKid: treeKid{link: a}, have: []uint64{0b1111}},
-		{treeKid: treeKid{link: b}, have: []uint64{0}},
-	}}
+	ss := &stripeState{id: 0, needManifest: true}
+	mm.rewireStripe(j, ss, 1)
+	// Both subtrees reported during the interrupted round; node 5's claims
+	// nothing (its leaf died).
+	ss.kids[0].have, ss.kids[1].have = []uint64{0b1111}, []uint64{0}
 	j.stripes = []*stripeState{ss}
 	if err := mm.manifestStripe(j, ss); err != nil {
 		t.Fatalf("same-epoch manifest round discarded the reports it had: %v", err)
 	}
-	if len(ss.sendList) != 4 || ss.kids[0].need[0] != 0 || ss.kids[1].need[0] != 0b1111 {
-		t.Fatalf("need masks %v %v, send list %v: want node 5 alone to need all 4 chunks",
-			ss.kids[0].need, ss.kids[1].need, ss.sendList)
+	if len(ss.sendList) != 4 || j.bytesSaved != 4 {
+		t.Fatalf("send list %v, %d bytes saved: want node 5 alone to need all 4 one-byte chunks", ss.sendList, j.bytesSaved)
 	}
 }
 
@@ -437,7 +510,7 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 	}
 	mm.onFragAck(&FragAck{Job: 1, Index: 0, Node: 1, OK: true})
 	mm.onHave(&Have{Job: 1, Node: 1, Bits: []uint64{}})
-	if k := ss.kids[0]; len(ss.kids) != 2 || k.acked != 0 || k.have != nil || k.need != nil || k.held != nil {
+	if k := ss.kids[0]; len(ss.kids) != 2 || k.acked != 0 || k.have != nil || k.held != nil {
 		t.Fatalf("stray stripe answers changed the records: %d kids, kid 0 %+v", len(ss.kids), k)
 	}
 	if k := ss.kids[1]; k.acked != 1 || k.have == nil {
@@ -460,6 +533,61 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 	}
 	if k := mm.ctl.kids[1]; k.ledger.seq != 4 || k.strobeAck != 4 {
 		t.Fatalf("a direct child's control answers did not land: %+v", k)
+	}
+}
+
+// TestChildDeadCompletesFold: a leaf that dies before answering holds
+// its parent's HAVE fold. The MM's prune (ChildDead) takes it out of the
+// fold, so the parent's HAVE goes up at once — vouching for the
+// surviving subtree, not zeroed by the corpse — and carries that
+// subtree's credit, with no ack after it.
+func TestChildDeadCompletesFold(t *testing.T) {
+	nm := &NM{
+		node:    3,
+		c:       discardConn(),
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		digests: make(map[int]ImageDigest),
+		dialed:  map[string]*conn{"a": discardConn(), "b": discardConn()},
+	}
+	const job, chunks, size = 9, 2, 64
+	image := fragPattern(job, 0, chunks*size)
+	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size, ImageCRC: fragCRC(image),
+		Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks),
+		Tree: []TreeNode{{Node: 1, Addr: "a", Size: 1}, {Node: 2, Addr: "b", Size: 1}}}
+	for i := 0; i < chunks; i++ {
+		c := image[i*size : (i+1)*size]
+		man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
+	}
+	var up bytes.Buffer
+	nm.onManifest(man, &conn{w: bufio.NewWriter(&up)})
+	for i := 0; i < chunks; i++ {
+		data := grabFragBuf(size)
+		copy(data, image[i*size:(i+1)*size])
+		nm.handleFrag(&Frag{Job: job, Index: i, Data: data, CRC: man.CRCs[i]}, nm.relays[job].stripes[0].parent)
+	}
+	nm.onChildHave(&Have{Job: job, Node: 1, Bits: []uint64{0b11}}, nm.dialed["a"])
+	if up.Len() != 0 {
+		t.Fatalf("the fold went up with node 2 still owing: %d bytes", up.Len())
+	}
+	nm.onChildDead(&ChildDead{Job: job, Node: 2})
+	var haves, acks int
+	var full bool
+	for c := (&conn{r: bufio.NewReader(&up)}); ; {
+		m, err := c.recv()
+		if err != nil {
+			break
+		}
+		switch {
+		case m.Have != nil:
+			haves++
+			full = m.Have.Bits[0] == 0b11
+		case m.FragAck != nil:
+			acks++
+		}
+	}
+	if haves != 1 || !full || acks != 0 {
+		t.Fatalf("after the prune the parent heard %d HAVEs (full %v) and %d acks; want one full HAVE alone", haves, full, acks)
 	}
 }
 

@@ -50,9 +50,11 @@ type treePos struct {
 }
 
 // treeKid is one direct child of the MM in a laid tree: where the MM
-// writes, and the nodes whose answers come back folded into this one's.
+// writes, the child's position, and the nodes whose answers come back
+// folded into this one's.
 type treeKid struct {
 	link    *nmLink
+	pos     int
 	subtree []int
 }
 
@@ -104,25 +106,35 @@ func layTree(order []*nmLink, fanout int) laidTree {
 		}
 	}
 	for p := 0; p < k && p < n; p++ {
-		t.kids = append(t.kids, treeKid{link: order[p], subtree: t.pos[p].subtree})
+		t.kids = append(t.kids, treeKid{link: order[p], pos: p, subtree: t.pos[p].subtree})
 	}
 	return t
 }
 
-// refs names position p's relay children for a plan. The control tree
-// also tells a parent which nodes each child's ledger vouches for
-// (subtrees); the stripe trees fold counts and bitmaps that need no such
-// map, and leave it off the wire.
-func (t *laidTree) refs(p int, subtrees bool) []ChildRef {
+// refs names position p's control-tree children and the nodes each
+// child's ledger vouches for.
+func (t *laidTree) refs(p int) []ChildRef {
 	refs := make([]ChildRef, 0, len(t.pos[p].kids))
 	for _, c := range t.pos[p].kids {
-		ref := ChildRef{Node: t.order[c].node, Addr: t.order[c].addr}
-		if subtrees {
-			ref.Subtree = t.pos[c].subtree
-		}
-		refs = append(refs, ref)
+		refs = append(refs, ChildRef{Node: t.order[c].node, Addr: t.order[c].addr, Subtree: t.pos[c].subtree})
 	}
 	return refs
+}
+
+// below lists position p's descendants in pre-order, each with its relay
+// address and the size of its own subtree: the Tree of the manifest the
+// node at p is sent.
+func (t *laidTree) below(p int) []TreeNode {
+	var out []TreeNode
+	var walk func(p int)
+	walk = func(p int) {
+		for _, c := range t.pos[p].kids {
+			out = append(out, TreeNode{Node: t.order[c].node, Addr: t.order[c].addr, Size: len(t.pos[c].subtree)})
+			walk(c)
+		}
+	}
+	walk(p)
+	return out
 }
 
 // stripeOrder is stripe s's node order in a k-stripe plan: the placement
@@ -143,6 +155,18 @@ func stripeRotation(s, k, n int) int {
 		return 0
 	}
 	return s * n / k
+}
+
+// stripePrefix extends from, a count of stripe s's leading chunks that
+// bits holds in stripe-local order (chunk s+j·k is the stripe's j-th),
+// across every further chunk bits holds up to the stripe's first gap:
+// the cumulative credit a ledger of the chunks in place vouches for on
+// that stripe.
+func stripePrefix(bits []uint64, nchunks, s, k, from int) int {
+	for s+from*k < nchunks && maskGet(bits, s+from*k) {
+		from++
+	}
+	return from
 }
 
 // stripeChunks returns how many of an image's nchunks chunks travel

@@ -92,7 +92,8 @@ func testLinks(n int) []*nmLink {
 // one parent (the MM or a position that lists it as a kid), the MM's
 // kids' subtrees partition the node set, every subtree is the reference
 // pre-order with each kid's block at the offset ledgerLocked folds it at,
-// the refs name the kids, and the depth is the longest parent chain.
+// the refs and the manifest's tree name the kids, and the depth is the
+// longest parent chain.
 func TestLayTree(t *testing.T) {
 	for n := 1; n <= 70; n++ {
 		for _, fanout := range []int{1, 2, 3, 4, 8} {
@@ -153,7 +154,7 @@ func TestLayTree(t *testing.T) {
 				// ledgerLocked folds kid i's bitmap at 1 + the sizes of the
 				// kids before it (onCtlPlan's running offset).
 				off := 1
-				refs := tree.refs(p, true)
+				refs := tree.refs(p)
 				for i, c := range tp.kids {
 					if tp.subtree[off] != c || refs[i].Node != c || refs[i].Addr != tree.order[c].addr ||
 						!reflect.DeepEqual(refs[i].Subtree, tree.pos[c].subtree) {
@@ -164,9 +165,24 @@ func TestLayTree(t *testing.T) {
 				if off != len(tp.subtree) {
 					t.Fatalf("%s: position %d: kid blocks cover %d of %d slots", name, p, off, len(tp.subtree))
 				}
-				for _, ref := range tree.refs(p, false) {
-					if ref.Subtree != nil {
-						t.Fatalf("%s: a stripe plan's ref carries a subtree", name)
+				// The manifest's tree for p is the same pre-order below p, each
+				// entry sized by its own subtree, and splits into p's kids.
+				below := tree.below(p)
+				if len(below) != len(tp.subtree)-1 {
+					t.Fatalf("%s: position %d: %d entries below it, subtree %v", name, p, len(below), tp.subtree)
+				}
+				for i, e := range below {
+					if e.Node != tp.subtree[i+1] || e.Addr != tree.order[e.Node].addr || e.Size != len(tree.pos[e.Node].subtree) {
+						t.Fatalf("%s: position %d: entry %d is %+v", name, p, i, e)
+					}
+				}
+				split := splitTree(below)
+				if len(split) != len(tp.kids) {
+					t.Fatalf("%s: position %d: tree splits into %d kids, want %d", name, p, len(split), len(tp.kids))
+				}
+				for i, c := range tp.kids {
+					if split[i][0].Node != c || len(split[i]) != len(tree.pos[c].subtree) {
+						t.Fatalf("%s: position %d: kid %d splits as %v", name, p, i, split[i])
 					}
 				}
 				hops := 1

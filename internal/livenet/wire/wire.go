@@ -12,8 +12,8 @@ package wire
 
 // Frame type bytes. Everything that runs per fragment or per period has
 // a fixed part laid out field by field; the topology-sized messages
-// (registration, submission and report, plans, launch, ...) are a body
-// frame each: a u32 body length, then the body.
+// (registration, submission and report, manifests, launch, ...) are a
+// body frame each: a u32 body length, then the body.
 const (
 	Frag      = 'F' // one binary fragment: header + payload
 	Ack       = 'A' // fragment ack
@@ -21,18 +21,15 @@ const (
 	Pong      = 'Q' // pong ledger
 	Strobe    = 'S' // gang context switch
 	StrobeAck = 'T'
-	PlanAck   = 'K' // fixed part + error string
 	PeerDown  = 'D' // fixed part + error string
-	Manifest  = 'M' // fixed part + 12-byte (hash u64 | crc u32) chunk records
 	Have      = 'H' // fixed part + 8-byte bitmap words
-	Need      = 'N' // fixed part + 8-byte bitmap words
 	Hello     = 'L' // shared-listener routing hello
 
 	// Body frames.
 	Register  = 'R'
 	Submit    = 'J'
 	RejoinAck = 'W'
-	Plan      = 'Y'
+	Manifest  = 'M'
 	ChildDead = 'X'
 	Abort     = 'B'
 	Launch    = 'E'
@@ -62,23 +59,12 @@ const (
 	StrobeLen = 16
 	// StrobeAckLen is seq u64 | node u32 | epoch u32.
 	StrobeAckLen = 16
-	// PlanAckLen is job u32 | node u32 | epoch u32 | received u32 |
-	// stripe u8 | elen u16. In the two frames that end in an error
-	// string, its length is the last two bytes of the fixed part.
-	PlanAckLen = 19
-	// PeerDownLen is job u32 | node u32 | from u32 | elen u16.
+	// PeerDownLen is job u32 | node u32 | from u32 | elen u16: the error
+	// string's length is the last two bytes of the fixed part.
 	PeerDownLen = 14
-	// ManifestLen is job u32 | epoch u32 | chunkbytes u32 | imagecrc u32 |
-	// totalbytes u64 | nchunks u32 | stripe u8.
-	ManifestLen      = 29
-	ManifestCountOff = 24
-	ManifestRecLen   = 12
 	// HaveLen is job u32 | node u32 | epoch u32 | nwords u16 | stripe u8.
 	HaveLen      = 15
 	HaveCountOff = 12
-	// NeedLen is job u32 | epoch u32 | nwords u16 | stripe u8.
-	NeedLen      = 11
-	NeedCountOff = 8
 	// HelloLen is node u32. A shared peer listener reads at most
 	// 1+HelloLen bytes off a fresh connection to learn which NM it is
 	// for, so the frame must stay fixed-size.
@@ -127,17 +113,14 @@ var Shapes = [256]Shape{
 	Pong:      {Name: "pong", Fixed: PongLen},
 	Strobe:    {Name: "strobe", Fixed: StrobeLen},
 	StrobeAck: {Name: "strobe-ack", Fixed: StrobeAckLen},
-	PlanAck:   {"plan-ack", PlanAckLen, PlanAckLen - 2, 2, 1},
 	PeerDown:  {"peer-down", PeerDownLen, PeerDownLen - 2, 2, 1},
-	Manifest:  {"manifest", ManifestLen, ManifestCountOff, 4, ManifestRecLen},
 	Have:      {"have", HaveLen, HaveCountOff, 2, 8},
-	Need:      {"need", NeedLen, NeedCountOff, 2, 8},
 	Hello:     {Name: "hello", Fixed: HelloLen},
 
 	Register:  {"register", BodyLen, 0, 4, 1},
 	Submit:    {"submit", BodyLen, 0, 4, 1},
 	RejoinAck: {"rejoin-ack", BodyLen, 0, 4, 1},
-	Plan:      {"plan", BodyLen, 0, 4, 1},
+	Manifest:  {"manifest", BodyLen, 0, 4, 1},
 	ChildDead: {"child-dead", BodyLen, 0, 4, 1},
 	Abort:     {"abort", BodyLen, 0, 4, 1},
 	Launch:    {"launch", BodyLen, 0, 4, 1},

@@ -38,7 +38,8 @@ func everyFrame(t testing.TB) [][]byte {
 		{Submit: &Submit{Spec: JobSpec{Name: ps, BinaryBytes: p8, Nodes: p8, PEsPerNode: p8, Program: prog,
 			ImageSeed: p8, ImagePatch: map[int]uint64{p8: p8}, User: ps, Weight: p8, Place: []int{p8}, Demand: pv}}},
 		{RejoinAck: &RejoinAck{Probation: p8, Err: ps}},
-		{Plan: &Plan{Job: p8, Trees: []planTree{{Stripe: p8, Epoch: p8, Children: kids}}}},
+		{Manifest: &Manifest{Job: p8, Epoch: p8, Stripe: p8, Stripes: p8, ChunkBytes: p8, ImageCRC: p4, TotalBytes: p8,
+			Hashes: []uint64{p8, p8, p8}, CRCs: []uint32{p4, p4, p4}, Tree: []TreeNode{{Node: p8, Addr: ps, Size: p8}}}},
 		{ChildDead: &ChildDead{Job: p8, Stripe: p8, Node: p8}},
 		{Abort: &Abort{Job: p8, Reason: ps}},
 		{Launch: &Launch{Job: p8, Program: prog, Ranks: []int{p8, p8}, Row: p8, Gang: true}},
@@ -55,19 +56,22 @@ func everyFrame(t testing.TB) [][]byte {
 		{Pong: &Pong{Seq: p8, Node: p4, Epoch: p4, MinSeq: p8, Absent: p8}},
 		{Strobe: &Strobe{Seq: p8, Row: p4, Epoch: p4}},
 		{StrobeAck: &StrobeAck{Seq: p8, Node: p4, Epoch: p4}},
-		{PlanAck: &PlanAck{Job: p4, Node: p4, Epoch: p4, Received: p4, Stripe: 'P', Err: ps}},
 		{PeerDown: &PeerDown{Job: p4, Node: p4, From: p4, Err: ps}},
-		{Manifest: &Manifest{Job: p4, Epoch: p4, ChunkBytes: p4, ImageCRC: p4, TotalBytes: p8, Stripe: 'P',
-			Hashes: []uint64{p8, p8, p8}, CRCs: []uint32{p4, p4, p4}}},
 		{Have: &Have{Job: p4, Node: p4, Epoch: p4, Stripe: 'P', Bits: []uint64{p8, p8}}},
-		{NeedMask: &NeedMask{Job: p4, Epoch: p4, Stripe: 'P', Bits: []uint64{p8, p8}}},
 		{Hello: &Hello{Node: p4}},
 	}
+	return encodeFrames(t, msgs...)
+}
+
+// encodeFrames encodes each message with the real codec, one whole frame
+// each.
+func encodeFrames(t testing.TB, msgs ...Message) [][]byte {
+	t.Helper()
 	var buf bytes.Buffer
 	c := &conn{w: bufio.NewWriter(&buf)}
 	var frames [][]byte
 	for _, m := range msgs {
-		if err := c.send(m); err != nil {
+		if _, err := c.send(m); err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, append([]byte(nil), buf.Bytes()...))
@@ -101,7 +105,7 @@ func TestFrameTableDrift(t *testing.T) {
 	}
 
 	var sentinel bytes.Buffer
-	if err := (&conn{w: bufio.NewWriter(&sentinel)}).send(Message{Ping: &Ping{Seq: 7, Epoch: 1}}); err != nil {
+	if _, err := (&conn{w: bufio.NewWriter(&sentinel)}).send(Message{Ping: &Ping{Seq: 7, Epoch: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	var stream, want []byte
@@ -178,7 +182,14 @@ func allocBytes(fn func()) uint64 {
 // and a fragment frame whose payload is cut short hands its pooled
 // buffer back.
 func FuzzConnRecv(f *testing.F) {
-	for _, fr := range everyFrame(f) {
+	// The manifest carries the one tree on the wire: seed it also as a
+	// leaf's (no tree) and as a two-level subtree's.
+	frames := append(everyFrame(f), encodeFrames(f,
+		Message{Manifest: &Manifest{Job: 1, Stripes: 1, ChunkBytes: 4, TotalBytes: 8, Hashes: []uint64{1, 2}, CRCs: []uint32{3, 4}}},
+		Message{Manifest: &Manifest{Job: 1, Stripe: 1, Stripes: 2, Tree: []TreeNode{
+			{Node: 1, Addr: "a:1", Size: 3}, {Node: 2, Addr: "b:2", Size: 2}, {Node: 3, Addr: "c:3", Size: 1}, {Node: 4, Addr: "d:4", Size: 1}}}},
+	)...)
+	for _, fr := range frames {
 		f.Add(fr)
 		f.Add(fr[:len(fr)-1])
 		f.Add(fr[:1+wire.Shapes[fr[0]].Fixed/2])
@@ -190,6 +201,19 @@ func FuzzConnRecv(f *testing.F) {
 			f.Add(huge)
 		}
 	}
+	// The subtree's manifest with a count that overruns what follows it —
+	// its chunk records', its tree's, its first address's — and with a
+	// subtree size that overruns the tree.
+	tree := frames[len(frames)-1]
+	at := 1 + wire.BodyLen + 7*8 // the chunk count, past seven integers
+	for _, off := range []int{at, at + 4, at + 4 + 4 + 8} {
+		bad := append([]byte(nil), tree...)
+		binary.BigEndian.PutUint32(bad[off:], 0xffffffff)
+		f.Add(bad)
+	}
+	bad := append([]byte(nil), tree...)
+	binary.BigEndian.PutUint64(bad[at+4+4+8+4+len("a:1"):], 1<<62)
+	f.Add(bad)
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recvAll := func() {
@@ -207,11 +231,9 @@ func FuzzConnRecv(f *testing.F) {
 					}
 					releaseFragBuf(m.Frag.Data)
 				case m.Manifest != nil:
-					if len(m.Manifest.Hashes) != len(m.Manifest.CRCs) || len(m.Manifest.Hashes)*wire.ManifestRecLen > maxFrame {
-						t.Fatalf("decoded a manifest of %d/%d chunks", len(m.Manifest.Hashes), len(m.Manifest.CRCs))
+					if len(m.Manifest.Hashes) != len(m.Manifest.CRCs) || len(m.Manifest.Hashes) > maxFrame || len(m.Manifest.Tree) > maxFrame {
+						t.Fatalf("decoded a manifest of %d/%d chunks, %d tree nodes", len(m.Manifest.Hashes), len(m.Manifest.CRCs), len(m.Manifest.Tree))
 					}
-				case m.PlanAck != nil:
-					errLen = len(m.PlanAck.Err)
 				case m.PeerDown != nil:
 					errLen = len(m.PeerDown.Err)
 				}
@@ -262,49 +284,49 @@ func goldenFrames() []goldenFrame {
 		{"pong", Message{Pong: &Pong{Seq: 1, Node: 2, Epoch: 3, MinSeq: 4, Absent: 5}}},
 		{"strobe", Message{Strobe: &Strobe{Seq: 1, Row: 2, Epoch: 3}}},
 		{"strobeack", Message{StrobeAck: &StrobeAck{Seq: 1, Node: 2, Epoch: 3}}},
-		{"planack", Message{PlanAck: &PlanAck{Job: 1, Node: 2, Epoch: 3, Received: 4, Stripe: 5, Err: "six"}}},
 		{"peerdown", Message{PeerDown: &PeerDown{Job: 1, Node: 2, From: 3, Err: "four"}}},
-		{"manifest", Message{Manifest: &Manifest{Job: 1, Epoch: 2, ChunkBytes: 3, ImageCRC: 4, TotalBytes: 5, Stripe: 6,
-			Hashes: []uint64{7, 8}, CRCs: []uint32{9, 10}}}},
 		{"have", Message{Have: &Have{Job: 1, Node: 2, Epoch: 3, Stripe: 4, Bits: []uint64{5, 6}}}},
-		{"need", Message{NeedMask: &NeedMask{Job: 1, Epoch: 2, Stripe: 3, Bits: []uint64{4, 5}}}},
 		{"hello", Message{Hello: &Hello{Node: 1}}},
 	}
 }
 
-// TestFrameGolden holds the typed frames to the bytes the codec wrote at
-// ab214b3, before plan and replan confirmations became one frame:
-// testdata/frames_ab214b3.golden was generated there from these same
-// messages ("name hex" per line). Every frame must match byte for byte
-// except the merged plan-ack, which must be that commit's replan-ack —
-// same fields, same offsets — under the plan-ack's type byte.
-func TestFrameGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/frames_ab214b3.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
+// readGolden reads golden frames ("name hex" per line) from each file.
+func readGolden(t *testing.T, files ...string) map[string]string {
+	t.Helper()
 	golden := make(map[string]string)
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		name, hx, _ := strings.Cut(line, " ")
-		golden[name] = hx
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			name, hx, _ := strings.Cut(line, " ")
+			golden[name] = hx
+		}
 	}
+	return golden
+}
+
+// TestFrameGolden holds the fixed-part frames to the bytes the codec
+// wrote at ab214b3: testdata/frames_ab214b3.golden was generated there
+// from these same messages. Every frame must match byte for byte, and
+// every frame in the file must still exist — the plan-ack and need-mask
+// frames left it with their messages, the manifest when it became a body
+// frame (TestBodyFrameGolden).
+func TestFrameGolden(t *testing.T) {
+	golden := readGolden(t, "testdata/frames_ab214b3.golden")
 	var buf bytes.Buffer
 	c := &conn{w: bufio.NewWriter(&buf)}
 	for _, f := range goldenFrames() {
 		buf.Reset()
-		if err := c.send(f.m); err != nil {
+		if _, err := c.send(f.m); err != nil {
 			t.Fatal(err)
 		}
-		want := golden[f.name]
-		if f.name == "planack" {
-			want = hex.EncodeToString([]byte{wire.PlanAck}) + golden["replanack"][2:]
-		}
-		if got := hex.EncodeToString(buf.Bytes()); got != want {
-			t.Errorf("%s frame\n got %s\nwant %s", f.name, got, want)
+		if got := hex.EncodeToString(buf.Bytes()); got != golden[f.name] {
+			t.Errorf("%s frame\n got %s\nwant %s", f.name, got, golden[f.name])
 		}
 		delete(golden, f.name)
 	}
-	delete(golden, "replanack")
 	for name := range golden {
 		t.Errorf("golden frame %q has no message in this test", name)
 	}
@@ -322,7 +344,8 @@ func bodyFrames() []goldenFrame {
 			ImageSeed: 11, ImagePatch: map[int]uint64{14: 13, 12: 15}, User: "sixteen", Weight: -17, Place: []int{18, 19},
 			Demand: place.Vec{CPU: 20, Mem: 21, Net: 22}}}}},
 		{"rejoinack", Message{RejoinAck: &RejoinAck{Probation: -1, Err: "two"}}},
-		{"plan", Message{Plan: &Plan{Job: 11, Trees: []planTree{{Stripe: 12, Epoch: 13, Children: kids}, {Stripe: 14, Epoch: 15, Children: kids[1:]}}}}},
+		{"manifest", Message{Manifest: &Manifest{Job: 1, Epoch: 2, Stripe: 3, Stripes: 4, ChunkBytes: 5, ImageCRC: 6, TotalBytes: 7,
+			Hashes: []uint64{8, 9}, CRCs: []uint32{10, 11}, Tree: []TreeNode{{Node: 12, Addr: "thirteen", Size: 2}, {Node: 14, Addr: "fifteen", Size: -16}}}}},
 		{"childdead", Message{ChildDead: &ChildDead{Job: 1, Stripe: 2, Node: 3}}},
 		{"abort", Message{Abort: &Abort{Job: 1, Reason: "two"}}},
 		{"launch", Message{Launch: &Launch{Job: 1, Program: prog, Ranks: []int{2, 3}, Row: 4, Gang: true}}},
@@ -383,7 +406,7 @@ func TestMessageRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if err := c.send(f.m); err != nil {
+		if _, err := c.send(f.m); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
 		got, err := c.recv()
@@ -403,24 +426,18 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 // TestBodyFrameGolden holds the body frames to the bytes the codec wrote
-// when they replaced gob: testdata/frames_pr21.golden was generated from
-// bodyFrames ("name hex" per line).
+// when they replaced gob — testdata/frames_pr21.golden was generated from
+// bodyFrames, and the plan frame left it with its message — and the
+// manifest, which carries its stripe tree since, to
+// testdata/frames_pr22.golden.
 func TestBodyFrameGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/frames_pr21.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := make(map[string]string)
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		name, hx, _ := strings.Cut(line, " ")
-		golden[name] = hx
-	}
+	golden := readGolden(t, "testdata/frames_pr21.golden", "testdata/frames_pr22.golden")
 	var buf bytes.Buffer
 	c := &conn{w: bufio.NewWriter(&buf)}
 	frames := bodyFrames()
 	for _, f := range frames {
 		buf.Reset()
-		if err := c.send(f.m); err != nil {
+		if _, err := c.send(f.m); err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(buf.Bytes()); got != golden[f.name] {
@@ -454,11 +471,11 @@ func TestRecvErrorsNameFrame(t *testing.T) {
 			}
 		}
 	}
-	ack := make([]byte, 1+wire.PlanAckLen+maxCtlErr+1)
-	ack[0] = wire.PlanAck
-	binary.BigEndian.PutUint16(ack[1+wire.PlanAckLen-2:], maxCtlErr+1)
-	if err := recv(ack); err == nil || !strings.Contains(err.Error(), "plan-ack frame") {
-		t.Errorf("oversized plan-ack error string: error %v does not name the frame", err)
+	down := make([]byte, 1+wire.PeerDownLen+maxCtlErr+1)
+	down[0] = wire.PeerDown
+	binary.BigEndian.PutUint16(down[1+wire.PeerDownLen-2:], maxCtlErr+1)
+	if err := recv(down); err == nil || !strings.Contains(err.Error(), "peer-down frame") {
+		t.Errorf("oversized peer-down error string: error %v does not name the frame", err)
 	}
 	if err := recv([]byte{'G', 0, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), "unknown frame type 0x47") {
 		t.Errorf("a gob frame from an older peer: error %v, want an unknown frame type", err)
