@@ -13,10 +13,11 @@
 //	stormd -role nm -mm 127.0.0.1:7070 -node 1
 //
 // Binaries are distributed down a software-multicast forwarding tree
-// among the NMs (fanout set on the MM with -fanout; -peer pins an NM's
-// relay listener when nodes span machines). The same tree carries the
-// control plane: heartbeat pings multicast down it with aggregated pong
-// ledgers coming back (on by default, period set with -hb), and -strobe
+// among the NMs (fanout set on the MM with -fanout; -peer pins the
+// listen address of an NM's relay hub when nodes span machines). The
+// same tree carries the control plane: heartbeat pings multicast down it
+// with aggregated pong ledgers coming back (on by default, period set
+// with -heartbeat), and -strobe
 // enables live gang scheduling at the given quantum. An NM started with
 // -cache-size keeps a bounded content-addressed chunk cache (persisted
 // under -cache-dir when set), so repeated launches of the same or a
@@ -68,12 +69,11 @@ func main() {
 	capCPU := flag.Int64("cap-cpu", 0, "declared CPU-slot capacity; jobs declaring demand only land where it fits (role nm; 0 = unbounded)")
 	capMem := flag.Int64("cap-mem", 0, "declared memory capacity, in the cluster's memory units (role nm; 0 = unbounded)")
 	capNet := flag.Int64("cap-net", 0, "declared network-bandwidth capacity, relative units (role nm; 0 = unbounded)")
-	peer := flag.String("peer", "", "NM relay listen address for the forwarding tree (role nm; default 127.0.0.1:0)")
+	peer := flag.String("peer", "", "listen address of the NM's relay hub, where tree parents dial in (role nm; default 127.0.0.1:0)")
 	spool := flag.String("spool", "", "directory to persist delivered binary images via temp-file+rename (role nm; empty keeps images in memory only)")
 	cacheSize := flag.Int64("cache-size", 0, "content-addressed chunk cache budget in bytes (role nm; 0 disables delta caching)")
 	cacheDir := flag.String("cache-dir", "", "directory backing the chunk cache (role nm; empty keeps cached chunks in memory)")
 	hb := flag.Duration("heartbeat", time.Second, "tree-heartbeat period on the MM (0 disables)")
-	flag.DurationVar(hb, "hb", time.Second, "alias for -heartbeat")
 	strobe := flag.Duration("strobe", 0, "gang-scheduling strobe quantum on the MM (0 disables live gang scheduling)")
 	maxConc := flag.Int("max-concurrent", 0, "max jobs streaming concurrently on the MM (0 = default 8)")
 	admission := flag.String("admission", "fifo", "admission policy when jobs queue: fifo, wfair, or sif")

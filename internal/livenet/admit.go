@@ -298,6 +298,10 @@ type linkBudget struct {
 	next     uint64
 }
 
+// linkBudgetBytes is every MM link's budget: the total unacknowledged
+// data all jobs may park in one direct-child link's pipeline.
+const linkBudgetBytes = 16 << 20
+
 func newLinkBudget(capacity int64) *linkBudget {
 	lb := &linkBudget{capacity: capacity}
 	lb.cond = sync.NewCond(&lb.mu)

@@ -72,7 +72,7 @@ func (nm *NM) onCtlPlan(p *CtlPlan) {
 	nm.ctl = &nmCtl{epoch: p.Epoch, children: kids}
 	nm.mu.Unlock()
 	for _, ch := range kids {
-		nm.peerConn(ch.addr)
+		nm.peerConn(ch.node, ch.addr)
 	}
 }
 
@@ -252,15 +252,15 @@ func (nm *NM) advanceStrobeAck() {
 }
 
 // relayCtl forwards one control-tree frame to a child over the cached
-// relay link. A dead link is evicted so the next period redials; the
+// relay link. A dead link is dropped so the next period redials; the
 // missed round surfaces as an absence in the MM's ledger, never as a
 // stall.
 func (nm *NM) relayCtl(ch *ctlChild, m Message) {
-	cc, err := nm.peerConn(ch.addr)
+	cc, err := nm.peerConn(ch.node, ch.addr)
 	if err != nil {
 		return
 	}
 	if _, err := cc.send(m); err != nil {
-		nm.evictDialed(cc)
+		nm.dropLink(cc)
 	}
 }

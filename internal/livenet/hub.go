@@ -11,23 +11,23 @@ import (
 	"repro/internal/livenet/wire"
 )
 
-// PeerHub is a process-shared relay listener. The seed design gave
-// every NM its own TCP listener plus an accept goroutine — fine at 16
-// nodes, a third of the whole per-NM footprint at 512. NMs created with
-// NMConfig.Hub instead advertise a shared "host:port#node" address; the
-// dialing parent opens the connection with a 5-byte hello frame naming
-// the target node, and the hub's single accept loop routes the
-// connection to that NM (applying the NM's own WrapConn fault hook and
-// connection profile, so per-NM fault injection still works). Per NM
-// this removes one listener, one accept goroutine, and one listen
-// socket; what remains per inbound link is the servePeer read loop,
-// which is inherent (one goroutine per live tree edge).
+// PeerHub is the one way a relay link gets into an NM. The dialing
+// parent opens the connection with a 5-byte hello frame naming the
+// target node, and the hub's accept loop routes the connection to that
+// NM, which applies its own WrapConn fault hook and connection profile
+// and serves the link with the same read loop as every other. An NM
+// built without NMConfig.Hub starts a hub of its own and advertises its
+// endpoint; NMs in one process can share one hub instead
+// (NMConfig.Hub), advertising routed "host:port#node" addresses, which
+// saves a listener and an accept goroutine per NM — a third of the
+// whole per-NM footprint at 512 in-process NMs.
 type PeerHub struct {
 	ln net.Listener
 
-	mu     sync.Mutex
-	nms    map[int]*NM
-	closed bool
+	mu      sync.Mutex
+	nms     map[int]*NM
+	pending map[net.Conn]struct{} // accepted, hello not yet read
+	closed  bool
 
 	wg sync.WaitGroup
 }
@@ -37,8 +37,8 @@ type PeerHub struct {
 // hub goroutine forever.
 const helloTimeout = 5 * time.Second
 
-// NewPeerHub starts a shared peer listener on addr ("" or ":0" forms
-// pick an ephemeral port on localhost).
+// NewPeerHub starts a peer listener on addr ("" or ":0" forms pick an
+// ephemeral port on localhost).
 func NewPeerHub(addr string) (*PeerHub, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -47,7 +47,7 @@ func NewPeerHub(addr string) (*PeerHub, error) {
 	if err != nil {
 		return nil, fmt.Errorf("livenet: hub listen %s: %w", addr, err)
 	}
-	h := &PeerHub{ln: ln, nms: make(map[int]*NM)}
+	h := &PeerHub{ln: ln, nms: make(map[int]*NM), pending: make(map[net.Conn]struct{})}
 	h.wg.Add(1)
 	go h.accept()
 	return h, nil
@@ -56,8 +56,8 @@ func NewPeerHub(addr string) (*PeerHub, error) {
 // Addr returns the hub's listening endpoint (without a node suffix).
 func (h *PeerHub) Addr() string { return h.ln.Addr().String() }
 
-// NodeAddr returns the routed peer address an NM registers with the MM:
-// dialing it reaches that NM through the hub.
+// NodeAddr returns the routed peer address an NM on a shared hub
+// registers with the MM: dialing it reaches that NM through the hub.
 func (h *PeerHub) NodeAddr(node int) string {
 	return fmt.Sprintf("%s#%d", h.Addr(), node)
 }
@@ -87,11 +87,15 @@ func (h *PeerHub) unregister(node int, nm *NM) {
 	h.mu.Unlock()
 }
 
-// Close stops the hub. NMs still registered keep running but become
-// unreachable for new relay connections; close them first.
+// Close stops the hub and drops every connection still owing its hello.
+// NMs still registered keep running but become unreachable for new relay
+// connections; close them first.
 func (h *PeerHub) Close() {
 	h.mu.Lock()
 	h.closed = true
+	for nc := range h.pending {
+		nc.Close()
+	}
 	h.mu.Unlock()
 	h.ln.Close()
 	h.wg.Wait()
@@ -104,7 +108,15 @@ func (h *PeerHub) accept() {
 		if err != nil {
 			return // listener closed
 		}
+		h.mu.Lock()
+		if h.closed {
+			h.mu.Unlock()
+			nc.Close()
+			return
+		}
+		h.pending[nc] = struct{}{}
 		h.wg.Add(1)
+		h.mu.Unlock()
 		go h.route(nc)
 	}
 }
@@ -118,15 +130,25 @@ func (h *PeerHub) route(nc net.Conn) {
 	nc.SetReadDeadline(time.Now().Add(helloTimeout))
 	hello := &conn{r: bufio.NewReaderSize(io.LimitReader(nc, 1+wire.HelloLen), 16)}
 	m, err := hello.recv()
-	if err != nil || m.Hello == nil {
-		nc.Close()
-		return
-	}
 	nc.SetReadDeadline(time.Time{})
+	var nm *NM
 	h.mu.Lock()
-	nm := h.nms[m.Hello.Node]
+	delete(h.pending, nc)
+	if err == nil && m.Hello != nil && !h.closed {
+		nm = h.nms[m.Hello.Node]
+	}
 	h.mu.Unlock()
 	if nm == nil || !nm.adoptPeer(nc) {
 		nc.Close()
 	}
+}
+
+// writeHello opens a relay link with the hello naming node. It goes on
+// the raw transport, ahead of any WrapConn, as route reads it on the
+// accepting side: fault wrappers on both ends of a link see the same
+// frames, and a shaped link charges nothing for the hello.
+func writeHello(nc net.Conn, node int) error {
+	hello := &conn{w: bufio.NewWriterSize(nc, 16)}
+	_, err := hello.send(Message{Hello: &Hello{Node: node}})
+	return err
 }

@@ -18,7 +18,7 @@ import (
 type nmLink struct {
 	node   int
 	cpus   int
-	addr   string // NM peer listener, for relay children to dial
+	addr   string // NM peer address, where tree parents dial relay links
 	c      *conn
 	budget *linkBudget // shared by every job streaming across c (admit.go)
 }

@@ -116,12 +116,6 @@ type MMConfig struct {
 	// (weighted-fair over JobSpec.User/Weight), or "sif"
 	// (smallest-image-first).
 	Admission string
-	// LinkBudgetBytes is the shared per-link byte budget (default
-	// 16 MB): the total unacknowledged data all jobs may park in one
-	// direct-child link's pipeline. A job that would exceed it blocks
-	// before writing — backpressure, not unbounded queueing — so one fat
-	// job cannot starve the tree for concurrent small ones.
-	LinkBudgetBytes int64
 	// WrapConn, when set, interposes on every accepted connection —
 	// the fault-injection hook (see internal/livenet/faultconn).
 	WrapConn func(net.Conn) net.Conn
@@ -205,9 +199,6 @@ func (c *MMConfig) fill() {
 	}
 	if c.MaxConcurrent < 1 {
 		c.MaxConcurrent = 1
-	}
-	if c.LinkBudgetBytes <= 0 {
-		c.LinkBudgetBytes = 16 << 20
 	}
 	if c.RejoinProbation == 0 {
 		c.RejoinProbation = 2
@@ -871,7 +862,7 @@ func (mm *MM) status() StatusRep {
 // probation; its chunk cache makes it a warm relay immediately.
 func (mm *MM) serveNM(c *conn, reg *Register) {
 	link := &nmLink{node: reg.Node, cpus: reg.CPUs, addr: reg.Addr, c: c,
-		budget: newLinkBudget(mm.cfg.LinkBudgetBytes)}
+		budget: newLinkBudget(linkBudgetBytes)}
 	mm.mu.Lock()
 	if mm.closed {
 		mm.mu.Unlock()

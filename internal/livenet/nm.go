@@ -18,8 +18,9 @@ import (
 
 // NMConfig tunes a live Node Manager.
 type NMConfig struct {
-	// PeerAddr is the listen address for relay connections from parent
-	// NMs in the forwarding tree (default "127.0.0.1:0").
+	// PeerAddr is the listen address of the PeerHub the NM starts for
+	// relay connections from parent NMs in the forwarding tree (default
+	// "127.0.0.1:0"). Ignored when Hub is set.
 	PeerAddr string
 	// SpoolDir, when set, makes the NM persist each job's binary image
 	// to disk: fragments append to a job-private temp file that is
@@ -46,10 +47,10 @@ type NMConfig struct {
 	// internal/livenet/faultconn).
 	Dialer   Dialer
 	WrapConn func(net.Conn) net.Conn
-	// Hub, when set, replaces the NM's private relay listener with the
-	// shared per-process PeerHub: the NM registers a routed
-	// "host:port#node" peer address and inbound relay connections are
-	// demultiplexed by the hub's single accept loop. PeerAddr is ignored.
+	// Hub, when set, is a PeerHub shared with other NMs in the process:
+	// inbound relay connections for every NM on it are demultiplexed by
+	// its one accept loop. Nil gives the NM a hub of its own on PeerAddr,
+	// closed with the NM; a shared hub outlives its NMs.
 	Hub *PeerHub
 	// Lite selects the dense connection profile (shallow buffered I/O,
 	// kernel-autotuned socket buffers) on every connection this NM
@@ -77,18 +78,18 @@ type NMConfig struct {
 // forks processes through its Program Launchers (goroutines), and
 // reports terminations and heartbeats.
 type NM struct {
-	node   int
-	cpus   int
-	cfg    NMConfig
-	c      *conn
-	peerLn net.Listener      // nil when a shared PeerHub routes inbound links
-	cache  *chunkcache.Cache // nil when caching is disabled
+	node  int
+	cpus  int
+	cfg   NMConfig
+	c     *conn
+	hub   *PeerHub          // routes inbound relay links here: cfg.Hub, or the NM's own
+	cache *chunkcache.Cache // nil when caching is disabled
 
 	mu      sync.Mutex
 	bins    map[int]*binState   // job -> receive state
 	relays  map[int]*relayState // job -> forwarding-tree state
 	digests map[int]ImageDigest // job -> digest of the delivered image
-	peers   map[*conn]struct{}  // inbound relay connections
+	links   map[*conn]struct{}  // every link a serve loop reads: MM, parents, children
 	dialed  map[string]*conn    // outbound relay links, cached across jobs
 	gates   map[int]*gateRow    // job -> gang gate + row
 	ctl     *nmCtl              // control-tree role (heartbeat/strobe relay)
@@ -214,63 +215,51 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		bins:    make(map[int]*binState),
 		relays:  make(map[int]*relayState),
 		digests: make(map[int]ImageDigest),
-		peers:   make(map[*conn]struct{}),
+		links:   make(map[*conn]struct{}),
 		dialed:  make(map[string]*conn),
 		gates:   make(map[int]*gateRow),
-		closed:  make(chan struct{})}
-	var peerAddr string
-	if cfg.Hub != nil {
-		// Shared-listener mode: no private listener, no accept
-		// goroutine; the hub routes inbound relay connections here by
-		// the dialer's hello frame.
-		if err := cfg.Hub.register(node, nm); err != nil {
+		closed:  make(chan struct{}),
+		hub:     cfg.Hub}
+	if nm.hub == nil {
+		hub, err := NewPeerHub(cfg.PeerAddr)
+		if err != nil {
 			return nil, err
 		}
-		peerAddr = cfg.Hub.NodeAddr(node)
-	} else {
-		la := cfg.PeerAddr
-		if la == "" {
-			la = "127.0.0.1:0"
-		}
-		ln, err := net.Listen("tcp", la)
-		if err != nil {
-			return nil, fmt.Errorf("livenet: peer listen %s: %w", la, err)
-		}
-		nm.peerLn = ln
-		peerAddr = ln.Addr().String()
+		nm.hub = hub
 	}
-	fail := func() {
-		if nm.peerLn != nil {
-			nm.peerLn.Close()
-		}
-		if cfg.Hub != nil {
-			cfg.Hub.unregister(node, nm)
-		}
-	}
+	// On a failed start Close undoes what was begun: the hub, and any
+	// relay link it routed here once the node was registered on it.
 	if cfg.SpoolDir != "" {
 		if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
-			fail()
+			nm.Close()
 			return nil, fmt.Errorf("livenet: spool dir: %w", err)
 		}
 	}
 	if cfg.CacheBytes > 0 {
 		cache, err := chunkcache.New(cfg.CacheBytes, cfg.CacheDir)
 		if err != nil {
-			fail()
+			nm.Close()
 			return nil, fmt.Errorf("livenet: chunk cache: %w", err)
 		}
 		nm.cache = cache
 	}
-	c, err := dialProf(cfg.Dialer, cfg.WrapConn, addr, profileFor(nm.cfg.Lite))
+	c, err := dialProf(cfg.Dialer, cfg.WrapConn, addr, noPeer, profileFor(nm.cfg.Lite))
 	if err != nil {
-		fail()
+		nm.Close()
 		return nil, err
 	}
 	nm.c = c
-	reg := &Register{Node: node, CPUs: cpus, Addr: peerAddr, Cap: cfg.Cap, Rejoin: cfg.Rejoin}
+	// Relay links are routed here only from now on: whatever they bring
+	// may need the MM link.
+	if err := nm.hub.register(node, nm); err != nil {
+		c.close()
+		nm.Close()
+		return nil, err
+	}
+	reg := &Register{Node: node, CPUs: cpus, Addr: nm.PeerAddr(), Cap: cfg.Cap, Rejoin: cfg.Rejoin}
 	if _, err := c.send(Message{Register: reg}); err != nil {
 		c.close()
-		fail()
+		nm.Close()
 		return nil, fmt.Errorf("livenet: register: %w", err)
 	}
 	if cfg.Rejoin {
@@ -281,27 +270,24 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		m, err := c.recv()
 		if err != nil {
 			c.close()
-			fail()
+			nm.Close()
 			return nil, fmt.Errorf("livenet: rejoin ack: %w", err)
 		}
 		if m.RejoinAck == nil {
 			c.close()
-			fail()
+			nm.Close()
 			return nil, fmt.Errorf("livenet: rejoin: unexpected first message from MM")
 		}
 		if m.RejoinAck.Err != "" {
 			c.close()
-			fail()
+			nm.Close()
 			return nil, fmt.Errorf("livenet: rejoin refused: %s", m.RejoinAck.Err)
 		}
 		nm.probation = m.RejoinAck.Probation
 	}
-	nm.wg.Add(1)
-	go nm.loop()
-	if nm.peerLn != nil {
-		nm.wg.Add(1)
-		go nm.acceptPeers()
-	}
+	nm.mu.Lock()
+	nm.serveLocked(c)
+	nm.mu.Unlock()
 	return nm, nil
 }
 
@@ -313,13 +299,13 @@ func (nm *NM) Node() int { return nm.node }
 // detector running).
 func (nm *NM) Probation() int { return nm.probation }
 
-// PeerAddr returns the NM's relay address: its private listener, or its
-// routed "host:port#node" hub address in shared-listener mode.
+// PeerAddr returns the NM's relay address: its own hub's endpoint, or
+// its routed "host:port#node" address on a shared hub.
 func (nm *NM) PeerAddr() string {
-	if nm.cfg.Hub != nil {
-		return nm.cfg.Hub.NodeAddr(nm.node)
+	if nm.cfg.Hub == nil {
+		return nm.hub.Addr()
 	}
-	return nm.peerLn.Addr().String()
+	return nm.hub.NodeAddr(nm.node)
 }
 
 // FragsWritten returns the number of verified fragments written.
@@ -387,19 +373,17 @@ func (nm *NM) Close() {
 		close(nm.closed)
 	}
 	nm.mu.Unlock()
-	nm.c.close()
-	if nm.peerLn != nil {
-		nm.peerLn.Close()
-	}
-	if nm.cfg.Hub != nil {
-		nm.cfg.Hub.unregister(nm.node, nm)
+	// No relay link is routed here from now on: the NM's own hub closes,
+	// a shared one forgets the node. (A link the hub is routing right now
+	// is refused by adoptPeer.)
+	if nm.cfg.Hub == nil {
+		nm.hub.Close()
+	} else {
+		nm.hub.unregister(nm.node, nm)
 	}
 	nm.mu.Lock()
-	for pc := range nm.peers {
-		pc.close()
-	}
-	for _, cc := range nm.dialed {
-		cc.close()
+	for c := range nm.links {
+		c.close()
 	}
 	for _, st := range nm.bins {
 		st.discardSpool()
@@ -419,163 +403,147 @@ func (nm *NM) Close() {
 	nm.wg.Wait()
 }
 
-func (nm *NM) loop() {
+// serve is the read loop of every link — the MM link, a link a tree
+// parent dialed in, a link this node dialed to a tree child — and
+// dispatches each frame by its type, whichever way it travels: down the
+// trees come fragments, manifests, pings, strobes and the MM's commands,
+// up them acks, HAVE ledgers, pongs and strobe acks. from is where a
+// down-tree frame's answers go.
+func (nm *NM) serve(from *conn) {
 	defer nm.wg.Done()
+	defer nm.dropLink(from)
 	for {
-		m, err := nm.c.recv()
+		m, err := from.recv()
 		if err != nil {
 			return
 		}
 		switch {
 		case m.Frag != nil:
-			nm.handleFrag(m.Frag, nm.c)
+			nm.handleFrag(m.Frag, from)
+		case m.FragAck != nil:
+			nm.onChildAck(m.FragAck, from)
 		case m.Manifest != nil:
-			nm.onManifest(m.Manifest, nm.c)
+			nm.onManifest(m.Manifest, from)
+		case m.Have != nil:
+			nm.onChildHave(m.Have, from)
+		case m.Ping != nil:
+			nm.onCtlPing(m.Ping, from)
+		case m.Pong != nil:
+			nm.onCtlPong(m.Pong)
+		case m.Strobe != nil:
+			nm.onCtlStrobe(m.Strobe, from)
+		case m.StrobeAck != nil:
+			nm.onCtlStrobeAck(m.StrobeAck)
 		case m.ChildDead != nil:
 			nm.onChildDead(m.ChildDead)
 		case m.Abort != nil:
 			nm.onAbort(m.Abort)
 		case m.Launch != nil:
 			nm.onLaunch(m.Launch)
-		case m.Ping != nil:
-			nm.onCtlPing(m.Ping, nm.c)
-		case m.Strobe != nil:
-			nm.onCtlStrobe(m.Strobe, nm.c)
 		case m.CtlPlan != nil:
 			nm.onCtlPlan(m.CtlPlan)
 		}
 	}
 }
 
-// acceptPeers serves relay connections from parent NMs.
-func (nm *NM) acceptPeers() {
-	defer nm.wg.Done()
-	for {
-		nc, err := nm.peerLn.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !nm.adoptPeer(nc) {
-			nc.Close() // accepted as Close swept the peers: nobody else will
-			return
-		}
+// serveLocked starts c's read loop, unless the NM is closed. The closed
+// check, the insert into nm.links and the wg.Add share nm.mu with
+// Close's sweep, so a link is either refused here or closed there —
+// never left with a loop nobody will stop. Caller holds nm.mu.
+func (nm *NM) serveLocked(c *conn) bool {
+	select {
+	case <-nm.closed:
+		return false
+	default:
 	}
+	nm.links[c] = struct{}{}
+	nm.wg.Add(1)
+	go nm.serve(c)
+	return true
 }
 
-// adoptPeer takes over an inbound relay connection, accepted privately
-// or routed by a shared PeerHub: the NM's own fault hook and connection
-// profile apply either way. Returns false (and adopts nothing) if the NM
-// is already closed — the connection then belongs to the caller. The
-// closed check, the insert and the wg.Add share one critical section
-// with Close's sweep, so a connection is either refused here or closed
-// there.
+// dropLink is the one way a link leaves the NM: out of the served set
+// and the dial cache, every stripe or control role whose parent it was
+// unbound — a replacement parent re-binds with its first frame, and
+// answers must never be written to a dead socket — and closed. Its read
+// loop ends with it; a relay that fails a write on it does not wait for
+// that.
+func (nm *NM) dropLink(c *conn) {
+	nm.mu.Lock()
+	delete(nm.links, c)
+	for addr, d := range nm.dialed {
+		if d == c {
+			delete(nm.dialed, addr)
+		}
+	}
+	for _, rs := range nm.relays {
+		for _, sr := range rs.stripes {
+			if sr.parent == c {
+				sr.parent = nil
+			}
+		}
+	}
+	if nm.ctl != nil && nm.ctl.parent == c {
+		nm.ctl.parent = nil
+	}
+	nm.mu.Unlock()
+	c.close()
+}
+
+// adoptPeer takes over an inbound relay connection the hub routed here,
+// behind the NM's own fault hook and connection profile. Returns false
+// (and adopts nothing) if the NM is already closed — the connection then
+// belongs to the caller.
 func (nm *NM) adoptPeer(nc net.Conn) bool {
 	if nm.cfg.WrapConn != nil {
 		nc = nm.cfg.WrapConn(nc)
 	}
-	pc := newConnProf(nc, profileFor(nm.cfg.Lite))
 	nm.mu.Lock()
-	select {
-	case <-nm.closed:
-		nm.mu.Unlock()
-		return false
-	default:
-	}
-	nm.peers[pc] = struct{}{}
-	nm.wg.Add(1)
-	nm.mu.Unlock()
-	go nm.servePeer(pc)
-	return true
+	defer nm.mu.Unlock()
+	return nm.serveLocked(newConnProf(nc, profileFor(nm.cfg.Lite)))
 }
 
-// servePeer pumps fragments arriving from a parent NM; acks flow back on
-// the same connection.
-func (nm *NM) servePeer(pc *conn) {
-	defer nm.wg.Done()
-	defer func() {
-		nm.mu.Lock()
-		delete(nm.peers, pc)
-		// If this conn was some stripe's ack path, unbind it: after a
-		// replan the replacement parent's conn re-binds on its first
-		// fragment, and acks must never be written to a dead socket.
-		for _, rs := range nm.relays {
-			for _, sr := range rs.stripes {
-				if sr.parent == pc {
-					sr.parent = nil
-				}
-			}
-		}
-		if nm.ctl != nil && nm.ctl.parent == pc {
-			nm.ctl.parent = nil
-		}
-		nm.mu.Unlock()
-		pc.close()
-	}()
-	for {
-		m, err := pc.recv()
-		if err != nil {
-			return
-		}
-		switch {
-		case m.Frag != nil:
-			nm.handleFrag(m.Frag, pc)
-		case m.Manifest != nil:
-			nm.onManifest(m.Manifest, pc)
-		case m.Ping != nil:
-			nm.onCtlPing(m.Ping, pc)
-		case m.Strobe != nil:
-			nm.onCtlStrobe(m.Strobe, pc)
-		}
-	}
-}
-
-// peerConn returns the relay connection to a downstream NM, dialing it
-// and starting its ack pump on first use. Links are cached across jobs
-// and closed only when the NM shuts down: re-dialing the tree on every
-// launch would put n-1 TCP handshakes on each job's critical path.
-func (nm *NM) peerConn(addr string) (*conn, error) {
+// peerConn returns the relay connection to downstream NM node at addr,
+// dialing it and starting its read loop on first use. Links are cached
+// across jobs and closed only when the NM shuts down: re-dialing the
+// tree on every launch would put n-1 TCP handshakes on each job's
+// critical path.
+func (nm *NM) peerConn(node int, addr string) (*conn, error) {
 	nm.mu.Lock()
 	cc, ok := nm.dialed[addr]
 	nm.mu.Unlock()
 	if ok {
 		return cc, nil
 	}
-	return nm.dialChild(addr)
+	return nm.dialChild(node, addr)
 }
 
 // errNMClosed refuses a relay dial that lost the race with Close.
 var errNMClosed = errors.New("livenet: node manager closed")
 
-// dialChild opens a fresh relay link to addr, caches it, and starts its
-// ack pump. The link enters nm.dialed (and nm.wg) only under nm.mu and
-// only while the NM is open: Close sweeps nm.dialed under the same lock
-// after marking the NM closed, so a link is either refused here or
-// closed there — never left with a pump nobody will stop. Two dials
-// racing for one address (a relay redial on each stripe's reader, a
-// control-tree relay beside a manifest) settle on the first link.
-func (nm *NM) dialChild(addr string) (*conn, error) {
-	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, profileFor(nm.cfg.Lite))
+// dialChild opens a fresh relay link to node at addr, caches it, and
+// starts its read loop — only while the NM is open (serveLocked). Two
+// dials racing for one address (a relay redial on each stripe's reader,
+// a control-tree relay beside a manifest) settle on the first link.
+func (nm *NM) dialChild(node int, addr string) (*conn, error) {
+	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, node, profileFor(nm.cfg.Lite))
 	if err != nil {
 		return nil, err
 	}
 	nm.mu.Lock()
-	select {
-	case <-nm.closed:
-		nm.mu.Unlock()
-		cc.close()
-		return nil, fmt.Errorf("dial %s: %w", addr, errNMClosed)
-	default:
+	first, dup := nm.dialed[addr]
+	if !dup && nm.serveLocked(cc) {
+		nm.dialed[addr] = cc
+		first = cc
 	}
-	if first, ok := nm.dialed[addr]; ok {
-		nm.mu.Unlock()
-		cc.close()
-		return first, nil
-	}
-	nm.dialed[addr] = cc
-	nm.wg.Add(1)
 	nm.mu.Unlock()
-	go nm.pumpChildAcks(cc)
-	return cc, nil
+	if first != cc {
+		cc.close()
+	}
+	if first == nil {
+		return nil, fmt.Errorf("dial %s: %w", addr, errNMClosed)
+	}
+	return first, nil
 }
 
 // relay is the data plane's one hop down: forward a fragment or a
@@ -600,9 +568,9 @@ func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
 		// between jobs): evict it and redial once. A frame is atomic per
 		// connection, so the peer discards any partial frame with the dead
 		// socket and the retry is a clean re-send.
-		nm.evictDialed(cc)
+		nm.dropLink(cc)
 	}
-	if cc, err = nm.peerConn(rc.addr); err == nil {
+	if cc, err = nm.peerConn(rc.node, rc.addr); err == nil {
 		nm.mu.Lock()
 		rc.c = cc
 		nm.mu.Unlock()
@@ -619,89 +587,50 @@ func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
 	return false
 }
 
-// evictDialed drops a broken link from the cross-job relay cache.
-func (nm *NM) evictDialed(cc *conn) {
-	nm.mu.Lock()
-	for addr, c := range nm.dialed {
-		if c == cc {
-			delete(nm.dialed, addr)
-		}
-	}
-	nm.mu.Unlock()
-	cc.close()
-}
-
-// pumpChildAcks reads one downstream link's upward traffic — fragment
-// acks for every job routed over it, plus control-tree pong ledgers and
-// strobe acks — and folds each into its aggregate.
-func (nm *NM) pumpChildAcks(cc *conn) {
-	defer nm.wg.Done()
-	// The link died: make sure the cross-job cache never hands it out
-	// again.
-	defer nm.evictDialed(cc)
-	for {
-		m, err := cc.recv()
-		if err != nil {
-			return
-		}
-		if m.Pong != nil {
-			nm.onCtlPong(m.Pong)
-			continue
-		}
-		if m.StrobeAck != nil {
-			nm.onCtlStrobeAck(m.StrobeAck)
-			continue
-		}
-		if m.Have != nil {
-			nm.onChildHave(m.Have, cc)
-			continue
-		}
-		a := m.FragAck
-		if a == nil {
-			continue
-		}
-		if !a.OK {
-			// A node below rejected: forward the failure up unchanged so
-			// the MM learns the true origin. Content rejections are
-			// epoch-independent.
-			nm.mu.Lock()
-			rs := nm.relays[a.Job]
-			var parent *conn
-			if rs != nil {
-				rs.failed = true
-				if a.Stripe >= 0 && a.Stripe < len(rs.stripes) {
-					parent = rs.stripes[a.Stripe].parent
-				}
-				if parent == nil {
-					for _, sr := range rs.stripes {
-						if sr.parent != nil {
-							parent = sr.parent
-							break
-						}
-					}
-				}
-			}
-			nm.mu.Unlock()
-			if parent != nil {
-				parent.send(Message{FragAck: a})
-			}
-			continue
-		}
+// onChildAck folds a child subtree's cumulative fragment ack, arrived on
+// link cc, into its stripe's aggregate credit.
+func (nm *NM) onChildAck(a *FragAck, cc *conn) {
+	if !a.OK {
+		// A node below rejected: forward the failure up unchanged so the
+		// MM learns the true origin. Content rejections are
+		// epoch-independent.
 		nm.mu.Lock()
-		if rs := nm.relays[a.Job]; rs != nil && a.Stripe >= 0 && a.Stripe < len(rs.stripes) {
-			// Credit from an older epoch vouched for a different
-			// subtree shape and must not count under the new one.
-			if sr := rs.stripes[a.Stripe]; a.Epoch == sr.epoch {
-				for _, rc := range sr.children {
-					if rc.c == cc && a.Index+1 > rc.acked {
-						rc.acked = a.Index + 1
+		rs := nm.relays[a.Job]
+		var parent *conn
+		if rs != nil {
+			rs.failed = true
+			if a.Stripe >= 0 && a.Stripe < len(rs.stripes) {
+				parent = rs.stripes[a.Stripe].parent
+			}
+			if parent == nil {
+				for _, sr := range rs.stripes {
+					if sr.parent != nil {
+						parent = sr.parent
+						break
 					}
 				}
 			}
 		}
 		nm.mu.Unlock()
-		nm.advanceAck(a.Job, a.Stripe)
+		if parent != nil {
+			parent.send(Message{FragAck: a})
+		}
+		return
 	}
+	nm.mu.Lock()
+	if rs := nm.relays[a.Job]; rs != nil && a.Stripe >= 0 && a.Stripe < len(rs.stripes) {
+		// Credit from an older epoch vouched for a different subtree
+		// shape and must not count under the new one.
+		if sr := rs.stripes[a.Stripe]; a.Epoch == sr.epoch {
+			for _, rc := range sr.children {
+				if rc.c == cc && a.Index+1 > rc.acked {
+					rc.acked = a.Index + 1
+				}
+			}
+		}
+	}
+	nm.mu.Unlock()
+	nm.advanceAck(a.Job, a.Stripe)
 }
 
 // handleFrag relays one binary fragment down its stripe's forwarding
@@ -1526,7 +1455,7 @@ func runProgram(p ProgramSpec, rank int, g *gate) {
 // dead reports that the link failed — nobody listening, or it died
 // before a reply came — as opposed to a reply that arrived.
 func call(addr string, prof connProfile, req Message) (reply Message, sent int64, dead bool, err error) {
-	c, err := dialProf(nil, nil, addr, prof)
+	c, err := dialProf(nil, nil, addr, noPeer, prof)
 	if err != nil {
 		return Message{}, 0, true, err
 	}

@@ -131,7 +131,7 @@ func TestFragBeforeManifestIsDropped(t *testing.T) {
 // TestDialChildVersusClose hammers relay dials against Close (ROADMAP
 // item 0): a link that loses the race must be refused with errNMClosed,
 // one that wins it must be swept by Close, and Close must return — a
-// link inserted after the sweep would leave its ack pump reading a peer
+// link inserted after the sweep would leave its read loop reading a peer
 // that never hangs up, and nm.wg.Wait() waiting on it forever. Even
 // rounds let the dials fall where they may; odd rounds hold every
 // established connection back until Close has swept, the schedule that
@@ -144,7 +144,7 @@ func TestDialChildVersusClose(t *testing.T) {
 	defer mm.Close()
 
 	// Relay targets that accept and then stay silent and open until the
-	// round is over: only the NM's own Close can stop a pump reading one.
+	// round is over: only the NM's own Close can stop a loop reading one.
 	const dialers = 4
 	var held []net.Conn
 	var heldMu sync.Mutex
@@ -200,7 +200,7 @@ func TestDialChildVersusClose(t *testing.T) {
 		}
 		// The dialers join nm.wg, as the NM's own dialers do (plans and
 		// relay redials run on its reader goroutines): Close waits for
-		// them, so a pump one of them starts late is waited for too.
+		// them, so a read loop one of them starts late is waited for too.
 		var refused atomic.Int64
 		for _, addr := range addrs {
 			nm.wg.Add(1)
@@ -212,9 +212,9 @@ func TestDialChildVersusClose(t *testing.T) {
 				var prev *conn
 				for {
 					if prev != nil {
-						nm.evictDialed(prev)
+						nm.dropLink(prev)
 					}
-					cc, err := nm.dialChild(addr)
+					cc, err := nm.dialChild(0, addr)
 					if errors.Is(err, errNMClosed) {
 						refused.Add(1)
 						return

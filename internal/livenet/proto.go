@@ -43,7 +43,6 @@ import (
 	"io"
 	"net"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -305,8 +304,9 @@ func (m *Message) walk(w *walker, c *conn) {
 	}
 }
 
-// Register announces an NM to the MM. Addr is the NM's peer listener,
-// where parent NMs in the forwarding tree dial relay connections.
+// Register announces an NM to the MM. Addr is the NM's routed peer
+// address on its PeerHub, where parent NMs in the forwarding tree dial
+// relay connections.
 type Register struct {
 	Node int
 	CPUs int
@@ -352,11 +352,10 @@ func (a *RejoinAck) walk(w *walker) {
 	w.str(&a.Err, 4, maxFrame)
 }
 
-// Hello routes an inbound relay connection on a shared peer listener
-// (see PeerHub): when many NMs live in one process they share one
-// listener instead of owning one each, and the dialer's first frame
-// names which NM the connection is for. It is always the first bytes on
-// such a connection and never appears once a link is established.
+// Hello routes an inbound relay connection on a PeerHub, which may serve
+// many NMs: the dialer's first frame names which NM the connection is
+// for. It is always the first bytes on a relay link and never appears
+// once the link is established.
 type Hello struct {
 	Node int
 }
@@ -1269,30 +1268,20 @@ func backoffDelay(attempt int) time.Duration {
 	return d/2 + time.Duration(z%uint64(d/2+1))
 }
 
-// splitPeerAddr splits a hub-routed peer address "host:port#node" into
-// the dialable endpoint and the target NM. A plain address comes back
-// with hub=false and is dialed as-is.
-func splitPeerAddr(addr string) (endpoint string, node int, hub bool) {
-	i := strings.LastIndexByte(addr, '#')
-	if i < 0 {
-		return addr, 0, false
-	}
-	n, err := strconv.Atoi(addr[i+1:])
-	if err != nil {
-		return addr, 0, false
-	}
-	return addr[:i], n, true
-}
+// noPeer is dialProf's peer argument for a dial that is not a relay link
+// (to an MM, or a client's).
+const noPeer = -1
 
 // dialProf connects to addr through dialer (nil = TCP with a bounded
 // timeout), retrying transient failures with jittered backoff, and runs
 // the established connection through wrap (nil = identity) and into a
-// conn of the given profile. A peer address carrying a "#node" suffix
-// routes through a shared PeerHub listener: the suffix is stripped
-// before dialing and a hello frame naming the target NM opens the
-// connection.
-func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof connProfile) (*conn, error) {
-	endpoint, node, hub := splitPeerAddr(addr)
+// conn of the given profile. A relay dial names the node it is for
+// (peer, else noPeer): it dials the endpoint of the node's peer address
+// — which carries a "#node" suffix on a hub NMs share — and opens the
+// connection with the hello the hub routes it by, before wrap
+// interposes (see writeHello).
+func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, peer int, prof connProfile) (*conn, error) {
+	endpoint, _, _ := strings.Cut(addr, "#")
 	if dialer == nil {
 		dialer = func(a string) (net.Conn, error) { return net.DialTimeout("tcp", a, dialTimeout) }
 	}
@@ -1303,20 +1292,19 @@ func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof con
 		}
 		var nc net.Conn
 		if nc, err = dialer(endpoint); err == nil {
-			if wrap != nil {
-				nc = wrap(nc)
-			}
-			c := newConnProf(nc, prof)
-			if hub {
+			if peer != noPeer {
 				// The hello must land before any other frame so the hub
 				// can route the connection; a failure here is a transient
 				// connection fault like any dial error — retry.
-				if _, err = c.send(Message{Hello: &Hello{Node: node}}); err != nil {
-					c.close()
+				if err = writeHello(nc, peer); err != nil {
+					nc.Close()
 					continue
 				}
 			}
-			return c, nil
+			if wrap != nil {
+				nc = wrap(nc)
+			}
+			return newConnProf(nc, prof), nil
 		}
 	}
 	return nil, fmt.Errorf("livenet: dial %s (%d attempts): %w", addr, dialAttempts, err)

@@ -23,7 +23,7 @@ const (
 	StrobeAck = 'T'
 	PeerDown  = 'D' // fixed part + error string
 	Have      = 'H' // fixed part + 8-byte bitmap words
-	Hello     = 'L' // shared-listener routing hello
+	Hello     = 'L' // peer-hub routing hello
 
 	// Body frames.
 	Register  = 'R'
@@ -65,9 +65,9 @@ const (
 	// HaveLen is job u32 | node u32 | epoch u32 | nwords u16 | stripe u8.
 	HaveLen      = 15
 	HaveCountOff = 12
-	// HelloLen is node u32. A shared peer listener reads at most
-	// 1+HelloLen bytes off a fresh connection to learn which NM it is
-	// for, so the frame must stay fixed-size.
+	// HelloLen is node u32. A peer hub reads at most 1+HelloLen bytes
+	// off a fresh connection to learn which NM it is for, so the frame
+	// must stay fixed-size.
 	HelloLen = 4
 	// BodyLen is the body frames' fixed part, the u32 body length. In a
 	// body every integer is 8 bytes, every string and list a u32 count
