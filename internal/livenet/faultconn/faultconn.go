@@ -40,7 +40,7 @@ type Plan struct {
 	// Write-path faults (bytes this endpoint sends).
 	CloseAtFrag   int           // hard-close mid-header of the k-th outgoing frag frame
 	DropAfter     int64         // >0: outbound one-way partition after this many bytes (writes report success, bytes vanish)
-	WriteDelay    time.Duration // injected before every write
+	WriteDelay    time.Duration // injected before every Write call, whatever it carries: a frame split in two writes pays it twice
 	DuplicateFrag int           // retransmit the k-th outgoing frag frame immediately after itself
 	CorruptFrag   int           // flip a payload byte of the k-th outgoing frag frame (CRC must catch it)
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -991,6 +992,9 @@ func (mm *MM) onHave(h *Have) {
 // of letting it burn the whole window timeout.
 func (mm *MM) onPeerDown(d *PeerDown) {
 	mm.onTransferEvent(d.Job, func(j *liveJob) error {
+		if slices.Contains(j.failedNodes, d.Node) {
+			return nil // a late report of a death recovery already handled
+		}
 		if j.peerDown == nil {
 			j.peerDown = make(map[int]string)
 		}
@@ -1573,11 +1577,12 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 	// sequential crc32.Update over the concatenation.
 	parallelChunks(j.frags, func(i int) {
 		size := chunkSizeFor(&j.spec, frag, i)
-		data := grabFragBuf(size)
+		p := grabFrame(size)
+		data := (*p)[fragRoom:]
 		fillChunkInto(&j.spec, j.id, i, data)
 		d.hashes[i] = chunkcache.Hash64(data)
 		d.crcs[i] = fragCRC(data)
-		releaseFragBuf(data)
+		releaseFrame(p)
 	})
 	// Every chunk but the last is frag bytes long.
 	tail := chunkSizeFor(&j.spec, frag, j.frags-1)
@@ -1734,11 +1739,11 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 			}
 		}
 		size := chunkSizeFor(&j.spec, frag, i)
-		data := grabFragBuf(size)
-		fillChunkInto(&j.spec, j.id, i, data)
-		f := &Frag{Job: j.id, Index: i, Stripe: ss.id, Last: i == j.frags-1, Data: data, CRC: j.man.crcs[i]}
+		f := newFrag(size)
+		f.Job, f.Index, f.Stripe, f.Last, f.CRC = j.id, i, ss.id, i == j.frags-1, j.man.crcs[i]
+		fillChunkInto(&j.spec, j.id, i, f.Data)
 		if mm.testCorrupt != nil {
-			mm.testCorrupt(j.id, i, data)
+			mm.testCorrupt(j.id, i, f.Data)
 		}
 		for _, kid := range kids {
 			link := kid.link
@@ -1752,20 +1757,20 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 			// block here instead of queueing unbounded data ahead of each
 			// other.
 			if err := link.budget.acquire(int64(size), time.Now().Add(mm.cfg.AckTimeout)); err != nil {
-				releaseFragBuf(data)
+				f.release()
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d: %v", i, err)}
 			}
 			j.holdChunk(kid, i/k, int64(size))
 			n, err := link.c.send(Message{Frag: f})
 			if err != nil {
-				releaseFragBuf(data)
+				f.release()
 				return downError{node: link.node, cause: fmt.Sprintf("fragment %d write: %v", i, err)}
 			}
 			j.mu.Lock()
 			j.sendBytes += int64(n)
 			j.mu.Unlock()
 		}
-		releaseFragBuf(data)
+		f.release()
 		j.mu.Lock()
 		ss.streamPos = pos + 1
 		if i/k+1 > ss.streamAt {
@@ -1893,6 +1898,18 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 		return fmt.Errorf("livenet: job %d: all nodes failed (%v)", j.id, failed)
 	}
 	j.nodes = survivors
+	// Reports of these deaths that raced the diagnosis are spent: another
+	// parent's PeerDown, or a second stripe's, must not start a round of
+	// its own.
+	var down downError
+	if errors.As(j.fail, &down) {
+		if _, gone := dead[down.node]; gone {
+			j.fail = nil
+		}
+	}
+	for node := range dead {
+		delete(j.peerDown, node)
+	}
 	k := len(j.stripes)
 	stripes := append([]*stripeState(nil), j.stripes...)
 	j.mu.Unlock()

@@ -411,10 +411,11 @@ func (nm *NM) Close() {
 // down-tree frame's answers go.
 func (nm *NM) serve(from *conn) {
 	defer nm.wg.Done()
-	defer nm.dropLink(from)
 	for {
 		m, err := from.recv()
 		if err != nil {
+			nm.dropLink(from)
+			nm.lostChildLink(from)
 			return
 		}
 		switch {
@@ -559,9 +560,8 @@ func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
 	if down {
 		return false
 	}
-	var err error
 	if cc != nil {
-		if _, err = cc.send(m); err == nil {
+		if _, err := cc.send(m); err == nil {
 			return true
 		}
 		// Cached link went stale (the peer restarted, or the socket died
@@ -570,21 +570,75 @@ func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
 		// socket and the retry is a clean re-send.
 		nm.dropLink(cc)
 	}
-	if cc, err = nm.peerConn(rc.node, rc.addr); err == nil {
-		nm.mu.Lock()
-		rc.c = cc
-		nm.mu.Unlock()
+	cc, err := nm.relink(rc)
+	if err == nil {
 		if _, err = cc.send(m); err == nil {
 			return true
 		}
 	}
+	nm.childDown(job, rc, err)
+	return false
+}
+
+// relink binds rc to the cached link to its node, dialing one if there is
+// none, and clears a down mark lostChildLink set while it redialed.
+func (nm *NM) relink(rc *relayChild) (*conn, error) {
+	cc, err := nm.peerConn(rc.node, rc.addr)
+	if err == nil {
+		nm.mu.Lock()
+		rc.c, rc.down = cc, false
+		nm.mu.Unlock()
+	}
+	return cc, err
+}
+
+// childDown marks a child the dial (or one redial) did not reach, and
+// reports it down so the MM can start recovery without waiting for a
+// round to stall.
+func (nm *NM) childDown(job int, rc *relayChild, err error) {
 	nm.mu.Lock()
 	rc.down = true
 	nm.mu.Unlock()
-	// The dial (or one redial) did not reach the peer: report it down so
-	// the MM can start recovery without waiting for a round to stall.
 	nm.c.send(Message{PeerDown: &PeerDown{Job: job, Node: rc.node, From: nm.node, Err: err.Error()}})
-	return false
+}
+
+// lostChildLink redials, once, every child a job still relays to over c,
+// a dropped link, and reports down the ones that do not answer — as a
+// failed write would, but now: one write per frame lands in the socket
+// buffer of a dead peer without an error, and the next write, which
+// would fail, may never come once the window waits on the child's own
+// credit. The children are marked down while it dials, so a relay skips
+// them instead of stalling its read loop — and the probe the report
+// brings — on a second redial; frames skipped so are lost like those
+// written into the dead socket.
+func (nm *NM) lostChildLink(c *conn) {
+	select {
+	case <-nm.closed:
+		return
+	default:
+	}
+	type orphan struct {
+		job int
+		rc  *relayChild
+	}
+	var lost []orphan
+	nm.mu.Lock()
+	for job, rs := range nm.relays {
+		for _, sr := range rs.stripes {
+			for _, rc := range sr.children {
+				if rc.c == c && !rc.down {
+					rc.down = true
+					lost = append(lost, orphan{job, rc})
+				}
+			}
+		}
+	}
+	nm.mu.Unlock()
+	for _, o := range lost {
+		if _, err := nm.relink(o.rc); err != nil {
+			nm.childDown(o.job, o.rc, err)
+		}
+	}
 }
 
 // onChildAck folds a child subtree's cumulative fragment ack, arrived on
@@ -651,7 +705,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		// ours accounts for. Every epoch opens with a manifest on the same
 		// link, so nothing that will be needed is lost: drop it.
 		nm.mu.Unlock()
-		releaseFragBuf(f.Data)
+		f.release()
 		return
 	}
 	sr := rs.stripes[f.Stripe]
@@ -672,18 +726,18 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	man := st.man // immutable once announced
 	nm.mu.Unlock()
 
-	// Relay downstream from the same buffer: one encode at the MM serves
-	// the entire tree.
+	// Relay downstream from the received frame: the payload is neither
+	// copied nor re-encoded, and leaves in one write per child.
 	if len(children) > 0 {
 		forward := f
 		if nm.testCorruptRelay != nil {
 			// Test-only path: corrupt a private copy so the fault models a
 			// bad relay link, not bad local memory.
-			tmp := grabFragBuf(len(f.Data))
-			copy(tmp, f.Data)
-			nm.testCorruptRelay(f.Job, f.Index, tmp)
-			forward = &Frag{Job: f.Job, Index: f.Index, Stripe: f.Stripe, Last: f.Last, Data: tmp, CRC: f.CRC}
-			defer releaseFragBuf(tmp)
+			forward = newFrag(len(f.Data))
+			forward.Job, forward.Index, forward.Stripe, forward.Last, forward.CRC = f.Job, f.Index, f.Stripe, f.Last, f.CRC
+			copy(forward.Data, f.Data)
+			nm.testCorruptRelay(f.Job, f.Index, forward.Data)
+			defer forward.release()
 		}
 		relayed := 0
 		for _, rc := range children {
@@ -805,13 +859,14 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			if spool {
 				// Spool mode needs the bytes: fetch (Get re-verifies disk
 				// entries) and splice them at the chunk's image offset.
-				buf := grabFragBuf(size)
+				p := grabFrame(size)
+				buf := (*p)[fragRoom:]
 				if nm.cache.Get(man.Hashes[i], man.CRCs[i], size, buf) &&
-					nm.spliceChunk(m.Job, st, i, buf[:size]) == nil {
+					nm.spliceChunk(m.Job, st, i, buf) == nil {
 					bitSet(st.written, i)
 					st.wcount++
 				}
-				releaseFragBuf(buf)
+				releaseFrame(p)
 				continue
 			}
 			// Memory mode never materializes the image (the digest is
@@ -996,7 +1051,7 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *
 		// relayed and verified: nothing is left to write it into or to
 		// answer for it.
 		nm.mu.Unlock()
-		releaseFragBuf(f.Data)
+		f.release()
 		return
 	}
 	seal, k := false, st.k
@@ -1034,7 +1089,7 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *
 		rs.failed = true
 	}
 	nm.mu.Unlock()
-	releaseFragBuf(f.Data)
+	f.release()
 	if seal {
 		switch err := nm.sealImage(f.Job, st, man, spool); {
 		case errors.Is(err, errJobGone):
@@ -1173,14 +1228,14 @@ func (nm *NM) imageCRC(man *Manifest, spool *os.File) (crc uint32, built int, er
 		errs := make([]error, n)
 		parallelChunks(n, func(i int) {
 			size := manifestChunkLen(man, i)
-			buf := grabFragBuf(size)
-			nr, err := spool.ReadAt(buf[:size], int64(i)*int64(man.ChunkBytes))
-			crcs[i] = crc32.ChecksumIEEE(buf[:nr])
+			p := grabFrame(size)
+			nr, err := spool.ReadAt((*p)[fragRoom:], int64(i)*int64(man.ChunkBytes))
+			crcs[i] = crc32.ChecksumIEEE((*p)[fragRoom : fragRoom+nr])
 			if err != nil && nr == size {
 				err = nil // a full read at EOF is a complete chunk
 			}
 			errs[i] = err
-			releaseFragBuf(buf)
+			releaseFrame(p)
 		})
 		for _, err := range errs {
 			if err != nil {

@@ -70,9 +70,9 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 			release(nm, job)
 			sent := wire.Len() // the HAVE the manifest round already sent
 
-			data := grabFragBuf(size)
-			copy(data, image[size:2*size])
-			f := &Frag{Job: job, Index: 1, Data: data, CRC: man.CRCs[1]}
+			f := newFrag(size)
+			f.Job, f.Index, f.CRC = job, 1, man.CRCs[1]
+			copy(f.Data, image[size:2*size])
 			within(t, 2*time.Second, "writeManifestChunk for a released job", func() {
 				nm.writeManifestChunk(f, parent, 0, false, st, st.man)
 			})
@@ -110,8 +110,9 @@ func TestFragBeforeManifestIsDropped(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	got := allocBytes(func() {
 		for i := 0; i < frames; i++ {
-			data := grabFragBuf(size)
-			nm.handleFrag(&Frag{Job: job, Index: i, Data: data}, parent)
+			f := newFrag(size)
+			f.Job, f.Index = job, i
+			nm.handleFrag(f, parent)
 		}
 	})
 	if wire.Len() != 0 {
@@ -333,9 +334,10 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 		man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
 	}
 	frag := func(i int) *Frag {
-		data := grabFragBuf(size)
-		copy(data, image[i*size:(i+1)*size])
-		return &Frag{Job: job, Index: i, Data: data, CRC: man.CRCs[i], Last: i == chunks-1}
+		f := newFrag(size)
+		f.Job, f.Index, f.CRC, f.Last = job, i, man.CRCs[i], i == chunks-1
+		copy(f.Data, image[i*size:(i+1)*size])
+		return f
 	}
 	var old, cur bytes.Buffer
 	oldLink, link := &conn{w: bufio.NewWriter(&old)}, &conn{w: bufio.NewWriter(&cur)}

@@ -363,9 +363,10 @@ type Hello struct {
 func (h *Hello) walk(w *walker) { num(w, &h.Node, 4) }
 
 // Frag carries one fragment of a job's binary image. Its walk is the
-// frame header: send writes Data after it straight from the caller's
-// buffer, and recv reads Data into a pooled buffer that must be returned
-// with releaseFragBuf once consumed. Stripe names the spanning tree the
+// frame header, which send encodes into the header room of the Frag's
+// pooled frame, in front of Data, so the whole frame leaves in one write.
+// recv and newFrag return a Frag whose Data is the payload of such a
+// frame; release it once consumed. Stripe names the spanning tree the
 // fragment travels down (0 on a single-tree plan): with a striped plan,
 // chunk i belongs to stripe i%k and each stripe's tree relays only its
 // own chunks.
@@ -376,6 +377,43 @@ type Frag struct {
 	Data   []byte
 	CRC    uint32
 	Stripe int
+	// frame is the pooled frame: fragRoom bytes of header room, then the
+	// payload Data views. A Frag built around a buffer of its own has
+	// none until its first send copies Data into one (see frameOf).
+	frame *[]byte
+}
+
+// newFrag returns a Frag whose n-byte Data is the payload of a pooled
+// frame.
+func newFrag(n int) *Frag {
+	p := grabFrame(n)
+	return &Frag{Data: (*p)[fragRoom:], frame: p}
+}
+
+// release hands the Frag's frame back to the pool. The Frag must not be
+// used afterwards.
+func (f *Frag) release() {
+	releaseFrame(f.frame)
+	f.frame, f.Data = nil, nil
+}
+
+// frameOf returns the frame send writes: the Frag's own when Data is its
+// payload; otherwise — a Frag built around a buffer of its own, as tests
+// and fuzz seeds build them — Data copied behind the header room of a
+// frame the Frag keeps for its next send, so every fragment leaves by the
+// one path. Callers hold the conn's wmu, and a Frag is sent by one
+// goroutine at a time.
+func (f *Frag) frameOf() []byte {
+	n := fragRoom + len(f.Data)
+	if p := f.frame; p != nil && len(*p) == n && (len(f.Data) == 0 || &(*p)[fragRoom] == &f.Data[0]) {
+		return *p
+	}
+	if f.frame == nil || cap(*f.frame) < n {
+		f.frame = grabFrame(len(f.Data))
+	}
+	*f.frame = (*f.frame)[:n]
+	copy((*f.frame)[fragRoom:], f.Data)
+	return *f.frame
 }
 
 func (f *Frag) walk(w *walker) {
@@ -852,31 +890,35 @@ const (
 	connScratchLen = 1 + wire.MaxFixed
 )
 
-// fragBufPool recycles fragment payload buffers across the send, relay,
-// and receive paths so the steady-state transfer allocates nothing per
-// fragment.
-var fragBufPool sync.Pool
+// fragRoom is the header room in front of every pooled fragment payload:
+// the frame's type byte and fixed part, which send encodes there.
+const fragRoom = 1 + wire.FragLen
 
-// grabFragBuf returns a buffer of length n, reusing a pooled one when
-// its capacity suffices.
-func grabFragBuf(n int) []byte {
-	if v := fragBufPool.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
+// framePool recycles fragment frames across the send, relay, and receive
+// paths (and serves the chunk-sized scratch of the manifest and spool
+// passes), so the steady-state transfer allocates nothing per fragment.
+var framePool sync.Pool
+
+// grabFrame returns a frame of fragRoom+n bytes, reusing a pooled one
+// when its capacity suffices: (*p)[fragRoom:] is the n-byte payload.
+func grabFrame(n int) *[]byte {
+	if v := framePool.Get(); v != nil {
+		p := v.(*[]byte)
+		if cap(*p) >= fragRoom+n {
+			*p = (*p)[:fragRoom+n]
+			return p
 		}
 	}
-	return make([]byte, n)
+	b := make([]byte, fragRoom+n)
+	return &b
 }
 
-// releaseFragBuf returns a fragment buffer to the pool. Callers must not
-// touch the slice afterwards.
-func releaseFragBuf(b []byte) {
-	if cap(b) == 0 {
-		return
+// releaseFrame returns a frame to the pool (nil is a no-op). Callers must
+// not touch it afterwards.
+func releaseFrame(p *[]byte) {
+	if p != nil {
+		framePool.Put(p)
 	}
-	b = b[:0]
-	fragBufPool.Put(&b)
 }
 
 // tailPool recycles the scratch of frames longer than a conn's own
@@ -1138,15 +1180,24 @@ func at[T any](w *walker, t byte, f **T, scratch *T) bool {
 	return true
 }
 
-// send writes one message as one frame and returns its length: its walk
-// encoded into the conn's scratch, then — for a fragment — the payload
-// straight from the caller's buffer, so no fragment is copied or
-// re-encoded per destination. Safe for concurrent use with other senders
-// on the conn.
+// send writes one message as one frame, in one write on the connection,
+// and returns its length. The walk is encoded into the conn's scratch —
+// or, for a fragment, into the header room of its frame (frameOf), so
+// header and payload are one contiguous slice and a relay forwards the
+// frame it received without re-encoding the payload. Every send ends in
+// a flush, so bufio is empty when the next begins: a frame at least as
+// long as its buffer goes to the connection straight from the frame, a
+// shorter one is copied into it and flushed. Safe for concurrent use
+// with other senders on the conn.
 func (c *conn) send(m Message) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	w := walker{out: c.hdr[:0]}
+	var frame []byte
+	if m.Frag != nil {
+		frame = m.Frag.frameOf()
+		w.out = frame[:0:fragRoom]
+	}
 	m.walk(&w, c)
 	if w.pool != nil {
 		defer putTail(w.pool)
@@ -1157,29 +1208,25 @@ func (c *conn) send(m Message) (int, error) {
 	if wire.Shapes[w.out[0]].Body() {
 		binary.BigEndian.PutUint32(w.out[1:], uint32(len(w.out)-1-wire.BodyLen))
 	}
-	var payload []byte
-	if m.Frag != nil {
-		payload = m.Frag.Data
+	if frame == nil {
+		frame = w.out
 	}
-	if _, err := c.w.Write(w.out); err != nil {
-		return 0, err
-	}
-	if _, err := c.w.Write(payload); err != nil {
+	if _, err := c.w.Write(frame); err != nil {
 		return 0, err
 	}
 	if err := c.w.Flush(); err != nil {
 		return 0, err
 	}
-	n := len(w.out) + len(payload)
-	c.sent.Add(int64(n))
+	c.sent.Add(int64(len(frame)))
 	c.sentFrames.Add(1)
-	return n, nil
+	return len(frame), nil
 }
 
 // recv blocks for the next frame and decodes it: the type byte picks the
 // frame's row in wire's table, which sizes its fixed part and tail, and
-// the walk of the message it names. A received Frag's Data is a pooled
-// buffer: the consumer must call releaseFragBuf(f.Data) when done.
+// the walk of the message it names. A received Frag's Data is the payload
+// of a pooled frame holding the received header in its room — the bytes
+// that came off the link: the consumer must release it when done.
 func (c *conn) recv() (Message, error) {
 	in := c.rbuf[:1]
 	if _, err := io.ReadFull(c.r, in); err != nil {
@@ -1193,18 +1240,18 @@ func (c *conn) recv() (Message, error) {
 	in = c.rbuf[1 : 1+sh.Fixed]
 	_, err := io.ReadFull(c.r, in)
 	n := sh.Tail(in)
-	// A fragment's payload is read into a pooled buffer of its own, any
+	// A fragment's payload is read into a pooled frame of its own, any
 	// other tail behind the fixed part in pooled scratch the walk decodes
 	// out of.
-	var data []byte
-	var tp *[]byte
+	var frame, tp *[]byte
 	switch {
 	case err != nil:
 	case n > maxFrame:
 		err = fmt.Errorf("%d-byte tail over the %d-byte bound", n, maxFrame)
 	case t == wire.Frag:
-		data = grabFragBuf(n)
-		_, err = io.ReadFull(c.r, data)
+		frame = grabFrame(n)
+		copy(*frame, c.rbuf[:fragRoom])
+		_, err = io.ReadFull(c.r, (*frame)[fragRoom:])
 	case n > 0:
 		tp = grabTail(sh.Fixed + n)
 		copy(*tp, in)
@@ -1221,11 +1268,11 @@ func (c *conn) recv() (Message, error) {
 		putTail(tp)
 	}
 	if err != nil {
-		releaseFragBuf(data)
+		releaseFrame(frame)
 		return Message{}, fmt.Errorf("livenet: %s frame: %w", sh.Name, err)
 	}
 	if m.Frag != nil {
-		m.Frag.Data = data
+		m.Frag.frame, m.Frag.Data = frame, (*frame)[fragRoom:]
 	}
 	return m, nil
 }

@@ -73,7 +73,7 @@ func TestFrameRoundTripFrag(t *testing.T) {
 	if fragCRC(f.Data) != f.CRC || !fragPatternCheck(f.Job, f.Index, f.Data) {
 		t.Fatal("frag payload mangled")
 	}
-	releaseFragBuf(f.Data)
+	f.release()
 }
 
 // TestFrameRoundTripAck: the fixed ack frame, OK and not.
@@ -119,7 +119,7 @@ func TestFrameInterleaving(t *testing.T) {
 			if m.Frag == nil || !fragPatternCheck(1, 0, m.Frag.Data) {
 				t.Fatalf("want frag, got %+v", m)
 			}
-			releaseFragBuf(m.Frag.Data)
+			m.Frag.release()
 		case "ack":
 			if m.FragAck == nil {
 				t.Fatalf("want ack, got %+v", m)
@@ -184,15 +184,15 @@ func TestFragCheckAllocs(t *testing.T) {
 	}
 }
 
-// TestFragBufPoolReuse: receive buffers cycle through the pool.
+// TestFragBufPoolReuse: fragment frames cycle through the pool, each
+// with its header room in front of the payload.
 func TestFragBufPoolReuse(t *testing.T) {
-	b := grabFragBuf(1 << 20)
-	releaseFragBuf(b)
-	b2 := grabFragBuf(64 << 10)
-	if cap(b2) < 64<<10 {
-		t.Fatalf("pooled buffer too small: %d", cap(b2))
+	releaseFrame(grabFrame(1 << 20))
+	p := grabFrame(64 << 10)
+	if len(*p) != fragRoom+64<<10 {
+		t.Fatalf("pooled frame is %d bytes, want %d", len(*p), fragRoom+64<<10)
 	}
-	releaseFragBuf(b2)
+	releaseFrame(p)
 }
 
 // TestConnSentBytes: the egress counter sees frame and payload bytes.
@@ -207,7 +207,7 @@ func TestConnSentBytes(t *testing.T) {
 				return
 			}
 			if m.Frag != nil {
-				releaseFragBuf(m.Frag.Data)
+				m.Frag.release()
 			}
 		}
 	}()

@@ -385,9 +385,10 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 	nm.onManifest(man(0, 2), old)
 	nm.onManifest(man(1, 0), old)
 	for i := 0; i < chunks; i++ {
-		data := grabFragBuf(size)
-		copy(data, image[i*size:(i+1)*size])
-		nm.handleFrag(&Frag{Job: job, Index: i, Stripe: i % 2, Data: data, CRC: fragCRC(data)}, old)
+		f := newFrag(size)
+		copy(f.Data, image[i*size:(i+1)*size])
+		f.Job, f.Index, f.Stripe, f.CRC = job, i, i%2, fragCRC(f.Data)
+		nm.handleFrag(f, old)
 	}
 	if _, ok := nm.ImageDigest(job); !ok {
 		t.Fatal("the failed attempt did not leave the image")
@@ -562,9 +563,10 @@ func TestChildDeadCompletesFold(t *testing.T) {
 	var up bytes.Buffer
 	nm.onManifest(man, &conn{w: bufio.NewWriter(&up)})
 	for i := 0; i < chunks; i++ {
-		data := grabFragBuf(size)
-		copy(data, image[i*size:(i+1)*size])
-		nm.handleFrag(&Frag{Job: job, Index: i, Data: data, CRC: man.CRCs[i]}, nm.relays[job].stripes[0].parent)
+		f := newFrag(size)
+		f.Job, f.Index, f.CRC = job, i, man.CRCs[i]
+		copy(f.Data, image[i*size:(i+1)*size])
+		nm.handleFrag(f, nm.relays[job].stripes[0].parent)
 	}
 	nm.onChildHave(&Have{Job: job, Node: 1, Bits: []uint64{0b11}}, nm.dialed["a"])
 	if up.Len() != 0 {
