@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/livenet/faultconn"
+	"repro/internal/livenet/wire"
 )
 
 // chaosSeeds is the fixed seed matrix the CI chaos step runs; each seed
@@ -503,6 +505,156 @@ func TestChaosCtlFrameFaultsAbsorbed(t *testing.T) {
 	}
 }
 
+// TestChaosControlPlanOnTree: the control tree is announced down itself,
+// as a stripe tree is. A membership change — a join, then a leave — puts
+// at most Fanout plan frames on the MM's links and exactly one plan per
+// live member across all links, and every member's absence streak returns
+// to zero under the new epoch. And when an interior NM's first relay link
+// dies before the plan's first byte, its child still installs the epoch
+// over the link the next period's relay redials: the ledgers vouch for it
+// within three periods, and nobody is convicted.
+func TestChaosControlPlanOnTree(t *testing.T) {
+	const period = 30 * time.Millisecond
+	for _, n := range []int{4, 16} {
+		t.Run(fmt.Sprintf("census-n%d", n), func(t *testing.T) {
+			var mmCensus, nmCensus frameCensus
+			cfg := MMConfig{Fanout: 2, WrapConn: mmCensus.wrap}
+			nmCfg := func(int) NMConfig { return NMConfig{WrapConn: nmCensus.wrap} }
+			mm, nms, _ := chaosCluster(t, n-1, cfg, nmCfg)
+			fails := make(chan int, n)
+			stop := mm.StartHeartbeat(period, func(node int) { fails <- node })
+			defer stop()
+			awaitCtlTree(t, mm, nms)
+			mmCensus.take()
+			nmCensus.take()
+			plans := func(change string, members int) {
+				t.Helper()
+				fromMM, fromNMs := mmCensus.take()["ctl-plan"], nmCensus.take()["ctl-plan"]
+				if fromMM > cfg.Fanout {
+					t.Errorf("%s: the MM wrote %d plans, want at most %d", change, fromMM, cfg.Fanout)
+				}
+				if fromMM+fromNMs != members {
+					t.Errorf("%s: %d plans from the MM and %d from NMs for %d members, want one each",
+						change, fromMM, fromNMs, members)
+				}
+			}
+
+			joined, err := NewNMConfig(mm.Addr(), n-1, 4, nmCfg(n-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(joined.Close)
+			awaitCtlTree(t, mm, append(nms, joined))
+			plans("join", n)
+
+			joined.Close()
+			awaitCtlTree(t, mm, nms)
+			plans("leave", n-1)
+			for len(fails) > 0 {
+				if node := <-fails; node != n-1 {
+					t.Fatalf("node %d convicted; only the node that left may be", node)
+				}
+			}
+		})
+	}
+
+	t.Run("plan-redial", func(t *testing.T) {
+		const n, interior, child = 4, 0, 2 // MM -> {0, 1}; node 0 relays to {2, 3}
+		fired := make(chan struct{}, 1)
+		var dials atomic.Int32
+		mm, nms, _ := chaosCluster(t, n, MMConfig{Fanout: 2}, func(node int) NMConfig {
+			if node != interior {
+				return NMConfig{}
+			}
+			return NMConfig{Dialer: func(addr string) (net.Conn, error) {
+				// The first dial is the MM link, the second the first relay
+				// link: it dies before the plan's first byte.
+				c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+				if err != nil || dials.Add(1) != 2 {
+					return c, err
+				}
+				plan := faultconn.NewPlan()
+				plan.CtlFaults = []faultconn.CtlFault{{Kind: wire.CtlPlan, Index: 0, Op: "close"}}
+				plan.OnFault = func(string) { fired <- struct{}{} }
+				return faultconn.Wrap(c, plan), nil
+			}}
+		})
+		fails := make(chan int, n)
+		stop := mm.StartHeartbeat(period, func(node int) { fails <- node })
+		defer stop()
+		select {
+		case <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the fault never fired: no NM relayed a plan")
+		}
+		mm.mu.Lock()
+		s0 := mm.ctl.hbSeq
+		mm.mu.Unlock()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no ledger vouched for node %d after its plan's link died", child)
+			}
+			mm.mu.Lock()
+			var seq int64
+			if kid := mm.ctl.kid(interior); kid != nil {
+				if j := slices.Index(kid.subtree, child); kid.ledger.absent&(1<<j) == 0 {
+					seq = kid.ledger.seq
+				}
+			}
+			mm.mu.Unlock()
+			if seq > 0 {
+				if seq > s0+3 {
+					t.Fatalf("node %d first vouched for in round %d, the plan was lost in round %d", child, seq, s0)
+				}
+				break
+			}
+		}
+		nms[child].mu.Lock()
+		installed := nms[child].ctl != nil
+		nms[child].mu.Unlock()
+		if !installed {
+			t.Fatalf("node %d vouched for without a plan installed", child)
+		}
+		awaitCtlTree(t, mm, nms)
+		select {
+		case node := <-fails:
+			t.Fatalf("node %d convicted", node)
+		default:
+		}
+	})
+}
+
+// awaitCtlTree waits until the MM's control tree spans exactly live,
+// every one of them has installed the tree's epoch, and the ledgers of
+// that epoch vouched for every one, each absence streak at zero.
+func awaitCtlTree(t *testing.T, mm *MM, live []*NM) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the control tree never settled over %d nodes", len(live))
+		}
+		mm.mu.Lock()
+		epoch := mm.ctl.epoch
+		ok := len(mm.ctl.members) == len(live)
+		for _, kid := range mm.ctl.kids {
+			ok = ok && kid.ledger.seq > 0 && kid.ledger.absent == 0
+		}
+		for _, nm := range live {
+			m := mm.members[nm.node]
+			ok = ok && m != nil && m.link != nil && !m.convicted && m.streak == 0
+		}
+		mm.mu.Unlock()
+		for _, nm := range live {
+			nm.mu.Lock()
+			ok = ok && nm.ctl != nil && nm.ctl.epoch == epoch
+			nm.mu.Unlock()
+		}
+		if ok {
+			return
+		}
+	}
+}
+
 // TestChaosKillMidTransferControlPlaneActive: the full control plane —
 // tree heartbeat and gang strobes — runs while an interior relay is
 // hard-killed mid-transfer. The launch must recover onto the survivors
@@ -589,11 +741,15 @@ func TestChaosKillMidTransferControlPlaneActive(t *testing.T) {
 // reports termination must trip the *termination* deadline (not the
 // transfer one), and the error names the silent node.
 func TestChaosTermDeadlineNamed(t *testing.T) {
-	mm, nms, _ := chaosCluster(t, 2, MMConfig{
+	mm, _, _ := chaosCluster(t, 2, MMConfig{
 		AckTimeout:  2 * time.Second,
 		TermTimeout: 500 * time.Millisecond,
-	}, nil)
-	nms[1].testDropTerms.Store(true)
+	}, func(node int) NMConfig {
+		if node != 1 {
+			return NMConfig{}
+		}
+		return NMConfig{WrapConn: dropFrames(wire.Term, 1)}
+	})
 	_, err := SubmitJob(mm.Addr(), JobSpec{
 		Name: "silent", BinaryBytes: 64 << 10, Nodes: 2, PEsPerNode: 1,
 		Program: ProgramSpec{Kind: "exit"},

@@ -18,17 +18,24 @@ package livenet
 //     aggregate exactly like fragment acks — the minimum over the local
 //     apply point and every child subtree's cumulative credit.
 //
-// Roles are installed by CtlPlan, a body frame sent on membership
-// changes only. All per-period traffic is fixed-part frames of the same
-// codec with zero steady-state allocations (TestControlAllocs).
+// The tree is laid as a stripe tree is: on a membership change the MM
+// sends each direct child a CtlPlan carrying the child's subtree, and
+// every NM installs its children from the plan and relays each its own
+// slice — over the links the pings and strobes then take, so a link
+// carries the plan ahead of any other control frame. The plan is a body
+// frame sent on membership changes only; all per-period traffic is
+// fixed-part frames of the same codec with zero steady-state allocations
+// (TestControlAllocs).
 
-// ctlChild is one control-tree child: where to relay, the subtree its
-// ledgers vouch for, and the latest state it reported.
+// ctlChild is one control-tree child: where to relay, the plan that
+// installs it, and the latest state it reported.
 type ctlChild struct {
 	node    int
 	addr    string
-	subtree []int // pre-order; subtree[0] == node
-	off     int   // bit offset of this child's subtree in the parent's ledger
+	size    int     // nodes its ledgers vouch for, itself included
+	off     int     // bit offset of this child's subtree in the parent's ledger
+	plan    CtlPlan // the child's own slice of the tree
+	planned *conn   // the link the plan last went down; nil before the first
 
 	lastSeq    int64  // Seq of the child's latest pong ledger
 	lastMin    int64  // its MinSeq
@@ -40,7 +47,7 @@ type ctlChild struct {
 // wholesale on every epoch change.
 type nmCtl struct {
 	epoch    int
-	parent   *conn // conn the latest ctl ping/strobe arrived on; answers go up it
+	parent   *conn // conn the epoch's plan arrived on; answers go up it
 	children []*ctlChild
 
 	collecting int64 // heartbeat seq being aggregated (0 = none pending)
@@ -58,21 +65,33 @@ func subtreeMask(n int) uint64 {
 	return (uint64(1) << uint(n)) - 1
 }
 
-// onCtlPlan installs this node's control-tree role and pre-dials the
-// children so the first relayed ping is not taxed with TCP handshakes
-// (best effort — the relay path redials on demand).
-func (nm *NM) onCtlPlan(p *CtlPlan) {
-	kids := make([]*ctlChild, 0, len(p.Children))
-	off := 1
-	for _, ref := range p.Children {
-		kids = append(kids, &ctlChild{node: ref.Node, addr: ref.Addr, subtree: ref.Subtree, off: off})
-		off += len(ref.Subtree)
-	}
+// onCtlPlan handles a control plan by its epoch. Plans come down from
+// parents as well as from the MM, so one may arrive late: an older epoch's
+// is dropped. The installed epoch's, re-sent on a redialed link, binds
+// the parent to that link and changes nothing else. A newer epoch's
+// installs this node's children from the plan's tree — each child's
+// ledger bits at 1 plus the sizes of its earlier siblings — binds the
+// parent, and relays each child its own slice.
+func (nm *NM) onCtlPlan(p *CtlPlan, from *conn) {
 	nm.mu.Lock()
-	nm.ctl = &nmCtl{epoch: p.Epoch, children: kids}
+	if nm.ctl != nil && p.Epoch <= nm.ctl.epoch {
+		if p.Epoch == nm.ctl.epoch {
+			nm.ctl.parent = from
+		}
+		nm.mu.Unlock()
+		return
+	}
+	ctl := &nmCtl{epoch: p.Epoch, parent: from}
+	off := 1
+	for _, sub := range splitTree(p.Tree) {
+		ctl.children = append(ctl.children, &ctlChild{node: sub[0].Node, addr: sub[0].Addr, size: len(sub), off: off,
+			plan: CtlPlan{Epoch: p.Epoch, Tree: sub[1:]}})
+		off += len(sub)
+	}
+	nm.ctl = ctl
 	nm.mu.Unlock()
-	for _, ch := range kids {
-		nm.peerConn(ch.node, ch.addr)
+	for _, ch := range ctl.children {
+		nm.relayCtl(ch, Message{CtlPlan: &ch.plan})
 	}
 }
 
@@ -91,9 +110,8 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 	ctl := nm.ctl
 	if ctl == nil || epoch != ctl.epoch {
 		nm.mu.Unlock()
-		return // stale topology; the current epoch's plan is in flight
+		return // stale topology: a ping of an epoch this node did not install
 	}
-	ctl.parent = from
 	// A new ping supersedes the previous collection: flush it with the
 	// silent children marked absent rather than waiting on them forever.
 	var flush *Pong
@@ -131,7 +149,7 @@ func (nm *NM) ledgerLocked(ctl *nmCtl, s int64) *Pong {
 		if ch.lastSeq >= s {
 			absent |= ch.lastAbsent << uint(ch.off)
 		} else {
-			absent |= subtreeMask(len(ch.subtree)) << uint(ch.off)
+			absent |= subtreeMask(ch.size) << uint(ch.off)
 		}
 		if ch.lastMin < min {
 			min = ch.lastMin
@@ -180,7 +198,7 @@ func (nm *NM) onCtlPong(p *Pong) {
 // onCtlStrobe enacts a gang context switch and propagates it: apply
 // locally first, relay to the control children, then advance the
 // aggregated ack.
-func (nm *NM) onCtlStrobe(s *Strobe, from *conn) {
+func (nm *NM) onCtlStrobe(s *Strobe) {
 	nm.onStrobe(s.Row)
 	seq, epoch, row := s.Seq, s.Epoch, s.Row
 	nm.mu.Lock()
@@ -192,7 +210,6 @@ func (nm *NM) onCtlStrobe(s *Strobe, from *conn) {
 		nm.mu.Unlock()
 		return
 	}
-	ctl.parent = from
 	if seq > ctl.strobeSeen {
 		ctl.strobeSeen = seq
 	}
@@ -252,15 +269,29 @@ func (nm *NM) advanceStrobeAck() {
 }
 
 // relayCtl forwards one control-tree frame to a child over the cached
-// relay link. A dead link is dropped so the next period redials; the
-// missed round surfaces as an absence in the MM's ledger, never as a
-// stall.
+// relay link, dialing it if there is none. A link that has not carried
+// the child's plan yet — the first, or one redialed after a failed write
+// — gets the plan ahead of the frame, so a plan lost with a dead link is
+// re-sent with the next period's frame. A link whose write fails is
+// dropped and not redialed within the round: the next period's relay
+// redials it, and the missed round surfaces as an absence in the MM's
+// ledger, never as a stall.
 func (nm *NM) relayCtl(ch *ctlChild, m Message) {
 	cc, err := nm.peerConn(ch.node, ch.addr)
 	if err != nil {
 		return
 	}
-	if _, err := cc.send(m); err != nil {
+	nm.mu.Lock()
+	fresh := ch.planned != cc
+	ch.planned = cc
+	nm.mu.Unlock()
+	if fresh && m.CtlPlan == nil {
+		_, err = cc.send(Message{CtlPlan: &ch.plan})
+	}
+	if err == nil {
+		_, err = cc.send(m)
+	}
+	if err != nil {
 		nm.dropLink(cc)
 	}
 }

@@ -115,8 +115,8 @@ func TestLedgerAggregation(t *testing.T) {
 	ctl := &nmCtl{
 		epoch: 3,
 		children: []*ctlChild{
-			{node: 3, subtree: []int{3, 7}, off: 1},
-			{node: 4, subtree: []int{4, 8, 9}, off: 3},
+			{node: 3, size: 2, off: 1},
+			{node: 4, size: 3, off: 3},
 		},
 	}
 

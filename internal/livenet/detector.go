@@ -112,10 +112,11 @@ func (c *mmCtl) kid(node int) *ctlKid {
 }
 
 // syncCtl rebuilds the control tree when membership changed
-// (registration, disconnect, conviction) and installs every node's role
-// with a CtlPlan broadcast — O(n) messages, but only on change; the
-// per-period cost stays O(fanout). Returns the MM's direct children and
-// the current epoch.
+// (registration, disconnect, conviction) and announces it as a stripe
+// tree is announced: one CtlPlan to each direct child, carrying the
+// child's subtree, which every NM installs and relays on down — O(fanout)
+// frames from the MM on a change as in every period. Returns the MM's
+// direct children and the current epoch.
 func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 	mm.mu.Lock()
 	links := make([]*nmLink, 0, len(mm.members))
@@ -125,7 +126,7 @@ func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 		}
 	}
 	slices.SortFunc(links, func(a, b *nmLink) int { return a.node - b.node })
-	var plans []CtlPlan // one per member, only when the tree changed
+	var plans []CtlPlan // plans[i] goes to direct child i, only when the tree changed
 	if !slices.Equal(links, mm.ctl.members) {
 		mm.ctl.epoch++
 		mm.ctl.members = links
@@ -133,21 +134,18 @@ func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 		mm.ctl.kids = mm.ctl.kids[:0]
 		for _, tk := range tree.kids {
 			mm.ctl.kids = append(mm.ctl.kids, ctlKid{treeKid: tk})
+			plans = append(plans, CtlPlan{Epoch: mm.ctl.epoch, Tree: tree.below(tk.pos)})
 		}
 		clear(mm.ctl.hb.sent)
 		clear(mm.ctl.strobe.sent)
-		plans = make([]CtlPlan, len(links))
-		for p := range links {
-			plans[p] = CtlPlan{Epoch: mm.ctl.epoch, Children: tree.refs(p)}
-		}
 	}
 	epoch = mm.ctl.epoch
 	for i := range mm.ctl.kids {
 		kids = append(kids, mm.ctl.kids[i].link)
 	}
 	mm.mu.Unlock()
-	for p := range plans {
-		links[p].c.send(Message{CtlPlan: &plans[p]})
+	for i := range plans {
+		kids[i].c.send(Message{CtlPlan: &plans[i]})
 	}
 	return kids, epoch
 }

@@ -31,18 +31,44 @@ func TestChaosFederationLeafDeathReadmits(t *testing.T) {
 			// The fault plan is armed before the leaf MM exists; the kill
 			// callback resolves it through an atomic holder.
 			var victimMM atomic.Pointer[MM]
-			fed, mms, nms, _ := fedCluster(t, 2, perPart, FedConfig{Lite: true}, cfg,
+			// The stream fault models the leaf MM process dying, not one NM.
+			// MM.Kill lands on a goroutine of its own, so the death takes
+			// effect first on the links: every link of partition 0 — its
+			// NMs', and every one its leaf MM accepts once known, the root's
+			// submit link among them — is on one gate, killed the moment
+			// the fault fires. The leaf can then neither finish the job nor
+			// answer the root.
+			gate := faultconn.NewGate()
+			gated := func(c net.Conn) net.Conn {
+				plan := faultconn.NewPlan()
+				plan.Gate = gate
+				return faultconn.Wrap(c, plan)
+			}
+			leafCfg := cfg
+			leafCfg.WrapConn = func(c net.Conn) net.Conn {
+				if mm := victimMM.Load(); mm != nil && c.LocalAddr().String() == mm.Addr() {
+					return gated(c)
+				}
+				return c
+			}
+			fed, mms, nms, _ := fedCluster(t, 2, perPart, FedConfig{Lite: true}, leafCfg,
 				func(node int) NMConfig {
-					if node != 0 { // partition 0's first NM — a direct MM child
+					switch {
+					case node >= perPart:
 						return NMConfig{}
+					case node > 0:
+						return NMConfig{WrapConn: gated}
 					}
+					// Partition 0's first NM — a direct MM child — trips it.
 					return NMConfig{WrapConn: func(c net.Conn) net.Conn {
 						plan := faultconn.NewPlan()
+						plan.Gate = gate
 						plan.CloseAtReadFrag = killAt
-						plan.OnFault = func(string) {
-							// The stream fault models the leaf MM process
-							// dying, not one NM: take the whole leaf down,
-							// severing the root's submit link.
+						plan.OnFault = func(kind string) {
+							if kind != "read-close" {
+								return
+							}
+							gate.Kill()
 							go func() {
 								if mm := victimMM.Load(); mm != nil {
 									mm.Kill()

@@ -162,7 +162,6 @@ type Federation struct {
 
 	launched      int
 	completed     int
-	readmits      int
 	resurrections int
 
 	done chan struct{} // closed by Close; stops the resurrection prober
@@ -226,14 +225,6 @@ func (f *Federation) Close() {
 	close(f.done)
 	f.ln.Close()
 	f.wg.Wait()
-}
-
-// Readmits returns how many sub-jobs have been re-admitted to a
-// surviving partition after a leaf death.
-func (f *Federation) Readmits() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.readmits
 }
 
 // Resurrections returns how many dead partitions the prober has
@@ -623,7 +614,6 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 	}
 	f.mu.Lock()
 	f.completed++
-	f.readmits += rep.Readmits
 	f.mu.Unlock()
 	var pids []string
 	for _, p := range rep.Parts {

@@ -11,6 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/livenet/faultconn"
+	"repro/internal/livenet/wire"
 )
 
 // startCluster boots an MM and n NMs on the loopback interface.
@@ -231,17 +234,38 @@ func TestLiveTreeRelayCounts(t *testing.T) {
 	}
 }
 
+// dropFrames is a WrapConn that silently drops the first n frames of type
+// kind each wrapped conn writes: a node that stops crediting the window
+// (acks), or one that never reports back (terminations).
+func dropFrames(kind byte, n int) func(net.Conn) net.Conn {
+	return func(c net.Conn) net.Conn {
+		plan := faultconn.NewPlan()
+		for i := 0; i < n; i++ {
+			plan.CtlFaults = append(plan.CtlFaults, faultconn.CtlFault{Kind: kind, Index: i, Op: "drop"})
+		}
+		return faultconn.Wrap(c, plan)
+	}
+}
+
+// corruptFrag is a WrapConn that flips a payload byte of the k-th
+// fragment each wrapped conn writes.
+func corruptFrag(k int) func(net.Conn) net.Conn {
+	return func(c net.Conn) net.Conn {
+		plan := faultconn.NewPlan()
+		plan.CorruptFrag = k
+		return faultconn.Wrap(c, plan)
+	}
+}
+
 // TestLiveCorruptFragmentRejected (satellite): a fragment corrupted in
-// flight at the MM must be rejected by CRC at an NM and fail the job
-// with a diagnosable error instead of hanging the window.
+// flight on the MM's links must be rejected by CRC at an NM and fail the
+// job with a diagnosable error instead of hanging the window.
 func TestLiveCorruptFragmentRejected(t *testing.T) {
 	for _, fanout := range []int{1, 2} {
-		mm, _ := startCluster(t, 4, MMConfig{Fanout: fanout, FragBytes: 64 << 10, AckTimeout: 5 * time.Second})
-		mm.testCorrupt = func(job, index int, data []byte) {
-			if index == 1 {
-				data[17] ^= 0xff
-			}
-		}
+		// Every link from the MM carries the fragments in order, so its
+		// second is fragment 1.
+		mm, _ := startCluster(t, 4, MMConfig{Fanout: fanout, FragBytes: 64 << 10, AckTimeout: 5 * time.Second,
+			WrapConn: corruptFrag(1)})
 		start := time.Now()
 		_, err := SubmitJob(mm.Addr(), JobSpec{
 			Name: "corrupt", BinaryBytes: 256 << 10, Nodes: 4, PEsPerNode: 1,
@@ -263,14 +287,15 @@ func TestLiveCorruptFragmentRejected(t *testing.T) {
 // by a relaying NM is caught by the child's CRC check and the nack names
 // the rejecting node all the way up the tree.
 func TestLiveMidTreeCorruptionPropagates(t *testing.T) {
-	mm, nms := startCluster(t, 3, MMConfig{Fanout: 2, FragBytes: 64 << 10, AckTimeout: 5 * time.Second})
 	// Tree for 3 nodes at fanout 2: MM -> {0, 1}, node 0 -> {2}. Corrupt
 	// on node 0's relay link; node 2 must reject.
-	nms[0].testCorruptRelay = func(job, index int, data []byte) {
-		if index == 0 {
-			data[0] ^= 0x01
-		}
-	}
+	mm, _, _ := chaosCluster(t, 3, MMConfig{Fanout: 2, FragBytes: 64 << 10, AckTimeout: 5 * time.Second},
+		func(node int) NMConfig {
+			if node != 0 {
+				return NMConfig{}
+			}
+			return NMConfig{WrapConn: corruptFrag(0)}
+		})
 	_, err := SubmitJob(mm.Addr(), JobSpec{
 		Name: "midtree", BinaryBytes: 128 << 10, Nodes: 3, PEsPerNode: 1,
 		Program: ProgramSpec{Kind: "exit"},
@@ -287,10 +312,15 @@ func TestLiveMidTreeCorruptionPropagates(t *testing.T) {
 // names the specific nodes still owing credit.
 func TestLiveAckTimeoutNamesNodes(t *testing.T) {
 	const ackTimeout = 400 * time.Millisecond
-	mm, nms := startCluster(t, 3, MMConfig{Fanout: 2, FragBytes: 64 << 10, AckTimeout: ackTimeout})
 	// Node 1 is a direct MM child and a leaf; it writes fragments but
 	// never credits the window.
-	nms[1].testDropAcks.Store(true)
+	mm, _, _ := chaosCluster(t, 3, MMConfig{Fanout: 2, FragBytes: 64 << 10, AckTimeout: ackTimeout},
+		func(node int) NMConfig {
+			if node != 1 {
+				return NMConfig{}
+			}
+			return NMConfig{WrapConn: dropFrames(wire.Ack, 8)}
+		})
 	start := time.Now()
 	_, err := SubmitJob(mm.Addr(), JobSpec{
 		Name: "stall", BinaryBytes: 128 << 10, Nodes: 3, PEsPerNode: 1,

@@ -279,11 +279,6 @@ type MM struct {
 	rowCount []int
 	rowFree  []uint64
 
-	// testCorrupt, when set (in-package tests only), may mutate a
-	// fragment's payload after its CRC is computed — the in-flight
-	// corruption hook.
-	testCorrupt func(job, index int, data []byte)
-
 	wg sync.WaitGroup
 }
 
@@ -729,13 +724,6 @@ func (mm *MM) Closed() bool {
 
 // Addr returns the listening address (for NMs and clients to dial).
 func (mm *MM) Addr() string { return mm.ln.Addr().String() }
-
-// Launched returns the number of jobs accepted for execution.
-func (mm *MM) Launched() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.launched
-}
 
 // Completed returns the number of jobs that finished successfully.
 func (mm *MM) Completed() int {
@@ -1742,9 +1730,6 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 		f := newFrag(size)
 		f.Job, f.Index, f.Stripe, f.Last, f.CRC = j.id, i, ss.id, i == j.frags-1, j.man.crcs[i]
 		fillChunkInto(&j.spec, j.id, i, f.Data)
-		if mm.testCorrupt != nil {
-			mm.testCorrupt(j.id, i, f.Data)
-		}
 		for _, kid := range kids {
 			link := kid.link
 			if maskGet(kid.have, i) {
@@ -2088,8 +2073,8 @@ func nameOwing(names *[]string, node int) {
 }
 
 // abort tells every node of a failed job to drop its transfer state
-// (including any half-spooled binary) and close its relay links (best
-// effort) — the per-node cleanup of a clean abort.
+// (including any half-spooled binary; best effort) — the per-node cleanup
+// of a clean abort. The relay links stay cached for the next job.
 func (mm *MM) abort(j *liveJob, reason error) {
 	msg := Message{Abort: &Abort{Job: j.id, Reason: reason.Error()}}
 	j.mu.Lock()

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/livenet/chunkcache"
@@ -103,17 +102,6 @@ type NM struct {
 	strobesSeen  int
 	shiftOps     int
 
-	// testDropAcks, when set (in-package tests only), silently withholds
-	// all fragment acks — the "node stops crediting the window" fault.
-	testDropAcks atomic.Bool
-	// testDropTerms, when set (in-package tests only), suppresses
-	// termination reports — the "job never reports back" fault that the
-	// MM's termination deadline must catch.
-	testDropTerms atomic.Bool
-	// testCorruptRelay, when set (in-package tests only), may mutate a
-	// fragment's payload after local verification but before it is
-	// relayed downstream — the mid-tree corruption hook.
-	testCorruptRelay func(job, index int, data []byte)
 	// testOffLock, when set (in-package tests only), runs at every point
 	// of the receive path that is about to do O(bytes) or O(chunks) work
 	// — chunk CRC and hash, cache admission, the image digest fold — all
@@ -432,7 +420,7 @@ func (nm *NM) serve(from *conn) {
 		case m.Pong != nil:
 			nm.onCtlPong(m.Pong)
 		case m.Strobe != nil:
-			nm.onCtlStrobe(m.Strobe, from)
+			nm.onCtlStrobe(m.Strobe)
 		case m.StrobeAck != nil:
 			nm.onCtlStrobeAck(m.StrobeAck)
 		case m.ChildDead != nil:
@@ -442,7 +430,7 @@ func (nm *NM) serve(from *conn) {
 		case m.Launch != nil:
 			nm.onLaunch(m.Launch)
 		case m.CtlPlan != nil:
-			nm.onCtlPlan(m.CtlPlan)
+			nm.onCtlPlan(m.CtlPlan, from)
 		}
 	}
 }
@@ -722,26 +710,15 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		}
 	}
 	epoch := sr.epoch
-	drop := nm.testDropAcks.Load()
 	man := st.man // immutable once announced
 	nm.mu.Unlock()
 
 	// Relay downstream from the received frame: the payload is neither
 	// copied nor re-encoded, and leaves in one write per child.
 	if len(children) > 0 {
-		forward := f
-		if nm.testCorruptRelay != nil {
-			// Test-only path: corrupt a private copy so the fault models a
-			// bad relay link, not bad local memory.
-			forward = newFrag(len(f.Data))
-			forward.Job, forward.Index, forward.Stripe, forward.Last, forward.CRC = f.Job, f.Index, f.Stripe, f.Last, f.CRC
-			copy(forward.Data, f.Data)
-			nm.testCorruptRelay(f.Job, f.Index, forward.Data)
-			defer forward.release()
-		}
 		relayed := 0
 		for _, rc := range children {
-			if nm.relay(f.Job, rc, Message{Frag: forward}) {
+			if nm.relay(f.Job, rc, Message{Frag: f}) {
 				relayed++
 			}
 		}
@@ -749,7 +726,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		nm.fragsRelayed += relayed
 		nm.mu.Unlock()
 	}
-	nm.writeManifestChunk(f, from, epoch, drop, st, man)
+	nm.writeManifestChunk(f, from, epoch, st, man)
 }
 
 // onManifest opens (or re-opens, after a replan) a job's delta transfer
@@ -1032,7 +1009,7 @@ func (nm *NM) offLock() {
 // after it is released (sealImage). The cache is filled before the
 // ledger moves, so a chunk this node has acked is a chunk its cache
 // holds: the next launch's HAVE round can rely on it.
-func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *binState, man *Manifest) {
+func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, man *Manifest) {
 	nm.offLock()
 	nchunks := len(man.Hashes)
 	ok := f.Index >= 0 && f.Index < nchunks &&
@@ -1097,9 +1074,6 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool, st *
 		case err != nil:
 			ok = false
 		}
-	}
-	if drop {
-		return
 	}
 	if !ok {
 		from.send(Message{FragAck: &FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false}})
@@ -1379,14 +1353,6 @@ func (nm *NM) onAbort(a *Abort) {
 	}
 }
 
-// activeGates reports how many launched jobs still hold a gate (for
-// tests asserting aborted jobs were reaped).
-func (nm *NM) activeGates() int {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	return len(nm.gates)
-}
-
 // finishJob releases a completed job's transfer state (the image digest
 // is retained for inspection, the relay links for the next job).
 func (nm *NM) finishJob(job int) {
@@ -1407,9 +1373,7 @@ func (nm *NM) onLaunch(l *Launch) {
 	if !ready {
 		// Binary never arrived: refuse by reporting immediately; the MM
 		// will see a too-early termination in its accounting.
-		if !nm.testDropTerms.Load() {
-			nm.c.send(Message{Term: &Term{Job: l.Job, Node: nm.node}})
-		}
+		nm.c.send(Message{Term: &Term{Job: l.Job, Node: nm.node}})
 		return
 	}
 	// Gang mode: processes start gated and run only when their row is
@@ -1432,9 +1396,7 @@ func (nm *NM) onLaunch(l *Launch) {
 		defer nm.wg.Done()
 		procs.Wait()
 		nm.finishJob(l.Job)
-		if !nm.testDropTerms.Load() {
-			nm.c.send(Message{Term: &Term{Job: l.Job, Node: nm.node}})
-		}
+		nm.c.send(Message{Term: &Term{Job: l.Job, Node: nm.node}})
 	}()
 }
 

@@ -74,7 +74,7 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 			f.Job, f.Index, f.CRC = job, 1, man.CRCs[1]
 			copy(f.Data, image[size:2*size])
 			within(t, 2*time.Second, "writeManifestChunk for a released job", func() {
-				nm.writeManifestChunk(f, parent, 0, false, st, st.man)
+				nm.writeManifestChunk(f, parent, 0, st, st.man)
 			})
 			within(t, 2*time.Second, "the NM's getters", func() {
 				nm.FragsWritten()

@@ -455,17 +455,6 @@ func (a *FragAck) walk(w *walker) {
 	num(w, &a.Stripe, 1)
 }
 
-// ChildRef names one control-tree child: where to relay, and the nodes
-// the child's aggregated ledgers vouch for, in pre-order (the child
-// itself first, then each grandchild subtree recursively) — the bit
-// layout of the pong ledger's Absent bitmap, so a parent folds a child's
-// bitmap into its own with a single shift.
-type ChildRef struct {
-	Node    int
-	Addr    string
-	Subtree []int
-}
-
 // ChildDead prunes a dead leaf out of one stripe's tree without a
 // replan round: the MM, having convicted the node, tells its tree
 // parent to stop waiting on the subtree's acks. Only valid when the
@@ -501,8 +490,8 @@ func (d *PeerDown) walk(w *walker) {
 	w.str(&d.Err, 2, maxCtlErr)
 }
 
-// Abort tells NMs to drop a failed job's transfer state and close its
-// relay links.
+// Abort tells NMs to drop a failed job's transfer state; the relay links
+// are cached and stay up for the next job.
 type Abort struct {
 	Job    int
 	Reason string
@@ -658,24 +647,22 @@ func (a *StrobeAck) walk(w *walker) {
 	num(w, &a.Epoch, 4)
 }
 
-// CtlPlan installs a node's role in the cluster-wide control tree (the
-// heartbeat/strobe fast path). It is sent only when membership changes
-// — registration, unregistration, conviction — as a body frame; the
-// per-period traffic it enables is all fixed-part frames.
+// CtlPlan lays the cluster-wide control tree (the heartbeat/strobe fast
+// path) the way a Manifest lays a stripe's: the MM sends one to each of
+// its control children only when membership changes — registration,
+// unregistration, conviction — and every recipient installs its children
+// from Tree, its own control subtree in the manifest's encoding, and
+// relays each child its own slice. Epoch is the control tree's
+// generation. The per-period traffic the plan enables is all fixed-part
+// frames.
 type CtlPlan struct {
-	Epoch    int
-	Children []ChildRef
+	Epoch int
+	Tree  []TreeNode
 }
 
 func (p *CtlPlan) walk(w *walker) {
 	num(w, &p.Epoch, 8)
-	fit(w, &p.Children, w.count(len(p.Children), 4))
-	for i := range p.Children {
-		k := &p.Children[i]
-		num(w, &k.Node, 8)
-		w.str(&k.Addr, 4, maxFrame)
-		w.ints(&k.Subtree)
-	}
+	walkTree(w, &p.Tree)
 }
 
 // Manifest opens a transfer epoch on one stripe and lays the stripe's
@@ -708,9 +695,9 @@ type Manifest struct {
 	Tree       []TreeNode
 }
 
-// TreeNode is one descendant in a Manifest's Tree: a node, the peer
-// address its parent relays to, and the size of its own subtree (itself
-// included).
+// TreeNode is one descendant in a Manifest's or a CtlPlan's Tree: a
+// node, the peer address its parent relays to, and the size of its own
+// subtree (itself included).
 type TreeNode struct {
 	Node int
 	Addr string
@@ -732,9 +719,15 @@ func (m *Manifest) walk(w *walker) {
 		num(w, &m.Hashes[i], 8)
 		num(w, &m.CRCs[i], 8)
 	}
-	fit(w, &m.Tree, w.count(len(m.Tree), 4))
-	for i := range m.Tree {
-		t := &m.Tree[i]
+	walkTree(w, &m.Tree)
+}
+
+// walkTree walks a subtree in pre-order, the one tree layout on the wire:
+// a count, then each node's ID, relay address and subtree size.
+func walkTree(w *walker, tree *[]TreeNode) {
+	fit(w, tree, w.count(len(*tree), 4))
+	for i := range *tree {
+		t := &(*tree)[i]
 		num(w, &t.Node, 8)
 		w.str(&t.Addr, 4, maxFrame)
 		num(w, &t.Size, 8)
@@ -751,7 +744,8 @@ func (m *Manifest) clone() *Manifest {
 	return &c
 }
 
-// splitTree cuts a manifest's Tree into the recipient's direct children:
+// splitTree cuts a manifest's or a control plan's Tree into the
+// recipient's direct children:
 // kids[c][0] is child c and kids[c][1:] its own subtree. An entry whose
 // Size overruns the list ends it — a malformed tree relays only what it
 // accounts for.

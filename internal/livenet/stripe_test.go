@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/livenet/chunkcache"
 	"repro/internal/livenet/faultconn"
+	"repro/internal/livenet/wire"
 )
 
 // TestStripeLayout pins the rotation arithmetic the striped plan is
@@ -426,8 +427,13 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 	}
 
 	cfg := MMConfig{Fanout: 2, FragBytes: 32 << 10, AckTimeout: 300 * time.Millisecond, JobRetries: 1}
-	lmm, nms, _ := chaosCluster(t, 3, cfg, nil)
-	nms[1].testDropAcks.Store(true)
+	// Node 1 never credits the window: the first attempt times out.
+	lmm, nms, _ := chaosCluster(t, 3, cfg, func(node int) NMConfig {
+		if node != 1 {
+			return NMConfig{}
+		}
+		return NMConfig{WrapConn: dropFrames(wire.Ack, 64)}
+	})
 	rep, err := SubmitJob(lmm.Addr(), JobSpec{Name: "rehome", BinaryBytes: 64 << 10, Nodes: 3, PEsPerNode: 1,
 		Program: ProgramSpec{Kind: "exit"}})
 	if err != nil {

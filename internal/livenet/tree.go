@@ -111,19 +111,9 @@ func layTree(order []*nmLink, fanout int) laidTree {
 	return t
 }
 
-// refs names position p's control-tree children and the nodes each
-// child's ledger vouches for.
-func (t *laidTree) refs(p int) []ChildRef {
-	refs := make([]ChildRef, 0, len(t.pos[p].kids))
-	for _, c := range t.pos[p].kids {
-		refs = append(refs, ChildRef{Node: t.order[c].node, Addr: t.order[c].addr, Subtree: t.pos[c].subtree})
-	}
-	return refs
-}
-
 // below lists position p's descendants in pre-order, each with its relay
-// address and the size of its own subtree: the Tree of the manifest the
-// node at p is sent.
+// address and the size of its own subtree: the Tree of the manifest, or
+// of the control plan, the node at p is sent.
 func (t *laidTree) below(p int) []TreeNode {
 	var out []TreeNode
 	var walk func(p int)

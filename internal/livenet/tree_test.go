@@ -151,22 +151,9 @@ func TestLayTree(t *testing.T) {
 				if want := subtreePreorder(p, n, fanout); !reflect.DeepEqual(tp.subtree, want) {
 					t.Fatalf("%s: position %d subtree %v, reference pre-order %v", name, p, tp.subtree, want)
 				}
-				// ledgerLocked folds kid i's bitmap at 1 + the sizes of the
-				// kids before it (onCtlPlan's running offset).
-				off := 1
-				refs := tree.refs(p)
-				for i, c := range tp.kids {
-					if tp.subtree[off] != c || refs[i].Node != c || refs[i].Addr != tree.order[c].addr ||
-						!reflect.DeepEqual(refs[i].Subtree, tree.pos[c].subtree) {
-						t.Fatalf("%s: position %d kid %d (%d) misplaced at offset %d: ref %+v", name, p, i, c, off, refs[i])
-					}
-					off += len(refs[i].Subtree)
-				}
-				if off != len(tp.subtree) {
-					t.Fatalf("%s: position %d: kid blocks cover %d of %d slots", name, p, off, len(tp.subtree))
-				}
-				// The manifest's tree for p is the same pre-order below p, each
-				// entry sized by its own subtree, and splits into p's kids.
+				// The manifest's and the control plan's tree for p is the same
+				// pre-order below p, each entry sized by its own subtree, and
+				// splits into p's kids.
 				below := tree.below(p)
 				if len(below) != len(tp.subtree)-1 {
 					t.Fatalf("%s: position %d: %d entries below it, subtree %v", name, p, len(below), tp.subtree)
@@ -176,14 +163,21 @@ func TestLayTree(t *testing.T) {
 						t.Fatalf("%s: position %d: entry %d is %+v", name, p, i, e)
 					}
 				}
+				// ledgerLocked folds kid i's bitmap at 1 + the sizes of the
+				// kids before it (onCtlPlan's running offset).
 				split := splitTree(below)
 				if len(split) != len(tp.kids) {
 					t.Fatalf("%s: position %d: tree splits into %d kids, want %d", name, p, len(split), len(tp.kids))
 				}
+				off := 1
 				for i, c := range tp.kids {
-					if split[i][0].Node != c || len(split[i]) != len(tree.pos[c].subtree) {
-						t.Fatalf("%s: position %d: kid %d splits as %v", name, p, i, split[i])
+					if tp.subtree[off] != c || split[i][0].Node != c || len(split[i]) != len(tree.pos[c].subtree) {
+						t.Fatalf("%s: position %d: kid %d (%d) at offset %d splits as %v", name, p, i, c, off, split[i])
 					}
+					off += len(split[i])
+				}
+				if off != len(tp.subtree) {
+					t.Fatalf("%s: position %d: kid blocks cover %d of %d slots", name, p, off, len(tp.subtree))
 				}
 				hops := 1
 				for q := tp.parent; q >= 0; q = tree.pos[q].parent {

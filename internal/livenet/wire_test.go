@@ -32,14 +32,14 @@ func everyFrame(t testing.TB) [][]byte {
 	ps := strings.Repeat("P", 40)
 	pv := place.Vec{CPU: p8, Mem: p8, Net: p8}
 	prog := ProgramSpec{Kind: ps, Duration: p8, Grid: p8, Iters: p8}
-	kids := []ChildRef{{Node: p8, Addr: ps, Subtree: []int{p8, p8}}}
+	tree := []TreeNode{{Node: p8, Addr: ps, Size: p8}}
 	msgs := []Message{
 		{Register: &Register{Node: p8, CPUs: p8, Addr: ps, Cap: pv, Rejoin: true}},
 		{Submit: &Submit{Spec: JobSpec{Name: ps, BinaryBytes: p8, Nodes: p8, PEsPerNode: p8, Program: prog,
 			ImageSeed: p8, ImagePatch: map[int]uint64{p8: p8}, User: ps, Weight: p8, Place: []int{p8}, Demand: pv}}},
 		{RejoinAck: &RejoinAck{Probation: p8, Err: ps}},
 		{Manifest: &Manifest{Job: p8, Epoch: p8, Stripe: p8, Stripes: p8, ChunkBytes: p8, ImageCRC: p4, TotalBytes: p8,
-			Hashes: []uint64{p8, p8, p8}, CRCs: []uint32{p4, p4, p4}, Tree: []TreeNode{{Node: p8, Addr: ps, Size: p8}}}},
+			Hashes: []uint64{p8, p8, p8}, CRCs: []uint32{p4, p4, p4}, Tree: tree}},
 		{ChildDead: &ChildDead{Job: p8, Stripe: p8, Node: p8}},
 		{Abort: &Abort{Job: p8, Reason: ps}},
 		{Launch: &Launch{Job: p8, Program: prog, Ranks: []int{p8, p8}, Row: p8, Gang: true}},
@@ -49,7 +49,7 @@ func everyFrame(t testing.TB) [][]byte {
 			Queued: p8, Row: p8, WindowPeak: p8, Timeline: ps, Retries: p8}, Err: ps}},
 		{StatusQ: &StatusReq{}},
 		{StatusR: &StatusRep{Nodes: []int{p8}, Jobs: p8, Queued: p8, Launched: p8, Completed: p8, Strobes: p8, Gang: true}},
-		{CtlPlan: &CtlPlan{Epoch: p8, Children: kids}},
+		{CtlPlan: &CtlPlan{Epoch: p8, Tree: tree}},
 		{Frag: &Frag{Job: p4, Index: p4, Last: true, CRC: p4, Stripe: 'P', Data: []byte(ps)}},
 		{FragAck: &FragAck{Job: p4, Index: p4, Node: p4, Epoch: p4, OK: true, Stripe: 'P'}},
 		{Ping: &Ping{Seq: p8, Epoch: p4}},
@@ -336,7 +336,6 @@ func TestFrameGolden(t *testing.T) {
 // every field — a few negative, since a body integer is signed — so a
 // swap of two fields, or one dropped, shows in the bytes.
 func bodyFrames() []goldenFrame {
-	kids := []ChildRef{{Node: 1, Addr: "two", Subtree: []int{1, 3}}, {Node: 4, Addr: "five", Subtree: []int{4, 6, 7}}}
 	prog := ProgramSpec{Kind: "spin", Duration: 8 * time.Millisecond, Grid: 9, Iters: 10}
 	return []goldenFrame{
 		{"register", Message{Register: &Register{Node: 1, CPUs: 2, Addr: "three", Cap: place.Vec{CPU: 4, Mem: 5, Net: 6}, Rejoin: true}}},
@@ -356,7 +355,7 @@ func bodyFrames() []goldenFrame {
 			Timeline: "eighteen", Retries: -19}, Err: "twenty"}}},
 		{"statusreq", Message{StatusQ: &StatusReq{}}},
 		{"statusrep", Message{StatusR: &StatusRep{Nodes: []int{1, 2}, Jobs: 3, Queued: 4, Launched: 5, Completed: 6, Strobes: 7, Gang: true}}},
-		{"ctlplan", Message{CtlPlan: &CtlPlan{Epoch: 1, Children: kids}}},
+		{"ctlplan", Message{CtlPlan: &CtlPlan{Epoch: 1, Tree: []TreeNode{{Node: 2, Addr: "three", Size: 2}, {Node: 4, Addr: "five", Size: -6}}}}},
 	}
 }
 
@@ -433,11 +432,13 @@ func TestMessageRoundTrip(t *testing.T) {
 
 // TestBodyFrameGolden holds the body frames to the bytes the codec wrote
 // when they replaced gob — testdata/frames_pr21.golden was generated from
-// bodyFrames, and the plan frame left it with its message — and the
+// bodyFrames, and the plan frame left it with its message — the
 // manifest, which carries its stripe tree since, to
-// testdata/frames_pr22.golden.
+// testdata/frames_pr22.golden, and the control plan, which carries its
+// subtree in the manifest's encoding since, to
+// testdata/frames_pr25.golden.
 func TestBodyFrameGolden(t *testing.T) {
-	golden := readGolden(t, "testdata/frames_pr21.golden", "testdata/frames_pr22.golden")
+	golden := readGolden(t, "testdata/frames_pr21.golden", "testdata/frames_pr22.golden", "testdata/frames_pr25.golden")
 	var buf bytes.Buffer
 	c := &conn{w: bufio.NewWriter(&buf)}
 	frames := bodyFrames()
