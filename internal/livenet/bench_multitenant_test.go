@@ -27,10 +27,10 @@ import (
 func BenchmarkSustainedLaunch(b *testing.B) {
 	// Geometry sized so a cold launch costs a few ms of CPU: on a
 	// small shared host the transfer path is compute-bound (chunk
-	// generation, hashing, per-hop CRC and splice), so offered rates are
+	// generation, per-hop hashing and splice), so offered rates are
 	// chosen under the single-core service capacity and the multi-tenant
 	// win comes from overlapping transfers with execute phases and queue
-	// waits, not from parallel CRC crunching.
+	// waits, not from parallel hash crunching.
 	const (
 		nodes       = 8
 		fanout      = 2

@@ -1,17 +1,20 @@
 // Package chunkcache is a bounded, content-addressed store for binary
 // chunks, the substrate of livenet's delta-transfer path. Entries are
-// keyed by (xxhash64, CRC-32, length) — the fast non-crypto hash does
-// the addressing, the CRC (already computed on the wire path) is kept
-// as an independent check so a 64-bit collision alone cannot alias two
-// chunks, and the length closes the remaining gap for equal-hash
-// equal-CRC inputs of different sizes.
+// keyed by (XXH64, length): the hash that addresses a chunk in a
+// transfer manifest, and the length the manifest gives it.
+//
+// Put, Get and Use take a uint32 after the hash that they ignore. It was
+// the chunk's CRC-32, once part of the key; it stays in the signatures
+// only because the benchmark harness (bench/layers.go) still passes it.
 //
 // The cache is deliberately paranoid on the read side: Get re-verifies
-// the stored bytes against the key before handing them out. A corrupt,
-// truncated, or aliased entry — bit rot on the disk backing, a torn
-// write, a hash collision — is evicted and reported as a miss, so the
-// caller silently falls back to the wire. A cache can make a transfer
-// cheaper; it must never be able to make an image wrong.
+// the stored bytes against the key before handing them out. A corrupt or
+// truncated entry — bit rot on the disk backing, a torn write — is
+// evicted and reported as a miss, so the caller silently falls back to
+// the wire. A cache can make a transfer cheaper; it must never be able
+// to make an image wrong. (Two chunks of one length and one XXH64 share
+// an entry: the manifest, which addresses chunks by the same pair,
+// cannot tell them apart either.)
 //
 // Eviction is strict LRU under a byte budget, so the eviction order for
 // a given access sequence is deterministic — a property the tests pin.
@@ -21,7 +24,6 @@ import (
 	"container/list"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -40,7 +42,6 @@ type Stats struct {
 
 type key struct {
 	hash uint64
-	crc  uint32
 	n    int
 }
 
@@ -154,12 +155,12 @@ func Hash64(b []byte) uint64 {
 // the buffer of an entry it just evicted instead of allocating: with
 // same-size chunks (every chunk of an image but its tail) admission is
 // allocation-free in steady state.
-func (c *Cache) Put(hash uint64, crc uint32, data []byte) {
+func (c *Cache) Put(hash uint64, _ uint32, data []byte) {
 	n := int64(len(data))
 	if n == 0 || n > c.max {
 		return
 	}
-	k := key{hash: hash, crc: crc, n: len(data)}
+	k := key{hash: hash, n: len(data)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
@@ -177,7 +178,7 @@ func (c *Cache) Put(hash uint64, crc uint32, data []byte) {
 	}
 	e := &entry{key: k}
 	if c.dir != "" {
-		path := filepath.Join(c.dir, fmt.Sprintf("%016x-%08x-%d.chunk", hash, crc, len(data)))
+		path := filepath.Join(c.dir, fmt.Sprintf("%016x-%d.chunk", hash, len(data)))
 		tmp, err := os.CreateTemp(c.dir, ".chunk-*")
 		if err != nil {
 			return
@@ -205,11 +206,11 @@ func (c *Cache) Put(hash uint64, crc uint32, data []byte) {
 
 // Get looks up a chunk by content key and, on a hit, copies its bytes
 // into dst (which must be at least n long) after re-verifying them
-// against the key. Any mismatch — wrong hash, wrong CRC, short disk
-// read — evicts the entry and returns a miss, so corruption degrades to
-// a wire fetch, never into the image.
-func (c *Cache) Get(hash uint64, crc uint32, n int, dst []byte) bool {
-	k := key{hash: hash, crc: crc, n: n}
+// against the key. Any mismatch — wrong hash, short disk read — evicts
+// the entry and returns a miss, so corruption degrades to a wire fetch,
+// never into the image.
+func (c *Cache) Get(hash uint64, _ uint32, n int, dst []byte) bool {
+	k := key{hash: hash, n: n}
 	c.mu.Lock()
 	el, ok := c.entries[k]
 	if !ok {
@@ -234,7 +235,7 @@ func (c *Cache) Get(hash uint64, crc uint32, n int, dst []byte) bool {
 	} else {
 		data = e.data
 	}
-	if Hash64(data) != hash || crc32.ChecksumIEEE(data) != crc {
+	if Hash64(data) != hash {
 		c.removeLocked(el)
 		c.mu.Unlock()
 		c.misses.Add(1)
@@ -256,13 +257,13 @@ func (c *Cache) Get(hash uint64, crc uint32, n int, dst []byte) bool {
 // is never materialized and only the chunk's presence matters.
 //
 // Memory-backed entries are trusted by key alone: the entry's bytes
-// matched (hash, crc, length) when Put copied them into the private
+// matched (hash, length) when Put copied them into the private
 // heap, which is exactly the acceptance check a wire chunk gets, so a
 // key match here is as strong as a wire fetch. Disk-backed entries can
 // rot or truncate after Put, so they are re-read and re-verified like
 // Get; any mismatch evicts the entry and degrades to a miss.
-func (c *Cache) Use(hash uint64, crc uint32, n int) bool {
-	k := key{hash: hash, crc: crc, n: n}
+func (c *Cache) Use(hash uint64, _ uint32, n int) bool {
+	k := key{hash: hash, n: n}
 	c.mu.Lock()
 	el, ok := c.entries[k]
 	if !ok {
@@ -273,7 +274,7 @@ func (c *Cache) Use(hash uint64, crc uint32, n int) bool {
 	e := el.Value.(*entry)
 	if e.path != "" {
 		b, err := os.ReadFile(e.path)
-		if err != nil || len(b) != n || Hash64(b) != hash || crc32.ChecksumIEEE(b) != crc {
+		if err != nil || len(b) != n || Hash64(b) != hash {
 			c.removeLocked(el)
 			c.mu.Unlock()
 			c.misses.Add(1)
@@ -284,35 +285,6 @@ func (c *Cache) Use(hash uint64, crc uint32, n int) bool {
 	c.mu.Unlock()
 	c.hits.Add(1)
 	c.saved.Add(int64(n))
-	return true
-}
-
-// Contains reports whether a chunk is present and verifiable without
-// copying it out — the probe behind HAVE bitmaps. It verifies just like
-// Get (a poisoned entry must not be advertised up the tree) but charges
-// no hit/miss, since no transfer decision has been made yet.
-func (c *Cache) Contains(hash uint64, crc uint32, n int) bool {
-	k := key{hash: hash, crc: crc, n: n}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*entry)
-	data := e.data
-	if e.path != "" {
-		b, err := os.ReadFile(e.path)
-		if err != nil || len(b) != n {
-			c.removeLocked(el)
-			return false
-		}
-		data = b
-	}
-	if Hash64(data) != hash || crc32.ChecksumIEEE(data) != crc {
-		c.removeLocked(el)
-		return false
-	}
 	return true
 }
 
@@ -365,8 +337,8 @@ func (c *Cache) removeLocked(el *list.Element) {
 // Poison corrupts the stored bytes of a present entry in place (test
 // hook for the corruption-fallback path). It reports whether the entry
 // was found.
-func (c *Cache) Poison(hash uint64, crc uint32, n int) bool {
-	k := key{hash: hash, crc: crc, n: n}
+func (c *Cache) Poison(hash uint64, n int) bool {
+	k := key{hash: hash, n: n}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]

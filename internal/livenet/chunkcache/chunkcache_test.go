@@ -2,7 +2,6 @@ package chunkcache
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,10 +32,10 @@ func TestHash64Vectors(t *testing.T) {
 	}
 }
 
-func put(c *Cache, b []byte) (uint64, uint32) {
-	h, crc := Hash64(b), crc32.ChecksumIEEE(b)
-	c.Put(h, crc, b)
-	return h, crc
+func put(c *Cache, b []byte) uint64 {
+	h := Hash64(b)
+	c.Put(h, 0, b)
+	return h
 }
 
 // chunk makes a distinguishable test chunk of n bytes.
@@ -58,26 +57,26 @@ func TestLRUDeterministicEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, d := chunk(1, 64), chunk(2, 64), chunk(3, 64)
-	ha, _ := put(c, a)
-	hb, crcB := put(c, b)
-	hd, _ := put(c, d)
+	ha := put(c, a)
+	hb := put(c, b)
+	hd := put(c, d)
 	if c.Len() != 3 || c.Size() != 3*64 {
 		t.Fatalf("cache holds %d entries / %d bytes, want 3 / 192", c.Len(), c.Size())
 	}
 	// Touch a: order (front to back) becomes a, d, b.
 	dst := make([]byte, 64)
-	if !c.Get(ha, crc32.ChecksumIEEE(a), 64, dst) {
+	if !c.Get(ha, 0, 64, dst) {
 		t.Fatal("expected hit on a")
 	}
 	if got := c.lruHashes(); !reflect.DeepEqual(got, []uint64{ha, hd, hb}) {
 		t.Fatalf("LRU order after Get(a) = %x, want [a d b]", got)
 	}
 	// Adding e must evict exactly b (the back).
-	he, _ := put(c, chunk(4, 64))
+	he := put(c, chunk(4, 64))
 	if got := c.lruHashes(); !reflect.DeepEqual(got, []uint64{he, ha, hd}) {
 		t.Fatalf("LRU order after eviction = %x, want [e a d]", got)
 	}
-	if c.Get(hb, crcB, 64, dst) {
+	if c.Get(hb, 0, 64, dst) {
 		t.Fatal("evicted entry must miss")
 	}
 	st := c.Stats()
@@ -92,7 +91,7 @@ func TestLRUDeterministicEviction(t *testing.T) {
 	// A multi-entry squeeze evicts from the back until it fits: adding a
 	// 128-byte chunk evicts the two oldest (d then a).
 	big := chunk(5, 128)
-	hbig, _ := put(c, big)
+	hbig := put(c, big)
 	if got := c.lruHashes(); !reflect.DeepEqual(got, []uint64{hbig, he}) {
 		t.Fatalf("LRU order after squeeze = %x, want [big e]", got)
 	}
@@ -100,41 +99,35 @@ func TestLRUDeterministicEviction(t *testing.T) {
 
 // TestNoAliasing: same-length different-byte inputs — the shape a hash
 // collision would take — must never serve one chunk for the other,
-// because Get re-verifies content against the full key.
+// because Get re-verifies content against the key.
 func TestNoAliasing(t *testing.T) {
 	c, err := New(1<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := chunk(10, 256), chunk(20, 256)
-	ha, crcA := put(c, a)
-	hb, crcB := put(c, b)
+	ha := put(c, a)
+	hb := put(c, b)
 	if ha == hb {
 		t.Fatal("test chunks accidentally hash-equal") // astronomically unlikely
 	}
 	dst := make([]byte, 256)
-	// Ask for a's content under b's hash (simulating a collision where
-	// the lookup key disagrees with the stored bytes): at worst a miss,
-	// never b's bytes presented as a's.
-	if c.Get(hb, crcA, 256, dst) {
-		t.Fatal("mismatched hash/CRC pair must miss")
-	}
-	if !c.Get(ha, crcA, 256, dst) || string(dst) != string(a) {
+	if !c.Get(ha, 0, 256, dst) || string(dst) != string(a) {
 		t.Fatal("a must round-trip")
 	}
-	if !c.Get(hb, crcB, 256, dst) || string(dst) != string(b) {
+	if !c.Get(hb, 0, 256, dst) || string(dst) != string(b) {
 		t.Fatal("b must round-trip")
 	}
 	// Force the alias shape directly: corrupt a's stored bytes so the
 	// entry's key no longer matches its data (same length, different
 	// bytes). Get must detect the mismatch, evict, and miss.
-	if !c.Poison(ha, crcA, 256) {
+	if !c.Poison(ha, 256) {
 		t.Fatal("poison failed")
 	}
-	if c.Get(ha, crcA, 256, dst) {
+	if c.Get(ha, 0, 256, dst) {
 		t.Fatal("poisoned entry must miss")
 	}
-	if c.Get(ha, crcA, 256, dst) {
+	if c.Get(ha, 0, 256, dst) {
 		t.Fatal("poisoned entry must have been evicted")
 	}
 }
@@ -149,11 +142,11 @@ func TestUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := chunk(3, 256)
-	ha, crcA := put(c, a)
-	if !c.Use(ha, crcA, 256) {
+	ha := put(c, a)
+	if !c.Use(ha, 0, 256) {
 		t.Fatal("memory entry must hit")
 	}
-	if c.Use(ha, crcA, 128) {
+	if c.Use(ha, 0, 128) {
 		t.Fatal("wrong length must miss")
 	}
 	st := c.Stats()
@@ -166,14 +159,14 @@ func TestUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, crcB := put(dc, a)
-	if !dc.Use(hb, crcB, 256) {
+	hb := put(dc, a)
+	if !dc.Use(hb, 0, 256) {
 		t.Fatal("disk entry must hit")
 	}
-	if !dc.Poison(hb, crcB, 256) {
+	if !dc.Poison(hb, 256) {
 		t.Fatal("poison failed")
 	}
-	if dc.Use(hb, crcB, 256) {
+	if dc.Use(hb, 0, 256) {
 		t.Fatal("poisoned disk entry must miss: Use re-verifies disk bytes")
 	}
 	if dc.Len() != 0 {
@@ -182,7 +175,7 @@ func TestUse(t *testing.T) {
 }
 
 // TestCorruptDiskEntryFallsBack poisons and truncates disk-backed
-// entries and asserts Get/Contains degrade to misses with the entry
+// entries and asserts Get/Use degrade to misses with the entry
 // evicted — the cache-level half of the corrupt-cache satellite.
 func TestCorruptDiskEntryFallsBack(t *testing.T) {
 	dir := t.TempDir()
@@ -191,27 +184,27 @@ func TestCorruptDiskEntryFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := chunk(7, 512)
-	ha, crcA := put(c, a)
+	ha := put(c, a)
 	dst := make([]byte, 512)
-	if !c.Get(ha, crcA, 512, dst) || string(dst) != string(a) {
+	if !c.Get(ha, 0, 512, dst) || string(dst) != string(a) {
 		t.Fatal("disk entry must round-trip")
 	}
-	if !c.Poison(ha, crcA, 512) {
+	if !c.Poison(ha, 512) {
 		t.Fatal("poison failed")
 	}
-	if c.Contains(ha, crcA, 512) {
-		t.Fatal("poisoned disk entry must not be advertised")
+	if c.Use(ha, 0, 512) {
+		t.Fatal("poisoned disk entry must not be served")
 	}
-	if c.Get(ha, crcA, 512, dst) {
+	if c.Get(ha, 0, 512, dst) {
 		t.Fatal("poisoned disk entry must miss")
 	}
 	// Truncation: re-insert, then truncate the backing file.
-	ha, crcA = put(c, a)
-	path := filepath.Join(dir, fmt.Sprintf("%016x-%08x-%d.chunk", ha, crcA, len(a)))
+	ha = put(c, a)
+	path := filepath.Join(dir, fmt.Sprintf("%016x-%d.chunk", ha, len(a)))
 	if err := writeFileTrunc(path, a[:100]); err != nil {
 		t.Fatal(err)
 	}
-	if c.Get(ha, crcA, 512, dst) {
+	if c.Get(ha, 0, 512, dst) {
 		t.Fatal("truncated disk entry must miss")
 	}
 	if c.Len() != 0 {
@@ -224,7 +217,7 @@ func writeFileTrunc(path string, b []byte) error {
 }
 
 // TestConcurrentReadersWriters hammers the cache from parallel
-// goroutines (run under -race in CI): interleaved Put/Get/Contains over
+// goroutines (run under -race in CI): interleaved Put/Get/Use over
 // an overlapping key set with eviction pressure.
 func TestConcurrentReadersWriters(t *testing.T) {
 	c, err := New(16*128, "")
@@ -234,11 +227,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	const workers = 8
 	chunks := make([][]byte, 32)
 	hashes := make([]uint64, 32)
-	crcs := make([]uint32, 32)
 	for i := range chunks {
 		chunks[i] = chunk(byte(i), 128)
 		hashes[i] = Hash64(chunks[i])
-		crcs[i] = crc32.ChecksumIEEE(chunks[i])
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -250,14 +241,14 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				k := (i*7 + w*13) % len(chunks)
 				switch i % 3 {
 				case 0:
-					c.Put(hashes[k], crcs[k], chunks[k])
+					c.Put(hashes[k], 0, chunks[k])
 				case 1:
-					if c.Get(hashes[k], crcs[k], 128, dst) && string(dst) != string(chunks[k]) {
+					if c.Get(hashes[k], 0, 128, dst) && string(dst) != string(chunks[k]) {
 						t.Error("hit returned wrong bytes")
 						return
 					}
 				case 2:
-					c.Contains(hashes[k], crcs[k], 128)
+					c.Use(hashes[k], 0, 128)
 				}
 			}
 		}(w)
@@ -276,11 +267,11 @@ func TestZeroBudgetDisables(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := chunk(1, 64)
-	ha, crcA := put(c, a)
+	ha := put(c, a)
 	if c.Len() != 0 {
 		t.Fatal("zero-budget cache must not store")
 	}
-	if c.Get(ha, crcA, 64, make([]byte, 64)) {
+	if c.Get(ha, 0, 64, make([]byte, 64)) {
 		t.Fatal("zero-budget cache must miss")
 	}
 }
@@ -296,7 +287,7 @@ func TestCachePutSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := chunk(0, size)
-	admit := func(i int) (uint64, uint32) {
+	admit := func(i int) uint64 {
 		data[0], data[1] = byte(i), byte(i>>8) // new content, new key
 		return put(c, data)
 	}
@@ -316,10 +307,10 @@ func TestCachePutSteadyStateAllocs(t *testing.T) {
 	if got := c.Stats().Evictions; got != puts {
 		t.Fatalf("evictions = %d, want %d (one per Put at capacity)", got, puts)
 	}
-	h, crc := admit(resident + puts)
+	h := admit(resident + puts)
 	data[0] ^= 0xff // the caller's buffer stays the caller's
 	dst := make([]byte, size)
-	if !c.Get(h, crc, size, dst) || dst[0] != byte(resident+puts) {
+	if !c.Get(h, 0, size, dst) || dst[0] != byte(resident+puts) {
 		t.Fatal("chunk admitted into a reused buffer did not read back intact")
 	}
 }
@@ -351,8 +342,8 @@ func TestCachePutReuseBounded(t *testing.T) {
 // FuzzCacheEntry replaces the file of a disk-backed entry with arbitrary
 // bytes — rot, truncation, a torn or foreign write — and holds each read
 // path to the cache's promise: Get and Use serve the entry only if the
-// bytes on disk are the chunk (Get copying out exactly those), Contains
-// advertises it on the same terms, and otherwise they miss. None panics.
+// bytes on disk are the chunk (Get copying out exactly those), and
+// otherwise they miss. Neither panics.
 func FuzzCacheEntry(f *testing.F) {
 	chunk := []byte("content-addressed chunk bytes, verified on every disk read")
 	f.Add(chunk)
@@ -363,7 +354,7 @@ func FuzzCacheEntry(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, disk []byte) {
-		h, crc, n := Hash64(chunk), crc32.ChecksumIEEE(chunk), len(chunk)
+		h, n := Hash64(chunk), len(chunk)
 		intact := string(disk) == string(chunk)
 		c, err := New(1<<20, t.TempDir())
 		if err != nil {
@@ -375,17 +366,16 @@ func FuzzCacheEntry(f *testing.F) {
 			hit  func() bool
 		}{
 			{"Get", func() bool {
-				hit := c.Get(h, crc, n, dst)
+				hit := c.Get(h, 0, n, dst)
 				if hit && string(dst) != string(chunk) {
 					t.Fatalf("Get served %q for the chunk", dst)
 				}
 				return hit
 			}},
-			{"Use", func() bool { return c.Use(h, crc, n) }},
-			{"Contains", func() bool { return c.Contains(h, crc, n) }},
+			{"Use", func() bool { return c.Use(h, 0, n) }},
 		} {
-			c.Put(h, crc, chunk)
-			el := c.entries[key{hash: h, crc: crc, n: n}]
+			c.Put(h, 0, chunk)
+			el := c.entries[key{hash: h, n: n}]
 			if err := os.WriteFile(el.Value.(*entry).path, disk, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -37,20 +37,12 @@ func deltaSpec(n int, seed uint64, patch map[int]uint64) JobSpec {
 	}
 }
 
-// deltaChunk regenerates chunk i of a seeded spec and returns its cache
-// key triple, for tests that must poison or probe specific entries.
-func deltaChunk(spec *JobSpec, frag, i int) (data []byte, hash uint64, crc uint32) {
-	data = make([]byte, chunkSizeFor(spec, frag, i))
-	fillChunkInto(spec, 0, i, data) // job ID is ignored for seeded content
-	return data, chunkcache.Hash64(data), fragCRC(data)
-}
-
 // TestManifestCodecRoundTrip pins the wire layout of the delta frames —
 // the manifest with the subtree it installs, and the HAVE ledger —
 // through a full encode/decode cycle.
 func TestManifestCodecRoundTrip(t *testing.T) {
-	man := &Manifest{Job: 7, Epoch: 2, Stripe: 1, Stripes: 2, ChunkBytes: 32 << 10, ImageCRC: 0xdeadbeef,
-		TotalBytes: 99_001, Hashes: []uint64{1, 1 << 63, 42}, CRCs: []uint32{9, 8, 7},
+	man := &Manifest{Job: 7, Epoch: 2, Stripe: 1, Stripes: 2, ChunkBytes: 32 << 10,
+		TotalBytes: 99_001, Hashes: []uint64{1, 1 << 63, 42},
 		Tree: []TreeNode{{Node: 4, Addr: "a:1", Size: 2}, {Node: 9, Addr: "b:2", Size: 1}, {Node: 5, Addr: "c:3", Size: 1}}}
 	have := &Have{Job: 7, Node: 5, Epoch: 2, Bits: []uint64{0b101, 1 << 40}}
 
@@ -66,8 +58,8 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	}
 	got := m1.Manifest
 	if got.Job != 7 || got.Epoch != 2 || got.Stripe != 1 || got.Stripes != 2 || got.ChunkBytes != 32<<10 ||
-		got.ImageCRC != 0xdeadbeef || got.TotalBytes != 99_001 ||
-		len(got.Hashes) != 3 || got.Hashes[1] != 1<<63 || got.CRCs[2] != 7 ||
+		got.TotalBytes != 99_001 ||
+		len(got.Hashes) != 3 || got.Hashes[1] != 1<<63 || got.Hashes[2] != 42 ||
 		len(got.Tree) != 3 || got.Tree[0] != man.Tree[0] || got.Tree[2] != man.Tree[2] {
 		t.Fatalf("manifest mangled: %+v", got)
 	}
@@ -91,8 +83,8 @@ func TestManifestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool puts at random; the pooled tail scratch cannot hold alloc exactness (enforced by the non-race CI step)")
 	}
-	man := &Manifest{Job: 7, Epoch: 2, Stripes: 1, ChunkBytes: 32 << 10, ImageCRC: 1,
-		TotalBytes: 1 << 20, Hashes: make([]uint64, 32), CRCs: make([]uint32, 32)}
+	man := &Manifest{Job: 7, Epoch: 2, Stripes: 1, ChunkBytes: 32 << 10,
+		TotalBytes: 1 << 20, Hashes: make([]uint64, 32)}
 	have := &Have{Job: 7, Node: 5, Epoch: 2, Bits: []uint64{0b101}}
 
 	ec := discardConn()
@@ -236,8 +228,8 @@ func TestDeltaPoisonedCacheFallsBack(t *testing.T) {
 	cfg := deltaMMConfig()
 	frags := chaosBinary / cfg.FragBytes
 	// Disk-backed caches AND a real spool: the relaunch materializes the
-	// image on disk and finalize re-reads every byte, so digest equality
-	// below is a true byte-identity check, not bookkeeping.
+	// image on disk and the seal re-reads every byte against the manifest's
+	// chunk hashes, so a node that reports a digest holds the bytes.
 	mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 		return NMConfig{CacheBytes: 8 << 20, CacheDir: t.TempDir(), SpoolDir: t.TempDir()}
 	})
@@ -251,9 +243,11 @@ func TestDeltaPoisonedCacheFallsBack(t *testing.T) {
 
 	// Poison chunk 3 in one NM's on-disk cache.
 	const victim, badChunk = 2, 3
-	_, hash, crc := deltaChunk(&spec, cfg.FragBytes, badChunk)
 	size := chunkSizeFor(&spec, cfg.FragBytes, badChunk)
-	if !nms[victim].cache.Poison(hash, crc, size) {
+	data := make([]byte, size)
+	fillChunkInto(&spec, 0, badChunk, data) // job ID is ignored for seeded content
+	hash := chunkcache.Hash64(data)
+	if !nms[victim].cache.Poison(hash, size) {
 		t.Fatalf("chunk %d not present in node %d's cache", badChunk, victim)
 	}
 
@@ -278,7 +272,7 @@ func TestDeltaPoisonedCacheFallsBack(t *testing.T) {
 		}
 	}
 	// The wire fetch repaired the cache: the entry verifies again.
-	if !nms[victim].cache.Contains(hash, crc, size) {
+	if !nms[victim].cache.Use(hash, 0, size) {
 		t.Fatalf("node %d cache entry for chunk %d not repopulated from the wire", victim, badChunk)
 	}
 }
@@ -382,8 +376,8 @@ func TestLaunchFrameBudget(t *testing.T) {
 		stripes    int
 		cold, warm launchBudget
 	}{
-		{1, launchBudget{148, 8393986, 65}, launchBudget{18, 2708, 0}},
-		{2, launchBudget{150, 8396694, 65}, launchBudget{20, 5416, 0}},
+		{1, launchBudget{148, 8392410, 65}, launchBudget{18, 1652, 0}},
+		{2, launchBudget{150, 8394062, 65}, launchBudget{20, 3304, 0}},
 	} {
 		cfg := MMConfig{Fanout: 2, FragBytes: 64 << 10, Stripes: tc.stripes}
 		mm, _, _ := chaosCluster(t, n, cfg, func(int) NMConfig { return NMConfig{CacheBytes: 8 << 20} })

@@ -42,7 +42,7 @@ type Plan struct {
 	DropAfter     int64         // >0: outbound one-way partition after this many bytes (writes report success, bytes vanish)
 	WriteDelay    time.Duration // injected before every Write call, whatever it carries: a frame split in two writes pays it twice
 	DuplicateFrag int           // retransmit the k-th outgoing frag frame immediately after itself
-	CorruptFrag   int           // flip a payload byte of the k-th outgoing frag frame (CRC must catch it)
+	CorruptFrag   int           // flip a payload byte of the k-th outgoing frag frame (the chunk hash check must catch it)
 
 	// CtlFaults target frames this endpoint sends; each fault fires at
 	// most once. Faults on distinct frames compose.

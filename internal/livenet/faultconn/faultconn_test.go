@@ -19,8 +19,7 @@ func buildFrag(index, n int) []byte {
 	binary.BigEndian.PutUint32(buf[1:], 1) // job
 	binary.BigEndian.PutUint32(buf[5:], uint32(index))
 	buf[9] = 0
-	binary.BigEndian.PutUint32(buf[10:], 0xdeadbeef)
-	binary.BigEndian.PutUint32(buf[14:], uint32(n))
+	binary.BigEndian.PutUint32(buf[1+wire.FragLenOff:], uint32(n))
 	for i := 0; i < n; i++ {
 		buf[1+wire.FragLen+i] = byte(i)
 	}

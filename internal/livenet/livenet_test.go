@@ -187,18 +187,11 @@ func TestLiveHeartbeatDetectsFailure(t *testing.T) {
 
 func TestFragPatternIntegrity(t *testing.T) {
 	a := fragPattern(3, 7, 1024)
-	b := fragPattern(3, 7, 1024)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("pattern not deterministic")
-		}
+	if !bytes.Equal(a, fragPattern(3, 7, 1024)) {
+		t.Fatal("pattern not deterministic")
 	}
-	if fragCRC(a) != fragCRC(b) {
-		t.Fatal("CRC not deterministic")
-	}
-	c := fragPattern(3, 8, 1024)
-	if fragCRC(a) == fragCRC(c) {
-		t.Fatal("different fragments share a CRC")
+	if bytes.Equal(a, fragPattern(3, 8, 1024)) {
+		t.Fatal("different fragments share a pattern")
 	}
 }
 
@@ -258,8 +251,8 @@ func corruptFrag(k int) func(net.Conn) net.Conn {
 }
 
 // TestLiveCorruptFragmentRejected (satellite): a fragment corrupted in
-// flight on the MM's links must be rejected by CRC at an NM and fail the
-// job with a diagnosable error instead of hanging the window.
+// flight on the MM's links must be rejected by its hash at an NM and fail
+// the job with a diagnosable error instead of hanging the window.
 func TestLiveCorruptFragmentRejected(t *testing.T) {
 	for _, fanout := range []int{1, 2} {
 		// Every link from the MM carries the fragments in order, so its
@@ -284,7 +277,7 @@ func TestLiveCorruptFragmentRejected(t *testing.T) {
 }
 
 // TestLiveMidTreeCorruptionPropagates (satellite): corruption introduced
-// by a relaying NM is caught by the child's CRC check and the nack names
+// by a relaying NM is caught by the child's hash check and the nack names
 // the rejecting node all the way up the tree.
 func TestLiveMidTreeCorruptionPropagates(t *testing.T) {
 	// Tree for 3 nodes at fanout 2: MM -> {0, 1}, node 0 -> {2}. Corrupt
@@ -482,7 +475,7 @@ func TestFirstTransferFailureWins(t *testing.T) {
 		dialed: make(map[string]*conn),
 	}
 	man := &Manifest{Job: 7, Epoch: 2, Stripes: 1, ChunkBytes: 4, TotalBytes: 16,
-		Hashes: make([]uint64, 4), CRCs: make([]uint32, 4), Tree: []TreeNode{{Node: 3, Addr: "addr-3", Size: 1}}}
+		Hashes: make([]uint64, 4), Tree: []TreeNode{{Node: 3, Addr: "addr-3", Size: 1}}}
 	nm.onManifest(man, discardConn())
 	m, err := (&conn{r: bufio.NewReader(&up)}).recv()
 	if err != nil || m.PeerDown == nil || m.PeerDown.Job != 7 || m.PeerDown.Node != 3 || m.PeerDown.From != 1 {
@@ -582,7 +575,7 @@ func TestAwaitWakeAllocs(t *testing.T) {
 			ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
 		}
 		j := &liveJob{id: 7, frags: 4, stripes: []*stripeState{ss},
-			man: &manifestData{hashes: make([]uint64, 4), crcs: make([]uint32, 4)}}
+			man: &manifestData{hashes: make([]uint64, 4)}}
 		woke := &wakeCounter{mu: &j.mu}
 		j.cond = sync.NewCond(woke)
 		mm := &MM{cfg: MMConfig{AckTimeout: time.Minute}}

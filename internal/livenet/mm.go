@@ -45,9 +45,10 @@ var (
 	ErrJobRetriesExhausted = errors.New("livenet: job retries exhausted")
 )
 
-// rejectError is a content failure: some node's CRC/pattern check
-// rejected a fragment. It is NOT recoverable by replanning the tree —
-// the payload itself is wrong — so recovery excludes it.
+// rejectError is a content failure: some node's check of a chunk
+// against its manifest hash rejected a fragment. It is NOT recoverable
+// by replanning the tree — the payload itself is wrong — so recovery
+// excludes it.
 type rejectError struct {
 	node  int
 	index int
@@ -310,12 +311,10 @@ func (pr *probeRound) settle(node int) {
 // seeded images it is cacheable across jobs: the same (seed, patch,
 // size, chunking) always produces the same chunks.
 type manifestData struct {
-	seed     uint64
-	patch    map[int]uint64
-	hashes   []uint64
-	crcs     []uint32
-	imageCRC uint32
-	total    int64
+	seed   uint64
+	patch  map[int]uint64
+	hashes []uint64
+	total  int64
 }
 
 // manifestKey is the cache key for manifestData. The patch map is folded
@@ -1415,7 +1414,7 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 //     leaf is pruned in place (a ChildDead note to its tree parent) and
 //     resumes streaming under the same epoch. Chunks are regenerated
 //     deterministically, so the send log is the generator plus an index.
-//     Content failures (CRC rejections) are never retried.
+//     Content failures (hash rejections) are never retried.
 //
 // With MMConfig.Stripes > 1 the phases run per stripe and overlap:
 // each stripe pipelines its own manifest round and stream in a
@@ -1536,10 +1535,10 @@ func (mm *MM) runStripe(j *liveJob, ss *stripeState) error {
 }
 
 // buildManifest computes (or retrieves) the job's transfer manifest: the
-// per-chunk content hashes and CRCs plus the whole-image digest. For
-// seeded (content-addressed) images the result is cached MM-side keyed
-// by content identity, so a warm relaunch skips the generate-and-hash
-// pass over the whole image and opens at near-control-plane cost.
+// per-chunk content hashes. For seeded (content-addressed) images the
+// result is cached MM-side keyed by content identity, so a warm relaunch
+// skips the generate-and-hash pass over the whole image and opens at
+// near-control-plane cost.
 func (mm *MM) buildManifest(j *liveJob) *manifestData {
 	frag := mm.cfg.FragBytes
 	var key manifestKey
@@ -1557,25 +1556,19 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 	d := &manifestData{
 		seed:   j.spec.ImageSeed,
 		hashes: make([]uint64, j.frags),
-		crcs:   make([]uint32, j.frags),
 	}
-	// Chunks are independent (generate + hash + CRC each), so the pass
-	// fans out over a small worker pool; the whole-image digest then
-	// folds the per-chunk CRCs in order (foldChunkCRCs), which equals the
-	// sequential crc32.Update over the concatenation.
+	// Chunks are independent (generate + hash each), so the pass fans out
+	// over a small worker pool.
 	parallelChunks(j.frags, func(i int) {
 		size := chunkSizeFor(&j.spec, frag, i)
 		p := grabFrame(size)
 		data := (*p)[fragRoom:]
 		fillChunkInto(&j.spec, j.id, i, data)
 		d.hashes[i] = chunkcache.Hash64(data)
-		d.crcs[i] = fragCRC(data)
 		releaseFrame(p)
 	})
 	// Every chunk but the last is frag bytes long.
-	tail := chunkSizeFor(&j.spec, frag, j.frags-1)
-	d.imageCRC, _ = foldChunkCRCs(d.crcs, frag, tail)
-	d.total = int64(j.frags-1)*int64(frag) + int64(tail)
+	d.total = int64(j.frags-1)*int64(frag) + int64(chunkSizeFor(&j.spec, frag, j.frags-1))
 	if cacheable {
 		d.patch = make(map[int]uint64, len(j.spec.ImagePatch))
 		for k, v := range j.spec.ImagePatch {
@@ -1635,8 +1628,7 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 
 	for _, kid := range kids {
 		m := &Manifest{Job: j.id, Epoch: epoch, Stripe: ss.id, Stripes: k, ChunkBytes: mm.cfg.FragBytes,
-			ImageCRC: j.man.imageCRC, TotalBytes: j.man.total,
-			Hashes: j.man.hashes, CRCs: j.man.crcs, Tree: tree.below(kid.pos)}
+			TotalBytes: j.man.total, Hashes: j.man.hashes, Tree: tree.below(kid.pos)}
 		n, err := kid.link.c.send(Message{Manifest: m})
 		if err != nil {
 			return downError{node: kid.link.node, cause: fmt.Sprintf("manifest write: %v", err)}
@@ -1728,7 +1720,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 		}
 		size := chunkSizeFor(&j.spec, frag, i)
 		f := newFrag(size)
-		f.Job, f.Index, f.Stripe, f.Last, f.CRC = j.id, i, ss.id, i == j.frags-1, j.man.crcs[i]
+		f.Job, f.Index, f.Stripe, f.Last = j.id, i, ss.id, i == j.frags-1
 		fillChunkInto(&j.spec, j.id, i, f.Data)
 		for _, kid := range kids {
 			link := kid.link

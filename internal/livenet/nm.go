@@ -94,18 +94,16 @@ type NM struct {
 	ctl     *nmCtl              // control-tree role (heartbeat/strobe relay)
 
 	// counters, guarded by mu: fragments verified, fragments relayed
-	// downstream, processes forked, gang context switches enacted, CRC
-	// shift operators built by image digest folds.
+	// downstream, processes forked, gang context switches enacted.
 	fragsWritten int
 	fragsRelayed int
 	launches     int
 	strobesSeen  int
-	shiftOps     int
 
 	// testOffLock, when set (in-package tests only), runs at every point
 	// of the receive path that is about to do O(bytes) or O(chunks) work
-	// — chunk CRC and hash, cache admission, the image digest fold — all
-	// of which must happen without nm.mu held.
+	// — the chunk hash, cache admission, the image seal — all of which
+	// must happen without nm.mu held.
 	testOffLock func()
 
 	// probation is the heartbeat-clean period count the MM's RejoinAck
@@ -136,7 +134,7 @@ type binState struct {
 
 	// Spool state (SpoolDir set): chunks are written at their offsets in
 	// a job-private temp file that is renamed into place only once the
-	// full image has re-verified against the manifest digest.
+	// full image has re-verified against the manifest's chunk hashes.
 	spool *os.File
 	tmp   string
 	final string
@@ -147,7 +145,10 @@ type binState struct {
 type ImageDigest struct {
 	Bytes int
 	Frags int
-	CRC   uint32 // CRC-32 of the concatenated image bytes
+	// CRC is the CRC-32 of the manifest's chunk-hash list (each hash 8
+	// bytes, little-endian): set by the image's content and chunk size, so
+	// equal on every node that sealed the image.
+	CRC uint32
 }
 
 // relayState is one job's position in the striped forwarding plane: one
@@ -679,7 +680,7 @@ func (nm *NM) onChildAck(a *FragAck, cc *conn) {
 // tree, then verifies and "writes" it (to the in-memory RAM disk) and
 // advances that stripe's aggregated ack. The relay happens first,
 // straight from the received pooled buffer, so per-hop latency is
-// receive+forward and the CRC work of every level overlaps the
+// receive+forward and the hash work of every level overlaps the
 // downstream transmission; corruption is caught by each node's own check
 // and nacked up the tree. from is the connection the fragment arrived on
 // — the MM link for stripe-tree roots, a peer link otherwise — and is
@@ -838,7 +839,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 				// entries) and splice them at the chunk's image offset.
 				p := grabFrame(size)
 				buf := (*p)[fragRoom:]
-				if nm.cache.Get(man.Hashes[i], man.CRCs[i], size, buf) &&
+				if nm.cache.Get(man.Hashes[i], 0, size, buf) &&
 					nm.spliceChunk(m.Job, st, i, buf) == nil {
 					bitSet(st.written, i)
 					st.wcount++
@@ -846,14 +847,13 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 				releaseFrame(p)
 				continue
 			}
-			// Memory mode never materializes the image (the digest is
-			// verified by CRC combination at finalize), so a cache probe
+			// Memory mode never materializes the image, so a cache probe
 			// suffices: Use charges the hit and re-verifies disk-backed
 			// entries without copying bytes out. This is what makes a
 			// fully-warm launch O(chunks), not O(bytes). (A disk-backed
 			// cache or a spool still does its file I/O here, under nm.mu:
 			// the spool handle is guarded by it.)
-			if nm.cache.Use(man.Hashes[i], man.CRCs[i], size) {
+			if nm.cache.Use(man.Hashes[i], 0, size) {
 				bitSet(st.written, i)
 				st.wcount++
 			}
@@ -997,16 +997,16 @@ func (nm *NM) offLock() {
 }
 
 // writeManifestChunk verifies one wire chunk against the manifest —
-// length, CRC, and content hash — splices it at its offset, and advances
+// length and content hash — splices it at its offset, and advances
 // the in-order ack pointer across any cached spans it completes. Verified
 // chunks also populate the cache, so the next launch of the same content
 // skips the wire entirely.
 //
-// Everything that costs O(bytes) — the CRC, the hash, the cache's copy —
-// runs before nm.mu is taken, against the manifest handleFrag read under
-// the lock (st and man are that snapshot); the lock covers the bitmap
-// and ledger update alone, and the digest fold of a completed image runs
-// after it is released (sealImage). The cache is filled before the
+// Everything that costs O(bytes) — the hash, the cache's copy — runs
+// before nm.mu is taken, against the manifest handleFrag read under the
+// lock (st and man are that snapshot); the lock covers the bitmap and
+// ledger update alone, and the seal of a completed image runs after it
+// is released (sealImage). The cache is filled before the
 // ledger moves, so a chunk this node has acked is a chunk its cache
 // holds: the next launch's HAVE round can rely on it.
 func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, man *Manifest) {
@@ -1014,12 +1014,9 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, m
 	nchunks := len(man.Hashes)
 	ok := f.Index >= 0 && f.Index < nchunks &&
 		len(f.Data) == manifestChunkLen(man, f.Index) &&
-		fragCRC(f.Data) == f.CRC && f.CRC == man.CRCs[f.Index]
-	if ok {
-		hash := chunkcache.Hash64(f.Data)
-		if ok = hash == man.Hashes[f.Index]; ok && nm.cache != nil {
-			nm.cache.Put(hash, f.CRC, f.Data)
-		}
+		chunkcache.Hash64(f.Data) == man.Hashes[f.Index]
+	if ok && nm.cache != nil {
+		nm.cache.Put(man.Hashes[f.Index], 0, f.Data)
 	}
 	nm.mu.Lock()
 	rs := nm.relays[f.Job]
@@ -1050,7 +1047,7 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, m
 		nm.fragsWritten++
 		if seal = st.wcount == nchunks; seal {
 			// The chunk that completes the image enters the ack ledgers
-			// only with the verified digest (sealImage): until then its
+			// only once the image is sealed (sealImage): until then its
 			// stripe's credit stays one short and a replan's HAVE fold
 			// waits, so nothing can vouch for an image that has not been
 			// checked.
@@ -1115,8 +1112,8 @@ func (st *binState) advanceStripe(s int) {
 // spliceChunk writes one verified chunk at its image offset in the spool
 // file (opened lazily). In memory mode there is nothing to write: the
 // image is never materialized — chunk presence is tracked in the written
-// bitmap and the digest is verified by CRC combination at finalize, the
-// same accounting the pre-delta memory path kept. Callers hold nm.mu.
+// bitmap, each chunk verified against its hash as it arrives. Callers
+// hold nm.mu.
 func (nm *NM) spliceChunk(job int, st *binState, index int, data []byte) error {
 	if nm.cfg.SpoolDir == "" {
 		return nil
@@ -1138,26 +1135,34 @@ func (nm *NM) spliceChunk(job int, st *binState, index int, data []byte) error {
 // onAbort) while its image was being sealed.
 var errJobGone = errors.New("livenet: job state released")
 
-// sealImage re-verifies the whole-image digest of a fully spliced image
-// against the manifest and, if it holds, commits the image: the spool
-// rename, the full ack ledgers, the retained digest. It is called
-// WITHOUT nm.mu by the one goroutine that spliced the last chunk (the
-// written bitmap fills exactly once), with the spool handle it read
-// under the lock; the digest — an O(chunks) fold, or in spool mode an
-// O(bytes) read-back — is computed off the lock and only the commit
-// retakes it — and ends the deferral of HAVE folds (st.draining) the
-// caller began; the caller then settles. A failed seal marks the job's
-// relay state failed; the caller nacks.
+// sealImage commits a fully spliced image: in spool mode it first reads
+// the spool back and checks every chunk against its manifest hash, then
+// the spool rename, the full ack ledgers, the retained digest. It is
+// called WITHOUT nm.mu by the one goroutine that spliced the last chunk
+// (the written bitmap fills exactly once), with the spool handle it read
+// under the lock; the read-back and the digest are computed off the lock
+// and only the commit retakes it — and ends the deferral of HAVE folds
+// (st.draining) the caller began; the caller then settles. A failed seal
+// removes the spool file and marks the job's relay state failed; the
+// caller nacks.
 func (nm *NM) sealImage(job int, st *binState, man *Manifest, spool *os.File) error {
 	nm.offLock()
-	crc, built, err := nm.imageCRC(man, spool)
-	if err == nil && crc != man.ImageCRC {
-		err = fmt.Errorf("livenet: node %d job %d: spliced image CRC %08x, manifest says %08x",
-			nm.node, job, crc, man.ImageCRC)
+	var err error
+	if nm.cfg.SpoolDir != "" {
+		err = nm.verifySpool(job, man, spool)
 	}
+	// The digest, CRC-32 of the hash list: hash/crc32's table update one
+	// byte at a time, which allocates nothing, where crc32.Update's
+	// argument would escape.
+	crc := ^uint32(0)
+	for _, h := range man.Hashes {
+		for sh := 0; sh < 64; sh += 8 {
+			crc = crc32.IEEETable[byte(crc)^byte(h>>sh)] ^ crc>>8
+		}
+	}
+	crc = ^crc
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	nm.shiftOps += built
 	if nm.bins[job] != st {
 		return errJobGone
 	}
@@ -1166,6 +1171,7 @@ func (nm *NM) sealImage(job int, st *binState, man *Manifest, spool *os.File) er
 		err = st.commitSpool()
 	}
 	if err != nil {
+		st.discardSpool()
 		if rs := nm.relays[job]; rs != nil {
 			rs.failed = true
 		}
@@ -1179,46 +1185,33 @@ func (nm *NM) sealImage(job int, st *binState, man *Manifest, spool *os.File) er
 	return nil
 }
 
-// imageCRC computes the CRC-32 of a fully spliced image, and reports how
-// many shift operators the fold built. Spool mode reads the spliced file
-// back and CRCs every byte — that closes the splice, proving every chunk
-// (cached and wire alike) landed at the right offset with the right
-// bytes — before the rename publishes it. The read-back CRCs each chunk
-// across the small chunk worker pool (ReadAt is concurrent-safe, the
-// reads are disjoint, and a spool closed under us by an abort just fails
-// them). Memory mode holds no image bytes, so it uses the manifest's
-// per-chunk CRCs (each individually verified, on the wire or at cache
-// admission). Either way the per-chunk results fold in order with the
-// CRC-32 combine identity: exactly ChecksumIEEE of the concatenated
-// chunks, for two operator builds and one multiply per chunk.
-func (nm *NM) imageCRC(man *Manifest, spool *os.File) (crc uint32, built int, err error) {
-	crcs := man.CRCs
-	if nm.cfg.SpoolDir != "" {
-		if spool == nil {
-			return 0, 0, nil
+// verifySpool reads a fully spliced spool back and checks each chunk
+// against its manifest hash. That closes the splice, proving every chunk
+// (cached and wire alike) landed at the right offset with the right bytes,
+// before the rename publishes it. The chunks are hashed across the small
+// chunk worker pool (ReadAt is concurrent-safe, the reads are disjoint,
+// and a spool closed under us by an abort just fails them).
+func (nm *NM) verifySpool(job int, man *Manifest, spool *os.File) error {
+	errs := make([]error, len(man.Hashes))
+	parallelChunks(len(man.Hashes), func(i int) {
+		size := manifestChunkLen(man, i)
+		p := grabFrame(size)
+		nr, err := spool.ReadAt((*p)[fragRoom:], int64(i)*int64(man.ChunkBytes))
+		if nr == size {
+			err = nil // a full read at EOF is a complete chunk
+			if chunkcache.Hash64((*p)[fragRoom:]) != man.Hashes[i] {
+				err = fmt.Errorf("livenet: node %d job %d: spooled chunk %d does not match its manifest hash", nm.node, job, i)
+			}
 		}
-		n := len(man.Hashes)
-		crcs = make([]uint32, n)
-		errs := make([]error, n)
-		parallelChunks(n, func(i int) {
-			size := manifestChunkLen(man, i)
-			p := grabFrame(size)
-			nr, err := spool.ReadAt((*p)[fragRoom:], int64(i)*int64(man.ChunkBytes))
-			crcs[i] = crc32.ChecksumIEEE((*p)[fragRoom : fragRoom+nr])
-			if err != nil && nr == size {
-				err = nil // a full read at EOF is a complete chunk
-			}
-			errs[i] = err
-			releaseFrame(p)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return 0, 0, err
-			}
+		errs[i] = err
+		releaseFrame(p)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	crc, built = foldChunkCRCs(crcs, man.ChunkBytes, manifestChunkLen(man, len(crcs)-1))
-	return crc, built, nil
+	return nil
 }
 
 // CacheStats returns a snapshot of the NM's chunk-cache counters and
@@ -1231,23 +1224,21 @@ func (nm *NM) CacheStats() (chunkcache.Stats, bool) {
 }
 
 // commitSpool publishes a fully verified image with close + atomic
-// rename, so a reader can never observe a half-written binary.
+// rename, so a reader can never observe a half-written binary. On an
+// error the temp file is left for discardSpool.
 func (st *binState) commitSpool() error {
 	if st.spool == nil {
 		return nil
 	}
 	err := st.spool.Close()
 	st.spool = nil
-	if err != nil {
-		os.Remove(st.tmp)
-		return err
+	if err == nil {
+		err = os.Rename(st.tmp, st.final)
 	}
-	if err := os.Rename(st.tmp, st.final); err != nil {
-		os.Remove(st.tmp)
-		return err
+	if err == nil {
+		st.tmp = ""
 	}
-	st.tmp = ""
-	return nil
+	return err
 }
 
 // discardSpool drops a partial image (abort/failure/shutdown cleanup).

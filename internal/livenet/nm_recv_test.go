@@ -3,8 +3,13 @@ package livenet
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -53,11 +58,11 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 			}
 			const job, chunks, size = 9, 4, 64
 			man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size,
-				Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks)}
+				Hashes: make([]uint64, chunks)}
 			image := fragPattern(job, 0, chunks*size)
 			for i := 0; i < chunks; i++ {
 				c := image[i*size : (i+1)*size]
-				man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
+				man.Hashes[i] = chunkcache.Hash64(c)
 			}
 			var wire bytes.Buffer
 			parent := &conn{w: bufio.NewWriter(&wire)}
@@ -71,7 +76,7 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 			sent := wire.Len() // the HAVE the manifest round already sent
 
 			f := newFrag(size)
-			f.Job, f.Index, f.CRC = job, 1, man.CRCs[1]
+			f.Job, f.Index = job, 1
 			copy(f.Data, image[size:2*size])
 			within(t, 2*time.Second, "writeManifestChunk for a released job", func() {
 				nm.writeManifestChunk(f, parent, 0, st, st.man)
@@ -239,10 +244,8 @@ func TestDialChildVersusClose(t *testing.T) {
 
 // TestWarmRelaunchStructure is the structural guard on the NM receive
 // path, in counts rather than times so it cannot go stale with the host:
-// on a 16-node, 16-chunk image (cold, then fully warm) every NM builds at
-// most two CRC shift operators per launch — one per distinct chunk length
-// in the manifest, not one per chunk — and nothing that costs O(bytes) or
-// O(chunks) (fragCRC, Hash64, the cache's copy, the digest fold) runs
+// on a 16-node, 16-chunk image (cold, then fully warm) nothing that costs
+// O(bytes) or O(chunks) (Hash64, the cache's copy, the image seal) runs
 // with nm.mu held. The probe at each such point takes nm.mu itself: it
 // gets it at once, or as soon as another goroutine lets go, unless the
 // caller is the holder — then it never does.
@@ -266,11 +269,6 @@ func TestWarmRelaunchStructure(t *testing.T) {
 		}
 		nm.mu.Unlock()
 	}
-	shiftOps := func(nm *NM) int {
-		nm.mu.Lock()
-		defer nm.mu.Unlock()
-		return nm.shiftOps
-	}
 	// A short tail, so the manifest has two distinct chunk lengths.
 	spec := deltaSpec(n, 0x5702, nil)
 	spec.BinaryBytes = (chunks-1)*frag + 100
@@ -278,10 +276,6 @@ func TestWarmRelaunchStructure(t *testing.T) {
 		name       string
 		chunksSent int
 	}{{"cold", chunks}, {"warm", 0}} {
-		before := make([]int, n)
-		for i, nm := range nms {
-			before[i] = shiftOps(nm)
-		}
 		rep, err := SubmitJob(mm.Addr(), spec)
 		if err != nil {
 			t.Fatalf("%s launch: %v", launch.name, err)
@@ -289,18 +283,14 @@ func TestWarmRelaunchStructure(t *testing.T) {
 		if rep.ChunksSent != launch.chunksSent {
 			t.Fatalf("%s launch streamed %d chunks, want %d", launch.name, rep.ChunksSent, launch.chunksSent)
 		}
-		for i, nm := range nms {
-			if built := shiftOps(nm) - before[i]; built < 1 || built > 2 {
-				t.Errorf("%s launch: node %d built %d shift operators for %d chunks, want 1 or 2",
-					launch.name, nm.Node(), built, chunks)
-			}
+		for _, nm := range nms {
 			if _, ok := nm.ImageDigest(rep.JobID); !ok {
 				t.Errorf("%s launch: node %d has no image", launch.name, nm.Node())
 			}
 		}
 	}
-	// Cold: one probe per chunk verified plus one per digest fold, on
-	// every node; warm: the folds alone.
+	// Cold: one probe per chunk verified plus one per seal, on every node;
+	// warm: the seals alone.
 	if want := int64(n*(chunks+1) + n); probes.Load() != want {
 		t.Errorf("off-lock points crossed %d times, want %d", probes.Load(), want)
 	}
@@ -327,15 +317,15 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 	}
 	const job, chunks, size = 9, 2, 64
 	image := fragPattern(job, 0, chunks*size)
-	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size, ImageCRC: fragCRC(image),
-		Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks)}
+	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size,
+		Hashes: make([]uint64, chunks)}
 	for i := 0; i < chunks; i++ {
 		c := image[i*size : (i+1)*size]
-		man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
+		man.Hashes[i] = chunkcache.Hash64(c)
 	}
 	frag := func(i int) *Frag {
 		f := newFrag(size)
-		f.Job, f.Index, f.CRC, f.Last = job, i, man.CRCs[i], i == chunks-1
+		f.Job, f.Index, f.Last = job, i, i == chunks-1
 		copy(f.Data, image[i*size:(i+1)*size])
 		return f
 	}
@@ -385,7 +375,7 @@ func TestNoAckBeforeHave(t *testing.T) {
 		digests: make(map[int]ImageDigest),
 	}
 	const job = 9
-	man := &Manifest{Job: job, Stripes: 2, ChunkBytes: 4, TotalBytes: 8, Hashes: make([]uint64, 2), CRCs: make([]uint32, 2)}
+	man := &Manifest{Job: job, Stripes: 2, ChunkBytes: 4, TotalBytes: 8, Hashes: make([]uint64, 2)}
 	nm.onManifest(man, discardConn())
 	st := nm.bins[job]
 	st.draining = true // stripe 0's seal in flight
@@ -418,5 +408,106 @@ func TestNoAckBeforeHave(t *testing.T) {
 	if haves != 1 || acks != 0 || nm.relays[job].stripes[1].sentUp != 1 {
 		t.Fatalf("stripe 1 sent %d HAVEs and %d acks, credit %d up; want one HAVE carrying credit 1",
 			haves, acks, nm.relays[job].stripes[1].sentUp)
+	}
+}
+
+// TestSpoolReadBack: the seal of a spooled image reads the temp file back
+// and checks every chunk against its manifest hash before the rename. A
+// clean image is published, with the digest every node computes: the
+// CRC-32 of the manifest's hash list. Then, for a second job, one byte of
+// the temp file flips at the seal's off-lock point, after both chunks
+// passed their checks on arrival. The seal must fail closed: nothing
+// published under the final name, the temp file removed, a nack naming
+// this node up the tree, and no digest.
+func TestSpoolReadBack(t *testing.T) {
+	dir := t.TempDir()
+	nm := &NM{
+		node:    4,
+		cfg:     NMConfig{SpoolDir: dir},
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		digests: make(map[int]ImageDigest),
+	}
+	const chunks, size = 2, 64
+	var flip bool
+	crossed := 0
+	nm.testOffLock = func() {
+		// One off-lock point per chunk verified, then the seal's.
+		if crossed++; !flip || crossed%(chunks+1) != 0 {
+			return
+		}
+		tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if len(tmps) != 1 {
+			t.Errorf("spool temp files at the seal: %v, want one", tmps)
+			return
+		}
+		fh, err := os.OpenFile(tmps[0], os.O_RDWR, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer fh.Close()
+		b := make([]byte, 1)
+		if _, err := fh.ReadAt(b, size+7); err != nil {
+			t.Error(err)
+		}
+		b[0] ^= 0xff
+		if _, err := fh.WriteAt(b, size+7); err != nil {
+			t.Error(err)
+		}
+	}
+	for job := 1; job <= 2; job++ {
+		flip = job == 2
+		image := fragPattern(job, 0, chunks*size)
+		man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size, Hashes: make([]uint64, chunks)}
+		var list []byte
+		for i := range man.Hashes {
+			man.Hashes[i] = chunkcache.Hash64(image[i*size : (i+1)*size])
+			list = binary.LittleEndian.AppendUint64(list, man.Hashes[i])
+		}
+		var up bytes.Buffer
+		parent := &conn{w: bufio.NewWriter(&up)}
+		nm.onManifest(man, parent)
+		for i := 0; i < chunks; i++ {
+			f := newFrag(size)
+			f.Job, f.Index, f.Last = job, i, i == chunks-1
+			copy(f.Data, image[i*size:(i+1)*size])
+			nm.handleFrag(f, parent)
+		}
+		if crossed != job*(chunks+1) {
+			t.Fatalf("job %d: %d off-lock points crossed, want %d", job, crossed, job*(chunks+1))
+		}
+		final := filepath.Join(dir, fmt.Sprintf("node%d-job%d.bin", nm.node, job))
+		_, statErr := os.Stat(final)
+		d, sealed := nm.ImageDigest(job)
+		nacked := false
+		for c := (&conn{r: bufio.NewReader(&up)}); ; {
+			m, err := c.recv()
+			if err != nil {
+				break
+			}
+			if a := m.FragAck; a != nil && !a.OK {
+				nacked = nacked || a.Node == nm.node
+			}
+		}
+		if !flip {
+			if statErr != nil || !sealed || nacked || d.CRC != crc32.ChecksumIEEE(list) {
+				t.Fatalf("clean image: published %v, digest %+v (sealed %v), nacked %v; want published, sealed, CRC %08x",
+					statErr, d, sealed, nacked, crc32.ChecksumIEEE(list))
+			}
+			continue
+		}
+		if !os.IsNotExist(statErr) {
+			t.Fatalf("a corrupt spool was published under %s (%v)", final, statErr)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+			t.Fatalf("a failed seal left %v behind", tmps)
+		}
+		if !nacked {
+			t.Fatal("no nack naming the node went up after a failed seal")
+		}
+		if sealed {
+			t.Fatalf("a failed seal reported the digest %+v", d)
+		}
 	}
 }

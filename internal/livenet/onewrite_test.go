@@ -143,11 +143,10 @@ func TestOneWritePerFrame(t *testing.T) {
 			up := &conn{w: bufio.NewWriter(io.Discard)}
 			for job, n := range oneWriteSizes() {
 				data := fragPattern(job, 0, n)
-				nm.onManifest(&Manifest{Job: job, Stripes: 1, ChunkBytes: n, TotalBytes: int64(n), ImageCRC: fragCRC(data),
-					Hashes: []uint64{chunkcache.Hash64(data)}, CRCs: []uint32{fragCRC(data)},
-					Tree: []TreeNode{{Node: 1, Addr: "a", Size: 1}}}, up)
+				nm.onManifest(&Manifest{Job: job, Stripes: 1, ChunkBytes: n, TotalBytes: int64(n),
+					Hashes: []uint64{chunkcache.Hash64(data)}, Tree: []TreeNode{{Node: 1, Addr: "a", Size: 1}}}, up)
 				var in bytes.Buffer
-				(&conn{w: bufio.NewWriter(&in)}).send(Message{Frag: &Frag{Job: job, Last: true, Data: data, CRC: fragCRC(data)}})
+				(&conn{w: bufio.NewWriter(&in)}).send(Message{Frag: &Frag{Job: job, Last: true, Data: data}})
 				received := append([]byte(nil), in.Bytes()...)
 				m, err := (&conn{r: bufio.NewReaderSize(&in, p.prof.bufBytes)}).recv()
 				if err != nil {

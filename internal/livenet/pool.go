@@ -7,8 +7,8 @@ import (
 )
 
 // chunkWorkers is the size of the transient worker pool the data path
-// uses for per-chunk CPU work (MM-side generate+hash+CRC when building
-// a manifest, NM-side CRC verify when finalizing a spooled image):
+// uses for per-chunk CPU work (MM-side generate+hash when building a
+// manifest, NM-side hash verify when sealing a spooled image):
 // enough to stop a multi-megabyte image from being single-core bound,
 // small enough not to fight the relay goroutines for the scheduler.
 func chunkWorkers(n int) int {

@@ -39,7 +39,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sort"
@@ -57,8 +56,8 @@ import (
 type JobSpec struct {
 	Name string
 	// BinaryBytes is the size of the synthetic executable image the MM
-	// distributes (contents are generated deterministically and
-	// CRC-checked at each NM).
+	// distributes (contents are generated deterministically and checked
+	// against the manifest's chunk hashes at each NM).
 	BinaryBytes int
 	// Nodes is how many NMs the job spans.
 	Nodes int
@@ -375,7 +374,6 @@ type Frag struct {
 	Index  int
 	Last   bool
 	Data   []byte
-	CRC    uint32
 	Stripe int
 	// frame is the pooled frame: fragRoom bytes of header room, then the
 	// payload Data views. A Frag built around a buffer of its own has
@@ -420,7 +418,6 @@ func (f *Frag) walk(w *walker) {
 	num(w, &f.Job, 4)
 	num(w, &f.Index, 4)
 	w.flag(&f.Last)
-	num(w, &f.CRC, 4)
 	n := len(f.Data)
 	num(w, &n, 4)
 	num(w, &f.Stripe, 1)
@@ -429,7 +426,7 @@ func (f *Frag) walk(w *walker) {
 // FragAck credits the sender's flow-control window. With the forwarding
 // tree the ack is cumulative and aggregated: Node's ack for Index means
 // every node in Node's subtree has verified and written fragments
-// 0..Index. OK=false reports a CRC/pattern rejection; Node then names
+// 0..Index. OK=false reports a content rejection; Node then names
 // the rejecting node, which parents forward up unchanged. Epoch is the
 // tree generation the ack was computed under: after a mid-transfer
 // replan the subtree a node vouches for changes, so credit from an
@@ -666,10 +663,9 @@ func (p *CtlPlan) walk(w *walker) {
 }
 
 // Manifest opens a transfer epoch on one stripe and lays the stripe's
-// tree as it goes. Hashes[i]/CRCs[i] address chunk i (fixed ChunkBytes
-// each except a short tail), so an NM can recognize chunks it already
-// holds in its content-addressed cache; ImageCRC is the whole-image
-// digest every NM re-verifies before committing its spool. Tree is the
+// tree as it goes. Hashes[i] addresses chunk i (fixed ChunkBytes each
+// except a short tail): every NM checks each chunk it takes, from the
+// wire or its content-addressed cache, against it. Tree is the
 // recipient's own subtree in the stripe: every descendant in pre-order,
 // so the first entry is the recipient's first child, its Size entries
 // are that child's subtree, and the next child follows them. The
@@ -688,10 +684,8 @@ type Manifest struct {
 	Stripe     int
 	Stripes    int
 	ChunkBytes int
-	ImageCRC   uint32
 	TotalBytes int64
 	Hashes     []uint64
-	CRCs       []uint32
 	Tree       []TreeNode
 }
 
@@ -710,14 +704,10 @@ func (m *Manifest) walk(w *walker) {
 	num(w, &m.Stripe, 8)
 	num(w, &m.Stripes, 8)
 	num(w, &m.ChunkBytes, 8)
-	num(w, &m.ImageCRC, 8)
 	num(w, &m.TotalBytes, 8)
-	n := w.count(len(m.Hashes), 4)
-	fit(w, &m.Hashes, n)
-	fit(w, &m.CRCs, n)
+	fit(w, &m.Hashes, w.count(len(m.Hashes), 4))
 	for i := range m.Hashes {
 		num(w, &m.Hashes[i], 8)
-		num(w, &m.CRCs[i], 8)
 	}
 	walkTree(w, &m.Tree)
 }
@@ -739,7 +729,6 @@ func walkTree(w *walker, tree *[]TreeNode) {
 func (m *Manifest) clone() *Manifest {
 	c := *m
 	c.Hashes = append([]uint64(nil), m.Hashes...)
-	c.CRCs = append([]uint32(nil), m.CRCs...)
 	c.Tree = nil
 	return &c
 }
@@ -763,7 +752,7 @@ func splitTree(tree []TreeNode) (kids [][]TreeNode) {
 
 // Have is the aggregated cache ledger answering a Manifest: bit i set
 // means every node in the sender's subtree already holds chunk i
-// (verified against the manifest's hash+CRC and spliced into its
+// (verified against the manifest's hash and spliced into its
 // spool). Parents AND their own bitmap with each child's before sending
 // up — the dual of the pong ledger's absence fold — so the MM learns
 // the set-union of missing chunks across the cluster in one O(depth)
@@ -807,9 +796,6 @@ func bitGet(bits []uint64, i int) bool {
 func bitSet(bits []uint64, i int) {
 	bits[i>>6] |= 1 << uint(i&63)
 }
-
-// fragCRC computes the fragment checksum.
-func fragCRC(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // patternRamp is two cycles of the byte ramp 0..255: the fragment
 // pattern b[i] = seed + byte(i) is periodic with period 256, so filling
@@ -966,7 +952,7 @@ type conn struct {
 	rStrobe    Strobe
 	rStrobeAck StrobeAck
 	rAck       FragAck
-	rManifest  Manifest // Hashes/CRCs/Tree grown once, reused across frames
+	rManifest  Manifest // Hashes/Tree grown once, reused across frames
 	rHave      Have     // Bits grown once
 
 	sent       atomic.Int64 // bytes written, frames included
@@ -1068,7 +1054,7 @@ func (w *walker) done() error {
 
 // integer is every field type num walks.
 type integer interface {
-	~int | ~int64 | ~uint32 | ~uint64
+	~int | ~int64 | ~uint64
 }
 
 // num walks an integer field as width big-endian bytes.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/livenet/chunkcache"
 	"repro/internal/livenet/wire"
 )
 
@@ -56,12 +57,12 @@ func TestFrameRoundTripControl(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripFrag: the binary fragment frame carries payload,
-// CRC, and flags intact, and the receive buffer is pooled.
+// TestFrameRoundTripFrag: the binary fragment frame carries payload
+// and flags intact, and the receive buffer is pooled.
 func TestFrameRoundTripFrag(t *testing.T) {
 	ca, cb := pipeConns(t)
 	data := fragPattern(7, 3, 1234)
-	go ca.send(Message{Frag: &Frag{Job: 7, Index: 3, Last: true, Data: data, CRC: fragCRC(data)}})
+	go ca.send(Message{Frag: &Frag{Job: 7, Index: 3, Last: true, Data: data}})
 	m, err := cb.recv()
 	if err != nil || m.Frag == nil {
 		t.Fatalf("frag round trip: %v", err)
@@ -70,7 +71,7 @@ func TestFrameRoundTripFrag(t *testing.T) {
 	if f.Job != 7 || f.Index != 3 || !f.Last || len(f.Data) != 1234 {
 		t.Fatalf("frag header mangled: %+v", f)
 	}
-	if fragCRC(f.Data) != f.CRC || !fragPatternCheck(f.Job, f.Index, f.Data) {
+	if !fragPatternCheck(f.Job, f.Index, f.Data) {
 		t.Fatal("frag payload mangled")
 	}
 	f.release()
@@ -100,7 +101,7 @@ func TestFrameInterleaving(t *testing.T) {
 	data := fragPattern(1, 0, 4096)
 	go func() {
 		ca.send(Message{Ping: &Ping{Seq: 1}})
-		ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}})
+		ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data}})
 		ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 2, OK: true}})
 		ca.send(Message{Strobe: &Strobe{Row: 1}})
 	}()
@@ -148,14 +149,14 @@ func discardConn() *conn {
 	return &conn{w: bufio.NewWriterSize(io.Discard, 64<<10)}
 }
 
-// TestFragCheckAllocs pins the NM's per-fragment verification — CRC plus
-// in-place pattern check — at zero allocations, and the single-encode
-// fragment send path at zero allocations per destination.
+// TestFragCheckAllocs pins the NM's per-fragment verification — content
+// hash plus in-place pattern check — at zero allocations, and the
+// single-encode fragment send path at zero allocations per destination.
 func TestFragCheckAllocs(t *testing.T) {
 	data := fragPattern(5, 11, 256<<10)
-	crc := fragCRC(data)
+	hash := chunkcache.Hash64(data)
 	if avg := testing.AllocsPerRun(100, func() {
-		if fragCRC(data) != crc || !fragPatternCheck(5, 11, data) {
+		if chunkcache.Hash64(data) != hash || !fragPatternCheck(5, 11, data) {
 			t.Fatal("verification failed")
 		}
 	}); avg != 0 {
@@ -167,7 +168,7 @@ func TestFragCheckAllocs(t *testing.T) {
 		t.Fatalf("fragPatternInto allocates %.1f/op, want 0", avg)
 	}
 	c := discardConn()
-	f := &Frag{Job: 5, Index: 11, Data: data, CRC: crc}
+	f := &Frag{Job: 5, Index: 11, Data: data}
 	if avg := testing.AllocsPerRun(100, func() {
 		if _, err := c.send(Message{Frag: f}); err != nil {
 			t.Fatal(err)
@@ -212,7 +213,7 @@ func TestConnSentBytes(t *testing.T) {
 		}
 	}()
 	data := fragPattern(1, 0, 1000)
-	if _, err := ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}}); err != nil {
+	if _, err := ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 0, OK: true}}); err != nil {

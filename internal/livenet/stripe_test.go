@@ -241,7 +241,7 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 	const job = 7
 	man := func(stripe, epoch int) *Manifest {
 		return &Manifest{Job: job, Epoch: epoch, Stripe: stripe, Stripes: 2, ChunkBytes: 4,
-			TotalBytes: 16, Hashes: make([]uint64, 4), CRCs: make([]uint32, 4)}
+			TotalBytes: 16, Hashes: make([]uint64, 4)}
 	}
 
 	// Stripe 0's manifest opens the transfer; stripe 1 has replanned to
@@ -297,7 +297,7 @@ func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 	const job = 7
 	man := func(stripe, epoch int, kid TreeNode) *Manifest {
 		return &Manifest{Job: job, Epoch: epoch, Stripe: stripe, Stripes: 2, ChunkBytes: 4, TotalBytes: 16,
-			Hashes: make([]uint64, 4), CRCs: make([]uint32, 4), Tree: []TreeNode{kid}}
+			Hashes: make([]uint64, 4), Tree: []TreeNode{kid}}
 	}
 
 	parent0, parent1 := discardConn(), discardConn()
@@ -375,10 +375,10 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 	image := fragPattern(job, 0, chunks*size)
 	man := func(stripe, epoch int, tree ...TreeNode) *Manifest {
 		m := &Manifest{Job: job, Epoch: epoch, Stripe: stripe, Stripes: 2, ChunkBytes: size, TotalBytes: chunks * size,
-			ImageCRC: fragCRC(image), Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks), Tree: tree}
+			Hashes: make([]uint64, chunks), Tree: tree}
 		for i := 0; i < chunks; i++ {
 			c := image[i*size : (i+1)*size]
-			m.Hashes[i], m.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
+			m.Hashes[i] = chunkcache.Hash64(c)
 		}
 		return m
 	}
@@ -388,7 +388,7 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 	for i := 0; i < chunks; i++ {
 		f := newFrag(size)
 		copy(f.Data, image[i*size:(i+1)*size])
-		f.Job, f.Index, f.Stripe, f.CRC = job, i, i%2, fragCRC(f.Data)
+		f.Job, f.Index, f.Stripe = job, i, i%2
 		nm.handleFrag(f, old)
 	}
 	if _, ok := nm.ImageDigest(job); !ok {
@@ -450,9 +450,8 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 // nonzero stripe byte must encode without per-frame garbage.
 func TestStripedFragAllocs(t *testing.T) {
 	data := fragPattern(5, 11, 256<<10)
-	crc := fragCRC(data)
 	c := discardConn()
-	f := &Frag{Job: 5, Index: 11, Stripe: 3, Data: data, CRC: crc}
+	f := &Frag{Job: 5, Index: 11, Stripe: 3, Data: data}
 	if avg := testing.AllocsPerRun(100, func() {
 		if _, err := c.send(Message{Frag: f}); err != nil {
 			t.Fatal(err)
@@ -480,7 +479,7 @@ func TestManifestRoundRerunKeepsEpochHaves(t *testing.T) {
 	mm := &MM{cfg: MMConfig{FragBytes: 4, Fanout: 2, AckTimeout: 300 * time.Millisecond}}
 	a, b := &nmLink{node: 4, c: discardConn()}, &nmLink{node: 5, c: discardConn()}
 	j := &liveJob{id: 1, frags: 4, nodes: []*nmLink{a, b},
-		man: &manifestData{hashes: make([]uint64, 4), crcs: make([]uint32, 4), total: 16}}
+		man: &manifestData{hashes: make([]uint64, 4), total: 16}}
 	j.cond = sync.NewCond(&j.mu)
 	ss := &stripeState{id: 0, needManifest: true}
 	mm.rewireStripe(j, ss, 1)
@@ -559,18 +558,18 @@ func TestChildDeadCompletesFold(t *testing.T) {
 	}
 	const job, chunks, size = 9, 2, 64
 	image := fragPattern(job, 0, chunks*size)
-	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size, ImageCRC: fragCRC(image),
-		Hashes: make([]uint64, chunks), CRCs: make([]uint32, chunks),
-		Tree: []TreeNode{{Node: 1, Addr: "a", Size: 1}, {Node: 2, Addr: "b", Size: 1}}}
+	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size,
+		Hashes: make([]uint64, chunks),
+		Tree:   []TreeNode{{Node: 1, Addr: "a", Size: 1}, {Node: 2, Addr: "b", Size: 1}}}
 	for i := 0; i < chunks; i++ {
 		c := image[i*size : (i+1)*size]
-		man.Hashes[i], man.CRCs[i] = chunkcache.Hash64(c), fragCRC(c)
+		man.Hashes[i] = chunkcache.Hash64(c)
 	}
 	var up bytes.Buffer
 	nm.onManifest(man, &conn{w: bufio.NewWriter(&up)})
 	for i := 0; i < chunks; i++ {
 		f := newFrag(size)
-		f.Job, f.Index, f.CRC = job, i, man.CRCs[i]
+		f.Job, f.Index = job, i
 		copy(f.Data, image[i*size:(i+1)*size])
 		nm.handleFrag(f, nm.relays[job].stripes[0].parent)
 	}

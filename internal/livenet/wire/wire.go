@@ -43,11 +43,10 @@ const (
 // Fixed-part lengths (the type byte not counted) and the offsets, within
 // the fixed part, of the fields that size a tail.
 const (
-	// FragLen is job u32 | index u32 | flags u8 | crc u32 | len u32 |
-	// stripe u8; the payload follows. The stripe byte rides at the end so
-	// the payload length keeps its offset.
-	FragLen    = 18
-	FragLenOff = 13
+	// FragLen is job u32 | index u32 | flags u8 | len u32 | stripe u8;
+	// the payload follows.
+	FragLen    = 14
+	FragLenOff = 9
 	// AckLen is job u32 | index u32 | node u32 | epoch u32 | ok u8 |
 	// stripe u8.
 	AckLen = 18

@@ -38,8 +38,8 @@ func everyFrame(t testing.TB) [][]byte {
 		{Submit: &Submit{Spec: JobSpec{Name: ps, BinaryBytes: p8, Nodes: p8, PEsPerNode: p8, Program: prog,
 			ImageSeed: p8, ImagePatch: map[int]uint64{p8: p8}, User: ps, Weight: p8, Place: []int{p8}, Demand: pv}}},
 		{RejoinAck: &RejoinAck{Probation: p8, Err: ps}},
-		{Manifest: &Manifest{Job: p8, Epoch: p8, Stripe: p8, Stripes: p8, ChunkBytes: p8, ImageCRC: p4, TotalBytes: p8,
-			Hashes: []uint64{p8, p8, p8}, CRCs: []uint32{p4, p4, p4}, Tree: tree}},
+		{Manifest: &Manifest{Job: p8, Epoch: p8, Stripe: p8, Stripes: p8, ChunkBytes: p8, TotalBytes: p8,
+			Hashes: []uint64{p8, p8, p8}, Tree: tree}},
 		{ChildDead: &ChildDead{Job: p8, Stripe: p8, Node: p8}},
 		{Abort: &Abort{Job: p8, Reason: ps}},
 		{Launch: &Launch{Job: p8, Program: prog, Ranks: []int{p8, p8}, Row: p8, Gang: true}},
@@ -50,7 +50,7 @@ func everyFrame(t testing.TB) [][]byte {
 		{StatusQ: &StatusReq{}},
 		{StatusR: &StatusRep{Nodes: []int{p8}, Jobs: p8, Queued: p8, Launched: p8, Completed: p8, Strobes: p8, Gang: true}},
 		{CtlPlan: &CtlPlan{Epoch: p8, Tree: tree}},
-		{Frag: &Frag{Job: p4, Index: p4, Last: true, CRC: p4, Stripe: 'P', Data: []byte(ps)}},
+		{Frag: &Frag{Job: p4, Index: p4, Last: true, Stripe: 'P', Data: []byte(ps)}},
 		{FragAck: &FragAck{Job: p4, Index: p4, Node: p4, Epoch: p4, OK: true, Stripe: 'P'}},
 		{Ping: &Ping{Seq: p8, Epoch: p4}},
 		{Pong: &Pong{Seq: p8, Node: p4, Epoch: p4, MinSeq: p8, Absent: p8}},
@@ -185,7 +185,7 @@ func FuzzConnRecv(f *testing.F) {
 	// The manifest carries the one tree on the wire: seed it also as a
 	// leaf's (no tree) and as a two-level subtree's.
 	frames := append(everyFrame(f), encodeFrames(f,
-		Message{Manifest: &Manifest{Job: 1, Stripes: 1, ChunkBytes: 4, TotalBytes: 8, Hashes: []uint64{1, 2}, CRCs: []uint32{3, 4}}},
+		Message{Manifest: &Manifest{Job: 1, Stripes: 1, ChunkBytes: 4, TotalBytes: 8, Hashes: []uint64{1, 2}}},
 		Message{Manifest: &Manifest{Job: 1, Stripe: 1, Stripes: 2, Tree: []TreeNode{
 			{Node: 1, Addr: "a:1", Size: 3}, {Node: 2, Addr: "b:2", Size: 2}, {Node: 3, Addr: "c:3", Size: 1}, {Node: 4, Addr: "d:4", Size: 1}}}},
 	)...)
@@ -205,7 +205,7 @@ func FuzzConnRecv(f *testing.F) {
 	// its chunk records', its tree's, its first address's — and with a
 	// subtree size that overruns the tree.
 	tree := frames[len(frames)-1]
-	at := 1 + wire.BodyLen + 7*8 // the chunk count, past seven integers
+	at := 1 + wire.BodyLen + 6*8 // the chunk count, past six integers
 	for _, off := range []int{at, at + 4, at + 4 + 4 + 8} {
 		bad := append([]byte(nil), tree...)
 		binary.BigEndian.PutUint32(bad[off:], 0xffffffff)
@@ -231,8 +231,8 @@ func FuzzConnRecv(f *testing.F) {
 					}
 					m.Frag.release()
 				case m.Manifest != nil:
-					if len(m.Manifest.Hashes) != len(m.Manifest.CRCs) || len(m.Manifest.Hashes) > maxFrame || len(m.Manifest.Tree) > maxFrame {
-						t.Fatalf("decoded a manifest of %d/%d chunks, %d tree nodes", len(m.Manifest.Hashes), len(m.Manifest.CRCs), len(m.Manifest.Tree))
+					if len(m.Manifest.Hashes) > maxFrame || len(m.Manifest.Tree) > maxFrame {
+						t.Fatalf("decoded a manifest of %d chunks, %d tree nodes", len(m.Manifest.Hashes), len(m.Manifest.Tree))
 					}
 				case m.PeerDown != nil:
 					errLen = len(m.PeerDown.Err)
@@ -278,7 +278,7 @@ type goldenFrame struct {
 // bytes.
 func goldenFrames() []goldenFrame {
 	return []goldenFrame{
-		{"frag", Message{Frag: &Frag{Job: 1, Index: 2, Last: true, CRC: 3, Stripe: 4, Data: []byte{5, 6, 7}}}},
+		{"frag", Message{Frag: &Frag{Job: 1, Index: 2, Last: true, Stripe: 4, Data: []byte{5, 6, 7}}}},
 		{"ack", Message{FragAck: &FragAck{Job: 1, Index: 2, Node: 3, Epoch: 4, OK: true, Stripe: 5}}},
 		{"ping", Message{Ping: &Ping{Seq: 1, Epoch: 2}}},
 		{"pong", Message{Pong: &Pong{Seq: 1, Node: 2, Epoch: 3, MinSeq: 4, Absent: 5}}},
@@ -290,11 +290,23 @@ func goldenFrames() []goldenFrame {
 	}
 }
 
-// readGolden reads golden frames ("name hex" per line) from each file.
-func readGolden(t *testing.T, files ...string) map[string]string {
+// goldenFiles hold the golden bytes of every frame of goldenFrames and
+// bodyFrames, each file generated by the codec of its day: the
+// fixed-part frames at ab214b3; the body frames when they replaced gob
+// (the plan frame left with its message); the control plan once it
+// carried the manifest's subtree encoding; and the fragment and the
+// manifest once the chunk hash became the only content check, and both
+// lost their CRCs.
+var goldenFiles = []string{"testdata/frames_ab214b3.golden", "testdata/frames_pr21.golden",
+	"testdata/frames_pr25.golden", "testdata/frames_hashonly.golden"}
+
+// checkGolden holds each frame to its golden bytes, byte for byte, and
+// every golden frame to a message of goldenFrames or bodyFrames — a frame
+// whose message is gone leaves the files with it.
+func checkGolden(t *testing.T, frames []goldenFrame) {
 	t.Helper()
 	golden := make(map[string]string)
-	for _, file := range files {
+	for _, file := range goldenFiles {
 		raw, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -304,20 +316,9 @@ func readGolden(t *testing.T, files ...string) map[string]string {
 			golden[name] = hx
 		}
 	}
-	return golden
-}
-
-// TestFrameGolden holds the fixed-part frames to the bytes the codec
-// wrote at ab214b3: testdata/frames_ab214b3.golden was generated there
-// from these same messages. Every frame must match byte for byte, and
-// every frame in the file must still exist — the plan-ack and need-mask
-// frames left it with their messages, the manifest when it became a body
-// frame (TestBodyFrameGolden).
-func TestFrameGolden(t *testing.T) {
-	golden := readGolden(t, "testdata/frames_ab214b3.golden")
 	var buf bytes.Buffer
 	c := &conn{w: bufio.NewWriter(&buf)}
-	for _, f := range goldenFrames() {
+	for _, f := range frames {
 		buf.Reset()
 		if _, err := c.send(f.m); err != nil {
 			t.Fatal(err)
@@ -325,12 +326,17 @@ func TestFrameGolden(t *testing.T) {
 		if got := hex.EncodeToString(buf.Bytes()); got != golden[f.name] {
 			t.Errorf("%s frame\n got %s\nwant %s", f.name, got, golden[f.name])
 		}
+	}
+	for _, f := range append(goldenFrames(), bodyFrames()...) {
 		delete(golden, f.name)
 	}
 	for name := range golden {
 		t.Errorf("golden frame %q has no message in this test", name)
 	}
 }
+
+// TestFrameGolden holds the fixed-part frames to their golden bytes.
+func TestFrameGolden(t *testing.T) { checkGolden(t, goldenFrames()) }
 
 // bodyFrames is one of every body frame with a distinct nonzero value in
 // every field — a few negative, since a body integer is signed — so a
@@ -343,8 +349,8 @@ func bodyFrames() []goldenFrame {
 			ImageSeed: 11, ImagePatch: map[int]uint64{14: 13, 12: 15}, User: "sixteen", Weight: -17, Place: []int{18, 19},
 			Demand: place.Vec{CPU: 20, Mem: 21, Net: 22}}}}},
 		{"rejoinack", Message{RejoinAck: &RejoinAck{Probation: -1, Err: "two"}}},
-		{"manifest", Message{Manifest: &Manifest{Job: 1, Epoch: 2, Stripe: 3, Stripes: 4, ChunkBytes: 5, ImageCRC: 6, TotalBytes: 7,
-			Hashes: []uint64{8, 9}, CRCs: []uint32{10, 11}, Tree: []TreeNode{{Node: 12, Addr: "thirteen", Size: 2}, {Node: 14, Addr: "fifteen", Size: -16}}}}},
+		{"manifest", Message{Manifest: &Manifest{Job: 1, Epoch: 2, Stripe: 3, Stripes: 4, ChunkBytes: 5, TotalBytes: 7,
+			Hashes: []uint64{8, 9}, Tree: []TreeNode{{Node: 12, Addr: "thirteen", Size: 2}, {Node: 14, Addr: "fifteen", Size: -16}}}}},
 		{"childdead", Message{ChildDead: &ChildDead{Job: 1, Stripe: 2, Node: 3}}},
 		{"abort", Message{Abort: &Abort{Job: 1, Reason: "two"}}},
 		{"launch", Message{Launch: &Launch{Job: 1, Program: prog, Ranks: []int{2, 3}, Row: 4, Gang: true}}},
@@ -430,31 +436,8 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBodyFrameGolden holds the body frames to the bytes the codec wrote
-// when they replaced gob — testdata/frames_pr21.golden was generated from
-// bodyFrames, and the plan frame left it with its message — the
-// manifest, which carries its stripe tree since, to
-// testdata/frames_pr22.golden, and the control plan, which carries its
-// subtree in the manifest's encoding since, to
-// testdata/frames_pr25.golden.
-func TestBodyFrameGolden(t *testing.T) {
-	golden := readGolden(t, "testdata/frames_pr21.golden", "testdata/frames_pr22.golden", "testdata/frames_pr25.golden")
-	var buf bytes.Buffer
-	c := &conn{w: bufio.NewWriter(&buf)}
-	frames := bodyFrames()
-	for _, f := range frames {
-		buf.Reset()
-		if _, err := c.send(f.m); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(buf.Bytes()); got != golden[f.name] {
-			t.Errorf("%s frame\n got %s\nwant %s", f.name, got, golden[f.name])
-		}
-	}
-	if len(golden) != len(frames) {
-		t.Errorf("golden file has %d frames, bodyFrames %d", len(golden), len(frames))
-	}
-}
+// TestBodyFrameGolden holds the body frames to their golden bytes.
+func TestBodyFrameGolden(t *testing.T) { checkGolden(t, bodyFrames()) }
 
 // TestRecvErrorsNameFrame: a frame recv refuses — cut short, a body
 // longer than its walk, an error string past its bound — fails with an
