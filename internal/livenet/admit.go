@@ -3,7 +3,6 @@ package livenet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -19,10 +18,7 @@ import (
 // with up to MaxConcurrent jobs in the transfer phases at once. Jobs
 // share the cached relay links and the control tree; which admitted job
 // streams next when the slots are saturated is a pluggable policy
-// (FIFO, weighted-fair over users, smallest-image-first). A per-link
-// byte budget shared by every job crossing that link bounds how much
-// unacknowledged data one job can park in a link's pipeline, so a fat
-// job backpressures instead of starving the tree for everyone else.
+// (FIFO, weighted-fair over users, smallest-image-first).
 
 // jobPhase is a job's position in the launch state machine.
 type jobPhase int
@@ -280,134 +276,10 @@ func (mm *MM) placeJob(spec *JobSpec, avoid map[int]bool) ([]*nmLink, error) {
 	return links, nil
 }
 
-// linkBudget is the shared byte budget of one physical link (one conn
-// from the MM to an NM, created with the nmLink it belongs to and used
-// whenever the node is a direct tree child). Every job streaming across the
-// link must acquire its chunk's bytes before writing and holds them
-// until the child's cumulative ack covers the chunk, so the total
-// unacknowledged data all jobs park in the link's pipeline is bounded:
-// a fat job blocks in acquire (backpressure) instead of queueing
-// unboundedly ahead of everyone else. Tickets keep waiters FIFO so a
-// stream of small chunks cannot starve a large one.
-type linkBudget struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	capacity int64
-	used     int64
-	queue    []uint64 // outstanding tickets, FIFO
-	next     uint64
-}
-
-// linkBudgetBytes is every MM link's budget: the total unacknowledged
-// data all jobs may park in one direct-child link's pipeline.
-const linkBudgetBytes = 16 << 20
-
-func newLinkBudget(capacity int64) *linkBudget {
-	lb := &linkBudget{capacity: capacity}
-	lb.cond = sync.NewCond(&lb.mu)
-	return lb
-}
-
-// acquire blocks until n bytes fit under the budget (clamped to the
-// whole budget so an oversized chunk still flows when the link drains).
-func (lb *linkBudget) acquire(n int64, deadline time.Time) error {
-	if n > lb.capacity {
-		n = lb.capacity
-	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	t := lb.next
-	lb.next++
-	lb.queue = append(lb.queue, t)
-	for !(lb.queue[0] == t && lb.used+n <= lb.capacity) {
-		if time.Now().After(deadline) {
-			lb.unqueue(t)
-			lb.cond.Broadcast()
-			return fmt.Errorf("link budget exhausted (%d of %d bytes unacknowledged)", lb.used, lb.capacity)
-		}
-		w := time.AfterFunc(100*time.Millisecond, func() { lb.cond.Broadcast() })
-		lb.cond.Wait()
-		w.Stop()
-	}
-	lb.unqueue(t)
-	lb.used += n
-	lb.cond.Broadcast()
-	return nil
-}
-
-// release returns acknowledged bytes to the budget.
-func (lb *linkBudget) release(n int64) {
-	lb.mu.Lock()
-	lb.used -= n
-	if lb.used < 0 {
-		lb.used = 0
-	}
-	lb.cond.Broadcast()
-	lb.mu.Unlock()
-}
-
-func (lb *linkBudget) unqueue(t uint64) {
-	for i, q := range lb.queue {
-		if q == t {
-			lb.queue = append(lb.queue[:i], lb.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-// heldChunk is one chunk's worth of its link's budget a job holds while
-// the chunk is unacknowledged by one child subtree. index is
-// stripe-local, matching the cumulative acks that release it.
-type heldChunk struct {
-	index int
-	n     int64
-}
-
-// holdChunk records budget acquired for the stripe-local chunk index on
-// the link to one direct child of a stripe's tree.
-func (j *liveJob) holdChunk(kid *stripeKid, index int, n int64) {
-	j.mu.Lock()
-	kid.held = append(kid.held, heldChunk{index: index, n: n})
-	j.mu.Unlock()
-}
-
 // credit raises the kid's cumulative stripe-local credit to n — from an
-// ack or from the prefix of a HAVE ledger — handing back the link budget
-// of every chunk it now covers. Caller holds j.mu.
+// ack or from the prefix of a HAVE ledger. Caller holds j.mu.
 func (kid *stripeKid) credit(n int) {
-	if n > kid.acked {
-		kid.acked = n
-		kid.release(n)
-	}
-}
-
-// release returns the budget of every chunk the kid holds below the
-// stripe-local index: up to its cumulative ack as that advances, all of
-// it (math.MaxInt) when the record is dropped or its epoch ends. Caller
-// holds j.mu; budget locks nest inside it.
-func (kid *stripeKid) release(below int) {
-	kept := kid.held[:0]
-	for _, h := range kid.held {
-		if h.index < below {
-			kid.link.budget.release(h.n)
-		} else {
-			kept = append(kept, h)
-		}
-	}
-	kid.held = kept
-}
-
-// releaseAllHeld returns every held byte — the epoch is over (transfer
-// done, failed, or replanned; a replan re-acquires for whatever it
-// re-streams).
-func (j *liveJob) releaseAllHeld() {
-	j.mu.Lock()
-	for _, ss := range j.stripes {
-		for _, kid := range ss.kids {
-			kid.release(math.MaxInt)
-		}
-	}
-	j.mu.Unlock()
+	kid.acked = max(kid.acked, n)
 }
 
 // JobInfo is one row of the MM's job table snapshot.

@@ -302,38 +302,56 @@ func TestLiveMidTreeCorruptionPropagates(t *testing.T) {
 }
 
 // TestLiveAckTimeoutNamesNodes (satellite): a stalled window's error
-// names the specific nodes still owing credit.
+// names the specific nodes still owing credit — whether the stall is
+// the tail drain of an image that fits the window or the window itself
+// filling mid-stream.
 func TestLiveAckTimeoutNamesNodes(t *testing.T) {
 	const ackTimeout = 400 * time.Millisecond
-	// Node 1 is a direct MM child and a leaf; it writes fragments but
-	// never credits the window.
-	mm, _, _ := chaosCluster(t, 3, MMConfig{Fanout: 2, FragBytes: 64 << 10, AckTimeout: ackTimeout},
-		func(node int) NMConfig {
-			if node != 1 {
-				return NMConfig{}
+	for _, tc := range []struct {
+		name         string
+		nodes, bytes int
+		owing        string // node 1's entry in the error
+	}{
+		// Tree for 3 nodes at fanout 2: MM -> {0, 1}, node 0 -> {2}. The
+		// binary fits the window (2 fragments <= 8 slots), so the only
+		// wait is the tail drain, for both chunks.
+		{"tail", 3, 128 << 10, "node 1 (acked 0 of 2)"},
+		// MM -> {0, 1}, depth 1, so a window of 4: the stream blocks on
+		// the fifth of 12 fragments, awaiting credit for the first.
+		{"mid-stream", 2, 12 * 64 << 10, "node 1 (acked 0 of 1)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Node 1 is a direct MM child and a leaf; it writes fragments
+			// but never credits the window.
+			mm, _, _ := chaosCluster(t, tc.nodes, MMConfig{Fanout: 2, FragBytes: 64 << 10, AckTimeout: ackTimeout},
+				func(node int) NMConfig {
+					if node != 1 {
+						return NMConfig{}
+					}
+					return NMConfig{WrapConn: dropFrames(wire.Ack, 16)}
+				})
+			start := time.Now()
+			_, err := SubmitJob(mm.Addr(), JobSpec{
+				Name: "stall", BinaryBytes: tc.bytes, Nodes: tc.nodes, PEsPerNode: 1,
+				Program: ProgramSpec{Kind: "exit"},
+			})
+			elapsed := time.Since(start)
+			// Node 1 answers the isolation probe, so it is not excluded:
+			// the job fails with the stall instead of completing without it.
+			if err == nil {
+				t.Fatal("stalled transfer succeeded")
 			}
-			return NMConfig{WrapConn: dropFrames(wire.Ack, 8)}
+			if !strings.Contains(err.Error(), ErrTransferTimeout.Error()) || !strings.Contains(err.Error(), tc.owing) {
+				t.Fatalf("timeout does not name the owing node and its credit: %v", err)
+			}
+			if strings.Contains(err.Error(), "node 0 ") || strings.Contains(err.Error(), "node 2 ") {
+				t.Fatalf("timeout blames a healthy subtree: %v", err)
+			}
+			// A single AckTimeout budget, not stacked per-fragment budgets.
+			if elapsed > 2*ackTimeout {
+				t.Fatalf("stall consumed %v; timeout budget double-counted (AckTimeout %v)", elapsed, ackTimeout)
+			}
 		})
-	start := time.Now()
-	_, err := SubmitJob(mm.Addr(), JobSpec{
-		Name: "stall", BinaryBytes: 128 << 10, Nodes: 3, PEsPerNode: 1,
-		Program: ProgramSpec{Kind: "exit"},
-	})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("stalled transfer succeeded")
-	}
-	if !strings.Contains(err.Error(), "node 1") {
-		t.Fatalf("timeout does not name the owing node: %v", err)
-	}
-	if strings.Contains(err.Error(), "node 0 ") {
-		t.Fatalf("timeout blames a healthy subtree: %v", err)
-	}
-	// The binary fits the window (2 fragments <= 4 slots), so the only
-	// wait is the tail drain: a single AckTimeout budget, not stacked
-	// per-fragment budgets.
-	if elapsed > 2*ackTimeout {
-		t.Fatalf("tail wait consumed %v; timeout budget double-counted (AckTimeout %v)", elapsed, ackTimeout)
 	}
 }
 

@@ -16,11 +16,10 @@ import (
 // registers again gets a new one on its row, so a job still holding the
 // old one sees its writes fail rather than reach the next incarnation.
 type nmLink struct {
-	node   int
-	cpus   int
-	addr   string // NM peer address, where tree parents dial relay links
-	c      *conn
-	budget *linkBudget // shared by every job streaming across c (admit.go)
+	node int
+	cpus int
+	addr string // NM peer address, where tree parents dial relay links
+	c    *conn
 }
 
 // member is everything the MM believes about one node.

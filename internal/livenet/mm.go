@@ -3,7 +3,6 @@ package livenet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"slices"
 	"sort"
@@ -455,7 +454,6 @@ type stripeKid struct {
 	// the stream reads it without j.mu. It decides what the subtree is
 	// sent; a later ledger of the epoch only adds credit.
 	have []uint64
-	held []heldChunk // link budget of chunks the ack has not covered yet
 }
 
 // kid returns the record of the direct child that is node, or nil.
@@ -849,8 +847,7 @@ func (mm *MM) status() StatusRep {
 // already wires it back in. Its placement eligibility returns after
 // probation; its chunk cache makes it a warm relay immediately.
 func (mm *MM) serveNM(c *conn, reg *Register) {
-	link := &nmLink{node: reg.Node, cpus: reg.CPUs, addr: reg.Addr, c: c,
-		budget: newLinkBudget(linkBudgetBytes)}
+	link := &nmLink{node: reg.Node, cpus: reg.CPUs, addr: reg.Addr, c: c}
 	mm.mu.Lock()
 	if mm.closed {
 		mm.mu.Unlock()
@@ -1033,6 +1030,13 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	}
 	if len(spec.Place) > 0 && len(spec.Place) != spec.Nodes {
 		return Report{}, fmt.Errorf("livenet: Place names %d nodes, job wants %d", len(spec.Place), spec.Nodes)
+	}
+	pinned := make(map[int]bool, len(spec.Place))
+	for _, id := range spec.Place {
+		if pinned[id] {
+			return Report{}, fmt.Errorf("livenet: Place names node %d twice", id)
+		}
+		pinned[id] = true
 	}
 	mm.maybeRotateJournal()
 	mm.mu.Lock()
@@ -1368,9 +1372,6 @@ func (mm *MM) rewireTree(j *liveJob) {
 // child, the stream cursor at zero. Caller must hold j.mu or have
 // exclusive access to j.
 func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
-	for _, kid := range ss.kids {
-		kid.release(math.MaxInt)
-	}
 	ss.tree = layTree(stripeOrder(j.nodes, ss.id, k), mm.cfg.Fanout)
 	ss.kids = nil
 	for _, tk := range ss.tree.kids {
@@ -1419,17 +1420,12 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 // With MMConfig.Stripes > 1 the phases run per stripe and overlap:
 // each stripe pipelines its own manifest round and stream in a
 // dedicated goroutine, so stripe i is streaming chunks while stripe j
-// still folds HAVEs, with the shared per-link budgets arbitrating the
-// conns they cross.
+// still folds HAVEs.
 func (mm *MM) transfer(j *liveJob) error {
 	// maxReplans bounds the tree-replan recovery rounds one transfer may
 	// attempt before giving up. Each round can exclude several failed
 	// nodes at once.
 	const maxReplans = 3
-	// Whatever path exits the transfer, return every byte this job still
-	// holds against the shared link budgets — a failed job must not leave
-	// a budget leaked and starve its link peers.
-	defer j.releaseAllHeld()
 	j.man = mm.buildManifest(j)
 
 	err := mm.runStripes(j)
@@ -1709,6 +1705,9 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// ack can even form. Cumulative acks advance through cached spans
 	// without wire traffic, so pacing by the send list position is exact.
 	// All credit arithmetic is stripe-local (chunk i is the stripe's i/k-th).
+	// The window is the only bound on unacknowledged data: a sent chunk
+	// is regenerated on resend, so beyond it the bytes in flight are
+	// socket buffers, and send blocks when those are full.
 	window := windowSlots * depth
 	frag := mm.cfg.FragBytes
 	for pos := start; pos < len(list); pos++ {
@@ -1727,17 +1726,6 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 			if maskGet(kid.have, i) {
 				continue // the whole subtree already holds this chunk
 			}
-			// Shared-link backpressure: reserve the chunk's bytes against
-			// the link budget before writing, held until this subtree's
-			// cumulative ack covers the chunk. Concurrent jobs — and the
-			// job's other stripes — crossing the same cached relay link
-			// block here instead of queueing unbounded data ahead of each
-			// other.
-			if err := link.budget.acquire(int64(size), time.Now().Add(mm.cfg.AckTimeout)); err != nil {
-				f.release()
-				return downError{node: link.node, cause: fmt.Sprintf("fragment %d: %v", i, err)}
-			}
-			j.holdChunk(kid, i/k, int64(size))
 			n, err := link.c.send(Message{Frag: f})
 			if err != nil {
 				f.release()
@@ -1762,7 +1750,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// stripe — on a fully warm launch (empty send list) the HAVE ledgers
 	// already credited every subtree to the end, with no payload and no
 	// ack on the wire. One AckTimeout, started when the last fragment
-	// left, covers the whole tail — the budget is not restarted on partial
+	// left, covers the whole tail — the deadline is not restarted on partial
 	// progress, so a stalled node cannot stack the per-fragment timeout on
 	// top of the final wait.
 	return j.awaitCredit(ss, stripeChunks(j.frags, ss.id, k), time.Now().Add(mm.cfg.AckTimeout))
@@ -1890,10 +1878,6 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	k := len(j.stripes)
 	stripes := append([]*stripeState(nil), j.stripes...)
 	j.mu.Unlock()
-	// Unacknowledged chunks of the interrupted epoch hand their
-	// link-budget bytes back now: replanned stripes reset their credit,
-	// pruned stripes re-acquire for whatever they re-stream.
-	j.releaseAllHeld()
 
 	for _, ss := range stripes {
 		j.mu.Lock()
@@ -1924,13 +1908,12 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 }
 
 // pruneStripe removes dead leaves from one stripe without disturbing its
-// epoch: a direct child of the MM loses its record (and hands back the
-// link budget it still holds); a deeper leaf's tree parent is told via
-// ChildDead to stop counting it in the aggregated acks. The stream cursor
-// rewinds to the slowest surviving subtree's credit so chunks the
-// corpse's loss left unacknowledged are re-sent (duplicates re-ack
-// idempotently), and the stripe resumes — no manifest round, no epoch
-// bump.
+// epoch: a direct child of the MM loses its record; a deeper leaf's tree
+// parent is told via ChildDead to stop counting it in the aggregated
+// acks. The stream cursor rewinds to the slowest surviving subtree's
+// credit so chunks the corpse's loss left unacknowledged are re-sent
+// (duplicates re-ack idempotently), and the stripe resumes — no manifest
+// round, no epoch bump.
 func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) error {
 	type deadLeaf struct {
 		parent *nmLink
@@ -1951,7 +1934,6 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 		// record left to drop.
 		for ci, kid := range ss.kids {
 			if kid.link == link {
-				kid.release(math.MaxInt)
 				ss.kids = append(ss.kids[:ci], ss.kids[ci+1:]...)
 				break
 			}

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -277,46 +278,64 @@ func TestPlacementPinning(t *testing.T) {
 	}); err == nil {
 		t.Fatal("Place shorter than Nodes accepted")
 	}
+	// A repeated node is refused before queueing, naming the node —
+	// not after an AckTimeout waiting on a HAVE the twin never sends.
+	start := time.Now()
+	if _, err := SubmitJob(mm.Addr(), JobSpec{
+		Name: "dup-pin", BinaryBytes: 1 << 10, Nodes: 3, PEsPerNode: 1,
+		Place:   []int{2, 2, 3},
+		Program: ProgramSpec{Kind: "exit"},
+	}); err == nil || !strings.Contains(err.Error(), "node 2 twice") {
+		t.Fatalf("pinning node 2 twice: got %v, want 'node 2 twice'", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("duplicate Place refused after %v, want before queueing", elapsed)
+	}
 }
 
 // TestConcurrentStreamsSharedLinks: many jobs streaming at once through
 // the same NMs and cached relay links must all complete with correct,
-// distinct images — the NM-side demultiplexing by job id and the shared
-// link budget must not mix streams or deadlock.
+// distinct images — the NM-side demultiplexing by job id and the
+// per-stripe windows must not mix streams or deadlock, on one tree or
+// on two stripes sharing every link.
 func TestConcurrentStreamsSharedLinks(t *testing.T) {
-	mm, nms := mtCluster(t, 7, MMConfig{Fanout: 2, FragBytes: 16 << 10, MaxConcurrent: 8})
-	const jobs = 6
-	var wg sync.WaitGroup
-	reports := make([]Report, jobs)
-	errs := make([]error, jobs)
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i], errs[i] = SubmitJob(mm.Addr(), JobSpec{
-				Name: "tenant", BinaryBytes: (256 + 64*i) << 10, Nodes: 7, PEsPerNode: 1,
-				Program: ProgramSpec{Kind: "exit"},
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < jobs; i++ {
-		if errs[i] != nil {
-			t.Fatalf("concurrent job %d failed: %v", i, errs[i])
-		}
-		// Every node must hold the complete, identical image for this job.
-		var ref ImageDigest
-		for n, nm := range nms {
-			d, ok := nm.ImageDigest(reports[i].JobID)
-			if !ok {
-				t.Fatalf("node %d holds no image for job %d", n, reports[i].JobID)
+	for _, stripes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
+			mm, nms := mtCluster(t, 7, MMConfig{Fanout: 2, FragBytes: 16 << 10, MaxConcurrent: 8, Stripes: stripes})
+			const jobs = 6
+			var wg sync.WaitGroup
+			reports := make([]Report, jobs)
+			errs := make([]error, jobs)
+			for i := 0; i < jobs; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					reports[i], errs[i] = SubmitJob(mm.Addr(), JobSpec{
+						Name: "tenant", BinaryBytes: (256 + 64*i) << 10, Nodes: 7, PEsPerNode: 1,
+						Program: ProgramSpec{Kind: "exit"},
+					})
+				}(i)
 			}
-			if n == 0 {
-				ref = d
-			} else if d != ref {
-				t.Fatalf("node %d image for job %d differs: %+v vs %+v", n, reports[i].JobID, d, ref)
+			wg.Wait()
+			for i := 0; i < jobs; i++ {
+				if errs[i] != nil {
+					t.Fatalf("concurrent job %d failed: %v", i, errs[i])
+				}
+				// Every node must hold the complete, identical image for this job.
+				var ref ImageDigest
+				for n, nm := range nms {
+					d, ok := nm.ImageDigest(reports[i].JobID)
+					if !ok {
+						t.Fatalf("node %d holds no image for job %d", n, reports[i].JobID)
+					}
+					if n == 0 {
+						ref = d
+					} else if d != ref {
+						t.Fatalf("node %d image for job %d differs: %+v vs %+v", n, reports[i].JobID, d, ref)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -516,7 +516,7 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 	}
 	mm.onFragAck(&FragAck{Job: 1, Index: 0, Node: 1, OK: true})
 	mm.onHave(&Have{Job: 1, Node: 1, Bits: []uint64{}})
-	if k := ss.kids[0]; len(ss.kids) != 2 || k.acked != 0 || k.have != nil || k.held != nil {
+	if k := ss.kids[0]; len(ss.kids) != 2 || k.acked != 0 || k.have != nil {
 		t.Fatalf("stray stripe answers changed the records: %d kids, kid 0 %+v", len(ss.kids), k)
 	}
 	if k := ss.kids[1]; k.acked != 1 || k.have == nil {
@@ -598,37 +598,24 @@ func TestChildDeadCompletesFold(t *testing.T) {
 	}
 }
 
-// TestPruneReturnsHeldBudget: pruning a direct child that still holds
-// link budget for unacknowledged chunks hands all of it back — the prune
-// itself, not a caller that happened to have released everything first.
-func TestPruneReturnsHeldBudget(t *testing.T) {
+// TestPruneDropsDirectChild: pruning a dead direct child of the MM
+// drops its record and keeps every other kid's.
+func TestPruneDropsDirectChild(t *testing.T) {
 	mm := &MM{cfg: MMConfig{Fanout: 1}}
 	links := testLinks(3)
 	for _, l := range links {
 		l.c = discardConn()
-		l.budget = newLinkBudget(1 << 20)
 	}
 	j := &liveJob{id: 1, nodes: links}
 	j.cond = sync.NewCond(&j.mu)
 	ss := &stripeState{id: 0}
 	mm.rewireStripe(j, ss, 1)
 	j.stripes = []*stripeState{ss}
-	victim := ss.kid(1)
-	lb := victim.link.budget
-	for i := 0; i < 3; i++ {
-		if err := lb.acquire(1000, time.Now().Add(time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		j.holdChunk(victim, i, 1000)
-	}
-	if lb.used != 3000 {
-		t.Fatalf("budget in use = %d before the prune, want 3000", lb.used)
+	if len(ss.kids) != 3 || ss.kid(1) == nil {
+		t.Fatalf("kids of a 3-node flat tree: %+v", ss.kids)
 	}
 	if err := mm.pruneStripe(j, ss, map[int]string{1: "test"}); err != nil {
 		t.Fatal(err)
-	}
-	if lb.used != 0 {
-		t.Fatalf("budget in use = %d after pruning its holder, want 0", lb.used)
 	}
 	if len(ss.kids) != 2 || ss.kid(1) != nil {
 		t.Fatalf("pruned kid still has a record: %+v", ss.kids)
