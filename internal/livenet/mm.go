@@ -96,8 +96,8 @@ type MMConfig struct {
 	// interior/leaf roles rotate per stripe (each node is interior in
 	// ~1/k of the trees) and manifest chunks interleave round-robin
 	// (chunk i rides stripe i%k), so aggregate delivery drives k
-	// uplinks per node and a slow or dead relay only throttles the
-	// stripes it is interior in. Clamped per job to the chunk count and
+	// uplinks per node and a slow relay only throttles the stripes it
+	// is interior in. Clamped per job to the chunk count and
 	// to 255 (the wire's stripe byte).
 	Stripes int
 	// GangQuantum, when positive, enables live gang scheduling: the MM
@@ -373,11 +373,11 @@ type liveJob struct {
 
 	// stripes is the per-stripe transfer state: every spanning tree the
 	// bulk plane stripes this job across owns its own epoch, ack ledger,
-	// HAVE ledgers and stream cursor (one entry, stripe 0, for the
-	// legacy single-tree plan). stripeReplans counts the replan rounds
-	// charged to each stripe — a dead leaf is pruned from a stripe
-	// without bumping its epoch, so an undisturbed stripe's count stays 0
-	// through another stripe's recovery.
+	// HAVE ledgers and send list (one entry, stripe 0, for the single-tree
+	// plan). stripeReplans counts the replan rounds charged to each
+	// stripe: a death replans every stripe that has not drained, so a
+	// stripe's count is the replan rounds it was still streaming
+	// through, and 0 for one that drained before any death.
 	stripes       []*stripeState
 	stripeReplans []int
 
@@ -419,28 +419,25 @@ type liveJob struct {
 
 // stripeState is one stripe's transfer state: its spanning tree (laid
 // over a rotation of the job's placement order), tree epoch, one record
-// per direct child and the stream cursor. All index arithmetic below the
+// per direct child and the send list. All index arithmetic below the
 // sendList is stripe-local (chunk s+j·k is the stripe's j-th), so each
 // stripe's window and replay logic is the single-tree logic verbatim.
 // Guarded by the owning job's mu.
 type stripeState struct {
 	id int
 	// tree is the stripe's forwarding tree; tree.order[q] is the node at
-	// position q. It is laid again on a replan of THIS stripe only —
-	// pruning a dead leaf from another stripe shrinks j.nodes but must not
-	// shift this stripe's positions mid-epoch — and never edited in place.
+	// position q. It is laid afresh with every epoch — over the survivors
+	// at a replan — and never edited in place.
 	tree laidTree
 	kids []*stripeKid // the MM's direct children in this tree
 	// epoch is the stripe tree generation: bumped per stripe replan and,
 	// past every stripe's, per re-placement, so it only ever grows.
 	epoch    int
 	sendList []int // ascending global chunk indices this stripe still streams
-	// streamPos indexes sendList (next entry to stream); streamAt is the
-	// stripe-local index just past the last chunk streamed this epoch.
-	streamPos    int
-	streamAt     int
-	needManifest bool // run a manifest round before streaming (fresh epoch)
-	done         bool // stripe fully streamed and drained
+	// streamAt is the stripe-local index just past the last chunk
+	// streamed this epoch.
+	streamAt int
+	done     bool // stripe fully streamed and drained
 }
 
 // stripeKid is one direct child of the MM in a stripe's tree, with every
@@ -1357,7 +1354,7 @@ func (mm *MM) rewireTree(j *liveJob) {
 	}
 	j.stripes = j.stripes[:0]
 	for s := 0; s < k; s++ {
-		ss := &stripeState{id: s, epoch: epoch, needManifest: true}
+		ss := &stripeState{id: s, epoch: epoch}
 		mm.rewireStripe(j, ss, k)
 		j.stripes = append(j.stripes, ss)
 	}
@@ -1369,8 +1366,8 @@ func (mm *MM) rewireTree(j *liveJob) {
 // rewireStripe lays one stripe's tree afresh over the job's current node
 // set (stripe s takes the placement order rotated by s·n/k) and starts
 // the stripe's records over for a fresh epoch: a new record per direct
-// child, the stream cursor at zero. Caller must hold j.mu or have
-// exclusive access to j.
+// child, nothing streamed. Caller must hold j.mu or have exclusive
+// access to j.
 func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 	ss.tree = layTree(stripeOrder(j.nodes, ss.id, k), mm.cfg.Fanout)
 	ss.kids = nil
@@ -1378,7 +1375,6 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 		ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
 	}
 	ss.sendList = ss.sendList[:0]
-	ss.streamPos = 0
 	ss.streamAt = 0
 	ss.done = false
 }
@@ -1406,14 +1402,12 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 //     queues).
 //  3. Recover (only on liveness failures): diagnose which nodes are
 //     actually dead (accumulated PeerDown evidence plus directed
-//     isolation probes over the control links), exclude them, and heal
-//     each stripe by the cheapest sufficient means — a stripe the dead
-//     node relayed for is rewired under a bumped epoch and re-runs its
-//     manifest round, which installs the new tree (the survivors'
-//     ledgers re-derive the remaining need, and the resume point, from
-//     their actual splice and cache state); a stripe where it was only a
-//     leaf is pruned in place (a ChildDead note to its tree parent) and
-//     resumes streaming under the same epoch. Chunks are regenerated
+//     isolation probes over the control links), exclude them, and rewire
+//     every stripe that has not drained over the survivors under a
+//     bumped epoch. Each re-runs phases 1 and 2 from the start: its
+//     manifest round installs the new tree, and the survivors' ledgers
+//     re-derive the remaining need, and the credit to resume from, from
+//     their actual splice and cache state. Chunks are regenerated
 //     deterministically, so the send log is the generator plus an index.
 //     Content failures (hash rejections) are never retried.
 //
@@ -1443,13 +1437,11 @@ func (mm *MM) transfer(j *liveJob) error {
 			return err // nothing provably dead: surface the original failure
 		}
 		rerr := mm.recoverStripes(j, dead)
+		j.recovery += time.Since(t0)
 		if rerr != nil {
-			err = rerr // may itself be recoverable; loop diagnoses again
-			j.recovery += time.Since(t0)
-			continue
+			return rerr // no survivors to replan over
 		}
 		j.replans++
-		j.recovery += time.Since(t0)
 		mm.jlog(journal.JobEpoch, j.id, 0, nil)
 		err = mm.runStripes(j)
 	}
@@ -1457,20 +1449,18 @@ func (mm *MM) transfer(j *liveJob) error {
 }
 
 // runStripes drives every unfinished stripe's manifest round and stream
-// concurrently — the phase pipeline. Each stripe goroutine runs its own
-// manifest round first (only when its epoch is fresh: initial transfer
-// or just replanned) and streams immediately after, so fast stripes
-// push payload while slow ones still fold HAVEs. The first failure is
-// returned, content rejections winning over liveness errors so a replan
-// loop never retries corruption.
+// concurrently — the phase pipeline. Every unfinished stripe is at an
+// epoch no round has run in yet (the initial layout, or a replan), so
+// each stripe goroutine runs its manifest round first and streams
+// immediately after, so fast stripes push payload while slow ones still
+// fold HAVEs. The first failure is returned, content rejections winning
+// over liveness errors so a replan loop never retries corruption.
 func (mm *MM) runStripes(j *liveJob) error {
 	j.mu.Lock()
 	stripes := make([]*stripeState, 0, len(j.stripes))
-	manifest := false
 	for _, ss := range j.stripes {
 		if !ss.done {
 			stripes = append(stripes, ss)
-			manifest = manifest || ss.needManifest
 		}
 	}
 	j.mu.Unlock()
@@ -1478,9 +1468,7 @@ func (mm *MM) runStripes(j *liveJob) error {
 		return nil
 	}
 	j.setPhase(phaseManifest)
-	if manifest {
-		mm.jlog(journal.JobManifest, j.id, 0, nil)
-	}
+	mm.jlog(journal.JobManifest, j.id, 0, nil)
 	errs := make([]error, len(stripes))
 	var wg sync.WaitGroup
 	for i, ss := range stripes {
@@ -1507,19 +1495,11 @@ func (mm *MM) runStripes(j *liveJob) error {
 	return first
 }
 
-// runStripe is one stripe's slice of the pipeline: manifest round if the
-// epoch is fresh, then stream to drain.
+// runStripe is one stripe's slice of the pipeline: the manifest round
+// that opens its epoch, then stream to drain.
 func (mm *MM) runStripe(j *liveJob, ss *stripeState) error {
-	j.mu.Lock()
-	need := ss.needManifest
-	j.mu.Unlock()
-	if need {
-		if err := mm.manifestStripe(j, ss); err != nil {
-			return err
-		}
-		j.mu.Lock()
-		ss.needManifest = false
-		j.mu.Unlock()
+	if err := mm.manifestStripe(j, ss); err != nil {
+		return err
 	}
 	if err := mm.streamStripe(j, ss); err != nil {
 		return err
@@ -1610,10 +1590,10 @@ func fillChunkInto(spec *JobSpec, job, i int, b []byte) {
 // subtree — the multicast that installs the tree on its way down — wait
 // for each child's folded HAVE ledger (which credits the child with its
 // stripe-local prefix), and derive the stripe's send list (restricted to
-// the chunks the round-robin interleave assigns this stripe). After a
-// stripe replan the round simply runs again under the new epoch: the
-// survivors' ledgers re-derive what is still missing from their actual
-// splice and cache state.
+// the chunks the round-robin interleave assigns this stripe). The round
+// runs once per epoch; after a replan it runs again under the new one,
+// and the survivors' ledgers re-derive what is still missing from their
+// actual splice and cache state.
 func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	j.mu.Lock()
 	kids := append([]*stripeKid(nil), ss.kids...)
@@ -1635,10 +1615,7 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 		j.sendBytes += int64(n)
 		j.mu.Unlock()
 	}
-	// A rewire (initial layout, replan) started the kids' records over
-	// with the epoch. A round that re-runs in the same epoch — another
-	// stripe's failure interrupted it, and this stripe only pruned a leaf —
-	// keeps the reports it has: the NMs answer once per epoch.
+	// The rewire that opened the epoch started the kids' records over.
 	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func(names *[]string) int {
 		n := 0
 		for _, kid := range ss.kids {
@@ -1671,8 +1648,6 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 			ss.sendList = append(ss.sendList, i)
 		}
 	}
-	ss.streamPos = 0
-	ss.streamAt = 0
 	j.chunksSent += len(ss.sendList)
 	return nil
 }
@@ -1680,9 +1655,10 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 // streamStripe pushes the stripe's current send list (the union of its
 // missing chunks, ascending) down the stripe's tree, writing each chunk
 // only to the subtrees whose HAVE ledger lacks it, and waits for the
-// stripe's window to drain. Resumable: after a leaf prune the cursor is
-// rewound to the slowest surviving subtree's credit and the loop simply
-// continues under the same epoch (duplicates re-ack idempotently).
+// stripe's window to drain. It runs once per epoch, right after the
+// manifest round: a stream a death interrupts is not resumed, its
+// stripe is replanned, and the next epoch's HAVE ledgers say where the
+// new stream starts.
 func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// windowSlots is the flow-control window depth per tree hop, the live
 	// analogue of the simulator's multi-buffering slots.
@@ -1692,7 +1668,6 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	kids := append([]*stripeKid(nil), ss.kids...)
 	list := append([]int(nil), ss.sendList...)
 	depth := ss.tree.depth
-	start := ss.streamPos
 	k := len(j.stripes)
 	j.mu.Unlock()
 
@@ -1710,7 +1685,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// socket buffers, and send blocks when those are full.
 	window := windowSlots * depth
 	frag := mm.cfg.FragBytes
-	for pos := start; pos < len(list); pos++ {
+	for pos := 0; pos < len(list); pos++ {
 		i := list[pos]
 		if pos >= window {
 			if err := j.awaitCredit(ss, list[pos-window]/k+1, time.Now().Add(mm.cfg.AckTimeout)); err != nil {
@@ -1737,7 +1712,6 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 		}
 		f.release()
 		j.mu.Lock()
-		ss.streamPos = pos + 1
 		if i/k+1 > ss.streamAt {
 			ss.streamAt = i/k + 1
 		}
@@ -1834,20 +1808,16 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 	return dead
 }
 
-// recoverStripes excludes the dead nodes from the job and heals every
-// affected stripe by the cheapest sufficient means. A stripe the dead
-// node relayed for (interior in its tree) — or any stripe of a
-// single-tree plan, preserving the legacy recovery path — is rewired
-// over the survivors under a bumped epoch, and its manifest round runs
-// again: it installs the new tree, and the survivors' HAVE ledgers give
-// both what is still missing and each subtree's credit to resume from.
-// A stripe where every dead node was a leaf is pruned in place: the
-// leaf's tree parent gets a ChildDead note so its aggregated acks stop
-// waiting on the corpse, the MM drops it from its own ledger if it was a
-// direct child, and the stripe resumes streaming under the same epoch —
-// it never replans (stripeReplans stays 0).
+// recoverStripes excludes the dead nodes from the job and rewires every
+// stripe that has not drained over the survivors under a bumped epoch,
+// interior or leaf, one stripe or many alike. Each such stripe's next
+// run opens with its manifest round, which installs the new tree, and
+// the survivors' HAVE ledgers give both what is still missing and each
+// subtree's credit to resume from. A stripe that drained before the
+// death keeps its epoch and its count.
 func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	var survivors []*nmLink
 	for _, l := range j.nodes {
 		if _, gone := dead[l.node]; gone {
@@ -1859,7 +1829,6 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	if len(survivors) == 0 {
 		failed := append([]int(nil), j.failedNodes...)
 		sort.Ints(failed)
-		j.mu.Unlock()
 		return fmt.Errorf("livenet: job %d: all nodes failed (%v)", j.id, failed)
 	}
 	j.nodes = survivors
@@ -1875,98 +1844,13 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	for node := range dead {
 		delete(j.peerDown, node)
 	}
-	k := len(j.stripes)
-	stripes := append([]*stripeState(nil), j.stripes...)
-	j.mu.Unlock()
-
-	for _, ss := range stripes {
-		j.mu.Lock()
-		done := ss.done
-		interior := false
-		for q, link := range ss.tree.order {
-			if _, gone := dead[link.node]; gone && len(ss.tree.pos[q].kids) > 0 {
-				interior = true
-				break
-			}
-		}
-		replan := !done && (k == 1 || interior)
-		if replan {
-			ss.epoch++
-			mm.rewireStripe(j, ss, k)
-			ss.needManifest = true
-			j.stripeReplans[ss.id]++
-		}
-		j.mu.Unlock()
-		if done || replan {
-			continue // drained before the failure, or healed by the next round
-		}
-		if err := mm.pruneStripe(j, ss, dead); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pruneStripe removes dead leaves from one stripe without disturbing its
-// epoch: a direct child of the MM loses its record; a deeper leaf's tree
-// parent is told via ChildDead to stop counting it in the aggregated
-// acks. The stream cursor rewinds to the slowest surviving subtree's
-// credit so chunks the corpse's loss left unacknowledged are re-sent
-// (duplicates re-ack idempotently), and the stripe resumes — no manifest
-// round, no epoch bump.
-func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) error {
-	type deadLeaf struct {
-		parent *nmLink
-		node   int
-	}
-	var notify []deadLeaf
-	j.mu.Lock()
-	for q, link := range ss.tree.order {
-		if _, gone := dead[link.node]; !gone {
+	for _, ss := range j.stripes {
+		if ss.done {
 			continue
 		}
-		if parent := ss.tree.pos[q].parent; parent >= 0 {
-			notify = append(notify, deadLeaf{parent: ss.tree.order[parent], node: link.node})
-			continue
-		}
-		// A direct child of the MM (and a leaf, or the stripe would have
-		// replanned). A node an earlier prune already dropped has no
-		// record left to drop.
-		for ci, kid := range ss.kids {
-			if kid.link == link {
-				ss.kids = append(ss.kids[:ci], ss.kids[ci+1:]...)
-				break
-			}
-		}
-	}
-	if len(ss.kids) == 0 {
-		j.mu.Unlock()
-		return fmt.Errorf("livenet: job %d stripe %d: no surviving subtree roots", j.id, ss.id)
-	}
-	// Rewind the cursor to the slowest surviving subtree's stripe-local
-	// credit: everything below it is acknowledged everywhere, everything
-	// past it may have died with the leaf's parent link buffer.
-	resume := ss.streamAt
-	for _, kid := range ss.kids {
-		if kid.acked < resume {
-			resume = kid.acked
-		}
-	}
-	pos := 0
-	k := len(j.stripes)
-	for pos < len(ss.sendList) && ss.sendList[pos]/k < resume {
-		pos++
-	}
-	if pos < ss.streamPos {
-		ss.streamPos = pos
-	}
-	j.mu.Unlock()
-
-	for _, d := range notify {
-		msg := Message{ChildDead: &ChildDead{Job: j.id, Stripe: ss.id, Node: d.node}}
-		if _, err := d.parent.c.send(msg); err != nil {
-			return downError{node: d.parent.node, cause: fmt.Sprintf("child-dead write: %v", err)}
-		}
+		ss.epoch++
+		mm.rewireStripe(j, ss, len(j.stripes))
+		j.stripeReplans[ss.id]++
 	}
 	return nil
 }

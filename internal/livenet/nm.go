@@ -164,8 +164,8 @@ type relayState struct {
 // stripe's acks go (parent), whom to relay its chunks to (children), and
 // how far each child subtree has progressed, so cumulative stripe-local
 // credit can be aggregated before being propagated up. Epochs are
-// per-stripe: a replan rewires (and re-stamps) only the trees the dead
-// node was interior in.
+// per-stripe: a replan re-stamps every stripe it rewires, and a stripe
+// that drained before the death keeps its epoch.
 type stripeRelay struct {
 	epoch    int   // tree generation of the manifest that installed it; -1 before the first
 	parent   *conn // conn this stripe's traffic arrives on; acks go back up it
@@ -176,13 +176,12 @@ type stripeRelay struct {
 
 // relayChild is one downstream link of a stripe's forwarding tree.
 type relayChild struct {
-	node   int
-	addr   string
-	c      *conn    // nil until the first relay dials (or reuses) the link
-	acked  int      // cumulative stripe-local credit received from this subtree
-	have   []uint64 // the subtree's aggregated HAVE ledger (nil until reported)
-	down   bool     // link declared dead (write failed and one redial failed)
-	pruned bool     // MM excluded this leaf from the stripe (ChildDead); stop waiting for its credit
+	node  int
+	addr  string
+	c     *conn    // nil until the first relay dials (or reuses) the link
+	acked int      // cumulative stripe-local credit received from this subtree
+	have  []uint64 // the subtree's aggregated HAVE ledger (nil until reported)
+	down  bool     // link declared dead (write failed and one redial failed)
 }
 
 // gateRow couples a job's process gate with its gang timeslot row.
@@ -424,8 +423,6 @@ func (nm *NM) serve(from *conn) {
 			nm.onCtlStrobe(m.Strobe)
 		case m.StrobeAck != nil:
 			nm.onCtlStrobeAck(m.StrobeAck)
-		case m.ChildDead != nil:
-			nm.onChildDead(m.ChildDead)
 		case m.Abort != nil:
 			nm.onAbort(m.Abort)
 		case m.Launch != nil:
@@ -783,9 +780,9 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 		// down), and its answers start here, up the link the manifest came
 		// down: a straggler of the previous epoch may have been answered to
 		// a parent that had moved on and dropped the answer, so the credit
-		// and HAVE streams restart from nothing. A re-run of the current
-		// epoch's round leaves the relay — children and their reports — as
-		// it is.
+		// and HAVE streams restart from nothing. The current epoch's
+		// manifest arriving again (a relay redial can deliver one twice)
+		// leaves the relay — children and their reports — as it is.
 		*sr = stripeRelay{epoch: m.Epoch}
 		for _, sub := range kids {
 			sr.children = append(sr.children, &relayChild{node: sub[0].Node, addr: sub[0].Addr})
@@ -961,9 +958,6 @@ func (nm *NM) foldHave(job, stripe int) {
 	bits := make([]uint64, len(st.written))
 	copy(bits, st.written)
 	for _, rc := range sr.children {
-		if rc.pruned {
-			continue // out of the job: nothing to vouch for
-		}
 		if rc.down {
 			// A dead child cannot vouch for anything: claim nothing, and
 			// let the MM's recovery path rebuild the subtree.
@@ -1264,11 +1258,9 @@ func (st *binState) discardSpool() {
 // ack per subtree per stripe instead of one per node. Nothing goes up
 // before the HAVE, the epoch's first answer, so a subtree the HAVE shows
 // complete never acks at all.
-// A child the MM pruned from the stripe (ChildDead) is skipped: its
-// credit will never advance again and the MM has already stopped
-// counting it. A child that is merely down-but-unpruned still stalls the
-// aggregate — that is deliberate, so the MM can never drain a stripe's
-// window past a death it has not yet been told about.
+// A child that is down still stalls the aggregate — deliberately, so the
+// MM can never drain a stripe's window past a death: it replans the
+// stripe, and the next epoch's tree leaves the dead node out.
 func (nm *NM) advanceAck(job, stripe int) {
 	nm.mu.Lock()
 	rs := nm.relays[job]
@@ -1284,9 +1276,6 @@ func (nm *NM) advanceAck(job, stripe int) {
 	}
 	min := st.srecv[stripe]
 	for _, rc := range sr.children {
-		if rc.pruned {
-			continue
-		}
 		if rc.acked < min {
 			min = rc.acked
 		}
@@ -1300,29 +1289,6 @@ func (nm *NM) advanceAck(job, stripe int) {
 	epoch := sr.epoch
 	nm.mu.Unlock()
 	parent.send(Message{FragAck: &FragAck{Job: job, Index: min - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true}})
-}
-
-// onChildDead enacts the MM's leaf-prune on one stripe: the named child
-// is marked pruned (and down, so no further relays are attempted), and
-// the stripe's HAVE and aggregate credit are re-derived without it —
-// typically unsticking the fold or the ack the dead leaf was holding
-// back. No epoch change: the surviving topology is unchanged.
-func (nm *NM) onChildDead(cd *ChildDead) {
-	nm.mu.Lock()
-	rs := nm.relays[cd.Job]
-	if rs == nil || cd.Stripe < 0 || cd.Stripe >= len(rs.stripes) {
-		nm.mu.Unlock()
-		return
-	}
-	for _, rc := range rs.stripes[cd.Stripe].children {
-		if rc.node == cd.Node {
-			rc.pruned = true
-			rc.down = true
-		}
-	}
-	nm.mu.Unlock()
-	nm.foldHave(cd.Job, cd.Stripe)
-	nm.advanceAck(cd.Job, cd.Stripe)
 }
 
 // onAbort drops a failed job's transfer state and cancels the job's

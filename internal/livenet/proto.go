@@ -169,9 +169,10 @@ type Report struct {
 	Recovery time.Duration
 	// StripeReplans counts the replan rounds charged to each stripe of
 	// the striped data plane (one entry per stripe; a single entry for
-	// the legacy single-tree plan). A dead node rewires only the stripes
-	// it was interior in, so the other stripes' counts stay 0 — leaves
-	// are pruned from them without an epoch bump.
+	// the single-tree plan). A death replans every stripe that has not
+	// drained, wherever the dead node sat in its tree, so a stripe's
+	// count is the replan rounds it was still streaming through: 0 for
+	// one that drained before any death.
 	StripeReplans []int
 	// Chunks is the transfer manifest's chunk count and ChunksSent how
 	// many of them the MM actually streamed after the HAVE round (the
@@ -233,7 +234,6 @@ type Message struct {
 	FragAck   *FragAck
 	Manifest  *Manifest
 	Have      *Have
-	ChildDead *ChildDead
 	PeerDown  *PeerDown
 	Abort     *Abort
 	Launch    *Launch
@@ -282,8 +282,6 @@ func (m *Message) walk(w *walker, c *conn) {
 		m.Submit.walk(w)
 	case at(w, wire.RejoinAck, &m.RejoinAck, nil):
 		m.RejoinAck.walk(w)
-	case at(w, wire.ChildDead, &m.ChildDead, nil):
-		m.ChildDead.walk(w)
 	case at(w, wire.Abort, &m.Abort, nil):
 		m.Abort.walk(w)
 	case at(w, wire.Launch, &m.Launch, nil):
@@ -450,23 +448,6 @@ func (a *FragAck) walk(w *walker) {
 	num(w, &a.Epoch, 4)
 	w.flag(&a.OK)
 	num(w, &a.Stripe, 1)
-}
-
-// ChildDead prunes a dead leaf out of one stripe's tree without a
-// replan round: the MM, having convicted the node, tells its tree
-// parent to stop waiting on the subtree's acks. Only valid when the
-// dead node is a leaf in this stripe (interior deaths need a new epoch's
-// manifest to re-home the orphaned subtree).
-type ChildDead struct {
-	Job    int
-	Stripe int
-	Node   int
-}
-
-func (d *ChildDead) walk(w *walker) {
-	num(w, &d.Job, 8)
-	num(w, &d.Stripe, 8)
-	num(w, &d.Node, 8)
 }
 
 // PeerDown is an NM's report that a relay child is unreachable: the
@@ -674,8 +655,8 @@ func (p *CtlPlan) walk(w *walker) {
 // topology and announces the content, and a leaf's Tree is empty.
 // Stripe is the spanning tree the copy multicasts down, Stripes how many
 // the job has (chunk i rides stripe i%Stripes), Epoch that stripe's tree
-// generation — a node installs the relay of a newer epoch, re-runs a
-// current one and drops an older one. recv returns a Manifest in
+// generation — a node installs the relay of a newer epoch, keeps the
+// relay it has for a current one and drops an older one. recv returns a Manifest in
 // conn-owned scratch — clone() it to retain past the next recv — and
 // decodes a leaf's with zero steady-state allocations.
 type Manifest struct {

@@ -416,10 +416,11 @@ func TestChaosFederationResurrection(t *testing.T) {
 	seed := chaosSeeds[0]
 	killAt := 8 + faultconn.NewRng(seed).Intn(16)
 
-	newLeaf := func(p int, journal string) *MM {
+	newLeaf := func(p int, journal string, wrap func(net.Conn) net.Conn) *MM {
 		c := cfg
 		c.JobBase = fedJobBase(p)
 		c.JournalDir = journal
+		c.WrapConn = wrap
 		mm, err := NewMM("127.0.0.1:0", c)
 		if err != nil {
 			t.Fatal(err)
@@ -450,20 +451,38 @@ func TestChaosFederationResurrection(t *testing.T) {
 		return out
 	}
 
+	// The stream fault models the leaf MM process dying. MM.Kill lands on
+	// a goroutine of its own, so the death takes effect first on the
+	// links: partition 0's NM links and every link its first leaf MM
+	// accepts — the root's submit link among them — are on one gate,
+	// killed the moment the fault fires. The leaf can then neither finish
+	// the job nor answer the root. Its restarted incarnation and NMs are
+	// not gated.
+	gate := faultconn.NewGate()
+	gated := func(c net.Conn) net.Conn {
+		plan := faultconn.NewPlan()
+		plan.Gate = gate
+		return faultconn.Wrap(c, plan)
+	}
 	var victimMM atomic.Pointer[MM]
-	mm0 := newLeaf(0, jdir)
+	mm0 := newLeaf(0, jdir, gated)
 	t.Cleanup(mm0.Close)
 	victimMM.Store(mm0)
-	mm1 := newLeaf(1, "")
+	mm1 := newLeaf(1, "", nil)
 	t.Cleanup(mm1.Close)
 	nms0 := startNMs(mm0, 0, func(node int) NMConfig {
 		if node != 0 { // partition 0's direct MM child carries the stream
-			return NMConfig{}
+			return NMConfig{WrapConn: gated}
 		}
 		return NMConfig{WrapConn: func(c net.Conn) net.Conn {
 			plan := faultconn.NewPlan()
+			plan.Gate = gate
 			plan.CloseAtReadFrag = killAt
-			plan.OnFault = func(string) {
+			plan.OnFault = func(kind string) {
+				if kind != "read-close" {
+					return
+				}
+				gate.Kill()
 				go func() {
 					if mm := victimMM.Load(); mm != nil {
 						mm.Kill()
@@ -502,7 +521,7 @@ func TestChaosFederationResurrection(t *testing.T) {
 	for _, nm := range nms0 {
 		nm.Close()
 	}
-	mm0b := newLeaf(0, jdir)
+	mm0b := newLeaf(0, jdir, nil)
 	t.Cleanup(mm0b.Close)
 	if rec := mm0b.RecoveredJobs(); len(rec) != 0 {
 		t.Fatalf("restarted leaf re-recovered %d in-flight jobs, want 0: %+v", len(rec), rec)

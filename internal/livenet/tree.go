@@ -22,8 +22,7 @@ package livenet
 //
 // Flat degenerate case: a fanout of 1 or less (or one no smaller than n)
 // makes the degree n, which puts every position on the first level: the
-// MM unicasts to all of them, nobody relays, and a node that dies has no
-// tree parent to be told.
+// MM unicasts to all of them and nobody relays.
 //
 // Rotation (SplitStream-style striping): a k-stripe plan lays k trees
 // over the same nodes, stripe s taking the placement order cyclically
@@ -38,8 +37,7 @@ package livenet
 
 // treePos is one position of a laid tree.
 type treePos struct {
-	parent int   // the tree parent's position; -1 when that is the MM
-	kids   []int // positions this one relays to; empty for a leaf
+	kids []int // positions this one relays to; empty for a leaf
 	// subtree is the node IDs at and below this position in DFS pre-order:
 	// itself, then each kid's subtree in kid order. That is the set an
 	// aggregated answer from here vouches for, and its order is the bit
@@ -98,7 +96,6 @@ func layTree(order []*nmLink, fanout int) laidTree {
 	t := laidTree{order: order, pos: make([]treePos, n), depth: treeDepth(n, fanout)}
 	for p := n - 1; p >= 0; p-- {
 		tp := &t.pos[p]
-		tp.parent = p/k - 1
 		tp.subtree = []int{order[p].node}
 		for c := (p + 1) * k; c < (p+2)*k && c < n; c++ {
 			tp.kids = append(tp.kids, c)

@@ -103,6 +103,9 @@ func TestLayTree(t *testing.T) {
 				t.Fatalf("%s: %d positions laid", name, len(tree.pos))
 			}
 
+			// parent[p] is the position that lists p as a kid, -1 for the
+			// MM; parents counts how many do.
+			parent := make([]int, n)
 			parents := make([]int, n)
 			for p, tp := range tree.pos {
 				if want := nodeChildren(p, n, fanout); !reflect.DeepEqual(tp.kids, want) {
@@ -110,8 +113,9 @@ func TestLayTree(t *testing.T) {
 				}
 				for _, c := range tp.kids {
 					parents[c]++
-					if tree.pos[c].parent != p {
-						t.Fatalf("%s: position %d is a kid of %d but names parent %d", name, c, p, tree.pos[c].parent)
+					parent[c] = p
+					if c <= p {
+						t.Fatalf("%s: position %d is a kid of %d, which is not above it", name, c, p)
 					}
 				}
 			}
@@ -121,8 +125,9 @@ func TestLayTree(t *testing.T) {
 			}
 			for i, p := range roots {
 				parents[p]++
-				if tree.pos[p].parent != -1 || tree.kids[i].link != tree.order[p] {
-					t.Fatalf("%s: MM kid %d is not position %d with parent -1", name, i, p)
+				parent[p] = -1
+				if tree.kids[i].link != tree.order[p] || tree.kids[i].pos != p {
+					t.Fatalf("%s: MM kid %d is not position %d", name, i, p)
 				}
 			}
 			for p, c := range parents {
@@ -180,7 +185,7 @@ func TestLayTree(t *testing.T) {
 					t.Fatalf("%s: position %d: kid blocks cover %d of %d slots", name, p, off, len(tp.subtree))
 				}
 				hops := 1
-				for q := tp.parent; q >= 0; q = tree.pos[q].parent {
+				for q := parent[p]; q >= 0; q = parent[q] {
 					hops++
 				}
 				if hops > depth {
@@ -193,8 +198,8 @@ func TestLayTree(t *testing.T) {
 
 			if fanout == 1 {
 				for p, tp := range tree.pos {
-					if tp.parent != -1 || len(tp.kids) != 0 {
-						t.Fatalf("%s: flat position %d has parent %d, kids %v — a prune would notify somebody", name, p, tp.parent, tp.kids)
+					if parent[p] != -1 || len(tp.kids) != 0 {
+						t.Fatalf("%s: flat position %d has parent %d, kids %v — the flat fan-out has a relay", name, p, parent[p], tp.kids)
 					}
 				}
 			}

@@ -30,7 +30,6 @@ const (
 	Submit    = 'J'
 	RejoinAck = 'W'
 	Manifest  = 'M'
-	ChildDead = 'X'
 	Abort     = 'B'
 	Launch    = 'E'
 	Term      = 'Z'
@@ -120,7 +119,6 @@ var Shapes = [256]Shape{
 	Submit:    {"submit", BodyLen, 0, 4, 1},
 	RejoinAck: {"rejoin-ack", BodyLen, 0, 4, 1},
 	Manifest:  {"manifest", BodyLen, 0, 4, 1},
-	ChildDead: {"child-dead", BodyLen, 0, 4, 1},
 	Abort:     {"abort", BodyLen, 0, 4, 1},
 	Launch:    {"launch", BodyLen, 0, 4, 1},
 	Term:      {"term", BodyLen, 0, 4, 1},
