@@ -212,8 +212,13 @@ func main() {
 			fmt.Printf("  gang job error: %v\n", err)
 		}
 	}
+	elapsed := time.Since(gangStart)
+	st, err := livenet.QueryStatus(gangMM.Addr())
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("  two 300 ms gangs timeshared in %v (%d strobes issued)\n",
-		time.Since(gangStart).Round(time.Millisecond), gangMM.Strobes())
+		elapsed.Round(time.Millisecond), st.Strobes)
 
 	fmt.Println("\nResource-aware placement: spread vs locality on a 16-node cluster...")
 	// Every node declares a capacity; a pinned sleep job parks demand on

@@ -538,7 +538,7 @@ func BenchmarkControlPlane(b *testing.B) {
 				jobDone <- err
 			}()
 			deadline := time.Now().Add(10 * time.Second)
-			for mm.Strobes() < 2 {
+			for mm.status().Strobes < 2 {
 				if time.Now().After(deadline) {
 					b.Fatal("strobes never started")
 				}
@@ -671,7 +671,7 @@ func BenchmarkReintegration(b *testing.B) {
 		b.Cleanup(nm2.Close)
 		var reintegrate time.Duration
 		for wait := time.Now().Add(30 * period); ; {
-			if mm.NodeEligible(victim) {
+			if nodeRow(mm, victim).eligible() {
 				reintegrate = time.Since(t0)
 				break
 			}

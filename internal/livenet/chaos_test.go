@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -15,11 +14,19 @@ import (
 
 	"repro/internal/livenet/faultconn"
 	"repro/internal/livenet/wire"
+	"repro/internal/rng"
 )
 
 // chaosSeeds is the fixed seed matrix the CI chaos step runs; each seed
 // deterministically picks the fragment at which the victim dies.
 var chaosSeeds = []uint64{1, 2, 3}
+
+// seedIntn is the first draw in [0, n) of the splitmix64 stream seeded
+// with seed: how a chaos schedule picks its fault point.
+func seedIntn(seed uint64, n int) int {
+	s := rng.SplitMix64(seed)
+	return s.Intn(n)
+}
 
 // chaosCluster boots an MM and n NMs where each NM's config comes from
 // nmCfg(node) — the hook the chaos suite uses to arm fault plans on
@@ -140,7 +147,7 @@ func TestChaosKillEachTreePosition(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-node%d-seed%d", role, victim, seed), func(t *testing.T) {
 				// The victim dies somewhere in the middle half of the
 				// stream, position chosen by the seed.
-				killAt := 8 + faultconn.NewRng(seed).Intn(16)
+				killAt := 8 + seedIntn(seed, 16)
 				// The fault plan is armed before the victim NM exists, so
 				// the kill callback resolves it through an atomic holder.
 				var victimNM atomic.Pointer[NM]
@@ -180,8 +187,8 @@ func TestChaosKillEachTreePosition(t *testing.T) {
 				}
 				assertSurvivorImages(t, nms, victim, rep.JobID, chaosBinary/cfg.FragBytes)
 				for _, nm := range nms {
-					if nm.Node() == victim && nm.Launches() != 0 {
-						t.Fatalf("dead node %d launched %d processes", victim, nm.Launches())
+					if got := nmLaunches(nm); nm.Node() == victim && got != 0 {
+						t.Fatalf("dead node %d launched %d processes", victim, got)
 					}
 				}
 			})
@@ -333,7 +340,7 @@ func TestChaosSpoolAtomicity(t *testing.T) {
 	for i := range spools {
 		spools[i] = t.TempDir()
 	}
-	mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
+	mm, _, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 		c := NMConfig{SpoolDir: spools[node]}
 		if node == 0 {
 			c.Dialer = func(addr string) (net.Conn, error) {
@@ -390,18 +397,24 @@ func TestChaosSpoolAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean job failed: %v", err)
 	}
+	// A published image sits under its final name and nothing else is
+	// left in the spool dir: no temp file survives a commit.
 	published := 0
-	for _, nm := range nms {
-		if path, ok := nm.SpooledBinary(rep.JobID); ok {
-			fi, err := os.Stat(path)
+	for i, dir := range spools {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if want := fmt.Sprintf("node%d-job%d.bin", i, rep.JobID); e.Name() != want {
+				t.Fatalf("node %d spooled %s, want only %s", i, e.Name(), want)
+			}
+			fi, err := e.Info()
 			if err != nil {
 				t.Fatalf("published binary missing: %v", err)
 			}
 			if fi.Size() != 256<<10 {
 				t.Fatalf("published binary is %d bytes, want %d", fi.Size(), 256<<10)
-			}
-			if !strings.HasSuffix(path, ".bin") || strings.Contains(filepath.Base(path), "*") {
-				t.Fatalf("published under a temp-looking name: %s", path)
 			}
 			published++
 		}
@@ -674,7 +687,7 @@ func TestChaosKillMidTransferControlPlaneActive(t *testing.T) {
 	cfg.GangQuantum = 20 * time.Millisecond
 	cfg.MPL = 2
 	victim := treePositions(t, n, cfg.Fanout)["interior"]
-	killAt := 8 + faultconn.NewRng(chaosSeeds[0]).Intn(16)
+	killAt := 8 + seedIntn(chaosSeeds[0], 16)
 	var victimNM atomic.Pointer[NM]
 	mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 		if node != victim {
@@ -710,13 +723,13 @@ func TestChaosKillMidTransferControlPlaneActive(t *testing.T) {
 		t.Fatalf("report names failed nodes %v, want [%d]", rep.Failed, victim)
 	}
 	assertSurvivorImages(t, nms, victim, rep.JobID, chaosBinary/cfg.FragBytes)
-	if mm.Strobes() == 0 {
+	if mm.status().Strobes == 0 {
 		t.Fatal("MM issued no strobes while gang scheduling was active")
 	}
 	strobesSeen := 0
 	for _, nm := range nms {
 		if nm.Node() != victim {
-			strobesSeen += nm.StrobesSeen()
+			strobesSeen += nmStrobes(nm)
 		}
 	}
 	if strobesSeen == 0 {
@@ -830,7 +843,7 @@ func TestChaosConcurrentJobsInteriorKill(t *testing.T) {
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			killAt := 8 + faultconn.NewRng(seed).Intn(16)
+			killAt := 8 + seedIntn(seed, 16)
 			var victimNM atomic.Pointer[NM]
 			var mmRef atomic.Pointer[MM]
 			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {

@@ -38,7 +38,6 @@ type ctlChild struct {
 	planned *conn   // the link the plan last went down; nil before the first
 
 	lastSeq    int64  // Seq of the child's latest pong ledger
-	lastMin    int64  // its MinSeq
 	lastAbsent uint64 // its Absent bitmap (child-local bit positions)
 	strobeAck  int64  // cumulative strobe credit from this subtree
 }
@@ -102,7 +101,7 @@ func (nm *NM) onCtlPlan(p *CtlPlan, from *conn) {
 // the next ping, whichever comes first) for an interior node.
 func (nm *NM) onCtlPing(p *Ping, from *conn) {
 	if p.Epoch == 0 {
-		from.send(Message{Pong: &Pong{Seq: p.Seq, Node: nm.node, MinSeq: p.Seq}})
+		from.send(Message{Pong: &Pong{Seq: p.Seq, Node: nm.node}})
 		return
 	}
 	seq, epoch := p.Seq, p.Epoch
@@ -129,7 +128,7 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 		from.send(Message{Pong: flush})
 	}
 	if len(relay) == 0 {
-		from.send(Message{Pong: &Pong{Seq: seq, Node: nm.node, Epoch: epoch, MinSeq: seq}})
+		from.send(Message{Pong: &Pong{Seq: seq, Node: nm.node, Epoch: epoch}})
 		return
 	}
 	for _, ch := range relay {
@@ -138,12 +137,10 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 }
 
 // ledgerLocked builds the aggregated subtree ledger for heartbeat seq s:
-// the minimum vouched sequence across the subtree and the absentee
-// bitmap, with each fresh child bitmap folded in at its pre-order offset
-// and each silent child's whole subtree marked absent. Caller holds
-// nm.mu.
+// the absentee bitmap, with each fresh child bitmap folded in at its
+// pre-order offset and each silent child's whole subtree marked absent.
+// Caller holds nm.mu.
 func (nm *NM) ledgerLocked(ctl *nmCtl, s int64) *Pong {
-	min := s
 	var absent uint64
 	for _, ch := range ctl.children {
 		if ch.lastSeq >= s {
@@ -151,11 +148,8 @@ func (nm *NM) ledgerLocked(ctl *nmCtl, s int64) *Pong {
 		} else {
 			absent |= subtreeMask(ch.size) << uint(ch.off)
 		}
-		if ch.lastMin < min {
-			min = ch.lastMin
-		}
 	}
-	return &Pong{Seq: s, Node: nm.node, Epoch: ctl.epoch, MinSeq: min, Absent: absent}
+	return &Pong{Seq: s, Node: nm.node, Epoch: ctl.epoch, Absent: absent}
 }
 
 // onCtlPong folds a child subtree's ledger into the pending collection
@@ -169,7 +163,7 @@ func (nm *NM) onCtlPong(p *Pong) {
 	}
 	for _, ch := range ctl.children {
 		if ch.node == p.Node && p.Seq > ch.lastSeq {
-			ch.lastSeq, ch.lastMin, ch.lastAbsent = p.Seq, p.MinSeq, p.Absent
+			ch.lastSeq, ch.lastAbsent = p.Seq, p.Absent
 			break
 		}
 	}

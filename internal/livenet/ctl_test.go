@@ -13,7 +13,7 @@ import (
 // link; a single allocation here is a per-period, per-node GC tax.
 func TestControlAllocs(t *testing.T) {
 	ping := &Ping{Seq: 42, Epoch: 7}
-	pong := &Pong{Seq: 42, Node: 3, Epoch: 7, MinSeq: 40, Absent: 0b1010}
+	pong := &Pong{Seq: 42, Node: 3, Epoch: 7, Absent: 0b1010}
 	strobe := &Strobe{Seq: 9, Row: 2, Epoch: 7}
 	sack := &StrobeAck{Seq: 9, Node: 3, Epoch: 7}
 
@@ -50,7 +50,7 @@ func TestControlAllocs(t *testing.T) {
 					t.Fatal("ping mangled")
 				}
 			case 1:
-				if m.Pong == nil || m.Pong.Node != 3 || m.Pong.MinSeq != 40 || m.Pong.Absent != 0b1010 {
+				if m.Pong == nil || m.Pong.Node != 3 || m.Pong.Absent != 0b1010 {
 					t.Fatal("pong mangled")
 				}
 			case 2:
@@ -108,8 +108,8 @@ func TestSubtreePreorder(t *testing.T) {
 }
 
 // TestLedgerAggregation exercises the NM-side fold: fresh children's
-// bitmaps shift into place, a silent child's whole subtree is marked
-// absent, and the vouched minimum takes the lagging child's value.
+// bitmaps shift into place and a silent child's whole subtree is marked
+// absent.
 func TestLedgerAggregation(t *testing.T) {
 	nm := &NM{node: 1}
 	ctl := &nmCtl{
@@ -122,14 +122,11 @@ func TestLedgerAggregation(t *testing.T) {
 
 	// Both children fresh for seq 10; child 3 reports its second node
 	// (bit 1, node 7) absent.
-	ctl.children[0].lastSeq, ctl.children[0].lastMin, ctl.children[0].lastAbsent = 10, 9, 0b10
-	ctl.children[1].lastSeq, ctl.children[1].lastMin, ctl.children[1].lastAbsent = 10, 10, 0
+	ctl.children[0].lastSeq, ctl.children[0].lastAbsent = 10, 0b10
+	ctl.children[1].lastSeq, ctl.children[1].lastAbsent = 10, 0
 	p := nm.ledgerLocked(ctl, 10)
 	if p.Seq != 10 || p.Node != 1 || p.Epoch != 3 {
 		t.Fatalf("ledger header wrong: %+v", p)
-	}
-	if p.MinSeq != 9 {
-		t.Fatalf("MinSeq = %d, want 9 (lagging child)", p.MinSeq)
 	}
 	// Child 3's local bit 1 lands at parent bit 1+1=2; nothing else set.
 	if p.Absent != 0b100 {

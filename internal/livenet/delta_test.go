@@ -300,7 +300,7 @@ func TestChaosDeltaMidTransferKill(t *testing.T) {
 		t.Run(fmt.Sprintf("node%d-seed%d", victim, seed), func(t *testing.T) {
 			// The victim's parent link persists across jobs, so its frag
 			// counter spans both: 32 cold chunks, then 4..19 delta chunks.
-			killAt := frags + 4 + faultconn.NewRng(seed).Intn(16)
+			killAt := frags + 4 + seedIntn(seed, 16)
 			var victimNM atomic.Pointer[NM]
 			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 				base := NMConfig{CacheBytes: 8 << 20}

@@ -1,10 +1,11 @@
 // Package faultconn injects deterministic faults into livenet
 // connections for chaos testing. A Conn wraps a net.Conn and applies a
-// Plan — a fixed schedule of faults keyed to byte offsets and fragment
-// ordinals observed on the wire — so a failure scenario is fully
-// reproducible from its seed: hard close at fragment k or before the
-// k-th frame of any type, one-way partitions, per-write delay,
-// duplicated and corrupted frag frames, and injected dial failures.
+// Plan — a fixed schedule of faults keyed to frame ordinals observed
+// on the wire — so a failure scenario is fully reproducible from its
+// seed: hard close after the k-th received fragment or before the k-th
+// sent frame of any type, an inbound partition, per-write delay,
+// duplicated and corrupted frag frames, process-level pause and kill
+// across a node's conns, and injected dial failures.
 //
 // The wrapper is frame-aware: it walks livenet's frame table (package
 // wire: one type byte, a fixed part, and for some types a tail whose
@@ -29,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/livenet/wire"
-	"repro/internal/rng"
 )
 
 // Plan is one connection's deterministic fault schedule. Fragment
@@ -38,8 +38,6 @@ import (
 // every trigger disabled.
 type Plan struct {
 	// Write-path faults (bytes this endpoint sends).
-	CloseAtFrag   int           // hard-close mid-header of the k-th outgoing frag frame
-	DropAfter     int64         // >0: outbound one-way partition after this many bytes (writes report success, bytes vanish)
 	WriteDelay    time.Duration // injected before every Write call, whatever it carries: a frame split in two writes pays it twice
 	DuplicateFrag int           // retransmit the k-th outgoing frag frame immediately after itself
 	CorruptFrag   int           // flip a payload byte of the k-th outgoing frag frame (the chunk hash check must catch it)
@@ -53,8 +51,8 @@ type Plan struct {
 	BlockReads      bool // inbound one-way partition: reads hang until the conn is closed
 
 	// OnFault, if set, is called once per fired trigger with a short
-	// kind tag ("close", "read-close", "drop", "duplicate", "corrupt",
-	// "ctl-drop", "ctl-dup", "ctl-delay", "ctl-close", "gate-kill"). Called from
+	// kind tag ("read-close", "duplicate", "corrupt", "ctl-drop",
+	// "ctl-dup", "ctl-delay", "ctl-close", "gate-kill"). Called from
 	// Read/Write; must not block.
 	OnFault func(kind string)
 
@@ -188,7 +186,7 @@ type CtlFault struct {
 
 // NewPlan returns a Plan with all triggers disabled.
 func NewPlan() Plan {
-	return Plan{CloseAtFrag: -1, DuplicateFrag: -1, CorruptFrag: -1, CloseAtReadFrag: -1}
+	return Plan{DuplicateFrag: -1, CorruptFrag: -1, CloseAtReadFrag: -1}
 }
 
 // ErrInjectedClose is the error surfaced by operations on a connection
@@ -218,17 +216,15 @@ type scanner struct {
 
 // event places one byte inside a frame: the frame's type byte kind and
 // its ordinal ord among the frames of that type on this conn (0-based),
-// and whether the byte begins or ends it, completes a frag header, or is
-// frag payload at offset bodyPos. A byte that starts no frame is the
-// zero event.
+// and whether the byte begins or ends it, or is frag payload at offset
+// bodyPos. A byte that starts no frame is the zero event.
 type event struct {
-	kind        byte
-	ord         int
-	begin       bool
-	end         bool
-	fragHdrDone bool
-	inFragBody  bool
-	bodyPos     int
+	kind       byte
+	ord        int
+	begin      bool
+	end        bool
+	inFragBody bool
+	bodyPos    int
 }
 
 func (s *scanner) step(b byte) event {
@@ -247,7 +243,6 @@ func (s *scanner) step(b byte) event {
 		s.hdr[s.got] = b
 		s.got++
 		if s.got == s.shape.Fixed {
-			ev.fragHdrDone = s.kind == wire.Frag
 			s.state, s.need, s.bodyPos = stTail, s.shape.Tail(s.hdr[:]), 0
 			ev.end = s.need == 0
 		}
@@ -269,12 +264,10 @@ type Conn struct {
 	net.Conn
 	plan Plan
 
-	wmu      sync.Mutex
-	wScan    scanner
-	written  int64
-	dropping bool
-	frame    []byte // current outgoing frame bytes, kept only while DuplicateFrag is armed
-	inFrame  bool
+	wmu     sync.Mutex
+	wScan   scanner
+	frame   []byte // current outgoing frame bytes, kept only while DuplicateFrag is armed
+	inFrame bool
 
 	ctlHold    []byte // bytes of a frame withheld for a pending CtlFault
 	ctlHolding bool
@@ -351,14 +344,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.dropping {
-		// One-way partition: the sender keeps believing the link works.
-		return len(p), nil
-	}
 
 	// Fast path: no frame-level write triggers armed.
-	if c.plan.CloseAtFrag < 0 && c.plan.DuplicateFrag < 0 && c.plan.CorruptFrag < 0 &&
-		c.plan.DropAfter <= 0 && len(c.plan.CtlFaults) == 0 {
+	if c.plan.DuplicateFrag < 0 && c.plan.CorruptFrag < 0 && len(c.plan.CtlFaults) == 0 {
 		return c.Conn.Write(p)
 	}
 
@@ -385,15 +373,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 				c.ctlHold = c.ctlHold[:0]
 			}
 		}
-		if ev.fragHdrDone && ev.ord == c.plan.CloseAtFrag {
-			// Crash mid-frame: flush what was already on the wire plus
-			// the torn header, then die. The receiver sees a truncated
-			// frame; the sender sees a write error.
-			out = append(out, b)
-			c.Conn.Write(out)
-			c.kill("close")
-			return i + 1, fmt.Errorf("%w (at outgoing fragment %d)", ErrInjectedClose, ev.ord)
-		}
 		if ev.inFragBody && ev.ord == c.plan.CorruptFrag && ev.bodyPos == 0 {
 			b ^= 0xFF
 			c.fire("corrupt")
@@ -419,9 +398,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 					// (and whatever follows it) waits out the delay, like a
 					// queueing stall at this hop.
 					if len(out) > 0 {
-						n, err := c.Conn.Write(out)
-						c.written += int64(n)
-						if err != nil {
+						if _, err := c.Conn.Write(out); err != nil {
 							return 0, err
 						}
 						out = out[:0]
@@ -457,27 +434,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 				}
 			}
 		}
-		if c.plan.DropAfter > 0 && c.written+int64(len(out)) >= c.plan.DropAfter {
-			// Partition point: deliver the prefix, swallow the rest.
-			cut := int(c.plan.DropAfter - c.written)
-			if cut < 0 {
-				cut = 0
-			}
-			if cut > len(out) {
-				cut = len(out)
-			}
-			if cut > 0 {
-				c.Conn.Write(out[:cut])
-			}
-			c.written = c.plan.DropAfter
-			c.dropping = true
-			c.fire("drop")
-			return len(p), nil
-		}
 	}
-	n, err := c.Conn.Write(out)
-	c.written += int64(n)
-	if err != nil {
+	if _, err := c.Conn.Write(out); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -538,17 +496,3 @@ func FlakyDialer(failFirst int, onFault func(kind string)) func(addr string) (ne
 		return net.DialTimeout("tcp", addr, 5*time.Second)
 	}
 }
-
-// Rng is splitmix64 — the repo's standard experiment generator, shared
-// through internal/rng — so chaos schedules derived from a seed
-// reproduce exactly across runs.
-type Rng struct{ s rng.SplitMix64 }
-
-// NewRng seeds a generator.
-func NewRng(seed uint64) *Rng { return &Rng{s: rng.SplitMix64(seed)} }
-
-// Next returns the next 64 random bits.
-func (r *Rng) Next() uint64 { return r.s.Next() }
-
-// Intn returns a deterministic value in [0, n).
-func (r *Rng) Intn(n int) int { return r.s.Intn(n) }

@@ -108,41 +108,6 @@ func TestScannerCountsFragsAcrossChunking(t *testing.T) {
 	}
 }
 
-// TestCloseAtFragTriggersWriteError: writing the k-th frag frame kills
-// the conn mid-header and surfaces an injected error to the writer.
-func TestCloseAtFragTriggersWriteError(t *testing.T) {
-	a, b := pipeConn(t)
-	go func() { // drain so net.Pipe writes don't block
-		buf := make([]byte, 4096)
-		for {
-			if _, err := b.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	var fired []string
-	plan := NewPlan()
-	plan.CloseAtFrag = 1
-	plan.OnFault = func(k string) { fired = append(fired, k) }
-	fc := Wrap(a, plan)
-	if _, err := fc.Write(buildFrag(0, 64)); err != nil {
-		t.Fatalf("fragment 0 should pass: %v", err)
-	}
-	_, err := fc.Write(buildFrag(1, 64))
-	if !errors.Is(err, ErrInjectedClose) {
-		t.Fatalf("fragment 1 write error = %v, want ErrInjectedClose", err)
-	}
-	if !fc.Killed() {
-		t.Fatal("conn not marked killed")
-	}
-	if len(fired) != 1 || fired[0] != "close" {
-		t.Fatalf("OnFault calls = %v, want [close]", fired)
-	}
-	if _, err := fc.Write([]byte{'A'}); err == nil {
-		t.Fatal("write after injected close should fail")
-	}
-}
-
 // TestCorruptFragFlipsOnePayloadByte: the k-th frag frame arrives with
 // exactly its first payload byte inverted; everything else is intact.
 func TestCorruptFragFlipsOnePayloadByte(t *testing.T) {
@@ -208,39 +173,6 @@ func TestDuplicateFragRetransmitsFrame(t *testing.T) {
 	<-done
 	if !bytes.Equal(got, want) {
 		t.Fatal("fragment 0 was not duplicated verbatim")
-	}
-}
-
-// TestDropAfterPartitionsOutbound: after the byte budget, writes keep
-// reporting success but nothing reaches the peer.
-func TestDropAfterPartitionsOutbound(t *testing.T) {
-	a, b := pipeConn(t)
-	plan := NewPlan()
-	plan.DropAfter = 10
-	fc := Wrap(a, plan)
-	got := make([]byte, 0, 10)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 64)
-		for {
-			n, err := b.Read(buf)
-			got = append(got, buf[:n]...)
-			if err != nil || len(got) >= 10 {
-				return
-			}
-		}
-	}()
-	n, err := fc.Write(make([]byte, 64))
-	if err != nil || n != 64 {
-		t.Fatalf("partitioned write = (%d, %v), want (64, nil)", n, err)
-	}
-	if n, err := fc.Write(make([]byte, 64)); err != nil || n != 64 {
-		t.Fatalf("post-partition write = (%d, %v), want silent success", n, err)
-	}
-	<-done
-	if len(got) != 10 {
-		t.Fatalf("peer received %d bytes, want exactly 10", len(got))
 	}
 }
 
@@ -526,18 +458,5 @@ func TestCtlFaultCloseBeforeFrame(t *testing.T) {
 	}
 	if !fc.Killed() || len(fired) != 1 || fired[0] != "ctl-close" {
 		t.Fatalf("killed=%v, OnFault calls = %v, want [ctl-close]", fc.Killed(), fired)
-	}
-}
-
-// TestRngDeterminism: same seed, same schedule.
-func TestRngDeterminism(t *testing.T) {
-	r1, r2 := NewRng(42), NewRng(42)
-	for i := 0; i < 100; i++ {
-		if r1.Next() != r2.Next() {
-			t.Fatal("splitmix64 not deterministic")
-		}
-	}
-	if NewRng(1).Next() == NewRng(2).Next() {
-		t.Fatal("distinct seeds collide on first draw")
 	}
 }

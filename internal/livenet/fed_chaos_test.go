@@ -27,7 +27,7 @@ func TestChaosFederationLeafDeathReadmits(t *testing.T) {
 	cfg := chaosMMConfig()
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			killAt := 8 + faultconn.NewRng(seed).Intn(16)
+			killAt := 8 + seedIntn(seed, 16)
 			// The fault plan is armed before the leaf MM exists; the kill
 			// callback resolves it through an atomic holder.
 			var victimMM atomic.Pointer[MM]
@@ -89,12 +89,12 @@ func TestChaosFederationLeafDeathReadmits(t *testing.T) {
 				t.Fatalf("job did not survive leaf death at frag %d: %v", killAt, err)
 			}
 			if rep.Readmits != 1 {
-				t.Fatalf("want exactly one re-admission, got %d (%s)", rep.Readmits, rep.Timeline)
+				t.Fatalf("want exactly one re-admission, got %d (parts %+v)", rep.Readmits, rep.Parts)
 			}
 			if len(rep.Parts) != 1 || rep.Parts[0].Partition != 1 {
 				t.Fatalf("re-admitted share should have completed on partition 1: %+v", rep.Parts)
 			}
-			if live := fed.LivePartitions(); len(live) != 1 || live[0] != 1 {
+			if live := livePartitions(fed); len(live) != 1 || live[0] != 1 {
 				t.Fatalf("partition 0 should be convicted, live=%v", live)
 			}
 			// The survivors — partition 1's NMs — hold the complete image
@@ -125,7 +125,7 @@ func TestChaosFederationPartitionIsolation(t *testing.T) {
 	cfg := chaosMMConfig()
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			killAt := 8 + faultconn.NewRng(seed).Intn(16)
+			killAt := 8 + seedIntn(seed, 16)
 			var victimNM atomic.Pointer[NM]
 			fed, _, nms, _ := fedCluster(t, 2, perPart, FedConfig{Lite: true}, cfg,
 				func(node int) NMConfig {
@@ -185,7 +185,7 @@ func TestChaosFederationPartitionIsolation(t *testing.T) {
 					br.Replans, br.Failed)
 			}
 			assertSurvivorImages(t, nms[perPart:], -1, br.JobID, chaosBinary/cfg.FragBytes)
-			if live := fed.LivePartitions(); len(live) != 2 {
+			if live := livePartitions(fed); len(live) != 2 {
 				t.Fatalf("an NM death must not convict its partition, live=%v", live)
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -119,7 +118,6 @@ type FedReport struct {
 	// after a leaf death.
 	Readmits int
 	Parts    []PartReport
-	Timeline string
 }
 
 // FedStatus is the aggregated cluster snapshot: per-partition rows plus
@@ -227,14 +225,6 @@ func (f *Federation) Close() {
 	f.wg.Wait()
 }
 
-// Resurrections returns how many dead partitions the prober has
-// re-absorbed.
-func (f *Federation) Resurrections() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.resurrections
-}
-
 // resurrectLoop is the root's half of federation healing: every
 // ProbeInterval it redials each dead partition's submit address (with
 // capped per-partition backoff, so a long-dead leaf costs a dial every
@@ -270,7 +260,7 @@ func (f *Federation) resurrectLoop() {
 			f.mu.Lock()
 			if !p.dead {
 				// A concurrent Reabsorb (or an earlier probe) beat us.
-			} else if alive && !p.mm.Closed() {
+			} else if alive && !p.mm.isClosed() {
 				p.dead = false
 				p.probeFails = 0
 				p.nextProbe = time.Time{}
@@ -314,19 +304,6 @@ func (f *Federation) Reabsorb(mm *MM) error {
 	return fmt.Errorf("livenet: no partition carries JobBase %d", mm.cfg.JobBase)
 }
 
-// LivePartitions returns the IDs of partitions not marked dead.
-func (f *Federation) LivePartitions() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []int
-	for _, p := range f.parts {
-		if !p.dead {
-			out = append(out, p.id)
-		}
-	}
-	return out
-}
-
 // Status folds the per-partition snapshots into the cluster view.
 func (f *Federation) Status() FedStatus {
 	f.mu.Lock()
@@ -334,7 +311,7 @@ func (f *Federation) Status() FedStatus {
 	st := FedStatus{Launched: f.launched, Completed: f.completed, Queued: len(f.admit.q)}
 	f.mu.Unlock()
 	for _, p := range parts {
-		if p.dead || p.mm.Closed() {
+		if p.dead || p.mm.isClosed() {
 			continue
 		}
 		rep := p.mm.status()
@@ -375,7 +352,6 @@ func (f *Federation) handleConn(c *conn) {
 			Execute:   rep.Execute,
 			Total:     rep.Total,
 			SendBytes: rep.RootEgress,
-			Timeline:  rep.Timeline,
 		}}
 		if err != nil {
 			done.Err = err.Error()
@@ -409,7 +385,7 @@ func nodesOf(st FedStatus) []int {
 func (f *Federation) membership() map[int][]int {
 	m := make(map[int][]int, len(f.parts))
 	for _, p := range f.parts {
-		if !p.dead && !p.mm.Closed() {
+		if !p.dead && !p.mm.isClosed() {
 			m[p.id] = p.mm.NMs()
 		}
 	}
@@ -615,15 +591,6 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 	f.mu.Lock()
 	f.completed++
 	f.mu.Unlock()
-	var pids []string
-	for _, p := range rep.Parts {
-		pids = append(pids, fmt.Sprintf("%d", p.Partition))
-	}
-	rep.Timeline = fmt.Sprintf("send=%v execute=%v nodes=%d partitions=[%s] root_egress=%dB",
-		rep.Send, rep.Execute, spec.Nodes, strings.Join(pids, ","), rep.RootEgress)
-	if rep.Readmits > 0 {
-		rep.Timeline += fmt.Sprintf(" readmits=%d", rep.Readmits)
-	}
 	return rep, nil
 }
 
@@ -702,7 +669,7 @@ func (f *Federation) runPart(jobID int, spec JobSpec, a fedAssign) (res subResul
 func (f *Federation) pickSurvivor(n int, exclude *fedPartition) *fedPartition {
 	var best *fedPartition
 	for _, p := range f.parts {
-		if p.dead || p == exclude || p.mm.Closed() || len(p.mm.NMs()) < n {
+		if p.dead || p == exclude || p.mm.isClosed() || len(p.mm.NMs()) < n {
 			continue
 		}
 		if best == nil || p.lighter(best) {

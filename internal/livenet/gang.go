@@ -82,40 +82,33 @@ func (g *gate) isOpen() bool {
 // co-schedule two unrelated gangs — and a job that finds no free row
 // stays in the admission queue until one is released. The free rows
 // live in a bitset freelist (rowFree), so picking the lowest free row
-// is a find-first-set over MPL/64 words instead of the linear
-// occupancy scan this ran per admission — same lowest-row-first order,
-// O(1) for any realistic MPL. Caller holds mm.mu.
+// is a find-first-set over MPL/64 words. Without gang scheduling every
+// job runs ungated in row 0. Caller holds mm.mu.
 func (mm *MM) pickRow() int {
-	if mm.cfg.GangQuantum <= 0 || mm.cfg.MPL <= 1 {
+	if mm.cfg.GangQuantum <= 0 {
 		return 0
 	}
-	if mm.rowCount == nil {
-		mm.rowCount = make([]int, mm.cfg.MPL)
+	if mm.rowFree == nil {
 		mm.rowFree = make([]uint64, (mm.cfg.MPL+63)/64)
 		for r := 0; r < mm.cfg.MPL; r++ {
 			mm.rowFree[r/64] |= 1 << uint(r%64)
 		}
 	}
 	for w, free := range mm.rowFree {
-		if free == 0 {
-			continue
+		if free != 0 {
+			r := w*64 + bits.TrailingZeros64(free)
+			mm.rowFree[w] &^= 1 << uint(r%64)
+			return r
 		}
-		r := w*64 + bits.TrailingZeros64(free)
-		mm.rowFree[w] &^= 1 << uint(r%64)
-		mm.rowCount[r]++
-		return r
 	}
 	return -1
 }
 
-// releaseRow returns a completed job's slot to the freelist. Caller
+// releaseRow returns an admitted job's row to the freelist. Caller
 // holds mm.mu.
 func (mm *MM) releaseRow(row int) {
-	if mm.rowCount != nil && row >= 0 && row < len(mm.rowCount) && mm.rowCount[row] > 0 {
-		mm.rowCount[row]--
-		if mm.rowCount[row] == 0 {
-			mm.rowFree[row/64] |= 1 << uint(row%64)
-		}
+	if mm.rowFree != nil {
+		mm.rowFree[row/64] |= 1 << uint(row%64)
 	}
 }
 
@@ -137,10 +130,10 @@ func (mm *MM) strobeLoop(done chan struct{}) {
 		}
 		mm.mu.Lock()
 		next := -1
-		if mm.rowCount != nil {
+		if mm.rowFree != nil {
 			for i := 1; i <= mm.cfg.MPL; i++ {
 				r := (cur + i) % mm.cfg.MPL
-				if mm.rowCount[r] > 0 {
+				if mm.rowFree[r/64]&(1<<uint(r%64)) == 0 { // a job holds r
 					next = r
 					break
 				}

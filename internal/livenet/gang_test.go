@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -29,51 +30,56 @@ func TestGateBlocksAndReleases(t *testing.T) {
 	}
 }
 
-// TestLiveGangScheduling runs two spin jobs timeshared at MPL 2 with a
-// 25 ms quantum: both must finish, the NMs must see strobes, and each
-// job's wall time must clearly exceed its solo CPU demand (they share
-// the machine).
+// TestLiveGangScheduling runs two spin jobs timeshared with a 25 ms
+// quantum, at MPL 2 and at MPL 1 (one row, which the jobs hold in
+// turn): both must finish, the NMs must see strobes, and the pair's
+// wall time must clearly exceed one job's CPU demand (they share the
+// machine).
 func TestLiveGangScheduling(t *testing.T) {
-	mm, nms := startCluster(t, 2, MMConfig{GangQuantum: 25 * time.Millisecond, MPL: 2})
-	const work = 300 * time.Millisecond
-	spec := func(name string) JobSpec {
-		return JobSpec{
-			Name: name, BinaryBytes: 64 << 10, Nodes: 2, PEsPerNode: 1,
-			Program: ProgramSpec{Kind: "spin", Duration: work},
-		}
-	}
-	var wg sync.WaitGroup
-	reports := make([]Report, 2)
-	errs := make([]error, 2)
-	start := time.Now()
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i], errs[i] = SubmitJob(mm.Addr(), spec("gang"))
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	// Two 300 ms CPU-bound gangs timesharing one machine need >= ~600 ms
-	// wall; allow scheduling slack but require clear serialization.
-	if elapsed < 450*time.Millisecond {
-		t.Fatalf("two timeshared 300ms jobs finished in %v; not serialized", elapsed)
-	}
-	strobes := 0
-	for _, nm := range nms {
-		strobes += nm.StrobesSeen()
-	}
-	if strobes == 0 {
-		t.Fatal("NMs saw no strobes")
-	}
-	if mm.Strobes() == 0 {
-		t.Fatal("MM issued no strobes")
+	for _, mpl := range []int{2, 1} {
+		t.Run(fmt.Sprintf("mpl%d", mpl), func(t *testing.T) {
+			mm, nms := startCluster(t, 2, MMConfig{GangQuantum: 25 * time.Millisecond, MPL: mpl, TermTimeout: 5 * time.Second})
+			const work = 300 * time.Millisecond
+			spec := func(name string) JobSpec {
+				return JobSpec{
+					Name: name, BinaryBytes: 64 << 10, Nodes: 2, PEsPerNode: 1,
+					Program: ProgramSpec{Kind: "spin", Duration: work},
+				}
+			}
+			var wg sync.WaitGroup
+			reports := make([]Report, 2)
+			errs := make([]error, 2)
+			start := time.Now()
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					reports[i], errs[i] = SubmitJob(mm.Addr(), spec("gang"))
+				}(i)
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("job %d: %v", i, err)
+				}
+			}
+			// Two 300 ms CPU-bound gangs timesharing one machine need >= ~600 ms
+			// wall; allow scheduling slack but require clear serialization.
+			if elapsed < 450*time.Millisecond {
+				t.Fatalf("two timeshared 300ms jobs finished in %v; not serialized", elapsed)
+			}
+			strobes := 0
+			for _, nm := range nms {
+				strobes += nmStrobes(nm)
+			}
+			if strobes == 0 {
+				t.Fatal("NMs saw no strobes")
+			}
+			if mm.status().Strobes == 0 {
+				t.Fatal("MM issued no strobes")
+			}
+		})
 	}
 }
 
@@ -121,7 +127,7 @@ func TestNonGangJobsFreeRun(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("ungated job took %v", elapsed)
 	}
-	if mm.Strobes() != 0 {
-		t.Fatalf("non-gang MM issued %d strobes", mm.Strobes())
+	if got := mm.status().Strobes; got != 0 {
+		t.Fatalf("non-gang MM issued %d strobes", got)
 	}
 }

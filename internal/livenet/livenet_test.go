@@ -44,6 +44,27 @@ func startCluster(t testing.TB, n int, cfg MMConfig) (*MM, []*NM) {
 	return mm, nms
 }
 
+// nmLaunches reads how many processes an NM has forked.
+func nmLaunches(nm *NM) int {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	return nm.launches
+}
+
+// nmStrobes reads how many gang context switches an NM has enacted.
+func nmStrobes(nm *NM) int {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	return nm.strobesSeen
+}
+
+// nodeRow reads a node's membership row.
+func nodeRow(mm *MM, node int) member {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	return mm.row(node)
+}
+
 func TestLiveLaunchDoNothing(t *testing.T) {
 	mm, nms := startCluster(t, 4, MMConfig{})
 	rep, err := SubmitJob(mm.Addr(), JobSpec{
@@ -64,12 +85,12 @@ func TestLiveLaunchDoNothing(t *testing.T) {
 		if nm.FragsWritten() != wantFrags {
 			t.Errorf("node %d wrote %d fragments, want %d", nm.Node(), nm.FragsWritten(), wantFrags)
 		}
-		if nm.Launches() != 2 {
-			t.Errorf("node %d forked %d processes, want 2", nm.Node(), nm.Launches())
+		if got := nmLaunches(nm); got != 2 {
+			t.Errorf("node %d forked %d processes, want 2", nm.Node(), got)
 		}
 	}
-	if mm.Completed() != 1 {
-		t.Errorf("Completed = %d", mm.Completed())
+	if got := mm.status().Completed; got != 1 {
+		t.Errorf("Completed = %d", got)
 	}
 }
 
@@ -134,8 +155,8 @@ func TestLiveConcurrentJobs(t *testing.T) {
 			t.Errorf("job %d: %v", i, err)
 		}
 	}
-	if mm.Completed() != 4 {
-		t.Errorf("Completed = %d, want 4", mm.Completed())
+	if got := mm.status().Completed; got != 4 {
+		t.Errorf("Completed = %d, want 4", got)
 	}
 }
 
@@ -374,8 +395,8 @@ func TestLiveTreeFlatEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
 		}
-		if mm.Completed() != 1 {
-			t.Fatalf("fanout %d: completed = %d", fanout, mm.Completed())
+		if got := mm.status().Completed; got != 1 {
+			t.Fatalf("fanout %d: completed = %d", fanout, got)
 		}
 		r := result{digests: map[int]ImageDigest{}, frags: map[int]int{}, report: rep}
 		for _, nm := range nms {

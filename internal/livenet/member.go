@@ -134,30 +134,15 @@ func (mm *MM) NMs() []int {
 	return mm.registered()
 }
 
-// NodeEligible reports whether a node is in the placement rotation:
-// registered, not convicted, and past any rejoin probation.
-func (mm *MM) NodeEligible(node int) bool {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.row(node).eligible()
-}
-
-// ProbationLeft returns how many heartbeat-clean periods a rejoined
-// node still owes before placement trusts it again (0 once eligible).
-func (mm *MM) ProbationLeft(node int) int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.row(node).probation
-}
-
 // NodeInfo is one row of the MM's per-node placement snapshot.
 type NodeInfo struct {
-	Node     int
-	CPUs     int       // from the NM's registration (0 if currently unregistered)
-	Cap      place.Vec // declared capacity (Unbounded when undeclared)
-	Used     place.Vec // usage committed by running jobs' demands
-	Load     int       // gang members currently charged to the node
-	Eligible bool      // in the placement rotation right now
+	Node      int
+	CPUs      int       // from the NM's registration (0 if currently unregistered)
+	Cap       place.Vec // declared capacity (Unbounded when undeclared)
+	Used      place.Vec // usage committed by running jobs' demands
+	Load      int       // gang members currently charged to the node
+	Eligible  bool      // in the placement rotation right now
+	Probation int       // heartbeat-clean periods a rejoined node still owes before placement trusts it
 }
 
 // NodeTable snapshots every node the placement engine tracks, in
@@ -167,8 +152,9 @@ func (mm *MM) NodeTable() []NodeInfo {
 	defer mm.mu.Unlock()
 	var out []NodeInfo
 	mm.place.Each(func(id int, cap, used place.Vec, load int, eligible bool) {
-		info := NodeInfo{Node: id, Cap: cap, Used: used, Load: load, Eligible: eligible}
-		if l := mm.row(id).link; l != nil {
+		row := mm.row(id)
+		info := NodeInfo{Node: id, Cap: cap, Used: used, Load: load, Eligible: eligible, Probation: row.probation}
+		if l := row.link; l != nil {
 			info.CPUs = l.cpus
 		}
 		out = append(out, info)

@@ -16,26 +16,25 @@ import (
 )
 
 // assertRow checks that every view of one node's placement eligibility —
-// the membership row, the placement engine's own bit, and the three
-// public getters — says the same thing.
+// the membership row, the placement engine's own bit, and the node's
+// NodeTable row — says the same thing, and that the row and NodeTable
+// agree on the probation still owed.
 func assertRow(t *testing.T, mm *MM, node int, step string, eligible bool, probation int) {
 	t.Helper()
 	mm.mu.Lock()
-	row, bit := mm.members[node].eligible(), mm.place.Eligible(node)
+	row, bit := mm.row(node), mm.place.Eligible(node)
 	mm.mu.Unlock()
-	if row != eligible || bit != eligible {
-		t.Fatalf("%s: row eligible=%v, engine bit=%v, want %v", step, row, bit, eligible)
+	if row.eligible() != eligible || bit != eligible {
+		t.Fatalf("%s: row eligible=%v, engine bit=%v, want %v", step, row.eligible(), bit, eligible)
 	}
-	if got := mm.NodeEligible(node); got != eligible {
-		t.Fatalf("%s: NodeEligible=%v, want %v", step, got, eligible)
-	}
-	if got := mm.ProbationLeft(node); got != probation {
-		t.Fatalf("%s: ProbationLeft=%d, want %d", step, got, probation)
+	if row.probation != probation {
+		t.Fatalf("%s: row probation=%d, want %d", step, row.probation, probation)
 	}
 	for _, info := range mm.NodeTable() {
 		if info.Node == node {
-			if info.Eligible != eligible {
-				t.Fatalf("%s: NodeTable says eligible=%v, want %v", step, info.Eligible, eligible)
+			if info.Eligible != eligible || info.Probation != probation {
+				t.Fatalf("%s: NodeTable says eligible=%v probation=%d, want %v, %d",
+					step, info.Eligible, info.Probation, eligible, probation)
 			}
 			return
 		}
@@ -111,9 +110,9 @@ func TestMemberEligibility(t *testing.T) {
 	assertRow(t, mm, victim, "rejoined, on probation", false, probation)
 
 	deadline := time.Now().Add(10*period + 5*time.Second)
-	for !mm.NodeEligible(victim) {
+	for !nodeRow(mm, victim).eligible() {
 		if time.Now().After(deadline) {
-			t.Fatalf("probation never served (%d left)", mm.ProbationLeft(victim))
+			t.Fatalf("probation never served (%d left)", nodeRow(mm, victim).probation)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -169,7 +168,7 @@ func TestRejoinClearsDetectorState(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for !mm.NodeEligible(victim) {
+	for !nodeRow(mm, victim).eligible() {
 		if time.Now().After(deadline) {
 			t.Fatal("rejoined node never became eligible")
 		}

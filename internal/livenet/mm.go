@@ -273,11 +273,10 @@ type MM struct {
 	completed int
 	strobes   int
 
-	// rowCount tracks gang-row occupancy (the strobe loop skips empty
-	// rows); rowFree is the bitset freelist of unoccupied rows pickRow
-	// pops lowest-first.
-	rowCount []int
-	rowFree  []uint64
+	// rowFree is the gang rows' one occupancy record: a bitset of the
+	// rows no job holds, which pickRow pops lowest-first and the strobe
+	// loop skips.
+	rowFree []uint64
 
 	wg sync.WaitGroup
 }
@@ -310,7 +309,6 @@ func (pr *probeRound) settle(node int) {
 // seeded images it is cacheable across jobs: the same (seed, patch,
 // size, chunking) always produces the same chunks.
 type manifestData struct {
-	seed   uint64
 	patch  map[int]uint64
 	hashes []uint64
 	total  int64
@@ -708,9 +706,9 @@ func (mm *MM) JournalPath() string {
 	return mm.jnl.Dir()
 }
 
-// Closed reports whether the MM has shut down — how a federation tells
-// a stale leaf handle from a live one after a leaf restart.
-func (mm *MM) Closed() bool {
+// isClosed reports whether the MM has shut down — how a federation
+// tells a stale leaf handle from a live one after a leaf restart.
+func (mm *MM) isClosed() bool {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	return mm.closed
@@ -718,20 +716,6 @@ func (mm *MM) Closed() bool {
 
 // Addr returns the listening address (for NMs and clients to dial).
 func (mm *MM) Addr() string { return mm.ln.Addr().String() }
-
-// Completed returns the number of jobs that finished successfully.
-func (mm *MM) Completed() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.completed
-}
-
-// Strobes returns the number of gang context-switch multicasts issued.
-func (mm *MM) Strobes() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.strobes
-}
 
 // Close shuts the MM down and disconnects everyone.
 func (mm *MM) Close() { mm.shutdown(false) }
@@ -1134,7 +1118,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	// transfer state and the failure is journaled. Whatever a job dies of
 	// while the MM shuts down under it, it died of the shutdown.
 	fail := func(err error) (Report, error) {
-		if mm.Closed() && !errors.Is(err, ErrMMClosed) {
+		if mm.isClosed() && !errors.Is(err, ErrMMClosed) {
 			err = fmt.Errorf("%w: job %d: %v", ErrMMClosed, j.id, err)
 		}
 		j.setPhase(phaseFailed)
@@ -1217,21 +1201,6 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	mm.mu.Unlock()
 	failed := append([]int(nil), j.failedNodes...)
 	sort.Ints(failed)
-	timeline := fmt.Sprintf("send=%v execute=%v nodes=%d pes=%d fanout=%d",
-		send, total-send, ran, ran*spec.PEsPerNode, mm.cfg.Fanout)
-	if len(j.stripeReplans) > 1 {
-		timeline += fmt.Sprintf(" stripes=%d", len(j.stripeReplans))
-	}
-	if j.queued > time.Millisecond {
-		timeline += fmt.Sprintf(" queued=%v", j.queued.Round(time.Millisecond))
-	}
-	if j.bytesSaved > 0 {
-		timeline += fmt.Sprintf(" delta: streamed %d/%d chunks, %d B served from caches",
-			j.chunksSent, j.frags, j.bytesSaved)
-	}
-	if len(failed) > 0 {
-		timeline += fmt.Sprintf(" failed=%v replans=%d recovery=%v", failed, j.replans, j.recovery)
-	}
 	j.mu.Lock()
 	winPeak := j.winPeak
 	j.mu.Unlock()
@@ -1253,7 +1222,6 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		Queued:        j.queued,
 		Row:           j.row,
 		WindowPeak:    winPeak,
-		Timeline:      timeline,
 		Retries:       j.retries,
 	}, nil
 }
@@ -1529,10 +1497,7 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 			return d
 		}
 	}
-	d := &manifestData{
-		seed:   j.spec.ImageSeed,
-		hashes: make([]uint64, j.frags),
-	}
+	d := &manifestData{hashes: make([]uint64, j.frags)}
 	// Chunks are independent (generate + hash each), so the pass fans out
 	// over a small worker pool.
 	parallelChunks(j.frags, func(i int) {

@@ -311,20 +311,6 @@ func (nm *NM) FragsRelayed() int {
 	return nm.fragsRelayed
 }
 
-// Launches returns the number of processes forked.
-func (nm *NM) Launches() int {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	return nm.launches
-}
-
-// StrobesSeen returns the number of gang context switches enacted.
-func (nm *NM) StrobesSeen() int {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	return nm.strobesSeen
-}
-
 // ImageDigest returns the digest of the binary image this node received
 // for job (retained after the job completes), and whether the image was
 // fully delivered.
@@ -333,21 +319,6 @@ func (nm *NM) ImageDigest(job int) (ImageDigest, bool) {
 	defer nm.mu.Unlock()
 	d, ok := nm.digests[job]
 	return d, ok
-}
-
-// SpooledBinary returns the on-disk path of a job's committed binary
-// image, and whether it has been published (SpoolDir mode only; a
-// published path always names a complete, verified image — partial
-// transfers only ever exist under a temp name).
-func (nm *NM) SpooledBinary(job int) (string, bool) {
-	if nm.cfg.SpoolDir == "" {
-		return "", false
-	}
-	p := filepath.Join(nm.cfg.SpoolDir, fmt.Sprintf("node%d-job%d.bin", nm.node, job))
-	if _, err := os.Stat(p); err != nil {
-		return "", false
-	}
-	return p, true
 }
 
 // Close disconnects the NM (simulating a node failure if abrupt).

@@ -190,7 +190,6 @@ type Report struct {
 	Queued     time.Duration
 	Row        int
 	WindowPeak int
-	Timeline   string
 	// Retries counts full job-level retry attempts after transfer-phase
 	// failures that exhausted mid-stream recovery (0 for a job that
 	// succeeded, or failed, on its first placement).
@@ -213,7 +212,6 @@ func (r *Report) walk(w *walker) {
 	num(w, &r.Queued, 8)
 	num(w, &r.Row, 8)
 	num(w, &r.WindowPeak, 8)
-	w.str(&r.Timeline, 4, maxFrame)
 	num(w, &r.Retries, 8)
 }
 
@@ -564,12 +562,11 @@ func (p *Ping) walk(w *walker) {
 }
 
 // Pong answers a Ping. On the control tree it is not a per-node reply
-// but a cumulative subtree ledger: MinSeq is the oldest heartbeat
-// sequence any node in the sender's subtree is still vouched for, and
-// Absent is a bitmap of subtree members whose answers have gone stale,
-// indexed by the subtree's pre-order position (bit 0 = the sender
-// itself; only the first 64 positions are tracked — beyond that a
-// silent node is still caught when its whole subtree goes quiet). The
+// but a cumulative subtree ledger: Absent is a bitmap of subtree members
+// whose answers have gone stale, indexed by the subtree's pre-order
+// position (bit 0 = the sender itself; only the first 64 positions are
+// tracked — beyond that a silent node is still caught when its whole
+// subtree goes quiet). The
 // MM thus consumes exactly one frame per direct child per period and
 // still sees per-node liveness. Epoch is the control-tree generation
 // the ledger was aggregated under; a ledger from an older topology
@@ -579,7 +576,6 @@ type Pong struct {
 	Seq    int64
 	Node   int
 	Epoch  int
-	MinSeq int64
 	Absent uint64
 }
 
@@ -587,7 +583,6 @@ func (p *Pong) walk(w *walker) {
 	num(w, &p.Seq, 8)
 	num(w, &p.Node, 4)
 	num(w, &p.Epoch, 4)
-	num(w, &p.MinSeq, 8)
 	num(w, &p.Absent, 8)
 }
 

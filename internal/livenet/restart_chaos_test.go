@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,7 +137,7 @@ func TestChaosDetectorFlapNoConviction(t *testing.T) {
 			}
 			// Stall the whole node for 1.0–1.33 periods, the seed picking
 			// where in that band. Its queued pongs flush on heal.
-			pause := period + time.Duration(faultconn.NewRng(seed).Intn(int(period)/3))
+			pause := period + time.Duration(seedIntn(seed, int(period)/3))
 			gate.Pause()
 			time.Sleep(pause)
 			gate.Heal()
@@ -148,7 +147,7 @@ func TestChaosDetectorFlapNoConviction(t *testing.T) {
 				t.Fatalf("node %d convicted for a %v stall (period %v)", node, pause, period)
 			default:
 			}
-			if !mm.NodeEligible(victim) {
+			if !nodeRow(mm, victim).eligible() {
 				t.Fatal("flapped node lost placement eligibility without a conviction")
 			}
 		})
@@ -171,7 +170,7 @@ func TestChaosNMRejoinFullStrength(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg := chaosMMConfig()
 			cfg.RejoinProbation = probation
-			killAt := 8 + faultconn.NewRng(seed).Intn(16)
+			killAt := 8 + seedIntn(seed, 16)
 			cacheDir := t.TempDir() // the victim's cache survives its restart
 			var victimNM atomic.Pointer[NM]
 			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
@@ -222,7 +221,7 @@ func TestChaosNMRejoinFullStrength(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("killed node never convicted")
 			}
-			if mm.NodeEligible(victim) {
+			if nodeRow(mm, victim).eligible() {
 				t.Fatal("convicted node still placement-eligible")
 			}
 
@@ -238,10 +237,10 @@ func TestChaosNMRejoinFullStrength(t *testing.T) {
 				t.Fatalf("rejoin ack granted probation %d, want %d", nm2.Probation(), probation)
 			}
 			deadline := time.Now().Add(10*period + 5*time.Second)
-			for !mm.NodeEligible(victim) {
+			for !nodeRow(mm, victim).eligible() {
 				if time.Now().After(deadline) {
 					t.Fatalf("rejoined node never cleared probation (%d rounds left)",
-						mm.ProbationLeft(victim))
+						nodeRow(mm, victim).probation)
 				}
 				time.Sleep(20 * time.Millisecond)
 			}
@@ -267,7 +266,7 @@ func TestChaosNMRejoinFullStrength(t *testing.T) {
 			if ref, _ := nms[0].ImageDigest(rep2.JobID); d != ref {
 				t.Fatalf("rejoined node's image %+v differs from survivor's %+v", d, ref)
 			}
-			if nm2.Launches() == 0 {
+			if nmLaunches(nm2) == 0 {
 				t.Fatal("rejoined node launched no processes")
 			}
 			// Conviction of the old incarnation must not have leaked into
@@ -414,7 +413,7 @@ func TestChaosFederationResurrection(t *testing.T) {
 	cfg := chaosMMConfig()
 	jdir := t.TempDir()
 	seed := chaosSeeds[0]
-	killAt := 8 + faultconn.NewRng(seed).Intn(16)
+	killAt := 8 + seedIntn(seed, 16)
 
 	newLeaf := func(p int, journal string, wrap func(net.Conn) net.Conn) *MM {
 		c := cfg
@@ -509,9 +508,9 @@ func TestChaosFederationResurrection(t *testing.T) {
 		t.Fatalf("job did not survive leaf death at frag %d: %v", killAt, err)
 	}
 	if rep.Readmits != 1 {
-		t.Fatalf("want one re-admission, got %d (%s)", rep.Readmits, rep.Timeline)
+		t.Fatalf("want one re-admission, got %d (parts %+v)", rep.Readmits, rep.Parts)
 	}
-	if live := fed.LivePartitions(); len(live) != 1 || live[0] != 1 {
+	if live := livePartitions(fed); len(live) != 1 || live[0] != 1 {
 		t.Fatalf("partition 0 should be convicted, live=%v", live)
 	}
 
@@ -531,37 +530,40 @@ func TestChaosFederationResurrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(fed.LivePartitions()) != 2 {
+	for len(livePartitions(fed)) != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("prober never resurrected partition 0, live=%v", fed.LivePartitions())
+			t.Fatalf("prober never resurrected partition 0, live=%v", livePartitions(fed))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if fed.Resurrections() != 1 {
-		t.Fatalf("resurrections=%d, want 1", fed.Resurrections())
+	fed.mu.Lock()
+	resurrections := fed.resurrections
+	fed.mu.Unlock()
+	if resurrections != 1 {
+		t.Fatalf("resurrections=%d, want 1", resurrections)
 	}
 
 	// Placement rebalances toward the returned partition: it carries no
 	// load, so the next free placement lands there...
-	rep2, err := SubmitJob(fed.Addr(), JobSpec{
+	rep2, err := fed.RunJob(JobSpec{
 		Name: "rebalance", BinaryBytes: 256 << 10, Nodes: perPart, PEsPerNode: 1,
 		Program: ProgramSpec{Kind: "exit"},
 	})
 	if err != nil {
 		t.Fatalf("post-resurrection launch failed: %v", err)
 	}
-	if !strings.Contains(rep2.Timeline, "partitions=[0]") {
-		t.Fatalf("free placement should favor the resurrected idle partition: %s", rep2.Timeline)
+	if parts := partitionsOf(rep2); len(parts) != 1 || parts[0] != 0 {
+		t.Fatalf("free placement should favor the resurrected idle partition: partitions %v", parts)
 	}
 	// ...and a spanning job uses the whole federation again.
-	rep3, err := SubmitJob(fed.Addr(), JobSpec{
+	rep3, err := fed.RunJob(JobSpec{
 		Name: "span", BinaryBytes: 256 << 10, Nodes: 2 * perPart, PEsPerNode: 1,
 		Program: ProgramSpec{Kind: "exit"},
 	})
 	if err != nil {
 		t.Fatalf("spanning launch after resurrection failed: %v", err)
 	}
-	if !strings.Contains(rep3.Timeline, "partitions=[0,1]") {
-		t.Fatalf("spanning job should cross both partitions: %s", rep3.Timeline)
+	if parts := partitionsOf(rep3); len(parts) != 2 || parts[0] != 0 || parts[1] != 1 {
+		t.Fatalf("spanning job should cross both partitions: partitions %v", parts)
 	}
 }

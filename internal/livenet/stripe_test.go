@@ -200,7 +200,7 @@ func TestChaosStripedInteriorKill(t *testing.T) {
 func stripedKill(t *testing.T, cfg MMConfig, n, victim int, seed uint64, frags int) {
 	// Each stripe delivers 16 of the 32 chunks, so a per-conn kill
 	// point must land inside one stripe's stream.
-	killAt := 4 + faultconn.NewRng(seed).Intn(8)
+	killAt := 4 + seedIntn(seed, 8)
 	var victimNM atomic.Pointer[NM]
 	mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 		if node != victim {
@@ -525,10 +525,10 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 		mm.ctl.kids = append(mm.ctl.kids, ctlKid{treeKid: tk})
 	}
 	for _, node := range []int{2, 99} {
-		mm.onPong(&Pong{Seq: 5, Node: node, Epoch: 1, MinSeq: 5})
+		mm.onPong(&Pong{Seq: 5, Node: node, Epoch: 1})
 		mm.onStrobeAck(&StrobeAck{Seq: 5, Node: node, Epoch: 1})
 	}
-	mm.onPong(&Pong{Seq: 4, Node: 1, Epoch: 1, MinSeq: 4})
+	mm.onPong(&Pong{Seq: 4, Node: 1, Epoch: 1})
 	mm.onStrobeAck(&StrobeAck{Seq: 4, Node: 1, Epoch: 1})
 	if k := mm.ctl.kids[0]; len(mm.ctl.kids) != 2 || k.ledger != (mmLedger{}) || k.strobeAck != 0 {
 		t.Fatalf("stray control answers changed the records: %d kids, kid 0 %+v", len(mm.ctl.kids), k)

@@ -51,8 +51,8 @@ const (
 	AckLen = 18
 	// PingLen is seq u64 | epoch u32.
 	PingLen = 12
-	// PongLen is seq u64 | node u32 | epoch u32 | minseq u64 | absent u64.
-	PongLen = 32
+	// PongLen is seq u64 | node u32 | epoch u32 | absent u64.
+	PongLen = 24
 	// StrobeLen is seq u64 | row u32 | epoch u32.
 	StrobeLen = 16
 	// StrobeAckLen is seq u64 | node u32 | epoch u32.

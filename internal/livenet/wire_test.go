@@ -45,14 +45,14 @@ func everyFrame(t testing.TB) [][]byte {
 		{Term: &Term{Job: p8, Node: p8}},
 		{Done: &Done{Report: Report{JobID: p8, Send: p8, Execute: p8, Total: p8, SendBytes: p8, Failed: []int{p8},
 			Replans: p8, Recovery: p8, StripeReplans: []int{p8}, Chunks: p8, ChunksSent: p8, BytesSaved: p8,
-			Queued: p8, Row: p8, WindowPeak: p8, Timeline: ps, Retries: p8}, Err: ps}},
+			Queued: p8, Row: p8, WindowPeak: p8, Retries: p8}, Err: ps}},
 		{StatusQ: &StatusReq{}},
 		{StatusR: &StatusRep{Nodes: []int{p8}, Jobs: p8, Queued: p8, Launched: p8, Completed: p8, Strobes: p8, Gang: true}},
 		{CtlPlan: &CtlPlan{Epoch: p8, Tree: tree}},
 		{Frag: &Frag{Job: p4, Index: p4, Last: true, Stripe: 'P', Data: []byte(ps)}},
 		{FragAck: &FragAck{Job: p4, Index: p4, Node: p4, Epoch: p4, OK: true, Stripe: 'P'}},
 		{Ping: &Ping{Seq: p8, Epoch: p4}},
-		{Pong: &Pong{Seq: p8, Node: p4, Epoch: p4, MinSeq: p8, Absent: p8}},
+		{Pong: &Pong{Seq: p8, Node: p4, Epoch: p4, Absent: p8}},
 		{Strobe: &Strobe{Seq: p8, Row: p4, Epoch: p4}},
 		{StrobeAck: &StrobeAck{Seq: p8, Node: p4, Epoch: p4}},
 		{PeerDown: &PeerDown{Job: p4, Node: p4, From: p4, Err: ps}},
@@ -289,7 +289,7 @@ func goldenFrames() []goldenFrame {
 		{"frag", Message{Frag: &Frag{Job: 1, Index: 2, Last: true, Stripe: 4, Data: []byte{5, 6, 7}}}},
 		{"ack", Message{FragAck: &FragAck{Job: 1, Index: 2, Node: 3, Epoch: 4, OK: true, Stripe: 5}}},
 		{"ping", Message{Ping: &Ping{Seq: 1, Epoch: 2}}},
-		{"pong", Message{Pong: &Pong{Seq: 1, Node: 2, Epoch: 3, MinSeq: 4, Absent: 5}}},
+		{"pong", Message{Pong: &Pong{Seq: 1, Node: 2, Epoch: 3, Absent: 5}}},
 		{"strobe", Message{Strobe: &Strobe{Seq: 1, Row: 2, Epoch: 3}}},
 		{"strobeack", Message{StrobeAck: &StrobeAck{Seq: 1, Node: 2, Epoch: 3}}},
 		{"peerdown", Message{PeerDown: &PeerDown{Job: 1, Node: 2, From: 3, Err: "four"}}},
@@ -302,11 +302,12 @@ func goldenFrames() []goldenFrame {
 // bodyFrames, each file generated by the codec of its day: the
 // fixed-part frames at ab214b3; the body frames when they replaced gob
 // (the plan frame left with its message); the control plan once it
-// carried the manifest's subtree encoding; and the fragment and the
+// carried the manifest's subtree encoding; the fragment and the
 // manifest once the chunk hash became the only content check, and both
-// lost their CRCs.
+// lost their CRCs; and the pong and the done report once their unread
+// fields (the ledger's min-seq, the report's free-text timeline) left.
 var goldenFiles = []string{"testdata/frames_ab214b3.golden", "testdata/frames_pr21.golden",
-	"testdata/frames_pr25.golden", "testdata/frames_hashonly.golden"}
+	"testdata/frames_pr25.golden", "testdata/frames_hashonly.golden", "testdata/frames_unreadfields.golden"}
 
 // checkGolden holds each frame to its golden bytes, byte for byte, and
 // every golden frame to a message of goldenFrames or bodyFrames — a frame
@@ -365,7 +366,7 @@ func bodyFrames() []goldenFrame {
 		{"done", Message{Done: &Done{Report: Report{JobID: 1, Send: 2 * time.Millisecond, Execute: 3 * time.Second, Total: 4 * time.Minute,
 			SendBytes: 5, Failed: []int{6, 7}, Replans: 8, Recovery: 9 * time.Microsecond, StripeReplans: []int{10, 11},
 			Chunks: 12, ChunksSent: 13, BytesSaved: 14, Queued: 15 * time.Nanosecond, Row: 16, WindowPeak: 17,
-			Timeline: "eighteen", Retries: -19}, Err: "twenty"}}},
+			Retries: -19}, Err: "twenty"}}},
 		{"statusreq", Message{StatusQ: &StatusReq{}}},
 		{"statusrep", Message{StatusR: &StatusRep{Nodes: []int{1, 2}, Jobs: 3, Queued: 4, Launched: 5, Completed: 6, Strobes: 7, Gang: true}}},
 		{"ctlplan", Message{CtlPlan: &CtlPlan{Epoch: 1, Tree: []TreeNode{{Node: 2, Addr: "three", Size: 2}, {Node: 4, Addr: "five", Size: -6}}}}},
