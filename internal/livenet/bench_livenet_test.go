@@ -624,10 +624,9 @@ func BenchmarkControlPlane(b *testing.B) {
 //	go test -run '^$' -bench BenchmarkReintegration -benchtime=1x ./internal/livenet/
 func BenchmarkReintegration(b *testing.B) {
 	const (
-		nodes     = 8
-		fanout    = 2
-		period    = 50 * time.Millisecond
-		probation = 2
+		nodes  = 8
+		fanout = 2
+		period = 50 * time.Millisecond
 	)
 	type result struct {
 		HeartbeatPeriodMS float64 `json:"heartbeat_period_ms"`
@@ -639,9 +638,7 @@ func BenchmarkReintegration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh cluster per iteration: the victim NM is consumed by the
 		// kill and its node ID re-registered by the rejoin.
-		mm, nms, _ := chaosCluster(b, nodes, MMConfig{
-			Fanout: fanout, RejoinProbation: probation,
-		}, func(int) NMConfig { return NMConfig{} })
+		mm, nms, _ := chaosCluster(b, nodes, MMConfig{Fanout: fanout}, func(int) NMConfig { return NMConfig{} })
 		victim := nodes - 1
 		fails := make(chan int, nodes)
 		stop := mm.StartHeartbeat(period, func(n int) { fails <- n })
@@ -684,7 +681,7 @@ func BenchmarkReintegration(b *testing.B) {
 
 		r := result{
 			HeartbeatPeriodMS: float64(period) / float64(time.Millisecond),
-			ProbationPeriods:  probation,
+			ProbationPeriods:  rejoinProbation,
 			DetectMS:          float64(detect) / float64(time.Millisecond),
 			ReintegrateMS:     float64(reintegrate) / float64(time.Millisecond),
 		}

@@ -518,6 +518,64 @@ func TestChaosCtlFrameFaultsAbsorbed(t *testing.T) {
 	}
 }
 
+// TestChaosRelayRedialLiveChild: an interior NM's relay link to a live
+// child dies under it, before the child's manifest or before one of its
+// fragments. The hop redials once and installs the child again on the
+// new link ahead of the frame, so the child's answers go up that link:
+// the launch completes on every node, with no replan and byte-identical
+// images.
+func TestChaosRelayRedialLiveChild(t *testing.T) {
+	const n, interior = 4, 0 // MM -> {0, 1}; node 0 relays to {2, 3}
+	cfg := chaosMMConfig()
+	for _, tc := range []struct {
+		name  string
+		fault faultconn.CtlFault
+	}{
+		{"manifest", faultconn.CtlFault{Kind: wire.Manifest, Index: 0, Op: "close"}},
+		{"frag0", faultconn.CtlFault{Kind: wire.Frag, Index: 0, Op: "close"}},
+		{"frag2", faultconn.CtlFault{Kind: wire.Frag, Index: 2, Op: "close"}},
+		{"frag7", faultconn.CtlFault{Kind: wire.Frag, Index: 7, Op: "close"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fired := make(chan struct{}, 1)
+			var dials atomic.Int32
+			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
+				if node != interior {
+					return NMConfig{}
+				}
+				return NMConfig{Dialer: func(addr string) (net.Conn, error) {
+					// The first dial is the MM link, the second the first
+					// relay link, to node 2: it dies before the frame.
+					c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+					if err != nil || dials.Add(1) != 2 {
+						return c, err
+					}
+					plan := faultconn.NewPlan()
+					plan.CtlFaults = []faultconn.CtlFault{tc.fault}
+					plan.OnFault = func(string) { fired <- struct{}{} }
+					return faultconn.Wrap(c, plan), nil
+				}}
+			})
+			rep, err := SubmitJob(mm.Addr(), JobSpec{
+				Name: "redial", BinaryBytes: chaosBinary, Nodes: n, PEsPerNode: 1,
+				Program: ProgramSpec{Kind: "exit"},
+			})
+			if err != nil {
+				t.Fatalf("launch failed: %v", err)
+			}
+			select {
+			case <-fired:
+			default:
+				t.Fatal("the fault never fired")
+			}
+			if len(rep.Failed) != 0 || rep.Replans != 0 {
+				t.Fatalf("report: failed %v, replans %d; want none of either", rep.Failed, rep.Replans)
+			}
+			assertSurvivorImages(t, nms, -1, rep.JobID, chaosBinary/cfg.FragBytes)
+		})
+	}
+}
+
 // TestChaosControlPlanOnTree: the control tree is announced down itself,
 // as a stripe tree is. A membership change — a join, then a leave — puts
 // at most Fanout plan frames on the MM's links and exactly one plan per
@@ -627,6 +685,68 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 		nms[child].mu.Unlock()
 		if !installed {
 			t.Fatalf("node %d vouched for without a plan installed", child)
+		}
+		awaitCtlTree(t, mm, nms)
+		select {
+		case node := <-fails:
+			t.Fatalf("node %d convicted", node)
+		default:
+		}
+	})
+
+	t.Run("dial-fails-one-round", func(t *testing.T) {
+		// A control child the hop cannot reach is down for one round only:
+		// the next ping dials it again. Node 0's first relay dial, to node
+		// 2, fails every attempt; the period leaves room for the backoff.
+		const n, interior, child = 4, 0, 2 // MM -> {0, 1}; node 0 relays to {2, 3}
+		const period = 250 * time.Millisecond
+		failed := make(chan struct{}, 1)
+		var dials atomic.Int32
+		mm, nms, _ := chaosCluster(t, n, MMConfig{Fanout: 2}, func(node int) NMConfig {
+			if node != interior {
+				return NMConfig{}
+			}
+			return NMConfig{Dialer: func(addr string) (net.Conn, error) {
+				// The first dial is the MM link, the next dialAttempts are
+				// every attempt of the first relay dial.
+				if d := dials.Add(1); d > 1 && d <= 1+dialAttempts {
+					if d == 1+dialAttempts {
+						failed <- struct{}{}
+					}
+					return nil, errors.New("injected dial failure")
+				}
+				return net.DialTimeout("tcp", addr, 5*time.Second)
+			}}
+		})
+		fails := make(chan int, n)
+		stop := mm.StartHeartbeat(period, func(node int) { fails <- node })
+		defer stop()
+		select {
+		case <-failed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("node 0 never dialed a relay link")
+		}
+		mm.mu.Lock()
+		s0 := mm.ctl.hbSeq
+		mm.mu.Unlock()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no ledger vouched for node %d after its relay dial failed", child)
+			}
+			mm.mu.Lock()
+			var seq int64
+			if kid := mm.ctl.kid(interior); kid != nil {
+				if j := slices.Index(kid.subtree, child); kid.ledger.absent&(1<<j) == 0 {
+					seq = kid.ledger.seq
+				}
+			}
+			mm.mu.Unlock()
+			if seq > 0 {
+				if seq > s0+3 {
+					t.Fatalf("node %d first vouched for in round %d, its dial failed in round %d", child, seq, s0)
+				}
+				break
+			}
 		}
 		awaitCtlTree(t, mm, nms)
 		select {

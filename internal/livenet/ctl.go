@@ -18,24 +18,24 @@ package livenet
 //     aggregate exactly like fragment acks — the minimum over the local
 //     apply point and every child subtree's cumulative credit.
 //
-// The tree is laid as a stripe tree is: on a membership change the MM
-// sends each direct child a CtlPlan carrying the child's subtree, and
-// every NM installs its children from the plan and relays each its own
-// slice — over the links the pings and strobes then take, so a link
-// carries the plan ahead of any other control frame. The plan is a body
-// frame sent on membership changes only; all per-period traffic is
-// fixed-part frames of the same codec with zero steady-state allocations
-// (TestControlAllocs).
+// The tree is laid, installed and relayed as a stripe tree is: on a
+// membership change the MM sends each direct child a CtlPlan carrying the
+// child's subtree, every NM installs its children from the plan, and the
+// one hop down every tree (NM.relay) writes each child its own slice of
+// the plan ahead of any other frame on a link that has not carried it,
+// so no ping or strobe outruns the plan it belongs to. The tree owns how
+// long a child that hop could not reach stays down: one round, as each
+// ping clears the marks, and the round's absence in the ledger is the
+// evidence. The plan is a body frame sent on membership changes only;
+// all per-period traffic is fixed-part frames of the same codec with zero
+// steady-state allocations (TestControlAllocs).
 
-// ctlChild is one control-tree child: where to relay, the plan that
-// installs it, and the latest state it reported.
+// ctlChild is one control-tree child: the relay child the hop installs
+// with its CtlPlan, and the latest state it reported.
 type ctlChild struct {
-	node    int
-	addr    string
-	size    int     // nodes its ledgers vouch for, itself included
-	off     int     // bit offset of this child's subtree in the parent's ledger
-	plan    CtlPlan // the child's own slice of the tree
-	planned *conn   // the link the plan last went down; nil before the first
+	relayChild
+	size int // nodes its ledgers vouch for, itself included
+	off  int // bit offset of this child's subtree in the parent's ledger
 
 	lastSeq    int64  // Seq of the child's latest pong ledger
 	lastAbsent uint64 // its Absent bitmap (child-local bit positions)
@@ -43,10 +43,11 @@ type ctlChild struct {
 }
 
 // nmCtl is an NM's installed role in the control tree, replaced
-// wholesale on every epoch change.
+// wholesale on every epoch change; its children slice is never edited,
+// so a relay ranges over it off the lock.
 type nmCtl struct {
 	epoch    int
-	parent   *conn // conn the epoch's plan arrived on; answers go up it
+	parent   *conn // the link the epoch's plan last arrived on; answers go up it
 	children []*ctlChild
 
 	collecting int64 // heartbeat seq being aggregated (0 = none pending)
@@ -83,14 +84,15 @@ func (nm *NM) onCtlPlan(p *CtlPlan, from *conn) {
 	ctl := &nmCtl{epoch: p.Epoch, parent: from}
 	off := 1
 	for _, sub := range splitTree(p.Tree) {
-		ctl.children = append(ctl.children, &ctlChild{node: sub[0].Node, addr: sub[0].Addr, size: len(sub), off: off,
-			plan: CtlPlan{Epoch: p.Epoch, Tree: sub[1:]}})
+		ctl.children = append(ctl.children, &ctlChild{size: len(sub), off: off,
+			relayChild: relayChild{node: sub[0].Node, addr: sub[0].Addr,
+				install: Message{CtlPlan: &CtlPlan{Epoch: p.Epoch, Tree: sub[1:]}}}})
 		off += len(sub)
 	}
 	nm.ctl = ctl
 	nm.mu.Unlock()
 	for _, ch := range ctl.children {
-		nm.relayCtl(ch, Message{CtlPlan: &ch.plan})
+		nm.relay(0, &ch.relayChild, Message{})
 	}
 }
 
@@ -118,21 +120,24 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 		flush = nm.ledgerLocked(ctl, ctl.collecting)
 		ctl.collecting = 0
 	}
-	var relay []*ctlChild
 	if len(ctl.children) > 0 {
 		ctl.collecting = seq
-		relay = append(relay, ctl.children...)
+	}
+	// A control child's down mark lasts one round: the hop tries every
+	// child again on each ping.
+	for _, ch := range ctl.children {
+		ch.down = false
 	}
 	nm.mu.Unlock()
 	if flush != nil {
 		from.send(Message{Pong: flush})
 	}
-	if len(relay) == 0 {
+	if len(ctl.children) == 0 {
 		from.send(Message{Pong: &Pong{Seq: seq, Node: nm.node, Epoch: epoch}})
 		return
 	}
-	for _, ch := range relay {
-		nm.relayCtl(ch, Message{Ping: &Ping{Seq: seq, Epoch: epoch}})
+	for _, ch := range ctl.children {
+		nm.relay(0, &ch.relayChild, Message{Ping: &Ping{Seq: seq, Epoch: epoch}})
 	}
 }
 
@@ -207,10 +212,9 @@ func (nm *NM) onCtlStrobe(s *Strobe) {
 	if seq > ctl.strobeSeen {
 		ctl.strobeSeen = seq
 	}
-	relay := append([]*ctlChild(nil), ctl.children...)
 	nm.mu.Unlock()
-	for _, ch := range relay {
-		nm.relayCtl(ch, Message{Strobe: &Strobe{Seq: seq, Row: row, Epoch: epoch}})
+	for _, ch := range ctl.children {
+		nm.relay(0, &ch.relayChild, Message{Strobe: &Strobe{Seq: seq, Row: row, Epoch: epoch}})
 	}
 	nm.advanceStrobeAck()
 }
@@ -260,32 +264,4 @@ func (nm *NM) advanceStrobeAck() {
 	epoch := ctl.epoch
 	nm.mu.Unlock()
 	parent.send(Message{StrobeAck: &StrobeAck{Seq: min, Node: nm.node, Epoch: epoch}})
-}
-
-// relayCtl forwards one control-tree frame to a child over the cached
-// relay link, dialing it if there is none. A link that has not carried
-// the child's plan yet — the first, or one redialed after a failed write
-// — gets the plan ahead of the frame, so a plan lost with a dead link is
-// re-sent with the next period's frame. A link whose write fails is
-// dropped and not redialed within the round: the next period's relay
-// redials it, and the missed round surfaces as an absence in the MM's
-// ledger, never as a stall.
-func (nm *NM) relayCtl(ch *ctlChild, m Message) {
-	cc, err := nm.peerConn(ch.node, ch.addr)
-	if err != nil {
-		return
-	}
-	nm.mu.Lock()
-	fresh := ch.planned != cc
-	ch.planned = cc
-	nm.mu.Unlock()
-	if fresh && m.CtlPlan == nil {
-		_, err = cc.send(Message{CtlPlan: &ch.plan})
-	}
-	if err == nil {
-		_, err = cc.send(m)
-	}
-	if err != nil {
-		nm.dropLink(cc)
-	}
 }

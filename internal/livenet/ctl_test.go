@@ -115,8 +115,8 @@ func TestLedgerAggregation(t *testing.T) {
 	ctl := &nmCtl{
 		epoch: 3,
 		children: []*ctlChild{
-			{node: 3, size: 2, off: 1},
-			{node: 4, size: 3, off: 3},
+			{relayChild: relayChild{node: 3}, size: 2, off: 1},
+			{relayChild: relayChild{node: 4}, size: 3, off: 3},
 		},
 	}
 

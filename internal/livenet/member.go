@@ -42,6 +42,12 @@ type member struct {
 	seen   int64
 }
 
+// rejoinProbation is how many heartbeat-clean periods a rejoining NM
+// must survive before it is eligible for placement again. It only gates
+// placement while a heartbeat detector is running: with no detector
+// there is nobody to vouch, so rejoin restores eligibility immediately.
+const rejoinProbation = 2
+
 // eligible reports whether the node is in the placement rotation:
 // registered, not convicted, and past any rejoin probation.
 func (m member) eligible() bool { return m.link != nil && !m.convicted && m.probation == 0 }
@@ -63,8 +69,8 @@ func (mm *MM) register(link *nmLink, reg *Register) int {
 	}
 	if reg.Rejoin {
 		m.convicted, m.streak, m.probation = false, 0, 0
-		if mm.hbActive > 0 && mm.cfg.RejoinProbation > 0 {
-			m.probation = mm.cfg.RejoinProbation
+		if mm.hbActive > 0 {
+			m.probation = rejoinProbation
 		}
 	}
 	m.link = link

@@ -68,10 +68,8 @@ func waitRegistered(t *testing.T, mm *MM, node int, want bool) {
 func TestMemberEligibility(t *testing.T) {
 	const n, victim = 3, 2
 	const period = 100 * time.Millisecond
-	const probation = 2
 	gate := faultconn.NewGate()
 	cfg := chaosMMConfig()
-	cfg.RejoinProbation = probation
 	mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 		if node != victim {
 			return NMConfig{}
@@ -107,7 +105,7 @@ func TestMemberEligibility(t *testing.T) {
 	t.Cleanup(nm2.Close)
 	// The first vouched round is at least two ticks away (the new tree's
 	// ledgers need a round to warm), so the full sentence is still owed.
-	assertRow(t, mm, victim, "rejoined, on probation", false, probation)
+	assertRow(t, mm, victim, "rejoined, on probation", false, rejoinProbation)
 
 	deadline := time.Now().Add(10*period + 5*time.Second)
 	for !nodeRow(mm, victim).eligible() {

@@ -139,12 +139,6 @@ type MMConfig struct {
 	// outcomes surface via RecoveredJobs). Empty keeps all state in
 	// memory, exactly as before.
 	JournalDir string
-	// RejoinProbation is how many heartbeat-clean periods a rejoining
-	// NM must survive before it is eligible for placement again
-	// (default 2). It only gates placement while a heartbeat detector
-	// is running: with no detector there is nobody to vouch, so rejoin
-	// restores eligibility immediately.
-	RejoinProbation int
 	// Placement selects the free-placement policy: "spread" (default)
 	// is the classic deterministic least-loaded order, byte-identical
 	// to every prior release; "locality" packs each gang into the
@@ -200,9 +194,6 @@ func (c *MMConfig) fill() {
 	}
 	if c.MaxConcurrent < 1 {
 		c.MaxConcurrent = 1
-	}
-	if c.RejoinProbation == 0 {
-		c.RejoinProbation = 2
 	}
 }
 

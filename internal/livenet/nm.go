@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -174,14 +175,20 @@ type stripeRelay struct {
 	haveSent bool // this epoch's aggregated HAVE ledger already went up
 }
 
-// relayChild is one downstream link of a stripe's forwarding tree.
+// relayChild is one child of a tree this node relays down: a stripe's
+// forwarding tree or the control tree.
 type relayChild struct {
-	node  int
-	addr  string
-	c     *conn    // nil until the first relay dials (or reuses) the link
-	acked int      // cumulative stripe-local credit received from this subtree
-	have  []uint64 // the subtree's aggregated HAVE ledger (nil until reported)
-	down  bool     // link declared dead (write failed and one redial failed)
+	node    int
+	addr    string
+	install Message  // the child's slice of the tree: its Manifest, or its CtlPlan
+	c       *conn    // the link the install last went down; nil before the first
+	acked   int      // cumulative stripe-local credit received from this subtree
+	have    []uint64 // the subtree's aggregated HAVE ledger (nil until reported)
+	// down marks a child the hop did not reach: a failed dial, or a
+	// write that failed again after one redial. The tree that owns the
+	// mark sets how long it lasts: a stripe's, the rest of its epoch; the
+	// control tree's, one heartbeat round (onCtlPing).
+	down bool
 }
 
 // gateRow couples a job's process gate with its gang timeslot row.
@@ -422,10 +429,10 @@ func (nm *NM) serveLocked(c *conn) bool {
 
 // dropLink is the one way a link leaves the NM: out of the served set
 // and the dial cache, every stripe or control role whose parent it was
-// unbound — a replacement parent re-binds with its first frame, and
-// answers must never be written to a dead socket — and closed. Its read
-// loop ends with it; a relay that fails a write on it does not wait for
-// that.
+// unbound — a replacement parent re-binds with the install its relay
+// writes ahead of any other frame, and answers must never be written to
+// a dead socket — and closed. Its read loop ends with it; a relay that
+// fails a write on it does not wait for that.
 func (nm *NM) dropLink(c *conn) {
 	nm.mu.Lock()
 	delete(nm.links, c)
@@ -504,49 +511,56 @@ func (nm *NM) dialChild(node int, addr string) (*conn, error) {
 	return first, nil
 }
 
-// relay is the data plane's one hop down: forward a fragment or a
-// manifest to a tree child, health-checking the link on the way. A child
-// a manifest just installed has no link yet: the first relay takes the
-// cached one or dials it. A write error evicts the cached connection and
-// redials once. A child that cannot be dialed, or redialed, is reported
-// down. Reports whether the frame reached the child.
+// relay is the one hop down every tree: forward m — a fragment, a ping,
+// a strobe — to a tree child, installing the child on the way. A link
+// that has not carried the child's install yet — the first, or any
+// redial — gets the install ahead of m, so the child's parent is always
+// the link its install last arrived on and nothing outruns it. A zero m
+// relays the install alone, and does so even to a child marked down:
+// that is how a tree installs its children and how lostChildLink
+// redials one. A failed write evicts the link and redials once; a child
+// that cannot be dialed, or fails again, is marked down and reported
+// (job 0 for the control tree). Reports whether the frames reached the
+// child.
 func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
+	alone := m == Message{}
 	nm.mu.Lock()
 	cc, down := rc.c, rc.down
 	nm.mu.Unlock()
-	if down {
+	if down && !alone {
 		return false
 	}
-	if cc != nil {
-		if _, err := cc.send(m); err == nil {
+	var err error
+	for try := 0; try < 2; try++ {
+		fresh := false
+		if cc == nil {
+			if cc, err = nm.peerConn(rc.node, rc.addr); err != nil {
+				break
+			}
+			// Bound before the install goes: the child may answer it
+			// before the write returns, and answers are matched by link.
+			nm.mu.Lock()
+			fresh = rc.c != cc
+			rc.c, rc.down = cc, false
+			nm.mu.Unlock()
+		}
+		if fresh {
+			_, err = cc.send(rc.install)
+		}
+		if err == nil && !alone {
+			_, err = cc.send(m)
+		}
+		if err == nil {
 			return true
 		}
-		// Cached link went stale (the peer restarted, or the socket died
-		// between jobs): evict it and redial once. A frame is atomic per
-		// connection, so the peer discards any partial frame with the dead
-		// socket and the retry is a clean re-send.
+		// The peer restarted, or the socket died: evict the link. A frame
+		// is atomic per connection, so the peer discards any partial frame
+		// with the dead socket and the re-send on a redial is clean.
 		nm.dropLink(cc)
-	}
-	cc, err := nm.relink(rc)
-	if err == nil {
-		if _, err = cc.send(m); err == nil {
-			return true
-		}
+		cc = nil
 	}
 	nm.childDown(job, rc, err)
 	return false
-}
-
-// relink binds rc to the cached link to its node, dialing one if there is
-// none, and clears a down mark lostChildLink set while it redialed.
-func (nm *NM) relink(rc *relayChild) (*conn, error) {
-	cc, err := nm.peerConn(rc.node, rc.addr)
-	if err == nil {
-		nm.mu.Lock()
-		rc.c, rc.down = cc, false
-		nm.mu.Unlock()
-	}
-	return cc, err
 }
 
 // childDown marks a child the dial (or one redial) did not reach, and
@@ -559,15 +573,15 @@ func (nm *NM) childDown(job int, rc *relayChild, err error) {
 	nm.c.send(Message{PeerDown: &PeerDown{Job: job, Node: rc.node, From: nm.node, Err: err.Error()}})
 }
 
-// lostChildLink redials, once, every child a job still relays to over c,
-// a dropped link, and reports down the ones that do not answer — as a
-// failed write would, but now: one write per frame lands in the socket
-// buffer of a dead peer without an error, and the next write, which
-// would fail, may never come once the window waits on the child's own
-// credit. The children are marked down while it dials, so a relay skips
-// them instead of stalling its read loop — and the probe the report
-// brings — on a second redial; frames skipped so are lost like those
-// written into the dead socket.
+// lostChildLink redials every child a job still relays to over c, a
+// dropped link, and installs it again there (relay with a zero frame),
+// reporting down the ones that do not answer — as a failed write would,
+// but now: one write per frame lands in the socket buffer of a dead peer
+// without an error, and the next write, which would fail, may never come
+// once the window waits on the child's own credit. The children are
+// marked down while it dials, so a relay skips them instead of stalling
+// its read loop — and the probe the report brings — on a second redial;
+// frames skipped so are lost like those written into the dead socket.
 func (nm *NM) lostChildLink(c *conn) {
 	select {
 	case <-nm.closed:
@@ -584,7 +598,7 @@ func (nm *NM) lostChildLink(c *conn) {
 		for _, sr := range rs.stripes {
 			for _, rc := range sr.children {
 				if rc.c == c && !rc.down {
-					rc.down = true
+					rc.c, rc.down = nil, true
 					lost = append(lost, orphan{job, rc})
 				}
 			}
@@ -592,9 +606,7 @@ func (nm *NM) lostChildLink(c *conn) {
 	}
 	nm.mu.Unlock()
 	for _, o := range lost {
-		if _, err := nm.relink(o.rc); err != nil {
-			nm.childDown(o.job, o.rc, err)
-		}
+		nm.relay(o.job, o.rc, Message{})
 	}
 }
 
@@ -651,8 +663,9 @@ func (nm *NM) onChildAck(a *FragAck, cc *conn) {
 // receive+forward and the hash work of every level overlaps the
 // downstream transmission; corruption is caught by each node's own check
 // and nacked up the tree. from is the connection the fragment arrived on
-// — the MM link for stripe-tree roots, a peer link otherwise — and is
-// where this node's (aggregated) acks for that stripe go.
+// — the MM link for stripe-tree roots, a peer link otherwise — and
+// carried the stripe's manifest first, which bound it as the parent the
+// stripe's acks go up.
 func (nm *NM) handleFrag(f *Frag, from *conn) {
 	nm.mu.Lock()
 	rs, st := nm.relays[f.Job], nm.bins[f.Job]
@@ -666,9 +679,6 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		return
 	}
 	sr := rs.stripes[f.Stripe]
-	if sr.parent == nil {
-		sr.parent = from
-	}
 	// A chunk is forwarded only to the subtrees that reported missing it —
 	// the selective half of the delta path.
 	var pick [8]*relayChild // room for the usual fanout without a heap slice
@@ -700,11 +710,11 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 
 // onManifest opens (or re-opens, after a replan) a job's delta transfer
 // on one stripe. A manifest of a new epoch installs the stripe's relay
-// from the tree it carries; any current one binds the ack path, relays
-// the manifest down the subtree (each child its own slice of the tree),
-// splices every chunk the local cache can vouch for straight into the
-// image, and folds the resulting HAVE ledger up the tree — immediately
-// for leaves, once every child has reported for interior nodes. A fully
+// from the tree it carries and relays each child its own slice of it;
+// any current one binds the ack path, splices every chunk the local
+// cache can vouch for straight into the image, and folds the resulting
+// HAVE ledger up the tree — immediately for leaves, once every child
+// has reported for interior nodes. A fully
 // cache-warm node may never see a fragment, so everything the fragment
 // path would establish (the parent binding, the credit, even image
 // completion) must be able to happen here.
@@ -727,7 +737,6 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	if m.Stripe < 0 || m.Stripe >= m.Stripes || m.Stripes > 255 {
 		return // names no stripe a job can have (the frames carry one byte)
 	}
-	kids := splitTree(m.Tree)
 	nm.mu.Lock()
 	rs := nm.relays[m.Job]
 	if rs == nil {
@@ -745,21 +754,6 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 		return
 	}
 	sr := rs.stripes[m.Stripe]
-	if m.Epoch > sr.epoch {
-		// A new epoch installs the stripe's relay from the manifest's tree
-		// (relay dials each child, or takes its cached link, on the way
-		// down), and its answers start here, up the link the manifest came
-		// down: a straggler of the previous epoch may have been answered to
-		// a parent that had moved on and dropped the answer, so the credit
-		// and HAVE streams restart from nothing. The current epoch's
-		// manifest arriving again (a relay redial can deliver one twice)
-		// leaves the relay — children and their reports — as it is.
-		*sr = stripeRelay{epoch: m.Epoch}
-		for _, sub := range kids {
-			sr.children = append(sr.children, &relayChild{node: sub[0].Node, addr: sub[0].Addr})
-		}
-	}
-	sr.parent = from
 	st := nm.bins[m.Job]
 	drain := st == nil
 	if drain {
@@ -767,18 +761,33 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			k: m.Stripes, srecv: make([]int, m.Stripes), draining: true}
 		nm.bins[m.Job] = st
 	}
+	var install []*relayChild
+	if m.Epoch > sr.epoch {
+		// A new epoch installs the stripe's relay from the manifest's tree,
+		// each child with its own slice of it (copied out of conn scratch:
+		// every redial re-sends it), and its answers start here, up the
+		// link the manifest came down: a straggler of the previous epoch
+		// may have been answered to a parent that had moved on and dropped
+		// the answer, so the credit and HAVE streams restart from nothing.
+		// The current epoch's manifest arriving again — on the link a
+		// parent's relay redialed — only moves the answers to that link.
+		*sr = stripeRelay{epoch: m.Epoch}
+		for _, sub := range splitTree(slices.Clone(m.Tree)) {
+			inst := *m
+			inst.Hashes, inst.Tree = st.man.Hashes, sub[1:]
+			sr.children = append(sr.children, &relayChild{node: sub[0].Node, addr: sub[0].Addr,
+				install: Message{Manifest: &inst}})
+		}
+		install = sr.children
+	}
+	sr.parent = from
 	man := st.man
-	children := sr.children
 	nm.mu.Unlock()
 
-	// Relay first, straight from conn scratch (send copies it to the
-	// wire), so the subtree's cache drains overlap our own.
-	for i, rc := range children {
-		if i < len(kids) {
-			sub := *m
-			sub.Tree = kids[i][1:]
-			nm.relay(m.Job, rc, Message{Manifest: &sub})
-		}
+	// Install first (relay dials each child, or takes its cached link), so
+	// the subtree's cache drains overlap our own.
+	for _, rc := range install {
+		nm.relay(m.Job, rc, Message{})
 	}
 
 	if !drain {

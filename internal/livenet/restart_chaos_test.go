@@ -157,19 +157,17 @@ func TestChaosDetectorFlapNoConviction(t *testing.T) {
 // TestChaosNMRejoinFullStrength is the healing half of the kill tests:
 // an NM is hard-killed mid-transfer and convicted, then restarts with
 // the Rejoin handshake and its persisted chunk cache. It must re-enter
-// under the configured probation, earn back placement eligibility by
+// under its probation, earn back placement eligibility by
 // answering heartbeats, and the next full-cluster launch must use it —
 // completing with zero failures, a byte-identical image everywhere, and
 // its warm cache honored (the relaunch streams less than the image).
 func TestChaosNMRejoinFullStrength(t *testing.T) {
 	const n = 5
 	const period = 250 * time.Millisecond
-	const probation = 2
 	victim := n - 1 // a distribution-tree leaf
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg := chaosMMConfig()
-			cfg.RejoinProbation = probation
 			killAt := 8 + seedIntn(seed, 16)
 			cacheDir := t.TempDir() // the victim's cache survives its restart
 			var victimNM atomic.Pointer[NM]
@@ -233,8 +231,8 @@ func TestChaosNMRejoinFullStrength(t *testing.T) {
 				t.Fatalf("rejoin failed: %v", err)
 			}
 			t.Cleanup(nm2.Close)
-			if nm2.Probation() != probation {
-				t.Fatalf("rejoin ack granted probation %d, want %d", nm2.Probation(), probation)
+			if nm2.Probation() != rejoinProbation {
+				t.Fatalf("rejoin ack granted probation %d, want %d", nm2.Probation(), rejoinProbation)
 			}
 			deadline := time.Now().Add(10*period + 5*time.Second)
 			for !nodeRow(mm, victim).eligible() {
