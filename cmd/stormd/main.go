@@ -104,7 +104,7 @@ func main() {
 				Fanout: *fanout, Stripes: *stripes, GangQuantum: *strobe,
 				MaxConcurrent: *maxConc, Admission: *admission, Placement: *policy,
 				Lite: *lite, JournalDir: *journalDir, JobRetries: *retries,
-			}, *admission, sig)
+			}, *admission, *hb, sig)
 			return
 		}
 		mm, err := livenet.NewMM(*listen, livenet.MMConfig{
@@ -165,8 +165,9 @@ func main() {
 // on ephemeral ports, each owning the NMs that register with it, behind
 // a federation root on the public listen address. Leaves get disjoint
 // job-ID bases so the job field in every frame header is
-// partition-scoped.
-func runFederation(listen string, partitions int, leafCfg livenet.MMConfig, admission string, sig chan os.Signal) {
+// partition-scoped. With hb > 0 every leaf runs its own heartbeat
+// detector over its own NMs.
+func runFederation(listen string, partitions int, leafCfg livenet.MMConfig, admission string, hb time.Duration, sig chan os.Signal) {
 	var leaves []*livenet.MM
 	for p := 0; p < partitions; p++ {
 		cfg := leafCfg
@@ -189,13 +190,22 @@ func runFederation(listen string, partitions int, leafCfg livenet.MMConfig, admi
 		os.Exit(1)
 	}
 	fmt.Printf("stormd: federation root listening on %s (%d partitions)\n", fed.Addr(), partitions)
+	var stops []func()
 	for p, mm := range leaves {
 		fmt.Printf("stormd: partition %d leaf MM on %s — register this partition's NMs here\n", p, mm.Addr())
 		if jp := mm.JournalPath(); jp != "" {
 			fmt.Printf("stormd: partition %d job journal at %s\n", p, jp)
 		}
+		if hb > 0 {
+			stops = append(stops, mm.StartHeartbeat(hb, func(n int) {
+				fmt.Printf("stormd: partition %d node %d FAILED (missed heartbeats)\n", p, n)
+			}))
+		}
 	}
 	<-sig
+	for _, stop := range stops {
+		stop()
+	}
 	fed.Close()
 	for _, mm := range leaves {
 		mm.Close()

@@ -7,33 +7,46 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/sim"
+	"repro/internal/storm"
 	"repro/internal/workload"
 )
 
+// cluster boots a simulated cluster of n nodes with the default
+// platform configuration and the given seed.
+func cluster(n int, seed uint64) (*sim.Env, *storm.System) {
+	cfg := storm.DefaultConfig(n)
+	cfg.Seed = seed
+	env := sim.NewEnv()
+	return env, storm.New(env, cfg)
+}
+
 func main() {
 	const nodes = 32
-	cluster := core.NewCluster(core.ClusterConfig{Nodes: nodes, Seed: 3})
-	defer cluster.Close()
+	// Heartbeats every 100 ms; a probed node gets a tenth of the period
+	// to answer.
+	const period, grace = 100 * sim.Millisecond, 10 * sim.Millisecond
+	env, sys := cluster(nodes, 3)
+	defer sys.Shutdown()
 
 	fmt.Printf("Monitoring %d nodes with 100 ms heartbeats...\n", nodes)
 	var detectedAt sim.Time
 	var detected int = -1
-	cluster.DetectFaults(100*sim.Millisecond, func(n int) {
+	sys.StartFaultDetector(period, grace, func(n int) {
 		detected = n
-		detectedAt = cluster.Now()
+		detectedAt = env.Now()
 		fmt.Printf("  [%8.3fs] node %d declared FAILED\n", detectedAt.Seconds(), n)
 	})
 
-	cluster.RunFor(500 * sim.Millisecond)
-	fmt.Printf("  [%8.3fs] all heartbeats healthy\n", cluster.Now().Seconds())
+	env.RunUntil(env.Now() + 500*sim.Millisecond)
+	fmt.Printf("  [%8.3fs] all heartbeats healthy\n", env.Now().Seconds())
 
-	failAt := cluster.Now()
+	failAt := env.Now()
 	fmt.Printf("  [%8.3fs] killing node 13 (fault injection)\n", failAt.Seconds())
-	cluster.FailNode(13)
+	sys.Network().FailNode(13)
 
-	cluster.RunFor(10 * sim.Second)
+	env.RunUntil(env.Now() + 10*sim.Second)
 	if detected != 13 {
 		fmt.Printf("detection failed: got %d\n", detected)
 		return
@@ -46,20 +59,20 @@ func main() {
 	// Part two: detection wired into the Machine Manager — a running job
 	// loses a node, is reaped, and the machine keeps scheduling.
 	fmt.Println("\nFault recovery: a 16-node job loses node 13 mid-run...")
-	c2 := core.NewCluster(core.ClusterConfig{Nodes: nodes, Seed: 4})
-	defer c2.Close()
-	c2.RecoverFaults(100*sim.Millisecond, func(n int) {
-		fmt.Printf("  [%8.3fs] node %d failed; MM reaping its jobs\n", c2.Now().Seconds(), n)
+	env2, sys2 := cluster(nodes, 4)
+	defer sys2.Shutdown()
+	sys2.EnableFaultRecovery(period, grace, func(n int) {
+		fmt.Printf("  [%8.3fs] node %d failed; MM reaping its jobs\n", env2.Now().Seconds(), n)
 	})
-	victim := c2.Submit(core.JobSpec{
-		Name: "victim", BinaryMB: 4, Nodes: 16, PEsPerNode: 2,
+	victim := sys2.Submit(&job.Job{
+		Name: "victim", BinaryBytes: 4_000_000, NodesWanted: 16, PEsPerNode: 2,
 		Program: workload.Synthetic{Total: 100 * sim.Second},
 	})
-	c2.RunFor(500 * sim.Millisecond)
-	c2.FailNode(13)
-	c2.Await(victim)
-	fmt.Printf("  [%8.3fs] job state: %v (space reclaimed)\n", c2.Now().Seconds(), victim.State)
-	next := c2.Submit(core.JobSpec{Name: "next", BinaryMB: 2, Nodes: 8, PEsPerNode: 1})
-	c2.Await(next)
-	fmt.Printf("  [%8.3fs] follow-up job on the healthy half: %v\n", c2.Now().Seconds(), next.State)
+	env2.RunUntil(env2.Now() + 500*sim.Millisecond)
+	sys2.Network().FailNode(13)
+	sys2.RunUntilDone(victim)
+	fmt.Printf("  [%8.3fs] job state: %v (space reclaimed)\n", env2.Now().Seconds(), victim.State)
+	next := sys2.Submit(&job.Job{Name: "next", BinaryBytes: 2_000_000, NodesWanted: 8, PEsPerNode: 1})
+	sys2.RunUntilDone(next)
+	fmt.Printf("  [%8.3fs] follow-up job on the healthy half: %v\n", env2.Now().Seconds(), next.State)
 }

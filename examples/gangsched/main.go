@@ -9,8 +9,10 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/job"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/storm"
 	"repro/internal/workload"
 )
 
@@ -22,19 +24,18 @@ func main() {
 	fmt.Printf("%-14s %-22s %s\n", "quantum", "runtime / MPL", "overhead vs 50ms")
 	var plateau float64
 	for _, qms := range []float64{50, 10, 2, 1, 0.5, 0.3} {
-		cluster := core.NewCluster(core.ClusterConfig{
-			Nodes:     nodes,
-			Timeslice: sim.FromMilliseconds(qms),
-			MPL:       2,
-			Seed:      7,
+		cfg := storm.DefaultConfig(nodes)
+		cfg.Timeslice = sim.FromMilliseconds(qms)
+		cfg.Policy = sched.GangFCFS{MPL: 2}
+		cfg.Seed = 7
+		cluster := storm.New(sim.NewEnv(), cfg)
+		a := cluster.Submit(&job.Job{
+			Name: "sweep3d-a", BinaryBytes: 7_000_000, NodesWanted: nodes, PEsPerNode: 2, Program: app,
 		})
-		a := cluster.Submit(core.JobSpec{
-			Name: "sweep3d-a", BinaryMB: 7, Nodes: nodes, PEsPerNode: 2, Program: app,
+		b := cluster.Submit(&job.Job{
+			Name: "sweep3d-b", BinaryBytes: 7_000_000, NodesWanted: nodes, PEsPerNode: 2, Program: app,
 		})
-		b := cluster.Submit(core.JobSpec{
-			Name: "sweep3d-b", BinaryMB: 7, Nodes: nodes, PEsPerNode: 2, Program: app,
-		})
-		cluster.Await(a, b)
+		cluster.RunUntilDone(a, b)
 
 		first := a.FirstRun
 		if b.FirstRun < first {
@@ -49,7 +50,7 @@ func main() {
 			plateau = norm
 		}
 		fmt.Printf("%10.1f ms %18.3f s %+14.1f%%\n", qms, norm, (norm/plateau-1)*100)
-		cluster.Close()
+		cluster.Shutdown()
 	}
 	fmt.Println("\nPaper reference: flat from 2 ms upward; conventional gang")
 	fmt.Println("schedulers need quanta of seconds to minutes (Table 8: RMS 30 s,")

@@ -8,20 +8,21 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/storm"
 )
 
 func stormMeasured(nodes int) float64 {
-	cluster := core.NewCluster(core.ClusterConfig{
-		Nodes: nodes, Timeslice: sim.Millisecond, Seed: 11,
+	cfg := storm.DefaultConfig(nodes)
+	cfg.Timeslice, cfg.Seed = sim.Millisecond, 11
+	cluster := storm.New(sim.NewEnv(), cfg)
+	defer cluster.Shutdown()
+	j := cluster.Submit(&job.Job{
+		Name: "do-nothing", BinaryBytes: 12_000_000, NodesWanted: nodes, PEsPerNode: 4,
 	})
-	defer cluster.Close()
-	j := cluster.Submit(core.JobSpec{
-		Name: "do-nothing", BinaryMB: 12, Nodes: nodes, PEsPerNode: 4,
-	})
-	return cluster.Await(j).Seconds()
+	return cluster.RunUntilDone(j).Seconds()
 }
 
 func main() {

@@ -7,27 +7,27 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/sim"
+	"repro/internal/storm"
 )
 
 func main() {
 	fmt.Println("Booting a simulated 64-node AlphaServer ES40 / QsNET cluster...")
-	cluster := core.NewCluster(core.ClusterConfig{
-		Nodes:     64,
-		Timeslice: sim.Millisecond, // the paper's launch-benchmark setting
-		Seed:      1,
-	})
-	defer cluster.Close()
+	cfg := storm.DefaultConfig(64)
+	cfg.Timeslice = sim.Millisecond // the paper's launch-benchmark setting
+	cfg.Seed = 1
+	cluster := storm.New(sim.NewEnv(), cfg)
+	defer cluster.Shutdown()
 
 	fmt.Println("Submitting a 12 MB do-nothing binary on 64 nodes x 4 PEs...")
-	j := cluster.Submit(core.JobSpec{
-		Name:       "do-nothing",
-		BinaryMB:   12,
-		Nodes:      64,
-		PEsPerNode: 4,
+	j := cluster.Submit(&job.Job{
+		Name:        "do-nothing",
+		BinaryBytes: 12_000_000,
+		NodesWanted: 64,
+		PEsPerNode:  4,
 	})
-	total := cluster.Await(j)
+	total := cluster.RunUntilDone(j)
 
 	send := j.TransferDone - j.SubmitTime
 	exec := j.EndTime - j.TransferDone

@@ -278,7 +278,7 @@ func (mm *MM) placeJob(spec *JobSpec, avoid map[int]bool) ([]*nmLink, error) {
 
 // credit raises the kid's cumulative stripe-local credit to n — from an
 // ack or from the prefix of a HAVE ledger. Caller holds j.mu.
-func (kid *stripeKid) credit(n int) {
+func (kid *mmKid) credit(n int) {
 	kid.acked = max(kid.acked, n)
 }
 
@@ -338,15 +338,7 @@ func (j *liveJob) windowUsedLocked() int {
 		if ss.streamAt == 0 {
 			continue
 		}
-		min := ss.streamAt
-		for _, kid := range ss.kids {
-			if kid.acked < min {
-				min = kid.acked
-			}
-		}
-		if ss.streamAt > min {
-			used += ss.streamAt - min
-		}
+		used += ss.streamAt - minAcked(ss.kids, ss.streamAt)
 	}
 	return used
 }

@@ -667,7 +667,7 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 			}
 			mm.mu.Lock()
 			var seq int64
-			if kid := mm.ctl.kid(interior); kid != nil {
+			if kid := kidOf(mm.ctl.kids, interior); kid != nil {
 				if j := slices.Index(kid.subtree, child); kid.ledger.absent&(1<<j) == 0 {
 					seq = kid.ledger.seq
 				}
@@ -735,7 +735,7 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 			}
 			mm.mu.Lock()
 			var seq int64
-			if kid := mm.ctl.kid(interior); kid != nil {
+			if kid := kidOf(mm.ctl.kids, interior); kid != nil {
 				if j := slices.Index(kid.subtree, child); kid.ledger.absent&(1<<j) == 0 {
 					seq = kid.ledger.seq
 				}

@@ -30,30 +30,20 @@ package livenet
 // all per-period traffic is fixed-part frames of the same codec with zero
 // steady-state allocations (TestControlAllocs).
 
-// ctlChild is one control-tree child: the relay child the hop installs
-// with its CtlPlan, and the latest state it reported.
-type ctlChild struct {
-	relayChild
-	size int // nodes its ledgers vouch for, itself included
-	off  int // bit offset of this child's subtree in the parent's ledger
-
-	lastSeq    int64  // Seq of the child's latest pong ledger
-	lastAbsent uint64 // its Absent bitmap (child-local bit positions)
-	strobeAck  int64  // cumulative strobe credit from this subtree
-}
-
 // nmCtl is an NM's installed role in the control tree, replaced
 // wholesale on every epoch change; its children slice is never edited,
-// so a relay ranges over it off the lock.
+// so a relay ranges over it off the lock. A child's credit is the last
+// strobe its whole subtree enacted.
 type nmCtl struct {
-	epoch    int
-	parent   *conn // the link the epoch's plan last arrived on; answers go up it
-	children []*ctlChild
-
+	treeRole
 	collecting int64 // heartbeat seq being aggregated (0 = none pending)
-
 	strobeSeen int64 // latest strobe seq enacted locally
-	strobeUp   int64 // cumulative strobe credit already propagated up
+}
+
+// pongLedger is what is kept of a control child's pong ledger.
+type pongLedger struct {
+	seq    int64
+	absent uint64 // child-local bit positions
 }
 
 // subtreeMask returns a bitmap with the first n positions set (all 64
@@ -69,9 +59,8 @@ func subtreeMask(n int) uint64 {
 // parents as well as from the MM, so one may arrive late: an older epoch's
 // is dropped. The installed epoch's, re-sent on a redialed link, binds
 // the parent to that link and changes nothing else. A newer epoch's
-// installs this node's children from the plan's tree — each child's
-// ledger bits at 1 plus the sizes of its earlier siblings — binds the
-// parent, and relays each child its own slice.
+// installs this node's children from the plan's tree, binds the parent,
+// and relays each child its own slice.
 func (nm *NM) onCtlPlan(p *CtlPlan, from *conn) {
 	nm.mu.Lock()
 	if nm.ctl != nil && p.Epoch <= nm.ctl.epoch {
@@ -81,18 +70,14 @@ func (nm *NM) onCtlPlan(p *CtlPlan, from *conn) {
 		nm.mu.Unlock()
 		return
 	}
-	ctl := &nmCtl{epoch: p.Epoch, parent: from}
-	off := 1
-	for _, sub := range splitTree(p.Tree) {
-		ctl.children = append(ctl.children, &ctlChild{size: len(sub), off: off,
-			relayChild: relayChild{node: sub[0].Node, addr: sub[0].Addr,
-				install: Message{CtlPlan: &CtlPlan{Epoch: p.Epoch, Tree: sub[1:]}}}})
-		off += len(sub)
-	}
+	ctl := &nmCtl{treeRole: treeRole{epoch: p.Epoch, parent: from}}
+	ctl.install(p.Tree, func(below []TreeNode) Message {
+		return Message{CtlPlan: &CtlPlan{Epoch: p.Epoch, Tree: below}}
+	})
 	nm.ctl = ctl
 	nm.mu.Unlock()
 	for _, ch := range ctl.children {
-		nm.relay(0, &ch.relayChild, Message{})
+		nm.relay(0, ch, Message{})
 	}
 }
 
@@ -137,29 +122,33 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 		return
 	}
 	for _, ch := range ctl.children {
-		nm.relay(0, &ch.relayChild, Message{Ping: &Ping{Seq: seq, Epoch: epoch}})
+		nm.relay(0, ch, Message{Ping: &Ping{Seq: seq, Epoch: epoch}})
 	}
 }
 
 // ledgerLocked builds the aggregated subtree ledger for heartbeat seq s:
 // the absentee bitmap, with each fresh child bitmap folded in at its
-// pre-order offset and each silent child's whole subtree marked absent.
+// pre-order offset (bit 0 is this node, then each child's block, as wide
+// as its subtree) and each silent child's whole subtree marked absent.
 // Caller holds nm.mu.
 func (nm *NM) ledgerLocked(ctl *nmCtl, s int64) *Pong {
 	var absent uint64
+	off := 1
 	for _, ch := range ctl.children {
-		if ch.lastSeq >= s {
-			absent |= ch.lastAbsent << uint(ch.off)
+		if ch.ledger.seq >= s {
+			absent |= ch.ledger.absent << uint(off)
 		} else {
-			absent |= subtreeMask(ch.size) << uint(ch.off)
+			absent |= subtreeMask(ch.size) << uint(off)
 		}
+		off += ch.size
 	}
 	return &Pong{Seq: s, Node: nm.node, Epoch: ctl.epoch, Absent: absent}
 }
 
-// onCtlPong folds a child subtree's ledger into the pending collection
-// and sends the completed ledger up once every child has answered.
-func (nm *NM) onCtlPong(p *Pong) {
+// onCtlPong folds a child subtree's ledger, arrived on link from, into
+// the pending collection and sends the completed ledger up once every
+// child has answered.
+func (nm *NM) onCtlPong(p *Pong, from *conn) {
 	nm.mu.Lock()
 	ctl := nm.ctl
 	if ctl == nil || p.Epoch != ctl.epoch {
@@ -167,9 +156,8 @@ func (nm *NM) onCtlPong(p *Pong) {
 		return
 	}
 	for _, ch := range ctl.children {
-		if ch.node == p.Node && p.Seq > ch.lastSeq {
-			ch.lastSeq, ch.lastAbsent = p.Seq, p.Absent
-			break
+		if ch.c == from && p.Seq > ch.ledger.seq {
+			ch.ledger = pongLedger{seq: p.Seq, absent: p.Absent}
 		}
 	}
 	var out *Pong
@@ -177,7 +165,7 @@ func (nm *NM) onCtlPong(p *Pong) {
 	if s := ctl.collecting; s != 0 {
 		complete := true
 		for _, ch := range ctl.children {
-			if ch.lastSeq < s {
+			if ch.ledger.seq < s {
 				complete = false
 				break
 			}
@@ -214,54 +202,39 @@ func (nm *NM) onCtlStrobe(s *Strobe) {
 	}
 	nm.mu.Unlock()
 	for _, ch := range ctl.children {
-		nm.relay(0, &ch.relayChild, Message{Strobe: &Strobe{Seq: seq, Row: row, Epoch: epoch}})
+		nm.relay(0, ch, Message{Strobe: &Strobe{Seq: seq, Row: row, Epoch: epoch}})
 	}
 	nm.advanceStrobeAck()
 }
 
-// onCtlStrobeAck records a child subtree's cumulative strobe credit and
-// advances the aggregate.
-func (nm *NM) onCtlStrobeAck(a *StrobeAck) {
+// onCtlStrobeAck credits the control child bound to link from with its
+// subtree's cumulative strobe ack and advances the fold.
+func (nm *NM) onCtlStrobeAck(a *StrobeAck, from *conn) {
 	nm.mu.Lock()
 	ctl := nm.ctl
 	if ctl == nil || a.Epoch != ctl.epoch {
 		nm.mu.Unlock()
 		return
 	}
-	for _, ch := range ctl.children {
-		if ch.node == a.Node && a.Seq > ch.strobeAck {
-			ch.strobeAck = a.Seq
-			break
-		}
-	}
+	ctl.credit(from, int(a.Seq))
 	nm.mu.Unlock()
 	nm.advanceStrobeAck()
 }
 
-// advanceStrobeAck propagates the aggregated strobe credit — the
-// minimum over the local apply point and every child subtree — up to
-// the parent whenever it advances, mirroring advanceAck on the bulk
-// path.
+// advanceStrobeAck propagates the control tree's folded strobe credit —
+// creditUp over the last strobe enacted locally — up to the parent
+// whenever it advances, as advanceAck does a stripe's.
 func (nm *NM) advanceStrobeAck() {
 	nm.mu.Lock()
 	ctl := nm.ctl
-	if ctl == nil || ctl.parent == nil {
+	if ctl == nil {
 		nm.mu.Unlock()
 		return
 	}
-	min := ctl.strobeSeen
-	for _, ch := range ctl.children {
-		if ch.strobeAck < min {
-			min = ch.strobeAck
-		}
-	}
-	if min <= ctl.strobeUp {
-		nm.mu.Unlock()
-		return
-	}
-	ctl.strobeUp = min
-	parent := ctl.parent
-	epoch := ctl.epoch
+	up, ok := ctl.creditUp(int(ctl.strobeSeen))
+	parent, epoch := ctl.parent, ctl.epoch
 	nm.mu.Unlock()
-	parent.send(Message{StrobeAck: &StrobeAck{Seq: min, Node: nm.node, Epoch: epoch}})
+	if ok {
+		parent.send(Message{StrobeAck: &StrobeAck{Seq: int64(up), Node: nm.node, Epoch: epoch}})
+	}
 }

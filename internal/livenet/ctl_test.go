@@ -112,18 +112,18 @@ func TestSubtreePreorder(t *testing.T) {
 // absent.
 func TestLedgerAggregation(t *testing.T) {
 	nm := &NM{node: 1}
-	ctl := &nmCtl{
+	ctl := &nmCtl{treeRole: treeRole{
 		epoch: 3,
-		children: []*ctlChild{
-			{relayChild: relayChild{node: 3}, size: 2, off: 1},
-			{relayChild: relayChild{node: 4}, size: 3, off: 3},
+		children: []*relayChild{
+			{node: 3, size: 2},
+			{node: 4, size: 3},
 		},
-	}
+	}}
 
 	// Both children fresh for seq 10; child 3 reports its second node
 	// (bit 1, node 7) absent.
-	ctl.children[0].lastSeq, ctl.children[0].lastAbsent = 10, 0b10
-	ctl.children[1].lastSeq, ctl.children[1].lastAbsent = 10, 0
+	ctl.children[0].ledger = pongLedger{seq: 10, absent: 0b10}
+	ctl.children[1].ledger = pongLedger{seq: 10, absent: 0}
 	p := nm.ledgerLocked(ctl, 10)
 	if p.Seq != 10 || p.Node != 1 || p.Epoch != 3 {
 		t.Fatalf("ledger header wrong: %+v", p)
@@ -134,8 +134,8 @@ func TestLedgerAggregation(t *testing.T) {
 	}
 
 	// Child 4 goes silent: its whole 3-node block (bits 3..5) is absent.
-	ctl.children[1].lastSeq = 10 // stale relative to seq 11
-	ctl.children[0].lastSeq, ctl.children[0].lastAbsent = 11, 0
+	ctl.children[1].ledger.seq = 10 // stale relative to seq 11
+	ctl.children[0].ledger = pongLedger{seq: 11, absent: 0}
 	p = nm.ledgerLocked(ctl, 11)
 	if p.Absent != 0b111000 {
 		t.Fatalf("silent subtree: Absent = %#b, want %#b", p.Absent, uint64(0b111000))

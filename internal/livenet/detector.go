@@ -30,7 +30,7 @@ import (
 type mmCtl struct {
 	epoch   int
 	members []*nmLink // the registrations the tree was laid over, by node ID
-	kids    []ctlKid  // the MM's direct children
+	kids    []*mmKid  // the MM's direct children
 
 	hbSeq, strobeSeq int64 // last heartbeat / strobe round multicast
 
@@ -85,32 +85,6 @@ func (l *latencyMeter) stats() (mean, max time.Duration, n int64) {
 	return mean, time.Duration(l.max), l.n
 }
 
-// ctlKid is one direct child of the MM in the control tree (subtree in
-// pre-order, the ledger's bit layout) with the latest answers it gave on
-// behalf of its subtree. An answer naming a node that has no record here
-// is dropped.
-type ctlKid struct {
-	treeKid
-	ledger    mmLedger // latest pong ledger; seq 0 until the first
-	strobeAck int64    // cumulative strobe credit
-}
-
-// mmLedger is what the MM keeps of a pong ledger.
-type mmLedger struct {
-	seq    int64
-	absent uint64
-}
-
-// kid returns the record of the direct child that is node, or nil.
-func (c *mmCtl) kid(node int) *ctlKid {
-	for i := range c.kids {
-		if c.kids[i].link.node == node {
-			return &c.kids[i]
-		}
-	}
-	return nil
-}
-
 // syncCtl rebuilds the control tree when membership changed
 // (registration, disconnect, conviction) and announces it as a stripe
 // tree is announced: one CtlPlan to each direct child, carrying the
@@ -131,17 +105,16 @@ func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 		mm.ctl.epoch++
 		mm.ctl.members = links
 		tree := layTree(links, mm.cfg.Fanout)
-		mm.ctl.kids = mm.ctl.kids[:0]
+		mm.ctl.kids = newKids(tree)
 		for _, tk := range tree.kids {
-			mm.ctl.kids = append(mm.ctl.kids, ctlKid{treeKid: tk})
 			plans = append(plans, CtlPlan{Epoch: mm.ctl.epoch, Tree: tree.below(tk.pos)})
 		}
 		clear(mm.ctl.hb.sent)
 		clear(mm.ctl.strobe.sent)
 	}
 	epoch = mm.ctl.epoch
-	for i := range mm.ctl.kids {
-		kids = append(kids, mm.ctl.kids[i].link)
+	for _, kid := range mm.ctl.kids {
+		kids = append(kids, kid.link)
 	}
 	mm.mu.Unlock()
 	for i := range plans {
@@ -213,8 +186,7 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 			warmUntil = s + 1
 		}
 		if epoch == mm.ctl.epoch {
-			for i := range mm.ctl.kids {
-				kid := &mm.ctl.kids[i]
+			for _, kid := range mm.ctl.kids {
 				fresh := kid.ledger.seq > 0 && kid.ledger.seq >= s-1
 				for j, node := range kid.subtree {
 					m := mm.members[node]
@@ -279,15 +251,15 @@ func (mm *MM) onPong(p *Pong) {
 		pr.settle(p.Node)
 		return
 	}
-	kid := mm.ctl.kid(p.Node)
+	kid := kidOf(mm.ctl.kids, p.Node)
 	if p.Epoch == 0 || p.Epoch != mm.ctl.epoch || kid == nil {
 		return // stale topology (or a probe reply that missed its round)
 	}
 	if p.Seq > kid.ledger.seq {
-		kid.ledger = mmLedger{seq: p.Seq, absent: p.Absent}
+		kid.ledger = pongLedger{seq: p.Seq, absent: p.Absent}
 	}
-	for i := range mm.ctl.kids {
-		if mm.ctl.kids[i].ledger.seq < p.Seq {
+	for _, kid := range mm.ctl.kids {
+		if kid.ledger.seq < p.Seq {
 			return // the round is still owed a ledger
 		}
 	}

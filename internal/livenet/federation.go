@@ -34,12 +34,19 @@ import (
 // because the federation root shut down, as ErrMMClosed does for an MM.
 var errFedClosed = errors.New("livenet: federation closed")
 
+// fedMaxConcurrent bounds how many federated jobs may be in flight at
+// once; beyond it submissions queue under the root's admission policy.
+const fedMaxConcurrent = 8
+
+// fedProbeInterval paces the resurrection prober: the root redials each
+// dead partition's submit address on this base period with capped
+// exponential backoff (capped at 8× the base). A successful status probe
+// re-absorbs the partition — placement rebalances toward it on the next
+// free assignment, since a returning leaf carries no federated load.
+const fedProbeInterval = 250 * time.Millisecond
+
 // FedConfig tunes a federation root.
 type FedConfig struct {
-	// MaxConcurrent bounds how many federated jobs may be in flight at
-	// once (default 8); beyond it submissions queue under the root's
-	// admission policy.
-	MaxConcurrent int
 	// Admission is the root-level queue policy: "fifo" (default),
 	// "wfair", or "sif" — the same policies the leaves use, lifted one
 	// level to order whole jobs instead of streams.
@@ -47,13 +54,6 @@ type FedConfig struct {
 	// Lite selects the dense connection profile for the root's
 	// submission links to the leaves.
 	Lite bool
-	// ProbeInterval paces the resurrection prober: the root redials each
-	// dead partition's submit address on this base period with capped
-	// exponential backoff (default 250ms, backoff capped at 8× the
-	// base). A successful status probe re-absorbs the partition —
-	// placement rebalances toward it on the next free assignment, since
-	// a returning leaf carries no federated load.
-	ProbeInterval time.Duration
 	// Placement selects the partition-pick policy for free jobs, the
 	// root-level lift of MMConfig.Placement: "spread" (default) is the
 	// classic least-loaded fill-and-spill over partitions; "locality"
@@ -63,15 +63,6 @@ type FedConfig struct {
 	// fabric — the same keep-the-gang-close objective the leaf engine
 	// applies to nodes, applied to partitions.
 	Placement string
-}
-
-func (c *FedConfig) fill() {
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 8
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
 }
 
 // fedPartition is the root's whole view of one leaf: identity, where to
@@ -120,18 +111,6 @@ type FedReport struct {
 	Parts    []PartReport
 }
 
-// FedStatus is the aggregated cluster snapshot: per-partition rows plus
-// the fold.
-type FedStatus struct {
-	Partitions int // live partitions
-	Nodes      int // total registered NMs across live partitions
-	Jobs       int
-	Queued     int
-	Launched   int
-	Completed  int
-	Parts      []StatusRep
-}
-
 // fedAssign is one partition's share of a federated job.
 type fedAssign struct {
 	part  *fedPartition
@@ -171,7 +150,6 @@ type Federation struct {
 // IDs); leaves stay owned by the caller and are not closed by
 // Federation.Close.
 func NewFederation(addr string, cfg FedConfig, leaves []*MM) (*Federation, error) {
-	cfg.fill()
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("livenet: federation needs at least one leaf MM")
 	}
@@ -196,7 +174,7 @@ func NewFederation(addr string, cfg FedConfig, leaves []*MM) (*Federation, error
 	}
 	f := &Federation{ln: ln, cfg: cfg, placePol: placePol, done: make(chan struct{})}
 	f.admit = admitQueue{cond: sync.NewCond(&f.mu), closed: &f.closed, errClosed: errFedClosed,
-		policy: policy, slots: cfg.MaxConcurrent}
+		policy: policy, slots: fedMaxConcurrent}
 	for i, mm := range leaves {
 		f.parts = append(f.parts, &fedPartition{id: i, addr: mm.Addr(), mm: mm})
 	}
@@ -226,14 +204,14 @@ func (f *Federation) Close() {
 }
 
 // resurrectLoop is the root's half of federation healing: every
-// ProbeInterval it redials each dead partition's submit address (with
+// fedProbeInterval it redials each dead partition's submit address (with
 // capped per-partition backoff, so a long-dead leaf costs a dial every
 // ~2s, not every tick) and sends a status probe. A leaf that answers is
 // re-absorbed — marked live, backoff reset — and, carrying no federated
 // load, naturally attracts the next free placement.
 func (f *Federation) resurrectLoop() {
 	defer f.wg.Done()
-	tick := time.NewTicker(f.cfg.ProbeInterval)
+	tick := time.NewTicker(fedProbeInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -269,7 +247,7 @@ func (f *Federation) resurrectLoop() {
 				if p.probeFails < 3 {
 					p.probeFails++
 				}
-				p.nextProbe = now.Add(f.cfg.ProbeInterval << uint(p.probeFails))
+				p.nextProbe = now.Add(fedProbeInterval << uint(p.probeFails))
 			}
 			f.mu.Unlock()
 		}
@@ -304,23 +282,29 @@ func (f *Federation) Reabsorb(mm *MM) error {
 	return fmt.Errorf("livenet: no partition carries JobBase %d", mm.cfg.JobBase)
 }
 
-// Status folds the per-partition snapshots into the cluster view.
-func (f *Federation) Status() FedStatus {
+// status folds the live leaves' snapshots into the root's answer to a
+// status query: their nodes (ascending), jobs and queues, plus the root's
+// own queue and job counts.
+func (f *Federation) status() StatusRep {
 	f.mu.Lock()
-	parts := append([]*fedPartition(nil), f.parts...)
-	st := FedStatus{Launched: f.launched, Completed: f.completed, Queued: len(f.admit.q)}
+	st := StatusRep{Launched: f.launched, Completed: f.completed, Queued: len(f.admit.q)}
+	var leaves []*MM
+	for _, p := range f.parts {
+		if !p.dead {
+			leaves = append(leaves, p.mm)
+		}
+	}
 	f.mu.Unlock()
-	for _, p := range parts {
-		if p.dead || p.mm.isClosed() {
+	for _, mm := range leaves {
+		if mm.isClosed() {
 			continue
 		}
-		rep := p.mm.status()
-		st.Partitions++
-		st.Nodes += len(rep.Nodes)
+		rep := mm.status()
+		st.Nodes = append(st.Nodes, rep.Nodes...)
 		st.Jobs += rep.Jobs
 		st.Queued += rep.Queued
-		st.Parts = append(st.Parts, rep)
 	}
+	sort.Ints(st.Nodes)
 	return st
 }
 
@@ -358,24 +342,9 @@ func (f *Federation) handleConn(c *conn) {
 		}
 		c.send(Message{Done: &done})
 	case first.StatusQ != nil:
-		st := f.Status()
-		c.send(Message{StatusR: &StatusRep{
-			Nodes:     nodesOf(st),
-			Jobs:      st.Jobs,
-			Queued:    st.Queued,
-			Launched:  st.Launched,
-			Completed: st.Completed,
-		}})
+		st := f.status()
+		c.send(Message{StatusR: &st})
 	}
-}
-
-func nodesOf(st FedStatus) []int {
-	var all []int
-	for _, p := range st.Parts {
-		all = append(all, p.Nodes...)
-	}
-	sort.Ints(all)
-	return all
 }
 
 // membership returns each live partition's registered node set. Caller

@@ -167,16 +167,10 @@ func (mm *MM) strobeLoop(done chan struct{}) {
 func (mm *MM) onStrobeAck(a *StrobeAck) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	kid := mm.ctl.kid(a.Node)
-	if a.Epoch != mm.ctl.epoch || kid == nil || a.Seq <= kid.strobeAck {
+	kid := kidOf(mm.ctl.kids, a.Node)
+	if a.Epoch != mm.ctl.epoch || kid == nil || int(a.Seq) <= kid.acked {
 		return // stale topology, or nothing new
 	}
-	kid.strobeAck = a.Seq
-	min := a.Seq
-	for i := range mm.ctl.kids {
-		if ack := mm.ctl.kids[i].strobeAck; ack < min {
-			min = ack
-		}
-	}
-	mm.ctl.strobe.settle(1, min)
+	kid.acked = int(a.Seq)
+	mm.ctl.strobe.settle(1, int64(minAcked(mm.ctl.kids, kid.acked)))
 }

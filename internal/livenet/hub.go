@@ -56,9 +56,9 @@ func NewPeerHub(addr string) (*PeerHub, error) {
 // Addr returns the hub's listening endpoint (without a node suffix).
 func (h *PeerHub) Addr() string { return h.ln.Addr().String() }
 
-// NodeAddr returns the routed peer address an NM on a shared hub
+// nodeAddr returns the routed peer address an NM on a shared hub
 // registers with the MM: dialing it reaches that NM through the hub.
-func (h *PeerHub) NodeAddr(node int) string {
+func (h *PeerHub) nodeAddr(node int) string {
 	return fmt.Sprintf("%s#%d", h.Addr(), node)
 }
 

@@ -529,7 +529,7 @@ func TestFirstTransferFailureWins(t *testing.T) {
 		t.Fatalf("a superseded manifest took effect: %d bytes up, %d to its sender, relay %+v", up.Len(), parent.Len(), sr)
 	}
 
-	ss := &stripeState{id: 0, epoch: 2, kids: []*stripeKid{{treeKid: treeKid{link: &nmLink{node: 1}}}}}
+	ss := &stripeState{id: 0, epoch: 2, kids: []*mmKid{{treeKid: treeKid{link: &nmLink{node: 1}}}}}
 	kid := ss.kids[0]
 	j := &liveJob{id: 7, frags: 4, stripes: []*stripeState{ss}}
 	j.cond = sync.NewCond(&j.mu)
@@ -610,9 +610,7 @@ func TestAwaitWakeAllocs(t *testing.T) {
 			l.c = discardConn()
 		}
 		ss := &stripeState{tree: layTree(links, 2)}
-		for _, tk := range ss.tree.kids {
-			ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
-		}
+		ss.kids = newKids(ss.tree)
 		j := &liveJob{id: 7, frags: 4, stripes: []*stripeState{ss},
 			man: &manifestData{hashes: make([]uint64, 4)}}
 		woke := &wakeCounter{mu: &j.mu}

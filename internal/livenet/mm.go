@@ -418,7 +418,7 @@ type stripeState struct {
 	// position q. It is laid afresh with every epoch — over the survivors
 	// at a replan — and never edited in place.
 	tree laidTree
-	kids []*stripeKid // the MM's direct children in this tree
+	kids []*mmKid // the MM's direct children in this tree
 	// epoch is the stripe tree generation: bumped per stripe replan and,
 	// past every stripe's, per re-placement, so it only ever grows.
 	epoch    int
@@ -429,28 +429,46 @@ type stripeState struct {
 	done     bool // stripe fully streamed and drained
 }
 
-// stripeKid is one direct child of the MM in a stripe's tree, with every
-// answer it has given this epoch on behalf of its subtree. An answer
-// naming a node that has no record here is dropped.
-type stripeKid struct {
+// mmKid is one direct child of the MM in a laid tree — a stripe's or
+// the control tree — with every answer it has given this epoch on behalf
+// of its subtree. An answer naming a node that has no record here is
+// dropped.
+type mmKid struct {
 	treeKid
-	acked int // cumulative stripe-local chunks acknowledged
-	// have is the epoch's first folded HAVE ledger, nil until reported:
-	// written before the manifest round's wait returns and never after, so
-	// the stream reads it without j.mu. It decides what the subtree is
-	// sent; a later ledger of the epoch only adds credit.
-	have []uint64
+	acked int // cumulative credit: stripe-local chunks, or strobes
+	// have is a stripe's first folded HAVE ledger of the epoch, nil until
+	// reported: written before the manifest round's wait returns and never
+	// after, so the stream reads it without j.mu. It decides what the
+	// subtree is sent; a later ledger of the epoch only adds credit.
+	have   []uint64
+	ledger pongLedger // the control tree's latest pong ledger; seq 0 until the first
 }
 
-// kid returns the record of the direct child that is node, or nil.
-// Caller holds j.mu.
-func (ss *stripeState) kid(node int) *stripeKid {
-	for _, kid := range ss.kids {
+// newKids makes a fresh record for each of the MM's direct children in t.
+func newKids(t laidTree) []*mmKid {
+	kids := make([]*mmKid, 0, len(t.kids))
+	for _, tk := range t.kids {
+		kids = append(kids, &mmKid{treeKid: tk})
+	}
+	return kids
+}
+
+// kidOf returns the record of the direct child that is node, or nil.
+func kidOf(kids []*mmKid, node int) *mmKid {
+	for _, kid := range kids {
 		if kid.link.node == node {
 			return kid
 		}
 	}
 	return nil
+}
+
+// minAcked folds the kids' credit: the least of ceil and every kid's.
+func minAcked(kids []*mmKid, ceil int) int {
+	for _, kid := range kids {
+		ceil = min(ceil, kid.acked)
+	}
+	return ceil
 }
 
 // NewMM starts a Machine Manager listening on addr (use "127.0.0.1:0"
@@ -914,7 +932,7 @@ func (mm *MM) onFragAck(a *FragAck) {
 		// shape; only current-epoch credit moves the window. Cumulative
 		// acks are stripe-local counts.
 		if ss := j.stripeByID(a.Stripe); ss != nil && a.Epoch == ss.epoch {
-			if kid := ss.kid(a.Node); kid != nil {
+			if kid := kidOf(ss.kids, a.Node); kid != nil {
 				kid.credit(a.Index + 1)
 			}
 		}
@@ -932,7 +950,7 @@ func (mm *MM) onHave(h *Have) {
 		if ss == nil || h.Epoch != ss.epoch {
 			return nil
 		}
-		if kid := ss.kid(h.Node); kid != nil {
+		if kid := kidOf(ss.kids, h.Node); kid != nil {
 			if kid.have == nil {
 				// Never nil once reported, even for an empty ledger.
 				kid.have = append(make([]uint64, 0, len(h.Bits)), h.Bits...)
@@ -1329,10 +1347,7 @@ func (mm *MM) rewireTree(j *liveJob) {
 // access to j.
 func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 	ss.tree = layTree(stripeOrder(j.nodes, ss.id, k), mm.cfg.Fanout)
-	ss.kids = nil
-	for _, tk := range ss.tree.kids {
-		ss.kids = append(ss.kids, &stripeKid{treeKid: tk})
-	}
+	ss.kids = newKids(ss.tree)
 	ss.sendList = ss.sendList[:0]
 	ss.streamAt = 0
 	ss.done = false
@@ -1552,7 +1567,7 @@ func fillChunkInto(spec *JobSpec, job, i int, b []byte) {
 // actual splice and cache state.
 func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	j.mu.Lock()
-	kids := append([]*stripeKid(nil), ss.kids...)
+	kids := slices.Clone(ss.kids)
 	tree := ss.tree
 	epoch := ss.epoch
 	k := len(j.stripes)
@@ -1621,7 +1636,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	const windowSlots = 4
 	j.setPhase(phaseStreaming)
 	j.mu.Lock()
-	kids := append([]*stripeKid(nil), ss.kids...)
+	kids := slices.Clone(ss.kids)
 	list := append([]int(nil), ss.sendList...)
 	depth := ss.tree.depth
 	k := len(j.stripes)

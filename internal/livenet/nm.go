@@ -161,17 +161,62 @@ type relayState struct {
 	failed  bool
 }
 
-// stripeRelay is this node's role in one stripe's tree: where that
-// stripe's acks go (parent), whom to relay its chunks to (children), and
-// how far each child subtree has progressed, so cumulative stripe-local
-// credit can be aggregated before being propagated up. Epochs are
-// per-stripe: a replan re-stamps every stripe it rewires, and a stripe
-// that drained before the death keeps its epoch.
-type stripeRelay struct {
-	epoch    int   // tree generation of the manifest that installed it; -1 before the first
-	parent   *conn // conn this stripe's traffic arrives on; acks go back up it
+// treeRole is this node's role in one tree — a stripe's forwarding tree
+// or the control tree: where its answers go (parent), whom it relays to
+// (children), and how far each child subtree's cumulative credit has
+// come, so the credit is folded before it goes up.
+type treeRole struct {
+	epoch    int   // tree generation of the install that laid it
+	parent   *conn // the link the epoch's install last arrived on; answers go up it
 	children []*relayChild
-	sentUp   int  // stripe-local cumulative credit already propagated up (by HAVE or ack)
+	sentUp   int // cumulative credit already propagated up (by a stripe's HAVE, or an ack)
+}
+
+// install lays the role's children from tree, the install's subtree
+// below this node: each child with the install message inst builds for
+// its own subtree. The tree is copied: it may sit in conn scratch, and
+// every redial re-sends a child's slice of it.
+func (r *treeRole) install(tree []TreeNode, inst func(below []TreeNode) Message) {
+	for _, sub := range splitTree(slices.Clone(tree)) {
+		r.children = append(r.children, &relayChild{node: sub[0].Node, addr: sub[0].Addr,
+			size: len(sub), install: inst(sub[1:])})
+	}
+}
+
+// credit raises the cumulative credit of the child bound to link from to
+// n: every tree answer is matched to its child by the link the child's
+// install last went down. Caller holds nm.mu.
+func (r *treeRole) credit(from *conn, n int) {
+	for _, rc := range r.children {
+		if rc.c == from {
+			rc.acked = max(rc.acked, n)
+		}
+	}
+}
+
+// creditUp folds the role's credit — the minimum of local, this node's
+// own progress, and every child subtree's — and reports it when it has
+// passed what already went up and a parent is bound to take it, counting
+// it as sent. A child that is down still stalls the fold. Caller holds
+// nm.mu.
+func (r *treeRole) creditUp(local int) (int, bool) {
+	up := local
+	for _, rc := range r.children {
+		up = min(up, rc.acked)
+	}
+	if r.parent == nil || up <= r.sentUp {
+		return 0, false
+	}
+	r.sentUp = up
+	return up, true
+}
+
+// stripeRelay is this node's role in one stripe's tree; its credit is
+// stripe-local. Epochs are per-stripe: a replan re-stamps every stripe it
+// rewires, and a stripe that drained before the death keeps its epoch
+// (-1 before the first manifest).
+type stripeRelay struct {
+	treeRole
 	haveSent bool // this epoch's aggregated HAVE ledger already went up
 }
 
@@ -180,10 +225,12 @@ type stripeRelay struct {
 type relayChild struct {
 	node    int
 	addr    string
-	install Message  // the child's slice of the tree: its Manifest, or its CtlPlan
-	c       *conn    // the link the install last went down; nil before the first
-	acked   int      // cumulative stripe-local credit received from this subtree
-	have    []uint64 // the subtree's aggregated HAVE ledger (nil until reported)
+	size    int        // nodes in the child's subtree, itself included
+	install Message    // the child's slice of the tree: its Manifest, or its CtlPlan
+	c       *conn      // the link the install last went down; nil before the first
+	acked   int        // cumulative credit from this subtree: stripe-local chunks, or strobes
+	have    []uint64   // a stripe subtree's aggregated HAVE ledger (nil until reported)
+	ledger  pongLedger // a control subtree's latest pong ledger
 	// down marks a child the hop did not reach: a failed dial, or a
 	// write that failed again after one redial. The tree that owns the
 	// mark sets how long it lasts: a stripe's, the rest of its epoch; the
@@ -300,7 +347,7 @@ func (nm *NM) PeerAddr() string {
 	if nm.cfg.Hub == nil {
 		return nm.hub.Addr()
 	}
-	return nm.hub.NodeAddr(nm.node)
+	return nm.hub.nodeAddr(nm.node)
 }
 
 // FragsWritten returns the number of verified fragments written.
@@ -396,11 +443,11 @@ func (nm *NM) serve(from *conn) {
 		case m.Ping != nil:
 			nm.onCtlPing(m.Ping, from)
 		case m.Pong != nil:
-			nm.onCtlPong(m.Pong)
+			nm.onCtlPong(m.Pong, from)
 		case m.Strobe != nil:
 			nm.onCtlStrobe(m.Strobe)
 		case m.StrobeAck != nil:
-			nm.onCtlStrobeAck(m.StrobeAck)
+			nm.onCtlStrobeAck(m.StrobeAck, from)
 		case m.Abort != nil:
 			nm.onAbort(m.Abort)
 		case m.Launch != nil:
@@ -645,11 +692,7 @@ func (nm *NM) onChildAck(a *FragAck, cc *conn) {
 		// Credit from an older epoch vouched for a different subtree
 		// shape and must not count under the new one.
 		if sr := rs.stripes[a.Stripe]; a.Epoch == sr.epoch {
-			for _, rc := range sr.children {
-				if rc.c == cc && a.Index+1 > rc.acked {
-					rc.acked = a.Index + 1
-				}
-			}
+			sr.credit(cc, a.Index+1)
 		}
 	}
 	nm.mu.Unlock()
@@ -742,7 +785,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	if rs == nil {
 		rs = &relayState{stripes: make([]*stripeRelay, m.Stripes)}
 		for s := range rs.stripes {
-			rs.stripes[s] = &stripeRelay{epoch: -1}
+			rs.stripes[s] = &stripeRelay{treeRole: treeRole{epoch: -1}}
 		}
 		nm.relays[m.Job] = rs
 	}
@@ -764,20 +807,19 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	var install []*relayChild
 	if m.Epoch > sr.epoch {
 		// A new epoch installs the stripe's relay from the manifest's tree,
-		// each child with its own slice of it (copied out of conn scratch:
-		// every redial re-sends it), and its answers start here, up the
-		// link the manifest came down: a straggler of the previous epoch
-		// may have been answered to a parent that had moved on and dropped
-		// the answer, so the credit and HAVE streams restart from nothing.
-		// The current epoch's manifest arriving again — on the link a
-		// parent's relay redialed — only moves the answers to that link.
-		*sr = stripeRelay{epoch: m.Epoch}
-		for _, sub := range splitTree(slices.Clone(m.Tree)) {
+		// each child with its own slice of it, and its answers start here,
+		// up the link the manifest came down: a straggler of the previous
+		// epoch may have been answered to a parent that had moved on and
+		// dropped the answer, so the credit and HAVE streams restart from
+		// nothing. The current epoch's manifest arriving again — on the
+		// link a parent's relay redialed — only moves the answers to that
+		// link.
+		*sr = stripeRelay{treeRole: treeRole{epoch: m.Epoch}}
+		sr.install(m.Tree, func(below []TreeNode) Message {
 			inst := *m
-			inst.Hashes, inst.Tree = st.man.Hashes, sub[1:]
-			sr.children = append(sr.children, &relayChild{node: sub[0].Node, addr: sub[0].Addr,
-				install: Message{Manifest: &inst}})
-		}
+			inst.Hashes, inst.Tree = st.man.Hashes, below
+			return Message{Manifest: &inst}
+		})
 		install = sr.children
 	}
 	sr.parent = from
@@ -1230,45 +1272,32 @@ func (st *binState) discardSpool() {
 	}
 }
 
-// advanceAck propagates one stripe's aggregated cumulative credit — the
-// minimum of the local stripe-local write progress and every stripe
-// child subtree's credit — up to that stripe's parent whenever it
-// advances past what the epoch's HAVE ledger already carried up. This is
-// the live analogue of the paper's COMPARE-AND-WRITE receipt check: one
-// ack per subtree per stripe instead of one per node. Nothing goes up
-// before the HAVE, the epoch's first answer, so a subtree the HAVE shows
-// complete never acks at all.
-// A child that is down still stalls the aggregate — deliberately, so the
-// MM can never drain a stripe's window past a death: it replans the
-// stripe, and the next epoch's tree leaves the dead node out.
+// advanceAck propagates one stripe's folded cumulative credit — creditUp
+// over the local stripe-local write progress — up to that stripe's
+// parent whenever it advances past what the epoch's HAVE ledger already
+// carried up. This is the live analogue of the paper's COMPARE-AND-WRITE
+// receipt check: one ack per subtree per stripe instead of one per node.
+// Nothing goes up before the HAVE, the epoch's first answer, so a
+// subtree the HAVE shows complete never acks at all. A child that is
+// down stalls the fold deliberately, so the MM can never drain a
+// stripe's window past a death: it replans the stripe, and the next
+// epoch's tree leaves the dead node out.
 func (nm *NM) advanceAck(job, stripe int) {
 	nm.mu.Lock()
 	rs := nm.relays[job]
 	st := nm.bins[job]
-	if rs == nil || st == nil || rs.failed || stripe < 0 || stripe >= len(rs.stripes) || stripe >= len(st.srecv) {
+	if rs == nil || st == nil || rs.failed || stripe < 0 || stripe >= len(rs.stripes) || stripe >= len(st.srecv) ||
+		!rs.stripes[stripe].haveSent {
 		nm.mu.Unlock()
 		return
 	}
 	sr := rs.stripes[stripe]
-	if sr.parent == nil || !sr.haveSent {
-		nm.mu.Unlock()
-		return
-	}
-	min := st.srecv[stripe]
-	for _, rc := range sr.children {
-		if rc.acked < min {
-			min = rc.acked
-		}
-	}
-	if min <= sr.sentUp {
-		nm.mu.Unlock()
-		return
-	}
-	sr.sentUp = min
-	parent := sr.parent
-	epoch := sr.epoch
+	up, ok := sr.creditUp(st.srecv[stripe])
+	parent, epoch := sr.parent, sr.epoch
 	nm.mu.Unlock()
-	parent.send(Message{FragAck: &FragAck{Job: job, Index: min - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true}})
+	if ok {
+		parent.send(Message{FragAck: &FragAck{Job: job, Index: up - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true}})
+	}
 }
 
 // onAbort drops a failed job's transfer state and cancels the job's

@@ -490,7 +490,7 @@ func TestChaosFederationResurrection(t *testing.T) {
 		}}
 	})
 	startNMs(mm1, perPart, nil)
-	fed, err := NewFederation("127.0.0.1:0", FedConfig{ProbeInterval: 50 * time.Millisecond}, []*MM{mm0, mm1})
+	fed, err := NewFederation("127.0.0.1:0", FedConfig{}, []*MM{mm0, mm1})
 	if err != nil {
 		t.Fatal(err)
 	}

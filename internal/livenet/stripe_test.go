@@ -502,7 +502,7 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 	ss := &stripeState{id: 0}
 	mm.rewireStripe(j, ss, 1)
 	j.stripes = []*stripeState{ss}
-	if len(ss.kids) != 2 || ss.kid(0) == nil || ss.kid(1) == nil || ss.kid(2) != nil {
+	if len(ss.kids) != 2 || kidOf(ss.kids, 0) == nil || kidOf(ss.kids, 1) == nil || kidOf(ss.kids, 2) != nil {
 		t.Fatalf("kids of a 7-node fanout-2 tree: %+v", ss.kids)
 	}
 	// Node 2 is in the tree, below node 0; node 99 is in no tree.
@@ -521,19 +521,46 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 
 	links := testLinks(7)
 	mm.ctl.epoch = 1
-	for _, tk := range layTree(links, 2).kids {
-		mm.ctl.kids = append(mm.ctl.kids, ctlKid{treeKid: tk})
-	}
+	mm.ctl.kids = newKids(layTree(links, 2))
 	for _, node := range []int{2, 99} {
 		mm.onPong(&Pong{Seq: 5, Node: node, Epoch: 1})
 		mm.onStrobeAck(&StrobeAck{Seq: 5, Node: node, Epoch: 1})
 	}
 	mm.onPong(&Pong{Seq: 4, Node: 1, Epoch: 1})
 	mm.onStrobeAck(&StrobeAck{Seq: 4, Node: 1, Epoch: 1})
-	if k := mm.ctl.kids[0]; len(mm.ctl.kids) != 2 || k.ledger != (mmLedger{}) || k.strobeAck != 0 {
+	if k := mm.ctl.kids[0]; len(mm.ctl.kids) != 2 || k.ledger != (pongLedger{}) || k.acked != 0 {
 		t.Fatalf("stray control answers changed the records: %d kids, kid 0 %+v", len(mm.ctl.kids), k)
 	}
-	if k := mm.ctl.kids[1]; k.ledger.seq != 4 || k.strobeAck != 4 {
+	if k := mm.ctl.kids[1]; k.ledger.seq != 4 || k.acked != 4 {
 		t.Fatalf("a direct child's control answers did not land: %+v", k)
+	}
+}
+
+// TestNMAnswersMatchedByLink: on an NM, a tree answer belongs to the
+// child bound to the link it arrived on, whatever node it names. A pong
+// and a strobe ack naming a control child but arriving on a link no
+// child is bound to change no record; on the child's own link they land.
+func TestNMAnswersMatchedByLink(t *testing.T) {
+	bound3, bound4, stray := discardConn(), discardConn(), discardConn()
+	nm := &NM{node: 1}
+	nm.ctl = &nmCtl{treeRole: treeRole{epoch: 3, parent: discardConn(), children: []*relayChild{
+		{node: 3, size: 1, c: bound3},
+		{node: 4, size: 1, c: bound4},
+	}}}
+	kid3, kid4 := nm.ctl.children[0], nm.ctl.children[1]
+	nm.onCtlPong(&Pong{Seq: 5, Node: 3, Epoch: 3, Absent: 1}, stray)
+	nm.onCtlStrobeAck(&StrobeAck{Seq: 5, Node: 3, Epoch: 3}, stray)
+	for _, k := range nm.ctl.children {
+		if k.ledger != (pongLedger{}) || k.acked != 0 {
+			t.Fatalf("answers on an unbound link changed node %d's record: ledger %+v, credit %d", k.node, k.ledger, k.acked)
+		}
+	}
+	nm.onCtlPong(&Pong{Seq: 5, Node: 3, Epoch: 3, Absent: 1}, bound3)
+	nm.onCtlStrobeAck(&StrobeAck{Seq: 5, Node: 3, Epoch: 3}, bound3)
+	if kid3.ledger != (pongLedger{seq: 5, absent: 1}) || kid3.acked != 5 {
+		t.Fatalf("answers on the child's own link did not land: ledger %+v, credit %d", kid3.ledger, kid3.acked)
+	}
+	if kid4.ledger != (pongLedger{}) || kid4.acked != 0 {
+		t.Fatalf("node 3's answers changed node 4's record: ledger %+v, credit %d", kid4.ledger, kid4.acked)
 	}
 }
