@@ -7,53 +7,80 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/livenet/journal"
 	"repro/internal/place"
 )
 
 // Multi-tenant admission: the MM keeps an explicit job table and moves
-// every submitted job through a small state machine
+// every submitted job through one state machine
 //
-//	ADMITTED -> MANIFEST -> STREAMING -> LAUNCHED -> DONE/FAILED
+//	ADMITTED -> PLANNED -> MANIFEST -> STREAMING -> LAUNCHED -> DONE/FAILED
 //
-// with up to MaxConcurrent jobs in the transfer phases at once. Jobs
-// share the cached relay links and the control tree; which admitted job
-// streams next when the slots are saturated is a pluggable policy
-// (FIFO, weighted-fair over users, smallest-image-first).
+// (a replan goes back from STREAMING to MANIFEST), with up to
+// MaxConcurrent jobs in the transfer phases at once. Every transition is
+// one MM.record, which moves the job's row and journals the phase's
+// event; a restarted MM replays the journal through the same apply into
+// rows. Jobs share the cached relay links and the control tree; which
+// admitted job streams next when the slots are saturated is a pluggable
+// policy (FIFO, weighted-fair over users, smallest-image-first).
 
-// jobPhase is a job's position in the launch state machine.
+// jobPhase is a job's position in the launch state machine. The zero
+// value is a row no event has reached yet.
 type jobPhase int
 
 const (
-	phaseAdmitted  jobPhase = iota // in the admission queue
-	phaseManifest                  // manifest multicast (laying the trees) / HAVE fold in flight
-	phaseStreaming                 // chunks moving down the tree
-	phaseLaunched                  // processes forked, awaiting termination
+	phaseAdmitted  jobPhase = iota + 1 // in the admission queue
+	phasePlanned                       // placed: owns nodes and trees
+	phaseManifest                      // manifest multicast (laying the trees) / HAVE fold in flight
+	phaseStreaming                     // chunks moving down the tree
+	phaseLaunched                      // processes forked, awaiting termination
 	phaseDone
 	phaseFailed
 )
 
-func (p jobPhase) String() string {
-	switch p {
-	case phaseAdmitted:
-		return "admitted"
-	case phaseManifest:
-		return "manifest"
-	case phaseStreaming:
-		return "streaming"
-	case phaseLaunched:
-		return "launched"
-	case phaseDone:
-		return "done"
-	case phaseFailed:
-		return "failed"
-	}
-	return fmt.Sprintf("phase(%d)", int(p))
+// phases is the state machine's one table: each phase's name, as
+// JobTable reports it, and the journal event that records entering it.
+var phases = [...]struct {
+	name string
+	ev   journal.EventType
+}{
+	phaseAdmitted:  {"admitted", journal.JobAdmitted},
+	phasePlanned:   {"planned", journal.JobPlanned},
+	phaseManifest:  {"manifest", journal.JobManifest},
+	phaseStreaming: {"streaming", journal.JobStreaming},
+	phaseLaunched:  {"launched", journal.JobLaunched},
+	phaseDone:      {"done", journal.JobDone},
+	phaseFailed:    {"failed", journal.JobFailed},
 }
 
-func (j *liveJob) setPhase(p jobPhase) {
-	j.mu.Lock()
+// phaseOf is the phase a journal event moves its job to; ok is false
+// for membership events, which move no job. The retired JobEpoch (a
+// replan, in logs written before the manifest record covered it) reads
+// as planned: in flight like any placed job.
+func phaseOf(t journal.EventType) (p jobPhase, ok bool) {
+	for p := phaseAdmitted; p <= phaseFailed; p++ {
+		if phases[p].ev == t {
+			return p, true
+		}
+	}
+	return phasePlanned, t == journal.JobEpoch
+}
+
+// apply is the state machine's transition: it moves the row to the phase
+// ev records (an admission keeps its spec payload) and reports whether
+// the phase changed. record runs it live and replayJobs on a journal, so
+// both fold the same events into the same rows. Caller holds j.mu or
+// owns j.
+func (j *liveJob) apply(ev journal.Event) bool {
+	p, ok := phaseOf(ev.Type)
+	if !ok || p == j.phase {
+		return false
+	}
+	if p == phaseAdmitted {
+		j.admission = ev.Data
+	}
 	j.phase = p
-	j.mu.Unlock()
+	return true
 }
 
 // admissionPolicy decides which queued job gets the next free streaming
@@ -316,7 +343,7 @@ func (mm *MM) JobTable() []JobInfo {
 			ID:         j.id,
 			Name:       j.spec.Name,
 			User:       j.spec.User,
-			Phase:      j.phase.String(),
+			Phase:      phases[j.phase].name,
 			Queued:     queued,
 			Row:        j.row,
 			WindowUsed: j.windowUsedLocked(),

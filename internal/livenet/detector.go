@@ -4,8 +4,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"repro/internal/livenet/journal"
 )
 
 // Heartbeat failure detection on the live control plane. Unlike the
@@ -232,7 +230,6 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 			mm.mu.Lock()
 			mm.convict(mm.members[node])
 			mm.mu.Unlock()
-			mm.jlog(journal.NodeDead, 0, node, []byte("missed heartbeats"))
 			if onFail != nil {
 				go onFail(node)
 			}

@@ -1,22 +1,23 @@
 // Package journal is the MM's durable event log: a compact append-only,
-// CRC-framed write-ahead log of cluster events (job admission, placement,
-// epoch bumps, launch, completion, membership changes) that a restarted
-// Machine Manager replays to rebuild its job table. The format favors
-// the MM's actual write pattern — a few hundred bytes per job, flushed
-// per event — over general-purpose durability machinery:
+// CRC-framed write-ahead log of typed events — each job's transitions
+// through the MM's state machine and each membership change — that a
+// restarted Machine Manager replays to rebuild its job rows. The format
+// favors the MM's actual write pattern — a few hundred bytes per job,
+// flushed per event — over general-purpose durability machinery:
 //
 //	segment file:  journal-000001.wal, journal-000002.wal, ...
 //	record frame:  u32 payload length | u32 CRC-32(payload) | payload
 //	payload:       u8 type | i64 job | i64 node | u32 dlen | dlen bytes
 //
 // Records append to the highest-numbered segment. Rotation is atomic:
-// the caller supplies a snapshot of the live state, which is written to
-// a temp file, synced, renamed to the next segment number, and only then
-// are the older segments deleted — a crash at any point leaves either
-// the old segments or a complete new one, never neither. Replay walks
-// the segments in order and stops at the first torn or corrupt frame
-// (the tail a crash mid-append leaves behind), so a half-written record
-// is indistinguishable from a clean end of log.
+// under the journal's lock, so no Append lands between the two, the
+// caller's snapshot func condenses the live state into events, which are
+// written to a temp file, synced, renamed to the next segment number, and
+// only then are the older segments deleted — a crash at any point leaves
+// either the old segments or a complete new one, never neither. Replay
+// walks the segments in order and stops at the first torn or corrupt
+// frame (the tail a crash mid-append leaves behind), so a half-written
+// record is indistinguishable from a clean end of log.
 //
 // The package holds no livenet types: event payloads are opaque bytes
 // (the MM stores a job spec as the body of its Submit frame), so journal
@@ -24,10 +25,11 @@
 package journal
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,11 +45,14 @@ const (
 	JobAdmitted EventType = iota + 1
 	// JobPlanned records placement: the job owns nodes and a tree.
 	JobPlanned
-	// JobEpoch records a mid-transfer replan (tree generation bump).
+	// JobEpoch is retired: it recorded a mid-transfer replan, which the
+	// manifest record that follows it now covers. Logs written before
+	// still carry it, so it keeps its number.
 	JobEpoch
 	// JobManifest records the manifest round opening a streaming epoch.
 	JobManifest
-	// JobLaunched records process launch on every surviving node.
+	// JobLaunched records the transfer's end: the launch goes out to
+	// every surviving node.
 	JobLaunched
 	// JobDone and JobFailed close a job's record; a job with neither at
 	// replay time was in flight when the MM died.
@@ -57,30 +62,21 @@ const (
 	NodeJoin
 	NodeDead
 	NodeRejoin
+	// JobStreaming records the first chunk of an epoch going out. It
+	// comes last so every older type keeps its number.
+	JobStreaming
 )
 
+var eventNames = [...]string{
+	JobAdmitted: "job-admitted", JobPlanned: "job-planned", JobEpoch: "job-epoch",
+	JobManifest: "job-manifest", JobStreaming: "job-streaming", JobLaunched: "job-launched",
+	JobDone: "job-done", JobFailed: "job-failed",
+	NodeJoin: "node-join", NodeDead: "node-dead", NodeRejoin: "node-rejoin",
+}
+
 func (t EventType) String() string {
-	switch t {
-	case JobAdmitted:
-		return "job-admitted"
-	case JobPlanned:
-		return "job-planned"
-	case JobEpoch:
-		return "job-epoch"
-	case JobManifest:
-		return "job-manifest"
-	case JobLaunched:
-		return "job-launched"
-	case JobDone:
-		return "job-done"
-	case JobFailed:
-		return "job-failed"
-	case NodeJoin:
-		return "node-join"
-	case NodeDead:
-		return "node-dead"
-	case NodeRejoin:
-		return "node-rejoin"
+	if int(t) < len(eventNames) && eventNames[t] != "" {
+		return eventNames[t]
 	}
 	return fmt.Sprintf("event(%d)", uint8(t))
 }
@@ -111,9 +107,7 @@ type Journal struct {
 
 	mu     sync.Mutex
 	f      *os.File
-	w      *bufio.Writer
 	seg    int
-	size   int64
 	closed bool
 }
 
@@ -135,12 +129,7 @@ func Open(dir string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return &Journal{dir: dir, f: f, w: bufio.NewWriter(f), seg: seg, size: fi.Size()}, nil
+	return &Journal{dir: dir, f: f, seg: seg}, nil
 }
 
 // segments lists the existing segment numbers in ascending order.
@@ -160,119 +149,110 @@ func segments(dir string) ([]int, error) {
 	return segs, nil
 }
 
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
-
-// Size returns the current segment's byte length — the rotation signal.
-func (j *Journal) Size() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.size
-}
-
 // NeedsRotation reports whether the current segment has outgrown the
 // built-in limit and the owner should Rotate with a state snapshot.
-func (j *Journal) NeedsRotation() bool { return j.Size() > segmentLimit }
+func (j *Journal) NeedsRotation() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	fi, err := j.f.Stat()
+	return err == nil && fi.Size() > segmentLimit
+}
 
-func encode(ev Event, buf []byte) []byte {
-	payload := recFixedLen + len(ev.Data)
-	buf = append(buf[:0], make([]byte, frameHdrLen+payload)...)
-	binary.BigEndian.PutUint32(buf[0:], uint32(payload))
-	p := buf[frameHdrLen:]
-	p[0] = byte(ev.Type)
-	binary.BigEndian.PutUint64(p[1:], uint64(int64(ev.Job)))
-	binary.BigEndian.PutUint64(p[9:], uint64(int64(ev.Node)))
-	binary.BigEndian.PutUint32(p[17:], uint32(len(ev.Data)))
-	copy(p[recFixedLen:], ev.Data)
-	binary.BigEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(p))
+// encode appends ev's frame to buf.
+func encode(buf []byte, ev Event) []byte {
+	start := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(recFixedLen+len(ev.Data)))
+	buf = append(buf, 0, 0, 0, 0, byte(ev.Type)) // the CRC goes in last
+	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(ev.Job)))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(ev.Node)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ev.Data)))
+	buf = append(buf, ev.Data...)
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+frameHdrLen:]))
 	return buf
 }
 
-// Append writes one event and flushes it to the OS — a record is
-// readable by replay the moment Append returns, whatever kills the
-// process next.
+// Append writes one event to the OS in one write — a record is readable
+// by replay the moment Append returns, whatever kills the process next.
 func (j *Journal) Append(ev Event) error {
-	frame := encode(ev, nil)
+	frame := encode(nil, ev)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return fmt.Errorf("journal: closed")
 	}
-	if _, err := j.w.Write(frame); err != nil {
+	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	j.size += int64(len(frame))
 	return nil
 }
 
 // Rotate atomically replaces the log with a fresh segment seeded by the
-// given snapshot events (the caller's condensed live state). The new
-// segment is fully written and synced under a temp name, renamed into
-// place, and only then are the older segments removed — a crash leaves
-// either the complete old log or the complete new one.
-func (j *Journal) Rotate(snapshot []Event) error {
+// events snapshot returns (the caller's condensed live state). snapshot
+// runs under the journal's lock, so an Append racing the rotation lands
+// either before it — in the state snapshot reads — or in the new segment
+// after it, never in the history Rotate deletes; snapshot must not call
+// back into the journal. The new segment is fully written and synced
+// under a temp name, renamed into place, and only then are the older
+// segments removed — a crash leaves either the complete old log or the
+// complete new one.
+func (j *Journal) Rotate(snapshot func() []Event) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return fmt.Errorf("journal: closed")
 	}
-	next := j.seg + 1
-	tmp, err := os.CreateTemp(j.dir, "journal-rotate-*")
-	if err != nil {
-		return fmt.Errorf("journal: rotate: %w", err)
+	next := filepath.Join(j.dir, segName(j.seg+1))
+	var seg []byte
+	for _, ev := range snapshot() {
+		seg = encode(seg, ev)
 	}
-	w := bufio.NewWriter(tmp)
-	var size int64
-	var buf []byte
-	for _, ev := range snapshot {
-		buf = encode(ev, buf)
-		if _, err := w.Write(buf); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("journal: rotate: %w", err)
-		}
-		size += int64(len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(j.dir, segName(next))); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeSynced(next, seg); err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
 	// The new segment is durable under its final name: switch the writer
 	// over and drop the superseded history.
-	old := j.seg
 	j.f.Close()
-	f, err := os.OpenFile(filepath.Join(j.dir, segName(next)), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(next, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
-	j.f, j.w, j.seg, j.size = f, bufio.NewWriter(f), next, size
+	old := j.seg
+	j.f, j.seg = f, old+1
 	for s := old; s >= 1; s-- {
-		path := filepath.Join(j.dir, segName(s))
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		if err := os.Remove(filepath.Join(j.dir, segName(s))); err != nil && !os.IsNotExist(err) {
 			break
 		}
 	}
 	return nil
 }
 
-// Close flushes and closes the journal.
+// writeSynced gives path the contents b all at once: b is written to a
+// temp file beside it, synced, and renamed over it, so path holds all
+// of b or whatever it held before.
+func writeSynced(path string, b []byte) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "journal-rotate-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err := tmp.Write(b); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
+// Close syncs and closes the journal.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -280,16 +260,8 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	ferr := j.w.Flush()
 	serr := j.f.Sync()
-	cerr := j.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return errors.Join(serr, j.f.Close())
 }
 
 // Replay reads every intact event under dir in order, invoking fn for
@@ -298,13 +270,10 @@ func (j *Journal) Close() error {
 // construction. A missing directory replays zero events.
 func Replay(dir string, fn func(Event) error) error {
 	segs, err := segments(dir)
-	if os.IsNotExist(err) {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		if _, statErr := os.Stat(dir); os.IsNotExist(statErr) {
-			return nil
-		}
 		return err
 	}
 	for _, s := range segs {

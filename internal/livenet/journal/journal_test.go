@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 func replayAll(t *testing.T, dir string) []Event {
@@ -134,7 +137,7 @@ func TestRotateKeepsSnapshotDropsHistory(t *testing.T) {
 		{Type: NodeJoin, Node: 0},
 		{Type: JobAdmitted, Job: 99, Data: []byte("live")},
 	}
-	if err := j.Rotate(snapshot); err != nil {
+	if err := j.Rotate(func() []Event { return snapshot }); err != nil {
 		t.Fatal(err)
 	}
 	j.Append(Event{Type: JobPlanned, Job: 99})
@@ -158,5 +161,73 @@ func TestReplayMissingDir(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("missing dir should replay zero events, got %v", err)
+	}
+}
+
+// TestRotateRacingAppendsLosesNothing: writers each add a row and then
+// append its record, as the MM's record does, while Rotate condenses the
+// rows over and over. An append that races a rotation must land either
+// in the state the snapshot reads or in the segment after it — never in
+// the history the rotation deletes — so replay yields exactly the rows.
+func TestRotateRacingAppendsLosesNothing(t *testing.T) {
+	const writers, rotations = 4, 30
+	dir := t.TempDir()
+	j, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	rows := make(map[int]bool)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for row := w; ; row += writers {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				rows[row] = true
+				mu.Unlock()
+				if err := j.Append(Event{Type: JobAdmitted, Job: row}); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched() // let the rotator in on one P
+			}
+		}(w)
+	}
+	// The snapshot reads the rows, then takes a moment to encode them,
+	// as the MM's does: the writers keep going meanwhile.
+	snapshot := func() []Event {
+		mu.Lock()
+		evs := make([]Event, 0, len(rows))
+		for row := range rows {
+			evs = append(evs, Event{Type: JobAdmitted, Job: row})
+		}
+		mu.Unlock()
+		time.Sleep(100 * time.Microsecond)
+		return evs
+	}
+	for r := 0; r < rotations; r++ {
+		if err := j.Rotate(snapshot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := make(map[int]bool)
+	for _, ev := range replayAll(t, dir) {
+		replayed[ev.Job] = true
+	}
+	if len(replayed) != len(rows) {
+		t.Fatalf("replay holds %d of the %d rows after %d rotations", len(replayed), len(rows), rotations)
 	}
 }

@@ -3,6 +3,7 @@ package livenet
 import (
 	"sort"
 
+	"repro/internal/livenet/journal"
 	"repro/internal/place"
 )
 
@@ -60,14 +61,17 @@ func (mm *MM) syncPlace(m *member) { mm.place.SetEligible(m.node, m.eligible()) 
 // at the node's first. A rejoin also clears the node's conviction and
 // absence streak and, when a heartbeat detector is running to vouch for
 // it, puts it on probation; a plain registration leaves a conviction
-// standing. Returns the probation the row now owes.
+// standing. Journals the join (or rejoin) and returns the probation the
+// row now owes.
 func (mm *MM) register(link *nmLink, reg *Register) int {
 	m := mm.members[link.node]
 	if m == nil {
 		m = &member{node: link.node}
 		mm.members[link.node] = m
 	}
+	ev := journal.Event{Type: journal.NodeJoin, Node: link.node}
 	if reg.Rejoin {
+		ev.Type = journal.NodeRejoin
 		m.convicted, m.streak, m.probation = false, 0, 0
 		if mm.hbActive > 0 {
 			m.probation = rejoinProbation
@@ -81,6 +85,8 @@ func (mm *MM) register(link *nmLink, reg *Register) int {
 	}
 	mm.place.SetNode(link.node, cap)
 	mm.syncPlace(m)
+	mm.record(nil, ev)
+	mm.admit.cond.Broadcast() // the journal's recovery loop waits for membership
 	return m.probation
 }
 
@@ -93,11 +99,12 @@ func (mm *MM) disconnect(link *nmLink) {
 	}
 }
 
-// convict records the failure detector's verdict. A convicted
-// probationer is just convicted.
+// convict records the failure detector's verdict, in the row and in the
+// journal. A convicted probationer is just convicted.
 func (mm *MM) convict(m *member) {
 	m.convicted, m.probation, m.streak = true, 0, 0
 	mm.syncPlace(m)
+	mm.record(nil, journal.Event{Type: journal.NodeDead, Node: m.node, Data: []byte("missed heartbeats")})
 }
 
 // servePeriod pays one vouched heartbeat period off a rejoined node's

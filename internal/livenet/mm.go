@@ -392,13 +392,17 @@ type liveJob struct {
 	recovery    time.Duration
 	retries     int
 
-	// phase is the job's position in the admission state machine;
-	// winPeak is the largest unacknowledged-chunk count observed across
-	// all stripes, for the job-table snapshot and the report. sendBytes
+	// phase is the job's position in the admission state machine, and
+	// admission the payload of its JobAdmitted record (the encoded
+	// spec), both written only by apply: live through MM.record, on
+	// restart through replayJobs. winPeak is the largest
+	// unacknowledged-chunk count observed across all stripes, for the
+	// job-table snapshot and the report. sendBytes
 	// counts the MM's own distribution egress for this job exactly (the
 	// frag and manifest frames it wrote), so concurrent jobs sharing a link
 	// never bill each other.
 	phase     jobPhase
+	admission []byte
 	winPeak   int
 	sendBytes int64
 
@@ -535,6 +539,8 @@ type RecoveredJob struct {
 	Report Report
 	Err    error
 	Done   bool
+
+	row *liveJob // the job's replayed row, admitted until the rerun retires it
 }
 
 // encodeSpec/decodeSpec write a JobSpec into the journal's opaque Data
@@ -554,40 +560,36 @@ func decodeSpec(b []byte) (JobSpec, error) {
 	return spec, w.done()
 }
 
-// openJournal replays the write-ahead log under dir (if any), rebuilds
-// the job table's unfinished tail, and opens the journal for appending.
-// Jobs that were already placed when the previous MM died cannot be
-// resumed — their relay topology and window state died with it — so
-// they are failed cleanly (and durably, so the next restart forgets
-// them too). Jobs that were admitted but never placed lost nothing but
-// queue position: they are queued for resubmission.
-func (mm *MM) openJournal(dir string) error {
-	type jobRec struct {
-		spec     []byte
-		inflight bool
-	}
-	recs := make(map[int]*jobRec)
-	var order []int
-	maxID := 0
-	err := journal.Replay(dir, func(ev journal.Event) error {
-		if ev.Job > maxID {
-			maxID = ev.Job
+// replayJobs folds the journal under dir into job rows, in first-seen
+// order, through apply: the transition record runs live. Membership
+// events are history and rebuild no row.
+func replayJobs(dir string) (rows []*liveJob, err error) {
+	byID := make(map[int]*liveJob)
+	err = journal.Replay(dir, func(ev journal.Event) error {
+		if _, ok := phaseOf(ev.Type); !ok {
+			return nil
 		}
-		switch ev.Type {
-		case journal.JobAdmitted:
-			if recs[ev.Job] == nil {
-				recs[ev.Job] = &jobRec{spec: ev.Data}
-				order = append(order, ev.Job)
-			}
-		case journal.JobPlanned, journal.JobEpoch, journal.JobManifest, journal.JobLaunched:
-			if r := recs[ev.Job]; r != nil {
-				r.inflight = true
-			}
-		case journal.JobDone, journal.JobFailed:
-			delete(recs, ev.Job)
+		j := byID[ev.Job]
+		if j == nil {
+			j = &liveJob{id: ev.Job}
+			byID[ev.Job] = j
+			rows = append(rows, j)
 		}
+		j.apply(ev)
 		return nil
 	})
+	return rows, err
+}
+
+// openJournal replays the write-ahead log under dir (if any) into job
+// rows, opens it for appending, and decides each row's fate from its
+// phase. A job admitted but never placed lost nothing but queue
+// position: it is queued for resubmission. A job past placement cannot
+// be resumed — its relay topology and window state died with the
+// previous MM — so it is failed, durably, and the next restart forgets
+// it too, as it forgets a finished one.
+func (mm *MM) openJournal(dir string) error {
+	rows, err := replayJobs(dir)
 	if err != nil {
 		return err
 	}
@@ -596,24 +598,19 @@ func (mm *MM) openJournal(dir string) error {
 		return err
 	}
 	mm.jnl = jnl
-	if maxID > mm.nextJob {
-		mm.nextJob = maxID
-	}
-	for _, id := range order {
-		r := recs[id]
-		if r == nil {
-			continue // finished before the crash
+	for _, j := range rows {
+		mm.nextJob = max(mm.nextJob, j.id)
+		switch {
+		case j.phase == phaseAdmitted:
+			spec, err := decodeSpec(j.admission)
+			if err != nil {
+				continue // torn spec payload: nothing actionable survives
+			}
+			j.spec, j.admission = spec, slices.Clone(j.admission) // not the whole segment
+			mm.recovered = append(mm.recovered, &RecoveredJob{ID: j.id, Spec: spec, row: j})
+		case j.phase < phaseDone:
+			mm.record(j, journal.Event{Type: journal.JobFailed, Data: []byte("interrupted by MM restart")})
 		}
-		if r.inflight {
-			jnl.Append(journal.Event{Type: journal.JobFailed, Job: id,
-				Data: []byte("interrupted by MM restart")})
-			continue
-		}
-		spec, err := decodeSpec(r.spec)
-		if err != nil {
-			continue // torn spec payload: nothing actionable survives
-		}
-		mm.recovered = append(mm.recovered, &RecoveredJob{ID: id, Spec: spec})
 	}
 	return nil
 }
@@ -625,28 +622,24 @@ func (mm *MM) openJournal(dir string) error {
 func (mm *MM) recoverLoop() {
 	defer mm.wg.Done()
 	for _, rj := range mm.recovered {
-		for {
-			mm.mu.Lock()
-			enough := len(mm.registered()) >= rj.Spec.Nodes
-			if mm.closed {
-				for _, r := range mm.recovered {
-					if !r.Done {
-						r.Err, r.Done = ErrMMClosed, true
-					}
+		mm.mu.Lock()
+		for !mm.closed && len(mm.registered()) < rj.Spec.Nodes {
+			mm.admit.cond.Wait() // register broadcasts
+		}
+		if mm.closed {
+			for _, r := range mm.recovered {
+				if !r.Done {
+					r.Err, r.Done = ErrMMClosed, true
 				}
-				mm.mu.Unlock()
-				return
 			}
 			mm.mu.Unlock()
-			if enough {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
+			return
 		}
+		mm.mu.Unlock()
 		// Retire the old ID durably before the rerun journals its own
 		// admission — otherwise every future restart would re-recover
 		// (and re-run) this job under its original ID.
-		mm.jlog(journal.JobFailed, rj.ID, 0, []byte("resubmitted after restart"))
+		mm.record(rj.row, journal.Event{Type: journal.JobFailed, Data: []byte("resubmitted after restart")})
 		rep, err := mm.RunJob(rj.Spec)
 		mm.mu.Lock()
 		rj.Report, rj.Err, rj.Done = rep, err, true
@@ -667,53 +660,68 @@ func (mm *MM) RecoveredJobs() []RecoveredJob {
 	return out
 }
 
-// jlog appends one event to the journal; a no-op without one. Callers
-// may hold mm.mu: the journal has its own lock and never takes mm.mu.
-func (mm *MM) jlog(t journal.EventType, job, node int, data []byte) {
-	if mm.jnl == nil {
-		return
+// record is the MM's one state edge and the journal's one writer. A job
+// event first moves j's row through apply, and entering the phase j
+// already holds records nothing: the k stripes that each start streaming
+// write one record. A membership event (j nil) was already applied by
+// its row's mutator, register or convict. The row moves before the
+// append, so a rotation snapshotting in between holds the transition and
+// the append lands in the new segment. Lock order mm.mu -> journal ->
+// j.mu: callers may hold mm.mu, never j.mu.
+func (mm *MM) record(j *liveJob, ev journal.Event) {
+	if j != nil {
+		ev.Job = j.id
+		j.mu.Lock()
+		moved := j.apply(ev)
+		j.mu.Unlock()
+		if !moved {
+			return
+		}
 	}
-	mm.jnl.Append(journal.Event{Type: t, Job: job, Node: node, Data: data})
+	if mm.jnl != nil {
+		mm.jnl.Append(ev)
+	}
 }
 
 // maybeRotateJournal condenses the log once the active segment outgrows
-// its limit: the snapshot is the current membership plus every
-// unfinished job, written to a fresh segment that atomically replaces
-// the history. Holding mm.mu across the rotation keeps the snapshot and
-// the segment swap consistent with concurrent appends.
+// its limit into the rows of the unfinished jobs — the recovered backlog
+// not yet rerun, the admission queue, the jobs in flight — each written
+// as its admission record plus the event of the phase it holds, which
+// replays to the same row. Membership records are history replay skips,
+// so none is kept. mm.mu pins the set of rows, and the journal runs the
+// snapshot under its own lock, so no record lands between the snapshot
+// and the segment swap.
 func (mm *MM) maybeRotateJournal() {
 	if mm.jnl == nil || !mm.jnl.NeedsRotation() {
 		return
 	}
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	var snap []journal.Event
-	for _, id := range mm.registered() {
-		snap = append(snap, journal.Event{Type: journal.NodeJoin, Node: id})
-	}
-	for id, m := range mm.members {
-		if m.convicted {
-			snap = append(snap, journal.Event{Type: journal.NodeDead, Node: id})
+	mm.jnl.Rotate(func() (snap []journal.Event) {
+		var rows []*liveJob
+		for _, rj := range mm.recovered {
+			rows = append(rows, rj.row)
 		}
-	}
-	for _, j := range mm.admit.q {
-		snap = append(snap, journal.Event{Type: journal.JobAdmitted, Job: j.id, Data: encodeSpec(&j.spec)})
-	}
-	for id, j := range mm.jobs {
-		snap = append(snap,
-			journal.Event{Type: journal.JobAdmitted, Job: id, Data: encodeSpec(&j.spec)},
-			journal.Event{Type: journal.JobPlanned, Job: id})
-	}
-	mm.jnl.Rotate(snap)
+		rows = append(rows, mm.admit.q...)
+		for _, j := range mm.jobs {
+			rows = append(rows, j)
+		}
+		for _, j := range rows {
+			j.mu.Lock()
+			if p := j.phase; p < phaseDone {
+				snap = append(snap, journal.Event{Type: journal.JobAdmitted, Job: j.id, Data: j.admission})
+				if p != phaseAdmitted {
+					snap = append(snap, journal.Event{Type: phases[p].ev, Job: j.id})
+				}
+			}
+			j.mu.Unlock()
+		}
+		return snap
+	})
 }
 
 // JournalPath returns the journal directory ("" without one).
-func (mm *MM) JournalPath() string {
-	if mm.jnl == nil {
-		return ""
-	}
-	return mm.jnl.Dir()
-}
+func (mm *MM) JournalPath() string { return mm.cfg.JournalDir }
 
 // isClosed reports whether the MM has shut down — how a federation
 // tells a stale leaf handle from a live one after a leaf restart.
@@ -856,12 +864,9 @@ func (mm *MM) serveNM(c *conn, reg *Register) {
 		c.close()
 	}()
 	if reg.Rejoin {
-		mm.jlog(journal.NodeRejoin, 0, reg.Node, nil)
 		if _, err := c.send(Message{RejoinAck: &RejoinAck{Probation: prob}}); err != nil {
 			return
 		}
-	} else {
-		mm.jlog(journal.NodeJoin, 0, reg.Node, nil)
 	}
 	for {
 		m, err := c.recv()
@@ -1014,7 +1019,7 @@ func (mm *MM) serveClient(c *conn, spec JobSpec) {
 // paper-style timing decomposition. Up to MMConfig.MaxConcurrent jobs
 // stream concurrently, multiplexed over the shared relay links by the
 // job-tagged frame headers.
-func (mm *MM) RunJob(spec JobSpec) (Report, error) {
+func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	if spec.Nodes <= 0 || spec.PEsPerNode <= 0 {
 		return Report{}, fmt.Errorf("livenet: bad job geometry %dx%d", spec.Nodes, spec.PEsPerNode)
 	}
@@ -1050,20 +1055,21 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		spec:   spec,
 		row:    -1,
 		frags:  frags,
-		phase:  phaseAdmitted,
 		qStart: time.Now(),
 		termed: make(map[int]bool, spec.Nodes),
 	}
 	j.cond = sync.NewCond(&j.mu)
-	mm.jlog(journal.JobAdmitted, j.id, 0, encodeSpec(&spec))
+	mm.record(j, journal.Event{Type: journal.JobAdmitted, Data: encodeSpec(&spec)})
+	// Every failure from here on ends the job's row — except one the
+	// shutdown caused, which journals nothing: a restarted MM resumes the
+	// job if it was still queued and fails it durably if it was not.
+	defer func() {
+		if err != nil && !errors.Is(err, ErrMMClosed) {
+			mm.record(j, journal.Event{Type: journal.JobFailed, Data: []byte(err.Error())})
+		}
+	}()
 	if err := mm.awaitAdmission(j); err != nil {
 		mm.mu.Unlock()
-		// A queued job bumped by shutdown is not failed — it is exactly
-		// what a restarted MM resumes from the journal. Only real
-		// admission failures are recorded durably.
-		if !errors.Is(err, ErrMMClosed) {
-			mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
-		}
 		return Report{}, err
 	}
 	j.mu.Lock()
@@ -1074,7 +1080,6 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 		mm.releaseRow(j.row)
 		mm.admit.release()
 		mm.mu.Unlock()
-		mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
 		return Report{}, err
 	}
 	j.nodes = nodes
@@ -1086,7 +1091,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	mm.jobs[j.id] = j
 	mm.launched++
 	mm.mu.Unlock()
-	mm.jlog(journal.JobPlanned, j.id, 0, nil)
+	mm.record(j, journal.Event{Type: journal.JobPlanned})
 	defer func() {
 		mm.mu.Lock()
 		delete(mm.jobs, j.id)
@@ -1124,15 +1129,13 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	// this job's execution overlaps the next job's stream.
 	mm.releaseStream()
 	// fail ends a job that could not be launched: every node drops its
-	// transfer state and the failure is journaled. Whatever a job dies of
-	// while the MM shuts down under it, it died of the shutdown.
+	// transfer state. Whatever a job dies of while the MM shuts down
+	// under it, it died of the shutdown.
 	fail := func(err error) (Report, error) {
 		if mm.isClosed() && !errors.Is(err, ErrMMClosed) {
 			err = fmt.Errorf("%w: job %d: %v", ErrMMClosed, j.id, err)
 		}
-		j.setPhase(phaseFailed)
 		mm.abort(j, err)
-		mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
 		return Report{}, err
 	}
 	if err != nil {
@@ -1145,8 +1148,8 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	// transfer's late answers are inert: a failure one of them left behind
 	// after the transfer's last wait is stale — only a shutdown still
 	// counts.
+	mm.record(j, journal.Event{Type: journal.JobLaunched})
 	j.mu.Lock()
-	j.phase = phaseLaunched
 	if !errors.Is(j.fail, ErrMMClosed) {
 		j.fail = nil
 	}
@@ -1176,7 +1179,6 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	if ran == 0 {
 		return fail(fmt.Errorf("livenet: job %d: launch phase: all nodes failed (%v), last: %w", j.id, j.failedNodes, lost))
 	}
-	mm.jlog(journal.JobLaunched, j.id, 0, nil)
 
 	// Collect their termination reports. The termination deadline is its
 	// own budget — the program's expected duration plus TermTimeout — and
@@ -1197,11 +1199,6 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 			return k
 		})
 	if err != nil {
-		// A shutdown journals nothing: a launched-but-unfinished job is
-		// already marked failed durably when the journal is replayed.
-		if !errors.Is(err, ErrMMClosed) {
-			mm.jlog(journal.JobFailed, j.id, 0, []byte(err.Error()))
-		}
 		return Report{}, err
 	}
 	total := time.Since(start)
@@ -1213,8 +1210,7 @@ func (mm *MM) RunJob(spec JobSpec) (Report, error) {
 	j.mu.Lock()
 	winPeak := j.winPeak
 	j.mu.Unlock()
-	j.setPhase(phaseDone)
-	mm.jlog(journal.JobDone, j.id, 0, nil)
+	mm.record(j, journal.Event{Type: journal.JobDone})
 	return Report{
 		JobID:         j.id,
 		Send:          send,
@@ -1294,7 +1290,7 @@ func (mm *MM) rehome(j *liveJob) error {
 	j.peerDown = nil
 	mm.rewireTree(j)
 	j.mu.Unlock()
-	mm.jlog(journal.JobPlanned, j.id, 0, nil)
+	mm.record(j, journal.Event{Type: journal.JobPlanned})
 	return nil
 }
 
@@ -1416,7 +1412,6 @@ func (mm *MM) transfer(j *liveJob) error {
 			return rerr // no survivors to replan over
 		}
 		j.replans++
-		mm.jlog(journal.JobEpoch, j.id, 0, nil)
 		err = mm.runStripes(j)
 	}
 	return nil
@@ -1441,8 +1436,7 @@ func (mm *MM) runStripes(j *liveJob) error {
 	if len(stripes) == 0 {
 		return nil
 	}
-	j.setPhase(phaseManifest)
-	mm.jlog(journal.JobManifest, j.id, 0, nil)
+	mm.record(j, journal.Event{Type: journal.JobManifest})
 	errs := make([]error, len(stripes))
 	var wg sync.WaitGroup
 	for i, ss := range stripes {
@@ -1634,7 +1628,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	// windowSlots is the flow-control window depth per tree hop, the live
 	// analogue of the simulator's multi-buffering slots.
 	const windowSlots = 4
-	j.setPhase(phaseStreaming)
+	mm.record(j, journal.Event{Type: journal.JobStreaming})
 	j.mu.Lock()
 	kids := slices.Clone(ss.kids)
 	list := append([]int(nil), ss.sendList...)

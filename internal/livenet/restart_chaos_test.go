@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/livenet/faultconn"
+	"repro/internal/livenet/journal"
 )
 
 // Restart-and-rejoin chaos: where chaos_test.go proves the cluster
@@ -323,6 +324,7 @@ func TestChaosMMRestartJournalReplay(t *testing.T) {
 	}
 	waitStatus(t, mm, "two jobs parked in the admission queue", 5*time.Second,
 		func(st StatusRep) bool { return st.Queued == 2 })
+	waitReplayEqualsLive(t, mm, jdir, map[string]int{"launched": 2, "admitted": 2})
 
 	shutdown()
 	for i := 0; i < 2; i++ {
@@ -397,6 +399,114 @@ func TestChaosMMRestartJournalReplay(t *testing.T) {
 	t.Cleanup(mm3.Close)
 	if rec := mm3.RecoveredJobs(); len(rec) != 0 {
 		t.Fatalf("second restart re-recovered %d jobs, want 0: %+v", len(rec), rec)
+	}
+}
+
+// liveRows is JobTable's (ID, phase) rows.
+func liveRows(mm *MM) map[int]string {
+	rows := make(map[int]string)
+	for _, info := range mm.JobTable() {
+		rows[info.ID] = info.Phase
+	}
+	return rows
+}
+
+// replayedRows is the (ID, phase) rows of the unfinished jobs the
+// journal under dir replays to, through the MM's own apply.
+func replayedRows(t *testing.T, dir string) map[int]string {
+	t.Helper()
+	jobs, err := replayJobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[int]string)
+	for _, j := range jobs {
+		if j.phase < phaseDone {
+			rows[j.id] = phases[j.phase].name
+		}
+	}
+	return rows
+}
+
+// waitReplayEqualsLive waits for the MM's job table to hold want (a
+// count per phase) and then checks that the journal replays to exactly
+// those rows. A record moves its row just before it appends, so the two
+// may differ for that instant: the check allows them a moment to agree.
+func waitReplayEqualsLive(t *testing.T, mm *MM, dir string, want map[string]int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		live := liveRows(mm)
+		count := make(map[string]int)
+		for _, p := range live {
+			count[p]++
+		}
+		settled := fmt.Sprint(count) == fmt.Sprint(want)
+		replayed := replayedRows(t, dir)
+		if settled && fmt.Sprint(live) == fmt.Sprint(replayed) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job table %v (want phases %v), journal replays to %v", live, want, replayed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestChaosMMRestartRotationKeepsBacklog: a restarted MM whose journal
+// is past its rotation limit rotates on its first recovered rerun. That
+// rotation's snapshot must keep every recovered job still waiting its
+// turn — here a 2-node job queued behind a 1-node one on a 1-NM
+// cluster — so a second restart still finds it.
+func TestChaosMMRestartRotationKeepsBacklog(t *testing.T) {
+	jdir := t.TempDir()
+	jnl, err := journal.Open(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filler := make([]byte, 4<<10)
+	id := 0
+	for !jnl.NeedsRotation() {
+		id++
+		jnl.Append(journal.Event{Type: journal.JobAdmitted, Job: id, Data: filler})
+		jnl.Append(journal.Event{Type: journal.JobDone, Job: id})
+	}
+	for _, nodes := range []int{1, 2} {
+		id++
+		spec := JobSpec{Name: fmt.Sprintf("backlog-%d", nodes), BinaryBytes: 64 << 10, Nodes: nodes,
+			PEsPerNode: 1, Program: ProgramSpec{Kind: "exit"}}
+		jnl.Append(journal.Event{Type: journal.JobAdmitted, Job: id, Data: encodeSpec(&spec)})
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := chaosMMConfig()
+	cfg.JournalDir = jdir
+	mm, _, shutdown := chaosCluster(t, 1, cfg, nil)
+	if rec := mm.RecoveredJobs(); len(rec) != 2 {
+		t.Fatalf("restart recovered %d jobs, want 2 (%+v)", len(rec), rec)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for rec := mm.RecoveredJobs(); !rec[0].Done; rec = mm.RecoveredJobs() {
+		if time.Now().After(deadline) {
+			t.Fatal("the 1-node recovered job never reran")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if rj := mm.RecoveredJobs()[0]; rj.Err != nil {
+		t.Fatalf("recovered job %q failed its rerun: %v", rj.Spec.Name, rj.Err)
+	}
+	shutdown()
+
+	mm2, err := NewMM("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm2.Close()
+	rec := mm2.RecoveredJobs()
+	if len(rec) != 1 || rec[0].Spec.Name != "backlog-2" {
+		t.Fatalf("second restart recovered %+v, want only backlog-2", rec)
 	}
 }
 
