@@ -901,6 +901,32 @@ func TestChaosTermDeadlineNamed(t *testing.T) {
 	}
 }
 
+// TestChaosLaunchedNodeDeathEndsTermWait: a node that took its Launch
+// and then lost its MM link can never report termination, so the job
+// fails at once, naming the node and the termination phase, instead of
+// sitting out the program's duration plus TermTimeout.
+func TestChaosLaunchedNodeDeathEndsTermWait(t *testing.T) {
+	const n, victim = 3, 1
+	mm, nms, _ := chaosCluster(t, n, MMConfig{TermTimeout: 30 * time.Second}, nil)
+	go func() {
+		for deadline := time.Now().Add(5 * time.Second); nmLaunches(nms[victim]) == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		nms[victim].Close()
+	}()
+	start := time.Now()
+	_, err := mm.RunJob(JobSpec{
+		Name: "launched-death", BinaryBytes: 64 << 10, Nodes: n, PEsPerNode: 1,
+		Program: ProgramSpec{Kind: "sleep", Duration: 2 * time.Second},
+	})
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the job took %v to notice a launched node's death", took)
+	}
+	if !errors.Is(err, ErrTermTimeout) || !strings.Contains(err.Error(), fmt.Sprintf("node %d", victim)) {
+		t.Fatalf("job error = %v, want ErrTermTimeout naming node %d", err, victim)
+	}
+}
+
 // errors.Is sanity for the two phase errors across wrapping.
 func TestPhaseErrorsAreDistinct(t *testing.T) {
 	wrapped := fmt.Errorf("outer: %w", ErrTransferTimeout)

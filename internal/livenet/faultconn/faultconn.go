@@ -53,7 +53,8 @@ type Plan struct {
 	// OnFault, if set, is called once per fired trigger with a short
 	// kind tag ("read-close", "duplicate", "corrupt", "ctl-drop",
 	// "ctl-dup", "ctl-delay", "ctl-close", "gate-kill"). Called from
-	// Read/Write; must not block.
+	// Read/Write — for a close trigger, before the conn closes; must not
+	// block.
 	OnFault func(kind string)
 
 	// Gate, if set, subjects every conn wrapped with this plan to
@@ -309,14 +310,16 @@ func (c *Conn) fire(kind string) {
 	}
 }
 
-// kill hard-closes the underlying conn on behalf of a trigger.
+// kill hard-closes the underlying conn on behalf of a trigger. The
+// trigger's OnFault runs first, so whatever it brings down with the
+// conn (a Gate, say) is down before the peer sees the close.
 func (c *Conn) kill(kind string) {
+	c.fire(kind)
 	c.closeOnce.Do(func() {
 		c.killed = true
 		close(c.done)
 		c.Conn.Close()
 	})
-	c.fire(kind)
 }
 
 // Close closes the wrapped connection and releases any blocked reader.

@@ -3,6 +3,7 @@ package livenet
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sort"
@@ -57,9 +58,9 @@ func (e rejectError) Error() string {
 	return fmt.Sprintf("node %d rejected fragment %d (corrupt)", e.node, e.index)
 }
 
-// downError is liveness evidence: a specific node's link failed or a
-// parent reported it unreachable. Recovery treats the named node as a
-// failure candidate without waiting for a window stall.
+// downError is liveness evidence about one node (see liveJob.nodeDown):
+// its MM link closed, an MM write to it failed, or a parent reported it
+// unreachable. Recovery takes the named node as dead without probing it.
 type downError struct {
 	node  int
 	cause string
@@ -329,18 +330,6 @@ func patchFingerprint(p map[int]uint64) uint64 {
 	return h
 }
 
-func patchEqual(a, b map[int]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // liveJob is one row of the MM's job table: the full MM-side state of a
 // job from admission to completion.
 type liveJob struct {
@@ -381,8 +370,8 @@ type liveJob struct {
 	chunksSent int
 	bytesSaved int64
 
-	// peerDown accumulates NM reports of unreachable relay children
-	// (failure-detector evidence consumed by diagnose).
+	// peerDown holds the first evidence of each node's death (nodeDown),
+	// consumed by diagnose and, after launch, by the termination wait.
 	peerDown map[int]string
 
 	// failedNodes, replans, recovery, retries are the job's fault
@@ -843,7 +832,10 @@ func (mm *MM) status() StatusRep {
 // on probation (MM.register), and only then is the acknowledgement sent —
 // by the time the NM starts serving traffic the next control-tree epoch
 // already wires it back in. Its placement eligibility returns after
-// probation; its chunk cache makes it a warm relay immediately.
+// probation; its chunk cache makes it a warm relay immediately. The end
+// of the link is the MM's own evidence of the node's death: every job
+// standing on this registration hears of it at once (liveJob.nodeDown),
+// as the link is closed first, so no Launch is written to it after.
 func (mm *MM) serveNM(c *conn, reg *Register) {
 	link := &nmLink{node: reg.Node, cpus: reg.CPUs, addr: reg.Addr, c: c}
 	mm.mu.Lock()
@@ -857,20 +849,28 @@ func (mm *MM) serveNM(c *conn, reg *Register) {
 	}
 	prob := mm.register(link, reg)
 	mm.mu.Unlock()
+	var err error
 	defer func() {
+		c.close()
 		mm.mu.Lock()
 		mm.disconnect(link)
+		for _, j := range mm.jobs {
+			j.mu.Lock()
+			if slices.Contains(j.nodes, link) {
+				j.nodeDown(link.node, fmt.Sprintf("MM link lost: %v", err))
+			}
+			j.mu.Unlock()
+		}
 		mm.mu.Unlock()
-		c.close()
 	}()
 	if reg.Rejoin {
-		if _, err := c.send(Message{RejoinAck: &RejoinAck{Probation: prob}}); err != nil {
+		if _, err = c.send(Message{RejoinAck: &RejoinAck{Probation: prob}}); err != nil {
 			return
 		}
 	}
 	for {
-		m, err := c.recv()
-		if err != nil {
+		var m Message
+		if m, err = c.recv(); err != nil {
 			return
 		}
 		switch {
@@ -907,31 +907,58 @@ func (j *liveJob) stripeByID(s int) *stripeState {
 
 // onTransferEvent is the one way an NM's answer reaches a job's record:
 // look the job up (an answer for a job that is gone is dropped), take
-// j.mu, apply, wake every wait. An error from apply fails the job unless
-// an earlier failure already has — first failure wins, because a failure
-// cascades (a rejected fragment forces every later one out of order) and
-// the later reports would mask the site of the first — or the transfer is
-// already over: a launched job's image is resident everywhere it runs, so
-// a straggling transfer complaint has nothing left to fail.
-func (mm *MM) onTransferEvent(job int, apply func(j *liveJob) error) {
+// j.mu, apply, wake every wait.
+func (mm *MM) onTransferEvent(job int, apply func(j *liveJob)) {
 	j := mm.jobByID(job)
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	if err := apply(j); err != nil && j.fail == nil && j.phase < phaseLaunched {
-		j.fail = err
-	}
+	apply(j)
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }
 
+// failLocked fails the job's transfer with err, ending every stripe's
+// wait once the caller wakes them. The first failure wins, as a failure
+// cascades (a rejected fragment forces every later one out of order) and
+// the later reports would mask the site of the first; but a content
+// rejection outranks a liveness failure, which a replan could cure. A
+// launched job's image is resident everywhere it runs, so a straggling
+// transfer complaint has nothing left to fail. Caller holds j.mu.
+func (j *liveJob) failLocked(err error) {
+	var reject rejectError
+	if j.phase < phaseLaunched && (j.fail == nil || errors.As(err, &reject) && !errors.As(j.fail, &reject)) {
+		j.fail = err
+	}
+}
+
+// nodeDown is the one way a node's death reaches its job: the MM's link
+// to it closed, an MM write to it failed, or a parent reported it. A
+// death recovery already excluded is spent. The first evidence about a
+// node is kept for diagnose, or after launch for the termination wait,
+// which alone knows whether the node took its Launch. Caller holds j.mu.
+func (j *liveJob) nodeDown(node int, why string) {
+	if slices.Contains(j.failedNodes, node) {
+		return
+	}
+	if j.peerDown == nil {
+		j.peerDown = make(map[int]string)
+	}
+	if _, seen := j.peerDown[node]; !seen {
+		j.peerDown[node] = why
+	}
+	j.failLocked(downError{node: node, cause: j.peerDown[node]})
+	j.cond.Broadcast()
+}
+
 func (mm *MM) onFragAck(a *FragAck) {
-	mm.onTransferEvent(a.Job, func(j *liveJob) error {
+	mm.onTransferEvent(a.Job, func(j *liveJob) {
 		if !a.OK {
 			// Nacks carry the global chunk index, so the report names the
 			// corruption site unambiguously.
-			return rejectError{node: a.Node, index: a.Index}
+			j.failLocked(rejectError{node: a.Node, index: a.Index})
+			return
 		}
 		// Credit from an older tree epoch vouched for a different subtree
 		// shape; only current-epoch credit moves the window. Cumulative
@@ -941,7 +968,6 @@ func (mm *MM) onFragAck(a *FragAck) {
 				kid.credit(a.Index + 1)
 			}
 		}
-		return nil
 	})
 }
 
@@ -950,10 +976,10 @@ func (mm *MM) onFragAck(a *FragAck) {
 // stripe-local prefix: every chunk up to the first gap is in place all
 // over the subtree, which is exactly what a cumulative ack would say.
 func (mm *MM) onHave(h *Have) {
-	mm.onTransferEvent(h.Job, func(j *liveJob) error {
+	mm.onTransferEvent(h.Job, func(j *liveJob) {
 		ss := j.stripeByID(h.Stripe)
 		if ss == nil || h.Epoch != ss.epoch {
-			return nil
+			return
 		}
 		if kid := kidOf(ss.kids, h.Node); kid != nil {
 			if kid.have == nil {
@@ -962,33 +988,24 @@ func (mm *MM) onHave(h *Have) {
 			}
 			kid.credit(stripePrefix(h.Bits, j.frags, ss.id, len(j.stripes), kid.acked))
 		}
-		return nil
 	})
 }
 
-// onPeerDown records an NM's report that a relay child is unreachable —
-// failure-detector evidence that wakes the transfer immediately instead
-// of letting it burn the whole window timeout.
+// onPeerDown records an NM's report that a relay child is unreachable.
+// It speaks of a relay link only, so after launch it is stale: the node
+// may still hold its MM link and run its ranks.
 func (mm *MM) onPeerDown(d *PeerDown) {
-	mm.onTransferEvent(d.Job, func(j *liveJob) error {
-		if slices.Contains(j.failedNodes, d.Node) {
-			return nil // a late report of a death recovery already handled
+	mm.onTransferEvent(d.Job, func(j *liveJob) {
+		if j.phase < phaseLaunched {
+			j.nodeDown(d.Node, fmt.Sprintf("parent %d could not reach it: %s", d.From, d.Err))
 		}
-		if j.peerDown == nil {
-			j.peerDown = make(map[int]string)
-		}
-		if _, seen := j.peerDown[d.Node]; !seen {
-			j.peerDown[d.Node] = fmt.Sprintf("parent %d could not reach it: %s", d.From, d.Err)
-		}
-		return downError{node: d.Node, cause: j.peerDown[d.Node]}
 	})
 }
 
 // onTerm records a node's termination report.
 func (mm *MM) onTerm(t *Term) {
-	mm.onTransferEvent(t.Job, func(j *liveJob) error {
+	mm.onTransferEvent(t.Job, func(j *liveJob) {
 		j.termed[t.Node] = true
-		return nil
 	})
 }
 
@@ -1145,14 +1162,15 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 
 	// Launch: tell each surviving NM its ranks (re-ranked densely over
 	// the survivor set if recovery shrank the job). From here on the
-	// transfer's late answers are inert: a failure one of them left behind
-	// after the transfer's last wait is stale — only a shutdown still
-	// counts.
+	// transfer's late answers are inert: a failure or evidence one of them
+	// left behind after the transfer's last wait is stale — only a
+	// shutdown still counts, and a closed MM link fails the Launch write.
 	mm.record(j, journal.Event{Type: journal.JobLaunched})
 	j.mu.Lock()
 	if !errors.Is(j.fail, ErrMMClosed) {
 		j.fail = nil
 	}
+	j.peerDown = nil
 	nodes = append([]*nmLink(nil), j.nodes...)
 	j.mu.Unlock()
 	// A Launch that cannot be written is a node death like any other: the
@@ -1170,7 +1188,9 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 			Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
 		if _, err := link.c.send(msg); err != nil {
 			lost = fmt.Errorf("launch to node %d: %w", link.node, err)
+			j.mu.Lock()
 			j.failedNodes = append(j.failedNodes, link.node)
+			j.mu.Unlock()
 			continue
 		}
 		wait = append(wait, link.node)
@@ -1182,14 +1202,18 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 
 	// Collect their termination reports. The termination deadline is its
 	// own budget — the program's expected duration plus TermTimeout — and
-	// is independent of the transfer-phase AckTimeout. Every report wakes
-	// the wait, so a wake is kept cheap on a wide job: it walks only the
-	// nodes still owing — the list shrinks in place.
+	// is independent of the transfer-phase AckTimeout; a node that took
+	// its Launch and lost its MM link never reports, and fails the wait at
+	// once. Every report wakes the wait, so a wake is kept cheap on a wide
+	// job: it walks only the nodes still owing — the list shrinks in place.
 	err = j.await(nil, "launched nodes never reported termination: missing",
 		time.Now().Add(spec.Program.Duration+mm.cfg.TermTimeout), func(names *[]string) int {
 			k := 0
 			for _, node := range wait {
 				if !j.termed[node] {
+					if why, down := j.peerDown[node]; down && j.fail == nil {
+						j.fail = fmt.Errorf("%w: job %d: launched node %d is down (%s)", ErrTermTimeout, j.id, node, why)
+					}
 					wait[k] = node
 					k++
 					nameOwing(names, node)
@@ -1247,10 +1271,7 @@ func retryableJobErr(err error) bool {
 // to half the base again in deterministic per-(job, attempt) jitter so
 // simultaneous victims of one dead node do not re-place in lockstep.
 func retryBackoff(job, attempt int) time.Duration {
-	base := 25 * time.Millisecond << uint(attempt)
-	if base > 500*time.Millisecond {
-		base = 500 * time.Millisecond
-	}
+	base := min(25*time.Millisecond<<uint(attempt), 500*time.Millisecond)
 	jitter := time.Duration(rng.Mix64(uint64(job)<<20^uint64(attempt)) % uint64(base/2))
 	return base + jitter
 }
@@ -1298,17 +1319,7 @@ func (mm *MM) rehome(j *liveJob) error {
 // to the chunk count (an extra stripe with nothing to carry is pure
 // overhead) and the node count.
 func (mm *MM) stripeCountFor(j *liveJob) int {
-	k := mm.cfg.Stripes
-	if k > j.frags {
-		k = j.frags
-	}
-	if n := len(j.nodes); k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(1, min(mm.cfg.Stripes, j.frags, len(j.nodes)))
 }
 
 // rewireTree rebuilds the job's full striped forwarding plan over the
@@ -1402,7 +1413,7 @@ func (mm *MM) transfer(j *liveJob) error {
 			return fmt.Errorf("%w: job %d: giving up after %d replans: %w", ErrReplansExhausted, j.id, replans, err)
 		}
 		t0 := time.Now()
-		dead := mm.diagnose(j, err)
+		dead := mm.diagnose(j)
 		if len(dead) == 0 {
 			return err // nothing provably dead: surface the original failure
 		}
@@ -1422,8 +1433,8 @@ func (mm *MM) transfer(j *liveJob) error {
 // epoch no round has run in yet (the initial layout, or a replan), so
 // each stripe goroutine runs its manifest round first and streams
 // immediately after, so fast stripes push payload while slow ones still
-// fold HAVEs. The first failure is returned, content rejections winning
-// over liveness errors so a replan loop never retries corruption.
+// fold HAVEs. A stripe's failure is the job's (failLocked), so it ends
+// the other stripes' waits at once; the job's failure is returned.
 func (mm *MM) runStripes(j *liveJob) error {
 	j.mu.Lock()
 	stripes := make([]*stripeState, 0, len(j.stripes))
@@ -1437,30 +1448,28 @@ func (mm *MM) runStripes(j *liveJob) error {
 		return nil
 	}
 	mm.record(j, journal.Event{Type: journal.JobManifest})
-	errs := make([]error, len(stripes))
+	failed := false
 	var wg sync.WaitGroup
-	for i, ss := range stripes {
+	for _, ss := range stripes {
 		wg.Add(1)
-		go func(i int, ss *stripeState) {
+		go func(ss *stripeState) {
 			defer wg.Done()
-			errs[i] = mm.runStripe(j, ss)
-		}(i, ss)
+			if err := mm.runStripe(j, ss); err != nil {
+				j.mu.Lock()
+				failed = true
+				j.failLocked(err)
+				j.cond.Broadcast()
+				j.mu.Unlock()
+			}
+		}(ss)
 	}
 	wg.Wait()
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		var reject rejectError
-		if errors.As(err, &reject) {
-			return err
-		}
-		if first == nil {
-			first = err
-		}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !failed {
+		return nil // evidence that came after the last wait is stale
 	}
-	return first
+	return j.fail
 }
 
 // runStripe is one stripe's slice of the pipeline: the manifest round
@@ -1493,7 +1502,7 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 		mm.mu.Lock()
 		d := mm.manifests[key]
 		mm.mu.Unlock()
-		if d != nil && patchEqual(d.patch, j.spec.ImagePatch) {
+		if d != nil && maps.Equal(d.patch, j.spec.ImagePatch) {
 			return d
 		}
 	}
@@ -1511,10 +1520,7 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 	// Every chunk but the last is frag bytes long.
 	d.total = int64(j.frags-1)*int64(frag) + int64(chunkSizeFor(&j.spec, frag, j.frags-1))
 	if cacheable {
-		d.patch = make(map[int]uint64, len(j.spec.ImagePatch))
-		for k, v := range j.spec.ImagePatch {
-			d.patch[k] = v
-		}
+		d.patch = maps.Clone(j.spec.ImagePatch)
 		mm.mu.Lock()
 		if len(mm.manifests) >= 16 {
 			// Tiny bound, rarely hit: images come from a handful of seeds.
@@ -1529,14 +1535,7 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 // chunkSizeFor is the byte length of chunk i under the given chunking —
 // the floor of 1 keeps zero-byte jobs streaming one sentinel chunk.
 func chunkSizeFor(spec *JobSpec, frag, i int) int {
-	size := spec.BinaryBytes - i*frag
-	if size > frag {
-		size = frag
-	}
-	if size <= 0 {
-		size = 1
-	}
-	return size
+	return max(1, min(frag, spec.BinaryBytes-i*frag))
 }
 
 // fillChunkInto generates chunk i's bytes: seeded tile content for
@@ -1571,14 +1570,11 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 		m := &Manifest{Job: j.id, Epoch: epoch, Stripe: ss.id, Stripes: k, ChunkBytes: mm.cfg.FragBytes,
 			TotalBytes: j.man.total, Hashes: j.man.hashes, Tree: tree.below(kid.pos)}
 		n, err := kid.link.c.send(Message{Manifest: m})
-		if err != nil {
-			return downError{node: kid.link.node, cause: fmt.Sprintf("manifest write: %v", err)}
-		}
 		// Relay links are shared across jobs, so per-conn byte counters
 		// cannot be attributed to one job: bill what this send wrote.
-		j.mu.Lock()
-		j.sendBytes += int64(n)
-		j.mu.Unlock()
+		if err := j.sent(n, err, kid.link.node, "manifest of stripe", ss.id); err != nil {
+			return err
+		}
 	}
 	// The rewire that opened the epoch started the kids' records over.
 	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func(names *[]string) int {
@@ -1667,22 +1663,15 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 				continue // the whole subtree already holds this chunk
 			}
 			n, err := link.c.send(Message{Frag: f})
-			if err != nil {
+			if err := j.sent(n, err, link.node, "fragment", i); err != nil {
 				f.release()
-				return downError{node: link.node, cause: fmt.Sprintf("fragment %d write: %v", i, err)}
+				return err
 			}
-			j.mu.Lock()
-			j.sendBytes += int64(n)
-			j.mu.Unlock()
 		}
 		f.release()
 		j.mu.Lock()
-		if i/k+1 > ss.streamAt {
-			ss.streamAt = i/k + 1
-		}
-		if used := j.windowUsedLocked(); used > j.winPeak {
-			j.winPeak = used
-		}
+		ss.streamAt = max(ss.streamAt, i/k+1)
+		j.winPeak = max(j.winPeak, j.windowUsedLocked())
 		j.mu.Unlock()
 	}
 	// Drain: wait until every subtree acknowledged every fragment of this
@@ -1697,37 +1686,25 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 
 // diagnose turns a transfer failure into a verdict about which job
 // nodes are actually dead: nodes named by connection-level evidence
-// (failed writes, PeerDown reports) are taken at their parents' word —
-// the relay layer already retried them — and every other node is sent
-// a directed isolation probe over its control link, mirroring the
-// simulator FaultDetector's per-node probe phase. Nodes that neither
-// answer within ProbeGrace nor accept the probe write are dead.
-func (mm *MM) diagnose(j *liveJob, cause error) map[int]string {
-	dead := make(map[int]string)
-	var down downError
-	if errors.As(cause, &down) {
-		dead[down.node] = down.cause
-	}
+// (nodeDown: the MM's own link closed or a write on it failed, or a
+// parent's PeerDown, which the relay layer already retried) are taken
+// at that word, and every other node is sent a directed isolation probe
+// over its control link, mirroring the simulator FaultDetector's
+// per-node probe phase. Nodes that neither answer within ProbeGrace nor
+// accept the probe write are dead.
+func (mm *MM) diagnose(j *liveJob) map[int]string {
 	j.mu.Lock()
-	for node, why := range j.peerDown {
-		if _, seen := dead[node]; !seen {
-			dead[node] = why
-		}
-	}
-	j.peerDown = nil
-	j.fail = nil // consumed; recovery starts from a clean slate
-	nodes := append([]*nmLink(nil), j.nodes...)
-	j.mu.Unlock()
-
+	down := j.peerDown
+	j.peerDown, j.fail = nil, nil // consumed; recovery starts from a clean slate
 	var suspects []*nmLink
-	for _, link := range nodes {
-		if _, gone := dead[link.node]; !gone {
+	for _, link := range j.nodes {
+		if _, gone := down[link.node]; !gone {
 			suspects = append(suspects, link)
 		}
 	}
-	for node, why := range mm.probeNodes(suspects, mm.cfg.ProbeGrace) {
-		dead[node] = why
-	}
+	j.mu.Unlock()
+	dead := mm.probeNodes(suspects, mm.cfg.ProbeGrace)
+	maps.Copy(dead, down)
 	return dead
 }
 
@@ -1800,11 +1777,8 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	// Reports of these deaths that raced the diagnosis are spent: another
 	// parent's PeerDown, or a second stripe's, must not start a round of
 	// its own.
-	var down downError
-	if errors.As(j.fail, &down) {
-		if _, gone := dead[down.node]; gone {
-			j.fail = nil
-		}
+	if down, ok := j.fail.(downError); ok && dead[down.node] != "" {
+		j.fail = nil
 	}
 	for node := range dead {
 		delete(j.peerDown, node)
@@ -1828,16 +1802,17 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 // owing nodes' names to names (see nameOwing) for the deadline error
 // alone, so a wake allocates nothing however many nodes still owe. A
 // transfer wait belongs to a stripe and names it; the termination wait
-// (ss nil) belongs to the whole job.
+// (ss nil) belongs to the whole job. owing may fail the job itself.
 func (j *liveJob) await(ss *stripeState, what string, deadline time.Time, owing func(names *[]string) int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var alarm *time.Timer
 	for {
+		n := owing(nil)
 		if j.fail != nil {
 			return j.fail
 		}
-		if owing(nil) == 0 {
+		if n == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -1885,6 +1860,20 @@ func (j *liveJob) awaitCredit(ss *stripeState, need int, deadline time.Time) err
 		}
 		return n
 	})
+}
+
+// sent bills the job the n bytes an MM write of frame index to node put
+// on the wire and reports the node down if the write failed. It returns
+// the job's failure, so a stripe also stops on a sibling's: a write to a
+// live member that fails always leaves one.
+func (j *liveJob) sent(n int, err error, node int, frame string, index int) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.sendBytes += int64(n)
+	if err != nil {
+		j.nodeDown(node, fmt.Sprintf("%s %d write: %v", frame, index, err))
+	}
+	return j.fail
 }
 
 // nameOwing appends node to the names an await's owing builds for its

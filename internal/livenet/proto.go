@@ -45,6 +45,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/livenet/wire"
@@ -1246,7 +1247,7 @@ type Dialer func(addr string) (net.Conn, error)
 // Connection-level fault absorption: transient dial failures (a peer
 // restarting its listener, a SYN lost under load) are retried with
 // capped exponential backoff before they are escalated into node
-// failures.
+// failures — but a refused relay dial is final (see dialProf).
 const (
 	dialAttempts    = 3
 	dialBaseBackoff = 50 * time.Millisecond
@@ -1263,10 +1264,7 @@ var backoffSeq atomic.Uint64
 // backoffDelay returns the capped exponential backoff for a retry
 // attempt (0-based), jittered to 50-100% of the nominal value.
 func backoffDelay(attempt int) time.Duration {
-	d := dialBaseBackoff << uint(attempt)
-	if d > dialMaxBackoff {
-		d = dialMaxBackoff
-	}
+	d := min(dialBaseBackoff<<uint(attempt), dialMaxBackoff)
 	z := rng.Mix64(backoffSeq.Add(rng.GoldenGamma))
 	return d/2 + time.Duration(z%uint64(d/2+1))
 }
@@ -1282,15 +1280,21 @@ const noPeer = -1
 // (peer, else noPeer): it dials the endpoint of the node's peer address
 // — which carries a "#node" suffix on a hub NMs share — and opens the
 // connection with the hello the hub routes it by, before wrap
-// interposes (see writeHello).
+// interposes (see writeHello). A refused relay dial is final: a relay
+// target is a registered NM, listening since before it registered, so its
+// process is gone, and a retry would only stall the relaying read loop.
 func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, peer int, prof connProfile) (*conn, error) {
 	endpoint, _, _ := strings.Cut(addr, "#")
 	if dialer == nil {
 		dialer = func(a string) (net.Conn, error) { return net.DialTimeout("tcp", a, dialTimeout) }
 	}
 	var err error
-	for attempt := 0; attempt < dialAttempts; attempt++ {
+	attempt := 0
+	for ; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
+			if peer != noPeer && errors.Is(err, syscall.ECONNREFUSED) {
+				break
+			}
 			time.Sleep(backoffDelay(attempt - 1))
 		}
 		var nc net.Conn
@@ -1310,5 +1314,5 @@ func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, peer int
 			return newConnProf(nc, prof), nil
 		}
 	}
-	return nil, fmt.Errorf("livenet: dial %s (%d attempts): %w", addr, dialAttempts, err)
+	return nil, fmt.Errorf("livenet: dial %s (%d attempts): %w", addr, attempt, err)
 }

@@ -3,8 +3,10 @@ package livenet
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -227,5 +229,32 @@ func TestConnSentBytes(t *testing.T) {
 	want := int64(1+wire.FragLen+1000) + int64(1+wire.AckLen)
 	if got := ca.sentBytes(); got != want {
 		t.Fatalf("sentBytes = %d, want %d", got, want)
+	}
+}
+
+// TestRefusedRelayDialIsFinal: a relay target is a registered NM whose
+// listener was up before it registered, so a refused relay dial is not
+// retried; a dial to an MM still gets every attempt.
+func TestRefusedRelayDialIsFinal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	for _, tc := range []struct {
+		peer, want int
+	}{{peer: 3, want: 1}, {peer: noPeer, want: dialAttempts}} {
+		attempts := 0
+		dialer := func(a string) (net.Conn, error) {
+			attempts++
+			return net.DialTimeout("tcp", a, time.Second)
+		}
+		if _, err := dialProf(dialer, nil, addr, tc.peer, profileFor(false)); !errors.Is(err, syscall.ECONNREFUSED) {
+			t.Fatalf("peer %d: dial of a closed port = %v, want ECONNREFUSED", tc.peer, err)
+		}
+		if attempts != tc.want {
+			t.Fatalf("peer %d: %d dial attempts, want %d", tc.peer, attempts, tc.want)
+		}
 	}
 }

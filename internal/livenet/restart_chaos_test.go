@@ -326,6 +326,10 @@ func TestChaosMMRestartJournalReplay(t *testing.T) {
 		func(st StatusRep) bool { return st.Queued == 2 })
 	waitReplayEqualsLive(t, mm, jdir, map[string]int{"launched": 2, "admitted": 2})
 
+	// The MM crashes, then its NMs go down. (NMs first would be node
+	// deaths the running MM acts on: the hogs fail at once, and the
+	// queued pair is admitted onto a cluster too small to place it.)
+	mm.Close()
 	shutdown()
 	for i := 0; i < 2; i++ {
 		select {

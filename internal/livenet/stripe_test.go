@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,6 +249,67 @@ func stripedKill(t *testing.T, cfg MMConfig, n, victim int, seed uint64, frags i
 		t.Fatalf("recovery took %v, want within the diagnosis+replan envelope", rep.Recovery)
 	}
 	assertSurvivorImages(t, nms, victim, rep.JobID, frags)
+}
+
+// TestChaosDeathNeedsNoPeerDown: the MM's own link to a dead node is
+// evidence enough. A depth-1 relay dies mid-stream, and every PeerDown an
+// NM sends is lost, so the parent that relays to the victim in the other
+// stripe never reports it. Both stripes end on the MM's evidence at
+// once, one replan excludes the victim alone, and the survivors' images
+// are identical.
+func TestChaosDeathNeedsNoPeerDown(t *testing.T) {
+	const n, victim = 16, 1
+	cfg := chaosMMConfig()
+	cfg.Stripes = 2
+	cfg.AckTimeout = 5 * time.Second
+	if !slices.Contains(mmChildren(n, cfg.Fanout), victim) || len(nodeChildren(victim, n, cfg.Fanout)) == 0 {
+		t.Fatalf("node %d is not a depth-1 relay of stripe 0", victim)
+	}
+	killAt := 4 + seedIntn(chaosSeeds[0], 8)
+	var victimNM atomic.Pointer[NM]
+	mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
+		var dials atomic.Int32
+		c := NMConfig{Dialer: func(addr string) (net.Conn, error) {
+			// An NM's first dial is its MM link, which PeerDown rides.
+			c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil || dials.Add(1) != 1 {
+				return c, err
+			}
+			plan := faultconn.NewPlan()
+			for i := 0; i < 8; i++ {
+				plan.CtlFaults = append(plan.CtlFaults, faultconn.CtlFault{Kind: wire.PeerDown, Index: i, Op: "drop"})
+			}
+			return faultconn.Wrap(c, plan), nil
+		}}
+		if node == victim {
+			c.WrapConn = func(c net.Conn) net.Conn {
+				plan := faultconn.NewPlan()
+				plan.CloseAtReadFrag = killAt
+				plan.OnFault = func(string) {
+					if nm := victimNM.Load(); nm != nil {
+						go nm.Close()
+					}
+				}
+				return faultconn.Wrap(c, plan)
+			}
+		}
+		return c
+	})
+	victimNM.Store(nms[victim])
+	rep, err := mm.RunJob(JobSpec{
+		Name: "no-peerdown", BinaryBytes: chaosBinary, Nodes: n, PEsPerNode: 1,
+		Program: ProgramSpec{Kind: "exit"},
+	})
+	if err != nil {
+		t.Fatalf("launch did not recover from killing node %d at frag %d: %v", victim, killAt, err)
+	}
+	if len(rep.Failed) != 1 || rep.Failed[0] != victim || rep.Replans != 1 {
+		t.Fatalf("report names failed nodes %v after %d replans, want [%d] after 1", rep.Failed, rep.Replans, victim)
+	}
+	if rep.Send >= time.Second {
+		t.Fatalf("send took %v: the job waited for a report that never came", rep.Send)
+	}
+	assertSurvivorImages(t, nms, victim, rep.JobID, chaosBinary/cfg.FragBytes)
 }
 
 // TestStaleEpochManifestIsolated (satellite): a Manifest from a
