@@ -228,12 +228,17 @@ func (a *admitQueue) release() {
 }
 
 // awaitAdmission parks the job in the admission queue until the policy
-// picks it, a streaming slot is free, and (under gang scheduling) an
+// picks it, a streaming slot is free, enough nodes are eligible to place
+// it (unless it names its nodes), and (under gang scheduling) an
 // exclusive timeslot row is available — row exhaustion queues the
-// admission, and releaseRow's broadcast retries it. On success the job
+// admission, and releaseRow's broadcast retries it; a shrunken cluster
+// queues it too, and syncPlace's broadcast retries it. On success the job
 // owns one streaming slot and j.row. Caller holds mm.mu.
 func (mm *MM) awaitAdmission(j *liveJob) error {
 	return mm.admit.await(j, func() bool {
+		if len(j.spec.Place) == 0 && mm.place.EligibleCount() < j.spec.Nodes {
+			return false
+		}
 		row := mm.pickRow()
 		if row < 0 {
 			return false
@@ -303,8 +308,9 @@ func (mm *MM) placeJob(spec *JobSpec, avoid map[int]bool) ([]*nmLink, error) {
 	return links, nil
 }
 
-// credit raises the kid's cumulative stripe-local credit to n — from an
-// ack or from the prefix of a HAVE ledger. Caller holds j.mu.
+// credit raises the kid's cumulative credit to n: a stripe's from an ack
+// or from the prefix of a HAVE ledger (caller holds j.mu), the control
+// tree's from a pong ledger with no absentee (caller holds mm.mu).
 func (kid *mmKid) credit(n int) {
 	kid.acked = max(kid.acked, n)
 }

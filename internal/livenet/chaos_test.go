@@ -659,7 +659,7 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 			t.Fatal("the fault never fired: no NM relayed a plan")
 		}
 		mm.mu.Lock()
-		s0 := mm.ctl.hbSeq
+		s0 := mm.ctl.seq
 		mm.mu.Unlock()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -727,7 +727,7 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 			t.Fatal("node 0 never dialed a relay link")
 		}
 		mm.mu.Lock()
-		s0 := mm.ctl.hbSeq
+		s0 := mm.ctl.seq
 		mm.mu.Unlock()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {

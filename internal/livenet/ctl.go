@@ -1,43 +1,43 @@
 package livenet
 
 // The NM side of the cluster-wide control tree — the lightning-fast
-// control plane. Heartbeat pings and gang strobes multicast down the
-// same k-ary tree the binary distribution uses, and their answers
-// aggregate back up it, so the MM's per-period control egress is
-// O(fanout) regardless of cluster size:
+// control plane. Every control round is one Ping multicast down the same
+// k-ary tree the binary distribution uses, answered by one pong ledger
+// per subtree aggregated back up it, so the MM's per-round control egress
+// is O(fanout) regardless of cluster size. A heartbeat is a round that
+// carries no row; a gang context switch is a round that carries one:
 //
-//   - A Ping relays to this node's control children; their pong ledgers
-//     (cumulative per subtree) are folded into one ledger that goes up
-//     the conn the ping arrived on. A child that stays silent for a
-//     whole period is reported absent — its entire subtree's bits —
-//     rather than waited on, so a dead branch surfaces at the MM within
-//     one period per level at worst and the MM's streak+probe logic
-//     (detector.go) keeps the conviction bound at the flat detector's.
-//   - A Strobe is enacted locally first (the context switch must not
-//     queue behind the relay fan-out), then relayed; strobe acks
-//     aggregate exactly like fragment acks — the minimum over the local
-//     apply point and every child subtree's cumulative credit.
+//   - A carried row is enacted locally first (the context switch must
+//     not queue behind the relay fan-out, nor wait for a plan of the
+//     round's epoch), then the ping relays to this node's control
+//     children; their pong ledgers (cumulative per subtree) are folded
+//     into one ledger that goes up the conn the ping arrived on.
+//   - A child that stays silent until the next round's ping is reported
+//     absent — its entire subtree's bits — rather than waited on, so a
+//     dead branch surfaces at the MM within one round per level at worst
+//     and the MM's streak+probe logic (detector.go) keeps the conviction
+//     bound at the flat detector's. A ledger with no absentee says every
+//     node of the subtree has had the round, the switch it carried
+//     included: the MM's gang-switch latency needs no answer of its own.
 //
 // The tree is laid, installed and relayed as a stripe tree is: on a
 // membership change the MM sends each direct child a CtlPlan carrying the
 // child's subtree, every NM installs its children from the plan, and the
 // one hop down every tree (NM.relay) writes each child its own slice of
 // the plan ahead of any other frame on a link that has not carried it,
-// so no ping or strobe outruns the plan it belongs to. The tree owns how
-// long a child that hop could not reach stays down: one round, as each
-// ping clears the marks, and the round's absence in the ledger is the
+// so no ping outruns the plan it belongs to. The tree owns how long a
+// child that hop could not reach stays down: one round, as each ping
+// clears the marks, and the round's absence in the ledger is the
 // evidence. The plan is a body frame sent on membership changes only;
-// all per-period traffic is fixed-part frames of the same codec with zero
+// all per-round traffic is fixed-part frames of the same codec with zero
 // steady-state allocations (TestControlAllocs).
 
 // nmCtl is an NM's installed role in the control tree, replaced
 // wholesale on every epoch change; its children slice is never edited,
-// so a relay ranges over it off the lock. A child's credit is the last
-// strobe its whole subtree enacted.
+// so a relay ranges over it off the lock.
 type nmCtl struct {
 	treeRole
-	collecting int64 // heartbeat seq being aggregated (0 = none pending)
-	strobeSeen int64 // latest strobe seq enacted locally
+	collecting int64 // round being aggregated (0 = none pending)
 }
 
 // pongLedger is what is kept of a control child's pong ledger.
@@ -81,22 +81,34 @@ func (nm *NM) onCtlPlan(p *CtlPlan, from *conn) {
 	}
 }
 
-// onCtlPing handles a heartbeat ping: a directed isolation probe
-// (Epoch 0) is answered immediately and never relayed; a tree ping is
-// relayed to the control children and answered with the aggregated
-// subtree ledger — immediately for a leaf, on the last child's pong (or
-// the next ping, whichever comes first) for an interior node.
+// onCtlPing handles a ping: a directed isolation probe (Epoch 0) is
+// answered immediately and never relayed; a tree ping enacts the gang
+// switch it carries, is relayed to the control children and is answered
+// with the aggregated subtree ledger — immediately for a leaf, on the
+// last child's pong (or the next ping, whichever comes first) for an
+// interior node.
 func (nm *NM) onCtlPing(p *Ping, from *conn) {
 	if p.Epoch == 0 {
 		from.send(Message{Pong: &Pong{Seq: p.Seq, Node: nm.node}})
 		return
 	}
-	seq, epoch := p.Seq, p.Epoch
+	seq, row, epoch := p.Seq, p.Row, p.Epoch
 	nm.mu.Lock()
+	if row > 0 {
+		// The coordinated context switch: open the designated row's gates,
+		// close the rest.
+		nm.strobesSeen++
+		for _, gr := range nm.gates {
+			gr.g.set(gr.row == row-1)
+		}
+	}
 	ctl := nm.ctl
 	if ctl == nil || epoch != ctl.epoch {
+		// The row switch is global and was enacted; answering or relaying
+		// under a topology this node did not install would credit the
+		// wrong subtree, so stop here.
 		nm.mu.Unlock()
-		return // stale topology: a ping of an epoch this node did not install
+		return
 	}
 	// A new ping supersedes the previous collection: flush it with the
 	// silent children marked absent rather than waiting on them forever.
@@ -122,11 +134,11 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 		return
 	}
 	for _, ch := range ctl.children {
-		nm.relay(0, ch, Message{Ping: &Ping{Seq: seq, Epoch: epoch}})
+		nm.relay(0, ch, Message{Ping: &Ping{Seq: seq, Row: row, Epoch: epoch}})
 	}
 }
 
-// ledgerLocked builds the aggregated subtree ledger for heartbeat seq s:
+// ledgerLocked builds the aggregated subtree ledger for round s:
 // the absentee bitmap, with each fresh child bitmap folded in at its
 // pre-order offset (bit 0 is this node, then each child's block, as wide
 // as its subtree) and each silent child's whole subtree marked absent.
@@ -179,62 +191,5 @@ func (nm *NM) onCtlPong(p *Pong, from *conn) {
 	nm.mu.Unlock()
 	if out != nil && parent != nil {
 		parent.send(Message{Pong: out})
-	}
-}
-
-// onCtlStrobe enacts a gang context switch and propagates it: apply
-// locally first, relay to the control children, then advance the
-// aggregated ack.
-func (nm *NM) onCtlStrobe(s *Strobe) {
-	nm.onStrobe(s.Row)
-	seq, epoch, row := s.Seq, s.Epoch, s.Row
-	nm.mu.Lock()
-	ctl := nm.ctl
-	if ctl == nil || epoch != ctl.epoch {
-		// The row switch itself is global and was applied; acking or
-		// relaying under a stale topology would corrupt the new epoch's
-		// cumulative credit, so stop here.
-		nm.mu.Unlock()
-		return
-	}
-	if seq > ctl.strobeSeen {
-		ctl.strobeSeen = seq
-	}
-	nm.mu.Unlock()
-	for _, ch := range ctl.children {
-		nm.relay(0, ch, Message{Strobe: &Strobe{Seq: seq, Row: row, Epoch: epoch}})
-	}
-	nm.advanceStrobeAck()
-}
-
-// onCtlStrobeAck credits the control child bound to link from with its
-// subtree's cumulative strobe ack and advances the fold.
-func (nm *NM) onCtlStrobeAck(a *StrobeAck, from *conn) {
-	nm.mu.Lock()
-	ctl := nm.ctl
-	if ctl == nil || a.Epoch != ctl.epoch {
-		nm.mu.Unlock()
-		return
-	}
-	ctl.credit(from, int(a.Seq))
-	nm.mu.Unlock()
-	nm.advanceStrobeAck()
-}
-
-// advanceStrobeAck propagates the control tree's folded strobe credit —
-// creditUp over the last strobe enacted locally — up to the parent
-// whenever it advances, as advanceAck does a stripe's.
-func (nm *NM) advanceStrobeAck() {
-	nm.mu.Lock()
-	ctl := nm.ctl
-	if ctl == nil {
-		nm.mu.Unlock()
-		return
-	}
-	up, ok := ctl.creditUp(int(ctl.strobeSeen))
-	parent, epoch := ctl.parent, ctl.epoch
-	nm.mu.Unlock()
-	if ok {
-		parent.send(Message{StrobeAck: &StrobeAck{Seq: int64(up), Node: nm.node, Epoch: epoch}})
 	}
 }

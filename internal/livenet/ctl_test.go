@@ -7,30 +7,29 @@ import (
 	"time"
 )
 
-// TestControlAllocs pins the hot control plane — heartbeat pings, pong
-// ledgers, strobes, strobe acks — at zero allocations per frame on both
-// the encode and decode paths. These frames flow every period on every
-// link; a single allocation here is a per-period, per-node GC tax.
+// TestControlAllocs pins the hot control plane — heartbeat pings, pings
+// carrying a gang row, pong ledgers — at zero allocations per frame on
+// both the encode and decode paths. These frames flow every round on
+// every link; a single allocation here is a per-round, per-node GC tax.
 func TestControlAllocs(t *testing.T) {
 	ping := &Ping{Seq: 42, Epoch: 7}
 	pong := &Pong{Seq: 42, Node: 3, Epoch: 7, Absent: 0b1010}
-	strobe := &Strobe{Seq: 9, Row: 2, Epoch: 7}
-	sack := &StrobeAck{Seq: 9, Node: 3, Epoch: 7}
+	strobe := &Ping{Seq: 43, Row: 3, Epoch: 7}
 
 	ec := discardConn()
 	if avg := testing.AllocsPerRun(200, func() {
-		if sendAll(ec, Message{Ping: ping}, Message{Pong: pong}, Message{Strobe: strobe}, Message{StrobeAck: sack}) != nil {
+		if sendAll(ec, Message{Ping: ping}, Message{Pong: pong}, Message{Ping: strobe}) != nil {
 			t.Fatal("send failed")
 		}
 	}); avg != 0 {
 		t.Fatalf("control encode allocates %.1f/op, want 0", avg)
 	}
 
-	// Capture one wire image of the four frames, then decode it
+	// Capture one wire image of the three frames, then decode it
 	// repeatedly through a reset reader.
 	var buf bytes.Buffer
 	cc := &conn{w: bufio.NewWriter(&buf)}
-	if sendAll(cc, Message{Ping: ping}, Message{Pong: pong}, Message{Strobe: strobe}, Message{StrobeAck: sack}) != nil {
+	if sendAll(cc, Message{Ping: ping}, Message{Pong: pong}, Message{Ping: strobe}) != nil {
 		t.Fatal("capture failed")
 	}
 	wire := append([]byte(nil), buf.Bytes()...)
@@ -39,14 +38,14 @@ func TestControlAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		br.Reset(wire)
 		dc.r.Reset(br)
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 3; i++ {
 			m, err := dc.recv()
 			if err != nil {
 				t.Fatal(err)
 			}
 			switch i {
 			case 0:
-				if m.Ping == nil || m.Ping.Seq != 42 || m.Ping.Epoch != 7 {
+				if m.Ping == nil || m.Ping.Seq != 42 || m.Ping.Row != 0 || m.Ping.Epoch != 7 {
 					t.Fatal("ping mangled")
 				}
 			case 1:
@@ -54,12 +53,8 @@ func TestControlAllocs(t *testing.T) {
 					t.Fatal("pong mangled")
 				}
 			case 2:
-				if m.Strobe == nil || m.Strobe.Row != 2 || m.Strobe.Seq != 9 {
-					t.Fatal("strobe mangled")
-				}
-			case 3:
-				if m.StrobeAck == nil || m.StrobeAck.Seq != 9 || m.StrobeAck.Node != 3 {
-					t.Fatal("strobe ack mangled")
+				if m.Ping == nil || m.Ping.Seq != 43 || m.Ping.Row != 3 || m.Ping.Epoch != 7 {
+					t.Fatal("ping with a row mangled")
 				}
 			}
 		}
@@ -151,6 +146,31 @@ func TestLedgerAggregation(t *testing.T) {
 	}
 }
 
+// TestLedgersVouchSinceJudgement: the detector vouches for a node that
+// any ledger of a round since its last judgement showed present. Gang
+// rounds supersede a heartbeat round's collection long before its period
+// ends, so the latest ledger alone would miss a node that was late once;
+// a ledger of a round before the judgement vouches for no one.
+func TestLedgersVouchSinceJudgement(t *testing.T) {
+	mm := &MM{}
+	mm.ctl.epoch = 1
+	mm.ctl.kids = newKids(layTree(testLinks(7), 2))
+	mm.ctl.vouchFrom = 10
+	kid := mm.ctl.kids[0]
+	if kid.vouches(0, mm.ctl.vouchFrom) {
+		t.Fatal("a child with no ledger vouched")
+	}
+	node := kid.link.node
+	mm.onPong(&Pong{Seq: 9, Node: node, Epoch: 1})                 // before the judgement
+	mm.onPong(&Pong{Seq: 10, Node: node, Epoch: 1, Absent: 0b110}) // positions 1, 2 late
+	mm.onPong(&Pong{Seq: 11, Node: node, Epoch: 1, Absent: 0b101}) // positions 0, 2 late
+	for j, want := range []bool{true, true, false} {
+		if got := kid.vouches(j, mm.ctl.vouchFrom); got != want {
+			t.Errorf("position %d: vouched %v, want %v", j, got, want)
+		}
+	}
+}
+
 // TestControlEgressFlatInClusterSize is the O(fanout) acceptance check:
 // with the tree heartbeat active and the cluster idle, the MM writes
 // Fanout ping frames per period — the same at 4 nodes as at 12. The
@@ -236,5 +256,82 @@ func TestProbeReturnsWhenAllAnswered(t *testing.T) {
 	}
 	if took := time.Since(start); took > grace/3 {
 		t.Fatalf("a probe every node answered took %v of its %v grace", took, grace)
+	}
+}
+
+// TestPingEnactsItsRow: a ping carrying a gang row switches the row on
+// arrival, before the epoch check, so a ping of an epoch the node did not
+// install still enacts it — but is then neither relayed nor answered. A
+// probe (Epoch 0) is answered and enacts nothing, whatever it carries.
+func TestPingEnactsItsRow(t *testing.T) {
+	from, child := discardConn(), discardConn()
+	nm := &NM{node: 1, gates: map[int]*gateRow{
+		1: {g: newGate(false), row: 1},
+		2: {g: newGate(true), row: 0},
+	}}
+	nm.ctl = &nmCtl{treeRole: treeRole{epoch: 3, parent: from, children: []*relayChild{{node: 2, size: 1, c: child}}}}
+	rows := func() (open1, open2 bool) { return nm.gates[1].g.isOpen(), nm.gates[2].g.isOpen() }
+
+	nm.onCtlPing(&Ping{Seq: 7, Row: 1 + 1, Epoch: 2}, from)
+	if o1, o2 := rows(); !o1 || o2 || nm.strobesSeen != 1 {
+		t.Fatalf("a stale-epoch ping carrying row 1: gates %v/%v, %d switches; want row 1 running", o1, o2, nm.strobesSeen)
+	}
+	if from.sentFrames.Load() != 0 || child.sentFrames.Load() != 0 || nm.ctl.collecting != 0 {
+		t.Fatalf("a stale-epoch ping was answered (%d) or relayed (%d)", from.sentFrames.Load(), child.sentFrames.Load())
+	}
+
+	nm.onCtlPing(&Ping{Seq: 1 << 40, Row: 0 + 1}, from)
+	if o1, o2 := rows(); !o1 || o2 || nm.strobesSeen != 1 {
+		t.Fatalf("a probe switched rows: gates %v/%v, %d switches", o1, o2, nm.strobesSeen)
+	}
+	if from.sentFrames.Load() != 1 || child.sentFrames.Load() != 0 {
+		t.Fatalf("a probe: %d answers, %d relays; want 1, 0", from.sentFrames.Load(), child.sentFrames.Load())
+	}
+
+	nm.onCtlPing(&Ping{Seq: 8, Row: 0 + 1, Epoch: 3}, from)
+	if o1, o2 := rows(); o1 || !o2 || nm.strobesSeen != 2 {
+		t.Fatalf("a current ping carrying row 0: gates %v/%v, %d switches; want row 0 running", o1, o2, nm.strobesSeen)
+	}
+	if child.sentFrames.Load() != 1 || nm.ctl.collecting != 8 {
+		t.Fatalf("a current ping: %d relays, collecting %d; want 1, 8", child.sentFrames.Load(), nm.ctl.collecting)
+	}
+}
+
+// TestGangRoundsVouch: gang switches every 5 ms supersede each heartbeat
+// round's collection long before its 50 ms period ends, so the detector
+// must vouch from the ledgers of every round since its last judgement:
+// through a second of gang rounds no node is probed or convicted, both
+// meters fill, and every NM enacts switches.
+func TestGangRoundsVouch(t *testing.T) {
+	const n = 16
+	mm, nms := startCluster(t, n, MMConfig{Fanout: 2, GangQuantum: 5 * time.Millisecond, MPL: 2, TermTimeout: 10 * time.Second})
+	fails := make(chan int, n)
+	stop := mm.StartHeartbeat(50*time.Millisecond, func(node int) { fails <- node })
+	defer stop()
+	if _, err := mm.RunJob(JobSpec{Name: "gang-vouch", BinaryBytes: 64 << 10, Nodes: n, PEsPerNode: 1,
+		Program: ProgramSpec{Kind: "sleep", Duration: time.Second}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case node := <-fails:
+		t.Fatalf("node %d convicted", node)
+	default:
+	}
+	mm.mu.Lock()
+	probes := mm.probeSeq
+	mm.mu.Unlock()
+	if probes != 0 {
+		t.Fatalf("%d isolation probes sent to a healthy cluster", probes)
+	}
+	if _, _, hb := mm.HeartbeatRTT(); hb == 0 {
+		t.Fatal("no heartbeat round settled")
+	}
+	if _, _, st := mm.StrobeLatency(); st == 0 {
+		t.Fatal("no gang-switch round settled")
+	}
+	for _, nm := range nms {
+		if nmStrobes(nm) == 0 {
+			t.Fatalf("node %d enacted no switch", nm.node)
+		}
 	}
 }

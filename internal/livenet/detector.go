@@ -8,14 +8,18 @@ import (
 
 // Heartbeat failure detection on the live control plane. Unlike the
 // simulator's flat detector (one unicast ping per node per period), the
-// live MM multicasts ONE sequence-numbered ping per period to its ≤k
+// live MM multicasts ONE sequence-numbered ping per round to its ≤k
 // control-tree children; every NM relays it down and answers with a
 // cumulative subtree ledger (ctl.go), so the MM's steady-state control
 // egress — and ingress — is O(fanout) while it still observes per-node
-// liveness through the ledgers' absentee bitmaps.
+// liveness through the ledgers' absentee bitmaps. The heartbeat sends one
+// round per period and judges at each; gang switches (gang.go) are rounds
+// of the same sequence in between, and their ledgers vouch as well: a node
+// is vouched for when any ledger of a round sent since the previous
+// judgement shows it present.
 //
 // Suspicion is deliberately two-staged, preserving the flat detector's
-// conviction bound: a node absent from fresh ledgers (or whose whole
+// conviction bound: a node no fresh ledger vouched for (or whose whole
 // subtree went silent) for two consecutive periods is only *suspected*;
 // before being declared failed it gets a directed unicast isolation
 // probe with a grace window — tree aggregation never convicts anyone on
@@ -30,10 +34,14 @@ type mmCtl struct {
 	members []*nmLink // the registrations the tree was laid over, by node ID
 	kids    []*mmKid  // the MM's direct children
 
-	hbSeq, strobeSeq int64 // last heartbeat / strobe round multicast
+	// seq is the last control round multicast, heartbeat or gang switch
+	// alike; vouchFrom is the round the heartbeat's last judgement sent,
+	// the first whose ledgers its next judgement reads (mmKid.present).
+	seq, vouchFrom int64
 
-	// hb times ping → every direct child's ledger for that round; strobe
-	// times strobe → every direct child's cumulative ack covering it.
+	// hb times a heartbeat round → every direct child's ledger at or
+	// past it; strobe times a gang-switch round → every direct child's
+	// clean ledger (no absentee) at or past it: every node had it then.
 	hb, strobe latencyMeter
 }
 
@@ -45,24 +53,24 @@ type latencyMeter struct {
 	n, sum, max int64               // settled rounds; nanoseconds
 }
 
-// arm stamps round seq as sent now and forgets the rounds more than
-// horizon behind it (their answers never came).
-func (l *latencyMeter) arm(seq, horizon int64) {
+// arm stamps round seq as sent now and forgets the rounds more than 32
+// behind it (their answers never came).
+func (l *latencyMeter) arm(seq int64) {
 	if l.sent == nil {
 		l.sent = make(map[int64]time.Time)
 	}
 	l.sent[seq] = time.Now()
 	for k := range l.sent {
-		if k < seq-horizon {
+		if k < seq-32 {
 			delete(l.sent, k)
 		}
 	}
 }
 
-// settle completes every armed round in [lo, hi].
-func (l *latencyMeter) settle(lo, hi int64) {
+// settle completes every armed round up to hi.
+func (l *latencyMeter) settle(hi int64) {
 	for seq, t0 := range l.sent {
-		if seq < lo || seq > hi {
+		if seq > hi {
 			continue
 		}
 		d := time.Since(t0).Nanoseconds()
@@ -81,6 +89,33 @@ func (l *latencyMeter) stats() (mean, max time.Duration, n int64) {
 		mean = time.Duration(l.sum / l.n)
 	}
 	return mean, time.Duration(l.max), l.n
+}
+
+// round multicasts one control round: it brings the tree up to date
+// (syncCtl), numbers the round, arms its meter and writes one Ping per
+// direct child. row is the gang row the round switches to, -1 for a
+// heartbeat. judge, when set, runs under mm.mu with syncCtl's epoch and
+// the new round's number before the round is armed and sent.
+func (mm *MM) round(row int, judge func(epoch int, s int64)) {
+	kids, epoch := mm.syncCtl()
+	mm.mu.Lock()
+	mm.ctl.seq++
+	s := mm.ctl.seq
+	meter := &mm.ctl.hb
+	if row >= 0 {
+		mm.strobes++
+		meter = &mm.ctl.strobe
+	}
+	if judge != nil {
+		judge(epoch, s)
+	}
+	if epoch == mm.ctl.epoch && len(kids) > 0 {
+		meter.arm(s)
+	}
+	mm.mu.Unlock()
+	for _, l := range kids {
+		l.c.send(Message{Ping: &Ping{Seq: s, Row: row + 1, Epoch: epoch}})
+	}
 }
 
 // syncCtl rebuilds the control tree when membership changed
@@ -148,7 +183,7 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 		mm.mu.Unlock()
 	}()
 	lastEpoch := 0
-	var warmUntil int64 // post-epoch-change grace: ledgers need a round to warm
+	warm := 0 // judgements left in the post-epoch-change grace: ledgers need a round to warm
 	tick := time.NewTicker(period)
 	defer tick.Stop()
 	for {
@@ -157,13 +192,11 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 			return
 		case <-tick.C:
 		}
-		kids, epoch := mm.syncCtl()
-
-		// Judge the previous round under one hold of mm.mu: which nodes did
-		// the ledgers vouch for heartbeat s-1? A suspect whose control link
-		// is gone is dead outright; anyone else gets a directed unicast
-		// probe. The tree only nominates suspects — conviction always rests
-		// on a failed direct probe.
+		// Judge the rounds since the previous judgement, in the hold of
+		// mm.mu that opens this one: which nodes did a ledger vouch for? A
+		// suspect whose control link is gone is dead outright; anyone else
+		// gets a directed unicast probe. The tree only nominates suspects —
+		// conviction always rests on a failed direct probe.
 		var probeLinks []*nmLink
 		var dead []int
 		suspect := func(m *member) {
@@ -176,51 +209,42 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 				dead = append(dead, m.node)
 			}
 		}
-		mm.mu.Lock()
-		mm.ctl.hbSeq++
-		s := mm.ctl.hbSeq
-		if epoch != lastEpoch {
-			lastEpoch = epoch
-			warmUntil = s + 1
-		}
-		if epoch == mm.ctl.epoch {
-			for _, kid := range mm.ctl.kids {
-				fresh := kid.ledger.seq > 0 && kid.ledger.seq >= s-1
-				for j, node := range kid.subtree {
-					m := mm.members[node]
-					m.seen = s
-					vouched := fresh && (j >= 64 || kid.ledger.absent&(uint64(1)<<uint(j)) == 0)
-					if vouched {
-						mm.servePeriod(m)
+		mm.round(-1, func(epoch int, s int64) {
+			if epoch != lastEpoch {
+				lastEpoch, warm = epoch, 2
+			}
+			if epoch == mm.ctl.epoch {
+				for _, kid := range mm.ctl.kids {
+					for j, node := range kid.subtree {
+						m := mm.members[node]
+						m.seen = s
+						vouched := kid.vouches(j, mm.ctl.vouchFrom)
+						if vouched {
+							mm.servePeriod(m)
+						}
+						switch {
+						case m.convicted || warm > 0:
+						case vouched:
+							m.streak = 0
+						default:
+							suspect(m)
+						}
 					}
-					switch {
-					case m.convicted || s <= warmUntil:
-					case vouched:
-						m.streak = 0
-					default:
-						suspect(m)
-					}
+					kid.present = 0
 				}
 			}
-		}
-		for _, m := range mm.members {
-			// In an earlier round's tree, not in this one's, and not convicted:
-			// its registration died or it was never replanted. No ledger
-			// will ever vouch for it again, so absence accounting needs no
-			// warm-up.
-			if m.seen > 0 && m.seen != s && !m.convicted {
-				suspect(m)
+			for _, m := range mm.members {
+				// In an earlier round's tree, not in this one's, and not convicted:
+				// its registration died or it was never replanted. No ledger
+				// will ever vouch for it again, so absence accounting needs no
+				// warm-up.
+				if m.seen > 0 && m.seen != s && !m.convicted {
+					suspect(m)
+				}
 			}
-		}
-		// Arm the RTT waiter for this round's ping, multicast to the direct
-		// children only — the O(fanout) egress the bench asserts.
-		if epoch == mm.ctl.epoch {
-			mm.ctl.hb.arm(s, 8)
-		}
-		mm.mu.Unlock()
-		for _, l := range kids {
-			l.c.send(Message{Ping: &Ping{Seq: s, Epoch: epoch}})
-		}
+			mm.ctl.vouchFrom = s
+			warm = max(warm-1, 0)
+		})
 
 		// Isolation-probe pass: the grace window to answer.
 		for node := range mm.probeNodes(probeLinks, grace) {
@@ -239,8 +263,10 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 
 // onPong routes a pong to whichever detector asked: directed isolation
 // probes (Epoch 0, disjoint high sequence range) credit their probe
-// round; a tree ledger updates its direct child's record and completes
-// the heartbeat RTT waiter once every direct child reported the round.
+// round; a tree ledger updates its direct child's record — the latest
+// ledger, the presence the heartbeat's next judgement reads and, when
+// no node is absent, the child's credit — and settles the meters up to
+// the least ledger and the least credit among the direct children.
 func (mm *MM) onPong(p *Pong) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
@@ -255,26 +281,40 @@ func (mm *MM) onPong(p *Pong) {
 	if p.Seq > kid.ledger.seq {
 		kid.ledger = pongLedger{seq: p.Seq, absent: p.Absent}
 	}
-	for _, kid := range mm.ctl.kids {
-		if kid.ledger.seq < p.Seq {
-			return // the round is still owed a ledger
-		}
+	if p.Seq >= mm.ctl.vouchFrom {
+		kid.present |= ^p.Absent
 	}
-	mm.ctl.hb.settle(p.Seq, p.Seq)
+	if p.Absent == 0 {
+		kid.credit(int(p.Seq))
+	}
+	covered := p.Seq
+	for _, kid := range mm.ctl.kids {
+		covered = min(covered, kid.ledger.seq)
+	}
+	mm.ctl.hb.settle(covered)
+	mm.ctl.strobe.settle(int64(minAcked(mm.ctl.kids, kid.acked)))
+}
+
+// vouches reports whether a ledger of a round at or past from showed the
+// node at subtree position j present (past position 63: whether one came).
+func (kid *mmKid) vouches(j int, from int64) bool {
+	fresh := kid.ledger.seq > 0 && kid.ledger.seq >= from
+	return fresh && (j >= 64 || kid.present&(uint64(1)<<uint(j)) != 0)
 }
 
 // HeartbeatRTT reports the observed ping→full-ledger round trip (mean,
 // max, sample count): the time from a heartbeat multicast until every
-// direct child's aggregated subtree ledger for that round arrived.
+// direct child's aggregated subtree ledger for that round, or a later
+// one, arrived.
 func (mm *MM) HeartbeatRTT() (mean, max time.Duration, n int64) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	return mm.ctl.hb.stats()
 }
 
-// StrobeLatency reports the observed strobe propagation latency (mean,
-// max, sample count): the time from a strobe multicast until every
-// direct child's cumulative subtree ack covered it.
+// StrobeLatency reports the observed gang-switch latency (mean, max,
+// sample count): the time from a gang-switch round's multicast until
+// every direct child's ledger at or past it came back with no absentee.
 func (mm *MM) StrobeLatency() (mean, max time.Duration, n int64) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()

@@ -14,7 +14,8 @@
 // regardless of how the transport chunks writes. Beyond the fragment
 // triggers, CtlFaults drop, duplicate, delay, or close the conn before
 // one frame picked by type and per-type ordinal — e.g. "drop the 3rd
-// heartbeat ping this conn sends".
+// ping this conn sends". Every control round is one ping, a heartbeat or a
+// gang switch alike, so a fault on a ping hits whichever round it is.
 //
 // Plans are wired in behind livenet's Config.Dialer / Config.WrapConn
 // hooks; the package deliberately does not import livenet, so it can

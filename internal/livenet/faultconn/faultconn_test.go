@@ -272,7 +272,7 @@ func TestFlakyDialer(t *testing.T) {
 
 // TestScannerTypedControlFrames: the scanner tracks frag ordinals and
 // per-type frame ordinals through a stream mixing frame kinds,
-// regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'D'/'B'.
+// regardless of chunking — no desync on 'P'/'Q'/'L'/'D'/'B'.
 func TestScannerTypedControlFrames(t *testing.T) {
 	var stream []byte
 	stream = append(stream, buildAbort("link down")...)
@@ -280,9 +280,9 @@ func TestScannerTypedControlFrames(t *testing.T) {
 	stream = append(stream, buildFrag(0, 40)...)
 	stream = append(stream, buildCtl('Q')...)
 	stream = append(stream, buildAck()...)
-	stream = append(stream, buildCtl('S')...)
+	stream = append(stream, buildCtl('L')...)
 	stream = append(stream, buildVarCtl('D', "launch: exec format error")...)
-	stream = append(stream, buildCtl('T')...)
+	stream = append(stream, buildCtl('P')...)
 	stream = append(stream, buildVarCtl('D', "dial child 3: refused")...)
 	stream = append(stream, buildCtl('P')...)
 	stream = append(stream, buildVarCtl('D', "")...)
@@ -312,7 +312,7 @@ func TestScannerTypedControlFrames(t *testing.T) {
 		if frags != 2 {
 			t.Fatalf("chunk %d: %d frag frames, want 2", chunk, frags)
 		}
-		for kind, want := range map[byte]int{'P': 2, 'Q': 1, 'S': 1, 'T': 1, 'D': 3, 'B': 1, 'A': 1, 'F': 2} {
+		for kind, want := range map[byte]int{'P': 3, 'Q': 1, 'L': 1, 'D': 3, 'B': 1, 'A': 1, 'F': 2} {
 			if kinds[kind] != want {
 				t.Fatalf("chunk %d: %d %q frames, want %d", chunk, kinds[kind], kind, want)
 			}
@@ -377,14 +377,15 @@ func TestCtlFaultDropPingByIndex(t *testing.T) {
 	}
 }
 
-// TestCtlFaultDupStrobe: the k-th strobe appears twice back-to-back;
-// a pong sharing the conn is untouched (per-kind ordinals).
+// TestCtlFaultDupStrobe: the k-th ping — a gang switch rides one —
+// appears twice back-to-back; a pong sharing the conn is untouched
+// (per-kind ordinals).
 func TestCtlFaultDupStrobe(t *testing.T) {
 	a, b := pipeConn(t)
 	plan := NewPlan()
-	plan.CtlFaults = []CtlFault{{Kind: 'S', Index: 1, Op: "dup"}}
+	plan.CtlFaults = []CtlFault{{Kind: 'P', Index: 1, Op: "dup"}}
 	fc := Wrap(a, plan)
-	strobe, pong := buildCtl('S'), buildCtl('Q')
+	strobe, pong := buildCtl('P'), buildCtl('Q')
 	var sent, want []byte
 	sent = append(sent, strobe...)
 	sent = append(sent, pong...)
@@ -399,7 +400,7 @@ func TestCtlFaultDupStrobe(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	if got := <-done; !bytes.Equal(got, want) {
-		t.Fatal("strobe 1 was not duplicated verbatim (or another frame was touched)")
+		t.Fatal("ping 1 was not duplicated verbatim (or another frame was touched)")
 	}
 }
 

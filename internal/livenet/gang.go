@@ -11,9 +11,10 @@ import (
 // quantum; each NM enacts the coordinated context switch by opening the
 // gates of the designated row's processes and closing the others — the
 // same MM/NM division of labor as the simulated scheduler, on wall-clock
-// time. Strobes multicast down the control tree as typed frames (ctl.go),
-// never through the bulk fragment path, so a context switch cannot queue
-// behind a binary transfer's buffered data.
+// time. A strobe is a control round whose ping carries the row: it
+// multicasts down the control tree as a typed frame (ctl.go), never
+// through the bulk fragment path, so a context switch cannot queue behind
+// a binary transfer's buffered data.
 
 // gate is the suspend/resume control a PL wraps around its process: the
 // process calls wait() between work chunks and blocks while the gate is
@@ -113,11 +114,11 @@ func (mm *MM) releaseRow(row int) {
 }
 
 // strobeLoop multicasts the coordinated context switch every quantum,
-// cycling over rows that have jobs. The strobe travels down the control
-// tree exactly like a heartbeat ping — the MM writes one frame per
-// direct child, NMs enact locally and relay — so strobe egress stays
-// O(fanout) and the switch reaches n nodes in O(log_k n) relay hops.
-// Aggregated strobe acks coming back up drive the latency metric.
+// cycling over rows that have jobs. The switch is a control round whose
+// ping carries the row (MM.round): the MM writes one frame per direct
+// child, NMs enact locally and relay, so the switch costs O(fanout) MM
+// egress and reaches n nodes in O(log_k n) relay hops. The ledgers that
+// come back up drive the latency metric and vouch for the nodes.
 func (mm *MM) strobeLoop(done chan struct{}) {
 	tick := time.NewTicker(mm.cfg.GangQuantum)
 	defer tick.Stop()
@@ -140,37 +141,9 @@ func (mm *MM) strobeLoop(done chan struct{}) {
 			}
 		}
 		mm.mu.Unlock()
-		if next < 0 {
-			continue
-		}
-		cur = next
-		kids, epoch := mm.syncCtl()
-		mm.mu.Lock()
-		mm.strobes++
-		var s int64
-		if epoch == mm.ctl.epoch {
-			mm.ctl.strobeSeq++
-			s = mm.ctl.strobeSeq
-			if len(kids) > 0 {
-				mm.ctl.strobe.arm(s, 32)
-			}
-		}
-		mm.mu.Unlock()
-		for _, l := range kids {
-			l.c.send(Message{Strobe: &Strobe{Seq: s, Row: next, Epoch: epoch}})
+		if next >= 0 {
+			cur = next
+			mm.round(next, nil)
 		}
 	}
-}
-
-// onStrobeAck records a direct child's cumulative strobe credit and
-// completes every latency waiter the new minimum now covers.
-func (mm *MM) onStrobeAck(a *StrobeAck) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	kid := kidOf(mm.ctl.kids, a.Node)
-	if a.Epoch != mm.ctl.epoch || kid == nil || int(a.Seq) <= kid.acked {
-		return // stale topology, or nothing new
-	}
-	kid.acked = int(a.Seq)
-	mm.ctl.strobe.settle(1, int64(minAcked(mm.ctl.kids, kid.acked)))
 }

@@ -131,3 +131,71 @@ func TestNonGangJobsFreeRun(t *testing.T) {
 		t.Fatalf("non-gang MM issued %d strobes", got)
 	}
 }
+
+// TestQueuedJobWaitsForNodes: a job queued behind a hog that dies with
+// one of its nodes is not placed on the survivors, too few to hold it —
+// it stays admitted until a node joins, and then runs.
+func TestQueuedJobWaitsForNodes(t *testing.T) {
+	mm, nms := startCluster(t, 3, MMConfig{GangQuantum: 10 * time.Millisecond, MPL: 1, TermTimeout: 10 * time.Second})
+	spec := func(name string, p ProgramSpec) JobSpec {
+		return JobSpec{Name: name, BinaryBytes: 64 << 10, Nodes: 3, PEsPerNode: 1, Program: p}
+	}
+	phase := func(name string) string {
+		for _, ji := range mm.JobTable() {
+			if ji.Name == name {
+				return ji.Phase
+			}
+		}
+		return ""
+	}
+	await := func(name, want string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); phase(name) != want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s is %q, want %q", name, phase(name), want)
+			}
+		}
+	}
+	hog, queued := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := mm.RunJob(spec("hog", ProgramSpec{Kind: "sleep", Duration: 30 * time.Second}))
+		hog <- err
+	}()
+	await("hog", "launched")
+	go func() {
+		_, err := mm.RunJob(spec("queued", ProgramSpec{Kind: "exit"}))
+		queued <- err
+	}()
+	await("queued", "admitted")
+	nms[2].Close()
+	select {
+	case err := <-hog:
+		if err == nil {
+			t.Fatal("the hog outlived its node")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the hog never failed")
+	}
+	time.Sleep(200 * time.Millisecond)
+	select {
+	case err := <-queued:
+		t.Fatalf("the queued job ended on a 2-node cluster: %v", err)
+	default:
+	}
+	if got := phase("queued"); got != "admitted" {
+		t.Fatalf("the queued job is %q on a 2-node cluster, want admitted", got)
+	}
+	nm, err := NewNM(mm.Addr(), 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nm.Close)
+	select {
+	case err := <-queued:
+		if err != nil {
+			t.Fatalf("the queued job failed once node 3 joined: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the queued job never ran once node 3 joined")
+	}
+}

@@ -53,9 +53,13 @@ const rejoinProbation = 2
 // registered, not convicted, and past any rejoin probation.
 func (m member) eligible() bool { return m.link != nil && !m.convicted && m.probation == 0 }
 
-// syncPlace hands the row's eligibility to the placement engine. Only
-// the four mutators call it.
-func (mm *MM) syncPlace(m *member) { mm.place.SetEligible(m.node, m.eligible()) }
+// syncPlace hands the row's eligibility to the placement engine and wakes
+// whoever waits on membership: the admission queue and the journal's
+// recovery loop. Only the four mutators call it.
+func (mm *MM) syncPlace(m *member) {
+	mm.place.SetEligible(m.node, m.eligible())
+	mm.admit.cond.Broadcast()
+}
 
 // register puts a new registration on the node's row, creating the row
 // at the node's first. A rejoin also clears the node's conviction and
@@ -86,7 +90,6 @@ func (mm *MM) register(link *nmLink, reg *Register) int {
 	mm.place.SetNode(link.node, cap)
 	mm.syncPlace(m)
 	mm.record(nil, ev)
-	mm.admit.cond.Broadcast() // the journal's recovery loop waits for membership
 	return m.probation
 }
 

@@ -230,8 +230,8 @@ type MM struct {
 	place    *place.Engine
 	placePol place.Policy
 
-	// ctl is the cluster-wide control tree (heartbeat + strobe fast
-	// path), laid over the registered, unconvicted members. Guarded by mu.
+	// ctl is the cluster-wide control tree (heartbeat and gang-switch
+	// rounds), laid over the registered, unconvicted members. Guarded by mu.
 	ctl mmCtl
 
 	// jnl is the durable event log (nil without MMConfig.JournalDir);
@@ -428,13 +428,16 @@ type stripeState struct {
 // dropped.
 type mmKid struct {
 	treeKid
-	acked int // cumulative credit: stripe-local chunks, or strobes
+	acked int // cumulative credit: stripe-local chunks, or the last clean control round
 	// have is a stripe's first folded HAVE ledger of the epoch, nil until
 	// reported: written before the manifest round's wait returns and never
 	// after, so the stream reads it without j.mu. It decides what the
 	// subtree is sent; a later ledger of the epoch only adds credit.
 	have   []uint64
 	ledger pongLedger // the control tree's latest pong ledger; seq 0 until the first
+	// present ORs the presence bits of the subtree's ledgers of rounds
+	// since the heartbeat's last judgement (mmCtl.vouchFrom).
+	present uint64
 }
 
 // newKids makes a fresh record for each of the MM's direct children in t.
@@ -613,7 +616,7 @@ func (mm *MM) recoverLoop() {
 	for _, rj := range mm.recovered {
 		mm.mu.Lock()
 		for !mm.closed && len(mm.registered()) < rj.Spec.Nodes {
-			mm.admit.cond.Wait() // register broadcasts
+			mm.admit.cond.Wait() // syncPlace broadcasts
 		}
 		if mm.closed {
 			for _, r := range mm.recovered {
@@ -884,8 +887,6 @@ func (mm *MM) serveNM(c *conn, reg *Register) {
 			mm.onTerm(m.Term)
 		case m.Pong != nil:
 			mm.onPong(m.Pong)
-		case m.StrobeAck != nil:
-			mm.onStrobeAck(m.StrobeAck)
 		}
 	}
 }

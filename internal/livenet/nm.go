@@ -92,7 +92,7 @@ type NM struct {
 	links   map[*conn]struct{}  // every link a serve loop reads: MM, parents, children
 	dialed  map[string]*conn    // outbound relay links, cached across jobs
 	gates   map[int]*gateRow    // job -> gang gate + row
-	ctl     *nmCtl              // control-tree role (heartbeat/strobe relay)
+	ctl     *nmCtl              // control-tree role (the control rounds' relay)
 
 	// counters, guarded by mu: fragments verified, fragments relayed
 	// downstream, processes forked, gang context switches enacted.
@@ -162,14 +162,12 @@ type relayState struct {
 }
 
 // treeRole is this node's role in one tree — a stripe's forwarding tree
-// or the control tree: where its answers go (parent), whom it relays to
-// (children), and how far each child subtree's cumulative credit has
-// come, so the credit is folded before it goes up.
+// or the control tree: where its answers go (parent) and whom it relays
+// to (children).
 type treeRole struct {
 	epoch    int   // tree generation of the install that laid it
 	parent   *conn // the link the epoch's install last arrived on; answers go up it
 	children []*relayChild
-	sentUp   int // cumulative credit already propagated up (by a stripe's HAVE, or an ack)
 }
 
 // install lays the role's children from tree, the install's subtree
@@ -183,10 +181,20 @@ func (r *treeRole) install(tree []TreeNode, inst func(below []TreeNode) Message)
 	}
 }
 
+// stripeRelay is this node's role in one stripe's tree; its credit is
+// stripe-local. Epochs are per-stripe: a replan re-stamps every stripe it
+// rewires, and a stripe that drained before the death keeps its epoch
+// (-1 before the first manifest).
+type stripeRelay struct {
+	treeRole
+	sentUp   int  // cumulative credit already propagated up (by the HAVE ledger, or an ack)
+	haveSent bool // this epoch's aggregated HAVE ledger already went up
+}
+
 // credit raises the cumulative credit of the child bound to link from to
 // n: every tree answer is matched to its child by the link the child's
 // install last went down. Caller holds nm.mu.
-func (r *treeRole) credit(from *conn, n int) {
+func (r *stripeRelay) credit(from *conn, n int) {
 	for _, rc := range r.children {
 		if rc.c == from {
 			rc.acked = max(rc.acked, n)
@@ -194,12 +202,12 @@ func (r *treeRole) credit(from *conn, n int) {
 	}
 }
 
-// creditUp folds the role's credit — the minimum of local, this node's
+// creditUp folds the stripe's credit — the minimum of local, this node's
 // own progress, and every child subtree's — and reports it when it has
 // passed what already went up and a parent is bound to take it, counting
 // it as sent. A child that is down still stalls the fold. Caller holds
 // nm.mu.
-func (r *treeRole) creditUp(local int) (int, bool) {
+func (r *stripeRelay) creditUp(local int) (int, bool) {
 	up := local
 	for _, rc := range r.children {
 		up = min(up, rc.acked)
@@ -211,15 +219,6 @@ func (r *treeRole) creditUp(local int) (int, bool) {
 	return up, true
 }
 
-// stripeRelay is this node's role in one stripe's tree; its credit is
-// stripe-local. Epochs are per-stripe: a replan re-stamps every stripe it
-// rewires, and a stripe that drained before the death keeps its epoch
-// (-1 before the first manifest).
-type stripeRelay struct {
-	treeRole
-	haveSent bool // this epoch's aggregated HAVE ledger already went up
-}
-
 // relayChild is one child of a tree this node relays down: a stripe's
 // forwarding tree or the control tree.
 type relayChild struct {
@@ -228,13 +227,13 @@ type relayChild struct {
 	size    int        // nodes in the child's subtree, itself included
 	install Message    // the child's slice of the tree: its Manifest, or its CtlPlan
 	c       *conn      // the link the install last went down; nil before the first
-	acked   int        // cumulative credit from this subtree: stripe-local chunks, or strobes
+	acked   int        // a stripe subtree's cumulative credit, in stripe-local chunks
 	have    []uint64   // a stripe subtree's aggregated HAVE ledger (nil until reported)
 	ledger  pongLedger // a control subtree's latest pong ledger
 	// down marks a child the hop did not reach: a failed dial, or a
 	// write that failed again after one redial. The tree that owns the
 	// mark sets how long it lasts: a stripe's, the rest of its epoch; the
-	// control tree's, one heartbeat round (onCtlPing).
+	// control tree's, one control round (onCtlPing).
 	down bool
 }
 
@@ -419,8 +418,8 @@ func (nm *NM) Close() {
 // serve is the read loop of every link — the MM link, a link a tree
 // parent dialed in, a link this node dialed to a tree child — and
 // dispatches each frame by its type, whichever way it travels: down the
-// trees come fragments, manifests, pings, strobes and the MM's commands,
-// up them acks, HAVE ledgers, pongs and strobe acks. from is where a
+// trees come fragments, manifests, pings and the MM's commands, up them
+// acks, HAVE ledgers and pongs. from is where a
 // down-tree frame's answers go.
 func (nm *NM) serve(from *conn) {
 	defer nm.wg.Done()
@@ -444,10 +443,6 @@ func (nm *NM) serve(from *conn) {
 			nm.onCtlPing(m.Ping, from)
 		case m.Pong != nil:
 			nm.onCtlPong(m.Pong, from)
-		case m.Strobe != nil:
-			nm.onCtlStrobe(m.Strobe)
-		case m.StrobeAck != nil:
-			nm.onCtlStrobeAck(m.StrobeAck, from)
 		case m.Abort != nil:
 			nm.onAbort(m.Abort)
 		case m.Launch != nil:
@@ -558,8 +553,8 @@ func (nm *NM) dialChild(node int, addr string) (*conn, error) {
 	return first, nil
 }
 
-// relay is the one hop down every tree: forward m — a fragment, a ping,
-// a strobe — to a tree child, installing the child on the way. A link
+// relay is the one hop down every tree: forward m — a fragment, a ping
+// — to a tree child, installing the child on the way. A link
 // that has not carried the child's install yet — the first, or any
 // redial — gets the install ahead of m, so the child's parent is always
 // the link its install last arrived on and nothing outruns it. A zero m
@@ -1364,17 +1359,6 @@ func (nm *NM) onLaunch(l *Launch) {
 		nm.finishJob(l.Job)
 		nm.c.send(Message{Term: &Term{Job: l.Job, Node: nm.node}})
 	}()
-}
-
-// onStrobe enacts the coordinated context switch: open the designated
-// row's gates, close the rest.
-func (nm *NM) onStrobe(row int) {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	nm.strobesSeen++
-	for _, gr := range nm.gates {
-		gr.g.set(gr.row == row)
-	}
 }
 
 // runProgram executes one live application process in gate-sized chunks:

@@ -24,8 +24,9 @@
 // fields out in wire order, fixed-width and big-endian, and which send
 // runs to encode and recv to decode. Per-fragment and per-period frames
 // pack each field to its width — fragments and their acks ('F', 'A'),
-// pings and pong ledgers ('P', 'Q'), strobes and their acks ('S', 'T'),
-// peer-down reports ('D') and HAVE ledgers ('H') — and encode and decode
+// control-round pings, a gang switch riding in their row, and pong
+// ledgers ('P', 'Q'), peer-down reports ('D') and HAVE ledgers ('H') —
+// and encode and decode
 // without allocating; a fragment is encoded once for every child link.
 // The topology-sized messages (registration, submissions and reports,
 // manifests — which carry the stripe tree below their recipient —
@@ -220,8 +221,7 @@ func (r *Report) walk(w *walker) {
 // travels as one frame of the type its row in walk names.
 //
 // recv decodes the per-period control frames and the delta round's
-// frames — Hello, FragAck, Ping, Pong, Strobe, StrobeAck, Manifest and
-// Have — into conn-owned scratch, so the pointers it returns for those
+// frames — Hello, FragAck, Ping, Pong, Manifest and Have — into conn-owned scratch, so the pointers it returns for those
 // are only valid until the next recv on the same conn: consume or copy
 // them before looping (Manifest has clone() for retention). Every other
 // message arrives in a value of its own.
@@ -240,8 +240,6 @@ type Message struct {
 	Done      *Done
 	Ping      *Ping
 	Pong      *Pong
-	Strobe    *Strobe
-	StrobeAck *StrobeAck
 	CtlPlan   *CtlPlan
 	StatusQ   *StatusReq
 	StatusR   *StatusRep
@@ -263,10 +261,6 @@ func (m *Message) walk(w *walker, c *conn) {
 		m.Ping.walk(w)
 	case at(w, wire.Pong, &m.Pong, &c.rPong):
 		m.Pong.walk(w)
-	case at(w, wire.Strobe, &m.Strobe, &c.rStrobe):
-		m.Strobe.walk(w)
-	case at(w, wire.StrobeAck, &m.StrobeAck, &c.rStrobeAck):
-		m.StrobeAck.walk(w)
 	case at(w, wire.Manifest, &m.Manifest, &c.rManifest):
 		m.Manifest.walk(w)
 	case at(w, wire.Have, &m.Have, &c.rHave):
@@ -546,19 +540,24 @@ func (s *StatusRep) walk(w *walker) {
 	w.flag(&s.Gang)
 }
 
-// Ping is one heartbeat (or isolation-probe) round. On the control
-// tree the MM sends one epoch-stamped ping per period to its direct
-// children only; every NM relays it to its own control-tree children,
-// so MM heartbeat egress is O(fanout) regardless of cluster size.
-// Directed isolation probes reuse the same frame with Epoch 0 and a
-// sequence in the disjoint probe range.
+// Ping is one control round — a heartbeat, or a gang context switch —
+// or an isolation probe. On the control tree the MM sends one
+// epoch-stamped ping per round to its direct children only; every NM
+// relays it to its own control-tree children, so MM control egress is
+// O(fanout) regardless of cluster size. Row is one more than the gang
+// row the round switches to, and 0 for a round that switches none (a
+// heartbeat); an NM enacts the switch on arrival, before it relays.
+// Directed isolation probes reuse the same frame with Epoch 0, no row
+// and a sequence in the disjoint probe range.
 type Ping struct {
 	Seq   int64
+	Row   int
 	Epoch int
 }
 
 func (p *Ping) walk(w *walker) {
 	num(w, &p.Seq, 8)
+	num(w, &p.Row, 4)
 	num(w, &p.Epoch, 4)
 }
 
@@ -587,41 +586,7 @@ func (p *Pong) walk(w *walker) {
 	num(w, &p.Absent, 8)
 }
 
-// Strobe is the live gang-scheduling context switch: row Row becomes
-// the running timeslot. It multicasts down the control tree exactly
-// like a heartbeat ping (O(fanout) MM egress), and NMs both enact it
-// locally and relay it to their control-tree children. Seq orders
-// strobes; Epoch guards against stale-topology acks.
-type Strobe struct {
-	Seq   int64
-	Row   int
-	Epoch int
-}
-
-func (s *Strobe) walk(w *walker) {
-	num(w, &s.Seq, 8)
-	num(w, &s.Row, 4)
-	num(w, &s.Epoch, 4)
-}
-
-// StrobeAck confirms strobe delivery, aggregated like fragment acks:
-// Node's ack for Seq means every node in Node's control subtree has
-// enacted strobes up to and including Seq. The MM's strobe latency
-// metric is the gap between the multicast and the last direct child's
-// cumulative ack.
-type StrobeAck struct {
-	Seq   int64
-	Node  int
-	Epoch int
-}
-
-func (a *StrobeAck) walk(w *walker) {
-	num(w, &a.Seq, 8)
-	num(w, &a.Node, 4)
-	num(w, &a.Epoch, 4)
-}
-
-// CtlPlan lays the cluster-wide control tree (the heartbeat/strobe fast
+// CtlPlan lays the cluster-wide control tree (the control rounds' fast
 // path) the way a Manifest lays a stripe's: the MM sends one to each of
 // its control children only when membership changes — registration,
 // unregistration, conviction — and every recipient installs its children
@@ -922,15 +887,13 @@ type conn struct {
 	// the r* fields are where it decodes the messages it lends (see
 	// Message). A conn has one reader (the read loop that owns it), so
 	// there is no aliasing.
-	rbuf       [connScratchLen]byte
-	rHello     Hello
-	rPing      Ping
-	rPong      Pong
-	rStrobe    Strobe
-	rStrobeAck StrobeAck
-	rAck       FragAck
-	rManifest  Manifest // Hashes/Tree grown once, reused across frames
-	rHave      Have     // Bits grown once
+	rbuf      [connScratchLen]byte
+	rHello    Hello
+	rPing     Ping
+	rPong     Pong
+	rAck      FragAck
+	rManifest Manifest // Hashes/Tree grown once, reused across frames
+	rHave     Have     // Bits grown once
 
 	sent       atomic.Int64 // bytes written, frames included
 	sentFrames atomic.Int64 // frames written (the control-egress metric)

@@ -105,7 +105,7 @@ func TestFrameInterleaving(t *testing.T) {
 		ca.send(Message{Ping: &Ping{Seq: 1}})
 		ca.send(Message{Frag: &Frag{Job: 1, Index: 0, Data: data}})
 		ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 2, OK: true}})
-		ca.send(Message{Strobe: &Strobe{Row: 1}})
+		ca.send(Message{Ping: &Ping{Seq: 2, Row: 1}})
 	}()
 	wantKinds := []string{"ping", "frag", "ack", "strobe"}
 	for _, want := range wantKinds {
@@ -128,8 +128,8 @@ func TestFrameInterleaving(t *testing.T) {
 				t.Fatalf("want ack, got %+v", m)
 			}
 		case "strobe":
-			if m.Strobe == nil || m.Strobe.Row != 1 {
-				t.Fatalf("want strobe, got %+v", m)
+			if m.Ping == nil || m.Ping.Row != 1 {
+				t.Fatalf("want a ping carrying a row, got %+v", m)
 			}
 		}
 	}

@@ -553,9 +553,9 @@ func TestStripedFragAllocs(t *testing.T) {
 	}
 }
 
-// TestStrayAnswersAreDropped: an ack, a HAVE, a pong or a strobe ack
-// naming a node that is not a direct child of the MM in the tree it
-// speaks for finds no record, and must not grow one.
+// TestStrayAnswersAreDropped: an ack, a HAVE or a pong naming a node
+// that is not a direct child of the MM in the tree it speaks for finds no
+// record, and must not grow one.
 func TestStrayAnswersAreDropped(t *testing.T) {
 	mm := &MM{cfg: MMConfig{Fanout: 2}, jobs: map[int]*liveJob{}, probes: map[int64]*probeRound{}}
 	j := &liveJob{id: 1, nodes: testLinks(7)}
@@ -586,10 +586,8 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 	mm.ctl.kids = newKids(layTree(links, 2))
 	for _, node := range []int{2, 99} {
 		mm.onPong(&Pong{Seq: 5, Node: node, Epoch: 1})
-		mm.onStrobeAck(&StrobeAck{Seq: 5, Node: node, Epoch: 1})
 	}
 	mm.onPong(&Pong{Seq: 4, Node: 1, Epoch: 1})
-	mm.onStrobeAck(&StrobeAck{Seq: 4, Node: 1, Epoch: 1})
 	if k := mm.ctl.kids[0]; len(mm.ctl.kids) != 2 || k.ledger != (pongLedger{}) || k.acked != 0 {
 		t.Fatalf("stray control answers changed the records: %d kids, kid 0 %+v", len(mm.ctl.kids), k)
 	}
@@ -600,8 +598,8 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 
 // TestNMAnswersMatchedByLink: on an NM, a tree answer belongs to the
 // child bound to the link it arrived on, whatever node it names. A pong
-// and a strobe ack naming a control child but arriving on a link no
-// child is bound to change no record; on the child's own link they land.
+// naming a control child but arriving on a link no child is bound to
+// changes no record; on the child's own link it lands.
 func TestNMAnswersMatchedByLink(t *testing.T) {
 	bound3, bound4, stray := discardConn(), discardConn(), discardConn()
 	nm := &NM{node: 1}
@@ -611,18 +609,16 @@ func TestNMAnswersMatchedByLink(t *testing.T) {
 	}}}
 	kid3, kid4 := nm.ctl.children[0], nm.ctl.children[1]
 	nm.onCtlPong(&Pong{Seq: 5, Node: 3, Epoch: 3, Absent: 1}, stray)
-	nm.onCtlStrobeAck(&StrobeAck{Seq: 5, Node: 3, Epoch: 3}, stray)
 	for _, k := range nm.ctl.children {
-		if k.ledger != (pongLedger{}) || k.acked != 0 {
-			t.Fatalf("answers on an unbound link changed node %d's record: ledger %+v, credit %d", k.node, k.ledger, k.acked)
+		if k.ledger != (pongLedger{}) {
+			t.Fatalf("a pong on an unbound link changed node %d's record: ledger %+v", k.node, k.ledger)
 		}
 	}
 	nm.onCtlPong(&Pong{Seq: 5, Node: 3, Epoch: 3, Absent: 1}, bound3)
-	nm.onCtlStrobeAck(&StrobeAck{Seq: 5, Node: 3, Epoch: 3}, bound3)
-	if kid3.ledger != (pongLedger{seq: 5, absent: 1}) || kid3.acked != 5 {
-		t.Fatalf("answers on the child's own link did not land: ledger %+v, credit %d", kid3.ledger, kid3.acked)
+	if kid3.ledger != (pongLedger{seq: 5, absent: 1}) {
+		t.Fatalf("a pong on the child's own link did not land: ledger %+v", kid3.ledger)
 	}
-	if kid4.ledger != (pongLedger{}) || kid4.acked != 0 {
-		t.Fatalf("node 3's answers changed node 4's record: ledger %+v, credit %d", kid4.ledger, kid4.acked)
+	if kid4.ledger != (pongLedger{}) {
+		t.Fatalf("node 3's pong changed node 4's record: ledger %+v", kid4.ledger)
 	}
 }

@@ -15,15 +15,13 @@ package wire
 // (registration, submission and report, manifests, launch, ...) are a
 // body frame each: a u32 body length, then the body.
 const (
-	Frag      = 'F' // one binary fragment: header + payload
-	Ack       = 'A' // fragment ack
-	Ping      = 'P' // heartbeat / isolation probe
-	Pong      = 'Q' // pong ledger
-	Strobe    = 'S' // gang context switch
-	StrobeAck = 'T'
-	PeerDown  = 'D' // fixed part + error string
-	Have      = 'H' // fixed part + 8-byte bitmap words
-	Hello     = 'L' // peer-hub routing hello
+	Frag     = 'F' // one binary fragment: header + payload
+	Ack      = 'A' // fragment ack
+	Ping     = 'P' // control round (heartbeat, gang switch) / isolation probe
+	Pong     = 'Q' // pong ledger
+	PeerDown = 'D' // fixed part + error string
+	Have     = 'H' // fixed part + 8-byte bitmap words
+	Hello    = 'L' // peer-hub routing hello
 
 	// Body frames.
 	Register  = 'R'
@@ -49,14 +47,11 @@ const (
 	// AckLen is job u32 | index u32 | node u32 | epoch u32 | ok u8 |
 	// stripe u8.
 	AckLen = 18
-	// PingLen is seq u64 | epoch u32.
-	PingLen = 12
+	// PingLen is seq u64 | row u32 | epoch u32, row being one more than
+	// the gang row the round switches to (0: no switch).
+	PingLen = 16
 	// PongLen is seq u64 | node u32 | epoch u32 | absent u64.
 	PongLen = 24
-	// StrobeLen is seq u64 | row u32 | epoch u32.
-	StrobeLen = 16
-	// StrobeAckLen is seq u64 | node u32 | epoch u32.
-	StrobeAckLen = 16
 	// PeerDownLen is job u32 | node u32 | from u32 | elen u16: the error
 	// string's length is the last two bytes of the fixed part.
 	PeerDownLen = 14
@@ -105,15 +100,13 @@ func (s Shape) Body() bool { return s.CountWidth != 0 && s.CountWidth == s.Fixed
 // Shapes is the frame table, indexed by type byte. A zero Fixed marks a
 // byte that starts no frame.
 var Shapes = [256]Shape{
-	Frag:      {"frag", FragLen, FragLenOff, 4, 1},
-	Ack:       {Name: "ack", Fixed: AckLen},
-	Ping:      {Name: "ping", Fixed: PingLen},
-	Pong:      {Name: "pong", Fixed: PongLen},
-	Strobe:    {Name: "strobe", Fixed: StrobeLen},
-	StrobeAck: {Name: "strobe-ack", Fixed: StrobeAckLen},
-	PeerDown:  {"peer-down", PeerDownLen, PeerDownLen - 2, 2, 1},
-	Have:      {"have", HaveLen, HaveCountOff, 2, 8},
-	Hello:     {Name: "hello", Fixed: HelloLen},
+	Frag:     {"frag", FragLen, FragLenOff, 4, 1},
+	Ack:      {Name: "ack", Fixed: AckLen},
+	Ping:     {Name: "ping", Fixed: PingLen},
+	Pong:     {Name: "pong", Fixed: PongLen},
+	PeerDown: {"peer-down", PeerDownLen, PeerDownLen - 2, 2, 1},
+	Have:     {"have", HaveLen, HaveCountOff, 2, 8},
+	Hello:    {Name: "hello", Fixed: HelloLen},
 
 	Register:  {"register", BodyLen, 0, 4, 1},
 	Submit:    {"submit", BodyLen, 0, 4, 1},

@@ -51,10 +51,8 @@ func everyFrame(t testing.TB) [][]byte {
 		{CtlPlan: &CtlPlan{Epoch: p8, Tree: tree}},
 		{Frag: &Frag{Job: p4, Index: p4, Last: true, Stripe: 'P', Data: []byte(ps)}},
 		{FragAck: &FragAck{Job: p4, Index: p4, Node: p4, Epoch: p4, OK: true, Stripe: 'P'}},
-		{Ping: &Ping{Seq: p8, Epoch: p4}},
+		{Ping: &Ping{Seq: p8, Row: p4, Epoch: p4}},
 		{Pong: &Pong{Seq: p8, Node: p4, Epoch: p4, Absent: p8}},
-		{Strobe: &Strobe{Seq: p8, Row: p4, Epoch: p4}},
-		{StrobeAck: &StrobeAck{Seq: p8, Node: p4, Epoch: p4}},
 		{PeerDown: &PeerDown{Job: p4, Node: p4, From: p4, Err: ps}},
 		{Have: &Have{Job: p4, Node: p4, Epoch: p4, Stripe: 'P', Bits: []uint64{p8, p8}}},
 		{Hello: &Hello{Node: p4}},
@@ -222,6 +220,14 @@ func FuzzConnRecv(f *testing.F) {
 	f.Add(retired[:len(retired)-1])
 	f.Add(retired[:3])
 	f.Add(append([]byte{'X', 0xff, 0xff, 0xff, 0xff}, retired[5:]...))
+	// And 'S' (strobe) and 'T' (strobe ack), each a 16-byte fixed part —
+	// whole, cut short, and cut in half.
+	for _, typ := range []byte{'S', 'T'} {
+		old := append([]byte{typ}, bytes.Repeat([]byte{'P'}, 16)...)
+		f.Add(old)
+		f.Add(old[:len(old)-1])
+		f.Add(old[:1+8])
+	}
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recvAll := func() {
@@ -288,10 +294,8 @@ func goldenFrames() []goldenFrame {
 	return []goldenFrame{
 		{"frag", Message{Frag: &Frag{Job: 1, Index: 2, Last: true, Stripe: 4, Data: []byte{5, 6, 7}}}},
 		{"ack", Message{FragAck: &FragAck{Job: 1, Index: 2, Node: 3, Epoch: 4, OK: true, Stripe: 5}}},
-		{"ping", Message{Ping: &Ping{Seq: 1, Epoch: 2}}},
+		{"ping", Message{Ping: &Ping{Seq: 1, Row: 2, Epoch: 3}}},
 		{"pong", Message{Pong: &Pong{Seq: 1, Node: 2, Epoch: 3, Absent: 5}}},
-		{"strobe", Message{Strobe: &Strobe{Seq: 1, Row: 2, Epoch: 3}}},
-		{"strobeack", Message{StrobeAck: &StrobeAck{Seq: 1, Node: 2, Epoch: 3}}},
 		{"peerdown", Message{PeerDown: &PeerDown{Job: 1, Node: 2, From: 3, Err: "four"}}},
 		{"have", Message{Have: &Have{Job: 1, Node: 2, Epoch: 3, Stripe: 4, Bits: []uint64{5, 6}}}},
 		{"hello", Message{Hello: &Hello{Node: 1}}},
@@ -304,10 +308,12 @@ func goldenFrames() []goldenFrame {
 // (the plan frame left with its message); the control plan once it
 // carried the manifest's subtree encoding; the fragment and the
 // manifest once the chunk hash became the only content check, and both
-// lost their CRCs; and the pong and the done report once their unread
-// fields (the ledger's min-seq, the report's free-text timeline) left.
+// lost their CRCs; the pong and the done report once their unread
+// fields (the ledger's min-seq, the report's free-text timeline) left;
+// and the ping once it carried the gang row (the strobe frames left).
 var goldenFiles = []string{"testdata/frames_ab214b3.golden", "testdata/frames_pr21.golden",
-	"testdata/frames_pr25.golden", "testdata/frames_hashonly.golden", "testdata/frames_unreadfields.golden"}
+	"testdata/frames_pr25.golden", "testdata/frames_hashonly.golden", "testdata/frames_unreadfields.golden",
+	"testdata/frames_pingrow.golden"}
 
 // checkGolden holds each frame to its golden bytes, byte for byte, and
 // every golden frame to a message of goldenFrames or bodyFrames — a frame
