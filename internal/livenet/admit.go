@@ -159,14 +159,7 @@ func (p *wfairPolicy) pick(q []*liveJob) *liveJob {
 }
 
 func (p *wfairPolicy) granted(j *liveJob) {
-	w := j.spec.Weight
-	if w <= 0 {
-		w = 1
-	}
-	bytes := j.spec.BinaryBytes
-	if bytes <= 0 {
-		bytes = 1
-	}
+	w, bytes := max(j.spec.Weight, 1), max(j.spec.BinaryBytes, 1)
 	p.vt[j.spec.User] += float64(bytes) / float64(w)
 }
 

@@ -198,8 +198,9 @@ func TestChaosKillEachTreePosition(t *testing.T) {
 
 // TestChaosOneWayPartition: a leaf NM keeps its outbound path (it
 // registers, its conns look open) but never receives another byte — an
-// asymmetric partition. It never confirms the relay plan, fails the
-// isolation probe, and is excluded; the launch completes on the rest.
+// asymmetric partition. It never confirms the relay plan, and no closed
+// link names it, so recovery probes: it fails the isolation probe and is
+// excluded; the launch completes on the rest.
 func TestChaosOneWayPartition(t *testing.T) {
 	const n, victim = 5, 4
 	cfg := chaosMMConfig()
@@ -223,7 +224,73 @@ func TestChaosOneWayPartition(t *testing.T) {
 	if len(rep.Failed) != 1 || rep.Failed[0] != victim {
 		t.Fatalf("report names failed nodes %v, want [%d]", rep.Failed, victim)
 	}
+	mm.mu.Lock()
+	probed := mm.probeSeq > 0
+	mm.mu.Unlock()
+	if !probed {
+		t.Fatal("a failure no link named was diagnosed without an isolation probe")
+	}
 	assertSurvivorImages(t, nms, victim, rep.JobID, chaosBinary/cfg.FragBytes)
+}
+
+// TestNamedDeathProbesNobody: an interior relay dies mid-stream, and its
+// MM link closes with it, so the MM's own evidence names the dead node.
+// Recovery takes that word: the MM writes no isolation probe (no ping
+// at all, as no heartbeat runs, and no probe sequence is drawn), replans
+// once, and the launch completes on the survivors with byte-identical
+// images. TestChaosOneWayPartition is the other path: a failure nothing
+// names still probes.
+func TestNamedDeathProbesNobody(t *testing.T) {
+	const n = 7
+	cfg := chaosMMConfig()
+	victim := treePositions(t, n, cfg.Fanout)["interior"]
+	for _, seed := range chaosSeeds {
+		t.Run(fmt.Sprintf("node%d-seed%d", victim, seed), func(t *testing.T) {
+			killAt := 8 + seedIntn(seed, 16)
+			var census frameCensus
+			cfg := cfg
+			cfg.WrapConn = census.wrap
+			var victimNM atomic.Pointer[NM]
+			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
+				if node != victim {
+					return NMConfig{}
+				}
+				return NMConfig{WrapConn: func(c net.Conn) net.Conn {
+					plan := faultconn.NewPlan()
+					plan.CloseAtReadFrag = killAt
+					plan.OnFault = func(string) {
+						go func() {
+							if nm := victimNM.Load(); nm != nil {
+								nm.Close()
+							}
+						}()
+					}
+					return faultconn.Wrap(c, plan)
+				}}
+			})
+			victimNM.Store(nms[victim])
+			rep, err := SubmitJob(mm.Addr(), JobSpec{
+				Name: "named-death", BinaryBytes: chaosBinary, Nodes: n, PEsPerNode: 1,
+				Program: ProgramSpec{Kind: "exit"},
+			})
+			if err != nil {
+				t.Fatalf("launch did not recover from killing node %d at frag %d: %v", victim, killAt, err)
+			}
+			if pings := census.take()["ping"]; pings != 0 {
+				t.Errorf("the MM wrote %d pings to diagnose a death its own link named", pings)
+			}
+			mm.mu.Lock()
+			seq := mm.probeSeq
+			mm.mu.Unlock()
+			if seq != 0 {
+				t.Errorf("recovery drew %d probe rounds, want none", seq)
+			}
+			if rep.Replans != 1 || len(rep.Failed) != 1 || rep.Failed[0] != victim {
+				t.Fatalf("replans %d, failed %v; want 1 replan and [%d]", rep.Replans, rep.Failed, victim)
+			}
+			assertSurvivorImages(t, nms, victim, rep.JobID, chaosBinary/cfg.FragBytes)
+		})
+	}
 }
 
 // TestChaosCorruptRelayFailsFast: wire-level corruption on a relay link

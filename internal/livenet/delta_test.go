@@ -366,18 +366,19 @@ type launchBudget struct {
 // laid, announced or answered must show here. The image is 4 MiB + 100 B
 // in 64 KiB chunks, 65 of them. A launch at k stripes writes 2k manifests
 // (one per direct child per stripe, each carrying that child's subtree)
-// and 16 launches, and a cold one also its 130 frags: 148/150 cold and
-// 18/20 warm frames. (With a plan round and need masks the same launches
-// cost 166/170 and 36/40.) The bytes are what conn.send wrote for the
-// manifests and frags.
+// and 2 launches (one per direct child of stripe 0's tree, which relays
+// it on), and a cold one also its 130 frags: 134/136 cold and 4/6 warm
+// frames. (With a launch per node the same launches cost 148/150 and
+// 18/20; with a plan round and need masks as well, 166/170 and 36/40.)
+// The bytes are what conn.send wrote for the manifests and frags.
 func TestLaunchFrameBudget(t *testing.T) {
 	const n = 16
 	for _, tc := range []struct {
 		stripes    int
 		cold, warm launchBudget
 	}{
-		{1, launchBudget{148, 8392410, 65}, launchBudget{18, 1652, 0}},
-		{2, launchBudget{150, 8394062, 65}, launchBudget{20, 3304, 0}},
+		{1, launchBudget{134, 8392410, 65}, launchBudget{4, 1652, 0}},
+		{2, launchBudget{136, 8394062, 65}, launchBudget{6, 3304, 0}},
 	} {
 		cfg := MMConfig{Fanout: 2, FragBytes: 64 << 10, Stripes: tc.stripes}
 		mm, _, _ := chaosCluster(t, n, cfg, func(int) NMConfig { return NMConfig{CacheBytes: 8 << 20} })

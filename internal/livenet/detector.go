@@ -76,9 +76,7 @@ func (l *latencyMeter) settle(hi int64) {
 		d := time.Since(t0).Nanoseconds()
 		l.n++
 		l.sum += d
-		if d > l.max {
-			l.max = d
-		}
+		l.max = max(l.max, d)
 		delete(l.sent, seq)
 	}
 }

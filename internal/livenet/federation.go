@@ -443,10 +443,7 @@ func (f *Federation) assign(spec *JobSpec, members map[int][]int) ([]fedAssign, 
 		if remaining == 0 {
 			break
 		}
-		n := len(members[p.id])
-		if n > remaining {
-			n = remaining
-		}
+		n := min(len(members[p.id]), remaining)
 		out = append(out, fedAssign{part: p, nodes: n})
 		remaining -= n
 	}
@@ -505,15 +502,6 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 	f.launched++
 	f.mu.Unlock()
 
-	release := func(a fedAssign) {
-		f.mu.Lock()
-		if a.part.load >= a.nodes {
-			a.part.load -= a.nodes
-		} else {
-			a.part.load = 0
-		}
-		f.mu.Unlock()
-	}
 	defer func() {
 		f.mu.Lock()
 		f.admit.release()
@@ -527,7 +515,7 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 		wg.Add(1)
 		go func(i int, a fedAssign) {
 			defer wg.Done()
-			defer release(a)
+			defer f.unload(a.part, a.nodes)
 			results[i] = f.runPart(j.id, subSpec(spec, a), a)
 		}(i, a)
 	}
@@ -544,12 +532,8 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 			}
 			continue
 		}
-		if r.pr.Report.Send > rep.Send {
-			rep.Send = r.pr.Report.Send
-		}
-		if r.pr.Report.Execute > rep.Execute {
-			rep.Execute = r.pr.Report.Execute
-		}
+		rep.Send = max(rep.Send, r.pr.Report.Send)
+		rep.Execute = max(rep.Execute, r.pr.Report.Execute)
 		rep.Parts = append(rep.Parts, r.pr)
 	}
 	sort.Slice(rep.Parts, func(a, b int) bool { return rep.Parts[a].Partition < rep.Parts[b].Partition })
@@ -620,16 +604,15 @@ func (f *Federation) runPart(jobID int, spec JobSpec, a fedAssign) (res subResul
 		part = next
 		// The survivor's load charge lives until this share finishes,
 		// however many further retries that takes.
-		defer func(p *fedPartition, n int) {
-			f.mu.Lock()
-			if p.load >= n {
-				p.load -= n
-			} else {
-				p.load = 0
-			}
-			f.mu.Unlock()
-		}(next, spec.Nodes)
+		defer f.unload(next, spec.Nodes)
 	}
+}
+
+// unload takes back the load charge of n nodes on p.
+func (f *Federation) unload(p *fedPartition, n int) {
+	f.mu.Lock()
+	p.load = max(p.load-n, 0)
+	f.mu.Unlock()
 }
 
 // pickSurvivor chooses the least-loaded live partition (deterministic

@@ -83,7 +83,8 @@ type MMConfig struct {
 	// AckTimeout, which times only the transfer phase.
 	TermTimeout time.Duration
 	// ProbeGrace is how long an isolation probe waits for a node's
-	// pong before declaring it dead during transfer recovery (default
+	// pong before declaring it dead, when transfer recovery must find a
+	// failure that no closed link or PeerDown named (default
 	// AckTimeout/4, clamped to [50ms, 1s]).
 	ProbeGrace time.Duration
 	// Fanout is the out-degree of the software-multicast forwarding
@@ -170,32 +171,19 @@ func (c *MMConfig) fill() {
 		c.TermTimeout = 60 * time.Second
 	}
 	if c.ProbeGrace == 0 {
-		c.ProbeGrace = c.AckTimeout / 4
-		if c.ProbeGrace > time.Second {
-			c.ProbeGrace = time.Second
-		}
-		if c.ProbeGrace < 50*time.Millisecond {
-			c.ProbeGrace = 50 * time.Millisecond
-		}
+		c.ProbeGrace = max(min(c.AckTimeout/4, time.Second), 50*time.Millisecond)
 	}
 	if c.Fanout == 0 {
 		c.Fanout = 2
 	}
-	if c.Stripes < 1 {
-		c.Stripes = 1
-	}
-	if c.Stripes > 255 {
-		c.Stripes = 255 // the frame headers carry the stripe in one byte
-	}
+	c.Stripes = min(max(c.Stripes, 1), 255) // the frame headers carry the stripe in one byte
 	if c.GangQuantum > 0 && c.MPL == 0 {
 		c.MPL = 2
 	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 8
 	}
-	if c.MaxConcurrent < 1 {
-		c.MaxConcurrent = 1
-	}
+	c.MaxConcurrent = max(c.MaxConcurrent, 1)
 }
 
 // MM is the live Machine Manager: it accepts NM registrations and client
@@ -273,11 +261,10 @@ type MM struct {
 	wg sync.WaitGroup
 }
 
-// probeRound collects pongs for one directed isolation-probe sweep: owed
-// is the set of probed nodes still to be heard from, and done closes
-// when it empties — the round need not run out its grace.
+// probeRound collects pongs for one directed isolation-probe sweep, under
+// MM.mu: owed is the set of probed nodes still to be heard from, and done
+// closes when it empties — the round need not run out its grace.
 type probeRound struct {
-	mu   sync.Mutex
 	owed map[int]bool
 	done chan struct{}
 }
@@ -286,8 +273,6 @@ type probeRound struct {
 // (from the prober) it could not even be written to. Pongs from nodes
 // the round did not probe, and duplicates, count for nothing.
 func (pr *probeRound) settle(node int) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
 	if !pr.owed[node] {
 		return
 	}
@@ -395,8 +380,10 @@ type liveJob struct {
 	winPeak   int
 	sendBytes int64
 
-	// termed is the set of nodes that reported termination.
-	termed map[int]bool
+	// termed is the set of nodes that reported termination, and unrelayed
+	// the launched nodes a parent could not relay the Launch to.
+	termed    map[int]bool
+	unrelayed []int
 }
 
 // stripeState is one stripe's transfer state: its spanning tree (laid
@@ -993,12 +980,14 @@ func (mm *MM) onHave(h *Have) {
 }
 
 // onPeerDown records an NM's report that a relay child is unreachable.
-// It speaks of a relay link only, so after launch it is stale: the node
-// may still hold its MM link and run its ranks.
+// It speaks of a relay link only, so after launch it is no death: the
+// launch writes the node its Launch directly.
 func (mm *MM) onPeerDown(d *PeerDown) {
 	mm.onTransferEvent(d.Job, func(j *liveJob) {
 		if j.phase < phaseLaunched {
 			j.nodeDown(d.Node, fmt.Sprintf("parent %d could not reach it: %s", d.From, d.Err))
+		} else {
+			j.unrelayed = append(j.unrelayed, d.Node)
 		}
 	})
 }
@@ -1161,54 +1150,68 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	}
 	send := time.Since(start)
 
-	// Launch: tell each surviving NM its ranks (re-ranked densely over
-	// the survivor set if recovery shrank the job). From here on the
-	// transfer's late answers are inert: a failure or evidence one of them
-	// left behind after the transfer's last wait is stale — only a
-	// shutdown still counts, and a closed MM link fails the Launch write.
+	// Launch: one frame down stripe 0's tree, which every NM relays to its
+	// children before it forks, carrying the survivor order the ranks are
+	// dense over. From here on the transfer's late answers are inert: a
+	// failure or evidence one of them left behind after the transfer's last
+	// wait is stale — only a shutdown still counts.
 	mm.record(j, journal.Event{Type: journal.JobLaunched})
 	j.mu.Lock()
 	if !errors.Is(j.fail, ErrMMClosed) {
 		j.fail = nil
 	}
 	j.peerDown = nil
-	nodes = append([]*nmLink(nil), j.nodes...)
-	j.mu.Unlock()
-	// A Launch that cannot be written is a node death like any other: the
-	// node joins the job's failed set, its ranks do not run, and the
-	// launch stands on the nodes that took theirs. Those owe a termination
-	// report: wait lists them.
-	wait := make([]int, 0, len(nodes))
-	var lost error
-	for i, link := range nodes {
-		ranks := make([]int, 0, spec.PEsPerNode)
-		for r := 0; r < spec.PEsPerNode; r++ {
-			ranks = append(ranks, i*spec.PEsPerNode+r)
-		}
-		msg := Message{Launch: &Launch{Job: j.id, Program: spec.Program, Ranks: ranks,
-			Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
-		if _, err := link.c.send(msg); err != nil {
-			lost = fmt.Errorf("launch to node %d: %w", link.node, err)
-			j.mu.Lock()
-			j.failedNodes = append(j.failedNodes, link.node)
-			j.mu.Unlock()
-			continue
-		}
+	wait := make([]int, 0, len(j.nodes)) // the nodes that owe a termination report
+	for _, link := range j.nodes {
 		wait = append(wait, link.node)
 	}
-	ran := len(wait)
-	if ran == 0 {
-		return fail(fmt.Errorf("livenet: job %d: launch phase: all nodes failed (%v), last: %w", j.id, j.failedNodes, lost))
+	tree := j.stripes[0].tree
+	j.mu.Unlock()
+	msg := Message{Launch: &Launch{Job: j.id, Program: spec.Program, PEs: spec.PEsPerNode,
+		Nodes: slices.Clone(wait), Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
+	// The MM writes its own children in the tree, the children of each node
+	// that died before launch (stripe 0 may have drained first, keeping the
+	// tree the node sat in), and a node its parent could not relay to
+	// (PeerDown); an NM drops a second copy. A Launch the MM cannot write is
+	// a node death as in any phase: the node is failed, its ranks do not
+	// run, it owes no report, and the MM writes its children.
+	var todo []int // tree positions the MM is to write
+	for _, tk := range tree.kids {
+		todo = append(todo, tk.pos)
 	}
-
-	// Collect their termination reports. The termination deadline is its
-	// own budget — the program's expected duration plus TermTimeout — and
-	// is independent of the transfer-phase AckTimeout; a node that took
-	// its Launch and lost its MM link never reports, and fails the wait at
-	// once. Every report wakes the wait, so a wake is kept cheap on a wide
-	// job: it walks only the nodes still owing — the list shrinks in place.
-	err = j.await(nil, "launched nodes never reported termination: missing",
-		time.Now().Add(spec.Program.Duration+mm.cfg.TermTimeout), func(names *[]string) int {
+	for p, link := range tree.order {
+		if slices.Contains(j.failedNodes, link.node) {
+			todo = append(todo, tree.pos[p].kids...)
+		}
+	}
+	deadline := time.Now().Add(spec.Program.Duration + mm.cfg.TermTimeout)
+	var lost error
+	for ran := len(wait); len(todo) > 0 || len(wait) > 0; {
+		for ; len(todo) > 0; todo = todo[1:] {
+			link := tree.order[todo[0]]
+			if slices.Contains(j.failedNodes, link.node) {
+				continue // its children are written in its place
+			}
+			if _, err := link.c.send(msg); err != nil && slices.Contains(wait, link.node) {
+				lost = fmt.Errorf("launch to node %d: %w", link.node, err)
+				j.mu.Lock()
+				j.failedNodes = append(j.failedNodes, link.node)
+				j.mu.Unlock()
+				ran--
+				wait = slices.DeleteFunc(wait, func(n int) bool { return n == link.node })
+				todo = append(todo, tree.pos[todo[0]].kids...)
+			}
+		}
+		if ran == 0 {
+			return fail(fmt.Errorf("livenet: job %d: launch phase: all nodes failed (%v), last: %w", j.id, j.failedNodes, lost))
+		}
+		// Collect the termination reports. The termination deadline is its
+		// own budget — the program's expected duration plus TermTimeout —
+		// independent of the transfer-phase AckTimeout; a node that lost its
+		// MM link never reports, and fails the wait at once. Every report
+		// wakes the wait, so a wake walks only the nodes still owing (the
+		// list shrinks in place). A PeerDown ends the wait to write its node.
+		err = j.await(nil, "launched nodes never reported termination: missing", deadline, func(names *[]string) int {
 			k := 0
 			for _, node := range wait {
 				if !j.termed[node] {
@@ -1221,10 +1224,20 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 				}
 			}
 			wait = wait[:k]
+			for _, node := range j.unrelayed {
+				if slices.Contains(wait, node) {
+					todo = append(todo, slices.IndexFunc(tree.order, func(l *nmLink) bool { return l.node == node }))
+				}
+			}
+			j.unrelayed = nil
+			if len(todo) > 0 {
+				return 0 // write them first
+			}
 			return k
 		})
-	if err != nil {
-		return Report{}, err
+		if err != nil {
+			return Report{}, err
+		}
 	}
 	total := time.Since(start)
 	mm.mu.Lock()
@@ -1686,27 +1699,24 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 }
 
 // diagnose turns a transfer failure into a verdict about which job
-// nodes are actually dead: nodes named by connection-level evidence
-// (nodeDown: the MM's own link closed or a write on it failed, or a
-// parent's PeerDown, which the relay layer already retried) are taken
-// at that word, and every other node is sent a directed isolation probe
-// over its control link, mirroring the simulator FaultDetector's
-// per-node probe phase. Nodes that neither answer within ProbeGrace nor
-// accept the probe write are dead.
+// nodes are actually dead. Connection-level evidence (nodeDown: the MM's
+// own link closed or a write on it failed, or a parent's PeerDown, which
+// the relay layer already retried) is taken at its word, and nobody is
+// probed; a node that dies later is named by its own evidence in its own
+// round. Only a failure nothing names — a stall, a one-way partition —
+// sends every job node a directed isolation probe over its control link,
+// as the simulator FaultDetector's per-node probe phase does; nodes that
+// neither answer within ProbeGrace nor accept the probe write are dead.
 func (mm *MM) diagnose(j *liveJob) map[int]string {
 	j.mu.Lock()
 	down := j.peerDown
 	j.peerDown, j.fail = nil, nil // consumed; recovery starts from a clean slate
-	var suspects []*nmLink
-	for _, link := range j.nodes {
-		if _, gone := down[link.node]; !gone {
-			suspects = append(suspects, link)
-		}
-	}
+	suspects := slices.Clone(j.nodes)
 	j.mu.Unlock()
-	dead := mm.probeNodes(suspects, mm.cfg.ProbeGrace)
-	maps.Copy(dead, down)
-	return dead
+	if len(down) > 0 {
+		return down
+	}
+	return mm.probeNodes(suspects, mm.cfg.ProbeGrace)
 }
 
 // probeNodes pings each link directly and waits for the pongs: until
@@ -1731,7 +1741,9 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 	for _, l := range links {
 		if _, err := l.c.send(Message{Ping: &Ping{Seq: seq}}); err != nil {
 			dead[l.node] = fmt.Sprintf("probe write failed: %v", err)
+			mm.mu.Lock()
 			pr.settle(l.node)
+			mm.mu.Unlock()
 		}
 	}
 	deadline := time.NewTimer(grace)
@@ -1740,12 +1752,10 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 	case <-deadline.C:
 	}
 	deadline.Stop()
-	pr.mu.Lock()
+	mm.mu.Lock()
 	for node := range pr.owed {
 		dead[node] = fmt.Sprintf("no answer to isolation probe within %v", grace)
 	}
-	pr.mu.Unlock()
-	mm.mu.Lock()
 	delete(mm.probes, seq)
 	mm.mu.Unlock()
 	return dead

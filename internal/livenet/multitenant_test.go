@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 
 // mtCluster boots an MM (with the given config) and n NMs sequentially,
 // waiting for each registration before creating the next — so the MM's
-// accept order is deterministic: accepted conn k belongs to NM k.
-func mtCluster(t *testing.T, n int, cfg MMConfig) (*MM, []*NM) {
+// accept order is deterministic: accepted conn k belongs to NM k. nmCfg,
+// when set, configures each NM.
+func mtCluster(t *testing.T, n int, cfg MMConfig, nmCfg func(node int) NMConfig) (*MM, []*NM) {
 	t.Helper()
 	mm, err := NewMM("127.0.0.1:0", cfg)
 	if err != nil {
@@ -26,7 +28,11 @@ func mtCluster(t *testing.T, n int, cfg MMConfig) (*MM, []*NM) {
 	t.Cleanup(func() { mm.Close() })
 	var nms []*NM
 	for i := 0; i < n; i++ {
-		nm, err := NewNMConfig(mm.Addr(), i, 4, NMConfig{})
+		var c NMConfig
+		if nmCfg != nil {
+			c = nmCfg(i)
+		}
+		nm, err := NewNMConfig(mm.Addr(), i, 4, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +56,16 @@ func mtCluster(t *testing.T, n int, cfg MMConfig) (*MM, []*NM) {
 // and the launch phase, only when no node took one. The injected fault
 // hard-closes the MM's side of a link immediately before its first
 // outgoing Launch frame, so the transfer on that link is always complete
-// when the write fails.
+// when the write fails. The Launch goes down stripe 0's tree, so the MM
+// writes a node's Launch in two cases, and each is run: the node is one
+// of its own children in the tree (node 1 of 3), or the node's parent
+// could not relay the Launch to it (node 2 of 7, below node 0: node 0's
+// link to it closes at the Launch and the redial is refused), and the MM
+// writes it the Launch itself. Either way the dead node's children in
+// the tree (node 6 of 7) still launch: the MM writes them directly.
 func TestLaunchPhaseDeathIsNodeDeath(t *testing.T) {
-	const n, victim = 3, 1
-	launch := func(armed func(node int) bool) ([]*NM, Report, error) {
+	const pes = 2
+	boot := func(n int, armed func(node int) bool, nmCfg func(node int) NMConfig) (*MM, []*NM) {
 		cfg := MMConfig{Fanout: 2, FragBytes: 32 << 10, AckTimeout: 700 * time.Millisecond}
 		var accepts atomic.Int32
 		cfg.WrapConn = func(c net.Conn) net.Conn {
@@ -65,33 +77,75 @@ func TestLaunchPhaseDeathIsNodeDeath(t *testing.T) {
 			plan.CtlFaults = []faultconn.CtlFault{{Kind: wire.Launch, Index: 0, Op: "close"}}
 			return faultconn.Wrap(c, plan)
 		}
-		mm, nms := mtCluster(t, n, cfg)
-		rep, err := mm.RunJob(JobSpec{
-			Name: "launch-death", BinaryBytes: 256 << 10, Nodes: n, PEsPerNode: 2,
+		return mtCluster(t, n, cfg, nmCfg)
+	}
+	run := func(mm *MM, n int) (Report, error) {
+		return mm.RunJob(JobSpec{
+			Name: "launch-death", BinaryBytes: 256 << 10, Nodes: n, PEsPerNode: pes,
 			Program: ProgramSpec{Kind: "exit"},
 		})
-		return nms, rep, err
+	}
+	survives := func(nms []*NM, rep Report, err error, victim int) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("a launch-phase death of node %d failed the job: %v", victim, err)
+		}
+		if len(rep.Failed) != 1 || rep.Failed[0] != victim {
+			t.Fatalf("Report.Failed = %v, want [%d]", rep.Failed, victim)
+		}
+		for _, nm := range nms {
+			want := pes
+			if nm.Node() == victim {
+				want = 0 // the lost node's ranks do not run
+			}
+			if got := nmLaunches(nm); got != want {
+				t.Fatalf("node %d forked %d processes, want %d", nm.Node(), got, want)
+			}
+		}
 	}
 
-	nms, rep, err := launch(func(node int) bool { return node == victim })
-	if err != nil {
-		t.Fatalf("a launch-phase death of one node failed the job: %v", err)
-	}
-	if len(rep.Failed) != 1 || rep.Failed[0] != victim {
-		t.Fatalf("Report.Failed = %v, want [%d]", rep.Failed, victim)
-	}
-	for _, nm := range nms {
-		want := 2
-		if nm.Node() == victim {
-			want = 0 // the lost node's ranks do not run
+	const rootVictim = 1 // an MM child in the 3-node tree
+	mm, nms := boot(3, func(node int) bool { return node == rootVictim }, nil)
+	rep, err := run(mm, 3)
+	survives(nms, rep, err, rootVictim)
+
+	// Node 0 relays to node 2, which relays to node 6. Node 0's dialer
+	// learns the victim's relay address once the victim exists; its link
+	// to the victim closes at the Launch, and every redial is refused.
+	const relayVictim = 2
+	var victimAddr atomic.Value
+	victimAddr.Store("")
+	var refuse atomic.Bool
+	mm, nms = boot(7, func(node int) bool { return node == relayVictim }, func(node int) NMConfig {
+		if node != 0 {
+			return NMConfig{}
 		}
-		if got := nmLaunches(nm); got != want {
-			t.Fatalf("node %d forked %d processes, want %d", nm.Node(), got, want)
-		}
+		return NMConfig{Dialer: func(addr string) (net.Conn, error) {
+			if addr != victimAddr.Load() {
+				return net.DialTimeout("tcp", addr, 5*time.Second)
+			}
+			if refuse.Load() {
+				return nil, fmt.Errorf("dial %s: %w", addr, syscall.ECONNREFUSED)
+			}
+			c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				return nil, err
+			}
+			plan := faultconn.NewPlan()
+			plan.CtlFaults = []faultconn.CtlFault{{Kind: wire.Launch, Index: 0, Op: "close"}}
+			plan.OnFault = func(string) { refuse.Store(true) }
+			return faultconn.Wrap(c, plan), nil
+		}}
+	})
+	victimAddr.Store(nms[relayVictim].PeerAddr())
+	rep, err = run(mm, 7)
+	survives(nms, rep, err, relayVictim)
+	if !refuse.Load() {
+		t.Fatal("node 0 never relayed the Launch to the victim: the MM wrote it first")
 	}
 
-	_, _, err = launch(func(int) bool { return true })
-	if err == nil {
+	mm, _ = boot(3, func(int) bool { return true }, nil)
+	if _, err = run(mm, 3); err == nil {
 		t.Fatal("a launch no node took reported success")
 	}
 	if !strings.Contains(err.Error(), "launch phase") || !strings.Contains(err.Error(), "launch to node 2") {
@@ -105,7 +159,7 @@ func TestLaunchPhaseDeathIsNodeDeath(t *testing.T) {
 // sampled throughout to catch any overlap.
 func TestGangRowExclusiveQueueing(t *testing.T) {
 	cfg := MMConfig{GangQuantum: 10 * time.Millisecond, MPL: 2}
-	mm, _ := mtCluster(t, 2, cfg)
+	mm, _ := mtCluster(t, 2, cfg, nil)
 
 	stop := make(chan struct{})
 	var sampler sync.WaitGroup
@@ -244,7 +298,7 @@ func TestAdmissionPolicies(t *testing.T) {
 // (in tree-position order); an unregistered node is an error, not a
 // queue wait.
 func TestPlacementPinning(t *testing.T) {
-	mm, nms := mtCluster(t, 4, MMConfig{Fanout: 2, FragBytes: 32 << 10})
+	mm, nms := mtCluster(t, 4, MMConfig{Fanout: 2, FragBytes: 32 << 10}, nil)
 	rep, err := SubmitJob(mm.Addr(), JobSpec{
 		Name: "pinned", BinaryBytes: 128 << 10, Nodes: 3, PEsPerNode: 1,
 		Place:   []int{2, 0, 3},
@@ -298,7 +352,7 @@ func TestPlacementPinning(t *testing.T) {
 func TestConcurrentStreamsSharedLinks(t *testing.T) {
 	for _, stripes := range []int{1, 2} {
 		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
-			mm, nms := mtCluster(t, 7, MMConfig{Fanout: 2, FragBytes: 16 << 10, MaxConcurrent: 8, Stripes: stripes})
+			mm, nms := mtCluster(t, 7, MMConfig{Fanout: 2, FragBytes: 16 << 10, MaxConcurrent: 8, Stripes: stripes}, nil)
 			const jobs = 6
 			var wg sync.WaitGroup
 			reports := make([]Report, jobs)

@@ -637,6 +637,9 @@ func (nm *NM) lostChildLink(c *conn) {
 	var lost []orphan
 	nm.mu.Lock()
 	for job, rs := range nm.relays {
+		if nm.gates[job] != nil {
+			continue // launched: the transfer is over, and the Launch went by
+		}
 		for _, sr := range rs.stripes {
 			for _, rc := range sr.children {
 				if rc.c == c && !rc.down {
@@ -1324,28 +1327,47 @@ func (nm *NM) finishJob(job int) {
 	nm.mu.Unlock()
 }
 
-// onLaunch forks the job's local processes, one PL goroutine per rank,
-// and reports when the last one exits.
+// onLaunch relays a job's Launch to this node's stripe-0 children that
+// the survivor order names (one it cannot reach is reported, and the MM
+// writes it), then forks the node's processes, one PL goroutine per rank,
+// and reports when the last one exits. A second copy changes nothing.
 func (nm *NM) onLaunch(l *Launch) {
 	nm.mu.Lock()
-	st := nm.bins[l.Job]
-	ready := st != nil && st.complete
+	if nm.gates[l.Job] != nil {
+		nm.mu.Unlock()
+		return
+	}
+	st, i := nm.bins[l.Job], slices.Index(l.Nodes, nm.node)
+	ready := st != nil && st.complete && i >= 0
+	// Gang mode: processes start gated and run only when their row is
+	// strobed; otherwise they free-run. The gate marks the job launched
+	// here, so lostChildLink leaves its tree alone from now on.
+	g := newGate(!l.Gang)
+	if ready {
+		nm.gates[l.Job] = &gateRow{g: g, row: l.Row}
+		nm.launches += l.PEs
+	}
+	var kids []*relayChild
+	if rs := nm.relays[l.Job]; rs != nil {
+		for _, rc := range rs.stripes[0].children {
+			if slices.Contains(l.Nodes, rc.node) {
+				rc.down = false // a Launch gets one more try
+				kids = append(kids, rc)
+			}
+		}
+	}
 	nm.mu.Unlock()
+	for _, rc := range kids {
+		nm.relay(l.Job, rc, Message{Launch: l})
+	}
 	if !ready {
 		// Binary never arrived: refuse by reporting immediately; the MM
 		// will see a too-early termination in its accounting.
 		nm.c.send(Message{Term: &Term{Job: l.Job, Node: nm.node}})
 		return
 	}
-	// Gang mode: processes start gated and run only when their row is
-	// strobed; otherwise they free-run.
-	g := newGate(!l.Gang)
-	nm.mu.Lock()
-	nm.gates[l.Job] = &gateRow{g: g, row: l.Row}
-	nm.launches += len(l.Ranks)
-	nm.mu.Unlock()
 	var procs sync.WaitGroup
-	for _, rank := range l.Ranks {
+	for rank := i * l.PEs; rank < (i+1)*l.PEs; rank++ {
 		procs.Add(1)
 		go func(rank int) {
 			defer procs.Done()
@@ -1374,10 +1396,7 @@ func runProgram(p ProgramSpec, rank int, g *gate) {
 			if !g.wait() {
 				return // job aborted: exit instead of finishing the run
 			}
-			d := slice
-			if remaining < d {
-				d = remaining
-			}
+			d := min(slice, remaining)
 			time.Sleep(d)
 			remaining -= d
 		}

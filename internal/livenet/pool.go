@@ -12,14 +12,7 @@ import (
 // enough to stop a multi-megabyte image from being single-core bound,
 // small enough not to fight the relay goroutines for the scheduler.
 func chunkWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	if w > n {
-		w = n
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), 8, n)
 }
 
 // parallelChunks runs fn(i) for every i in [0, n) across a small worker

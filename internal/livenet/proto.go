@@ -473,11 +473,14 @@ func (a *Abort) walk(w *walker) {
 	w.str(&a.Reason, 4, maxFrame)
 }
 
-// Launch orders an NM to fork a job's local processes.
+// Launch orders the NMs of a job to fork its processes. One frame goes
+// down stripe 0's tree and every NM relays it as is: Nodes is the
+// survivor order, and the node at index i runs ranks i·PEs … i·PEs+PEs-1.
 type Launch struct {
 	Job     int
 	Program ProgramSpec
-	Ranks   []int
+	PEs     int
+	Nodes   []int
 	// Row is the job's gang timeslot; Gang says whether processes start
 	// gated (awaiting strobes) or free-running.
 	Row  int
@@ -487,7 +490,8 @@ type Launch struct {
 func (l *Launch) walk(w *walker) {
 	num(w, &l.Job, 8)
 	l.Program.walk(w)
-	w.ints(&l.Ranks)
+	num(w, &l.PEs, 8)
+	w.ints(&l.Nodes)
 	num(w, &l.Row, 8)
 	w.flag(&l.Gang)
 }

@@ -251,6 +251,84 @@ func stripedKill(t *testing.T, cfg MMConfig, n, victim int, seed uint64, frags i
 	assertSurvivorImages(t, nms, victim, rep.JobID, frags)
 }
 
+// TestChaosLaunchPastDrainedStripeDeath: a stripe that drained before a
+// death keeps its tree, dead node and all, and the Launch rides stripe
+// 0's tree. Caches are warmed by a cold launch; a rebuild patches only
+// stripe 1's chunks, so stripe 0 drains on its HAVE round, and node 2 —
+// a relay of stripe 0 (for nodes 6 and 7) and a leaf of stripe 1 — dies
+// partway through stripe 1's delta stream. Only stripe 1 replans. The MM
+// then writes nodes 6 and 7 their Launch in place of their dead parent,
+// and every survivor runs its process.
+func TestChaosLaunchPastDrainedStripeDeath(t *testing.T) {
+	const n, victim = 8, 2
+	cfg := chaosMMConfig()
+	cfg.Stripes = 2
+	frags := chaosBinary / cfg.FragBytes
+	if got := nodeChildren(stripePosOf(victim, 0, 2, n), n, cfg.Fanout); !reflect.DeepEqual(got, []int{6, 7}) {
+		t.Fatalf("node %d relays to %v in stripe 0, want [6 7]", victim, got)
+	}
+	if len(nodeChildren(stripePosOf(victim, 1, 2, n), n, cfg.Fanout)) != 0 {
+		t.Fatalf("node %d relays in stripe 1", victim)
+	}
+	// The delta rebuilds stripe 1's chunks from 17 on: 8 of its 16.
+	patch := make(map[int]uint64)
+	for i := 17; i < frags; i += 2 {
+		patch[i] = 0x5ca1e
+	}
+	for _, seed := range chaosSeeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			// The victim reads stripe 1's fragments on one link from its
+			// parent, which persists across jobs: 16 cold ones, then the
+			// delta's. It dies on the 3rd to 6th of those.
+			killAt := frags/2 + 2 + seedIntn(seed, 4)
+			var victimNM atomic.Pointer[NM]
+			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
+				base := NMConfig{CacheBytes: 8 << 20}
+				if node != victim {
+					return base
+				}
+				base.WrapConn = func(c net.Conn) net.Conn {
+					plan := faultconn.NewPlan()
+					plan.CloseAtReadFrag = killAt
+					plan.OnFault = func(string) {
+						go func() {
+							if nm := victimNM.Load(); nm != nil {
+								nm.Close()
+							}
+						}()
+					}
+					return faultconn.Wrap(c, plan)
+				}
+				return base
+			})
+			victimNM.Store(nms[victim])
+			if _, err := SubmitJob(mm.Addr(), deltaSpec(n, 0xd7a1, nil)); err != nil {
+				t.Fatalf("cold warm-up launch failed: %v", err)
+			}
+			rep, err := SubmitJob(mm.Addr(), deltaSpec(n, 0xd7a1, patch))
+			if err != nil {
+				t.Fatalf("delta launch did not recover from killing node %d at frag %d: %v", victim, killAt, err)
+			}
+			if len(rep.Failed) != 1 || rep.Failed[0] != victim {
+				t.Fatalf("report names failed nodes %v, want [%d]", rep.Failed, victim)
+			}
+			if !reflect.DeepEqual(rep.StripeReplans, []int{0, 1}) {
+				t.Fatalf("StripeReplans = %v, want [0 1]: stripe 0 drained before the death", rep.StripeReplans)
+			}
+			for _, nm := range nms {
+				want := 2 // one process for each job
+				if nm.Node() == victim {
+					want = 1 // the cold launch's only
+				}
+				if got := nmLaunches(nm); got != want {
+					t.Fatalf("node %d forked %d processes over both jobs, want %d", nm.Node(), got, want)
+				}
+			}
+			assertSurvivorImages(t, nms, victim, rep.JobID, frags)
+		})
+	}
+}
+
 // TestChaosDeathNeedsNoPeerDown: the MM's own link to a dead node is
 // evidence enough. A depth-1 relay dies mid-stream, and every PeerDown an
 // NM sends is lost, so the parent that relays to the victim in the other
