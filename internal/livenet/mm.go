@@ -337,12 +337,9 @@ type liveJob struct {
 	// stripes is the per-stripe transfer state: every spanning tree the
 	// bulk plane stripes this job across owns its own epoch, ack ledger,
 	// HAVE ledgers and send list (one entry, stripe 0, for the single-tree
-	// plan). stripeReplans counts the replan rounds charged to each
-	// stripe: a death replans every stripe that has not drained, so a
-	// stripe's count is the replan rounds it was still streaming
-	// through, and 0 for one that drained before any death.
-	stripes       []*stripeState
-	stripeReplans []int
+	// plan). A replan re-lays every stripe, drained or not, so each
+	// stripe's replan count is the job's replans.
+	stripes []*stripeState
 
 	cond *sync.Cond
 	fail error
@@ -406,7 +403,6 @@ type stripeState struct {
 	// streamAt is the stripe-local index just past the last chunk
 	// streamed this epoch.
 	streamAt int
-	done     bool // stripe fully streamed and drained
 }
 
 // mmKid is one direct child of the MM in a laid tree — a stripe's or
@@ -1151,8 +1147,10 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	send := time.Since(start)
 
 	// Launch: one frame down stripe 0's tree, which every NM relays to its
-	// children before it forks, carrying the survivor order the ranks are
-	// dense over. From here on the transfer's late answers are inert: a
+	// children before it forks. The last replan laid that tree over the
+	// survivors, so each copy carries one dense index, its recipient's
+	// position in the tree's pre-order, and the ranks are dense over the
+	// survivors. From here on the transfer's late answers are inert: a
 	// failure or evidence one of them left behind after the transfer's last
 	// wait is stale — only a shutdown still counts.
 	mm.record(j, journal.Event{Type: journal.JobLaunched})
@@ -1167,32 +1165,23 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	}
 	tree := j.stripes[0].tree
 	j.mu.Unlock()
-	msg := Message{Launch: &Launch{Job: j.id, Program: spec.Program, PEs: spec.PEsPerNode,
-		Nodes: slices.Clone(wait), Row: j.row, Gang: mm.cfg.GangQuantum > 0}}
-	// The MM writes its own children in the tree, the children of each node
-	// that died before launch (stripe 0 may have drained first, keeping the
-	// tree the node sat in), and a node its parent could not relay to
-	// (PeerDown); an NM drops a second copy. A Launch the MM cannot write is
-	// a node death as in any phase: the node is failed, its ranks do not
-	// run, it owes no report, and the MM writes its children.
+	launch := Launch{Job: j.id, Program: spec.Program, PEs: spec.PEsPerNode, Row: j.row, Gang: mm.cfg.GangQuantum > 0}
+	// The MM writes its own children in the tree, and a node its parent
+	// could not relay to (PeerDown); an NM drops a second copy. A Launch
+	// the MM cannot write is a node death as in any phase: the node is
+	// failed, its ranks do not run, it owes no report, and the MM writes
+	// its children.
 	var todo []int // tree positions the MM is to write
 	for _, tk := range tree.kids {
 		todo = append(todo, tk.pos)
-	}
-	for p, link := range tree.order {
-		if slices.Contains(j.failedNodes, link.node) {
-			todo = append(todo, tree.pos[p].kids...)
-		}
 	}
 	deadline := time.Now().Add(spec.Program.Duration + mm.cfg.TermTimeout)
 	var lost error
 	for ran := len(wait); len(todo) > 0 || len(wait) > 0; {
 		for ; len(todo) > 0; todo = todo[1:] {
-			link := tree.order[todo[0]]
-			if slices.Contains(j.failedNodes, link.node) {
-				continue // its children are written in its place
-			}
-			if _, err := link.c.send(msg); err != nil && slices.Contains(wait, link.node) {
+			link, l := tree.order[todo[0]], launch
+			l.Index = tree.pos[todo[0]].pre
+			if _, err := link.c.send(Message{Launch: &l}); err != nil && slices.Contains(wait, link.node) {
 				lost = fmt.Errorf("launch to node %d: %w", link.node, err)
 				j.mu.Lock()
 				j.failedNodes = append(j.failedNodes, link.node)
@@ -1245,6 +1234,10 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	mm.mu.Unlock()
 	failed := append([]int(nil), j.failedNodes...)
 	sort.Ints(failed)
+	stripeReplans := make([]int, len(j.stripes))
+	for s := range stripeReplans {
+		stripeReplans[s] = j.replans
+	}
 	j.mu.Lock()
 	winPeak := j.winPeak
 	j.mu.Unlock()
@@ -1258,7 +1251,7 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 		Failed:        failed,
 		Replans:       j.replans,
 		Recovery:      j.recovery,
-		StripeReplans: append([]int(nil), j.stripeReplans...),
+		StripeReplans: stripeReplans,
 		Chunks:        j.frags,
 		ChunksSent:    j.chunksSent,
 		BytesSaved:    j.bytesSaved,
@@ -1356,9 +1349,6 @@ func (mm *MM) rewireTree(j *liveJob) {
 		mm.rewireStripe(j, ss, k)
 		j.stripes = append(j.stripes, ss)
 	}
-	if len(j.stripeReplans) != k {
-		j.stripeReplans = make([]int, k)
-	}
 }
 
 // rewireStripe lays one stripe's tree afresh over the job's current node
@@ -1371,7 +1361,6 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 	ss.kids = newKids(ss.tree)
 	ss.sendList = ss.sendList[:0]
 	ss.streamAt = 0
-	ss.done = false
 }
 
 // transfer streams the synthetic binary image down the forwarding tree,
@@ -1398,8 +1387,8 @@ func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
 //  3. Recover (only on liveness failures): diagnose which nodes are
 //     actually dead (accumulated PeerDown evidence plus directed
 //     isolation probes over the control links), exclude them, and rewire
-//     every stripe that has not drained over the survivors under a
-//     bumped epoch. Each re-runs phases 1 and 2 from the start: its
+//     every stripe, drained or not, over the survivors under a bumped
+//     epoch. Each re-runs phases 1 and 2 from the start: its
 //     manifest round installs the new tree, and the survivors' ledgers
 //     re-derive the remaining need, and the credit to resume from, from
 //     their actual splice and cache state. Chunks are regenerated
@@ -1442,25 +1431,19 @@ func (mm *MM) transfer(j *liveJob) error {
 	return nil
 }
 
-// runStripes drives every unfinished stripe's manifest round and stream
-// concurrently — the phase pipeline. Every unfinished stripe is at an
-// epoch no round has run in yet (the initial layout, or a replan), so
-// each stripe goroutine runs its manifest round first and streams
-// immediately after, so fast stripes push payload while slow ones still
-// fold HAVEs. A stripe's failure is the job's (failLocked), so it ends
-// the other stripes' waits at once; the job's failure is returned.
+// runStripes drives every stripe's manifest round and stream
+// concurrently — the phase pipeline. Every stripe is at an epoch no round
+// has run in yet (the initial layout, or a replan, which re-lays them
+// all), so each stripe goroutine runs its manifest round first and
+// streams immediately after, so fast stripes push payload while slow ones
+// still fold HAVEs; a stripe that had drained before the replan finds
+// every chunk in place in its HAVE fold and streams nothing. A stripe's
+// failure is the job's (failLocked), so it ends the other stripes' waits
+// at once; the job's failure is returned.
 func (mm *MM) runStripes(j *liveJob) error {
 	j.mu.Lock()
-	stripes := make([]*stripeState, 0, len(j.stripes))
-	for _, ss := range j.stripes {
-		if !ss.done {
-			stripes = append(stripes, ss)
-		}
-	}
+	stripes := slices.Clone(j.stripes)
 	j.mu.Unlock()
-	if len(stripes) == 0 {
-		return nil
-	}
 	mm.record(j, journal.Event{Type: journal.JobManifest})
 	failed := false
 	var wg sync.WaitGroup
@@ -1468,7 +1451,11 @@ func (mm *MM) runStripes(j *liveJob) error {
 		wg.Add(1)
 		go func(ss *stripeState) {
 			defer wg.Done()
-			if err := mm.runStripe(j, ss); err != nil {
+			err := mm.manifestStripe(j, ss)
+			if err == nil {
+				err = mm.streamStripe(j, ss)
+			}
+			if err != nil {
 				j.mu.Lock()
 				failed = true
 				j.failLocked(err)
@@ -1484,21 +1471,6 @@ func (mm *MM) runStripes(j *liveJob) error {
 		return nil // evidence that came after the last wait is stale
 	}
 	return j.fail
-}
-
-// runStripe is one stripe's slice of the pipeline: the manifest round
-// that opens its epoch, then stream to drain.
-func (mm *MM) runStripe(j *liveJob, ss *stripeState) error {
-	if err := mm.manifestStripe(j, ss); err != nil {
-		return err
-	}
-	if err := mm.streamStripe(j, ss); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	ss.done = true
-	j.mu.Unlock()
-	return nil
 }
 
 // buildManifest computes (or retrieves) the job's transfer manifest: the
@@ -1762,12 +1734,12 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 }
 
 // recoverStripes excludes the dead nodes from the job and rewires every
-// stripe that has not drained over the survivors under a bumped epoch,
-// interior or leaf, one stripe or many alike. Each such stripe's next
+// stripe over the survivors under a bumped epoch, drained or not,
+// whether the dead node was interior or a leaf in it. Each stripe's next
 // run opens with its manifest round, which installs the new tree, and
 // the survivors' HAVE ledgers give both what is still missing and each
-// subtree's credit to resume from. A stripe that drained before the
-// death keeps its epoch and its count.
+// subtree's credit to resume from — everything, for a stripe that had
+// drained. So stripe 0's tree at launch holds exactly the survivors.
 func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -1795,12 +1767,8 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 		delete(j.peerDown, node)
 	}
 	for _, ss := range j.stripes {
-		if ss.done {
-			continue
-		}
 		ss.epoch++
 		mm.rewireStripe(j, ss, len(j.stripes))
-		j.stripeReplans[ss.id]++
 	}
 	return nil
 }

@@ -171,10 +171,9 @@ type Report struct {
 	Recovery time.Duration
 	// StripeReplans counts the replan rounds charged to each stripe of
 	// the striped data plane (one entry per stripe; a single entry for
-	// the single-tree plan). A death replans every stripe that has not
-	// drained, wherever the dead node sat in its tree, so a stripe's
-	// count is the replan rounds it was still streaming through: 0 for
-	// one that drained before any death.
+	// the single-tree plan). A death replans every stripe, drained or
+	// not, wherever the dead node sat in its tree, so every entry equals
+	// Replans.
 	StripeReplans []int
 	// Chunks is the transfer manifest's chunk count and ChunksSent how
 	// many of them the MM actually streamed after the HAVE round (the
@@ -474,13 +473,16 @@ func (a *Abort) walk(w *walker) {
 }
 
 // Launch orders the NMs of a job to fork its processes. One frame goes
-// down stripe 0's tree and every NM relays it as is: Nodes is the
-// survivor order, and the node at index i runs ranks i·PEs … i·PEs+PEs-1.
+// down stripe 0's tree, laid over the job's survivors, and its size does
+// not grow with them: Index is the recipient's position in that tree's
+// pre-order, a dense index of the survivors, and the node runs ranks
+// Index·PEs … Index·PEs+PEs-1. Each NM relays its children a copy
+// carrying their own index.
 type Launch struct {
 	Job     int
 	Program ProgramSpec
 	PEs     int
-	Nodes   []int
+	Index   int
 	// Row is the job's gang timeslot; Gang says whether processes start
 	// gated (awaiting strobes) or free-running.
 	Row  int
@@ -491,7 +493,7 @@ func (l *Launch) walk(w *walker) {
 	num(w, &l.Job, 8)
 	l.Program.walk(w)
 	num(w, &l.PEs, 8)
-	w.ints(&l.Nodes)
+	num(w, &l.Index, 8)
 	num(w, &l.Row, 8)
 	w.flag(&l.Gang)
 }

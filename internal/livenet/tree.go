@@ -45,6 +45,10 @@ type treePos struct {
 	// [self] ++ kid₁'s bitmap ++ kid₂'s bitmap ..., so a parent folds a
 	// kid's bitmap into its own with one shift by the kid's running offset.
 	subtree []int
+	// pre is the position's index in the tree's pre-order: the MM's
+	// children in turn, each followed by its subtree. Over a tree laid on
+	// a job's survivors it is a dense index of them, the launch's ranks.
+	pre int
 }
 
 // treeKid is one direct child of the MM in a laid tree: where the MM
@@ -102,8 +106,20 @@ func layTree(order []*nmLink, fanout int) laidTree {
 			tp.subtree = append(tp.subtree, t.pos[c].subtree...)
 		}
 	}
+	// Pre-order, top down: a position's first kid follows it, and each
+	// later kid follows the earlier kids' subtrees (ledgerLocked's offsets).
+	pre := 0
 	for p := 0; p < k && p < n; p++ {
 		t.kids = append(t.kids, treeKid{link: order[p], pos: p, subtree: t.pos[p].subtree})
+		t.pos[p].pre = pre
+		pre += len(t.pos[p].subtree)
+	}
+	for p := range t.pos {
+		pre := t.pos[p].pre + 1
+		for _, c := range t.pos[p].kids {
+			t.pos[c].pre = pre
+			pre += len(t.pos[c].subtree)
+		}
 	}
 	return t
 }

@@ -92,8 +92,9 @@ func testLinks(n int) []*nmLink {
 // one parent (the MM or a position that lists it as a kid), the MM's
 // kids' subtrees partition the node set, every subtree is the reference
 // pre-order with each kid's block at the offset ledgerLocked folds it at,
-// the refs and the manifest's tree name the kids, and the depth is the
-// longest parent chain.
+// each position's pre is its index in the whole tree's pre-order (the
+// launch's dense index), the refs and the manifest's tree name the kids,
+// and the depth is the longest parent chain.
 func TestLayTree(t *testing.T) {
 	for n := 1; n <= 70; n++ {
 		for _, fanout := range []int{1, 2, 3, 4, 8} {
@@ -148,6 +149,15 @@ func TestLayTree(t *testing.T) {
 			for node, c := range seen {
 				if c != 1 {
 					t.Fatalf("%s: node %d is in %d of the MM's kids' subtrees", name, node, c)
+				}
+			}
+			var preorder []int // the MM's kids' subtrees end to end
+			for _, kid := range tree.kids {
+				preorder = append(preorder, kid.subtree...)
+			}
+			for i, node := range preorder {
+				if tree.pos[node].pre != i {
+					t.Fatalf("%s: position %d has pre-order index %d, want %d", name, node, tree.pos[node].pre, i)
 				}
 			}
 

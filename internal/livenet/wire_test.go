@@ -41,7 +41,7 @@ func everyFrame(t testing.TB) [][]byte {
 		{Manifest: &Manifest{Job: p8, Epoch: p8, Stripe: p8, Stripes: p8, ChunkBytes: p8, TotalBytes: p8,
 			Hashes: []uint64{p8, p8, p8}, Tree: tree}},
 		{Abort: &Abort{Job: p8, Reason: ps}},
-		{Launch: &Launch{Job: p8, Program: prog, PEs: p8, Nodes: []int{p8, p8}, Row: p8, Gang: true}},
+		{Launch: &Launch{Job: p8, Program: prog, PEs: p8, Index: p8, Row: p8, Gang: true}},
 		{Term: &Term{Job: p8, Node: p8}},
 		{Done: &Done{Report: Report{JobID: p8, Send: p8, Execute: p8, Total: p8, SendBytes: p8, Failed: []int{p8},
 			Replans: p8, Recovery: p8, StripeReplans: []int{p8}, Chunks: p8, ChunksSent: p8, BytesSaved: p8,
@@ -311,11 +311,14 @@ func goldenFrames() []goldenFrame {
 // lost their CRCs; the pong and the done report once their unread
 // fields (the ledger's min-seq, the report's free-text timeline) left;
 // the ping once it carried the gang row (the strobe frames left); and the
-// launch once it went down stripe 0's tree, carrying the survivor order
-// and the processes per node in place of one node's ranks.
+// launch once it went down stripe 0's tree, carrying the processes per
+// node and its recipient's pre-order index in place of one node's ranks.
+// (The tree launch's first layout, which carried the whole survivor
+// order, had a file of its own and nothing else in it; it left with
+// that layout.)
 var goldenFiles = []string{"testdata/frames_ab214b3.golden", "testdata/frames_pr21.golden",
 	"testdata/frames_pr25.golden", "testdata/frames_hashonly.golden", "testdata/frames_unreadfields.golden",
-	"testdata/frames_pingrow.golden", "testdata/frames_treelaunch.golden"}
+	"testdata/frames_pingrow.golden", "testdata/frames_launchindex.golden"}
 
 // checkGolden holds each frame to its golden bytes, byte for byte, and
 // every golden frame to a message of goldenFrames or bodyFrames — a frame
@@ -369,7 +372,7 @@ func bodyFrames() []goldenFrame {
 		{"manifest", Message{Manifest: &Manifest{Job: 1, Epoch: 2, Stripe: 3, Stripes: 4, ChunkBytes: 5, TotalBytes: 7,
 			Hashes: []uint64{8, 9}, Tree: []TreeNode{{Node: 12, Addr: "thirteen", Size: 2}, {Node: 14, Addr: "fifteen", Size: -16}}}}},
 		{"abort", Message{Abort: &Abort{Job: 1, Reason: "two"}}},
-		{"launch", Message{Launch: &Launch{Job: 1, Program: prog, PEs: 2, Nodes: []int{3, 4}, Row: 5, Gang: true}}},
+		{"launch", Message{Launch: &Launch{Job: 1, Program: prog, PEs: 2, Index: 3, Row: 4, Gang: true}}},
 		{"term", Message{Term: &Term{Job: 1, Node: 2}}},
 		{"done", Message{Done: &Done{Report: Report{JobID: 1, Send: 2 * time.Millisecond, Execute: 3 * time.Second, Total: 4 * time.Minute,
 			SendBytes: 5, Failed: []int{6, 7}, Replans: 8, Recovery: 9 * time.Microsecond, StripeReplans: []int{10, 11},
