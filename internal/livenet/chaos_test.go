@@ -587,8 +587,8 @@ func TestChaosCtlFrameFaultsAbsorbed(t *testing.T) {
 
 // TestChaosRelayRedialLiveChild: an interior NM's relay link to a live
 // child dies under it, before the child's manifest or before one of its
-// fragments. The hop redials once and installs the child again on the
-// new link ahead of the frame, so the child's answers go up that link:
+// fragments. The link's writer redials once and installs the child
+// again on the new link ahead of the frame, so the child's answers go up that link:
 // the launch completes on every node, with no replan and byte-identical
 // images.
 func TestChaosRelayRedialLiveChild(t *testing.T) {
@@ -605,16 +605,16 @@ func TestChaosRelayRedialLiveChild(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fired := make(chan struct{}, 1)
-			var dials atomic.Int32
+			var childAddr atomic.Pointer[string]
+			var dialed atomic.Bool
 			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
 				if node != interior {
 					return NMConfig{}
 				}
 				return NMConfig{Dialer: func(addr string) (net.Conn, error) {
-					// The first dial is the MM link, the second the first
-					// relay link, to node 2: it dies before the frame.
+					// The first relay link to node 2 dies before the frame.
 					c, err := net.DialTimeout("tcp", addr, 5*time.Second)
-					if err != nil || dials.Add(1) != 2 {
+					if a := childAddr.Load(); err != nil || a == nil || *a != addr || dialed.Swap(true) {
 						return c, err
 					}
 					plan := faultconn.NewPlan()
@@ -623,6 +623,8 @@ func TestChaosRelayRedialLiveChild(t *testing.T) {
 					return faultconn.Wrap(c, plan), nil
 				}}
 			})
+			addr := nms[2].PeerAddr()
+			childAddr.Store(&addr)
 			rep, err := SubmitJob(mm.Addr(), JobSpec{
 				Name: "redial", BinaryBytes: chaosBinary, Nodes: n, PEsPerNode: 1,
 				Program: ProgramSpec{Kind: "exit"},
@@ -699,16 +701,17 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 	t.Run("plan-redial", func(t *testing.T) {
 		const n, interior, child = 4, 0, 2 // MM -> {0, 1}; node 0 relays to {2, 3}
 		fired := make(chan struct{}, 1)
-		var dials atomic.Int32
+		var childAddr atomic.Pointer[string]
+		var dialed atomic.Bool
 		mm, nms, _ := chaosCluster(t, n, MMConfig{Fanout: 2}, func(node int) NMConfig {
 			if node != interior {
 				return NMConfig{}
 			}
 			return NMConfig{Dialer: func(addr string) (net.Conn, error) {
-				// The first dial is the MM link, the second the first relay
-				// link: it dies before the plan's first byte.
+				// The first relay link to the child dies before the plan's
+				// first byte.
 				c, err := net.DialTimeout("tcp", addr, 5*time.Second)
-				if err != nil || dials.Add(1) != 2 {
+				if a := childAddr.Load(); err != nil || a == nil || *a != addr || dialed.Swap(true) {
 					return c, err
 				}
 				plan := faultconn.NewPlan()
@@ -717,6 +720,8 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 				return faultconn.Wrap(c, plan), nil
 			}}
 		})
+		addr := nms[child].PeerAddr()
+		childAddr.Store(&addr)
 		fails := make(chan int, n)
 		stop := mm.StartHeartbeat(period, func(node int) { fails <- node })
 		defer stop()
@@ -763,28 +768,31 @@ func TestChaosControlPlanOnTree(t *testing.T) {
 
 	t.Run("dial-fails-one-round", func(t *testing.T) {
 		// A control child the hop cannot reach is down for one round only:
-		// the next ping dials it again. Node 0's first relay dial, to node
-		// 2, fails every attempt; the period leaves room for the backoff.
+		// the next ping dials it again. Node 0's first relay dial to node 2
+		// fails every attempt; the period leaves room for the backoff.
 		const n, interior, child = 4, 0, 2 // MM -> {0, 1}; node 0 relays to {2, 3}
 		const period = 250 * time.Millisecond
 		failed := make(chan struct{}, 1)
+		var childAddr atomic.Pointer[string]
 		var dials atomic.Int32
 		mm, nms, _ := chaosCluster(t, n, MMConfig{Fanout: 2}, func(node int) NMConfig {
 			if node != interior {
 				return NMConfig{}
 			}
 			return NMConfig{Dialer: func(addr string) (net.Conn, error) {
-				// The first dial is the MM link, the next dialAttempts are
-				// every attempt of the first relay dial.
-				if d := dials.Add(1); d > 1 && d <= 1+dialAttempts {
-					if d == 1+dialAttempts {
-						failed <- struct{}{}
+				if a := childAddr.Load(); a != nil && *a == addr {
+					if d := dials.Add(1); d <= dialAttempts {
+						if d == dialAttempts {
+							failed <- struct{}{}
+						}
+						return nil, errors.New("injected dial failure")
 					}
-					return nil, errors.New("injected dial failure")
 				}
 				return net.DialTimeout("tcp", addr, 5*time.Second)
 			}}
 		})
+		addr := nms[child].PeerAddr()
+		childAddr.Store(&addr)
 		fails := make(chan int, n)
 		stop := mm.StartHeartbeat(period, func(node int) { fails <- node })
 		defer stop()

@@ -33,8 +33,7 @@ package livenet
 // steady-state allocations (TestControlAllocs).
 
 // nmCtl is an NM's installed role in the control tree, replaced
-// wholesale on every epoch change; its children slice is never edited,
-// so a relay ranges over it off the lock.
+// wholesale on every epoch change; its children slice is never edited.
 type nmCtl struct {
 	treeRole
 	collecting int64 // round being aggregated (0 = none pending)
@@ -75,10 +74,10 @@ func (nm *NM) onCtlPlan(p *CtlPlan, from *conn) {
 		return Message{CtlPlan: &CtlPlan{Epoch: p.Epoch, Tree: below}}
 	})
 	nm.ctl = ctl
-	nm.mu.Unlock()
 	for _, ch := range ctl.children {
 		nm.relay(0, ch, Message{})
 	}
+	nm.mu.Unlock()
 }
 
 // onCtlPing handles a ping: a directed isolation probe (Epoch 0) is
@@ -124,6 +123,7 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 	// child again on each ping.
 	for _, ch := range ctl.children {
 		ch.down = false
+		nm.relay(0, ch, Message{Ping: &Ping{Seq: seq, Row: row, Epoch: epoch}})
 	}
 	nm.mu.Unlock()
 	if flush != nil {
@@ -131,10 +131,6 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 	}
 	if len(ctl.children) == 0 {
 		from.send(Message{Pong: &Pong{Seq: seq, Node: nm.node, Epoch: epoch}})
-		return
-	}
-	for _, ch := range ctl.children {
-		nm.relay(0, ch, Message{Ping: &Ping{Seq: seq, Row: row, Epoch: epoch}})
 	}
 }
 

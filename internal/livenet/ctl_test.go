@@ -28,7 +28,7 @@ func TestControlAllocs(t *testing.T) {
 	// Capture one wire image of the three frames, then decode it
 	// repeatedly through a reset reader.
 	var buf bytes.Buffer
-	cc := &conn{w: bufio.NewWriter(&buf)}
+	cc := writeConn(&buf)
 	if sendAll(cc, Message{Ping: ping}, Message{Pong: pong}, Message{Ping: strobe}) != nil {
 		t.Fatal("capture failed")
 	}
@@ -268,7 +268,7 @@ func TestPingEnactsItsRow(t *testing.T) {
 	nm := &NM{node: 1, gates: map[int]*gateRow{
 		1: {g: newGate(false), row: 1},
 		2: {g: newGate(true), row: 0},
-	}}
+	}, writers: map[string]*linkWriter{"": {c: child}}}
 	nm.ctl = &nmCtl{treeRole: treeRole{epoch: 3, parent: from, children: []*relayChild{{node: 2, size: 1, c: child}}}}
 	rows := func() (open1, open2 bool) { return nm.gates[1].g.isOpen(), nm.gates[2].g.isOpen() }
 
@@ -289,6 +289,7 @@ func TestPingEnactsItsRow(t *testing.T) {
 	}
 
 	nm.onCtlPing(&Ping{Seq: 8, Row: 0 + 1, Epoch: 3}, from)
+	nm.wg.Wait() // the child's link writer
 	if o1, o2 := rows(); o1 || !o2 || nm.strobesSeen != 2 {
 		t.Fatalf("a current ping carrying row 0: gates %v/%v, %d switches; want row 0 running", o1, o2, nm.strobesSeen)
 	}

@@ -48,7 +48,7 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	have := &Have{Job: 7, Node: 5, Epoch: 2, Bits: []uint64{0b101, 1 << 40}}
 
 	var buf bytes.Buffer
-	cc := &conn{w: bufio.NewWriter(&buf)}
+	cc := writeConn(&buf)
 	if sendAll(cc, Message{Manifest: man}, Message{Have: have}) != nil {
 		t.Fatal("encode failed")
 	}
@@ -100,7 +100,7 @@ func TestManifestAllocs(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	cc := &conn{w: bufio.NewWriter(&buf)}
+	cc := writeConn(&buf)
 	if sendAll(cc, Message{Manifest: man}, Message{Have: have}) != nil {
 		t.Fatal("capture failed")
 	}

@@ -17,12 +17,14 @@ const footprintNodes = 64
 // 3.02 goroutines and ~261 KiB of heap per idle NM (measured at 64
 // NMs): 3 goroutines (NM loop, NM accept loop, MM-side serve) and two
 // 64 KiB-buffered conn pairs. Hub mode deletes the per-NM listener and
-// accept goroutine; the lite profile shrinks the bufio pairs to 8 KiB;
-// the typed frames that replaced gob hold no per-link codec state. The
-// ceilings below sit ~25 % over the measured numbers (2.03 goroutines,
-// 36.2 KiB per NM; 90.7 KiB while gob codecs were per link) — a
-// regression to per-NM accept loops, bulk buffers on lite conns or
-// per-link codec state trips them.
+// accept goroutine; the lite profile shrinks the read buffers to 8 KiB;
+// the typed frames that replaced gob hold no per-link codec state; a
+// conn writes each frame straight to its socket, with no write buffer.
+// The ceilings below sit ~25 % over the measured numbers (2.03
+// goroutines, 19.8 KiB per NM; 36.0 KiB while each conn had a write
+// buffer, 90.7 KiB while gob codecs were per link) — a regression to
+// per-NM accept loops, bulk or write buffers on lite conns or per-link
+// codec state trips them.
 func TestPerNMFootprint(t *testing.T) {
 	heapNow := func() uint64 {
 		runtime.GC()
@@ -73,13 +75,13 @@ func TestPerNMFootprint(t *testing.T) {
 	if perG > 2.5 {
 		t.Fatalf("idle goroutines/NM = %.2f, budget 2.5 (seed was 3.02) — per-NM accept loops are back?", perG)
 	}
-	if perH > 45*1024 {
-		t.Fatalf("idle heap/NM = %.1f KiB, budget 45 KiB (seed was ~261) — bulk buffers or codec state on lite conns?", perH/1024)
+	if perH > 25*1024 {
+		t.Fatalf("idle heap/NM = %.1f KiB, budget 25 KiB (seed was ~261) — bulk or write buffers, or codec state, on lite conns?", perH/1024)
 	}
 
 	// A launch must not permanently grow the per-NM goroutine count:
-	// transfer goroutines and relay pumps are job-scoped and must be
-	// reaped when the job ends.
+	// transfer goroutines are job-scoped, and a relay link's writer runs
+	// only while frames wait for it; both must be gone when the job ends.
 	launched := runtime.NumGoroutine()
 	if _, err := SubmitJob(mm.Addr(), JobSpec{
 		Name: "fp", BinaryBytes: 512 << 10, Nodes: footprintNodes, PEsPerNode: 1,
@@ -87,9 +89,9 @@ func TestPerNMFootprint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Post-launch the tree edges stay warm — one inbound serve plus one
-	// outbound pump per live relay edge is inherent (the seed paid the
-	// same ~2/edge) — so settle to launched + 2 goroutines per node
+	// Post-launch the tree edges stay warm — a read loop at each end of
+	// a live relay edge is inherent (the seed paid the same ~2/edge) — so
+	// settle to launched + 2 goroutines per node
 	// rather than the idle baseline. Job-scoped transfer goroutines
 	// beyond that must be reaped.
 	testutil.WaitForGoroutines(t, launched+2*footprintNodes, 10*time.Second)

@@ -148,7 +148,6 @@ func (h *PeerHub) route(nc net.Conn) {
 // accepting side: fault wrappers on both ends of a link see the same
 // frames, and a shaped link charges nothing for the hello.
 func writeHello(nc net.Conn, node int) error {
-	hello := &conn{w: bufio.NewWriterSize(nc, 16)}
-	_, err := hello.send(Message{Hello: &Hello{Node: node}})
+	_, err := (&conn{c: nc}).send(Message{Hello: &Hello{Node: node}})
 	return err
 }

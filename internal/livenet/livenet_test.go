@@ -507,15 +507,16 @@ func TestQueryStatus(t *testing.T) {
 // answers it, and the MM neither records nor credits it.
 func TestFirstTransferFailureWins(t *testing.T) {
 	var up, parent bytes.Buffer
-	nm := &NM{node: 1, c: &conn{w: bufio.NewWriter(&up)},
-		cfg:    NMConfig{Dialer: func(string) (net.Conn, error) { return nil, errors.New("connection refused") }},
-		bins:   make(map[int]*binState),
-		relays: make(map[int]*relayState),
-		dialed: make(map[string]*conn),
+	nm := &NM{node: 1, c: writeConn(&up),
+		cfg:     NMConfig{Dialer: func(string) (net.Conn, error) { return nil, errors.New("connection refused") }},
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		writers: make(map[string]*linkWriter),
 	}
 	man := &Manifest{Job: 7, Epoch: 2, Stripes: 1, ChunkBytes: 4, TotalBytes: 16,
 		Hashes: make([]uint64, 4), Tree: []TreeNode{{Node: 3, Addr: "addr-3", Size: 1}}}
 	nm.onManifest(man, discardConn())
+	nm.wg.Wait() // the child's link writer, which reports it
 	m, err := (&conn{r: bufio.NewReader(&up)}).recv()
 	if err != nil || m.PeerDown == nil || m.PeerDown.Job != 7 || m.PeerDown.Node != 3 || m.PeerDown.From != 1 {
 		t.Fatalf("an undialable child was reported as %+v (%v), want a PeerDown naming node 3 from node 1", m.PeerDown, err)
@@ -523,15 +524,15 @@ func TestFirstTransferFailureWins(t *testing.T) {
 	first := m.PeerDown
 	stale := *man
 	stale.Epoch, stale.Tree = 1, []TreeNode{{Node: 4, Addr: "addr-4", Size: 1}}
-	nm.onManifest(&stale, &conn{w: bufio.NewWriter(&parent)})
+	nm.onManifest(&stale, writeConn(&parent))
 	if sr := nm.relays[7].stripes[0]; up.Len() != 0 || parent.Len() != 0 || sr.epoch != 2 ||
 		len(sr.children) != 1 || sr.children[0].node != 3 {
 		t.Fatalf("a superseded manifest took effect: %d bytes up, %d to its sender, relay %+v", up.Len(), parent.Len(), sr)
 	}
 
-	ss := &stripeState{id: 0, epoch: 2, kids: []*mmKid{{treeKid: treeKid{link: &nmLink{node: 1}}}}}
+	ss := &stripeState{id: 0, kids: []*mmKid{{treeKid: treeKid{link: &nmLink{node: 1}}}}}
 	kid := ss.kids[0]
-	j := &liveJob{id: 7, frags: 4, stripes: []*stripeState{ss}}
+	j := &liveJob{id: 7, frags: 4, stripes: []*stripeState{ss}, epoch: 2}
 	j.cond = sync.NewCond(&j.mu)
 	mm := &MM{jobs: map[int]*liveJob{j.id: j}}
 	mm.onHave(&Have{Job: j.id, Node: 1, Epoch: 1, Bits: []uint64{0b1111}})

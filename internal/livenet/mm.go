@@ -335,11 +335,14 @@ type liveJob struct {
 	nodes []*nmLink // current (surviving) job nodes, position-ordered
 
 	// stripes is the per-stripe transfer state: every spanning tree the
-	// bulk plane stripes this job across owns its own epoch, ack ledger,
-	// HAVE ledgers and send list (one entry, stripe 0, for the single-tree
-	// plan). A replan re-lays every stripe, drained or not, so each
-	// stripe's replan count is the job's replans.
+	// bulk plane stripes this job across owns its own ack ledger, HAVE
+	// ledgers and send list (one entry, stripe 0, for the single-tree
+	// plan). A replan re-lays every stripe, drained or not, under the
+	// job's next epoch, so each stripe's replan count is the job's
+	// replans. epoch is the generation of the stripe trees: bumped by
+	// every re-lay after the first (rewireTree), so it only ever grows.
 	stripes []*stripeState
+	epoch   int
 
 	cond *sync.Cond
 	fail error
@@ -384,8 +387,8 @@ type liveJob struct {
 }
 
 // stripeState is one stripe's transfer state: its spanning tree (laid
-// over a rotation of the job's placement order), tree epoch, one record
-// per direct child and the send list. All index arithmetic below the
+// over a rotation of the job's placement order), one record per direct
+// child and the send list. All index arithmetic below the
 // sendList is stripe-local (chunk s+j·k is the stripe's j-th), so each
 // stripe's window and replay logic is the single-tree logic verbatim.
 // Guarded by the owning job's mu.
@@ -394,12 +397,9 @@ type stripeState struct {
 	// tree is the stripe's forwarding tree; tree.order[q] is the node at
 	// position q. It is laid afresh with every epoch — over the survivors
 	// at a replan — and never edited in place.
-	tree laidTree
-	kids []*mmKid // the MM's direct children in this tree
-	// epoch is the stripe tree generation: bumped per stripe replan and,
-	// past every stripe's, per re-placement, so it only ever grows.
-	epoch    int
-	sendList []int // ascending global chunk indices this stripe still streams
+	tree     laidTree
+	kids     []*mmKid // the MM's direct children in this tree
+	sendList []int    // ascending global chunk indices this stripe still streams
 	// streamAt is the stripe-local index just past the last chunk
 	// streamed this epoch.
 	streamAt int
@@ -947,7 +947,7 @@ func (mm *MM) onFragAck(a *FragAck) {
 		// Credit from an older tree epoch vouched for a different subtree
 		// shape; only current-epoch credit moves the window. Cumulative
 		// acks are stripe-local counts.
-		if ss := j.stripeByID(a.Stripe); ss != nil && a.Epoch == ss.epoch {
+		if ss := j.stripeByID(a.Stripe); ss != nil && a.Epoch == j.epoch {
 			if kid := kidOf(ss.kids, a.Node); kid != nil {
 				kid.credit(a.Index + 1)
 			}
@@ -962,7 +962,7 @@ func (mm *MM) onFragAck(a *FragAck) {
 func (mm *MM) onHave(h *Have) {
 	mm.onTransferEvent(h.Job, func(j *liveJob) {
 		ss := j.stripeByID(h.Stripe)
-		if ss == nil || h.Epoch != ss.epoch {
+		if ss == nil || h.Epoch != j.epoch {
 			return
 		}
 		if kid := kidOf(ss.kids, h.Node); kid != nil {
@@ -1090,7 +1090,7 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 		j.placed = append(j.placed, l.node)
 		mm.place.Commit(l.node, spec.Demand)
 	}
-	mm.rewireTree(j)
+	mm.rewireTree(j, mm.stripeCountFor(j))
 	mm.jobs[j.id] = j
 	mm.launched++
 	mm.mu.Unlock()
@@ -1316,7 +1316,7 @@ func (mm *MM) rehome(j *liveJob) error {
 	j.nodes = nodes
 	j.fail = nil
 	j.peerDown = nil
-	mm.rewireTree(j)
+	mm.rewireTree(j, mm.stripeCountFor(j))
 	j.mu.Unlock()
 	mm.record(j, journal.Event{Type: journal.JobPlanned})
 	return nil
@@ -1329,38 +1329,23 @@ func (mm *MM) stripeCountFor(j *liveJob) int {
 	return max(1, min(mm.cfg.Stripes, j.frags, len(j.nodes)))
 }
 
-// rewireTree rebuilds the job's full striped forwarding plan over the
-// current node set. Used at placement and re-placement (rehome);
-// mid-transfer recovery rewires single stripes via rewireStripe instead.
-// Every stripe opens at an epoch past any the job has used: a node that
-// served a failed attempt still holds that attempt's relays, and only a
-// newer epoch makes it install the new tree rather than take the
-// manifest for a re-run of the old one. Caller must hold j.mu or have
-// exclusive access to j.
-func (mm *MM) rewireTree(j *liveJob) {
-	k := mm.stripeCountFor(j)
-	epoch := 0
-	for _, ss := range j.stripes {
-		epoch = max(epoch, ss.epoch+1)
+// rewireTree lays the job's k stripe trees afresh over its current node
+// set — stripe s over the placement order rotated by s·n/k — each with
+// a new record per direct child and nothing streamed: at placement,
+// re-placement (rehome) and every replan (recoverStripes). Every re-lay
+// opens the job's next epoch: a node that served a failed attempt or a
+// superseded tree still holds its relays, and only a newer epoch makes
+// it install the new tree rather than take the manifest for a re-run of
+// the old one. Caller must hold j.mu or have exclusive access to j.
+func (mm *MM) rewireTree(j *liveJob, k int) {
+	if j.stripes != nil {
+		j.epoch++
 	}
 	j.stripes = j.stripes[:0]
 	for s := 0; s < k; s++ {
-		ss := &stripeState{id: s, epoch: epoch}
-		mm.rewireStripe(j, ss, k)
-		j.stripes = append(j.stripes, ss)
+		tree := layTree(stripeOrder(j.nodes, s, k), mm.cfg.Fanout)
+		j.stripes = append(j.stripes, &stripeState{id: s, tree: tree, kids: newKids(tree)})
 	}
-}
-
-// rewireStripe lays one stripe's tree afresh over the job's current node
-// set (stripe s takes the placement order rotated by s·n/k) and starts
-// the stripe's records over for a fresh epoch: a new record per direct
-// child, nothing streamed. Caller must hold j.mu or have exclusive
-// access to j.
-func (mm *MM) rewireStripe(j *liveJob, ss *stripeState, k int) {
-	ss.tree = layTree(stripeOrder(j.nodes, ss.id, k), mm.cfg.Fanout)
-	ss.kids = newKids(ss.tree)
-	ss.sendList = ss.sendList[:0]
-	ss.streamAt = 0
 }
 
 // transfer streams the synthetic binary image down the forwarding tree,
@@ -1548,7 +1533,7 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	j.mu.Lock()
 	kids := slices.Clone(ss.kids)
 	tree := ss.tree
-	epoch := ss.epoch
+	epoch := j.epoch
 	k := len(j.stripes)
 	j.mu.Unlock()
 
@@ -1766,10 +1751,8 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 	for node := range dead {
 		delete(j.peerDown, node)
 	}
-	for _, ss := range j.stripes {
-		ss.epoch++
-		mm.rewireStripe(j, ss, len(j.stripes))
-	}
+	// The stripe count stays: an NM drops a manifest whose count changed.
+	mm.rewireTree(j, len(j.stripes))
 	return nil
 }
 

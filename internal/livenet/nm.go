@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/livenet/chunkcache"
@@ -86,20 +87,21 @@ type NM struct {
 	cache *chunkcache.Cache // nil when caching is disabled
 
 	mu      sync.Mutex
-	bins    map[int]*binState   // job -> receive state
-	relays  map[int]*relayState // job -> forwarding-tree state
-	digests map[int]ImageDigest // job -> digest of the delivered image
-	links   map[*conn]struct{}  // every link a serve loop reads: MM, parents, children
-	dialed  map[string]*conn    // outbound relay links, cached across jobs
-	gates   map[int]*gateRow    // job -> gang gate + row
-	ctl     *nmCtl              // control-tree role (the control rounds' relay)
+	bins    map[int]*binState      // job -> receive state
+	relays  map[int]*relayState    // job -> forwarding-tree state
+	digests map[int]ImageDigest    // job -> digest of the delivered image
+	links   map[*conn]struct{}     // every link a serve loop reads: MM, parents, children
+	writers map[string]*linkWriter // relay links by child address, cached across jobs
+	gates   map[int]*gateRow       // job -> gang gate + row
+	ctl     *nmCtl                 // control-tree role (the control rounds' relay)
 
-	// counters, guarded by mu: fragments verified, fragments relayed
-	// downstream, processes forked, gang context switches enacted.
+	// counters, guarded by mu: fragments verified, processes forked, gang
+	// context switches enacted; and the fragment copies the link writers
+	// wrote to tree children.
 	fragsWritten int
-	fragsRelayed int
 	launches     int
 	strobesSeen  int
+	fragsRelayed atomic.Int64
 
 	// testOffLock, when set (in-package tests only), runs at every point
 	// of the receive path that is about to do O(bytes) or O(chunks) work
@@ -229,8 +231,8 @@ type relayChild struct {
 	acked   int        // a stripe subtree's cumulative credit, in stripe-local chunks
 	have    []uint64   // a stripe subtree's aggregated HAVE ledger (nil until reported)
 	ledger  pongLedger // a control subtree's latest pong ledger
-	// down marks a child the hop did not reach: a failed dial, or a
-	// write that failed again after one redial. The tree that owns the
+	// down marks a child its link writer did not reach: a failed dial,
+	// or a write that failed again after one redial. The tree that owns the
 	// mark sets how long it lasts: a stripe's, the rest of its epoch; the
 	// control tree's, one control round (onCtlPing).
 	down bool
@@ -256,7 +258,7 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		relays:  make(map[int]*relayState),
 		digests: make(map[int]ImageDigest),
 		links:   make(map[*conn]struct{}),
-		dialed:  make(map[string]*conn),
+		writers: make(map[string]*linkWriter),
 		gates:   make(map[int]*gateRow),
 		closed:  make(chan struct{}),
 		hub:     cfg.Hub}
@@ -358,9 +360,7 @@ func (nm *NM) FragsWritten() int {
 // FragsRelayed returns the number of fragment copies forwarded to tree
 // children.
 func (nm *NM) FragsRelayed() int {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	return nm.fragsRelayed
+	return int(nm.fragsRelayed.Load())
 }
 
 // ImageDigest returns the digest of the binary image this node received
@@ -457,10 +457,8 @@ func (nm *NM) serve(from *conn) {
 // Close's sweep, so a link is either refused here or closed there —
 // never left with a loop nobody will stop. Caller holds nm.mu.
 func (nm *NM) serveLocked(c *conn) bool {
-	select {
-	case <-nm.closed:
+	if nm.isClosed() {
 		return false
-	default:
 	}
 	nm.links[c] = struct{}{}
 	nm.wg.Add(1)
@@ -468,18 +466,28 @@ func (nm *NM) serveLocked(c *conn) bool {
 	return true
 }
 
+// isClosed reports whether Close has begun.
+func (nm *NM) isClosed() bool {
+	select {
+	case <-nm.closed:
+		return true
+	default:
+		return false
+	}
+}
+
 // dropLink is the one way a link leaves the NM: out of the served set
-// and the dial cache, every stripe or control role whose parent it was
-// unbound — a replacement parent re-binds with the install its relay
+// and its writer, every stripe or control role whose parent it was
+// unbound — a replacement parent re-binds with the install its writer
 // writes ahead of any other frame, and answers must never be written to
-// a dead socket — and closed. Its read loop ends with it; a relay that
+// a dead socket — and closed. Its read loop ends with it; a writer that
 // fails a write on it does not wait for that.
 func (nm *NM) dropLink(c *conn) {
 	nm.mu.Lock()
 	delete(nm.links, c)
-	for addr, d := range nm.dialed {
-		if d == c {
-			delete(nm.dialed, addr)
+	for _, lw := range nm.writers {
+		if lw.c == c {
+			lw.c = nil
 		}
 	}
 	for _, rs := range nm.relays {
@@ -509,104 +517,144 @@ func (nm *NM) adoptPeer(nc net.Conn) bool {
 	return nm.serveLocked(newConnProf(nc, profileFor(nm.cfg.Lite)))
 }
 
-// peerConn returns the relay connection to downstream NM node at addr,
-// dialing it and starting its read loop on first use. Links are cached
-// across jobs and closed only when the NM shuts down: re-dialing the
-// tree on every launch would put n-1 TCP handshakes on each job's
-// critical path.
-func (nm *NM) peerConn(node int, addr string) (*conn, error) {
-	nm.mu.Lock()
-	cc, ok := nm.dialed[addr]
-	nm.mu.Unlock()
-	if ok {
-		return cc, nil
-	}
-	return nm.dialChild(node, addr)
+// linkWriter owns the relay link to one child address: only its writer
+// goroutine (writeLink) dials the link, writes on it and reports a child
+// it cannot reach. Guarded by nm.mu.
+type linkWriter struct {
+	addr    string
+	c       *conn      // the link; nil before the first dial and once it died
+	q       []relayOut // frames waiting to be written, from q[head] on
+	head    int
+	running bool // a writeLink goroutine owns the queue
 }
 
-// errNMClosed refuses a relay dial that lost the race with Close.
-var errNMClosed = errors.New("livenet: node manager closed")
-
-// dialChild opens a fresh relay link to node at addr, caches it, and
-// starts its read loop — only while the NM is open (serveLocked). Two
-// dials racing for one address (a relay redial on each stripe's reader,
-// a control-tree relay beside a manifest) settle on the first link.
-func (nm *NM) dialChild(node int, addr string) (*conn, error) {
-	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, node, profileFor(nm.cfg.Lite))
-	if err != nil {
-		return nil, err
-	}
-	nm.mu.Lock()
-	first, dup := nm.dialed[addr]
-	if !dup && nm.serveLocked(cc) {
-		nm.dialed[addr] = cc
-		first = cc
-	}
-	nm.mu.Unlock()
-	if first != cc {
-		cc.close()
-	}
-	if first == nil {
-		return nil, fmt.Errorf("dial %s: %w", addr, errNMClosed)
-	}
-	return first, nil
+// relayOut is one queued frame for tree child rc: m, or rc's install
+// alone when m is zero.
+type relayOut struct {
+	job int
+	rc  *relayChild
+	m   Message
 }
 
-// relay is the one hop down every tree: forward m — a fragment, a ping
-// — to a tree child, installing the child on the way. A link
-// that has not carried the child's install yet — the first, or any
-// redial — gets the install ahead of m, so the child's parent is always
-// the link its install last arrived on and nothing outruns it. A zero m
-// relays the install alone, and does so even to a child marked down:
-// that is how a tree installs its children and how lostChildLink
-// redials one. A failed write evicts the link and redials once; a child
-// that cannot be dialed, or fails again, is marked down and reported
-// (job 0 for the control tree). Reports whether the frames reached the
-// child.
-func (nm *NM) relay(job int, rc *relayChild, m Message) bool {
-	alone := m == Message{}
-	nm.mu.Lock()
-	cc, down := rc.c, rc.down
-	nm.mu.Unlock()
-	if down && !alone {
-		return false
+// relay is the one hop down every tree: it queues m — a manifest, a
+// fragment, a ping, a launch — for tree child rc on its address's writer
+// and returns, so a read loop never dials, backs off or waits on a
+// child's socket. A zero m queues the child's install alone: that is how
+// a tree installs its children and how lostChildLink re-installs one. A
+// queued fragment holds its frame until written. Caller holds nm.mu.
+func (nm *NM) relay(job int, rc *relayChild, m Message) {
+	if nm.isClosed() {
+		return
 	}
+	if m.Frag != nil {
+		m.Frag.hold()
+	}
+	lw := nm.writers[rc.addr]
+	if lw == nil {
+		lw = &linkWriter{addr: rc.addr}
+		nm.writers[rc.addr] = lw
+	}
+	lw.q = append(lw.q, relayOut{job, rc, m})
+	if !lw.running {
+		lw.running = true
+		nm.wg.Add(1)
+		go nm.writeLink(lw)
+	}
+}
+
+// writeLink is lw's writer: it writes the queued frames in order until
+// none is left, and a later relay starts it again. It drops a frame once
+// the NM is closed, or when its child is marked down (an install alone
+// is written even then).
+func (nm *NM) writeLink(lw *linkWriter) {
+	defer nm.wg.Done()
+	for {
+		nm.mu.Lock()
+		if lw.head == len(lw.q) {
+			lw.q, lw.head, lw.running = lw.q[:0], 0, false
+			nm.mu.Unlock()
+			return
+		}
+		o := lw.q[lw.head]
+		lw.q[lw.head] = relayOut{}
+		lw.head++
+		c, skip := lw.c, nm.isClosed() || o.rc.down && o.m != (Message{})
+		nm.mu.Unlock()
+		if !skip {
+			nm.writeOut(lw, c, o)
+		}
+		if o.m.Frag != nil {
+			o.m.Frag.release()
+		}
+	}
+}
+
+// writeOut writes one queued frame on c, lw's link, behind the child's
+// install if the link has not carried it yet — the first, or a redial —
+// so the child's parent is always the link its install last arrived on
+// and nothing outruns it. A failed write evicts the link and redials
+// once; a child that cannot be dialed, or fails again, is marked down
+// and reported (job 0 for the control tree).
+func (nm *NM) writeOut(lw *linkWriter, c *conn, o relayOut) {
 	var err error
 	for try := 0; try < 2; try++ {
-		fresh := false
-		if cc == nil {
-			if cc, err = nm.peerConn(rc.node, rc.addr); err != nil {
+		if c == nil {
+			if c, err = nm.dialLink(lw, o.rc.node); err != nil {
 				break
 			}
-			// Bound before the install goes: the child may answer it
-			// before the write returns, and answers are matched by link.
-			nm.mu.Lock()
-			fresh = rc.c != cc
-			rc.c, rc.down = cc, false
-			nm.mu.Unlock()
 		}
+		// Bound before the install goes: the child may answer it before
+		// the write returns, and answers are matched by link.
+		nm.mu.Lock()
+		fresh := o.rc.c != c
+		o.rc.c, o.rc.down = c, false
+		nm.mu.Unlock()
 		if fresh {
-			_, err = cc.send(rc.install)
+			_, err = c.send(o.rc.install)
 		}
-		if err == nil && !alone {
-			_, err = cc.send(m)
+		switch {
+		case err != nil, o.m == Message{}: // failed, or the install alone
+		case o.m.Frag != nil:
+			if err = c.sendFrame(*o.m.Frag.frame); err == nil {
+				nm.fragsRelayed.Add(1)
+			}
+		default:
+			_, err = c.send(o.m)
 		}
 		if err == nil {
-			return true
+			return
 		}
 		// The peer restarted, or the socket died: evict the link. A frame
 		// is atomic per connection, so the peer discards any partial frame
 		// with the dead socket and the re-send on a redial is clean.
-		nm.dropLink(cc)
-		cc = nil
+		nm.dropLink(c)
+		c = nil
 	}
-	nm.childDown(job, rc, err)
-	return false
+	nm.childDown(o.job, o.rc, err)
 }
 
-// childDown marks a child the dial (or one redial) did not reach, and
-// reports it down so the MM can start recovery without waiting for a
-// round to stall.
+// dialLink opens lw's link to node and starts its read loop, while the
+// NM is open (serveLocked): a closed NM's links are all closed.
+func (nm *NM) dialLink(lw *linkWriter, node int) (*conn, error) {
+	if nm.isClosed() {
+		return nil, net.ErrClosed
+	}
+	c, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, lw.addr, node, profileFor(nm.cfg.Lite))
+	if err != nil {
+		return nil, err
+	}
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	if !nm.serveLocked(c) {
+		c.close()
+		return nil, net.ErrClosed
+	}
+	lw.c = c
+	return c, nil
+}
+
+// childDown marks a child its writer did not reach, and reports it down
+// so the MM can start recovery without waiting for a round to stall.
 func (nm *NM) childDown(job int, rc *relayChild, err error) {
 	nm.mu.Lock()
 	rc.down = true
@@ -614,27 +662,14 @@ func (nm *NM) childDown(job int, rc *relayChild, err error) {
 	nm.c.send(Message{PeerDown: &PeerDown{Job: job, Node: rc.node, From: nm.node, Err: err.Error()}})
 }
 
-// lostChildLink redials every child a job still relays to over c, a
-// dropped link, and installs it again there (relay with a zero frame),
-// reporting down the ones that do not answer — as a failed write would,
-// but now: one write per frame lands in the socket buffer of a dead peer
-// without an error, and the next write, which would fail, may never come
-// once the window waits on the child's own credit. The children are
-// marked down while it dials, so a relay skips them instead of stalling
-// its read loop — and the probe the report brings — on a second redial;
-// frames skipped so are lost like those written into the dead socket.
+// lostChildLink re-installs every child a job still relays to over c, a
+// dropped link (relay with a zero frame): the writer redials, or reports
+// the child down — as after a failed write, but at once: a write lands
+// in a dead peer's socket buffer without an error, and the next one may
+// never come once the window waits on the child's own credit.
 func (nm *NM) lostChildLink(c *conn) {
-	select {
-	case <-nm.closed:
-		return
-	default:
-	}
-	type orphan struct {
-		job int
-		rc  *relayChild
-	}
-	var lost []orphan
 	nm.mu.Lock()
+	defer nm.mu.Unlock()
 	for job, rs := range nm.relays {
 		if nm.gates[job] != nil {
 			continue // launched: the transfer is over, and the Launch went by
@@ -642,15 +677,10 @@ func (nm *NM) lostChildLink(c *conn) {
 		for _, sr := range rs.stripes {
 			for _, rc := range sr.children {
 				if rc.c == c && !rc.down {
-					rc.c, rc.down = nil, true
-					lost = append(lost, orphan{job, rc})
+					nm.relay(job, rc, Message{})
 				}
 			}
 		}
-	}
-	nm.mu.Unlock()
-	for _, o := range lost {
-		nm.relay(o.job, o.rc, Message{})
 	}
 }
 
@@ -698,11 +728,10 @@ func (nm *NM) onChildAck(a *FragAck, cc *conn) {
 
 // handleFrag relays one binary fragment down its stripe's forwarding
 // tree, then verifies and "writes" it (to the in-memory RAM disk) and
-// advances that stripe's aggregated ack. The relay happens first,
-// straight from the received pooled buffer, so per-hop latency is
-// receive+forward and the hash work of every level overlaps the
-// downstream transmission; corruption is caught by each node's own check
-// and nacked up the tree. from is the connection the fragment arrived on
+// advances that stripe's aggregated ack. The relay is queued first,
+// straight from the received pooled buffer, so the hash work of every
+// level overlaps the downstream transmission; corruption is caught by
+// each node's own check and nacked up the tree. from is the connection the fragment arrived on
 // — the MM link for stripe-tree roots, a peer link otherwise — and
 // carried the stripe's manifest first, which bound it as the parent the
 // stripe's acks go up.
@@ -720,31 +749,16 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 	}
 	sr := rs.stripes[f.Stripe]
 	// A chunk is forwarded only to the subtrees that reported missing it —
-	// the selective half of the delta path.
-	var pick [8]*relayChild // room for the usual fanout without a heap slice
-	children := pick[:0]
+	// the selective half of the delta path — as the frame it arrived in:
+	// the payload is neither copied nor re-encoded.
 	for _, rc := range sr.children {
 		if !maskGet(rc.have, f.Index) {
-			children = append(children, rc)
+			nm.relay(f.Job, rc, Message{Frag: f})
 		}
 	}
 	epoch := sr.epoch
 	man := st.man // immutable once announced
 	nm.mu.Unlock()
-
-	// Relay downstream from the received frame: the payload is neither
-	// copied nor re-encoded, and leaves in one write per child.
-	if len(children) > 0 {
-		relayed := 0
-		for _, rc := range children {
-			if nm.relay(f.Job, rc, Message{Frag: f}) {
-				relayed++
-			}
-		}
-		nm.mu.Lock()
-		nm.fragsRelayed += relayed
-		nm.mu.Unlock()
-	}
 	nm.writeManifestChunk(f, from, epoch, st, man)
 }
 
@@ -801,7 +815,6 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			k: m.Stripes, srecv: make([]int, m.Stripes), draining: true}
 		nm.bins[m.Job] = st
 	}
-	var install []*relayChild
 	if m.Epoch > sr.epoch {
 		// A new epoch installs the stripe's relay from the manifest's tree,
 		// each child with its own slice of it, and its answers start here,
@@ -817,17 +830,14 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			inst.Hashes, inst.Tree = st.man.Hashes, below
 			return Message{Manifest: &inst}
 		})
-		install = sr.children
+		// Install first, so the subtree's cache drains overlap our own.
+		for _, rc := range sr.children {
+			nm.relay(m.Job, rc, Message{})
+		}
 	}
 	sr.parent = from
 	man := st.man
 	nm.mu.Unlock()
-
-	// Install first (relay dials each child, or takes its cached link), so
-	// the subtree's cache drains overlap our own.
-	for _, rc := range install {
-		nm.relay(m.Job, rc, Message{})
-	}
 
 	if !drain {
 		// Another stripe's manifest already drained (or is draining) the
@@ -1348,21 +1358,17 @@ func (nm *NM) onLaunch(l *Launch) {
 		nm.gates[l.Job] = &gateRow{g: g, row: l.Row}
 		nm.launches += l.PEs
 	}
-	var kids []*relayChild
 	if rs := nm.relays[l.Job]; rs != nil {
-		kids = slices.Clone(rs.stripes[0].children)
-		for _, rc := range kids {
+		index := l.Index + 1
+		for _, rc := range rs.stripes[0].children {
 			rc.down = false // a Launch gets one more try
+			child := *l
+			child.Index = index
+			index += rc.size
+			nm.relay(l.Job, rc, Message{Launch: &child})
 		}
 	}
 	nm.mu.Unlock()
-	index := l.Index + 1
-	for _, rc := range kids {
-		child := *l
-		child.Index = index
-		index += rc.size
-		nm.relay(l.Job, rc, Message{Launch: &child})
-	}
 	if !ready {
 		// Binary never arrived: refuse by reporting immediately; the MM
 		// will see a too-early termination in its accounting.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
@@ -65,7 +64,7 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 				man.Hashes[i] = chunkcache.Hash64(c)
 			}
 			var wire bytes.Buffer
-			parent := &conn{w: bufio.NewWriter(&wire)}
+			parent := writeConn(&wire)
 			nm.onManifest(man, parent)
 			st := nm.bins[job]
 			if st == nil || st.man == nil {
@@ -109,7 +108,7 @@ func TestFragBeforeManifestIsDropped(t *testing.T) {
 	}
 	const job, size, frames = 9, 1 << 20, 32
 	var wire bytes.Buffer
-	parent := &conn{w: bufio.NewWriter(&wire)}
+	parent := writeConn(&wire)
 	// No collections while counting: each stops the world, after which
 	// this goroutine may run on another P, away from the buffer it pooled.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -134,15 +133,15 @@ func TestFragBeforeManifestIsDropped(t *testing.T) {
 	}
 }
 
-// TestDialChildVersusClose hammers relay dials against Close (ROADMAP
-// item 0): a link that loses the race must be refused with errNMClosed,
-// one that wins it must be swept by Close, and Close must return — a
-// link inserted after the sweep would leave its read loop reading a peer
-// that never hangs up, and nm.wg.Wait() waiting on it forever. Even
-// rounds let the dials fall where they may; odd rounds hold every
-// established connection back until Close has swept, the schedule that
-// hung tier-1.
-func TestDialChildVersusClose(t *testing.T) {
+// TestRelayDialVersusClose hammers the link writers' relay dials against
+// Close (ROADMAP item 0): a link that loses the race must be refused, one
+// that wins it must be swept by Close, and Close must return with no
+// writer left — a link inserted after the sweep would leave its read
+// loop reading a peer that never hangs up, and nm.wg.Wait() waiting on it
+// forever. Even rounds let the dials fall where they may; odd rounds hold
+// every established connection back until Close has swept, the schedule
+// that hung tier-1.
+func TestRelayDialVersusClose(t *testing.T) {
 	mm, err := NewMM("127.0.0.1:0", MMConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -204,40 +203,48 @@ func TestDialChildVersusClose(t *testing.T) {
 		if round%2 == 1 {
 			late.Store(nm)
 		}
-		// The dialers join nm.wg, as the NM's own dialers do (plans and
-		// relay redials run on its reader goroutines): Close waits for
-		// them, so a read loop one of them starts late is waited for too.
-		var refused atomic.Int64
-		for _, addr := range addrs {
-			nm.wg.Add(1)
-			go func(addr string) {
-				defer nm.wg.Done()
-				// Evict the previous link before each dial, so every dial
-				// inserts afresh — and the last one, the one that races
-				// Close, is left for Close alone to deal with.
-				var prev *conn
-				for {
-					if prev != nil {
-						nm.dropLink(prev)
-					}
-					cc, err := nm.dialChild(0, addr)
-					if errors.Is(err, errNMClosed) {
-						refused.Add(1)
-						return
-					}
-					if err != nil {
-						t.Errorf("dial %s: %v", addr, err)
-						return
-					}
-					prev = cc
-				}
-			}(addr)
+		// A churner joins nm.wg, as the link writers do: it has every
+		// writer dial its child, evicts each link once it is up, and goes
+		// again until Close — so the last dials race it.
+		kids := make([]*relayChild, dialers)
+		for i, addr := range addrs {
+			kids[i] = &relayChild{node: i, addr: addr, install: Message{CtlPlan: &CtlPlan{Epoch: 1}}}
 		}
+		nm.wg.Add(1)
+		go func() {
+			defer nm.wg.Done()
+			for !nm.isClosed() {
+				nm.mu.Lock()
+				for _, rc := range kids {
+					nm.relay(0, rc, Message{})
+				}
+				nm.mu.Unlock()
+				var up []*conn
+				for len(up) < dialers && !nm.isClosed() {
+					up = up[:0]
+					nm.mu.Lock()
+					for _, lw := range nm.writers {
+						if lw.c != nil {
+							up = append(up, lw.c)
+						}
+					}
+					nm.mu.Unlock()
+					runtime.Gosched()
+				}
+				for _, c := range up {
+					nm.dropLink(c)
+				}
+			}
+		}()
 		time.Sleep(time.Duration(round%5) * 200 * time.Microsecond)
 		within(t, 2*time.Second, "NM.Close racing relay dials", nm.Close)
-		if refused.Load() != dialers {
-			t.Fatalf("round %d: %d of %d dialers saw errNMClosed", round, refused.Load(), dialers)
+		nm.mu.Lock()
+		for _, lw := range nm.writers {
+			if lw.running || len(lw.q) > lw.head {
+				t.Errorf("round %d: the writer of %s outlived Close", round, lw.addr)
+			}
 		}
+		nm.mu.Unlock()
 		hangUp() // only now: the round's verdict is in, free the descriptors
 	}
 }
@@ -330,7 +337,7 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 		return f
 	}
 	var old, cur bytes.Buffer
-	oldLink, link := &conn{w: bufio.NewWriter(&old)}, &conn{w: bufio.NewWriter(&cur)}
+	oldLink, link := writeConn(&old), writeConn(&cur)
 
 	nm.onManifest(man, oldLink)
 	nm.handleFrag(frag(0), oldLink)
@@ -386,7 +393,7 @@ func TestNoAckBeforeHave(t *testing.T) {
 	var up bytes.Buffer
 	m1 := man.clone()
 	m1.Stripe = 1
-	nm.onManifest(m1, &conn{w: bufio.NewWriter(&up)})
+	nm.onManifest(m1, writeConn(&up))
 	if up.Len() != 0 {
 		t.Fatalf("stripe 1 answered with %d bytes while its fold was deferred", up.Len())
 	}
@@ -466,7 +473,7 @@ func TestSpoolReadBack(t *testing.T) {
 			list = binary.LittleEndian.AppendUint64(list, man.Hashes[i])
 		}
 		var up bytes.Buffer
-		parent := &conn{w: bufio.NewWriter(&up)}
+		parent := writeConn(&up)
 		nm.onManifest(man, parent)
 		for i := 0; i < chunks; i++ {
 			f := newFrag(size)

@@ -138,22 +138,24 @@ func TestOneWritePerFrame(t *testing.T) {
 				bins:    make(map[int]*binState),
 				relays:  make(map[int]*relayState),
 				digests: make(map[int]ImageDigest),
-				dialed:  map[string]*conn{"a": newConnProf(writeCounter{fw: fw}, p.prof)},
+				writers: map[string]*linkWriter{"a": {c: newConnProf(writeCounter{fw: fw}, p.prof)}},
 			}
-			up := &conn{w: bufio.NewWriter(io.Discard)}
+			up := writeConn(io.Discard)
 			for job, n := range oneWriteSizes() {
 				data := fragPattern(job, 0, n)
 				nm.onManifest(&Manifest{Job: job, Stripes: 1, ChunkBytes: n, TotalBytes: int64(n),
 					Hashes: []uint64{chunkcache.Hash64(data)}, Tree: []TreeNode{{Node: 1, Addr: "a", Size: 1}}}, up)
 				var in bytes.Buffer
-				(&conn{w: bufio.NewWriter(&in)}).send(Message{Frag: &Frag{Job: job, Last: true, Data: data}})
+				(writeConn(&in)).send(Message{Frag: &Frag{Job: job, Last: true, Data: data}})
 				received := append([]byte(nil), in.Bytes()...)
 				m, err := (&conn{r: bufio.NewReaderSize(&in, p.prof.bufBytes)}).recv()
 				if err != nil {
 					t.Fatal(err)
 				}
+				nm.wg.Wait() // the child's install is written
 				before := fw.writes
 				nm.handleFrag(m.Frag, up)
+				nm.wg.Wait() // and the relayed fragment
 				if w := fw.writes - before; w != 1 {
 					t.Errorf("a relayed %d-byte fragment took %d writes", n, w)
 				}

@@ -26,8 +26,8 @@
 // pack each field to its width — fragments and their acks ('F', 'A'),
 // control-round pings, a gang switch riding in their row, and pong
 // ledgers ('P', 'Q'), peer-down reports ('D') and HAVE ledgers ('H') —
-// and encode and decode
-// without allocating; a fragment is encoded once for every child link.
+// and encode and decode without allocating; the MM encodes a fragment
+// once per child link, and every relay forwards the frame it received.
 // The topology-sized messages (registration, submissions and reports,
 // manifests — which carry the stripe tree below their recipient —
 // launches, terminations, aborts, status) are body frames: a u32 length,
@@ -369,6 +369,7 @@ type Frag struct {
 	// payload Data views. A Frag built around a buffer of its own has
 	// none until its first send copies Data into one (see frameOf).
 	frame *[]byte
+	refs  atomic.Int32 // references held past the first (hold)
 }
 
 // newFrag returns a Frag whose n-byte Data is the payload of a pooled
@@ -378,9 +379,15 @@ func newFrag(n int) *Frag {
 	return &Frag{Data: (*p)[fragRoom:], frame: p}
 }
 
-// release hands the Frag's frame back to the pool. The Frag must not be
-// used afterwards.
+// hold takes one more reference to the frame: a relay's queued copy.
+func (f *Frag) hold() { f.refs.Add(1) }
+
+// release drops one reference to the Frag's frame, and hands the frame
+// back to the pool with the last. The Frag must not be used afterwards.
 func (f *Frag) release() {
+	if f.refs.Add(-1) >= 0 {
+		return
+	}
 	releaseFrame(f.frame)
 	f.frame, f.Data = nil, nil
 }
@@ -874,13 +881,12 @@ func grabTail(n int) *[]byte {
 
 func putTail(p *[]byte) { tailPool.Put(p) }
 
-// conn wraps a TCP connection with the frame codec: buffered writes with
-// explicit flush per frame, a write lock (frames must not interleave),
-// and an egress byte counter (the bench's MM-egress metric).
+// conn wraps a TCP connection with the frame codec: one Write per frame,
+// a write lock (frames must not interleave), buffered reads, and an
+// egress byte counter (the bench's MM-egress metric).
 type conn struct {
 	c   net.Conn
 	r   *bufio.Reader
-	w   *bufio.Writer
 	wmu sync.Mutex
 	// hdr is the send scratch, guarded by wmu. A frame is encoded into it
 	// while it fits — every fixed-part frame does, so fragments and the
@@ -906,16 +912,16 @@ type conn struct {
 }
 
 // connProfile sizes a connection's buffering. The bulk profile is tuned
-// for throughput on a handful of links (deep bufio, 1MB socket buffers
-// so an early fragment write lands in the kernel in one shot instead of
-// blocking on tcp_wmem autotuning). The lite profile is tuned for
-// density: with hundreds of NMs in one process the per-conn bufio pair
-// dominates the per-NM heap (2×64KB on each side of every link), so
-// lite conns carry shallow buffers and leave the socket buffers to the
+// for throughput on a handful of links (a deep read buffer, 1MB socket
+// buffers so an early fragment write lands in the kernel in one shot
+// instead of blocking on tcp_wmem autotuning). The lite profile is tuned
+// for density: with hundreds of NMs in one process the per-conn read
+// buffer dominates the per-NM heap (64KB on each side of every link), so
+// lite conns carry shallow ones and leave the socket buffers to the
 // kernel — the right trade for control-sized frames, which is all a
 // steady-state registered NM exchanges.
 type connProfile struct {
-	bufBytes  int // bufio reader/writer size, each direction
+	bufBytes  int // bufio reader size
 	sockBytes int // TCP send/receive buffer; 0 keeps the kernel default
 }
 
@@ -939,7 +945,7 @@ func newConnProf(c net.Conn, prof connProfile) *conn {
 		tc.SetWriteBuffer(prof.sockBytes)
 		tc.SetReadBuffer(prof.sockBytes)
 	}
-	return &conn{c: c, r: bufio.NewReaderSize(c, prof.bufBytes), w: bufio.NewWriterSize(c, prof.bufBytes)}
+	return &conn{c: c, r: bufio.NewReaderSize(c, prof.bufBytes)}
 }
 
 // walker is one pass of a message's walk over one frame. Encoding, it
@@ -1109,11 +1115,7 @@ func at[T any](w *walker, t byte, f **T, scratch *T) bool {
 // send writes one message as one frame, in one write on the connection,
 // and returns its length. The walk is encoded into the conn's scratch —
 // or, for a fragment, into the header room of its frame (frameOf), so
-// header and payload are one contiguous slice and a relay forwards the
-// frame it received without re-encoding the payload. Every send ends in
-// a flush, so bufio is empty when the next begins: a frame at least as
-// long as its buffer goes to the connection straight from the frame, a
-// shorter one is copied into it and flushed. Safe for concurrent use
+// header and payload are one contiguous slice. Safe for concurrent use
 // with other senders on the conn.
 func (c *conn) send(m Message) (int, error) {
 	c.wmu.Lock()
@@ -1137,10 +1139,22 @@ func (c *conn) send(m Message) (int, error) {
 	if frame == nil {
 		frame = w.out
 	}
-	if _, err := c.w.Write(frame); err != nil {
-		return 0, err
-	}
-	if err := c.w.Flush(); err != nil {
+	return c.write(frame)
+}
+
+// sendFrame writes a frame as it stands: a relay writes a fragment as
+// it arrived, and never into a frame other links are written from.
+func (c *conn) sendFrame(frame []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	_, err := c.write(frame)
+	return err
+}
+
+// write puts one whole frame on the connection in one Write and counts
+// it. Caller holds wmu.
+func (c *conn) write(frame []byte) (int, error) {
+	if _, err := c.c.Write(frame); err != nil {
 		return 0, err
 	}
 	c.sent.Add(int64(len(frame)))
@@ -1251,7 +1265,7 @@ const noPeer = -1
 // connection with the hello the hub routes it by, before wrap
 // interposes (see writeHello). A refused relay dial is final: a relay
 // target is a registered NM, listening since before it registered, so its
-// process is gone, and a retry would only stall the relaying read loop.
+// process is gone, and a retry would only hold up the link's writer.
 func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, peer int, prof connProfile) (*conn, error) {
 	endpoint, _, _ := strings.Cut(addr, "#")
 	if dialer == nil {

@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -147,9 +146,20 @@ func sendAll(c *conn, ms ...Message) error {
 
 // discardConn builds a conn whose writes go nowhere, for alloc
 // accounting of the send path.
-func discardConn() *conn {
-	return &conn{w: bufio.NewWriterSize(io.Discard, 64<<10)}
+func discardConn() *conn { return writeConn(io.Discard) }
+
+// writeConn builds a conn whose frames are written to w, and which reads
+// nothing.
+func writeConn(w io.Writer) *conn { return &conn{c: writerConn{w: w}} }
+
+// writerConn is a net.Conn whose writes go to w; closing it is a no-op.
+type writerConn struct {
+	net.Conn
+	w io.Writer
 }
+
+func (c writerConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+func (c writerConn) Close() error                { return nil }
 
 // TestFragCheckAllocs pins the NM's per-fragment verification — content
 // hash plus in-place pattern check — at zero allocations, and the

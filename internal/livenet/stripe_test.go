@@ -409,6 +409,165 @@ func TestChaosDeathNeedsNoPeerDown(t *testing.T) {
 	assertSurvivorImages(t, nms, victim, rep.JobID, chaosBinary/cfg.FragBytes)
 }
 
+// blackhole is a Dialer that dials TCP, except to the address dead holds
+// once it is set: a dial there blocks 2 s — or until unblock closes — and
+// fails as a dial to a host that is gone does, not refused.
+func blackhole(dead *atomic.Pointer[string], unblock <-chan struct{}) Dialer {
+	return func(addr string) (net.Conn, error) {
+		if a := dead.Load(); a != nil && *a == addr {
+			select {
+			case <-time.After(2 * time.Second):
+			case <-unblock:
+			}
+			return nil, fmt.Errorf("dial %s: i/o timeout (blackholed)", addr)
+		}
+		return net.DialTimeout("tcp", addr, 5*time.Second)
+	}
+}
+
+// TestChaosBlackholedRelayDial: no read loop waits on a relay dial. A
+// depth-1 relay dies mid-stream, and from then on every dial to its
+// address blackholes. Its parents in the other stripe and in the control
+// tree redial it on its link writer, off the read loops that must relay
+// the replanned trees, so one replan excludes the victim alone, the job
+// sends in well under one blocked dial, and the survivors' images are
+// identical.
+func TestChaosBlackholedRelayDial(t *testing.T) {
+	const n, victim = 16, 1
+	cfg := chaosMMConfig()
+	cfg.Stripes = 2
+	cfg.AckTimeout = 5 * time.Second
+	for _, seed := range chaosSeeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			killAt := 4 + seedIntn(seed, 8)
+			var victimNM atomic.Pointer[NM]
+			var dead atomic.Pointer[string]
+			unblock := make(chan struct{})
+			mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
+				c := NMConfig{Dialer: blackhole(&dead, unblock)}
+				if node == victim {
+					c.WrapConn = func(c net.Conn) net.Conn {
+						plan := faultconn.NewPlan()
+						plan.CloseAtReadFrag = killAt
+						plan.OnFault = func(string) {
+							if nm := victimNM.Load(); nm != nil {
+								addr := nm.PeerAddr()
+								dead.Store(&addr)
+								go nm.Close()
+							}
+						}
+						return faultconn.Wrap(c, plan)
+					}
+				}
+				return c
+			})
+			t.Cleanup(func() { close(unblock) }) // before the cluster's shutdown
+			victimNM.Store(nms[victim])
+			rep, err := mm.RunJob(JobSpec{
+				Name: "blackholed", BinaryBytes: chaosBinary, Nodes: n, PEsPerNode: 1,
+				Program: ProgramSpec{Kind: "exit"},
+			})
+			if err != nil {
+				t.Fatalf("launch did not recover from killing node %d at frag %d: %v", victim, killAt, err)
+			}
+			if len(rep.Failed) != 1 || rep.Failed[0] != victim || rep.Replans != 1 {
+				t.Fatalf("report names failed nodes %v after %d replans, want [%d] after 1", rep.Failed, rep.Replans, victim)
+			}
+			if rep.Send >= time.Second {
+				t.Fatalf("send took %v: the job waited on a blackholed dial", rep.Send)
+			}
+			assertSurvivorImages(t, nms, victim, rep.JobID, chaosBinary/cfg.FragBytes)
+		})
+	}
+}
+
+// TestChaosBlackholedLaunchRelay: a stripe-0 child becomes unreachable
+// once the transfer has drained — its relay link dies as its parent
+// writes it the Launch, and its address blackholes. The parent relays
+// each child's Launch on that child's own link writer, so neither the
+// parent nor the child's sibling waits out the redial: both fork within
+// 500 ms of the failed write. The writer then reports the child, and the
+// MM writes it the Launch itself.
+func TestChaosBlackholedLaunchRelay(t *testing.T) {
+	const n, parent, victim, sibling = 4, 0, 2, 3 // MM -> {0, 1}; node 0 relays to {2, 3}
+	var victimAddr, dead atomic.Pointer[string]
+	var wrapped atomic.Bool
+	var failedAt atomic.Int64
+	fired := make(chan struct{})
+	unblock := make(chan struct{})
+	mm, nms, _ := chaosCluster(t, n, chaosMMConfig(), func(node int) NMConfig {
+		dial := blackhole(&dead, unblock)
+		if node != parent {
+			return NMConfig{Dialer: dial}
+		}
+		return NMConfig{Dialer: func(addr string) (net.Conn, error) {
+			c, err := dial(addr)
+			a := victimAddr.Load()
+			if err != nil || a == nil || *a != addr || wrapped.Swap(true) {
+				return c, err
+			}
+			plan := faultconn.NewPlan()
+			plan.CtlFaults = []faultconn.CtlFault{{Kind: wire.Launch, Index: 0, Op: "close"}}
+			plan.OnFault = func(string) {
+				dead.Store(a)
+				failedAt.Store(time.Now().UnixNano())
+				close(fired)
+			}
+			return faultconn.Wrap(c, plan), nil
+		}}
+	})
+	t.Cleanup(func() {
+		select {
+		case <-unblock:
+		default:
+			close(unblock) // before the cluster's shutdown
+		}
+	})
+	if kids := nodeChildren(parent, n, 2); !slices.Equal(kids, []int{victim, sibling}) {
+		t.Fatalf("node %d relays to %v, want [%d %d]", parent, kids, victim, sibling)
+	}
+	addr := nms[victim].PeerAddr()
+	victimAddr.Store(&addr)
+	type result struct {
+		rep Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := mm.RunJob(JobSpec{Name: "blackholed-launch", BinaryBytes: chaosBinary, Nodes: n, PEsPerNode: 1,
+			Program: ProgramSpec{Kind: "exit"}})
+		done <- result{rep, err}
+	}()
+	select {
+	case <-fired:
+	case r := <-done:
+		t.Fatalf("the job ended before node %d relayed its Launch: %+v, %v", parent, r.rep, r.err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("node 0 never relayed a Launch")
+	}
+	// A node has forked, and its exit processes ended, once it counts its
+	// launch and holds no gate.
+	ran := func(nm *NM) bool {
+		nm.mu.Lock()
+		defer nm.mu.Unlock()
+		return nm.launches > 0 && len(nm.gates) == 0
+	}
+	deadline := time.Unix(0, failedAt.Load()).Add(500 * time.Millisecond)
+	for !ran(nms[parent]) || !ran(nms[sibling]) {
+		if time.Now().After(deadline) {
+			t.Fatalf("500 ms after the failed write, node %d ran: %v, node %d ran: %v; a Launch waits on a blackholed dial",
+				parent, ran(nms[parent]), sibling, ran(nms[sibling]))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(unblock)
+	r := <-done
+	if r.err != nil || len(r.rep.Failed) != 0 || nmLaunches(nms[victim]) != 1 {
+		t.Fatalf("job: %v, failed %v; node %d forked %d processes; want a clean job with one on every node",
+			r.err, r.rep.Failed, victim, nmLaunches(nms[victim]))
+	}
+}
+
 // TestStaleEpochManifestIsolated (satellite): a Manifest from a
 // superseded epoch racing a replan on one stripe must be dropped in
 // full — it may not install its tree on that stripe, bind its parent or
@@ -444,7 +603,7 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 	var answers bytes.Buffer
 	stale := man(1, 1)
 	stale.Tree = []TreeNode{{Node: 9, Addr: "nowhere", Size: 1}}
-	nm.onManifest(stale, &conn{w: bufio.NewWriter(&answers)})
+	nm.onManifest(stale, writeConn(&answers))
 	if s1 := rs.stripes[1]; s1.parent != parent1 || s1.epoch != 2 || len(s1.children) != 0 {
 		t.Fatalf("stale manifest disturbed stripe 1: %+v", s1)
 	}
@@ -470,11 +629,11 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 	var up bytes.Buffer
 	nm := &NM{
-		node:   3,
-		c:      &conn{w: bufio.NewWriter(&up)},
-		bins:   make(map[int]*binState),
-		relays: make(map[int]*relayState),
-		dialed: map[string]*conn{"a": discardConn(), "b": discardConn(), "c": discardConn()},
+		node:    3,
+		c:       writeConn(&up),
+		bins:    make(map[int]*binState),
+		relays:  make(map[int]*relayState),
+		writers: map[string]*linkWriter{"a": {c: discardConn()}, "b": {c: discardConn()}, "c": {c: discardConn()}},
 	}
 	const job = 7
 	man := func(stripe, epoch int, kid TreeNode) *Manifest {
@@ -485,13 +644,14 @@ func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 	parent0, parent1 := discardConn(), discardConn()
 	nm.onManifest(man(0, 0, TreeNode{Node: 1, Addr: "a", Size: 1}), parent0)
 	nm.onManifest(man(1, 0, TreeNode{Node: 2, Addr: "b", Size: 1}), parent1)
+	nm.wg.Wait() // the children's link writers bind them
 	rs := nm.relays[job]
 	if rs == nil || len(rs.stripes) != 2 {
 		t.Fatalf("launch manifests installed %+v", rs)
 	}
 	s0, s1 := rs.stripes[0], rs.stripes[1]
-	if len(s0.children) != 1 || s0.children[0].node != 1 || s0.children[0].c != nm.dialed["a"] || s0.parent != parent0 ||
-		len(s1.children) != 1 || s1.children[0].node != 2 || s1.children[0].c != nm.dialed["b"] || s1.parent != parent1 {
+	if len(s0.children) != 1 || s0.children[0].node != 1 || s0.children[0].c != nm.writers["a"].c || s0.parent != parent0 ||
+		len(s1.children) != 1 || s1.children[0].node != 2 || s1.children[0].c != nm.writers["b"].c || s1.parent != parent1 {
 		t.Fatalf("launch manifests installed stripe 0 %+v, stripe 1 %+v", s0, s1)
 	}
 	// Mid-transfer state on both stripes.
@@ -502,10 +662,11 @@ func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 
 	relinked := discardConn()
 	nm.onManifest(man(1, 3, TreeNode{Node: 4, Addr: "c", Size: 1}), relinked)
+	nm.wg.Wait()
 	if nm.relays[job] != rs || rs.stripes[0] != s0 || rs.stripes[1] != s1 {
 		t.Fatal("a one-stripe rewire replaced the job's relay state")
 	}
-	if s1.epoch != 3 || len(s1.children) != 1 || s1.children[0].node != 4 || s1.children[0].c != nm.dialed["c"] ||
+	if s1.epoch != 3 || len(s1.children) != 1 || s1.children[0].node != 4 || s1.children[0].c != nm.writers["c"].c ||
 		s1.parent != relinked || s1.sentUp != 0 || s1.haveSent {
 		t.Fatalf("stripe 1 after its rewire: %+v", s1)
 	}
@@ -536,13 +697,11 @@ func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 func TestRehomeReinstallsKeptState(t *testing.T) {
 	mm := &MM{cfg: MMConfig{Fanout: 2, Stripes: 2}}
 	j := &liveJob{id: 7, frags: 4, nodes: testLinks(4)}
-	mm.rewireTree(j)
-	j.stripes[0].epoch = 2 // stripe 0 replanned twice in the failed attempt
-	mm.rewireTree(j)
-	for _, ss := range j.stripes {
-		if ss.epoch != 3 {
-			t.Fatalf("re-placement opened stripe %d at epoch %d, want 3", ss.id, ss.epoch)
-		}
+	mm.rewireTree(j, mm.stripeCountFor(j))
+	j.epoch = 2 // the failed attempt replanned twice
+	mm.rewireTree(j, mm.stripeCountFor(j))
+	if j.epoch != 3 || len(j.stripes) != 2 {
+		t.Fatalf("re-placement opened %d stripes at epoch %d, want 2 at 3", len(j.stripes), j.epoch)
 	}
 
 	nm := &NM{
@@ -551,7 +710,7 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 		bins:    make(map[int]*binState),
 		relays:  make(map[int]*relayState),
 		digests: make(map[int]ImageDigest),
-		dialed:  map[string]*conn{"c": discardConn()},
+		writers: map[string]*linkWriter{"c": {c: discardConn()}},
 	}
 	const job, chunks, size = 9, 2, 64
 	image := fragPattern(job, 0, chunks*size)
@@ -579,13 +738,14 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 
 	// The re-placed attempt makes this node interior on stripe 0.
 	var up bytes.Buffer
-	link := &conn{w: bufio.NewWriter(&up)}
+	link := writeConn(&up)
 	nm.onManifest(man(0, 3, TreeNode{Node: 4, Addr: "c", Size: 1}), link)
+	nm.wg.Wait()
 	sr := nm.relays[job].stripes[0]
 	if sr.epoch != 3 || sr.parent != link || len(sr.children) != 1 || sr.children[0].node != 4 || sr.haveSent {
 		t.Fatalf("the re-placed attempt's manifest did not reinstall stripe 0: %+v", sr)
 	}
-	nm.onChildHave(&Have{Job: job, Node: 4, Epoch: 3, Bits: []uint64{0b11}}, nm.dialed["c"])
+	nm.onChildHave(&Have{Job: job, Node: 4, Epoch: 3, Bits: []uint64{0b11}}, nm.writers["c"].c)
 	nm.onManifest(man(0, 0, TreeNode{Node: 5, Addr: "d", Size: 1}), discardConn())
 	if sr.epoch != 3 || sr.children[0].node != 4 {
 		t.Fatalf("an epoch-0 manifest displaced the re-placed attempt's relay: %+v", sr)
@@ -658,9 +818,8 @@ func TestStrayAnswersAreDropped(t *testing.T) {
 	j := &liveJob{id: 1, nodes: testLinks(7)}
 	j.cond = sync.NewCond(&j.mu)
 	mm.jobs[j.id] = j
-	ss := &stripeState{id: 0}
-	mm.rewireStripe(j, ss, 1)
-	j.stripes = []*stripeState{ss}
+	mm.rewireTree(j, 1)
+	ss := j.stripes[0]
 	if len(ss.kids) != 2 || kidOf(ss.kids, 0) == nil || kidOf(ss.kids, 1) == nil || kidOf(ss.kids, 2) != nil {
 		t.Fatalf("kids of a 7-node fanout-2 tree: %+v", ss.kids)
 	}

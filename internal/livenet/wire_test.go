@@ -65,7 +65,7 @@ func everyFrame(t testing.TB) [][]byte {
 func encodeFrames(t testing.TB, msgs ...Message) [][]byte {
 	t.Helper()
 	var buf bytes.Buffer
-	c := &conn{w: bufio.NewWriter(&buf)}
+	c := writeConn(&buf)
 	var frames [][]byte
 	for _, m := range msgs {
 		if _, err := c.send(m); err != nil {
@@ -102,7 +102,7 @@ func TestFrameTableDrift(t *testing.T) {
 	}
 
 	var sentinel bytes.Buffer
-	if _, err := (&conn{w: bufio.NewWriter(&sentinel)}).send(Message{Ping: &Ping{Seq: 7, Epoch: 1}}); err != nil {
+	if _, err := (writeConn(&sentinel)).send(Message{Ping: &Ping{Seq: 7, Epoch: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	var stream, want []byte
@@ -337,7 +337,7 @@ func checkGolden(t *testing.T, frames []goldenFrame) {
 		}
 	}
 	var buf bytes.Buffer
-	c := &conn{w: bufio.NewWriter(&buf)}
+	c := writeConn(&buf)
 	for _, f := range frames {
 		buf.Reset()
 		if _, err := c.send(f.m); err != nil {
@@ -423,7 +423,7 @@ func zeroField(v reflect.Value, path string) string {
 // walk fails here.
 func TestMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	c := &conn{w: bufio.NewWriter(&buf), r: bufio.NewReader(&buf)}
+	c := &conn{c: writerConn{w: &buf}, r: bufio.NewReader(&buf)}
 	for _, f := range append(goldenFrames(), bodyFrames()...) {
 		m := reflect.ValueOf(f.m)
 		for i := 0; i < m.NumField(); i++ {
