@@ -111,9 +111,7 @@ func (mm *MM) round(row int, judge func(epoch int, s int64)) {
 		meter.arm(s)
 	}
 	mm.mu.Unlock()
-	for _, l := range kids {
-		l.c.send(Message{Ping: &Ping{Seq: s, Row: row + 1, Epoch: epoch}})
-	}
+	fanOut(len(kids), func(i int) { kids[i].c.send(Message{Ping: &Ping{Seq: s, Row: row + 1, Epoch: epoch}}) })
 }
 
 // syncCtl rebuilds the control tree when membership changed
@@ -148,9 +146,7 @@ func (mm *MM) syncCtl() (kids []*nmLink, epoch int) {
 		kids = append(kids, kid.link)
 	}
 	mm.mu.Unlock()
-	for i := range plans {
-		kids[i].c.send(Message{CtlPlan: &plans[i]})
-	}
+	fanOut(len(plans), func(i int) { kids[i].c.send(Message{CtlPlan: &plans[i]}) })
 	return kids, epoch
 }
 

@@ -510,16 +510,10 @@ func (f *Federation) RunJob(spec JobSpec) (FedReport, error) {
 
 	start := time.Now()
 	results := make([]subResult, len(assigns))
-	var wg sync.WaitGroup
-	for i, a := range assigns {
-		wg.Add(1)
-		go func(i int, a fedAssign) {
-			defer wg.Done()
-			defer f.unload(a.part, a.nodes)
-			results[i] = f.runPart(j.id, subSpec(spec, a), a)
-		}(i, a)
-	}
-	wg.Wait()
+	fanOut(len(assigns), func(i int) {
+		defer f.unload(assigns[i].part, assigns[i].nodes)
+		results[i] = f.runPart(j.id, subSpec(spec, assigns[i]), assigns[i])
+	})
 
 	rep := FedReport{JobID: j.id}
 	var firstErr error

@@ -1178,18 +1178,24 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	deadline := time.Now().Add(spec.Program.Duration + mm.cfg.TermTimeout)
 	var lost error
 	for ran := len(wait); len(todo) > 0 || len(wait) > 0; {
-		for ; len(todo) > 0; todo = todo[1:] {
-			link, l := tree.order[todo[0]], launch
-			l.Index = tree.pos[todo[0]].pre
-			if _, err := link.c.send(Message{Launch: &l}); err != nil && slices.Contains(wait, link.node) {
-				lost = fmt.Errorf("launch to node %d: %w", link.node, err)
-				j.mu.Lock()
-				j.failedNodes = append(j.failedNodes, link.node)
-				j.mu.Unlock()
-				ran--
-				wait = slices.DeleteFunc(wait, func(n int) bool { return n == link.node })
-				todo = append(todo, tree.pos[todo[0]].kids...)
-			}
+		for len(todo) > 0 { // a batch at a time, its frames written at once
+			batch := todo
+			todo = nil
+			fanOut(len(batch), func(b int) {
+				link, l := tree.order[batch[b]], launch
+				l.Index = tree.pos[batch[b]].pre
+				if _, err := link.c.send(Message{Launch: &l}); err != nil {
+					j.mu.Lock() // and wait, todo, ran and lost, across the batch
+					if slices.Contains(wait, link.node) {
+						lost = fmt.Errorf("launch to node %d: %w", link.node, err)
+						j.failedNodes = append(j.failedNodes, link.node)
+						ran--
+						wait = slices.DeleteFunc(wait, func(n int) bool { return n == link.node })
+						todo = append(todo, tree.pos[batch[b]].kids...)
+					}
+					j.mu.Unlock()
+				}
+			})
 		}
 		if ran == 0 {
 			return fail(fmt.Errorf("livenet: job %d: launch phase: all nodes failed (%v), last: %w", j.id, j.failedNodes, lost))
@@ -1431,25 +1437,19 @@ func (mm *MM) runStripes(j *liveJob) error {
 	j.mu.Unlock()
 	mm.record(j, journal.Event{Type: journal.JobManifest})
 	failed := false
-	var wg sync.WaitGroup
-	for _, ss := range stripes {
-		wg.Add(1)
-		go func(ss *stripeState) {
-			defer wg.Done()
-			err := mm.manifestStripe(j, ss)
-			if err == nil {
-				err = mm.streamStripe(j, ss)
-			}
-			if err != nil {
-				j.mu.Lock()
-				failed = true
-				j.failLocked(err)
-				j.cond.Broadcast()
-				j.mu.Unlock()
-			}
-		}(ss)
-	}
-	wg.Wait()
+	fanOut(len(stripes), func(s int) {
+		err := mm.manifestStripe(j, stripes[s])
+		if err == nil {
+			err = mm.streamStripe(j, stripes[s])
+		}
+		if err != nil {
+			j.mu.Lock()
+			failed = true
+			j.failLocked(err)
+			j.cond.Broadcast()
+			j.mu.Unlock()
+		}
+	})
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !failed {
@@ -1537,16 +1537,15 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	k := len(j.stripes)
 	j.mu.Unlock()
 
-	for _, kid := range kids {
+	// Relay links are shared across jobs, so per-conn byte counters cannot
+	// be attributed to one job: bill what each send wrote. A failed write
+	// fails the job, which the wait returns at once.
+	fanOut(len(kids), func(c int) {
 		m := &Manifest{Job: j.id, Epoch: epoch, Stripe: ss.id, Stripes: k, ChunkBytes: mm.cfg.FragBytes,
-			TotalBytes: j.man.total, Hashes: j.man.hashes, Tree: tree.below(kid.pos)}
-		n, err := kid.link.c.send(Message{Manifest: m})
-		// Relay links are shared across jobs, so per-conn byte counters
-		// cannot be attributed to one job: bill what this send wrote.
-		if err := j.sent(n, err, kid.link.node, "manifest of stripe", ss.id); err != nil {
-			return err
-		}
-	}
+			TotalBytes: j.man.total, Hashes: j.man.hashes, Tree: tree.below(kids[c].pos)}
+		n, err := kids[c].link.c.send(Message{Manifest: m})
+		j.sent(n, err, kids[c].link.node, "manifest of stripe", ss.id)
+	})
 	// The rewire that opened the epoch started the kids' records over.
 	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func(names *[]string) int {
 		n := 0
@@ -1624,26 +1623,27 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 				return err
 			}
 		}
-		size := chunkSizeFor(&j.spec, frag, i)
-		f := newFrag(size)
+		// One encoding of the chunk goes to every child whose subtree
+		// lacks it, to all of them at once.
+		f := newFrag(chunkSizeFor(&j.spec, frag, i))
 		f.Job, f.Index, f.Stripe, f.Last = j.id, i, ss.id, i == j.frags-1
 		fillChunkInto(&j.spec, j.id, i, f.Data)
-		for _, kid := range kids {
-			link := kid.link
-			if maskGet(kid.have, i) {
-				continue // the whole subtree already holds this chunk
+		frame := f.encode()
+		fanOut(len(kids), func(c int) {
+			if !maskGet(kids[c].have, i) {
+				n, err := kids[c].link.c.sendFrame(frame)
+				j.sent(n, err, kids[c].link.node, "fragment", i)
 			}
-			n, err := link.c.send(Message{Frag: f})
-			if err := j.sent(n, err, link.node, "fragment", i); err != nil {
-				f.release()
-				return err
-			}
-		}
+		})
 		f.release()
 		j.mu.Lock()
 		ss.streamAt = max(ss.streamAt, i/k+1)
 		j.winPeak = max(j.winPeak, j.windowUsedLocked())
+		err := j.fail // a failed write's, or a sibling stripe's
 		j.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	// Drain: wait until every subtree acknowledged every fragment of this
 	// stripe — on a fully warm launch (empty send list) the HAVE ledgers
@@ -1695,14 +1695,14 @@ func (mm *MM) probeNodes(links []*nmLink, grace time.Duration) map[int]string {
 	seq := mm.probeSeq | 1<<40
 	mm.probes[seq] = pr
 	mm.mu.Unlock()
-	for _, l := range links {
-		if _, err := l.c.send(Message{Ping: &Ping{Seq: seq}}); err != nil {
-			dead[l.node] = fmt.Sprintf("probe write failed: %v", err)
+	fanOut(len(links), func(i int) {
+		if _, err := links[i].c.send(Message{Ping: &Ping{Seq: seq}}); err != nil {
 			mm.mu.Lock()
-			pr.settle(l.node)
+			dead[links[i].node] = fmt.Sprintf("probe write failed: %v", err)
+			pr.settle(links[i].node)
 			mm.mu.Unlock()
 		}
-	}
+	})
 	deadline := time.NewTimer(grace)
 	select {
 	case <-pr.done:
@@ -1854,7 +1854,5 @@ func (mm *MM) abort(j *liveJob, reason error) {
 	j.mu.Lock()
 	nodes := append([]*nmLink(nil), j.nodes...)
 	j.mu.Unlock()
-	for _, link := range nodes {
-		link.c.send(msg)
-	}
+	fanOut(len(nodes), func(i int) { nodes[i].c.send(msg) })
 }

@@ -615,7 +615,7 @@ func (nm *NM) writeOut(lw *linkWriter, c *conn, o relayOut) {
 		switch {
 		case err != nil, o.m == Message{}: // failed, or the install alone
 		case o.m.Frag != nil:
-			if err = c.sendFrame(*o.m.Frag.frame); err == nil {
+			if _, err = c.sendFrame(*o.m.Frag.frame); err == nil {
 				nm.fragsRelayed.Add(1)
 			}
 		default:

@@ -29,19 +29,25 @@ func parallelChunks(n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	fanOut(workers, func(int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	})
+}
+
+// fanOut runs fn(i) for every i in [0, n) at once, fn(0) on the caller's
+// goroutine, and returns when all have: a round of writes to n links
+// costs its slowest write, not their sum. fn must be safe to call
+// concurrently for distinct i.
+func fanOut(n int, fn func(i int)) {
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	wg.Add(max(n-1, 0))
+	for i := 1; i < n; i++ {
+		go func() { defer wg.Done(); fn(i) }()
+	}
+	if n > 0 {
+		fn(0)
 	}
 	wg.Wait()
 }

@@ -392,12 +392,11 @@ func (f *Frag) release() {
 	f.frame, f.Data = nil, nil
 }
 
-// frameOf returns the frame send writes: the Frag's own when Data is its
+// frameOf returns the frame encode fills: the Frag's own when Data is its
 // payload; otherwise — a Frag built around a buffer of its own, as tests
 // and fuzz seeds build them — Data copied behind the header room of a
 // frame the Frag keeps for its next send, so every fragment leaves by the
-// one path. Callers hold the conn's wmu, and a Frag is sent by one
-// goroutine at a time.
+// one path.
 func (f *Frag) frameOf() []byte {
 	n := fragRoom + len(f.Data)
 	if p := f.frame; p != nil && len(*p) == n && (len(f.Data) == 0 || &(*p)[fragRoom] == &f.Data[0]) {
@@ -409,6 +408,16 @@ func (f *Frag) frameOf() []byte {
 	*f.frame = (*f.frame)[:n]
 	copy((*f.frame)[fragRoom:], f.Data)
 	return *f.frame
+}
+
+// encode writes the fragment's header into the room in front of its
+// payload and returns the frame, which sendFrame may then write to any
+// number of links at once. A Frag is encoded by one goroutine at a time.
+func (f *Frag) encode() []byte {
+	frame := f.frameOf()
+	frame[0] = wire.Frag
+	f.walk(&walker{out: frame[:1:fragRoom]})
+	return frame
 }
 
 func (f *Frag) walk(w *walker) {
@@ -1113,19 +1122,17 @@ func at[T any](w *walker, t byte, f **T, scratch *T) bool {
 }
 
 // send writes one message as one frame, in one write on the connection,
-// and returns its length. The walk is encoded into the conn's scratch —
-// or, for a fragment, into the header room of its frame (frameOf), so
-// header and payload are one contiguous slice. Safe for concurrent use
-// with other senders on the conn.
+// and returns its length. The walk is encoded into the conn's scratch; a
+// fragment's, into the header room of its own frame (encode), so header
+// and payload are one contiguous slice. Safe for concurrent use with
+// other senders on the conn; a Frag is sent by one goroutine at a time.
 func (c *conn) send(m Message) (int, error) {
+	if m.Frag != nil {
+		return c.sendFrame(m.Frag.encode())
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	w := walker{out: c.hdr[:0]}
-	var frame []byte
-	if m.Frag != nil {
-		frame = m.Frag.frameOf()
-		w.out = frame[:0:fragRoom]
-	}
 	m.walk(&w, c)
 	if w.pool != nil {
 		defer putTail(w.pool)
@@ -1136,19 +1143,16 @@ func (c *conn) send(m Message) (int, error) {
 	if wire.Shapes[w.out[0]].Body() {
 		binary.BigEndian.PutUint32(w.out[1:], uint32(len(w.out)-1-wire.BodyLen))
 	}
-	if frame == nil {
-		frame = w.out
-	}
-	return c.write(frame)
+	return c.write(w.out)
 }
 
-// sendFrame writes a frame as it stands: a relay writes a fragment as
-// it arrived, and never into a frame other links are written from.
-func (c *conn) sendFrame(frame []byte) error {
+// sendFrame writes an encoded frame as it stands, and never into it: a
+// relay writes a fragment as it arrived, the MM one encoding to each
+// child, from as many goroutines as links.
+func (c *conn) sendFrame(frame []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_, err := c.write(frame)
-	return err
+	return c.write(frame)
 }
 
 // write puts one whole frame on the connection in one Write and counts

@@ -568,6 +568,96 @@ func TestChaosBlackholedLaunchRelay(t *testing.T) {
 	}
 }
 
+// stallProbe is an MM WrapConn that records the type of every frame each
+// link wrote, and holds every write to the link the MM wrote its first
+// fragment to until release closes.
+type stallProbe struct {
+	mu      sync.Mutex
+	held    net.Conn
+	written map[net.Conn][]byte
+	release chan struct{}
+}
+
+func (p *stallProbe) wrap(c net.Conn) net.Conn { return stallConn{c, p} }
+
+type stallConn struct {
+	net.Conn
+	p *stallProbe
+}
+
+func (c stallConn) Write(b []byte) (int, error) {
+	p := c.p
+	p.mu.Lock()
+	if p.held == nil && b[0] == wire.Frag {
+		p.held = c.Conn
+	}
+	held := p.held == c.Conn
+	p.mu.Unlock()
+	if held {
+		<-p.release
+	}
+	n, err := c.Conn.Write(b)
+	p.mu.Lock()
+	p.written[c.Conn] = append(p.written[c.Conn], b[0])
+	p.mu.Unlock()
+	return n, err
+}
+
+// fed reports whether a link other than the held one has written a
+// manifest and a fragment.
+func (p *stallProbe) fed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c, types := range p.written {
+		if c != p.held && slices.Contains(types, wire.Manifest) && slices.Contains(types, wire.Frag) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMMFanOutStalledChild: the MM writes a round to all its tree
+// children at once. Every write to the child stripe 0's first fragment
+// goes to is held; its sibling must still get its manifest and that
+// fragment while the write is held, and once it is let go the job
+// completes with identical images on every node.
+func TestMMFanOutStalledChild(t *testing.T) {
+	const n = 4 // MM -> {0, 1}; each relays to one more
+	probe := &stallProbe{written: map[net.Conn][]byte{}, release: make(chan struct{})}
+	cfg := chaosMMConfig()
+	cfg.WrapConn = probe.wrap
+	mm, nms, _ := chaosCluster(t, n, cfg, nil)
+	var once sync.Once
+	let := func() { once.Do(func() { close(probe.release) }) }
+	t.Cleanup(let) // before the cluster's shutdown
+	type result struct {
+		rep Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := mm.RunJob(JobSpec{Name: "fan-out", BinaryBytes: chaosBinary, Nodes: n, PEsPerNode: 1,
+			Program: ProgramSpec{Kind: "exit"}})
+		done <- result{rep, err}
+	}()
+	for deadline := time.Now().Add(2 * time.Second); !probe.fed(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("2 s into the held write, no sibling has its manifest and fragment 0: the MM's writes to its children wait on one another")
+		}
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("the job ended while a child's write was held: %+v, %v", r.rep, r.err)
+	default:
+	}
+	let()
+	r := <-done
+	if r.err != nil || len(r.rep.Failed) != 0 || r.rep.Replans != 0 {
+		t.Fatalf("job: %v, failed %v after %d replans; want a clean job", r.err, r.rep.Failed, r.rep.Replans)
+	}
+	assertSurvivorImages(t, nms, -1, r.rep.JobID, chaosBinary/cfg.FragBytes)
+}
+
 // TestStaleEpochManifestIsolated (satellite): a Manifest from a
 // superseded epoch racing a replan on one stripe must be dropped in
 // full — it may not install its tree on that stripe, bind its parent or
