@@ -97,8 +97,10 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 		// The coordinated context switch: open the designated row's gates,
 		// close the rest.
 		nm.strobesSeen++
-		for _, gr := range nm.gates {
-			gr.g.set(gr.row == row-1)
+		for _, j := range nm.jobs {
+			if j.gate != nil {
+				j.gate.set(j.row == row-1)
+			}
 		}
 	}
 	ctl := nm.ctl

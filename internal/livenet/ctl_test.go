@@ -265,12 +265,12 @@ func TestProbeReturnsWhenAllAnswered(t *testing.T) {
 // probe (Epoch 0) is answered and enacts nothing, whatever it carries.
 func TestPingEnactsItsRow(t *testing.T) {
 	from, child := discardConn(), discardConn()
-	nm := &NM{node: 1, gates: map[int]*gateRow{
-		1: {g: newGate(false), row: 1},
-		2: {g: newGate(true), row: 0},
-	}, writers: map[string]*linkWriter{"": {c: child}}}
+	nm := bareNM(1, discardConn())
+	nm.jobs[1] = &nmJob{gate: newGate(false), row: 1}
+	nm.jobs[2] = &nmJob{gate: newGate(true), row: 0}
+	nm.writers[""] = &linkWriter{c: child}
 	nm.ctl = &nmCtl{treeRole: treeRole{epoch: 3, parent: from, children: []*relayChild{{node: 2, size: 1, c: child}}}}
-	rows := func() (open1, open2 bool) { return nm.gates[1].g.isOpen(), nm.gates[2].g.isOpen() }
+	rows := func() (open1, open2 bool) { return nm.jobs[1].gate.isOpen(), nm.jobs[2].gate.isOpen() }
 
 	nm.onCtlPing(&Ping{Seq: 7, Row: 1 + 1, Epoch: 2}, from)
 	if o1, o2 := rows(); !o1 || o2 || nm.strobesSeen != 1 {

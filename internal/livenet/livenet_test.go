@@ -507,12 +507,8 @@ func TestQueryStatus(t *testing.T) {
 // answers it, and the MM neither records nor credits it.
 func TestFirstTransferFailureWins(t *testing.T) {
 	var up, parent bytes.Buffer
-	nm := &NM{node: 1, c: writeConn(&up),
-		cfg:     NMConfig{Dialer: func(string) (net.Conn, error) { return nil, errors.New("connection refused") }},
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		writers: make(map[string]*linkWriter),
-	}
+	nm := bareNM(1, writeConn(&up))
+	nm.cfg = NMConfig{Dialer: func(string) (net.Conn, error) { return nil, errors.New("connection refused") }}
 	man := &Manifest{Job: 7, Epoch: 2, Stripes: 1, ChunkBytes: 4, TotalBytes: 16,
 		Hashes: make([]uint64, 4), Tree: []TreeNode{{Node: 3, Addr: "addr-3", Size: 1}}}
 	nm.onManifest(man, discardConn())
@@ -525,7 +521,7 @@ func TestFirstTransferFailureWins(t *testing.T) {
 	stale := *man
 	stale.Epoch, stale.Tree = 1, []TreeNode{{Node: 4, Addr: "addr-4", Size: 1}}
 	nm.onManifest(&stale, writeConn(&parent))
-	if sr := nm.relays[7].stripes[0]; up.Len() != 0 || parent.Len() != 0 || sr.epoch != 2 ||
+	if sr := nm.jobs[7].stripes[0]; up.Len() != 0 || parent.Len() != 0 || sr.epoch != 2 ||
 		len(sr.children) != 1 || sr.children[0].node != 3 {
 		t.Fatalf("a superseded manifest took effect: %d bytes up, %d to its sender, relay %+v", up.Len(), parent.Len(), sr)
 	}

@@ -87,12 +87,10 @@ type NM struct {
 	cache *chunkcache.Cache // nil when caching is disabled
 
 	mu      sync.Mutex
-	bins    map[int]*binState      // job -> receive state
-	relays  map[int]*relayState    // job -> forwarding-tree state
-	digests map[int]ImageDigest    // job -> digest of the delivered image
+	jobs    map[int]*nmJob         // every job from its first manifest until it ends
+	digests map[int]ImageDigest    // job -> digest of the delivered image (outlives the job)
 	links   map[*conn]struct{}     // every link a serve loop reads: MM, parents, children
 	writers map[string]*linkWriter // relay links by child address, cached across jobs
-	gates   map[int]*gateRow       // job -> gang gate + row
 	ctl     *nmCtl                 // control-tree role (the control rounds' relay)
 
 	// counters, guarded by mu: fragments verified, processes forked, gang
@@ -117,9 +115,11 @@ type NM struct {
 	closed chan struct{}
 }
 
-// binState tracks one job's incoming binary image. It exists from the
-// job's first manifest on, so man is never nil.
-type binState struct {
+// nmJob is everything this node holds for one job, from the job's first
+// manifest until finishJob or onAbort: the incoming image, the node's role
+// in each stripe's tree and, once launched, the job's gate. man is never
+// nil.
+type nmJob struct {
 	complete bool
 
 	// man is the job's manifest (cloned out of conn scratch, shared by
@@ -133,7 +133,19 @@ type binState struct {
 	wcount   int
 	k        int   // the job's stripe count, from its first manifest (≥1)
 	srecv    []int // per-stripe in-order chunk prefix (stripe-local counts)
-	draining bool  // manifest-time cache drain or image seal in flight; defer the HAVE folds
+	draining bool  // manifest-time cache drain or image seal in flight; the HAVE waits
+
+	// stripes[s] is this node's role in stripe s's tree (stripe s carries
+	// the chunks with global index ≡ s mod k); with stripes=1 it is the
+	// legacy single-tree data path. failed marks a job this node
+	// rejected: it credits nothing more.
+	stripes []*stripeRelay
+	failed  bool
+
+	// gate is the job's process gate, set at launch: a job is launched iff
+	// it has one. row is its gang timeslot row.
+	gate *gate
+	row  int
 
 	// Spool state (SpoolDir set): chunks are written at their offsets in
 	// a job-private temp file that is renamed into place only once the
@@ -152,15 +164,6 @@ type ImageDigest struct {
 	// bytes, little-endian): set by the image's content and chunk size, so
 	// equal on every node that sealed the image.
 	CRC uint32
-}
-
-// relayState is one job's position in the striped forwarding plane: one
-// stripeRelay per spanning tree (stripe s carries the chunks with global
-// index ≡ s mod k). With stripes=1 there is exactly one entry and the
-// behavior is the legacy single-tree data path.
-type relayState struct {
-	stripes []*stripeRelay
-	failed  bool
 }
 
 // treeRole is this node's role in one tree — a stripe's forwarding tree
@@ -203,21 +206,59 @@ func (r *stripeRelay) credit(from *conn, n int) {
 	}
 }
 
-// creditUp folds the stripe's credit — the minimum of local, this node's
-// own progress, and every child subtree's — and reports it when it has
-// passed what already went up and a parent is bound to take it, counting
-// it as sent. A child that is down still stalls the fold. Caller holds
-// nm.mu.
-func (r *stripeRelay) creditUp(local int) (int, bool) {
-	up := local
+// owes is the stripe's answer step: what this node owes its parent on
+// stripe s of job j now, counted as sent. It takes no lock and does no
+// I/O; answer runs it under nm.mu and writes what it returns.
+//
+//   - Nothing while no parent is bound.
+//   - The HAVE ledger, once per epoch, when no drain or seal is in flight
+//     and every live child has reported: bit i is set iff every node of
+//     the subtree holds chunk i — the AND-fold, dual of the control
+//     plane's OR of absence — and its stripe-local prefix is the credit it
+//     carries. A child that is down cannot vouch for anything: all bits
+//     are clear, and the MM's recovery rebuilds the subtree. (The MM reads
+//     only stripe s's bits; the full bitmap keeps one ledger format.)
+//   - After the HAVE, the credit — the minimum of this node's own
+//     stripe-local prefix and every child subtree's credit — each time it
+//     passes what already went up, unless this node rejected the job. A
+//     child that is down stalls it, so the MM never drains a window past a
+//     death: it replans, and the next epoch's tree leaves the node out.
+//     Nothing goes up before the HAVE, so a subtree the HAVE shows
+//     complete never acks at all.
+func (r *stripeRelay) owes(j *nmJob, s int) (have []uint64, credit int) {
+	if r.parent == nil {
+		return nil, 0
+	}
+	ready := !r.haveSent && !j.draining
+	for _, rc := range r.children {
+		ready = ready && (rc.have != nil || rc.down)
+	}
+	if ready {
+		have = append(make([]uint64, 0, len(j.written)), j.written...)
+		for _, rc := range r.children {
+			for i := range have {
+				if rc.down || i >= len(rc.have) {
+					have[i] = 0
+				} else {
+					have[i] &= rc.have[i]
+				}
+			}
+		}
+		r.haveSent = true
+		r.sentUp = stripePrefix(have, len(j.man.Hashes), s, j.k, r.sentUp)
+	}
+	if !r.haveSent || j.failed {
+		return have, 0
+	}
+	up := j.srecv[s]
 	for _, rc := range r.children {
 		up = min(up, rc.acked)
 	}
-	if r.parent == nil || up <= r.sentUp {
-		return 0, false
+	if up <= r.sentUp {
+		return have, 0
 	}
 	r.sentUp = up
-	return up, true
+	return have, up
 }
 
 // relayChild is one child of a tree this node relays down: a stripe's
@@ -238,12 +279,6 @@ type relayChild struct {
 	down bool
 }
 
-// gateRow couples a job's process gate with its gang timeslot row.
-type gateRow struct {
-	g   *gate
-	row int
-}
-
 // NewNM connects a Node Manager with the given node ID to the MM at
 // addr, with default configuration. cpus is the advertised processor
 // count (one PL per potential process).
@@ -254,12 +289,10 @@ func NewNM(addr string, node, cpus int) (*NM, error) {
 // NewNMConfig is NewNM with explicit configuration.
 func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 	nm := &NM{node: node, cpus: cpus, cfg: cfg,
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
+		jobs:    make(map[int]*nmJob),
 		digests: make(map[int]ImageDigest),
 		links:   make(map[*conn]struct{}),
 		writers: make(map[string]*linkWriter),
-		gates:   make(map[int]*gateRow),
 		closed:  make(chan struct{}),
 		hub:     cfg.Hub}
 	if nm.hub == nil {
@@ -396,20 +429,19 @@ func (nm *NM) Close() {
 	for c := range nm.links {
 		c.close()
 	}
-	for _, st := range nm.bins {
-		st.discardSpool()
-	}
 	// Cancel every live gang gate: a process descheduled when its MM died
 	// would otherwise wait forever for a strobe that is never coming, and
 	// this Close would deadlock on it.
-	gates := make([]*gateRow, 0, len(nm.gates))
-	for _, gr := range nm.gates {
-		gates = append(gates, gr)
+	var gates []*gate
+	for _, j := range nm.jobs {
+		j.discardSpool()
+		if j.gate != nil {
+			gates = append(gates, j.gate)
+		}
 	}
-	nm.gates = make(map[int]*gateRow)
 	nm.mu.Unlock()
-	for _, gr := range gates {
-		gr.g.cancel()
+	for _, g := range gates {
+		g.cancel()
 	}
 	nm.wg.Wait()
 }
@@ -431,7 +463,7 @@ func (nm *NM) serve(from *conn) {
 		}
 		switch {
 		case m.Frag != nil:
-			nm.handleFrag(m.Frag, from)
+			nm.handleFrag(m.Frag)
 		case m.FragAck != nil:
 			nm.onChildAck(m.FragAck, from)
 		case m.Manifest != nil:
@@ -490,8 +522,8 @@ func (nm *NM) dropLink(c *conn) {
 			lw.c = nil
 		}
 	}
-	for _, rs := range nm.relays {
-		for _, sr := range rs.stripes {
+	for _, j := range nm.jobs {
+		for _, sr := range j.stripes {
 			if sr.parent == c {
 				sr.parent = nil
 			}
@@ -670,11 +702,11 @@ func (nm *NM) childDown(job int, rc *relayChild, err error) {
 func (nm *NM) lostChildLink(c *conn) {
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	for job, rs := range nm.relays {
-		if nm.gates[job] != nil {
+	for job, j := range nm.jobs {
+		if j.gate != nil {
 			continue // launched: the transfer is over, and the Launch went by
 		}
-		for _, sr := range rs.stripes {
+		for _, sr := range j.stripes {
 			for _, rc := range sr.children {
 				if rc.c == c && !rc.down {
 					nm.relay(job, rc, Message{})
@@ -684,61 +716,33 @@ func (nm *NM) lostChildLink(c *conn) {
 	}
 }
 
-// onChildAck folds a child subtree's cumulative fragment ack, arrived on
-// link cc, into its stripe's aggregate credit.
+// onChildAck folds a child subtree's cumulative credit, arrived on link
+// cc, into its stripe's fold. No rejection comes this way: every node
+// writes its own on its MM link.
 func (nm *NM) onChildAck(a *FragAck, cc *conn) {
-	if !a.OK {
-		// A node below rejected: forward the failure up unchanged so the
-		// MM learns the true origin. Content rejections are
-		// epoch-independent.
-		nm.mu.Lock()
-		rs := nm.relays[a.Job]
-		var parent *conn
-		if rs != nil {
-			rs.failed = true
-			if a.Stripe >= 0 && a.Stripe < len(rs.stripes) {
-				parent = rs.stripes[a.Stripe].parent
-			}
-			if parent == nil {
-				for _, sr := range rs.stripes {
-					if sr.parent != nil {
-						parent = sr.parent
-						break
-					}
-				}
-			}
-		}
-		nm.mu.Unlock()
-		if parent != nil {
-			parent.send(Message{FragAck: a})
-		}
-		return
-	}
 	nm.mu.Lock()
-	if rs := nm.relays[a.Job]; rs != nil && a.Stripe >= 0 && a.Stripe < len(rs.stripes) {
+	if j := nm.jobs[a.Job]; j != nil && a.OK && a.Stripe >= 0 && a.Stripe < len(j.stripes) {
 		// Credit from an older epoch vouched for a different subtree
 		// shape and must not count under the new one.
-		if sr := rs.stripes[a.Stripe]; a.Epoch == sr.epoch {
+		if sr := j.stripes[a.Stripe]; a.Epoch == sr.epoch {
 			sr.credit(cc, a.Index+1)
 		}
 	}
 	nm.mu.Unlock()
-	nm.advanceAck(a.Job, a.Stripe)
+	nm.answer(a.Job, a.Stripe)
 }
 
 // handleFrag relays one binary fragment down its stripe's forwarding
 // tree, then verifies and "writes" it (to the in-memory RAM disk) and
-// advances that stripe's aggregated ack. The relay is queued first,
-// straight from the received pooled buffer, so the hash work of every
-// level overlaps the downstream transmission; corruption is caught by
-// each node's own check and nacked up the tree. from is the connection the fragment arrived on
-// — the MM link for stripe-tree roots, a peer link otherwise — and
-// carried the stripe's manifest first, which bound it as the parent the
-// stripe's acks go up.
-func (nm *NM) handleFrag(f *Frag, from *conn) {
+// answers that stripe's parent. The relay is queued first, straight from
+// the received pooled buffer, so the hash work of every level overlaps
+// the downstream transmission; corruption is caught by each node's own
+// check and rejected to the MM. The stripe's answers go up the link its
+// manifest last bound, whichever link the fragment came in on.
+func (nm *NM) handleFrag(f *Frag) {
 	nm.mu.Lock()
-	rs, st := nm.relays[f.Job], nm.bins[f.Job]
-	if rs == nil || st == nil || f.Stripe >= len(rs.stripes) {
+	j := nm.jobs[f.Job]
+	if j == nil || f.Stripe >= len(j.stripes) {
 		// No manifest announced this chunk: a straggler for a job whose
 		// state was released (finished, aborted), or a frame no tree of
 		// ours accounts for. Every epoch opens with a manifest on the same
@@ -747,7 +751,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		f.release()
 		return
 	}
-	sr := rs.stripes[f.Stripe]
+	sr := j.stripes[f.Stripe]
 	// A chunk is forwarded only to the subtrees that reported missing it —
 	// the selective half of the delta path — as the frame it arrived in:
 	// the payload is neither copied nor re-encoded.
@@ -757,21 +761,21 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		}
 	}
 	epoch := sr.epoch
-	man := st.man // immutable once announced
+	man := j.man // immutable once announced
 	nm.mu.Unlock()
-	nm.writeManifestChunk(f, from, epoch, st, man)
+	nm.writeManifestChunk(f, epoch, j, man)
 }
 
 // onManifest opens (or re-opens, after a replan) a job's delta transfer
 // on one stripe. A manifest of a new epoch installs the stripe's relay
 // from the tree it carries and relays each child its own slice of it;
-// any current one binds the ack path, splices every chunk the local
-// cache can vouch for straight into the image, and folds the resulting
-// HAVE ledger up the tree — immediately for leaves, once every child
-// has reported for interior nodes. A fully
-// cache-warm node may never see a fragment, so everything the fragment
-// path would establish (the parent binding, the credit, even image
-// completion) must be able to happen here.
+// any current one binds the stripe's parent, splices every chunk the
+// local cache can vouch for straight into the image, and answers with
+// the resulting HAVE ledger (answer) — immediately for leaves, once every
+// child has reported for interior nodes. A fully cache-warm node may
+// never see a fragment, so everything the fragment path would establish
+// (the parent binding, the credit, even image completion) must be able to
+// happen here.
 //
 // A HAVE bit is only ever set for bytes that are already verified and in
 // place: the drain goes cache→Get (which re-verifies content)→splice, so
@@ -784,37 +788,32 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 // once, owned by whichever stripe's manifest lands first: the image and
 // the written bitmap are job-wide, so a second drain would only re-probe
 // chunks the first already spliced. Later stripes' manifests just bind
-// that stripe's ack path, relay down, and fold that stripe's HAVE. A
-// stale-epoch manifest racing a replan on one stripe is dropped in full —
-// it never touches another stripe's relay, parent binding or ledger.
+// that stripe's parent, relay down, and answer. A stale-epoch manifest
+// racing a replan on one stripe is dropped in full — it never touches
+// another stripe's relay, parent binding or ledger.
 func (nm *NM) onManifest(m *Manifest, from *conn) {
 	if m.Stripe < 0 || m.Stripe >= m.Stripes || m.Stripes > 255 {
 		return // names no stripe a job can have (the frames carry one byte)
 	}
 	nm.mu.Lock()
-	rs := nm.relays[m.Job]
-	if rs == nil {
-		rs = &relayState{stripes: make([]*stripeRelay, m.Stripes)}
-		for s := range rs.stripes {
-			rs.stripes[s] = &stripeRelay{treeRole: treeRole{epoch: -1}}
+	j := nm.jobs[m.Job]
+	drain := j == nil
+	if drain {
+		j = &nmJob{man: m.clone(), written: make([]uint64, bitWords(len(m.Hashes))),
+			k: m.Stripes, srecv: make([]int, m.Stripes), draining: true, stripes: make([]*stripeRelay, m.Stripes)}
+		for s := range j.stripes {
+			j.stripes[s] = &stripeRelay{treeRole: treeRole{epoch: -1}}
 		}
-		nm.relays[m.Job] = rs
+		nm.jobs[m.Job] = j
 	}
-	if len(rs.stripes) != m.Stripes || m.Epoch < rs.stripes[m.Stripe].epoch {
+	if len(j.stripes) != m.Stripes || m.Epoch < j.stripes[m.Stripe].epoch {
 		// A manifest from a superseded epoch raced a replan on this
 		// stripe. Drop it whole: the MM's HAVE timeout covers the gap,
 		// and no other stripe's state is touched.
 		nm.mu.Unlock()
 		return
 	}
-	sr := rs.stripes[m.Stripe]
-	st := nm.bins[m.Job]
-	drain := st == nil
-	if drain {
-		st = &binState{man: m.clone(), written: make([]uint64, bitWords(len(m.Hashes))),
-			k: m.Stripes, srecv: make([]int, m.Stripes), draining: true}
-		nm.bins[m.Job] = st
-	}
+	sr := j.stripes[m.Stripe]
 	if m.Epoch > sr.epoch {
 		// A new epoch installs the stripe's relay from the manifest's tree,
 		// each child with its own slice of it, and its answers start here,
@@ -827,7 +826,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 		*sr = stripeRelay{treeRole: treeRole{epoch: m.Epoch}}
 		sr.install(m.Tree, func(below []TreeNode) Message {
 			inst := *m
-			inst.Hashes, inst.Tree = st.man.Hashes, below
+			inst.Hashes, inst.Tree = j.man.Hashes, below
 			return Message{Manifest: &inst}
 		})
 		// Install first, so the subtree's cache drains overlap our own.
@@ -836,27 +835,26 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 		}
 	}
 	sr.parent = from
-	man := st.man
+	man := j.man
 	nm.mu.Unlock()
 
 	if !drain {
 		// Another stripe's manifest already drained (or is draining) the
-		// cache; foldHave defers itself while that drain is in flight and
-		// the drain owner re-folds every stripe when it completes.
-		nm.foldHave(m.Job, m.Stripe)
-		nm.advanceAck(m.Job, m.Stripe)
+		// cache; the HAVE waits while that drain is in flight, and the
+		// drain owner answers every stripe when it completes.
+		nm.answer(m.Job, m.Stripe)
 		return
 	}
 
 	nm.mu.Lock()
-	if nm.bins[m.Job] != st {
+	if nm.jobs[m.Job] != j {
 		nm.mu.Unlock()
 		return // aborted while the manifest was being relayed
 	}
 	if nm.cache != nil {
 		spool := nm.cfg.SpoolDir != ""
 		for i := range man.Hashes {
-			if bitGet(st.written, i) {
+			if bitGet(j.written, i) {
 				continue
 			}
 			size := manifestChunkLen(man, i)
@@ -866,9 +864,9 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 				p := grabFrame(size)
 				buf := (*p)[fragRoom:]
 				if nm.cache.Get(man.Hashes[i], 0, size, buf) &&
-					nm.spliceChunk(m.Job, st, i, buf) == nil {
-					bitSet(st.written, i)
-					st.wcount++
+					nm.spliceChunk(m.Job, j, i, buf) == nil {
+					bitSet(j.written, i)
+					j.wcount++
 				}
 				releaseFrame(p)
 				continue
@@ -880,35 +878,29 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			// cache or a spool still does its file I/O here, under nm.mu:
 			// the spool handle is guarded by it.)
 			if nm.cache.Use(man.Hashes[i], 0, size) {
-				bitSet(st.written, i)
-				st.wcount++
+				bitSet(j.written, i)
+				j.wcount++
 			}
 		}
 	}
 	// A fully warm image is sealed off the lock, and enters the ack
-	// ledgers only then (see writeManifestChunk); st.draining keeps the
-	// HAVE folds deferred until sealImage clears it.
-	seal := st.wcount == len(man.Hashes) && !st.complete
+	// ledgers only then (see writeManifestChunk); j.draining holds the
+	// HAVE back until sealImage clears it.
+	seal := j.wcount == len(man.Hashes) && !j.complete
 	if !seal {
-		for s := 0; s < st.k; s++ {
-			st.advanceStripe(s)
+		for s := 0; s < j.k; s++ {
+			j.advanceStripe(s)
 		}
-		st.draining = false
+		j.draining = false
 	}
-	spool, k := st.spool, st.k
+	spool, k := j.spool, j.k
 	nm.mu.Unlock()
 	if seal {
-		switch err := nm.sealImage(m.Job, st, man, spool); {
+		switch err := nm.sealImage(m.Job, j, man, spool); {
 		case errors.Is(err, errJobGone):
 			return
 		case err != nil:
-			nm.mu.Lock()
-			parent := sr.parent
-			epoch := sr.epoch
-			nm.mu.Unlock()
-			if parent != nil {
-				parent.send(Message{FragAck: &FragAck{Job: m.Job, Index: len(man.Hashes) - 1, Node: nm.node, Epoch: epoch, Stripe: m.Stripe, OK: false}})
-			}
+			nm.c.send(Message{FragAck: &FragAck{Job: m.Job, Index: len(man.Hashes) - 1, Node: nm.node, Epoch: m.Epoch, Stripe: m.Stripe, OK: false}})
 			return
 		}
 	}
@@ -917,98 +909,57 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 
 // settle follows a cache drain or an image seal. Either may have
 // satisfied chunks of every stripe, and other stripes' manifests may have
-// arrived (and deferred their HAVE folds) while it ran: fold and
-// re-credit them all. Stripes whose manifest has not bound a parent yet
-// are skipped inside foldHave/advanceAck.
+// arrived (their HAVEs held back) while it ran: answer them all. A stripe
+// whose manifest has not bound a parent yet owes nothing.
 func (nm *NM) settle(job, k int) {
 	for s := 0; s < k; s++ {
-		nm.foldHave(job, s)
-		nm.advanceAck(job, s)
+		nm.answer(job, s)
 	}
 }
 
-// onChildHave folds one child subtree's HAVE report into this node's
-// ledger for that stripe: record it on the matching link — it doubles as
-// the selective relay filter, and its stripe-local prefix is the
-// subtree's credit — and send the stripe's aggregate up if this completes
-// the fold.
+// onChildHave records one child subtree's HAVE report for its stripe on
+// the matching link — it doubles as the selective relay filter, and its
+// stripe-local prefix is the subtree's credit — and answers, which sends
+// the stripe's HAVE up if this completes the fold.
 func (nm *NM) onChildHave(h *Have, cc *conn) {
 	nm.mu.Lock()
-	rs, st := nm.relays[h.Job], nm.bins[h.Job]
-	if rs == nil || st == nil || h.Stripe < 0 || h.Stripe >= len(rs.stripes) {
+	j := nm.jobs[h.Job]
+	if j == nil || h.Stripe < 0 || h.Stripe >= len(j.stripes) || h.Epoch != j.stripes[h.Stripe].epoch {
 		nm.mu.Unlock()
 		return
 	}
-	sr := rs.stripes[h.Stripe]
-	if h.Epoch != sr.epoch {
-		nm.mu.Unlock()
-		return
-	}
-	for _, rc := range sr.children {
+	for _, rc := range j.stripes[h.Stripe].children {
 		if rc.c == cc {
 			rc.have = append(rc.have[:0], h.Bits...)
-			rc.acked = stripePrefix(h.Bits, len(st.man.Hashes), h.Stripe, st.k, rc.acked)
+			rc.acked = stripePrefix(h.Bits, len(j.man.Hashes), h.Stripe, j.k, rc.acked)
 		}
 	}
 	nm.mu.Unlock()
-	nm.foldHave(h.Job, h.Stripe)
-	nm.advanceAck(h.Job, h.Stripe)
+	nm.answer(h.Job, h.Stripe)
 }
 
-// foldHave sends one stripe subtree's aggregated HAVE ledger up once the
-// local splice state and every live child's report are in: bit i is set
-// iff every node in the stripe's subtree holds chunk i, and the ledger's
-// stripe-local prefix is the credit it carries up. (The MM only
-// reads the bits a stripe owns — indices ≡ stripe mod k — but the fold
-// carries the full bitmap; the extra bits are free and keep the ledger
-// format identical at every stripe count.) The AND-fold is the dual of
-// the control plane's pong ledgers, which aggregate absence by OR — same
-// O(depth) round, O(fanout) egress per node.
-func (nm *NM) foldHave(job, stripe int) {
+// answer is the one way a stripe's answers go up its tree: it runs the
+// stripe's step (owes) under nm.mu and writes what it returns to the
+// stripe's parent, the HAVE before the credit. This is the live analogue
+// of the paper's COMPARE-AND-WRITE receipt check: one answer per subtree
+// per stripe instead of one per node.
+func (nm *NM) answer(job, s int) {
 	nm.mu.Lock()
-	rs := nm.relays[job]
-	st := nm.bins[job]
-	if rs == nil || st == nil || st.draining ||
-		stripe < 0 || stripe >= len(rs.stripes) {
+	j := nm.jobs[job]
+	if j == nil || s < 0 || s >= len(j.stripes) {
 		nm.mu.Unlock()
 		return
 	}
-	sr := rs.stripes[stripe]
-	if sr.haveSent || sr.parent == nil {
-		nm.mu.Unlock()
-		return
-	}
-	for _, rc := range sr.children {
-		if rc.have == nil && !rc.down {
-			nm.mu.Unlock()
-			return // a subtree report is still outstanding
-		}
-	}
-	bits := make([]uint64, len(st.written))
-	copy(bits, st.written)
-	for _, rc := range sr.children {
-		if rc.down {
-			// A dead child cannot vouch for anything: claim nothing, and
-			// let the MM's recovery path rebuild the subtree.
-			for i := range bits {
-				bits[i] = 0
-			}
-			break
-		}
-		for i := range bits {
-			if i < len(rc.have) {
-				bits[i] &= rc.have[i]
-			} else {
-				bits[i] = 0
-			}
-		}
-	}
-	sr.haveSent = true
-	sr.sentUp = stripePrefix(bits, len(st.man.Hashes), stripe, st.k, sr.sentUp)
-	parent := sr.parent
-	epoch := sr.epoch
+	sr := j.stripes[s]
+	have, credit := sr.owes(j, s)
+	parent, epoch := sr.parent, sr.epoch
 	nm.mu.Unlock()
-	parent.send(Message{Have: &Have{Job: job, Node: nm.node, Epoch: epoch, Stripe: stripe, Bits: bits}})
+	if have != nil {
+		parent.send(Message{Have: &Have{Job: job, Node: nm.node, Epoch: epoch, Stripe: s, Bits: have}})
+	}
+	if credit > 0 {
+		parent.send(Message{FragAck: &FragAck{Job: job, Index: credit - 1, Node: nm.node, Epoch: epoch, Stripe: s, OK: true}})
+	}
 }
 
 // offLock marks a point that must run without nm.mu held (see
@@ -1027,12 +978,14 @@ func (nm *NM) offLock() {
 //
 // Everything that costs O(bytes) — the hash, the cache's copy — runs
 // before nm.mu is taken, against the manifest handleFrag read under the
-// lock (st and man are that snapshot); the lock covers the bitmap and
+// lock (j and man are that snapshot); the lock covers the bitmap and
 // ledger update alone, and the seal of a completed image runs after it
 // is released (sealImage). The cache is filled before the
 // ledger moves, so a chunk this node has acked is a chunk its cache
-// holds: the next launch's HAVE round can rely on it.
-func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, man *Manifest) {
+// holds: the next launch's HAVE round can rely on it. A chunk this node
+// rejects is nacked straight to the MM on the node's own link, which no
+// relay hop between them can lose; epoch is the stripe's, for the nack.
+func (nm *NM) writeManifestChunk(f *Frag, epoch int, j *nmJob, man *Manifest) {
 	nm.offLock()
 	nchunks := len(man.Hashes)
 	ok := f.Index >= 0 && f.Index < nchunks &&
@@ -1042,8 +995,7 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, m
 		nm.cache.Put(man.Hashes[f.Index], 0, f.Data)
 	}
 	nm.mu.Lock()
-	rs := nm.relays[f.Job]
-	if nm.bins[f.Job] != st || rs == nil {
+	if nm.jobs[f.Job] != j {
 		// The job finished or was aborted while this fragment was being
 		// relayed and verified: nothing is left to write it into or to
 		// answer for it.
@@ -1051,44 +1003,44 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, m
 		f.release()
 		return
 	}
-	seal, k := false, st.k
+	seal, k := false, j.k
 	var spool *os.File
 	switch {
 	case !ok:
 		// Corrupt or misdirected: nacked below.
-	case bitGet(st.written, f.Index):
+	case bitGet(j.written, f.Index):
 		// Duplicate — a replayed stream after recovery, or a chunk the
 		// cache already supplied. Fall through to re-ack so the new
 		// topology's cumulative credit re-primes, but do not rewrite.
 	default:
-		if nm.spliceChunk(f.Job, st, f.Index, f.Data) != nil {
+		if nm.spliceChunk(f.Job, j, f.Index, f.Data) != nil {
 			ok = false // local write failure: this node nacks itself
 			break
 		}
-		bitSet(st.written, f.Index)
-		st.wcount++
+		bitSet(j.written, f.Index)
+		j.wcount++
 		nm.fragsWritten++
-		if seal = st.wcount == nchunks; seal {
+		if seal = j.wcount == nchunks; seal {
 			// The chunk that completes the image enters the ack ledgers
 			// only once the image is sealed (sealImage): until then its
 			// stripe's credit stays one short and a replan's HAVE fold
 			// waits, so nothing can vouch for an image that has not been
 			// checked.
-			st.draining = true
-			spool = st.spool // read after the splice, which may just have opened it
+			j.draining = true
+			spool = j.spool // read after the splice, which may just have opened it
 			break
 		}
 		// Ledger by the chunk's own stripe (index mod k), which the
 		// striped MM always matches to the frame's stripe tag.
-		st.advanceStripe(f.Index % st.k)
+		j.advanceStripe(f.Index % j.k)
 	}
 	if !ok {
-		rs.failed = true
+		j.failed = true
 	}
 	nm.mu.Unlock()
 	f.release()
 	if seal {
-		switch err := nm.sealImage(f.Job, st, man, spool); {
+		switch err := nm.sealImage(f.Job, j, man, spool); {
 		case errors.Is(err, errJobGone):
 			return
 		case err != nil:
@@ -1096,14 +1048,14 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, st *binState, m
 		}
 	}
 	if !ok {
-		from.send(Message{FragAck: &FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false}})
+		nm.c.send(Message{FragAck: &FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false}})
 		return
 	}
 	if seal {
 		nm.settle(f.Job, k)
 		return
 	}
-	nm.advanceAck(f.Job, f.Stripe)
+	nm.answer(f.Job, f.Stripe)
 }
 
 // maskGet is bitGet against a bitmap of unverified length (a peer's HAVE):
@@ -1126,9 +1078,9 @@ func manifestChunkLen(m *Manifest, i int) int {
 // bitmap, counting in stripe-local chunks (global index s + srecv[s]*k):
 // srecv[s] is what that stripe's cumulative acks (and replan resume
 // points) vouch for.
-func (st *binState) advanceStripe(s int) {
-	if s >= 0 && s < len(st.srecv) {
-		st.srecv[s] = stripePrefix(st.written, len(st.man.Hashes), s, st.k, st.srecv[s])
+func (j *nmJob) advanceStripe(s int) {
+	if s >= 0 && s < len(j.srecv) {
+		j.srecv[s] = stripePrefix(j.written, len(j.man.Hashes), s, j.k, j.srecv[s])
 	}
 }
 
@@ -1137,20 +1089,20 @@ func (st *binState) advanceStripe(s int) {
 // image is never materialized — chunk presence is tracked in the written
 // bitmap, each chunk verified against its hash as it arrives. Callers
 // hold nm.mu.
-func (nm *NM) spliceChunk(job int, st *binState, index int, data []byte) error {
+func (nm *NM) spliceChunk(job int, j *nmJob, index int, data []byte) error {
 	if nm.cfg.SpoolDir == "" {
 		return nil
 	}
-	off := int64(index) * int64(st.man.ChunkBytes)
-	if st.spool == nil {
-		st.final = filepath.Join(nm.cfg.SpoolDir, fmt.Sprintf("node%d-job%d.bin", nm.node, job))
+	off := int64(index) * int64(j.man.ChunkBytes)
+	if j.spool == nil {
+		j.final = filepath.Join(nm.cfg.SpoolDir, fmt.Sprintf("node%d-job%d.bin", nm.node, job))
 		fh, err := os.CreateTemp(nm.cfg.SpoolDir, fmt.Sprintf("node%d-job%d-*.tmp", nm.node, job))
 		if err != nil {
 			return err
 		}
-		st.spool, st.tmp = fh, fh.Name()
+		j.spool, j.tmp = fh, fh.Name()
 	}
-	_, err := st.spool.WriteAt(data, off)
+	_, err := j.spool.WriteAt(data, off)
 	return err
 }
 
@@ -1164,11 +1116,10 @@ var errJobGone = errors.New("livenet: job state released")
 // called WITHOUT nm.mu by the one goroutine that spliced the last chunk
 // (the written bitmap fills exactly once), with the spool handle it read
 // under the lock; the read-back and the digest are computed off the lock
-// and only the commit retakes it — and ends the deferral of HAVE folds
-// (st.draining) the caller began; the caller then settles. A failed seal
-// removes the spool file and marks the job's relay state failed; the
-// caller nacks.
-func (nm *NM) sealImage(job int, st *binState, man *Manifest, spool *os.File) error {
+// and only the commit retakes it — and ends the hold on the HAVE
+// (j.draining) the caller began; the caller then settles. A failed seal
+// removes the spool file and marks the job failed; the caller nacks.
+func (nm *NM) sealImage(job int, j *nmJob, man *Manifest, spool *os.File) error {
 	nm.offLock()
 	var err error
 	if nm.cfg.SpoolDir != "" {
@@ -1186,24 +1137,22 @@ func (nm *NM) sealImage(job int, st *binState, man *Manifest, spool *os.File) er
 	crc = ^crc
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	if nm.bins[job] != st {
+	if nm.jobs[job] != j {
 		return errJobGone
 	}
-	st.draining = false
+	j.draining = false
 	if err == nil {
-		err = st.commitSpool()
+		err = j.commitSpool()
 	}
 	if err != nil {
-		st.discardSpool()
-		if rs := nm.relays[job]; rs != nil {
-			rs.failed = true
-		}
+		j.discardSpool()
+		j.failed = true
 		return err
 	}
-	for s := range st.srecv {
-		st.srecv[s] = stripeChunks(len(man.Hashes), s, st.k)
+	for s := range j.srecv {
+		j.srecv[s] = stripeChunks(len(man.Hashes), s, j.k)
 	}
-	st.complete = true
+	j.complete = true
 	nm.digests[job] = ImageDigest{Bytes: int(man.TotalBytes), Frags: len(man.Hashes), CRC: crc}
 	return nil
 }
@@ -1249,61 +1198,33 @@ func (nm *NM) CacheStats() (chunkcache.Stats, bool) {
 // commitSpool publishes a fully verified image with close + atomic
 // rename, so a reader can never observe a half-written binary. On an
 // error the temp file is left for discardSpool.
-func (st *binState) commitSpool() error {
-	if st.spool == nil {
+func (j *nmJob) commitSpool() error {
+	if j.spool == nil {
 		return nil
 	}
-	err := st.spool.Close()
-	st.spool = nil
+	err := j.spool.Close()
+	j.spool = nil
 	if err == nil {
-		err = os.Rename(st.tmp, st.final)
+		err = os.Rename(j.tmp, j.final)
 	}
 	if err == nil {
-		st.tmp = ""
+		j.tmp = ""
 	}
 	return err
 }
 
 // discardSpool drops a partial image (abort/failure/shutdown cleanup).
-func (st *binState) discardSpool() {
-	if st == nil {
+func (j *nmJob) discardSpool() {
+	if j == nil {
 		return
 	}
-	if st.spool != nil {
-		st.spool.Close()
-		st.spool = nil
+	if j.spool != nil {
+		j.spool.Close()
+		j.spool = nil
 	}
-	if st.tmp != "" {
-		os.Remove(st.tmp)
-		st.tmp = ""
-	}
-}
-
-// advanceAck propagates one stripe's folded cumulative credit — creditUp
-// over the local stripe-local write progress — up to that stripe's
-// parent whenever it advances past what the epoch's HAVE ledger already
-// carried up. This is the live analogue of the paper's COMPARE-AND-WRITE
-// receipt check: one ack per subtree per stripe instead of one per node.
-// Nothing goes up before the HAVE, the epoch's first answer, so a
-// subtree the HAVE shows complete never acks at all. A child that is
-// down stalls the fold deliberately, so the MM can never drain a
-// stripe's window past a death: it replans the stripe, and the next
-// epoch's tree leaves the dead node out.
-func (nm *NM) advanceAck(job, stripe int) {
-	nm.mu.Lock()
-	rs := nm.relays[job]
-	st := nm.bins[job]
-	if rs == nil || st == nil || rs.failed || stripe < 0 || stripe >= len(rs.stripes) || stripe >= len(st.srecv) ||
-		!rs.stripes[stripe].haveSent {
-		nm.mu.Unlock()
-		return
-	}
-	sr := rs.stripes[stripe]
-	up, ok := sr.creditUp(st.srecv[stripe])
-	parent, epoch := sr.parent, sr.epoch
-	nm.mu.Unlock()
-	if ok {
-		parent.send(Message{FragAck: &FragAck{Job: job, Index: up - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true}})
+	if j.tmp != "" {
+		os.Remove(j.tmp)
+		j.tmp = ""
 	}
 }
 
@@ -1314,25 +1235,21 @@ func (nm *NM) advanceAck(job, stripe int) {
 // next job.
 func (nm *NM) onAbort(a *Abort) {
 	nm.mu.Lock()
-	nm.bins[a.Job].discardSpool()
-	delete(nm.relays, a.Job)
-	delete(nm.bins, a.Job)
+	j := nm.jobs[a.Job]
+	j.discardSpool()
+	delete(nm.jobs, a.Job)
 	delete(nm.digests, a.Job)
-	gr := nm.gates[a.Job]
-	delete(nm.gates, a.Job)
 	nm.mu.Unlock()
-	if gr != nil {
-		gr.g.cancel()
+	if j != nil && j.gate != nil {
+		j.gate.cancel()
 	}
 }
 
-// finishJob releases a completed job's transfer state (the image digest
-// is retained for inspection, the relay links for the next job).
+// finishJob releases a completed job's record (the image digest is
+// retained for inspection, the relay links for the next job).
 func (nm *NM) finishJob(job int) {
 	nm.mu.Lock()
-	delete(nm.relays, job)
-	delete(nm.bins, job)
-	delete(nm.gates, job)
+	delete(nm.jobs, job)
 	nm.mu.Unlock()
 }
 
@@ -1344,23 +1261,23 @@ func (nm *NM) finishJob(job int) {
 // copy changes nothing.
 func (nm *NM) onLaunch(l *Launch) {
 	nm.mu.Lock()
-	if nm.gates[l.Job] != nil {
+	j := nm.jobs[l.Job]
+	if j != nil && j.gate != nil {
 		nm.mu.Unlock()
 		return
 	}
-	st := nm.bins[l.Job]
-	ready := st != nil && st.complete
+	ready := j != nil && j.complete
 	// Gang mode: processes start gated and run only when their row is
 	// strobed; otherwise they free-run. The gate marks the job launched
 	// here, so lostChildLink leaves its tree alone from now on.
 	g := newGate(!l.Gang)
 	if ready {
-		nm.gates[l.Job] = &gateRow{g: g, row: l.Row}
+		j.gate, j.row = g, l.Row
 		nm.launches += l.PEs
 	}
-	if rs := nm.relays[l.Job]; rs != nil {
+	if j != nil {
 		index := l.Index + 1
-		for _, rc := range rs.stripes[0].children {
+		for _, rc := range j.stripes[0].children {
 			rc.down = false // a Launch gets one more try
 			child := *l
 			child.Index = index

@@ -35,6 +35,13 @@ func within(t *testing.T, d time.Duration, what string, fn func()) {
 	}
 }
 
+// bareNM is an NM with no hub, no goroutine and no link of its own, for
+// driving its handlers by hand; up stands in for its MM link.
+func bareNM(node int, up *conn) *NM {
+	return &NM{node: node, c: up, jobs: make(map[int]*nmJob), digests: make(map[int]ImageDigest),
+		links: make(map[*conn]struct{}), writers: make(map[string]*linkWriter)}
+}
+
 // TestFragForReleasedJobIsDropped is the regression test for the
 // panic-under-lock the benchmark found: a fragment is relayed and
 // verified against the snapshot handleFrag took, the job's state is
@@ -49,12 +56,10 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 	}
 	for name, release := range releases {
 		t.Run(name, func(t *testing.T) {
-			nm := &NM{
-				bins:    make(map[int]*binState),
-				relays:  make(map[int]*relayState),
-				digests: make(map[int]ImageDigest),
-				gates:   make(map[int]*gateRow),
-			}
+			// A stripe-tree root: its parent is its MM link.
+			var wire bytes.Buffer
+			parent := writeConn(&wire)
+			nm := bareNM(0, parent)
 			const job, chunks, size = 9, 4, 64
 			man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size,
 				Hashes: make([]uint64, chunks)}
@@ -63,10 +68,8 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 				c := image[i*size : (i+1)*size]
 				man.Hashes[i] = chunkcache.Hash64(c)
 			}
-			var wire bytes.Buffer
-			parent := writeConn(&wire)
 			nm.onManifest(man, parent)
-			st := nm.bins[job]
+			st := nm.jobs[job]
 			if st == nil || st.man == nil {
 				t.Fatal("manifest did not open the transfer")
 			}
@@ -78,13 +81,13 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 			f.Job, f.Index = job, 1
 			copy(f.Data, image[size:2*size])
 			within(t, 2*time.Second, "writeManifestChunk for a released job", func() {
-				nm.writeManifestChunk(f, parent, 0, st, st.man)
+				nm.writeManifestChunk(f, 0, st, st.man)
 			})
 			within(t, 2*time.Second, "the NM's getters", func() {
 				nm.FragsWritten()
 				nm.ImageDigest(job)
 			})
-			if nm.FragsWritten() != 0 || nm.bins[job] != nil || nm.relays[job] != nil {
+			if nm.FragsWritten() != 0 || nm.jobs[job] != nil {
 				t.Fatal("a fragment for a released job was written or revived its state")
 			}
 			if wire.Len() != sent {
@@ -101,14 +104,9 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 // buffer goes back (or a stream of them would allocate one payload
 // each).
 func TestFragBeforeManifestIsDropped(t *testing.T) {
-	nm := &NM{
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		digests: make(map[int]ImageDigest),
-	}
-	const job, size, frames = 9, 1 << 20, 32
 	var wire bytes.Buffer
-	parent := writeConn(&wire)
+	nm := bareNM(0, writeConn(&wire))
+	const job, size, frames = 9, 1 << 20, 32
 	// No collections while counting: each stops the world, after which
 	// this goroutine may run on another P, away from the buffer it pooled.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -116,13 +114,13 @@ func TestFragBeforeManifestIsDropped(t *testing.T) {
 		for i := 0; i < frames; i++ {
 			f := newFrag(size)
 			f.Job, f.Index = job, i
-			nm.handleFrag(f, parent)
+			nm.handleFrag(f)
 		}
 	})
 	if wire.Len() != 0 {
 		t.Fatalf("a fragment with no manifest was answered with %d bytes", wire.Len())
 	}
-	if nm.bins[job] != nil || nm.relays[job] != nil || nm.FragsWritten() != 0 {
+	if nm.jobs[job] != nil || nm.FragsWritten() != 0 {
 		t.Fatal("a fragment with no manifest opened receive or relay state or was written")
 	}
 	// Under -race sync.Pool drops a quarter of the puts at random, and a
@@ -317,11 +315,7 @@ func TestWarmRelaunchStructure(t *testing.T) {
 // completes the image, so the restarted answer is a full HAVE — which is
 // the epoch's whole credit, and no ack follows it.
 func TestEpochAnswersRestartAtManifest(t *testing.T) {
-	nm := &NM{
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		digests: make(map[int]ImageDigest),
-	}
+	nm := bareNM(0, discardConn())
 	const job, chunks, size = 9, 2, 64
 	image := fragPattern(job, 0, chunks*size)
 	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size,
@@ -340,8 +334,8 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 	oldLink, link := writeConn(&old), writeConn(&cur)
 
 	nm.onManifest(man, oldLink)
-	nm.handleFrag(frag(0), oldLink)
-	nm.handleFrag(frag(1), oldLink) // the old epoch's straggler
+	nm.handleFrag(frag(0))
+	nm.handleFrag(frag(1)) // the old epoch's straggler
 	if _, ok := nm.ImageDigest(job); !ok {
 		t.Fatal("the straggler did not complete the image")
 	}
@@ -376,15 +370,11 @@ func TestEpochAnswersRestartAtManifest(t *testing.T) {
 // must wait for that fold rather than go up as an ack of its own — after
 // the seal the one HAVE carries it.
 func TestNoAckBeforeHave(t *testing.T) {
-	nm := &NM{
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		digests: make(map[int]ImageDigest),
-	}
+	nm := bareNM(0, discardConn())
 	const job = 9
 	man := &Manifest{Job: job, Stripes: 2, ChunkBytes: 4, TotalBytes: 8, Hashes: make([]uint64, 2)}
 	nm.onManifest(man, discardConn())
-	st := nm.bins[job]
+	st := nm.jobs[job]
 	st.draining = true // stripe 0's seal in flight
 	bitSet(st.written, 1)
 	st.wcount++
@@ -412,9 +402,9 @@ func TestNoAckBeforeHave(t *testing.T) {
 			acks++
 		}
 	}
-	if haves != 1 || acks != 0 || nm.relays[job].stripes[1].sentUp != 1 {
+	if haves != 1 || acks != 0 || nm.jobs[job].stripes[1].sentUp != 1 {
 		t.Fatalf("stripe 1 sent %d HAVEs and %d acks, credit %d up; want one HAVE carrying credit 1",
-			haves, acks, nm.relays[job].stripes[1].sentUp)
+			haves, acks, nm.jobs[job].stripes[1].sentUp)
 	}
 }
 
@@ -425,16 +415,12 @@ func TestNoAckBeforeHave(t *testing.T) {
 // the temp file flips at the seal's off-lock point, after both chunks
 // passed their checks on arrival. The seal must fail closed: nothing
 // published under the final name, the temp file removed, a nack naming
-// this node up the tree, and no digest.
+// this node on its MM link, and no digest.
 func TestSpoolReadBack(t *testing.T) {
 	dir := t.TempDir()
-	nm := &NM{
-		node:    4,
-		cfg:     NMConfig{SpoolDir: dir},
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		digests: make(map[int]ImageDigest),
-	}
+	var up bytes.Buffer
+	nm := bareNM(4, writeConn(&up))
+	nm.cfg = NMConfig{SpoolDir: dir}
 	const chunks, size = 2, 64
 	var flip bool
 	crossed := 0
@@ -472,14 +458,12 @@ func TestSpoolReadBack(t *testing.T) {
 			man.Hashes[i] = chunkcache.Hash64(image[i*size : (i+1)*size])
 			list = binary.LittleEndian.AppendUint64(list, man.Hashes[i])
 		}
-		var up bytes.Buffer
-		parent := writeConn(&up)
-		nm.onManifest(man, parent)
+		nm.onManifest(man, discardConn())
 		for i := 0; i < chunks; i++ {
 			f := newFrag(size)
 			f.Job, f.Index, f.Last = job, i, i == chunks-1
 			copy(f.Data, image[i*size:(i+1)*size])
-			nm.handleFrag(f, parent)
+			nm.handleFrag(f)
 		}
 		if crossed != job*(chunks+1) {
 			t.Fatalf("job %d: %d off-lock points crossed, want %d", job, crossed, job*(chunks+1))
@@ -511,7 +495,7 @@ func TestSpoolReadBack(t *testing.T) {
 			t.Fatalf("a failed seal left %v behind", tmps)
 		}
 		if !nacked {
-			t.Fatal("no nack naming the node went up after a failed seal")
+			t.Fatal("no nack naming the node went to the MM after a failed seal")
 		}
 		if sealed {
 			t.Fatalf("a failed seal reported the digest %+v", d)

@@ -134,12 +134,8 @@ func TestOneWritePerFrame(t *testing.T) {
 		})
 		t.Run(p.name+"/relay", func(t *testing.T) {
 			fw := &frameWrites{frags: make(map[[2]uint32][]byte)}
-			nm := &NM{
-				bins:    make(map[int]*binState),
-				relays:  make(map[int]*relayState),
-				digests: make(map[int]ImageDigest),
-				writers: map[string]*linkWriter{"a": {c: newConnProf(writeCounter{fw: fw}, p.prof)}},
-			}
+			nm := bareNM(0, discardConn())
+			nm.writers["a"] = &linkWriter{c: newConnProf(writeCounter{fw: fw}, p.prof)}
 			up := writeConn(io.Discard)
 			for job, n := range oneWriteSizes() {
 				data := fragPattern(job, 0, n)
@@ -154,7 +150,7 @@ func TestOneWritePerFrame(t *testing.T) {
 				}
 				nm.wg.Wait() // the child's install is written
 				before := fw.writes
-				nm.handleFrag(m.Frag, up)
+				nm.handleFrag(m.Frag)
 				nm.wg.Wait() // and the relayed fragment
 				if w := fw.writes - before; w != 1 {
 					t.Errorf("a relayed %d-byte fragment took %d writes", n, w)

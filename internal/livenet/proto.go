@@ -433,7 +433,8 @@ func (f *Frag) walk(w *walker) {
 // tree the ack is cumulative and aggregated: Node's ack for Index means
 // every node in Node's subtree has verified and written fragments
 // 0..Index. OK=false reports a content rejection; Node then names
-// the rejecting node, which parents forward up unchanged. Epoch is the
+// the rejecting node, which writes it straight to the MM on its own MM
+// link, never up the tree. Epoch is the
 // tree generation the ack was computed under: after a mid-transfer
 // replan the subtree a node vouches for changes, so credit from an
 // earlier topology must not be mistaken for credit under the new one.

@@ -550,7 +550,7 @@ func TestChaosBlackholedLaunchRelay(t *testing.T) {
 	ran := func(nm *NM) bool {
 		nm.mu.Lock()
 		defer nm.mu.Unlock()
-		return nm.launches > 0 && len(nm.gates) == 0
+		return nm.launches > 0 && len(nm.jobs) == 0
 	}
 	deadline := time.Unix(0, failedAt.Load()).Add(500 * time.Millisecond)
 	for !ran(nms[parent]) || !ran(nms[sibling]) {
@@ -664,11 +664,7 @@ func TestMMFanOutStalledChild(t *testing.T) {
 // draw an answer, and it may not touch any other stripe's epoch, parent
 // or relay, or the written bitmap.
 func TestStaleEpochManifestIsolated(t *testing.T) {
-	nm := &NM{
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		digests: make(map[int]ImageDigest),
-	}
+	nm := bareNM(0, discardConn())
 	const job = 7
 	man := func(stripe, epoch int) *Manifest {
 		return &Manifest{Job: job, Epoch: epoch, Stripe: stripe, Stripes: 2, ChunkBytes: 4,
@@ -679,12 +675,12 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 	// epoch 2 and its manifest installed that.
 	parent0, parent1 := discardConn(), discardConn()
 	nm.onManifest(man(0, 0), parent0)
-	st, rs := nm.bins[job], nm.relays[job]
-	if st == nil || st.man == nil || st.k != 2 || rs == nil || len(rs.stripes) != 2 {
-		t.Fatalf("stripe 0 manifest did not open the transfer: %+v %+v", st, rs)
+	st := nm.jobs[job]
+	if st == nil || st.man == nil || st.k != 2 || len(st.stripes) != 2 {
+		t.Fatalf("stripe 0 manifest did not open the transfer: %+v", st)
 	}
 	nm.onManifest(man(1, 2), parent1)
-	if rs.stripes[0].parent != parent0 || rs.stripes[1].parent != parent1 || rs.stripes[1].epoch != 2 {
+	if st.stripes[0].parent != parent0 || st.stripes[1].parent != parent1 || st.stripes[1].epoch != 2 {
 		t.Fatal("current-epoch manifests did not bind their stripes")
 	}
 	written := append([]uint64(nil), st.written...)
@@ -694,16 +690,16 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 	stale := man(1, 1)
 	stale.Tree = []TreeNode{{Node: 9, Addr: "nowhere", Size: 1}}
 	nm.onManifest(stale, writeConn(&answers))
-	if s1 := rs.stripes[1]; s1.parent != parent1 || s1.epoch != 2 || len(s1.children) != 0 {
+	if s1 := st.stripes[1]; s1.parent != parent1 || s1.epoch != 2 || len(s1.children) != 0 {
 		t.Fatalf("stale manifest disturbed stripe 1: %+v", s1)
 	}
 	if answers.Len() != 0 {
 		t.Fatalf("stale manifest was answered with %d bytes", answers.Len())
 	}
-	if s0 := rs.stripes[0]; s0.parent != parent0 || s0.epoch != 0 {
+	if s0 := st.stripes[0]; s0.parent != parent0 || s0.epoch != 0 {
 		t.Fatal("stale stripe-1 manifest disturbed stripe 0's binding")
 	}
-	if nm.bins[job] != st || !reflect.DeepEqual(st.written, written) {
+	if nm.jobs[job] != st || !reflect.DeepEqual(st.written, written) {
 		t.Fatal("stale manifest touched the receive state")
 	}
 }
@@ -718,12 +714,9 @@ func TestStaleEpochManifestIsolated(t *testing.T) {
 // reinstalls nothing: the children, and what they reported, stay.
 func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 	var up bytes.Buffer
-	nm := &NM{
-		node:    3,
-		c:       writeConn(&up),
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		writers: map[string]*linkWriter{"a": {c: discardConn()}, "b": {c: discardConn()}, "c": {c: discardConn()}},
+	nm := bareNM(3, writeConn(&up))
+	for _, addr := range []string{"a", "b", "c"} {
+		nm.writers[addr] = &linkWriter{c: discardConn()}
 	}
 	const job = 7
 	man := func(stripe, epoch int, kid TreeNode) *Manifest {
@@ -735,7 +728,7 @@ func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 	nm.onManifest(man(0, 0, TreeNode{Node: 1, Addr: "a", Size: 1}), parent0)
 	nm.onManifest(man(1, 0, TreeNode{Node: 2, Addr: "b", Size: 1}), parent1)
 	nm.wg.Wait() // the children's link writers bind them
-	rs := nm.relays[job]
+	rs := nm.jobs[job]
 	if rs == nil || len(rs.stripes) != 2 {
 		t.Fatalf("launch manifests installed %+v", rs)
 	}
@@ -753,7 +746,7 @@ func TestPlanRewiresOnlyNamedStripe(t *testing.T) {
 	relinked := discardConn()
 	nm.onManifest(man(1, 3, TreeNode{Node: 4, Addr: "c", Size: 1}), relinked)
 	nm.wg.Wait()
-	if nm.relays[job] != rs || rs.stripes[0] != s0 || rs.stripes[1] != s1 {
+	if nm.jobs[job] != rs || rs.stripes[0] != s0 || rs.stripes[1] != s1 {
 		t.Fatal("a one-stripe rewire replaced the job's relay state")
 	}
 	if s1.epoch != 3 || len(s1.children) != 1 || s1.children[0].node != 4 || s1.children[0].c != nm.writers["c"].c ||
@@ -794,14 +787,8 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 		t.Fatalf("re-placement opened %d stripes at epoch %d, want 2 at 3", len(j.stripes), j.epoch)
 	}
 
-	nm := &NM{
-		node:    3,
-		c:       discardConn(),
-		bins:    make(map[int]*binState),
-		relays:  make(map[int]*relayState),
-		digests: make(map[int]ImageDigest),
-		writers: map[string]*linkWriter{"c": {c: discardConn()}},
-	}
+	nm := bareNM(3, discardConn())
+	nm.writers["c"] = &linkWriter{c: discardConn()}
 	const job, chunks, size = 9, 2, 64
 	image := fragPattern(job, 0, chunks*size)
 	man := func(stripe, epoch int, tree ...TreeNode) *Manifest {
@@ -820,7 +807,7 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 		f := newFrag(size)
 		copy(f.Data, image[i*size:(i+1)*size])
 		f.Job, f.Index, f.Stripe = job, i, i%2
-		nm.handleFrag(f, old)
+		nm.handleFrag(f)
 	}
 	if _, ok := nm.ImageDigest(job); !ok {
 		t.Fatal("the failed attempt did not leave the image")
@@ -831,7 +818,7 @@ func TestRehomeReinstallsKeptState(t *testing.T) {
 	link := writeConn(&up)
 	nm.onManifest(man(0, 3, TreeNode{Node: 4, Addr: "c", Size: 1}), link)
 	nm.wg.Wait()
-	sr := nm.relays[job].stripes[0]
+	sr := nm.jobs[job].stripes[0]
 	if sr.epoch != 3 || sr.parent != link || len(sr.children) != 1 || sr.children[0].node != 4 || sr.haveSent {
 		t.Fatalf("the re-placed attempt's manifest did not reinstall stripe 0: %+v", sr)
 	}
