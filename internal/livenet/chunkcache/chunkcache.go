@@ -16,6 +16,13 @@
 // an entry: the manifest, which addresses chunks by the same pair,
 // cannot tell them apart either.)
 //
+// Put stores a private copy. Adopt stores the caller's bytes themselves
+// — livenet hands over the verified frame a fragment arrived in, so a
+// chunk is copied once on a node, by the kernel — and takes over one
+// reference to them, released when the entry goes. The budget is charged
+// what an entry really holds: the copy's length, or the adopted
+// allocation.
+//
 // Eviction is strict LRU under a byte budget, so the eviction order for
 // a given access sequence is deterministic — a property the tests pin.
 package chunkcache
@@ -46,10 +53,16 @@ type key struct {
 }
 
 type entry struct {
-	key  key
-	data []byte // in-memory copy; nil when the entry lives on disk
-	path string // disk backing file; "" when in-memory
+	key   key
+	data  []byte // in-memory bytes; nil when the entry lives on disk
+	path  string // disk backing file; "" when in-memory
+	cost  int64  // bytes charged to the budget
+	owner Owner  // releases adopted data; nil for a private copy
 }
+
+// Owner holds the bytes Adopt stores: the cache calls Release exactly
+// once, when it no longer references them.
+type Owner interface{ Release() }
 
 // Cache is a bounded LRU chunk store, safe for concurrent use. A zero
 // byte budget disables storage entirely (every Get is a miss), which
@@ -65,7 +78,7 @@ type Cache struct {
 	hits, misses, evictions, saved atomic.Int64
 }
 
-// New builds a cache holding at most maxBytes of chunk payload. If dir
+// New builds a cache holding at most maxBytes of chunk bytes. If dir
 // is non-empty, entries are spilled to one file each under dir (created
 // if needed) instead of held in memory; the byte budget applies either
 // way.
@@ -156,52 +169,72 @@ func Hash64(b []byte) uint64 {
 // same-size chunks (every chunk of an image but its tail) admission is
 // allocation-free in steady state.
 func (c *Cache) Put(hash uint64, _ uint32, data []byte) {
-	n := int64(len(data))
-	if n == 0 || n > c.max {
-		return
+	c.Adopt(hash, data, int64(len(data)), nil)
+}
+
+// Adopt stores data itself under its content key, charging cost (the
+// allocation behind data) to the budget, and holds owner's reference to
+// it until the entry goes; a nil owner stores a copy, as Put does. The
+// caller must have verified data against hash, and nothing may write to
+// it while it is referenced. Where holding the allocation would not pay
+// — a disk-backed cache, or an allocation twice the data or over the
+// whole budget — Adopt stores what Put would. Whenever the cache keeps
+// no reference, owner is released before Adopt returns.
+func (c *Cache) Adopt(hash uint64, data []byte, cost int64, owner Owner) {
+	if owner != nil && (c.dir != "" || cost >= 2*int64(len(data)) || cost > c.max) {
+		defer owner.Release() // once the bytes are in the file or the copy
+		owner, cost = nil, int64(len(data))
 	}
 	k := key{hash: hash, n: len(data)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.ll.MoveToFront(el)
+	if el, ok := c.entries[k]; ok || len(data) == 0 || cost > c.max {
+		if ok {
+			c.ll.MoveToFront(el)
+		}
+		if owner != nil {
+			owner.Release()
+		}
 		return
 	}
 	var spare []byte
-	for c.size+n > c.max {
-		// Reuse only a buffer less than twice the size needed: the budget
-		// counts payload bytes, so a small chunk parked in a large buffer
-		// would let real memory outgrow it.
-		if b := c.evictOldestLocked(); cap(b) >= len(data) && cap(b) < 2*len(data) {
-			spare = b
+	for c.size+cost > c.max {
+		el := c.ll.Back()
+		c.removeLocked(el)
+		c.evictions.Add(1)
+		// Reuse only a private buffer less than twice the size needed: a
+		// copy is charged its length, so a small chunk parked in a large
+		// buffer would let real memory outgrow the budget.
+		if e := el.Value.(*entry); e.owner == nil && cap(e.data) >= len(data) && cap(e.data) < 2*len(data) {
+			spare = e.data
 		}
 	}
-	e := &entry{key: k}
+	e := &entry{key: k, cost: cost, owner: owner}
 	if c.dir != "" {
 		path := filepath.Join(c.dir, fmt.Sprintf("%016x-%d.chunk", hash, len(data)))
 		tmp, err := os.CreateTemp(c.dir, ".chunk-*")
 		if err != nil {
 			return
 		}
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return
+		_, err = tmp.Write(data)
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
 		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return
+		if err == nil {
+			err = os.Rename(tmp.Name(), path)
 		}
-		if err := os.Rename(tmp.Name(), path); err != nil {
+		if err != nil {
 			os.Remove(tmp.Name())
 			return
 		}
 		e.path = path
+	} else if owner != nil {
+		e.data = data
 	} else {
 		e.data = append(spare[:0], data...)
 	}
 	c.entries[k] = c.ll.PushFront(e)
-	c.size += n
+	c.size += cost
 }
 
 // Get looks up a chunk by content key and, on a hit, copies its bytes
@@ -243,7 +276,7 @@ func (c *Cache) Get(hash uint64, _ uint32, n int, dst []byte) bool {
 	}
 	c.ll.MoveToFront(el)
 	// Copy before unlocking: once the lock is released an eviction may
-	// hand this entry's buffer to the next Put.
+	// hand this entry's buffer to the next Put, or back to its owner.
 	copy(dst[:n], data)
 	c.mu.Unlock()
 	c.hits.Add(1)
@@ -257,9 +290,10 @@ func (c *Cache) Get(hash uint64, _ uint32, n int, dst []byte) bool {
 // is never materialized and only the chunk's presence matters.
 //
 // Memory-backed entries are trusted by key alone: the entry's bytes
-// matched (hash, length) when Put copied them into the private
-// heap, which is exactly the acceptance check a wire chunk gets, so a
-// key match here is as strong as a wire fetch. Disk-backed entries can
+// matched (hash, length) before Put copied or Adopt adopted them, which
+// is exactly the acceptance check a wire chunk gets, and nothing writes
+// to them while the cache references them, so a key match here is as
+// strong as a wire fetch. Disk-backed entries can
 // rot or truncate after Put, so they are re-read and re-verified like
 // Get; any mismatch evicts the entry and degrades to a miss.
 func (c *Cache) Use(hash uint64, _ uint32, n int) bool {
@@ -298,77 +332,16 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Len returns the number of cached chunks; Size the payload bytes held.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-func (c *Cache) Size() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
-// evictOldestLocked drops the least recently used entry and returns its
-// in-memory buffer (nil for a disk-backed entry), which nothing
-// references any more.
-func (c *Cache) evictOldestLocked() []byte {
-	el := c.ll.Back()
-	if el == nil {
-		return nil
-	}
-	c.removeLocked(el)
-	c.evictions.Add(1)
-	return el.Value.(*entry).data
-}
-
+// removeLocked drops an entry, handing adopted bytes back to their owner.
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
 	delete(c.entries, e.key)
-	c.size -= int64(e.key.n)
+	c.size -= e.cost
 	if e.path != "" {
 		os.Remove(e.path)
 	}
-}
-
-// Poison corrupts the stored bytes of a present entry in place (test
-// hook for the corruption-fallback path). It reports whether the entry
-// was found.
-func (c *Cache) Poison(hash uint64, n int) bool {
-	k := key{hash: hash, n: n}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return false
+	if e.owner != nil {
+		e.owner.Release()
 	}
-	e := el.Value.(*entry)
-	if e.path != "" {
-		b, err := os.ReadFile(e.path)
-		if err != nil || len(b) == 0 {
-			return false
-		}
-		b[len(b)/2] ^= 0xff
-		return os.WriteFile(e.path, b, 0o644) == nil
-	}
-	if len(e.data) == 0 {
-		return false
-	}
-	e.data[len(e.data)/2] ^= 0xff
-	return true
-}
-
-// lruHashes reports the LRU order from front (most recent) to back as
-// hash keys — test hook for pinning deterministic eviction.
-func (c *Cache) lruHashes() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]uint64, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).key.hash)
-	}
-	return out
 }

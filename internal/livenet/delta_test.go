@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sync"
@@ -231,8 +233,10 @@ func TestDeltaPoisonedCacheFallsBack(t *testing.T) {
 	// Disk-backed caches AND a real spool: the relaunch materializes the
 	// image on disk and the seal re-reads every byte against the manifest's
 	// chunk hashes, so a node that reports a digest holds the bytes.
+	cacheDirs := make([]string, n)
 	mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
-		return NMConfig{CacheBytes: 8 << 20, CacheDir: t.TempDir(), SpoolDir: t.TempDir()}
+		cacheDirs[node] = t.TempDir()
+		return NMConfig{CacheBytes: 8 << 20, CacheDir: cacheDirs[node], SpoolDir: t.TempDir()}
 	})
 
 	spec := deltaSpec(n, 0xabcd, nil)
@@ -242,14 +246,21 @@ func TestDeltaPoisonedCacheFallsBack(t *testing.T) {
 	}
 	refDigest, _ := nms[0].ImageDigest(repA.JobID)
 
-	// Poison chunk 3 in one NM's on-disk cache.
+	// Poison chunk 3 in one NM's on-disk cache: flip a byte of the
+	// entry's file, named by its key.
 	const victim, badChunk = 2, 3
 	size := chunkSizeFor(&spec, cfg.FragBytes, badChunk)
 	data := make([]byte, size)
 	fillChunkInto(&spec, 0, badChunk, data) // job ID is ignored for seeded content
 	hash := chunkcache.Hash64(data)
-	if !nms[victim].cache.Poison(hash, size) {
-		t.Fatalf("chunk %d not present in node %d's cache", badChunk, victim)
+	path := filepath.Join(cacheDirs[victim], fmt.Sprintf("%016x-%d.chunk", hash, size))
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) != size {
+		t.Fatalf("chunk %d not present in node %d's cache: %v", badChunk, victim, err)
+	}
+	b[size/2] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	repB, err := SubmitJob(mm.Addr(), spec)

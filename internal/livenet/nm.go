@@ -974,17 +974,19 @@ func (nm *NM) offLock() {
 // length and content hash — splices it at its offset, and advances
 // the in-order ack pointer across any cached spans it completes. Verified
 // chunks also populate the cache, so the next launch of the same content
-// skips the wire entirely.
+// skips the wire entirely: the cache adopts the frame the chunk arrived
+// in, holding a reference to it (fragOwner) until it evicts the entry,
+// so the payload is never copied.
 //
-// Everything that costs O(bytes) — the hash, the cache's copy — runs
-// before nm.mu is taken, against the manifest handleFrag read under the
-// lock (j and man are that snapshot); the lock covers the bitmap and
-// ledger update alone, and the seal of a completed image runs after it
-// is released (sealImage). The cache is filled before the
-// ledger moves, so a chunk this node has acked is a chunk its cache
-// holds: the next launch's HAVE round can rely on it. A chunk this node
-// rejects is nacked straight to the MM on the node's own link, which no
-// relay hop between them can lose; epoch is the stripe's, for the nack.
+// Everything that costs O(bytes) — the hash — runs before nm.mu is
+// taken, against the manifest handleFrag read under the lock (j and man
+// are that snapshot); the lock covers the bitmap and ledger update
+// alone, and the seal of a completed image runs after it is released
+// (sealImage). The cache is filled before the ledger moves, so a chunk
+// this node has acked is a chunk its cache holds: the next launch's HAVE
+// round can rely on it. A chunk this node rejects is nacked straight to
+// the MM on the node's own link, which no relay hop between them can
+// lose; epoch is the stripe's, for the nack.
 func (nm *NM) writeManifestChunk(f *Frag, epoch int, j *nmJob, man *Manifest) {
 	nm.offLock()
 	nchunks := len(man.Hashes)
@@ -992,7 +994,8 @@ func (nm *NM) writeManifestChunk(f *Frag, epoch int, j *nmJob, man *Manifest) {
 		len(f.Data) == manifestChunkLen(man, f.Index) &&
 		chunkcache.Hash64(f.Data) == man.Hashes[f.Index]
 	if ok && nm.cache != nil {
-		nm.cache.Put(man.Hashes[f.Index], 0, f.Data)
+		f.hold()
+		nm.cache.Adopt(man.Hashes[f.Index], f.Data, int64(fragRoom+cap(f.Data)), (*fragOwner)(f))
 	}
 	nm.mu.Lock()
 	if nm.jobs[f.Job] != j {

@@ -81,12 +81,12 @@ func (c writeCounter) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// oneWriteSizes are the fragment payloads the test sends: one byte, each
-// bufio size and each payload whose frame is a bufio size (±1), and the
-// default fragment.
+// oneWriteSizes are the fragment payloads the test sends: one byte, the
+// read buffer's size and 64 KiB and each payload whose frame is one of
+// those (±1), and the default fragment.
 func oneWriteSizes() []int {
 	sizes := []int{1, 256 << 10}
-	for _, b := range []int{liteProfile.bufBytes, bulkProfile.bufBytes} {
+	for _, b := range []int{connReadBuf, 64 << 10} {
 		for d := -1; d <= 1; d++ {
 			sizes = append(sizes, b+d, b-fragRoom+d)
 		}
@@ -144,7 +144,7 @@ func TestOneWritePerFrame(t *testing.T) {
 				var in bytes.Buffer
 				(writeConn(&in)).send(Message{Frag: &Frag{Job: job, Last: true, Data: data}})
 				received := append([]byte(nil), in.Bytes()...)
-				m, err := (&conn{r: bufio.NewReaderSize(&in, p.prof.bufBytes)}).recv()
+				m, err := (&conn{r: bufio.NewReaderSize(&in, connReadBuf)}).recv()
 				if err != nil {
 					t.Fatal(err)
 				}

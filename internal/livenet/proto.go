@@ -379,8 +379,15 @@ func newFrag(n int) *Frag {
 	return &Frag{Data: (*p)[fragRoom:], frame: p}
 }
 
-// hold takes one more reference to the frame: a relay's queued copy.
+// hold takes one more reference to the frame: a relay's queued copy, or
+// the chunk cache's entry (fragOwner).
 func (f *Frag) hold() { f.refs.Add(1) }
+
+// fragOwner is the reference a chunk cache entry holds to the frame it
+// adopted; the cache releases it on eviction.
+type fragOwner Frag
+
+func (o *fragOwner) Release() { (*Frag)(o).release() }
 
 // release drops one reference to the Frag's frame, and hands the frame
 // back to the pool with the last. The Frag must not be used afterwards.
@@ -845,7 +852,10 @@ const fragRoom = 1 + wire.FragLen
 var framePool sync.Pool
 
 // grabFrame returns a frame of fragRoom+n bytes, reusing a pooled one
-// when its capacity suffices: (*p)[fragRoom:] is the n-byte payload.
+// when its capacity suffices: (*p)[fragRoom:] is the n-byte payload. The
+// heap gives an object over 32 KiB whole 8 KiB pages, so a new frame that
+// size gets their room as cap: its cap is the memory it holds, which is
+// what the chunk cache charges for one it adopts.
 func grabFrame(n int) *[]byte {
 	if v := framePool.Get(); v != nil {
 		p := v.(*[]byte)
@@ -854,7 +864,11 @@ func grabFrame(n int) *[]byte {
 			return p
 		}
 	}
-	b := make([]byte, fragRoom+n)
+	size := fragRoom + n
+	if size > 32<<10 {
+		size = (size + 8<<10 - 1) &^ (8<<10 - 1)
+	}
+	b := make([]byte, fragRoom+n, size)
 	return &b
 }
 
@@ -921,24 +935,24 @@ type conn struct {
 	sentFrames atomic.Int64 // frames written (the control-egress metric)
 }
 
-// connProfile sizes a connection's buffering. The bulk profile is tuned
-// for throughput on a handful of links (a deep read buffer, 1MB socket
-// buffers so an early fragment write lands in the kernel in one shot
-// instead of blocking on tcp_wmem autotuning). The lite profile is tuned
-// for density: with hundreds of NMs in one process the per-conn read
-// buffer dominates the per-NM heap (64KB on each side of every link), so
-// lite conns carry shallow ones and leave the socket buffers to the
-// kernel — the right trade for control-sized frames, which is all a
-// steady-state registered NM exchanges.
+// connProfile sizes a connection's socket buffers: 1MB on the bulk
+// profile, so an early fragment write lands in the kernel in one shot
+// instead of blocking on tcp_wmem autotuning; the kernel's default on the
+// lite one, which is tuned for density (hundreds of NMs in one process).
 type connProfile struct {
-	bufBytes  int // bufio reader size
 	sockBytes int // TCP send/receive buffer; 0 keeps the kernel default
 }
 
 var (
-	bulkProfile = connProfile{bufBytes: 64 << 10, sockBytes: 1 << 20}
-	liteProfile = connProfile{bufBytes: 8 << 10}
+	bulkProfile = connProfile{sockBytes: 1 << 20}
+	liteProfile = connProfile{}
 )
+
+// connReadBuf is every conn's read-ahead: deep enough for control
+// frames, and shallow beside a fragment, whose header read pulls at most
+// this much payload in to be copied out; recv reads the rest from the
+// socket straight into the frame.
+const connReadBuf = 8 << 10
 
 // profileFor picks the profile a config's Lite flag selects.
 func profileFor(lite bool) connProfile {
@@ -955,7 +969,7 @@ func newConnProf(c net.Conn, prof connProfile) *conn {
 		tc.SetWriteBuffer(prof.sockBytes)
 		tc.SetReadBuffer(prof.sockBytes)
 	}
-	return &conn{c: c, r: bufio.NewReaderSize(c, prof.bufBytes)}
+	return &conn{c: c, r: bufio.NewReaderSize(c, connReadBuf)}
 }
 
 // walker is one pass of a message's walk over one frame. Encoding, it
