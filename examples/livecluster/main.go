@@ -4,6 +4,9 @@
 // SWEEP3D-style kernel computation, and a parallel sleep. It then
 // offers six jobs at once to a two-slot MM and prints the live job
 // table (per-job phase, queue wait, flow-control window) mid-flight.
+// A gang section runs two pairs of gangs on four NMs: one pair on the
+// same nodes time-shares two rows, the other, on disjoint nodes, shares
+// row 0.
 // A placement section then boots a 16-node cluster with declared
 // per-node capacities, parks demand on most of it, and compares where
 // the spread and locality policies seat the same 4-node gang (per-node
@@ -178,7 +181,7 @@ func main() {
 	fmt.Println(inflight.String())
 	fmt.Println(mtTable.String())
 
-	fmt.Println("\nLive gang scheduling: two spin gangs timeshared at MPL 2, 25 ms quanta...")
+	fmt.Println("\nLive gang scheduling: pairs of 300 ms spin gangs at MPL 2, 25 ms quanta, 4 NMs...")
 	gangMM, err := livenet.NewMM("127.0.0.1:0", livenet.MMConfig{
 		GangQuantum: 25 * time.Millisecond, MPL: 2,
 	})
@@ -186,39 +189,52 @@ func main() {
 		panic(err)
 	}
 	defer gangMM.Close()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		nm, err := livenet.NewNM(gangMM.Addr(), i, 4)
 		if err != nil {
 			panic(err)
 		}
 		defer nm.Close()
 	}
-	for len(gangMM.NMs()) < 2 {
+	for len(gangMM.NMs()) < 4 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	gangStart := time.Now()
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := livenet.SubmitJob(gangMM.Addr(), livenet.JobSpec{
-				Name: "gang", BinaryBytes: 256 << 10, Nodes: 2, PEsPerNode: 1,
-				Program: livenet.ProgramSpec{Kind: "spin", Duration: 300 * time.Millisecond},
-			})
-			done <- err
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			fmt.Printf("  gang job error: %v\n", err)
+	// Gangs on the same nodes time-share two rows of the Ousterhout
+	// matrix; gangs on disjoint nodes share row 0 and run side by side.
+	gangTable := metrics.NewTable("gang matrix (rows = timeslots, columns = nodes)",
+		"pair", "nodes", "rows", "elapsed")
+	for _, pair := range []struct {
+		label string
+		nodes [2][]int
+	}{
+		{"overlapping", [2][]int{{0, 1}, {0, 1}}},
+		{"disjoint", [2][]int{{0, 1}, {2, 3}}},
+	} {
+		gangStart := time.Now()
+		reps := make(chan livenet.Report, 2)
+		for _, nodes := range pair.nodes {
+			go func() {
+				rep, err := livenet.SubmitJob(gangMM.Addr(), livenet.JobSpec{
+					Name: "gang", BinaryBytes: 256 << 10, Nodes: 2, PEsPerNode: 1, Place: nodes,
+					Program: livenet.ProgramSpec{Kind: "spin", Duration: 300 * time.Millisecond},
+				})
+				if err != nil {
+					fmt.Printf("  gang job error: %v\n", err)
+				}
+				reps <- rep
+			}()
 		}
+		r1, r2 := <-reps, <-reps
+		gangTable.AddRow(pair.label, fmt.Sprint(pair.nodes[0], pair.nodes[1]),
+			fmt.Sprint(min(r1.Row, r2.Row), max(r1.Row, r2.Row)),
+			time.Since(gangStart).Round(time.Millisecond))
 	}
-	elapsed := time.Since(gangStart)
 	st, err := livenet.QueryStatus(gangMM.Addr())
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("  two 300 ms gangs timeshared in %v (%d strobes issued)\n",
-		elapsed.Round(time.Millisecond), st.Strobes)
+	fmt.Println(gangTable.String())
+	fmt.Printf("  %d strobes issued\n", st.Strobes)
 
 	fmt.Println("\nResource-aware placement: spread vs locality on a 16-node cluster...")
 	// Every node declares a capacity; a pinned sleep job parks demand on

@@ -181,8 +181,8 @@ type admitQueue struct {
 
 // await parks j until the policy picks it and a slot is free, then takes
 // the slot. grant, when non-nil, is the owner's last word on a job that
-// could go: false leaves it queued until the next wake (the MM has no
-// free gang row). A waiter the owner's shutdown releases gets errClosed;
+// could go: false leaves it queued until the next wake (no row of the
+// MM's gang matrix has room for it). A waiter the owner's shutdown releases gets errClosed;
 // it never hangs.
 func (a *admitQueue) await(j *liveJob, grant func() bool) error {
 	a.q = append(a.q, j)
@@ -222,26 +222,33 @@ func (a *admitQueue) release() {
 
 // awaitAdmission parks the job in the admission queue until the policy
 // picks it, a streaming slot is free, enough nodes are eligible to place
-// it (unless it names its nodes), and (under gang scheduling) an
-// exclusive timeslot row is available — row exhaustion queues the
-// admission, and releaseRow's broadcast retries it; a shrunken cluster
-// queues it too, and syncPlace's broadcast retries it. On success the job
-// owns one streaming slot and j.row. Caller holds mm.mu.
-func (mm *MM) awaitAdmission(j *liveJob) error {
-	return mm.admit.await(j, func() bool {
+// it (unless it names its nodes), and placeInRow seats it in a row of
+// the gang matrix — a job that fits in no row queues, and a finishing
+// job's broadcast retries it; a shrunken cluster queues it too, and
+// syncPlace's broadcast retries it. On success the job owns one
+// streaming slot, j.row and the nodes returned; a placement error frees
+// the slot and fails the job. Caller holds mm.mu.
+func (mm *MM) awaitAdmission(j *liveJob) ([]*nmLink, error) {
+	var nodes []*nmLink
+	var perr error
+	if err := mm.admit.await(j, func() bool {
 		if len(j.spec.Place) == 0 && mm.place.EligibleCount() < j.spec.Nodes {
 			return false
 		}
-		row := mm.pickRow()
-		if row < 0 {
-			return false
-		}
+		var row int
+		row, nodes, perr = mm.placeInRow(j, nil)
 		// j.mu nests inside mm.mu: JobTable readers hold j.mu only.
 		j.mu.Lock()
 		j.row = row
 		j.mu.Unlock()
-		return true
-	})
+		return row >= 0 || perr != nil
+	}); err != nil {
+		return nil, err
+	}
+	if perr != nil {
+		mm.admit.release()
+	}
+	return nodes, perr
 }
 
 // releaseStream returns the job's streaming slot once its transfer is

@@ -97,6 +97,7 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 		// The coordinated context switch: open the designated row's gates,
 		// close the rest.
 		nm.strobesSeen++
+		nm.enacted = row
 		for _, j := range nm.jobs {
 			if j.gate != nil {
 				j.gate.set(j.row == row-1)

@@ -1,7 +1,7 @@
 package livenet
 
 import (
-	"math/bits"
+	"maps"
 	"sync"
 	"time"
 )
@@ -77,40 +77,38 @@ func (g *gate) isOpen() bool {
 	return g.open
 }
 
-// pickRow assigns a new job an exclusive timeslot row, or -1 when every
-// row is occupied. Two concurrent jobs must never share a row — a
-// strobe opens every gate of the designated row, so a shared row would
-// co-schedule two unrelated gangs — and a job that finds no free row
-// stays in the admission queue until one is released. The free rows
-// live in a bitset freelist (rowFree), so picking the lowest free row
-// is a find-first-set over MPL/64 words. Without gang scheduling every
-// job runs ungated in row 0. Caller holds mm.mu.
-func (mm *MM) pickRow() int {
+// placeInRow seats a job in the Ousterhout matrix — rows are timeslots,
+// columns nodes — by the simulator's rule (sched.Matrix.TryPlace): the
+// lowest row where placeJob finds enough nodes once the nodes that row's
+// other in-flight jobs hold join the avoid set. So gangs on disjoint
+// nodes share a timeslot, which a strobe opens for both, while no node
+// holds two gangs of one row, nor more than MPL gangs. row is -1 when
+// every row holds a node the job needs: it queues, or (re-placed) fails.
+// A placement that fails on the avoid set alone is the job's own error.
+// Without gang scheduling every job runs ungated in row 0, placed once.
+// Caller holds mm.mu.
+func (mm *MM) placeInRow(j *liveJob, avoid map[int]bool) (int, []*nmLink, error) {
 	if mm.cfg.GangQuantum <= 0 {
-		return 0
+		nodes, err := mm.placeJob(&j.spec, avoid)
+		return 0, nodes, err
 	}
-	if mm.rowFree == nil {
-		mm.rowFree = make([]uint64, (mm.cfg.MPL+63)/64)
-		for r := 0; r < mm.cfg.MPL; r++ {
-			mm.rowFree[r/64] |= 1 << uint(r%64)
+	held := make(map[int]bool, len(avoid))
+	for r := 0; r < mm.cfg.MPL; r++ {
+		clear(held)
+		maps.Copy(held, avoid)
+		for _, o := range mm.jobs {
+			if o != j && o.row == r {
+				for _, n := range o.placed {
+					held[n] = true
+				}
+			}
+		}
+		if nodes, err := mm.placeJob(&j.spec, held); err == nil {
+			return r, nodes, nil
 		}
 	}
-	for w, free := range mm.rowFree {
-		if free != 0 {
-			r := w*64 + bits.TrailingZeros64(free)
-			mm.rowFree[w] &^= 1 << uint(r%64)
-			return r
-		}
-	}
-	return -1
-}
-
-// releaseRow returns an admitted job's row to the freelist. Caller
-// holds mm.mu.
-func (mm *MM) releaseRow(row int) {
-	if mm.rowFree != nil {
-		mm.rowFree[row/64] |= 1 << uint(row%64)
-	}
+	_, err := mm.placeJob(&j.spec, avoid)
+	return -1, nil, err
 }
 
 // strobeLoop multicasts the coordinated context switch every quantum,
@@ -130,14 +128,10 @@ func (mm *MM) strobeLoop(done chan struct{}) {
 		case <-tick.C:
 		}
 		mm.mu.Lock()
-		next := -1
-		if mm.rowFree != nil {
-			for i := 1; i <= mm.cfg.MPL; i++ {
-				r := (cur + i) % mm.cfg.MPL
-				if mm.rowFree[r/64]&(1<<uint(r%64)) == 0 { // a job holds r
-					next = r
-					break
-				}
+		next := -1 // the first row after cur that holds a job, cyclically
+		for _, j := range mm.jobs {
+			if next < 0 || (j.row-cur+mm.cfg.MPL-1)%mm.cfg.MPL < (next-cur+mm.cfg.MPL-1)%mm.cfg.MPL {
+				next = j.row
 			}
 		}
 		mm.mu.Unlock()

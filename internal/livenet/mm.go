@@ -198,7 +198,7 @@ type MM struct {
 	// probation when somebody is actually vouching.
 	members  map[int]*member
 	hbActive int
-	jobs     map[int]*liveJob
+	jobs     map[int]*liveJob // placed jobs: their rows and nodes are the gang matrix's cells
 	nextJob  int
 	closed   bool
 	// clients tracks in-flight submission connections so Kill can sever
@@ -209,8 +209,8 @@ type MM struct {
 
 	// Multi-tenant admission (see admit.go): jobs wait in admit until the
 	// policy grants them one of MaxConcurrent streaming slots; its cond
-	// broadcasts on every slot/row release. place is the indexed
-	// placement engine (internal/place): it tracks per-node load,
+	// broadcasts on every slot release and finished job. place is the
+	// indexed placement engine (internal/place): it tracks per-node load,
 	// declared capacity, committed usage, and eligibility, and answers
 	// placement decisions in O(log n) instead of a cluster scan — all
 	// mutated under mu. All guarded by mu.
@@ -252,11 +252,6 @@ type MM struct {
 	launched  int
 	completed int
 	strobes   int
-
-	// rowFree is the gang rows' one occupancy record: a bitset of the
-	// rows no job holds, which pickRow pops lowest-first and the strobe
-	// loop skips.
-	rowFree []uint64
 
 	wg sync.WaitGroup
 }
@@ -1071,20 +1066,14 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 			mm.record(j, journal.Event{Type: journal.JobFailed, Data: []byte(err.Error())})
 		}
 	}()
-	if err := mm.awaitAdmission(j); err != nil {
+	nodes, err := mm.awaitAdmission(j)
+	if err != nil {
 		mm.mu.Unlock()
 		return Report{}, err
 	}
 	j.mu.Lock()
 	j.queued = time.Since(j.qStart)
 	j.mu.Unlock()
-	nodes, err := mm.placeJob(&spec, nil)
-	if err != nil {
-		mm.releaseRow(j.row)
-		mm.admit.release()
-		mm.mu.Unlock()
-		return Report{}, err
-	}
 	j.nodes = nodes
 	for _, l := range nodes {
 		j.placed = append(j.placed, l.node)
@@ -1097,8 +1086,7 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	mm.record(j, journal.Event{Type: journal.JobPlanned})
 	defer func() {
 		mm.mu.Lock()
-		delete(mm.jobs, j.id)
-		mm.releaseRow(j.row)
+		delete(mm.jobs, j.id) // which frees its cells of the gang matrix
 		for _, n := range j.placed {
 			mm.place.Release(n, spec.Demand)
 		}
@@ -1290,10 +1278,12 @@ func retryBackoff(job, attempt int) time.Duration {
 }
 
 // rehome gives a failed job a fresh placement on the current
-// membership, excluding every node that already failed it, and lays its
-// trees afresh at a new epoch — the next transfer re-runs the manifest
-// rounds from scratch, so surviving caches (and the images of nodes that
-// served the failed attempt) turn the replay into a mostly-delta stream.
+// membership, excluding every node that already failed it, by the gang
+// matrix's rule (placeInRow: it may move rows, and fails when every row
+// holds a node it needs), and lays its trees afresh at a new epoch —
+// the next transfer re-runs the manifest rounds from scratch, so
+// surviving caches (and the images of nodes that served the failed
+// attempt) turn the replay into a mostly-delta stream.
 // Pinned jobs cannot move: they are only re-dialed if every pinned node
 // is still unblemished.
 func (mm *MM) rehome(j *liveJob) error {
@@ -1306,7 +1296,10 @@ func (mm *MM) rehome(j *liveJob) error {
 	for _, n := range j.failedNodes {
 		bad[n] = true
 	}
-	nodes, err := mm.placeJob(&j.spec, bad)
+	row, nodes, err := mm.placeInRow(j, bad)
+	if err == nil && row < 0 {
+		err = fmt.Errorf("livenet: each of the %d gang rows holds a job on the nodes it needs", mm.cfg.MPL)
+	}
 	if err != nil {
 		return err
 	}
@@ -1319,7 +1312,7 @@ func (mm *MM) rehome(j *liveJob) error {
 		mm.place.Commit(l.node, j.spec.Demand)
 	}
 	j.mu.Lock()
-	j.nodes = nodes
+	j.row, j.nodes = row, nodes
 	j.fail = nil
 	j.peerDown = nil
 	mm.rewireTree(j, mm.stripeCountFor(j))

@@ -154,9 +154,10 @@ func TestLaunchPhaseDeathIsNodeDeath(t *testing.T) {
 }
 
 // TestGangRowExclusiveQueueing: with MPL=2 gang rows and three
-// concurrent jobs, no two in-flight jobs may ever share a row, and the
-// third job must queue (not fail) until a row frees. The job table is
-// sampled throughout to catch any overlap.
+// concurrent jobs that overlap — each takes both of the cluster's two
+// nodes, so no two can share a row's cells — no two in-flight jobs may
+// ever share a row, and the third job must queue (not fail) until a row
+// frees. The job table is sampled throughout to catch any overlap.
 func TestGangRowExclusiveQueueing(t *testing.T) {
 	cfg := MMConfig{GangQuantum: 10 * time.Millisecond, MPL: 2}
 	mm, _ := mtCluster(t, 2, cfg, nil)

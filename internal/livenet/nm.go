@@ -100,6 +100,9 @@ type NM struct {
 	launches     int
 	strobesSeen  int
 	fragsRelayed atomic.Int64
+	// enacted is the row the last strobe opened, in Ping.Row's encoding
+	// (row+1; 0 before the first strobe). Guarded by mu.
+	enacted int
 
 	// testOffLock, when set (in-package tests only), runs at every point
 	// of the receive path that is about to do O(bytes) or O(chunks) work
@@ -1270,10 +1273,11 @@ func (nm *NM) onLaunch(l *Launch) {
 		return
 	}
 	ready := j != nil && j.complete
-	// Gang mode: processes start gated and run only when their row is
-	// strobed; otherwise they free-run. The gate marks the job launched
-	// here, so lostChildLink leaves its tree alone from now on.
-	g := newGate(!l.Gang)
+	// Gang mode: processes run only while their row is strobed — from the
+	// start if the last strobe opened it, so a gang runs out of turn by at
+	// most one strobe's skew; otherwise they free-run. The gate marks the
+	// job launched here, so lostChildLink leaves its tree alone from now on.
+	g := newGate(!l.Gang || l.Row+1 == nm.enacted)
 	if ready {
 		j.gate, j.row = g, l.Row
 		nm.launches += l.PEs
