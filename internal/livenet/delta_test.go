@@ -639,3 +639,187 @@ func TestLaunchBytesFlatInClusterSize(t *testing.T) {
 		})
 	}
 }
+
+// stampConn notes in at when the first frame of type kind is written on
+// it, as nanoseconds on the monotonic clock since zero: at the Write call
+// (the writer is committed to the frame), or with after set once the
+// Write returns (only then can a reader have it). Every frame leaves in
+// one Write, so the type byte opens it.
+type stampConn struct {
+	net.Conn
+	kind  byte
+	after bool
+	zero  time.Time
+	at    *atomic.Int64
+}
+
+func (c *stampConn) Write(p []byte) (int, error) {
+	mark := func() {
+		if len(p) == 0 || p[0] != c.kind {
+			return
+		}
+		now := int64(time.Since(c.zero))
+		for old := c.at.Load(); (old == 0 || now < old) && !c.at.CompareAndSwap(old, now); old = c.at.Load() {
+		}
+	}
+	if !c.after {
+		mark()
+	}
+	n, err := c.Conn.Write(p)
+	if c.after {
+		mark()
+	}
+	return n, err
+}
+
+// TestFreshImageStreamsBehindManifest: a seeded image the MM has never
+// launched streams right behind its manifests. On links that delay every
+// write, the MM starts writing fragment 0 before any NM has finished
+// writing a HAVE, so before the MM can have read one. Everything else
+// still waits for the HAVE round and streams only what it names: a
+// relaunch streams nothing, a one-chunk patch one chunk, and the replan
+// after a death mid-stream resends only what the survivors' ledgers
+// lack, to byte-identical images. A seed the MM forgot costs one image
+// streamed whole, and nothing else.
+func TestFreshImageStreamsBehindManifest(t *testing.T) {
+	t.Run("fresh", func(t *testing.T) {
+		const n = 7
+		var frag0, have atomic.Int64
+		zero := time.Now()
+		delayed := func(c net.Conn, d time.Duration) net.Conn {
+			plan := faultconn.NewPlan()
+			plan.WriteDelay = d
+			return faultconn.Wrap(c, plan)
+		}
+		cfg := deltaMMConfig()
+		cfg.WrapConn = func(c net.Conn) net.Conn {
+			return &stampConn{Conn: delayed(c, time.Millisecond), kind: wire.Frag, zero: zero, at: &frag0}
+		}
+		mm, nms, _ := chaosCluster(t, n, cfg, func(int) NMConfig {
+			return NMConfig{CacheBytes: 8 << 20, WrapConn: func(c net.Conn) net.Conn {
+				return &stampConn{Conn: delayed(c, 25*time.Millisecond), kind: wire.Have, after: true, zero: zero, at: &have}
+			}}
+		})
+		spec := deltaSpec(n, 0xf4e54, nil)
+		spec.BinaryBytes = 4 * cfg.FragBytes
+		rep, err := mm.RunJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ChunksSent != 4 {
+			t.Fatalf("fresh launch streamed %d chunks, want 4", rep.ChunksSent)
+		}
+		if f, h := time.Duration(frag0.Load()), time.Duration(have.Load()); f == 0 || h == 0 || f >= h {
+			t.Fatalf("the MM wrote fragment 0 at %v and the first HAVE was written at %v: the stream waited for the HAVE round", f, h)
+		}
+		assertSurvivorImages(t, nms, -1, rep.JobID, 4)
+
+		// Every NM holds the image, but an MM that forgot the seed takes
+		// it for fresh: that costs the bytes, and every node takes what
+		// it holds as a duplicate.
+		mm.mu.Lock()
+		mm.seeds = nil
+		mm.mu.Unlock()
+		if rep, err = mm.RunJob(spec); err != nil || rep.ChunksSent != 4 || rep.Replans != 0 {
+			t.Fatalf("relaunch of a forgotten seed: %d chunks streamed, %d replans, err %v; want 4, none, nil", rep.ChunksSent, rep.Replans, err)
+		}
+		assertSurvivorImages(t, nms, -1, rep.JobID, 4)
+	})
+
+	t.Run("relaunch-patch-replan", func(t *testing.T) {
+		const n = 7
+		cfg := chaosMMConfig()
+		frags := chaosBinary / cfg.FragBytes
+		victim := treePositions(t, n, cfg.Fanout)["interior"]
+		// The victim's parent link carries every launch's fragments: the
+		// fresh image's, none of the relaunch's, the patched chunk, then
+		// the second fresh image's until the victim dies within it.
+		killAt := frags + 1 + 10
+		var victimNM atomic.Pointer[NM]
+		mm, nms, _ := chaosCluster(t, n, cfg, func(node int) NMConfig {
+			base := NMConfig{CacheBytes: 8 << 20}
+			if node == victim {
+				base.WrapConn = func(c net.Conn) net.Conn {
+					plan := faultconn.NewPlan()
+					plan.CloseAtReadFrag = killAt
+					plan.OnFault = func(string) { go victimNM.Load().Close() }
+					return faultconn.Wrap(c, plan)
+				}
+			}
+			return base
+		})
+		victimNM.Store(nms[victim])
+		for _, launch := range []struct {
+			name string
+			spec JobSpec
+			sent int
+		}{
+			{"fresh", deltaSpec(n, 0xa11ce, nil), frags},
+			{"relaunch", deltaSpec(n, 0xa11ce, nil), 0},
+			{"1-chunk patch", deltaSpec(n, 0xa11ce, map[int]uint64{5: 0xbeef}), 1},
+		} {
+			rep, err := mm.RunJob(launch.spec)
+			if err != nil {
+				t.Fatalf("%s: %v", launch.name, err)
+			}
+			if rep.ChunksSent != launch.sent || rep.Replans != 0 {
+				t.Fatalf("%s streamed %d chunks with %d replans, want %d and none", launch.name, rep.ChunksSent, rep.Replans, launch.sent)
+			}
+			assertSurvivorImages(t, nms, -1, rep.JobID, frags)
+		}
+		rep, err := mm.RunJob(deltaSpec(n, 0xb0b, nil))
+		if err != nil {
+			t.Fatalf("fresh launch did not recover from node %d's death: %v", victim, err)
+		}
+		if !slices.Equal(rep.Failed, []int{victim}) || rep.Replans < 1 {
+			t.Fatalf("report: failed %v, replans %d; want [%d] and a replan", rep.Failed, rep.Replans, victim)
+		}
+		// The replan's epoch waited for the survivors' ledgers and kept
+		// what a subtree holds off its link; a fresh epoch saves nothing.
+		// (Orphans of the victim may hold no chunk, so every chunk can be
+		// in the union, but no more than once per epoch.)
+		if rep.BytesSaved == 0 || rep.ChunksSent > (1+rep.Replans)*frags {
+			t.Fatalf("the replan streamed %d chunks in all (of %d) and saved %d bytes: it did not wait for the HAVE round",
+				rep.ChunksSent, frags, rep.BytesSaved)
+		}
+		assertSurvivorImages(t, nms, victim, rep.JobID, frags)
+	})
+}
+
+// TestManifestCacheKeepsHotImage: the MM's manifest cache evicts its
+// least recently used entry, so an image relaunched between fresh ones
+// keeps its manifest however many fresh images pass through. And an image
+// is fresh only when it is seeded, unpatched and of a seed never launched.
+func TestManifestCacheKeepsHotImage(t *testing.T) {
+	mm := &MM{cfg: MMConfig{FragBytes: 1 << 10}}
+	build := func(seed uint64, patch map[int]uint64) (*manifestData, bool) {
+		j := &liveJob{spec: JobSpec{BinaryBytes: 4 << 10, ImageSeed: seed, ImagePatch: patch}, frags: 4}
+		return mm.buildManifest(j), j.fresh
+	}
+	hot, fresh := build(1, nil)
+	if !fresh {
+		t.Fatal("the first image of a seed is not fresh")
+	}
+	for i := 0; i < 40; i++ {
+		if _, fresh := build(uint64(100+i), nil); !fresh {
+			t.Fatalf("fresh image %d is not fresh", i)
+		}
+		if d, fresh := build(1, nil); d != hot || fresh {
+			t.Fatalf("after %d fresh images the hot image's manifest was rebuilt (%v) or is fresh (%v)", i+1, d != hot, fresh)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		seed  uint64
+		patch map[int]uint64
+	}{
+		{"a patch of a launched seed", 1, map[int]uint64{2: 7}},
+		{"a patch of a new seed", 1000, map[int]uint64{2: 7}},
+		{"the new seed unpatched", 1000, nil},
+		{"an unseeded image", 0, nil},
+	} {
+		if _, fresh := build(tc.seed, tc.patch); fresh {
+			t.Errorf("%s is fresh", tc.name)
+		}
+	}
+}

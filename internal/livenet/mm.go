@@ -230,10 +230,12 @@ type MM struct {
 	recovered []*RecoveredJob
 
 	// manifests caches the content-derived part of transfer manifests
-	// for seeded (content-addressed) images, keyed by content identity,
-	// so a warm relaunch skips the generate-and-hash pass over the whole
-	// image. Guarded by mu.
-	manifests map[manifestKey]*manifestData
+	// for seeded (content-addressed) images, so a warm relaunch skips the
+	// generate-and-hash pass over the whole image; seeds are the image
+	// seeds the MM has launched, which decide whether an image is fresh
+	// (buildManifest). Both least recently used first. Guarded by mu.
+	manifests []*manifestData
+	seeds     []uint64
 
 	// probes routes directed isolation-probe pongs by sequence number
 	// (transfer recovery and the heartbeat detector share the Pong
@@ -278,36 +280,14 @@ func (pr *probeRound) settle(node int) {
 }
 
 // manifestData is the content-derived part of a transfer manifest. For
-// seeded images it is cacheable across jobs: the same (seed, patch,
-// size, chunking) always produces the same chunks.
+// seeded images it is cacheable across jobs: the same seed, patch and
+// size always produce the same chunks (the chunk size is the MM's).
 type manifestData struct {
+	seed   uint64
+	bytes  int
 	patch  map[int]uint64
 	hashes []uint64
 	total  int64
-}
-
-// manifestKey is the cache key for manifestData. The patch map is folded
-// to a fingerprint for hashability; the stored patch copy breaks the
-// (astronomically unlikely) fingerprint collision on lookup.
-type manifestKey struct {
-	seed    uint64
-	patchFP uint64
-	bytes   int
-	frag    int
-}
-
-func patchFingerprint(p map[int]uint64) uint64 {
-	h := uint64(len(p))
-	keys := make([]int, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		h = rng.Mix64(h ^ uint64(k)*rng.GoldenGamma)
-		h = rng.Mix64(h ^ p[k])
-	}
-	return h
 }
 
 // liveJob is one row of the MM's job table: the full MM-side state of a
@@ -343,10 +323,13 @@ type liveJob struct {
 	fail error
 
 	// Delta-transfer state shared by all stripes. man is the job's
-	// manifest; chunksSent counts chunks streamed across all stripes and
-	// epochs (replayed chunks count again); bytesSaved is the payload the
-	// HAVE ledgers let the MM keep off the wire, summed per link.
+	// manifest; fresh marks an image no NM can hold a chunk of
+	// (buildManifest) until a replan clears it; chunksSent counts chunks
+	// streamed across all stripes and epochs (replayed chunks count
+	// again); bytesSaved is the payload the HAVE ledgers let the MM keep
+	// off the wire, summed per link.
 	man        *manifestData
+	fresh      bool
 	chunksSent int
 	bytesSaved int64
 
@@ -410,7 +393,8 @@ type mmKid struct {
 	// have is a stripe's first folded HAVE ledger of the epoch, nil until
 	// reported: written before the manifest round's wait returns and never
 	// after, so the stream reads it without j.mu. It decides what the
-	// subtree is sent; a later ledger of the epoch only adds credit.
+	// subtree is sent, except in a fresh epoch, which neither waits for
+	// nor reads it; a later ledger of the epoch only adds credit.
 	have   []uint64
 	ledger pongLedger // the control tree's latest pong ledger; seq 0 until the first
 	// present ORs the presence bits of the subtree's ledgers of rounds
@@ -462,16 +446,15 @@ func NewMM(addr string, cfg MMConfig) (*MM, error) {
 		return nil, fmt.Errorf("livenet: listen %s: %w", addr, err)
 	}
 	mm := &MM{
-		cfg:       cfg,
-		ln:        ln,
-		members:   make(map[int]*member),
-		jobs:      make(map[int]*liveJob),
-		nextJob:   cfg.JobBase,
-		clients:   make(map[*conn]struct{}),
-		manifests: make(map[manifestKey]*manifestData),
-		probes:    make(map[int64]*probeRound),
-		place:     place.NewEngine(64),
-		placePol:  placePol,
+		cfg:      cfg,
+		ln:       ln,
+		members:  make(map[int]*member),
+		jobs:     make(map[int]*liveJob),
+		nextJob:  cfg.JobBase,
+		clients:  make(map[*conn]struct{}),
+		probes:   make(map[int64]*probeRound),
+		place:    place.NewEngine(64),
+		placePol: placePol,
 	}
 	mm.admit = admitQueue{cond: sync.NewCond(&mm.mu), closed: &mm.closed, errClosed: ErrMMClosed,
 		policy: policy, slots: cfg.MaxConcurrent}
@@ -1044,10 +1027,7 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 		return Report{}, fmt.Errorf("livenet: %d NMs registered, job wants %d", n, spec.Nodes)
 	}
 	mm.nextJob++
-	frags := (spec.BinaryBytes + mm.cfg.FragBytes - 1) / mm.cfg.FragBytes
-	if frags == 0 {
-		frags = 1
-	}
+	frags := max(1, (spec.BinaryBytes+mm.cfg.FragBytes-1)/mm.cfg.FragBytes)
 	j := &liveJob{
 		id:     mm.nextJob,
 		spec:   spec,
@@ -1232,9 +1212,6 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 	for s := range stripeReplans {
 		stripeReplans[s] = j.replans
 	}
-	j.mu.Lock()
-	winPeak := j.winPeak
-	j.mu.Unlock()
 	mm.record(j, journal.Event{Type: journal.JobDone})
 	return Report{
 		JobID:         j.id,
@@ -1251,7 +1228,7 @@ func (mm *MM) RunJob(spec JobSpec) (_ Report, err error) {
 		BytesSaved:    j.bytesSaved,
 		Queued:        j.queued,
 		Row:           j.row,
-		WindowPeak:    winPeak,
+		WindowPeak:    j.winPeak,
 		Retries:       j.retries,
 	}, nil
 }
@@ -1357,32 +1334,26 @@ func (mm *MM) rewireTree(j *liveJob, k int) {
 //     so no fragment can reach a node before that node knows whom to
 //     relay to, as a fragment follows the manifest down the same link —
 //     splices what its chunk cache holds, and the per-subtree HAVE
-//     ledgers fold back up. The MM learns the set-union of missing
-//     chunks in one O(depth) round with O(fanout) egress, and each
-//     ledger's stripe-local prefix is its subtree's opening credit.
+//     ledgers fold back up: the set-union of missing chunks in one
+//     O(depth) round with O(fanout) egress, each ledger's stripe-local
+//     prefix its subtree's opening credit. A fresh image (buildManifest)
+//     skips the wait: every chunk is missing everywhere.
 //  2. Stream: each missing chunk is generated once into a pooled buffer
 //     and written only to the subtrees that miss it; NMs relay onward
 //     (again selectively, by their children's ledgers) and aggregate
 //     acks, so the MM's window check sees one cumulative credit per
 //     subtree. A chunk goes out only after every subtree has
 //     acknowledged the chunk a window behind it (the live analogue of
-//     the COMPARE-AND-WRITE flow control over the remote receive
-//     queues).
+//     the COMPARE-AND-WRITE flow control over the remote receive queues).
 //  3. Recover (only on liveness failures): diagnose which nodes are
 //     actually dead (accumulated PeerDown evidence plus directed
 //     isolation probes over the control links), exclude them, and rewire
-//     every stripe, drained or not, over the survivors under a bumped
-//     epoch. Each re-runs phases 1 and 2 from the start: its
-//     manifest round installs the new tree, and the survivors' ledgers
-//     re-derive the remaining need, and the credit to resume from, from
-//     their actual splice and cache state. Chunks are regenerated
+//     every stripe over the survivors under a bumped epoch, which re-runs
+//     phases 1 and 2, waiting for the survivors' ledgers: they re-derive
+//     the remaining need, and the credit to resume from, from their
+//     actual splice and cache state. Chunks are regenerated
 //     deterministically, so the send log is the generator plus an index.
 //     Content failures (hash rejections) are never retried.
-//
-// With MMConfig.Stripes > 1 the phases run per stripe and overlap:
-// each stripe pipelines its own manifest round and stream in a
-// dedicated goroutine, so stripe i is streaming chunks while stripe j
-// still folds HAVEs.
 func (mm *MM) transfer(j *liveJob) error {
 	// maxReplans bounds the tree-replan recovery rounds one transfer may
 	// attempt before giving up. Each round can exclude several failed
@@ -1453,47 +1424,61 @@ func (mm *MM) runStripes(j *liveJob) error {
 
 // buildManifest computes (or retrieves) the job's transfer manifest: the
 // per-chunk content hashes. For seeded (content-addressed) images the
-// result is cached MM-side keyed by content identity, so a warm relaunch
-// skips the generate-and-hash pass over the whole image and opens at
-// near-control-plane cost.
+// result is cached MM-side, so a warm relaunch skips the generate-and-hash
+// pass over the whole image and opens at near-control-plane cost. It also
+// decides whether the image is fresh: seeded, unpatched, and of a seed the
+// MM has never launched, so no NM can hold any of its chunks. Unseeded
+// content repeats every 256 job ids and is never fresh. Both caches are
+// bounded LRU lists; a seed forgotten costs one image streamed whole.
 func (mm *MM) buildManifest(j *liveJob) *manifestData {
-	frag := mm.cfg.FragBytes
-	var key manifestKey
-	cacheable := j.spec.ImageSeed != 0
-	if cacheable {
-		key = manifestKey{seed: j.spec.ImageSeed, patchFP: patchFingerprint(j.spec.ImagePatch),
-			bytes: j.spec.BinaryBytes, frag: frag}
+	const cachedManifests, launchedSeeds = 16, 256
+	frag, spec := mm.cfg.FragBytes, &j.spec
+	if spec.ImageSeed != 0 {
 		mm.mu.Lock()
-		d := mm.manifests[key]
+		d, hit := lruGet(&mm.manifests, func(d *manifestData) bool {
+			return d.seed == spec.ImageSeed && d.bytes == spec.BinaryBytes && maps.Equal(d.patch, spec.ImagePatch)
+		})
+		_, launched := lruGet(&mm.seeds, func(s uint64) bool { return s == spec.ImageSeed })
+		if !launched {
+			mm.seeds = append(mm.seeds[max(0, len(mm.seeds)-launchedSeeds+1):], spec.ImageSeed)
+		}
+		j.fresh = !launched && len(spec.ImagePatch) == 0
 		mm.mu.Unlock()
-		if d != nil && maps.Equal(d.patch, j.spec.ImagePatch) {
+		if hit {
 			return d
 		}
 	}
-	d := &manifestData{hashes: make([]uint64, j.frags)}
+	d := &manifestData{seed: spec.ImageSeed, bytes: spec.BinaryBytes, patch: maps.Clone(spec.ImagePatch),
+		hashes: make([]uint64, j.frags)}
 	// Chunks are independent (generate + hash each), so the pass fans out
 	// over a small worker pool.
 	parallelChunks(j.frags, func(i int) {
-		size := chunkSizeFor(&j.spec, frag, i)
+		size := chunkSizeFor(spec, frag, i)
 		p := grabFrame(size)
 		data := (*p)[fragRoom:]
-		fillChunkInto(&j.spec, j.id, i, data)
+		fillChunkInto(spec, j.id, i, data)
 		d.hashes[i] = chunkcache.Hash64(data)
 		releaseFrame(p)
 	})
 	// Every chunk but the last is frag bytes long.
-	d.total = int64(j.frags-1)*int64(frag) + int64(chunkSizeFor(&j.spec, frag, j.frags-1))
-	if cacheable {
-		d.patch = maps.Clone(j.spec.ImagePatch)
+	d.total = int64(j.frags-1)*int64(frag) + int64(chunkSizeFor(spec, frag, j.frags-1))
+	if spec.ImageSeed != 0 {
 		mm.mu.Lock()
-		if len(mm.manifests) >= 16 {
-			// Tiny bound, rarely hit: images come from a handful of seeds.
-			mm.manifests = make(map[manifestKey]*manifestData)
-		}
-		mm.manifests[key] = d
+		mm.manifests = append(mm.manifests[max(0, len(mm.manifests)-cachedManifests+1):], d)
 		mm.mu.Unlock()
 	}
 	return d
+}
+
+// lruGet finds the first element of the LRU list *s that match accepts
+// and moves it to the end, the most recently used place; a list is
+// appended to there, and cut from the front to its bound.
+func lruGet[T any](s *[]T, match func(T) bool) (v T, ok bool) {
+	if i := slices.IndexFunc(*s, match); i >= 0 {
+		v, ok = (*s)[i], true
+		*s = append(slices.Delete(*s, i, i+1), v)
+	}
+	return v, ok
 }
 
 // chunkSizeFor is the byte length of chunk i under the given chunking —
@@ -1521,13 +1506,13 @@ func fillChunkInto(spec *JobSpec, job, i int, b []byte) {
 // the chunks the round-robin interleave assigns this stripe). The round
 // runs once per epoch; after a replan it runs again under the new one,
 // and the survivors' ledgers re-derive what is still missing from their
-// actual splice and cache state.
+// actual splice and cache state. A fresh image's first epoch does not
+// wait: its send list is the whole stripe, the stream follows the
+// manifests down the same links at once, and the HAVEs carry only credit.
 func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	j.mu.Lock()
 	kids := slices.Clone(ss.kids)
-	tree := ss.tree
-	epoch := j.epoch
-	k := len(j.stripes)
+	tree, epoch, fresh, k := ss.tree, j.epoch, j.fresh, len(j.stripes)
 	j.mu.Unlock()
 
 	// Relay links are shared across jobs, so per-conn byte counters cannot
@@ -1539,11 +1524,12 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 		n, err := kids[c].link.c.send(Message{Manifest: m})
 		j.sent(n, err, kids[c].link.node, "manifest of stripe", ss.id)
 	})
-	// The rewire that opened the epoch started the kids' records over.
+	// The rewire that opened the epoch started the kids' records over. A
+	// fresh epoch owes nothing here, so the wait only returns a failure.
 	err := j.await(ss, "chunk ledger (HAVE) unreported by nodes", time.Now().Add(mm.cfg.AckTimeout), func(names *[]string) int {
 		n := 0
 		for _, kid := range ss.kids {
-			if kid.have == nil {
+			if kid.have == nil && !fresh {
 				n++
 				nameOwing(names, kid.link.node)
 			}
@@ -1562,7 +1548,7 @@ func (mm *MM) manifestStripe(j *liveJob, ss *stripeState) error {
 	for i := ss.id; i < j.frags; i += k {
 		missing := false
 		for _, kid := range kids {
-			if maskGet(kid.have, i) {
+			if !fresh && maskGet(kid.have, i) {
 				j.bytesSaved += int64(chunkSizeFor(&j.spec, mm.cfg.FragBytes, i))
 			} else {
 				missing = true
@@ -1592,7 +1578,7 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 	kids := slices.Clone(ss.kids)
 	list := append([]int(nil), ss.sendList...)
 	depth := ss.tree.depth
-	k := len(j.stripes)
+	k, fresh := len(j.stripes), j.fresh
 	j.mu.Unlock()
 
 	// The window is end-to-end (the credit the MM sees is the minimum over
@@ -1617,13 +1603,14 @@ func (mm *MM) streamStripe(j *liveJob, ss *stripeState) error {
 			}
 		}
 		// One encoding of the chunk goes to every child whose subtree
-		// lacks it, to all of them at once.
+		// lacks it, to all of them at once: in a fresh epoch, to every
+		// child, as its HAVE may be arriving.
 		f := newFrag(chunkSizeFor(&j.spec, frag, i))
 		f.Job, f.Index, f.Stripe, f.Last = j.id, i, ss.id, i == j.frags-1
 		fillChunkInto(&j.spec, j.id, i, f.Data)
 		frame := f.encode()
 		fanOut(len(kids), func(c int) {
-			if !maskGet(kids[c].have, i) {
+			if fresh || !maskGet(kids[c].have, i) {
 				n, err := kids[c].link.c.sendFrame(frame)
 				j.sent(n, err, kids[c].link.node, "fragment", i)
 			}
@@ -1734,7 +1721,7 @@ func (mm *MM) recoverStripes(j *liveJob, dead map[int]string) error {
 		sort.Ints(failed)
 		return fmt.Errorf("livenet: job %d: all nodes failed (%v)", j.id, failed)
 	}
-	j.nodes = survivors
+	j.nodes, j.fresh = survivors, false
 	// Reports of these deaths that raced the diagnosis are spent: another
 	// parent's PeerDown, or a second stripe's, must not start a round of
 	// its own.

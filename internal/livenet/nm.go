@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -194,8 +195,9 @@ func (r *treeRole) install(tree []TreeNode, inst func(below []TreeNode) Message)
 // replan re-stamps every stripe, drained or not.
 type stripeRelay struct {
 	treeRole
-	sentUp   int  // cumulative credit already propagated up (by the HAVE ledger, or an ack)
-	haveSent bool // this epoch's aggregated HAVE ledger already went up
+	sentUp   int     // cumulative credit already propagated up (by the HAVE ledger, or an ack)
+	haveSent bool    // the aggregated HAVE ledger already went up to this parent
+	via      []*conn // the live links this epoch's install arrived on, the parent among them
 }
 
 // credit raises the cumulative credit of the child bound to link from to
@@ -214,13 +216,13 @@ func (r *stripeRelay) credit(from *conn, n int) {
 // I/O; answer runs it under nm.mu and writes what it returns.
 //
 //   - Nothing while no parent is bound.
-//   - The HAVE ledger, once per epoch, when no drain or seal is in flight
-//     and every live child has reported: bit i is set iff every node of
-//     the subtree holds chunk i — the AND-fold, dual of the control
-//     plane's OR of absence — and its stripe-local prefix is the credit it
-//     carries. A child that is down cannot vouch for anything: all bits
-//     are clear, and the MM's recovery rebuilds the subtree. (The MM reads
-//     only stripe s's bits; the full bitmap keeps one ledger format.)
+//   - The HAVE ledger, once per parent link, when no drain or seal is in
+//     flight and every live child has reported: bit i is set iff every
+//     node of the subtree holds chunk i — the AND-fold, dual of the
+//     control plane's OR of absence — and its stripe-local prefix is the
+//     credit it carries. A child that is down cannot vouch for anything:
+//     all bits are clear, and the MM's recovery rebuilds the subtree. (The
+//     MM reads only stripe s's bits; the full bitmap keeps one ledger format.)
 //   - After the HAVE, the credit — the minimum of this node's own
 //     stripe-local prefix and every child subtree's credit — each time it
 //     passes what already went up, unless this node rejected the job. A
@@ -513,11 +515,15 @@ func (nm *NM) isClosed() bool {
 
 // dropLink is the one way a link leaves the NM: out of the served set
 // and its writer, every stripe or control role whose parent it was
-// unbound — a replacement parent re-binds with the install its writer
-// writes ahead of any other frame, and answers must never be written to
-// a dead socket — and closed. Its read loop ends with it; a writer that
-// fails a write on it does not wait for that.
+// unbound — answers must never be written to a dead socket — and closed.
+// A stripe falls back to another live link its epoch's install arrived
+// on, and answers there: a parent's redial may have installed it on a
+// newer link before this one's install was read. Otherwise the
+// replacement parent re-binds with the install its writer writes ahead
+// of any other frame. Its read loop ends with it; a writer that fails a
+// write on it does not wait for that.
 func (nm *NM) dropLink(c *conn) {
+	var rebound [][2]int // job, stripe
 	nm.mu.Lock()
 	delete(nm.links, c)
 	for _, lw := range nm.writers {
@@ -525,9 +531,13 @@ func (nm *NM) dropLink(c *conn) {
 			lw.c = nil
 		}
 	}
-	for _, j := range nm.jobs {
-		for _, sr := range j.stripes {
-			if sr.parent == c {
+	for job, j := range nm.jobs {
+		for s, sr := range j.stripes {
+			sr.via = slices.DeleteFunc(sr.via, func(l *conn) bool { return l == c })
+			if n := len(sr.via); sr.parent == c && n > 0 {
+				sr.parent, sr.haveSent, sr.sentUp = sr.via[n-1], false, 0 // a move, as in onManifest
+				rebound = append(rebound, [2]int{job, s})
+			} else if sr.parent == c {
 				sr.parent = nil
 			}
 		}
@@ -537,6 +547,9 @@ func (nm *NM) dropLink(c *conn) {
 	}
 	nm.mu.Unlock()
 	c.close()
+	for _, js := range rebound {
+		nm.answer(js[0], js[1])
+	}
 }
 
 // adoptPeer takes over an inbound relay connection the hub routed here,
@@ -824,8 +837,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 		// epoch may have been answered to a parent that had moved on and
 		// dropped the answer, so the credit and HAVE streams restart from
 		// nothing. The current epoch's manifest arriving again — on the
-		// link a parent's relay redialed — only moves the answers to that
-		// link.
+		// link a parent's relay redialed — moves the answers to that link.
 		*sr = stripeRelay{treeRole: treeRole{epoch: m.Epoch}}
 		sr.install(m.Tree, func(below []TreeNode) Message {
 			inst := *m
@@ -837,7 +849,13 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 			nm.relay(m.Job, rc, Message{})
 		}
 	}
-	sr.parent = from
+	if sr.parent != from {
+		// The answers move: what went up the old link may be lost with it,
+		// so the stripe answers again from the HAVE on, and the parent
+		// keeps the maximum. via stays in order of the installs' arrival.
+		sr.via = append(slices.DeleteFunc(sr.via, func(l *conn) bool { return l == from }), from)
+		sr.parent, sr.haveSent, sr.sentUp = from, false, 0
+	}
 	man := j.man
 	nm.mu.Unlock()
 
@@ -1184,12 +1202,7 @@ func (nm *NM) verifySpool(job int, man *Manifest, spool *os.File) error {
 		errs[i] = err
 		releaseFrame(p)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return cmp.Or(errs...) // the first
 }
 
 // CacheStats returns a snapshot of the NM's chunk-cache counters and

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,49 @@ func TestFragForReleasedJobIsDropped(t *testing.T) {
 				t.Fatalf("a fragment for a released job was answered with %d bytes", wire.Len()-sent)
 			}
 		})
+	}
+}
+
+// TestRelayRebindAnswersOnLiveLink: a relay redialed its child and
+// installed it again on link L2, and the install it had written on the
+// dying link L1 is read after L2's. When L1 ends, the stripe's answers go
+// up L2 — the HAVE again, then the credit — instead of stopping: a stripe
+// bound to no link drops every answer, and its parent's window stalls
+// until the MM's ack timeout.
+func TestRelayRebindAnswersOnLiveLink(t *testing.T) {
+	var up, w1, w2 bytes.Buffer
+	nm := bareNM(3, writeConn(&up))
+	l1, l2 := writeConn(&w1), writeConn(&w2)
+	const job, chunks, size = 9, 4, 64
+	image := fragPattern(job, 0, chunks*size)
+	man := &Manifest{Job: job, Stripes: 1, ChunkBytes: size, TotalBytes: chunks * size, Hashes: make([]uint64, chunks)}
+	for i := range man.Hashes {
+		man.Hashes[i] = chunkcache.Hash64(image[i*size : (i+1)*size])
+	}
+	nm.onManifest(man, l2)
+	nm.onManifest(man, l1)
+	w2.Reset()
+	nm.dropLink(l1)
+	f := newFrag(size)
+	f.Job = job
+	copy(f.Data, image[:size])
+	nm.handleFrag(f)
+
+	var got []string
+	for c := (&conn{r: bufio.NewReader(&w2)}); ; {
+		m, err := c.recv()
+		if err != nil {
+			break
+		}
+		switch {
+		case m.Have != nil:
+			got = append(got, "have")
+		case m.FragAck != nil && m.FragAck.OK:
+			got = append(got, fmt.Sprintf("credit %d", m.FragAck.Index+1))
+		}
+	}
+	if want := []string{"have", "credit 1"}; !slices.Equal(got, want) {
+		t.Fatalf("after L1 ended, L2 carried %v, want %v", got, want)
 	}
 }
 
